@@ -8,8 +8,8 @@
 Artifacts (garden file, operator tables, reports, test cases) land in
 <input>.out/ by default; --outputIndexedIR additionally writes the rewritten
 source to <input>.indexed.mi.  Exit status: 0 on success, 1 when an
-assertion-failure test case was found (or a replay diverged), 2 on usage
-errors.
+assertion-failure test case was found (or a replay diverged), 2 on bad input,
+an empty garden included.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .symex import (
     MODE_INDEXED,
     ExplorationReport,
     ExploreConfig,
+    SymexError,
     TestCase,
     explore,
     explore_baseline,
@@ -134,7 +135,7 @@ def default_f_plus(indexed_types) -> set:
     return names
 
 
-def default_builders(f_plus, indexed_types, gardens_types=None):
+def default_builders(f_plus, indexed_types):
     """B+ defaults to the garden-growable part of F+: mono-typed operators
     whose arguments and result are all of one indexed type."""
     builders = []
@@ -537,7 +538,7 @@ def main(argv=None) -> int:
             return cmd_compare(cfg)
         return cmd_run(cfg)
     except (UsageError, GardenError, IotError, RewriteError, MiniImpError,
-            FileNotFoundError) as e:
+            SymexError, FileNotFoundError) as e:
         print(f"indexify: {e}", file=sys.stderr)
         return 2
 

@@ -21,18 +21,14 @@ from .lang.ast import (
     FLOAT,
     INT,
     STR,
-    BinOp,
-    BotLiteral,
-    Call,
     EscapedGarden,
     Literal,
     Program,
     TypeTag,
-    UnOp,
     Value,
     mk_str,
     value_key,
-    walk_stmts,
+    walk_exprs,
 )
 from .lang.printer import print_float
 
@@ -147,32 +143,10 @@ class BuilderConfig:
 
 def iter_literals(p: Program):
     """Yield every Literal in the program, in source order."""
-
-    def from_expr(e):
-        if isinstance(e, Literal):
-            yield e
-        elif isinstance(e, BinOp):
-            yield from from_expr(e.left)
-            yield from from_expr(e.right)
-        elif isinstance(e, UnOp):
-            yield from from_expr(e.operand)
-        elif isinstance(e, Call):
-            for a in e.args:
-                yield from from_expr(a)
-        elif isinstance(e, BotLiteral):
-            return
-
     for f in p.functions:
-        for _, s in walk_stmts(f.body):
-            for e in _stmt_exprs(s):
-                yield from from_expr(e)
-
-
-def _stmt_exprs(s):
-    for attr in ("init", "value", "cond", "expr"):
-        e = getattr(s, attr, None)
-        if e is not None:
-            yield e
+        for e in walk_exprs(f.body):
+            if isinstance(e, Literal):
+                yield e
 
 
 def harvest_seeds(p: Program, types: set[TypeTag]) -> SeedSet:
@@ -207,7 +181,7 @@ def _admissible(v: Value, max_str_len: int) -> bool:
     return True
 
 
-def extend(imap: IndexMap, op: OperatorSignature, evaluator=None, *,
+def extend(imap: IndexMap, op: OperatorSignature, *,
            snapshot: list[Value] | None = None, max_str_len: int = 8,
            generation: int = 1) -> tuple[IndexMap, int]:
     """One builder pass: apply op to every argument tuple from the snapshot.
@@ -218,15 +192,15 @@ def extend(imap: IndexMap, op: OperatorSignature, evaluator=None, *,
     """
     if any(t != imap.type_tag for t in op.arg_types) or op.return_type != imap.type_tag:
         raise GardenError(f"{op.name} is not a builder for {imap.type_tag!r}")
-    if evaluator is None:
-        from .iot import eval_builtin as evaluator
+    from .iot import eval_builtin  # iot imports this module
+
     if snapshot is None:
         snapshot = imap.values()
     skips = 0
     for tup in _index_tuples(len(snapshot), op.arity):
         args = [snapshot[i] for i in tup]
         try:
-            result = evaluator(op.name, args)
+            result = eval_builtin(op.name, args)
         except Exception:
             skips += 1
             continue
@@ -252,7 +226,7 @@ def _index_tuples(n: int, arity: int):
             return
 
 
-def build_garden(seeds: SeedSet, cfg: BuilderConfig, evaluator=None,
+def build_garden(seeds: SeedSet, cfg: BuilderConfig,
                  types: set[TypeTag] | None = None) -> dict[TypeTag, IndexMap]:
     """Grow per-type gardens: k rounds over all builders, shared round snapshot."""
     if types is None:
@@ -275,7 +249,7 @@ def build_garden(seeds: SeedSet, cfg: BuilderConfig, evaluator=None,
             tag = op.return_type
             if tag not in gardens:
                 raise GardenError(f"builder {op.name} needs a {tag!r} garden")
-            extend(gardens[tag], op, evaluator,
+            extend(gardens[tag], op,
                    snapshot=snapshots[tag], max_str_len=cfg.max_str_len,
                    generation=rnd)
     return gardens

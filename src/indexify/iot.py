@@ -171,10 +171,6 @@ def eval_builtin(name: str, args) -> Value:
     return op.eval(*args)
 
 
-def ops_of_class(klass: str) -> list[BuiltinOp]:
-    return [op for op in REGISTRY.values() if op.klass == klass]
-
-
 def class_for_type(tag: TypeTag) -> str:
     if tag is STR:
         return "string"
@@ -252,13 +248,16 @@ class IndexedOperatorTable:
                 return BOT
         return self.rows[key]
 
-    def lookup_value(self, key: tuple) -> Value:
-        cell = self.lookup(key)
+    def cell_value(self, cell) -> Value:
+        """The Value an indexed call returns for a cell; BOT stays BOT."""
         if self.result_indexed:
             return Value(index_of(self.result.type_tag), cell)
         if cell is BOT:
             return Value(self.signature.return_type, BOT)
         return cell
+
+    def lookup_value(self, key: tuple) -> Value:
+        return self.cell_value(self.lookup(key))
 
     def indexed_signature(self) -> OperatorSignature:
         args = []
@@ -302,10 +301,8 @@ def _dims_for(signature: OperatorSignature, gardens, int_pool):
 
 
 def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
-            int_pool=(), evaluator=None) -> IndexedOperatorTable:
+            int_pool=()) -> IndexedOperatorTable:
     """Build the complete table for op over the gardens (plus the int pool)."""
-    if evaluator is None:
-        evaluator = op.eval
     sig = op.signature
     dims = _dims_for(sig, gardens, int_pool)
     result = gardens.get(sig.return_type, sig.return_type)
@@ -315,7 +312,7 @@ def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
     for key in _product([list(d.domain()) for d in dims]):
         args = [d.value_for(k) for d, k in zip(dims, key)]
         try:
-            out = evaluator(*args)
+            out = op.eval(*args)
         except Exception:
             rows[key] = BOT
             skipped += 1
@@ -335,12 +332,11 @@ def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
     )
 
 
-def memoise_all(gardens, op_names, int_pool=(), registry=None) -> dict[str, IndexedOperatorTable]:
+def memoise_all(gardens, op_names, int_pool=()) -> dict[str, IndexedOperatorTable]:
     """Memoise every named operator; result is keyed by indexed name (i_*)."""
-    registry = registry or REGISTRY
     tables = {}
     for name in sorted(op_names):
-        op = registry.get(name)
+        op = REGISTRY.get(name)
         if op is None:
             raise IotError(f"cannot index unknown operator {name!r}")
         t = memoise(gardens, op, int_pool)
@@ -390,9 +386,7 @@ def serialize_iot(t: IndexedOperatorTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_iot(text: str, gardens: dict[TypeTag, IndexMap],
-              registry=None) -> IndexedOperatorTable:
-    registry = registry or REGISTRY
+def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("iot "):
         raise IotError("not an iot file: missing header")
@@ -401,7 +395,7 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap],
         raise IotError(f"malformed iot header: {lines[0]!r}")
     name, arity, kind = head[1], int(head[2]), head[3]
     file_hash = head[4].split(":", 1)[1]
-    op = registry.get(name)
+    op = REGISTRY.get(name)
     if op is None:
         raise IotError(f"iot file for unknown operator {name!r}")
     if arity != op.signature.arity:

@@ -99,10 +99,6 @@ def mk_str(s: bytes | str) -> Value:
     return Value(STR, bytes(s))
 
 
-def mk_index(tag: TypeTag, i) -> Value:
-    return Value(tag, i)
-
-
 def float_key(x: float) -> object:
     """Canonical dict key for a float, under value equality.
 
@@ -327,6 +323,38 @@ def walk_stmts(body: list[Stmt], path: tuple = ()):
             yield from walk_stmts(s.orelse, here + ("e",))
         elif isinstance(s, While):
             yield from walk_stmts(s.body, here + ("b",))
+
+
+def walk_exprs(body: list[Stmt]):
+    """Yield every expression in body in pre-order: statements in walk_stmts
+    order, each statement's own expressions, then their subexpressions."""
+    for _, s in walk_stmts(body):
+        for attr in ("init", "value", "cond", "expr"):
+            e = getattr(s, attr, None)
+            if e is not None:
+                yield from _subexprs(e)
+
+
+def _subexprs(e: Expr):
+    yield e
+    if isinstance(e, BinOp):
+        yield from _subexprs(e.left)
+        yield from _subexprs(e.right)
+    elif isinstance(e, UnOp):
+        yield from _subexprs(e.operand)
+    elif isinstance(e, Call):
+        for a in e.args:
+            yield from _subexprs(a)
+
+
+def declared_types(f: FunctionDef) -> dict:
+    """name -> declared type, for the params and every Decl of f, nested ones
+    included.  A Decl retyped to index<t> reports its index type."""
+    out = {p.name: p.type for p in f.params}
+    for _, s in walk_stmts(f.body):
+        if isinstance(s, Decl):
+            out[s.name] = s.type
+    return out
 
 
 def program_layout(p: Program) -> Layout:

@@ -33,6 +33,7 @@ from .ast import (
     Value,
     Var,
     While,
+    declared_types,
     is_index,
     mk_bool,
     mk_int,
@@ -69,18 +70,14 @@ class _BoundExceeded(Exception):
 
 class Interpreter:
     def __init__(self, program: Program, inputs, *, gardens=None, tables=None,
-                 unroll: int = 16, bot_propagate: bool = False, builtins=None):
-        if builtins is None:
-            from .. import iot
-
-            builtins = iot.REGISTRY
+                 unroll: int = 16, bot_propagate: bool = False):
         self.program = program
         self.inputs = inputs or {}
         self.gardens = gardens or {}
         self.tables = tables or {}
         self.unroll = unroll
         self.bot_propagate = bot_propagate
-        self.builtins = builtins
+        self.decls = {f.name: declared_types(f) for f in program.functions}
         self.covered_branches = set()
         self.covered_stmts = set()
         self.outputs = []
@@ -160,7 +157,9 @@ class Interpreter:
         if name not in self.inputs:
             raise MiniImpError(f"unbound symbolic variable {name!r}")
         v = self.inputs[name]
-        want = self.declared_type(name, fn_name)
+        want = self.decls[fn_name].get(name)
+        if want is None:
+            raise MiniImpError(f"no declaration for {name!r}")
         if is_index(want) and v.tag == want.base:
             # inputs carry real values; map them into the garden here
             garden = self.gardens.get(want.base)
@@ -170,16 +169,6 @@ class Interpreter:
         if v.tag != want:
             raise MiniImpError(f"input {name!r} has tag {v.tag!r}, expected {want!r}")
         scope[name] = v
-
-    def declared_type(self, name, fn_name):
-        f = self.program.function(fn_name)
-        for p in f.params:
-            if p.name == name:
-                return p.type
-        for _, st in _walk(f.body):
-            if isinstance(st, Decl) and st.name == name:
-                return st.type
-        raise MiniImpError(f"no declaration for {name!r}")
 
     # -- expressions ---------------------------------------------------------
 
@@ -245,7 +234,9 @@ class Interpreter:
             self._no_bot(args[0])
             self.outputs.append(args[0].raw)
             return mk_int(0)
-        op = self.builtins.get(e.name)
+        from ..iot import REGISTRY  # iot imports lang, so not at module level
+
+        op = REGISTRY.get(e.name)
         if op is None:
             raise MiniImpError(f"call to unknown function {e.name!r}")
         for a in args:
@@ -276,12 +267,6 @@ class Interpreter:
                 raise EscapedGarden()
             key.append(v.raw)
         return table.lookup_value(tuple(key))
-
-
-def _walk(body, path=()):
-    from .ast import walk_stmts
-
-    yield from walk_stmts(body, path)
 
 
 def _c_div(a: int, b: int) -> int:
@@ -326,8 +311,8 @@ def concrete_binop(op: str, lv: Value, rv: Value) -> Value:
 
 
 def interpret(p: Program, inputs=None, *, gardens=None, tables=None,
-              unroll: int = 16, bot_propagate: bool = False, builtins=None) -> InterpResult:
+              unroll: int = 16, bot_propagate: bool = False) -> InterpResult:
     return Interpreter(
         p, inputs, gardens=gardens, tables=tables, unroll=unroll,
-        bot_propagate=bot_propagate, builtins=builtins,
+        bot_propagate=bot_propagate,
     ).run()

@@ -61,9 +61,9 @@ class _FnSig:
 
 
 class TypeChecker:
-    def __init__(self, program: Program, builtin_sigs=None, extra_sigs=None):
+    def __init__(self, program: Program, extra_sigs=None):
         self.program = program
-        self.builtins = dict(builtin_sigs if builtin_sigs is not None else default_builtin_sigs())
+        self.builtins = default_builtin_sigs()
         if extra_sigs:
             self.builtins.update(extra_sigs)
         self.user_fns: dict[str, _FnSig] = {}
@@ -251,6 +251,6 @@ class TypeChecker:
         return sig.return_type
 
 
-def typecheck(p: Program, builtin_sigs=None, extra_sigs=None) -> Program:
+def typecheck(p: Program, extra_sigs=None) -> Program:
     """Annotate p in place and return it; raises MiniImpTypeError on failure."""
-    return TypeChecker(p, builtin_sigs, extra_sigs).run()
+    return TypeChecker(p, extra_sigs).run()

@@ -46,8 +46,11 @@ from .lang.ast import (
     Value,
     Var,
     While,
+    declared_types,
     index_of,
     is_index,
+    walk_exprs,
+    walk_stmts,
 )
 from .lang.typecheck import typecheck
 
@@ -71,11 +74,8 @@ class RewriteConfig:
     f_plus: set
     gardens: dict
     tables: dict  # indexed name (i_*) -> IndexedOperatorTable
-    registry: dict = None
 
     def __post_init__(self):
-        if self.registry is None:
-            self.registry = REGISTRY
         for name in self.f_plus:
             if "i_" + name not in self.tables:
                 raise RewriteError(f"operator {name!r} in F+ has no table")
@@ -183,32 +183,13 @@ def _put(node, path, repl):
 # ---------------------------------------------------------------------------
 
 
-def declared_types(f: FunctionDef) -> dict:
-    """name -> declared type, for params and every Decl in the function.
-
-    Declarations retyped by R3 report their index type; either form counts as
-    indexed below, which is what keeps the guards order-independent.
-    """
-    out = {p.name: p.type for p in f.params}
-
-    def walk(body):
-        for s in body:
-            if isinstance(s, Decl):
-                out[s.name] = s.type
-            elif isinstance(s, If):
-                walk(s.then)
-                walk(s.orelse)
-            elif isinstance(s, While):
-                walk(s.body)
-
-    walk(f.body)
-    return out
-
-
 class _Guards:
     def __init__(self, program: Program, cfg: RewriteConfig, fn: FunctionDef):
         self.program = program
         self.cfg = cfg
+        # rebuilt per scan: every rule application yields a new FunctionDef.
+        # A Decl retyped by R3 and one still awaiting R3 both count as
+        # indexed, which is what keeps the guards order-independent.
         self.decls = declared_types(fn)
 
     def declared_indexed(self, tag: TypeTag | None) -> bool:
@@ -259,7 +240,7 @@ class _Guards:
         if user is not None:
             return ["index" if self.declared_indexed(p.type) else None
                     for p in user.params]
-        op = self.cfg.registry.get(callee)
+        op = REGISTRY.get(callee)
         if op is not None:
             return ["raw-indexed" if at in self.cfg.indexed_types else None
                     for at in op.signature.arg_types]
@@ -271,7 +252,7 @@ class _Guards:
             return None
         if self.program.function(callee) is not None:
             return None
-        return self.cfg.registry.get(callee)
+        return REGISTRY.get(callee)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +409,16 @@ def _scan_expr(e: Expr, path, g: _Guards, out, context):
 # ---------------------------------------------------------------------------
 
 
-def apply_rule(p: Program, r: Redex, cfg: RewriteConfig) -> Program:
-    """Apply one rule at one site; raises StaleRedex if the guard is gone."""
-    current = find_redexes(p, cfg)
-    if r not in current:
+def apply_rule(p: Program, r: Redex, cfg: RewriteConfig,
+               redexes: list[Redex] | None = None) -> Program:
+    """Apply one rule at one site; raises StaleRedex if the guard is gone.
+
+    redexes is find_redexes(p, cfg) when the caller has just computed it;
+    without it the guard is checked by a fresh scan.
+    """
+    if redexes is None:
+        redexes = find_redexes(p, cfg)
+    if r not in redexes:
         raise StaleRedex(f"{r!r} no longer applies")
     if r.rule == "R3":
         return _apply_r3(p, r, cfg)
@@ -472,37 +459,11 @@ def _apply_r3(p: Program, r: Redex, cfg: RewriteConfig) -> Program:
 
 
 def _ast_size(p: Program) -> int:
+    """Functions, params, statements and expression nodes."""
     n = 0
-
-    def expr(e):
-        nonlocal n
-        n += 1
-        if isinstance(e, BinOp):
-            expr(e.left)
-            expr(e.right)
-        elif isinstance(e, UnOp):
-            expr(e.operand)
-        elif isinstance(e, Call):
-            for a in e.args:
-                expr(a)
-
-    def block(body):
-        nonlocal n
-        for s in body:
-            n += 1
-            for attr in ("init", "value", "cond", "expr"):
-                e = getattr(s, attr, None)
-                if e is not None:
-                    expr(e)
-            if isinstance(s, If):
-                block(s.then)
-                block(s.orelse)
-            elif isinstance(s, While):
-                block(s.body)
-
     for f in p.functions:
-        n += 1 + len(f.params)
-        block(f.body)
+        n += 1 + len(f.params) + sum(1 for _ in walk_stmts(f.body))
+        n += sum(1 for _ in walk_exprs(f.body))
     return n
 
 
@@ -526,7 +487,7 @@ def normalize(p: Program, cfg: RewriteConfig, order: str = "first",
             r = (rng or random).choice(redexes)
         else:
             r = redexes[0]
-        cur = apply_rule(cur, r, cfg)
+        cur = apply_rule(cur, r, cfg, redexes)
     extra = {t.indexed_name: t.indexed_signature() for t in cfg.tables.values()}
     typecheck(cur, extra_sigs=extra)
     return IndexationResult(
@@ -594,9 +555,10 @@ def _emit_table_fn(t: IndexedOperatorTable) -> str:
     if t.result_indexed:
         lines.append(f"  return bot@{base};")
     else:
-        # the textual encoding has no raw bottom; -1 stands in for a miss here,
-        # the in-memory table keeps BOT as a distinct cell variant
-        lines.append("  return -1;")
+        # the textual encoding has no raw bottom, and any in-band value (such
+        # as -1, a real strncmp result) would pass for a hit: a miss consumes
+        # BOT instead.  Raw-result tables are the int-valued string operators.
+        lines.append("  return strlen(unidx(bot@str));")
     lines.append("}")
     return "\n".join(lines)
 

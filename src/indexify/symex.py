@@ -50,6 +50,7 @@ from .lang.ast import (
     Value,
     Var,
     While,
+    declared_types,
     index_of,
     is_index,
     mk_bool,
@@ -58,7 +59,6 @@ from .lang.ast import (
     mk_str,
     program_layout,
     truthy,
-    walk_stmts,
 )
 from .lang.interp import (
     VERDICT_ASSERT,
@@ -181,6 +181,7 @@ class Engine:
         self.program = program
         self.cfg = cfg
         self.layout = program_layout(program)
+        self.decls = {f.name: declared_types(f) for f in program.functions}
         self.queries = 0
         self.atoms_generated = 0
         self.atoms_sent = 0
@@ -368,7 +369,9 @@ class _Run:
     def make_symbolic(self, name, fn_name):
         if name in self.symvars:
             return self.symvars[name]
-        tag = self._declared_tag(name, fn_name)
+        tag = self.engine.decls[fn_name].get(name)
+        if tag is None:
+            raise SymexError(f"no declaration for symbolic {name!r}")
         if is_index(tag):
             garden = self.cfg.gardens.get(tag.base)
             if garden is None:
@@ -386,16 +389,6 @@ class _Run:
             ref = Opaque(name, tag)
         self.symvars[name] = ref
         return ref
-
-    def _declared_tag(self, name, fn_name):
-        f = self.program.function(fn_name)
-        for p in f.params:
-            if p.name == name:
-                return p.type
-        for _, st in walk_stmts(f.body):
-            if isinstance(st, Decl) and st.name == name:
-                return st.type
-        raise SymexError(f"no declaration for symbolic {name!r}")
 
     # -- symbolic values --------------------------------------------------------
 
@@ -646,7 +639,7 @@ class _Run:
             if isinstance(a, Value):
                 if a.raw is BOT:
                     if self.cfg.bot_propagate:
-                        return self._table_result(table, BOT)
+                        return table.cell_value(BOT)
                     raise _Terminal(VERDICT_ESCAPED)
                 parts.append(("conc", a.raw))
             elif isinstance(a, SymRef):
@@ -672,12 +665,12 @@ class _Run:
             v = self.decide(options, generated=naive)
             naive = 0
             if v is None:
-                return self._table_result(table, BOT)
+                return table.cell_value(BOT)
             parts[i] = ("conc", v)
         free_at = next((i for i, (k, _) in enumerate(parts) if k == "sym"), None)
         if free_at is None:
             lookup = tuple(p for _, p in parts)
-            return self._table_result(table, table.lookup(lookup))
+            return table.cell_value(table.lookup(lookup))
         ref = parts[free_at][1]
         dim = table.dims[free_at]
         rows = []
@@ -692,14 +685,7 @@ class _Run:
         # one BOT successor whose condition excludes every surviving row
         options.append(_Option([var_neq_const(ref.var, v) for _, v in rows], BOT))
         cell = self.decide(options, generated=naive, record_fork=True)
-        return self._table_result(table, cell)
-
-    def _table_result(self, table, cell):
-        if table.result_indexed:
-            return Value(index_of(table.result.type_tag), cell)
-        if cell is BOT:
-            return Value(table.signature.return_type, BOT)
-        return cell
+        return table.cell_value(cell)
 
     # -- reporting -----------------------------------------------------------------
 

@@ -5,6 +5,9 @@ import pytest
 
 from indexify.bench import corpus_path
 from indexify.cli import main
+from indexify.garden import load_gardens
+from indexify.lang.ast import mk_str
+from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
 
@@ -64,6 +67,34 @@ def test_exit_two_on_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.mi"
     bad.write_text("int main(){ return x; }")
     assert run_cli("--type", "string", str(bad)) == 2
+
+
+def test_exit_two_on_empty_garden(tmp_path, capsys):
+    # no float literals to harvest: the float garden is empty
+    src = tmp_path / "nofloats.mi"
+    src.write_text("int main(){ float x; symbolic x; float y = sqrt(x); return 0; }")
+    code = run_cli("--type", "float", str(src), "--outdir", str(tmp_path / "art"))
+    assert code == 2
+    assert "garden is empty" in capsys.readouterr().err
+
+
+def test_emitted_raw_table_miss_consumes_bot(tmp_path, capsys):
+    # strncmp returns -1 for real, so a table miss must not read as -1 in the
+    # emitted program: n = 2 is outside the int pool, and the lookup is BOT
+    src = tmp_path / "miss.mi"
+    src.write_text('int main(){ str s; symbolic s; int n = 1 + 1; '
+                   'if (strncmp(s, "zz", n) == -1) { return 1; } return 0; }')
+    ops = tmp_path / "ops.txt"
+    ops.write_text("strncmp\n")
+    out = str(tmp_path / "art")
+    assert run_cli("--type", "string", str(src), "--F+", str(ops), "--k", "0",
+                   "--outputIndexedIR", "--outdir", out) == 0
+    report = open(os.path.join(out, "report.indexed.txt")).read()
+    assert "verdict=escaped-garden" in report and "verdict=ok" not in report
+    emitted = typecheck(parse(open(str(src) + ".indexed.mi").read()))
+    gardens = load_gardens(open(os.path.join(out, "garden.txt")).read())
+    res = interpret(emitted, {"s": mk_str(b"zz")}, gardens=gardens)
+    assert res.verdict == "escaped-garden"
 
 
 def test_artifacts_are_reproducible(fig4a_file, tmp_path):

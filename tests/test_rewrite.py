@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from indexify.bench import corpus_path
+from indexify import rewrite
+from indexify.bench import CORPUS, corpus_path, load_entry
+from indexify.cli import run_mode
 from indexify.garden import build_garden, BuilderConfig, harvest_int_pool, harvest_seeds
 from indexify.iot import REGISTRY, memoise_all
 from indexify.lang.ast import BOT, STR, BotLiteral, Call, Decl, Literal, index_of, mk_int
@@ -19,6 +21,7 @@ from indexify.rewrite import (
     find_redexes,
     normalize,
 )
+from indexify.symex import MODE_INDEXED
 
 from conftest import FIG4A_SOURCE
 
@@ -172,6 +175,26 @@ def test_stale_redex_rejected(fig5_gardens):
         apply_rule(out, r3, cfg)
 
 
+def test_normalize_scans_once_per_step(fig4a_program, fig5_gardens, monkeypatch):
+    # normalize hands the redexes it found to apply_rule instead of letting
+    # apply_rule scan again: one scan per step plus the final empty one
+    calls = {"find_redexes": 0, "apply_rule": 0}
+
+    def counting(name):
+        fn = getattr(rewrite, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(rewrite, name, counting(name))
+    normalize(fig4a_program, fig5_cfg(fig5_gardens))
+    assert calls["apply_rule"] > 0
+    assert calls["find_redexes"] == calls["apply_rule"] + 1
+
+
 def test_equality_operand_folds_to_index():
     src = """
     int main() {
@@ -308,3 +331,18 @@ def test_emitted_source_parses_and_matches_table(fig4a_program, fig5_gardens):
         else:
             assert out.verdict == "ok"
             assert out.return_value == mk_int(1)
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_emitted_source_agrees_with_in_memory_program(entry):
+    # the emitted if-chains, run with gardens and no tables, give every test
+    # case the verdict and return value of the in-memory tables
+    cfg, pipe = load_entry(entry)
+    report = run_mode(cfg, pipe, MODE_INDEXED)
+    emitted = parse(emit_indexed_source(pipe.indexed))
+    for tc in report.test_cases:
+        mem = interpret(pipe.indexed.program, tc.inputs, gardens=pipe.gardens,
+                        tables=pipe.tables, unroll=cfg.unroll)
+        out = interpret(emitted, tc.inputs, gardens=pipe.gardens, unroll=cfg.unroll)
+        assert (out.verdict, out.return_value) == (mem.verdict, mem.return_value), \
+            (tc.path_id, tc.inputs)

@@ -246,6 +246,38 @@ def test_symbolic_scoping_is_function_local():
         assert replay(p, tc).ok
 
 
+def test_symbolic_declared_in_nested_blocks():
+    # symbolic variables declared inside an if body and a while body get
+    # their declared type like top-level ones, in exploration and in replay
+    src = """
+    int main() {
+      int n = 0;
+      str a;
+      symbolic a;
+      if (strcmp(a, "go") == 0) {
+        str b;
+        symbolic b;
+        if (strcmp(b, "x") == 0) { return 1; }
+      }
+      while (n < 1) {
+        str c;
+        symbolic c;
+        n = n + 1;
+        if (strcmp(c, "y") == 0) { return 2; }
+      }
+      return 0;
+    }
+    """
+    _, res, gardens, tables = indexed_setup(src, {"strcmp"}, k=0)
+    rep = run_indexed(res, gardens, tables)
+    assert rep.branch_covered == rep.branch_total
+    names = set()
+    for tc in rep.test_cases:
+        names |= set(tc.inputs)
+        assert replay(res.program, tc, gardens=gardens, tables=tables).ok
+    assert names == {"a", "b", "c"}
+
+
 def test_bot_propagation_never_loses_coverage_on_corpus():
     # deferring escapes can only lengthen paths: branch coverage is monotone
     for name, f_plus in (("substring_loop", {"substr", "strcmp"}),
