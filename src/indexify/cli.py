@@ -323,7 +323,8 @@ def human_summary(report: ExplorationReport) -> str:
     return (
         f"[{report.mode}] paths={report.paths} states={report.states} "
         f"bcov={report.branch_cov:.2%} icov={report.instr_cov:.2%} "
-        f"queries={report.solver_queries} escaped={report.escaped_paths} "
+        f"queries={report.solver_queries} unknowns={report.solver_unknowns} "
+        f"escaped={report.escaped_paths} "
         f"asserts={sum(1 for t in report.test_cases if t.verdict == 'assertion-failure')} "
         f"time={report.elapsed_s:.2f}s"
     )

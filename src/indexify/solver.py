@@ -8,6 +8,11 @@ the classes, and searches for an assignment of the unpinned classes
 deterministic and the smallest available.  The search is exhaustive, so the
 verdict is exact; a per-query budget converts pathological instances into an
 "unknown" verdict instead of a hang.
+
+PathState keeps the same classes, pins and exclusions incrementally as a path
+condition grows, and decides it without solve() unless it holds a var-var
+disequality; solve(), simplify() and entailed_pins() stay the reference it
+is tested against.
 """
 
 from __future__ import annotations
@@ -113,6 +118,11 @@ class _UnionFind:
             p[x] = p[p[x]]
             x = p[x]
         return x
+
+    def copy(self) -> "_UnionFind":
+        uf = _UnionFind()
+        uf.parent = self.parent.copy()
+        return uf
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
@@ -269,6 +279,12 @@ def entailed_pins(pc) -> dict:
     return out
 
 
+def _key(a: Atom):
+    """What makes two atoms duplicates of each other for simplify()."""
+    return (a.kind, a.var.name,
+            a.other.name if isinstance(a.other, FiniteVar) else ("c", repr(a.other)))
+
+
 def simplify(pc) -> tuple:
     """Drop atoms entailed by the rest: duplicates, out-of-domain
     disequalities, and disequalities already decided by constant pins.
@@ -290,8 +306,7 @@ def simplify(pc) -> tuple:
     out = []
     seen = set()
     for a in pc:
-        key = (a.kind, a.var.name,
-               a.other.name if isinstance(a.other, FiniteVar) else ("c", repr(a.other)))
+        key = _key(a)
         if key in seen:
             continue
         if a.kind == "==v" and a.var.name == a.other.name:
@@ -311,6 +326,208 @@ def simplify(pc) -> tuple:
         seen.add(key)
         out.append(a)
     return tuple(out)
+
+
+class _Class:
+    """One equality class of a PathState."""
+
+    __slots__ = ("size", "bot", "pin", "pin_at", "clash", "neq", "keys")
+
+    def __init__(self, var: FiniteVar):
+        # the domain is [0, size) plus BOT when every member allows it
+        self.size = var.size
+        self.bot = var.allow_bot
+        self.pin = None     # the constant of the class's last ==c atom
+        self.pin_at = -1    # that atom's position in the path condition
+        self.clash = False  # two ==c atoms of the class name different constants
+        self.neq = {}       # constant -> distinct !=c atoms naming it, each
+        #                     inside its own variable's domain
+        self.keys = set()   # _key of every ==c, ==v and counted !=c atom
+
+    def copy(self) -> "_Class":
+        c = _Class.__new__(_Class)
+        c.size, c.bot, c.pin, c.pin_at, c.clash = (
+            self.size, self.bot, self.pin, self.pin_at, self.clash)
+        c.neq = self.neq.copy()
+        c.keys = self.keys.copy()
+        return c
+
+    def absorb(self, other: "_Class") -> None:
+        self.size = min(self.size, other.size)
+        self.bot = self.bot and other.bot
+        if other.pin is not None:
+            if self.pin is not None and not _same_const(self.pin, other.pin):
+                self.clash = True
+            if other.pin_at > self.pin_at:
+                self.pin, self.pin_at = other.pin, other.pin_at
+        self.clash = self.clash or other.clash
+        for c, n in other.neq.items():
+            self.neq[c] = self.neq.get(c, 0) + n
+        self.keys |= other.keys
+
+    def in_domain(self, c) -> bool:
+        return self.bot if c is BOT else 0 <= c < self.size
+
+    def dropped(self) -> int:
+        """The class's !=c atoms that simplify() drops, as its pin decides them."""
+        if self.pin is None:
+            return 0
+        return sum(self.neq.values()) - self.neq.get(self.pin, 0)
+
+    def feasible(self) -> bool:
+        if self.clash:
+            return False
+        if self.pin is not None:
+            return self.in_domain(self.pin) and self.pin not in self.neq
+        excluded = sum(1 for c in self.neq if self.in_domain(c))
+        return excluded < self.size + self.bot
+
+    def smallest(self):
+        """The value solve() gives the class: its pin, else the smallest
+        constant not excluded, BOT last."""
+        if self.pin is not None:
+            return self.pin
+        for c in range(self.size):
+            if c not in self.neq:
+                return c
+        return BOT
+
+
+class PathState:
+    """The facts of a path condition, extended atom by atom along the path.
+
+    It holds what solve(), simplify() and entailed_pins() would otherwise
+    recompute from the whole condition at each query: the equality classes
+    (a union-find over ==v atoms), each class's domain, pin and excluded
+    constants, the var-var disequalities, and how many atoms simplify()
+    keeps.  extend() returns a new state and leaves this one unchanged, so
+    every option at a fork is tried from the same state; its cost grows with
+    the new atoms and the classes they touch, not with the condition.
+
+    Without var-var disequalities the state decides satisfiability and gives
+    solve()'s model itself.  With one, status is None: the search over
+    neighbouring classes is solve()'s, and so is every UNKNOWN.
+    """
+
+    __slots__ = ("_uf", "_classes", "_edges", "_atoms", "_unsat", "_clash",
+                 "_kept", "_dropped")
+
+    def __init__(self):
+        self._uf = _UnionFind()
+        self._classes = {}   # root name -> _Class
+        self._edges = {}     # _key -> (name, name) of every distinct !=v atom
+        self._atoms = 0      # atoms added so far
+        self._unsat = False  # some class has no value left
+        self._clash = False  # some class is pinned to two constants
+        self._kept = 0       # distinct ==c and ==v atoms, and counted !=c atoms
+        self._dropped = 0    # counted !=c atoms a pin decides (see _Class.dropped)
+
+    def extend(self, atoms) -> "PathState":
+        """The state of this path condition with atoms appended."""
+        st = PathState.__new__(PathState)
+        st._uf = self._uf.copy()
+        st._classes = self._classes.copy()
+        st._edges = self._edges  # replaced, never changed in place
+        st._atoms, st._unsat, st._clash, st._kept, st._dropped = (
+            self._atoms, self._unsat, self._clash, self._kept, self._dropped)
+        touched = {}  # root -> the class st owns (copied from self) for it
+        for a in atoms:
+            st._add(a, touched)
+            st._atoms += 1
+        for root, cls in touched.items():
+            if root in st._classes:  # not merged into another class
+                st._dropped += cls.dropped()
+                st._clash = st._clash or cls.clash
+                st._unsat = st._unsat or not cls.feasible()
+        return st
+
+    def _own(self, root, touched) -> _Class:
+        cls = touched.get(root)
+        if cls is None:
+            cls = touched[root] = self._classes[root] = self._classes[root].copy()
+            self._dropped -= cls.dropped()
+        return cls
+
+    def _root(self, var: FiniteVar, touched) -> str:
+        if var.name not in self._uf.parent:
+            self._uf.find(var.name)
+            touched[var.name] = self._classes[var.name] = _Class(var)
+        return self._uf.find(var.name)
+
+    def _add(self, a: Atom, touched) -> None:
+        root = self._root(a.var, touched)
+        if a.kind == "!=v":
+            self._root(a.other, touched)
+            key = _key(a)
+            if key not in self._edges:
+                self._edges = {**self._edges, key: (a.var.name, a.other.name)}
+            return
+        if a.kind == "!=c" and not a.var.contains(a.other):
+            return  # vacuous, and simplify() drops it
+        if a.kind == "==v":
+            other = self._root(a.other, touched)
+            if a.var.name == a.other.name:
+                return
+            if other != root:
+                keep = self._uf.union(root, other)
+                gone = other if keep == root else root
+                self._own(keep, touched).absorb(self._own(gone, touched))
+                del self._classes[gone]
+                root = keep
+        cls = self._own(root, touched)
+        if a.kind == "==c":  # a repeated pin still moves pin_at: the last one wins
+            if cls.pin is not None and not _same_const(cls.pin, a.other):
+                cls.clash = True
+            cls.pin, cls.pin_at = a.other, self._atoms
+        key = _key(a)
+        if key in cls.keys:
+            return
+        cls.keys.add(key)
+        self._kept += 1
+        if a.kind == "!=c":
+            cls.neq[a.other] = cls.neq.get(a.other, 0) + 1
+
+    def _pin_of(self, name):
+        return self._classes[self._uf.find(name)].pin
+
+    @property
+    def status(self):
+        """SAT or UNSAT, or None when only solve() can decide."""
+        if self._edges:
+            return None
+        return UNSAT if self._unsat else SAT
+
+    @property
+    def simplified(self) -> int:
+        """len(simplify(pc)) for the path condition pc this state holds."""
+        edges = len(self._edges)
+        if self._clash:  # simplify() drops nothing by pins then
+            return self._kept + edges
+        for a, b in self._edges.values():
+            pa, pb = self._pin_of(a), self._pin_of(b)
+            if pa is not None and pb is not None and not _same_const(pa, pb):
+                edges -= 1
+        return self._kept - self._dropped + edges
+
+    def pin(self, name):
+        """entailed_pins(pc).get(name)."""
+        if name not in self._uf.parent:
+            return None
+        return self._pin_of(name)
+
+    def model(self, variables=()) -> dict | None:
+        """solve(pc, variables).model, for a state whose status is not None."""
+        if self._unsat:
+            return None
+        model = {name: self._classes[self._uf.find(name)].smallest()
+                 for name in self._uf.parent}
+        for v in variables:
+            if v.name not in model:
+                c = next(v.domain(), None)
+                if c is None:
+                    return None
+                model[v.name] = c
+        return model
 
 
 def dump_query(pc) -> str:

@@ -10,13 +10,19 @@ arguments (fixed defaults for strings and floats, a model value pinned into
 the path condition for finite-domain variables), mimicking what dynamic
 symbolic execution does.
 
-Paths are enumerated by decision-trace replay: each run re-executes the
-program following a recorded prefix of decisions, then explores the first
-still-open option at the frontier, pushing siblings for later (true branch
-first, table rows in ascending result order, the BOT successor last).  Every
-frontier option is checked satisfiable before it is taken or queued, so the
-path condition is satisfiable at all times and emitted test cases replay on
-the concrete interpreter by construction.
+Paths are enumerated by replay.  Each entry of the exploration stack is the
+list of options chosen so far on one path.  A run re-executes the program
+from the start; at each decision along that prefix it takes the recorded
+option again, adding its atoms to the path condition without building the
+option list or asking the solver.  Past the prefix the run is at the
+frontier: only there is a decision's option list built (true branch first,
+table rows in ascending result order, the BOT successor last), every option
+checked, the first feasible one taken and the other feasible ones queued.
+The path condition travels with the run as a solver.PathState, so a check
+costs the atoms it adds, and solver.solve is consulted only for var-var
+disequalities.  Every queued option was satisfiable when checked, so emitted
+test cases replay on the concrete interpreter by construction; an option the
+solver cannot decide is dropped and counted, and the run goes on.
 """
 
 from __future__ import annotations
@@ -137,6 +143,7 @@ class ExplorationReport:
     states: int
     paths: int
     solver_queries: int
+    solver_unknowns: int  # options and models the solver could not decide
     atoms_generated: int
     atoms_sent: int
     escaped_paths: int
@@ -169,11 +176,15 @@ class _Infeasible(Exception):
 
 
 class _Option:
-    __slots__ = ("atoms", "payload")
+    __slots__ = ("atoms", "payload", "state")
 
     def __init__(self, atoms, payload):
         self.atoms = atoms
         self.payload = payload
+        # the path state once the option is taken, set when it is found
+        # feasible: every run that replays the option reaches it with the
+        # same path condition
+        self.state = None
 
 
 class Engine:
@@ -183,33 +194,16 @@ class Engine:
         self.layout = program_layout(program)
         self.decls = {f.name: declared_types(f) for f in program.functions}
         self.queries = 0
+        self.unknowns = 0
         self.atoms_generated = 0
         self.atoms_sent = 0
         self.states = 0
         self.iot_fork_sizes = []
 
-    def check_sat(self, atoms) -> bool:
-        pc = solver.simplify(tuple(atoms))
-        self.queries += 1
-        self.atoms_sent += len(pc)
-        res = solver.solve(pc)
-        if res.status == solver.UNKNOWN:
-            raise SymexError("solver budget exhausted during feasibility check")
-        return res.status == solver.SAT
-
-    def model_for(self, atoms, variables):
-        pc = solver.simplify(tuple(atoms))
-        self.queries += 1
-        self.atoms_sent += len(pc)
-        res = solver.solve(pc, variables=variables)
-        if res.status != solver.SAT:
-            raise SymexError("path condition became unsatisfiable")
-        return res.model
-
     def explore(self) -> ExplorationReport:
         start = time.monotonic()
         deadline = start + self.cfg.wallclock_s
-        stack: list[list[int]] = [[]]
+        stack: list[list[_Option]] = [[]]
         self.states = 1
         test_cases = []
         covered_branches = set()
@@ -232,8 +226,8 @@ class Engine:
             covered_stmts |= run.covered_stmts
             if verdict == VERDICT_ESCAPED:
                 escaped += 1
-            if emit:
-                model = self.model_for(run.pc, run.finite_vars())
+            model = run.model(run.finite_vars()) if emit else None
+            if model is not None:  # None: the solver could not give one
                 test_cases.append(TestCase(
                     path_id=len(test_cases),
                     verdict=verdict,
@@ -252,6 +246,7 @@ class Engine:
             states=self.states,
             paths=paths,
             solver_queries=self.queries,
+            solver_unknowns=self.unknowns,
             atoms_generated=self.atoms_generated,
             atoms_sent=self.atoms_sent,
             escaped_paths=escaped,
@@ -268,11 +263,11 @@ class _Run:
         self.engine = engine
         self.cfg = engine.cfg
         self.program = engine.program
-        self.prefix = prefix
+        self.path = prefix  # the options chosen so far, the frontier's appended
         self.stack = stack
         self.depth = 0
-        self.chosen: list[int] = []
         self.pc: list = []
+        self.state = solver.PathState()  # the facts of pc
         self.covered_branches = set()
         self.covered_stmts = set()
         self.outputs = []
@@ -282,31 +277,70 @@ class _Run:
 
     # -- decisions -----------------------------------------------------------
 
-    def decide(self, options: list[_Option], generated: int = 0, record_fork=False):
+    def decide(self, options, generated: int = 0, record_fork=False):
+        """Take the path's next decision and return the chosen payload.
+
+        options is a callable returning the decision's _Option list; it is
+        called only at the frontier, since a replayed decision takes its
+        recorded option.
+        """
         d = self.depth
         self.depth += 1
-        if d < len(self.prefix):
-            opt = options[self.prefix[d]]
+        if d < len(self.path):
+            opt = self.path[d]
             self.pc.extend(opt.atoms)
-            self.chosen.append(self.prefix[d])
+            self.state = opt.state
             return opt.payload
         # frontier: successor states are created here
+        options = options()
         self.engine.atoms_generated += generated + sum(len(o.atoms) for o in options)
         feasible = []
-        for i, opt in enumerate(options):
-            if not opt.atoms or self.engine.check_sat(self.pc + opt.atoms):
-                feasible.append(i)
+        for opt in options:
+            opt.state = self.check(opt.atoms) if opt.atoms else self.state
+            if opt.state is not None:
+                feasible.append(opt)
         if record_fork:
             self.engine.iot_fork_sizes.append(len(feasible))
         if not feasible:
             raise _Infeasible()
         self.engine.states += len(feasible)
-        for i in reversed(feasible[1:]):
-            self.stack.append(self.chosen + [i])
-        opt = options[feasible[0]]
+        for opt in reversed(feasible[1:]):
+            self.stack.append(self.path + [opt])
+        opt = feasible[0]
+        self.state = opt.state
+        self.path.append(opt)
         self.pc.extend(opt.atoms)
-        self.chosen.append(feasible[0])
         return opt.payload
+
+    def check(self, atoms):
+        """The state of pc plus atoms when that is satisfiable; None when it
+        is not, or when the solver cannot tell (counted as unknown)."""
+        state = self.state.extend(atoms)
+        self.engine.queries += 1
+        self.engine.atoms_sent += state.simplified
+        status = state.status
+        if status is None:
+            status = solver.solve(solver.simplify(tuple(self.pc) + tuple(atoms))).status
+            if status == solver.UNKNOWN:
+                self.engine.unknowns += 1
+        return state if status == solver.SAT else None
+
+    def model(self, variables):
+        """solve()'s model of pc over its variables and `variables`; None
+        when the solver cannot tell (counted as unknown)."""
+        self.engine.queries += 1
+        self.engine.atoms_sent += self.state.simplified
+        if self.state.status is not None:
+            model = self.state.model(variables)
+        else:
+            res = solver.solve(solver.simplify(tuple(self.pc)), variables=variables)
+            if res.status == solver.UNKNOWN:
+                self.engine.unknowns += 1
+                return None
+            model = res.model
+        if model is None:
+            raise SymexError("path condition became unsatisfiable")
+        return model
 
     # -- entry ---------------------------------------------------------------
 
@@ -420,9 +454,13 @@ class _Run:
             if isinstance(s, Opaque):
                 self.concretized[s.name] = _concretize_default(s.tag)
             else:
-                model = self.engine.model_for(self.pc, [s.var])
+                model = self.model([s.var])
+                if model is None:  # undecided: the path cannot be pinned
+                    raise _Infeasible()
                 c = model[s.var.name]
-                self.pc.append(var_eq_const(s.var, c))
+                atom = var_eq_const(s.var, c)
+                self.pc.append(atom)
+                self.state = self.state.extend((atom,))
                 self.concretized[s.var.name] = self._value_from_const(s.tag, c)
 
     def _value_from_const(self, tag, c) -> Value:
@@ -445,6 +483,9 @@ class _Run:
         if isinstance(v, Opaque):
             self.intractable([v])
             return self.truth(self.resolve(v))
+        return self.decide(lambda: self._truth_options(v))
+
+    def _truth_options(self, v: SymRef):
         if is_index(v.tag):
             garden = self._garden(v.tag)
             falsy = [i for i in range(v.var.size)
@@ -453,7 +494,7 @@ class _Run:
             falsy = [0]
         options = [_Option([var_neq_const(v.var, f) for f in falsy], True)]
         options += [_Option([var_eq_const(v.var, f)], False) for f in falsy]
-        return self.decide(options)
+        return options
 
     def force_value(self, v) -> Value:
         """Concretize on demand by enumerating the feasible finite domain."""
@@ -465,22 +506,21 @@ class _Run:
         if isinstance(v, Opaque):
             self.intractable([v])
             return self.force_value(v)
+        return self.decide(lambda: self._value_options(v))
+
+    def _value_options(self, v):
         if isinstance(v, Unindexed):
             garden = self._garden(v.ref.tag)
-            options = [_Option([var_eq_const(v.ref.var, i)], garden.value_at(i))
-                       for i in range(v.ref.var.size)]
-            return self.decide(options)
+            return [_Option([var_eq_const(v.ref.var, i)], garden.value_at(i))
+                    for i in range(v.ref.var.size)]
         if is_index(v.tag):
-            options = [_Option([var_eq_const(v.var, i)], Value(v.tag, i))
-                       for i in range(v.var.size)]
-            return self.decide(options)
+            return [_Option([var_eq_const(v.var, i)], Value(v.tag, i))
+                    for i in range(v.var.size)]
         if v.tag is BOOL:
-            options = [_Option([var_eq_const(v.var, b)], mk_bool(bool(b)))
-                       for b in (0, 1)]
-            return self.decide(options)
-        options = [_Option([var_eq_const(v.var, n)], mk_int(n))
-                   for n in range(v.var.size)]
-        return self.decide(options)
+            return [_Option([var_eq_const(v.var, b)], mk_bool(bool(b)))
+                    for b in (0, 1)]
+        return [_Option([var_eq_const(v.var, n)], mk_int(n))
+                for n in range(v.var.size)]
 
     # -- expressions --------------------------------------------------------------
 
@@ -548,18 +588,18 @@ class _Run:
             rv = self.force_value(rv) if isinstance(rv, Unindexed) else rv
             return self.compare(op, lv, rv)
         if isinstance(lv, SymRef) and isinstance(rv, SymRef):
-            options = [_Option([var_eq_var(lv.var, rv.var)], want),
-                       _Option([var_neq_var(lv.var, rv.var)], not want)]
-            return mk_bool(self.decide(options))
+            return mk_bool(self.decide(lambda: [
+                _Option([var_eq_var(lv.var, rv.var)], want),
+                _Option([var_neq_var(lv.var, rv.var)], not want)]))
         sym, conc = (lv, rv) if isinstance(lv, SymRef) else (rv, lv)
         if conc.raw is BOT:
             raise _Terminal(VERDICT_ESCAPED)
         c = _const_for(sym, conc)
         if c is None:  # constant outside the symbolic domain: never equal
             return mk_bool(not want)
-        options = [_Option([var_eq_const(sym.var, c)], want),
-                   _Option([var_neq_const(sym.var, c)], not want)]
-        return mk_bool(self.decide(options))
+        return mk_bool(self.decide(lambda: [
+            _Option([var_eq_const(sym.var, c)], want),
+            _Option([var_neq_const(sym.var, c)], not want)]))
 
     # -- calls ----------------------------------------------------------------
 
@@ -648,21 +688,17 @@ class _Run:
                 raise SymexError(f"indexed call on unsupported value {a!r}")
         # the relevant-subset optimization: concrete arguments and pins already
         # entailed by the path condition filter rows before any forking
-        pins = solver.entailed_pins(tuple(self.pc))
         for i, (kind, payload) in enumerate(parts):
-            if kind == "sym" and payload.var.name in pins:
-                parts[i] = ("conc", pins[payload.var.name])
+            if kind == "sym":
+                pin = self.state.pin(payload.var.name)
+                if pin is not None:
+                    parts[i] = ("conc", pin)
         naive = len(table.rows) * max(table.arity, 1)
         # reduce to at most one free dimension by enumerating the others
         while sum(1 for k, _ in parts if k == "sym") > 1:
             i = next(i for i, (k, _) in enumerate(parts) if k == "sym")
-            ref = parts[i][1]
-            dim = table.dims[i]
-            options = [_Option([var_eq_const(ref.var, v)], v) for v in dim.domain()]
-            if isinstance(dim, IntPoolDim):  # out-of-pool values all map to BOT
-                options.append(
-                    _Option([var_neq_const(ref.var, v) for v in dim.domain()], None))
-            v = self.decide(options, generated=naive)
+            v = self.decide(lambda: _dim_options(parts[i][1], table.dims[i]),
+                            generated=naive)
             naive = 0
             if v is None:
                 return table.cell_value(BOT)
@@ -671,20 +707,8 @@ class _Run:
         if free_at is None:
             lookup = tuple(p for _, p in parts)
             return table.cell_value(table.lookup(lookup))
-        ref = parts[free_at][1]
-        dim = table.dims[free_at]
-        rows = []
-        for v in dim.domain():
-            lookup = tuple(v if i == free_at else p
-                           for i, (_, p) in enumerate(parts))
-            cell = table.lookup(lookup)
-            if cell is not BOT:
-                rows.append((cell, v))
-        rows.sort(key=lambda cv: (_cell_sort_key(cv[0]), cv[1]))
-        options = [_Option([var_eq_const(ref.var, v)], cell) for cell, v in rows]
-        # one BOT successor whose condition excludes every surviving row
-        options.append(_Option([var_neq_const(ref.var, v) for _, v in rows], BOT))
-        cell = self.decide(options, generated=naive, record_fork=True)
+        cell = self.decide(lambda: _row_options(table, parts, free_at),
+                           generated=naive, record_fork=True)
         return table.cell_value(cell)
 
     # -- reporting -----------------------------------------------------------------
@@ -729,6 +753,33 @@ def _const_for(sym: SymRef, conc: Value):
     if isinstance(raw, int) and 0 <= raw < sym.var.size:
         return raw
     return None
+
+
+def _dim_options(ref: SymRef, dim):
+    """One option per value of a table dimension, for a symbolic argument
+    that is not the call's free one."""
+    options = [_Option([var_eq_const(ref.var, v)], v) for v in dim.domain()]
+    if isinstance(dim, IntPoolDim):  # out-of-pool values all map to BOT
+        options.append(
+            _Option([var_neq_const(ref.var, v) for v in dim.domain()], None))
+    return options
+
+
+def _row_options(table: IndexedOperatorTable, parts, free_at: int):
+    """One option per table row that the concrete arguments leave, plus one
+    BOT successor whose condition excludes every surviving row."""
+    ref = parts[free_at][1]
+    rows = []
+    for v in table.dims[free_at].domain():
+        lookup = tuple(v if i == free_at else p
+                       for i, (_, p) in enumerate(parts))
+        cell = table.lookup(lookup)
+        if cell is not BOT:
+            rows.append((cell, v))
+    rows.sort(key=lambda cv: (_cell_sort_key(cv[0]), cv[1]))
+    options = [_Option([var_eq_const(ref.var, v)], cell) for cell, v in rows]
+    options.append(_Option([var_neq_const(ref.var, v) for _, v in rows], BOT))
+    return options
 
 
 def _cell_sort_key(cell):

@@ -8,8 +8,10 @@ from indexify.solver import (
     UNKNOWN,
     UNSAT,
     FiniteVar,
+    PathState,
     dump_query,
     entailed_pins,
+    pc_vars,
     satisfies,
     simplify,
     solve,
@@ -197,3 +199,41 @@ def test_dump_query_format():
     x, y = FiniteVar("x", 4), FiniteVar("y", 4)
     pc = (var_eq_const(x, 2), var_neq_var(x, y), var_eq_const(y, BOT))
     assert dump_query(pc) == "x = 2\nx != y\ny = BOT\n"
+
+
+def test_path_state_agrees_with_the_solver_at_every_prefix():
+    """PathState, extended a few atoms at a time, against solve(), simplify()
+    and entailed_pins() recomputed from the whole path condition."""
+    rng = random.Random(4321)
+    decided = 0
+    for trial in range(3000):
+        vs = [FiniteVar(f"v{i}", rng.randint(1, 4), rng.random() < 0.3)
+              for i in range(rng.randint(2, 4))]
+        # half the sequences have no var-var disequality, so that the state
+        # decides them itself rather than deferring to solve()
+        kinds = 4 if trial % 2 else 3
+        state, pc = PathState(), ()
+        for _ in range(rng.randint(1, 5)):
+            atoms = []
+            for _ in range(rng.randint(1, 4)):
+                v, kind = rng.choice(vs), rng.randrange(kinds)
+                if kind < 2:
+                    c = BOT if rng.random() < 0.15 else rng.randrange(-1, 5)
+                    atoms.append(var_eq_const(v, c) if kind == 0 else var_neq_const(v, c))
+                else:
+                    w = rng.choice(vs)
+                    atoms.append(var_eq_var(v, w) if kind == 2 else var_neq_var(v, w))
+            before = state.simplified
+            state, pc = state.extend(atoms), pc + tuple(atoms)
+            extra = [rng.choice(vs)]
+            assert state.simplified == len(simplify(pc)), pc
+            pins = {n: state.pin(n) for n in pc_vars(pc) if state.pin(n) is not None}
+            assert pins == entailed_pins(pc), pc
+            if state.status is not None:
+                decided += 1
+                ref = solve(pc, variables=extra)
+                assert state.status == ref.status, pc
+                if ref.status == SAT:
+                    assert state.model(extra) == ref.model, pc
+        assert before == len(simplify(pc[:-len(atoms)]))  # extend left it alone
+    assert decided > 3000

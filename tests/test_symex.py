@@ -1,7 +1,16 @@
 import itertools
 
+import pytest
+
 from indexify import solver
 from indexify.bench import corpus_path
+from indexify.cli import (
+    CliConfig,
+    build_pipeline,
+    human_summary,
+    rewrite_pipeline,
+    run_mode,
+)
 from indexify.garden import (
     BuilderConfig,
     build_garden,
@@ -9,7 +18,7 @@ from indexify.garden import (
     harvest_seeds,
     load_gardens,
 )
-from indexify.iot import REGISTRY, memoise_all
+from indexify.iot import REGISTRY, IndexedOperatorTable, memoise_all
 from indexify.lang.ast import BOT, STR, mk_str
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
@@ -383,3 +392,59 @@ def test_mixed_raw_result_with_symbolic_int():
     assert two and two[0].verdict == "ok"
     for tc in rep.test_cases:
         assert replay(res.program, tc, gardens=gardens, tables=tables).ok
+
+
+@pytest.mark.parametrize("unknown_at", [1, 2])
+def test_solver_unknown_drops_one_option_and_exploration_goes_on(monkeypatch, unknown_at):
+    # x != y is a var-var disequality, which only solver.solve decides: its
+    # first call checks that option, its second gives that path's model
+    src = "int main(){ int x; symbolic x; int y; symbolic y; " \
+          "if (x == y) { return 1; } return 0; }"
+    real, calls = solver.solve, []
+
+    def flaky(pc, variables=(), **kw):
+        calls.append(pc)
+        if len(calls) == unknown_at:
+            return solver.SolveResult(solver.UNKNOWN)
+        return real(pc, variables, **kw)
+
+    monkeypatch.setattr(solver, "solve", flaky)
+    rep = explore(typecheck(parse(src)), ExploreConfig(mode=MODE_INDEXED, int_domain=4))
+    assert rep.solver_unknowns == 1
+    assert "unknowns=1" in human_summary(rep)
+    assert [tc.inputs["x"].raw == tc.inputs["y"].raw for tc in rep.test_cases] == [True]
+    # an undecided option is dropped; an undecided model keeps the path
+    assert rep.paths == (1 if unknown_at == 1 else 2)
+
+
+def test_replay_builds_no_options(monkeypatch):
+    # the vars_deep benchmark shape: four symbolic strings, one strcmp each,
+    # so a table fork at each of the 1 + 4 + 16 + 64 inner tree nodes
+    lines = ["int main() {"]
+    for i in range(4):
+        lines += [f"  str s{i};", f"  symbolic s{i};"]
+    lines.append("  int hits = 0;")
+    for i, lit in enumerate("qrsq"):
+        lines += [f'  if (strcmp(s{i}, "{lit}") == 0) {{', "    hits = hits + 1;", "  }"]
+    lines += ["  assert(hits != 4);", "  return hits;", "}"]
+    cfg = CliConfig(input_path="vars.mi", indexed_types=(STR,),
+                    f_plus_names=("strcmp",), k=0)
+    pipe = rewrite_pipeline(build_pipeline(parse("\n".join(lines)), cfg), cfg)
+    counts = {"lookup": 0, "solve": 0}
+    real_lookup, real_solve = IndexedOperatorTable.lookup, solver.solve
+
+    def lookup(table, key):
+        counts["lookup"] += 1
+        return real_lookup(table, key)
+
+    def solve(*args, **kw):
+        counts["solve"] += 1
+        return real_solve(*args, **kw)
+
+    monkeypatch.setattr(IndexedOperatorTable, "lookup", lookup)
+    monkeypatch.setattr(solver, "solve", solve)
+    rep = run_mode(cfg, pipe, MODE_INDEXED)
+    assert rep.paths == 4 ** 4
+    assert len(rep.iot_fork_sizes) == 85
+    assert counts["lookup"] == len(pipe.gardens[STR]) * len(rep.iot_fork_sizes) == 340
+    assert counts["solve"] == 0  # x == c and x != c atoms only
