@@ -34,7 +34,7 @@ from .garden import (
 from .iot import REGISTRY, IotError, class_for_type, memoise_all, parse_iot, serialize_iot
 from .lang.ast import FLOAT, INT, STR, MiniImpError, Program, Value, mk_bool, mk_str
 from .lang.parser import parse
-from .lang.printer import escape_bytes, print_float
+from .lang.printer import print_literal
 from .lang.typecheck import typecheck
 from .rewrite import RewriteConfig, RewriteError, emit_indexed_source, normalize
 from .symex import (
@@ -253,13 +253,7 @@ def run_mode(cfg: CliConfig, pipe: Pipeline, mode: str) -> ExplorationReport:
 
 
 def format_input_value(v: Value) -> str:
-    if v.tag is STR:
-        return f'"{escape_bytes(v.raw)}"'
-    if v.tag is FLOAT:
-        return print_float(v.raw)
-    if v.tag.name == "bool":
-        return "true" if v.raw else "false"
-    return str(v.raw)
+    return print_literal(v.tag, v.raw)
 
 
 def parse_input_value(text: str) -> Value:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 from .lang.ast import (
     BOOL,
@@ -197,8 +198,7 @@ def extend(imap: IndexMap, op: OperatorSignature, *,
     if snapshot is None:
         snapshot = imap.values()
     skips = 0
-    for tup in _index_tuples(len(snapshot), op.arity):
-        args = [snapshot[i] for i in tup]
+    for args in product(snapshot, repeat=op.arity):
         try:
             result = eval_builtin(op.name, args)
         except Exception:
@@ -209,21 +209,6 @@ def extend(imap: IndexMap, op: OperatorSignature, *,
         else:
             skips += 1
     return imap, skips
-
-
-def _index_tuples(n: int, arity: int):
-    if arity == 0 or n == 0:
-        return
-    tup = [0] * arity
-    while True:
-        yield tuple(tup)
-        for i in range(arity - 1, -1, -1):
-            tup[i] += 1
-            if tup[i] < n:
-                break
-            tup[i] = 0
-        else:
-            return
 
 
 def build_garden(seeds: SeedSet, cfg: BuilderConfig,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .garden import (
     IndexMap,
@@ -191,9 +192,6 @@ class GardenDim:
     def domain(self):
         return range(len(self.imap))
 
-    def contains(self, key) -> bool:
-        return isinstance(key, int) and 0 <= key < len(self.imap)
-
     def value_for(self, key) -> Value:
         return self.imap.value_at(key)
 
@@ -205,9 +203,6 @@ class IntPoolDim:
     def domain(self):
         return self.pool
 
-    def contains(self, key) -> bool:
-        return isinstance(key, int) and key in self.pool
-
     def value_for(self, key) -> Value:
         return mk_int(key)
 
@@ -215,14 +210,15 @@ class IntPoolDim:
 class IndexedOperatorTable:
     """Complete memoization of one operator over the gardens.
 
-    rows maps key tuples to cells.  Key components are garden indices for
-    indexed argument positions and raw ints for int positions.  A cell is an
-    int index (indexed results), a Value (raw results), or BOT.  Lookup of
+    rows maps key tuples to cells and holds exactly the tuples over the
+    dimension domains.  Key components are garden indices for indexed
+    argument positions and raw ints for int positions.  A cell is an int
+    index (indexed results), a Value (raw results), or BOT.  Lookup of
     anything outside the dimension domains is BOT: the catch-all row.
     """
 
     def __init__(self, op_name, signature, dims, result, rows, *,
-                 garden_hash, bot_rows=0, skipped=0):
+                 garden_hash, bot_rows=0):
         self.op_name = op_name
         self.indexed_name = "i_" + op_name
         self.signature = signature
@@ -231,7 +227,6 @@ class IndexedOperatorTable:
         self.rows = rows
         self.garden_hash = garden_hash
         self.bot_rows = bot_rows
-        self.skipped = skipped
 
     @property
     def result_indexed(self) -> bool:
@@ -243,10 +238,7 @@ class IndexedOperatorTable:
 
     def lookup(self, key: tuple):
         """Return the cell for key: an index, a raw Value, or BOT."""
-        for d, k in zip(self.dims, key):
-            if k is BOT or not d.contains(k):
-                return BOT
-        return self.rows[key]
+        return self.rows.get(key, BOT)
 
     def cell_value(self, cell) -> Value:
         """The Value an indexed call returns for a cell; BOT stays BOT."""
@@ -302,20 +294,23 @@ def _dims_for(signature: OperatorSignature, gardens, int_pool):
 
 def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
             int_pool=()) -> IndexedOperatorTable:
-    """Build the complete table for op over the gardens (plus the int pool)."""
+    """Build the complete table for op over the gardens (plus the int pool).
+
+    Rows are inserted in itertools.product order of the dimension domains
+    (last position fastest); tables.iot and the emitted IR depend on it.
+    """
     sig = op.signature
     dims = _dims_for(sig, gardens, int_pool)
     result = gardens.get(sig.return_type, sig.return_type)
+    domains = [d.domain() for d in dims]
+    values = [[d.value_for(k) for k in dom] for d, dom in zip(dims, domains)]
     rows = {}
     bot_rows = 0
-    skipped = 0
-    for key in _product([list(d.domain()) for d in dims]):
-        args = [d.value_for(k) for d, k in zip(dims, key)]
+    for key, args in zip(product(*domains), product(*values)):
         try:
             out = op.eval(*args)
         except Exception:
             rows[key] = BOT
-            skipped += 1
             bot_rows += 1
             continue
         if isinstance(result, IndexMap):
@@ -327,8 +322,7 @@ def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
         rows[key] = cell
     return IndexedOperatorTable(
         sig.name, sig, dims, result, rows,
-        garden_hash=gardens_fingerprint(dims, result),
-        bot_rows=bot_rows, skipped=skipped,
+        garden_hash=gardens_fingerprint(dims, result), bot_rows=bot_rows,
     )
 
 
@@ -342,24 +336,6 @@ def memoise_all(gardens, op_names, int_pool=()) -> dict[str, IndexedOperatorTabl
         t = memoise(gardens, op, int_pool)
         tables[t.indexed_name] = t
     return tables
-
-
-def _product(domains):
-    if not domains:
-        yield ()
-        return
-    if any(len(d) == 0 for d in domains):
-        return
-    idx = [0] * len(domains)
-    while True:
-        yield tuple(d[i] for d, i in zip(domains, idx))
-        for p in range(len(domains) - 1, -1, -1):
-            idx[p] += 1
-            if idx[p] < len(domains[p]):
-                break
-            idx[p] = 0
-        else:
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +410,10 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
         else:
             cell = parse_literal(op.signature.return_type, right)
         rows[key] = cell
-    expect = 1
-    for d in dims:
-        expect *= len(list(d.domain()))
-    if len(rows) != expect:
-        raise IotError(f"{name}: table has {len(rows)} rows, expected {expect}")
+    domain = set(product(*(d.domain() for d in dims)))
+    if rows.keys() != domain:
+        raise IotError(f"{name}: table rows are not the {len(domain)} "
+                       f"argument tuples of its domains")
     return IndexedOperatorTable(
         name, op.signature, dims, result, rows,
         garden_hash=file_hash, bot_rows=bot_rows,

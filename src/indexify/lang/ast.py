@@ -310,7 +310,6 @@ class MiniImpTypeError(MiniImpError):
 class Layout:
     stmt_count: int
     branch_count: int  # number of branch *sites*; each has 2 edges
-    stmt_ids: dict  # id(node) is unusable across rebuilds; keyed by path tuple
 
 
 def walk_stmts(body: list[Stmt], path: tuple = ()):
@@ -358,13 +357,11 @@ def declared_types(f: FunctionDef) -> dict:
 
 
 def program_layout(p: Program) -> Layout:
-    stmt_ids = {}
     branches = 0
     n = 0
     for f in p.functions:
-        for path, s in walk_stmts(f.body, (f.name,)):
-            stmt_ids[path] = n
+        for _, s in walk_stmts(f.body):
             n += 1
             if isinstance(s, (If, While)):
                 branches += 1
-    return Layout(stmt_count=n, branch_count=branches, stmt_ids=stmt_ids)
+    return Layout(stmt_count=n, branch_count=branches)

@@ -72,18 +72,22 @@ def print_type(t: TypeTag) -> str:
     return t.name
 
 
+def print_literal(tag: TypeTag, value) -> str:
+    """The MiniImp source text of a literal of type tag."""
+    if tag is INT:
+        return str(value)
+    if tag is FLOAT:
+        return print_float(value)
+    if tag is BOOL:
+        return "true" if value else "false"
+    if tag is STR:
+        return f'"{escape_bytes(value)}"'
+    return f"{value}@{tag.base.name}"  # index literal
+
+
 def print_expr(e: Expr, prec: int = 0) -> str:
     if isinstance(e, Literal):
-        if e.tag is INT:
-            s = str(e.value)
-        elif e.tag is FLOAT:
-            s = print_float(e.value)
-        elif e.tag is BOOL:
-            s = "true" if e.value else "false"
-        elif e.tag is STR:
-            s = f'"{escape_bytes(e.value)}"'
-        else:  # index literal
-            s = f"{e.value}@{e.tag.base.name}"
+        s = print_literal(e.tag, e.value)
         # negative numeric literals bind like a unary expression
         if e.tag in (INT, FLOAT) and s.startswith("-") and prec > _UNARY_PREC:
             return f"({s})"

@@ -116,30 +116,31 @@ class IndexationResult:
 # ---------------------------------------------------------------------------
 
 
+# path step kind -> the node field it descends into; a step that carries a
+# position indexes into a list field
+_STEP_FIELDS = {
+    "fn": "functions", "param": "params", "body": "body", "loop": "body",
+    "then": "then", "else": "orelse", "arg": "args",
+    "init": "init", "cond": "cond", "value": "value", "expr": "expr",
+    "left": "left", "right": "right", "operand": "operand",
+}
+
+
+def _step_field(step) -> str:
+    name = _STEP_FIELDS.get(step[0])
+    if name is None:
+        raise RewriteError(f"bad path step {step!r}")
+    return name
+
+
 def _get(node, path):
-    if not path:
-        return node
-    step, rest = path[0], path[1:]
-    kind = step[0]
-    if kind == "fn":
-        return _get(node.functions[step[1]], rest)
-    if kind == "param":
-        return _get(node.params[step[1]], rest)
-    if kind == "rettype":
-        return node  # R3 handles the slot itself
-    if kind in ("body", "loop"):  # FunctionDef.body and While.body
-        return _get(node.body[step[1]], rest)
-    if kind == "then":
-        return _get(node.then[step[1]], rest)
-    if kind == "else":
-        return _get(node.orelse[step[1]], rest)
-    if kind in ("init", "cond", "value", "expr", "left", "right", "operand"):
-        attr = {"init": "init", "cond": "cond", "value": "value", "expr": "expr",
-                "left": "left", "right": "right", "operand": "operand"}[kind]
-        return _get(getattr(node, attr), rest)
-    if kind == "arg":
-        return _get(node.args[step[1]], rest)
-    raise RewriteError(f"bad path step {step!r}")
+    for step in path:
+        if step[0] == "rettype":
+            return node  # R3 handles the slot itself
+        node = getattr(node, _step_field(step))
+        if len(step) > 1:
+            node = node[step[1]]
+    return node
 
 
 def _put(node, path, repl):
@@ -147,35 +148,13 @@ def _put(node, path, repl):
     if not path:
         return repl
     step, rest = path[0], path[1:]
-    kind = step[0]
-    if kind == "fn":
-        fns = list(node.functions)
-        fns[step[1]] = _put(fns[step[1]], rest, repl)
-        return replace(node, functions=fns)
-    if kind == "param":
-        params = list(node.params)
-        params[step[1]] = _put(params[step[1]], rest, repl)
-        return replace(node, params=params)
-    if kind in ("body", "loop"):
-        body = list(node.body)
-        body[step[1]] = _put(body[step[1]], rest, repl)
-        return replace(node, body=body)
-    if kind == "then":
-        then = list(node.then)
-        then[step[1]] = _put(then[step[1]], rest, repl)
-        return replace(node, then=then)
-    if kind == "else":
-        orelse = list(node.orelse)
-        orelse[step[1]] = _put(orelse[step[1]], rest, repl)
-        return replace(node, orelse=orelse)
-    if kind == "arg":
-        args = list(node.args)
-        args[step[1]] = _put(args[step[1]], rest, repl)
-        return replace(node, args=args)
-    if kind in ("init", "cond", "value", "expr", "left", "right", "operand"):
-        child = getattr(node, kind)
-        return replace(node, **{kind: _put(child, rest, repl)})
-    raise RewriteError(f"bad path step {step!r}")
+    name = _step_field(step)
+    child = getattr(node, name)
+    if len(step) > 1:
+        items = list(child)
+        items[step[1]] = _put(items[step[1]], rest, repl)
+        return replace(node, **{name: items})
+    return replace(node, **{name: _put(child, rest, repl)})
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +509,7 @@ def confluence_probe(p: Program, cfg: RewriteConfig, trials: int,
 
 
 def _emit_table_fn(t: IndexedOperatorTable) -> str:
-    from .lang.printer import print_type
+    from .lang.printer import print_literal, print_type
 
     sig = t.indexed_signature()
     params = ", ".join(f"{print_type(ty)} s{i + 1}" for i, ty in enumerate(sig.arg_types))
@@ -544,13 +523,8 @@ def _emit_table_fn(t: IndexedOperatorTable) -> str:
         for i, (d, k) in enumerate(zip(t.dims, key)):
             lit = f"{k}@{d.imap.type_tag.name}" if isinstance(d, GardenDim) else str(k)
             conds.append(f"s{i + 1} == {lit}")
-        if t.result_indexed:
-            ret = f"{cell}@{base}"
-        else:
-            from .garden import format_literal
-
-            ret = format_literal(cell) if cell.tag.name != "str" \
-                else f'"{format_literal(cell)}"'
+        ret = f"{cell}@{base}" if t.result_indexed \
+            else print_literal(cell.tag, cell.raw)
         lines.append(f"  if ({' && '.join(conds)}) {{ return {ret}; }}")
     if t.result_indexed:
         lines.append(f"  return bot@{base};")

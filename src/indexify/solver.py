@@ -532,10 +532,4 @@ class PathState:
 
 def dump_query(pc) -> str:
     """Line format for golden tests: `<var> (=|!=) <const|var>` per atom."""
-    lines = []
-    for a in pc:
-        op = "=" if a.kind.startswith("==") else "!="
-        rhs = a.other.name if isinstance(a.other, FiniteVar) else \
-            ("BOT" if a.other is BOT else str(a.other))
-        lines.append(f"{a.var.name} {op} {rhs}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{a!r}\n" for a in pc)

@@ -1,9 +1,16 @@
+import hashlib
 import math
 import random
 
 import pytest
 
-from indexify.garden import BuilderConfig, SeedSet, build_garden, load_gardens
+from indexify.garden import (
+    BuilderConfig,
+    SeedSet,
+    build_garden,
+    load_gardens,
+    serialize_gardens,
+)
 from indexify.iot import (
     REGISTRY,
     IotError,
@@ -133,11 +140,37 @@ def test_row_count_complete():
     assert len(tn.rows) == 7 * 7 * 2
 
 
-def test_lookup_bot_absorption(fig5_strstr):
+def test_lookup_bot_absorption(fig5_gardens, fig5_strstr):
     assert fig5_strstr.lookup((0, 2)) == 2
     assert fig5_strstr.lookup((BOT, 2)) is BOT
     assert fig5_strstr.lookup((99, 0)) is BOT
     assert fig5_strstr.lookup_value((3, 2)).raw is BOT  # strstr("oo","bar") misses
+    strncmp = memoise(fig5_gardens, REGISTRY["strncmp"], int_pool=(2,))
+    assert strncmp.lookup((0, 0, 2)) == mk_int(0)
+    assert strncmp.lookup((0, 0, 99)) is BOT  # an int outside the pool
+
+
+def test_garden_and_row_order_pinned():
+    # the garden_memo benchmark's shape, smaller: three two-byte seeds grown
+    # by strcat/strstr, all six string operators over the int pool 0..5.  The
+    # digest pins garden index assignment and row order, so any change in
+    # how argument tuples are enumerated shows here.
+    seeds = SeedSet()
+    for v in (b"", b"ab", b"bc", b"ca"):
+        seeds.add(mk_str(v))
+    builders = (REGISTRY["strcat"].signature, REGISTRY["strstr"].signature)
+    gardens = build_garden(seeds, BuilderConfig(builders=builders, k=2, max_str_len=6),
+                           types={STR})
+    ops = ("strcat", "strcmp", "strlen", "strncmp", "strstr", "substr")
+    tables = memoise_all(gardens, ops, int_pool=range(6))
+    digest = hashlib.sha256(serialize_gardens(gardens).encode())
+    for name in sorted(tables):
+        digest.update(serialize_iot(tables[name]).encode())
+    assert len(gardens[STR]) == 43
+    assert sum(len(t.rows) for t in tables.values()) == 18232
+    assert sum(t.bot_rows for t in tables.values()) == 2352
+    assert digest.hexdigest() == \
+        "f466bea545d78c0ad0e70be267b903b26fb6cfcd572c4245efb1a4d74f4ea86a"
 
 
 def test_memoise_order_independent():
@@ -183,6 +216,17 @@ def test_parse_rejects_wrong_garden(fig5_strstr):
 def test_parse_rejects_malformed(fig5_gardens):
     with pytest.raises(IotError, match="header"):
         parse_iot("nonsense\n", fig5_gardens)
+
+
+def test_parse_rejects_rows_outside_the_domains():
+    # lookup reads rows directly, so a row key outside the pool must not load
+    # even when the row count is right
+    gardens = _ab_garden()
+    text = serialize_iot(memoise(gardens, REGISTRY["strncmp"], int_pool=(1, 4)))
+    bad = text.replace("\n0 0 4 ->", "\n0 0 99 ->")
+    assert bad != text
+    with pytest.raises(IotError, match="argument tuples"):
+        parse_iot(bad, gardens)
 
 
 def test_raw_table_roundtrip():

@@ -21,6 +21,7 @@ from indexify.garden import (
 from indexify.iot import REGISTRY, IndexedOperatorTable, memoise_all
 from indexify.lang.ast import BOT, STR, mk_str
 from indexify.lang.parser import parse
+from indexify.lang.printer import print_program
 from indexify.lang.typecheck import typecheck
 from indexify.rewrite import RewriteConfig, normalize
 from indexify.symex import (
@@ -390,6 +391,23 @@ def test_mixed_raw_result_with_symbolic_int():
     two = [tc for tc in rep.test_cases if tc.inputs["word"].raw == b"abcdef"
            and tc.inputs["limit"].raw == 6]
     assert two and two[0].verdict == "ok"
+    for tc in rep.test_cases:
+        assert replay(res.program, tc, gardens=gardens, tables=tables).ok
+
+
+def test_unindexing_a_symbolic_string_enumerates_its_garden():
+    # strlen is not in F+, so the rewriter hands it unidx(s): the explorer
+    # must force s to each feasible garden value, here {"", "ab"}
+    src = 'int main() { str s; symbolic s; int r = 0; ' \
+          'if (strcmp(s, "ab") == 0) { r = 1; } ' \
+          'if (strlen(s) == 2) { r = r + 2; } return r; }'
+    _, res, gardens, tables = indexed_setup(src, {"strcmp"}, k=1)
+    assert [v.raw for v in gardens[STR].values()] == [b"", b"ab"]
+    assert "strlen(unidx(s))" in print_program(res.program)
+    rep = run_indexed(res, gardens, tables)
+    assert rep.paths == 2
+    assert (rep.branch_covered, rep.branch_total) == (4, 4)
+    assert sorted(tc.inputs["s"].raw for tc in rep.test_cases) == [b"", b"ab"]
     for tc in rep.test_cases:
         assert replay(res.program, tc, gardens=gardens, tables=tables).ok
 
