@@ -82,7 +82,6 @@ class CliConfig:
 class Pipeline:
     program: Program
     gardens: dict
-    int_pool: tuple
     f_plus: set
     tables: dict
     indexed: object | None = None  # IndexationResult when rewriting ran
@@ -108,7 +107,10 @@ def load_seeds_file(path: str) -> SeedSet:
             tag = tags.get(prefix)
             if tag is None:
                 raise UsageError(f"{path}:{lineno}: unknown seed type {prefix!r}")
-            seeds.add(parse_literal(tag, text))
+            try:
+                seeds.add(parse_literal(tag, text))
+            except GardenError as e:
+                raise UsageError(f"{path}:{lineno}: {e}") from None
     return seeds
 
 
@@ -200,8 +202,7 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
     missing = {n for n in f_plus if "i_" + n not in tables}
     tables.update(memoise_all(gardens, missing, int_pool))
 
-    return Pipeline(program=program, gardens=gardens, int_pool=int_pool,
-                    f_plus=f_plus, tables=tables)
+    return Pipeline(program=program, gardens=gardens, f_plus=f_plus, tables=tables)
 
 
 def _split_iot_chunks(text: str):
@@ -259,15 +260,22 @@ def format_input_value(v: Value) -> str:
 def parse_input_value(text: str) -> Value:
     text = text.strip()
     if text.startswith('"'):
-        from .lang.parser import Token, unescape_string
+        from .lang.parser import tokenize, unescape_string
 
-        return mk_str(unescape_string(Token("string", text, 0, 0)))
+        tok = tokenize(text)[0]
+        if tok.kind != "string" or tok.text != text:
+            raise UsageError(f"bad input value {text!r}")
+        return mk_str(unescape_string(tok))
     if text in ("true", "false"):
         return mk_bool(text == "true")
     try:
         return Value(INT, int(text))
     except ValueError:
+        pass
+    try:
         return Value(FLOAT, float(text))
+    except ValueError:
+        raise UsageError(f"bad input value {text!r}") from None
 
 
 def format_testcase(tc: TestCase) -> str:
@@ -426,7 +434,11 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
     bad = 0
     for p in paths:
         with open(p, encoding="utf-8") as fh:
-            inputs, expected = parse_testcase_file(fh.read())
+            text = fh.read()
+        try:
+            inputs, expected = parse_testcase_file(text)
+        except (UsageError, MiniImpError) as e:
+            raise UsageError(f"{p}: {e}") from None
         res = interpret(target, inputs, gardens=gardens, tables=tables,
                         unroll=cfg.unroll, bot_propagate=cfg.bot_propagate)
         ok = expected is None or res.verdict == expected
@@ -443,7 +455,10 @@ def cmd_confluence(cfg: CliConfig, trials: int) -> int:
         program = parse(fh.read())
     pipe = build_pipeline(program, cfg)
     rcfg = RewriteConfig(set(cfg.indexed_types), pipe.f_plus, pipe.gardens, pipe.tables)
-    seed = int(os.environ.get("INDEXIFY_SEED", "0"))
+    try:
+        seed = int(os.environ.get("INDEXIFY_SEED", "0"))
+    except ValueError:
+        raise UsageError("INDEXIFY_SEED must be an integer") from None
     rep = confluence_probe(program, rcfg, trials, seed=seed)
     print(f"confluence: trials={rep.trials} distinct={rep.distinct_normal_forms} "
           f"all_equal={rep.all_equal}")
@@ -527,13 +542,13 @@ def main(argv=None) -> int:
     try:
         if args.replay_path:
             return cmd_replay(cfg, args.replay_path)
-        if args.confluence_trials:
+        if args.confluence_trials is not None:
             return cmd_confluence(cfg, args.confluence_trials)
         if args.compare:
             return cmd_compare(cfg)
         return cmd_run(cfg)
     except (UsageError, GardenError, IotError, RewriteError, MiniImpError,
-            SymexError, FileNotFoundError) as e:
+            SymexError, OSError, UnicodeDecodeError) as e:
         print(f"indexify: {e}", file=sys.stderr)
         return 2
 

@@ -331,35 +331,43 @@ def format_literal(v: Value) -> str:
 
 
 def parse_literal(tag: TypeTag, text: str) -> Value:
-    if tag is STR:
-        out = bytearray()
-        i = 0
-        while i < len(text):
-            if text[i] == "\\":
-                e = text[i + 1]
-                if e == "x":
-                    out.append(int(text[i + 2 : i + 4], 16))
-                    i += 4
-                elif e == "t":
-                    out.append(9)
-                    i += 2
-                elif e == "n":
-                    out.append(10)
-                    i += 2
-                elif e == "\\":
-                    out.append(92)
-                    i += 2
-                else:
-                    raise GardenError(f"bad escape in garden literal: \\{e}")
+    """A garden-file literal of type tag; malformed text raises GardenError."""
+    try:
+        if tag is STR:
+            return Value(STR, _unescape(text))
+        if tag is FLOAT:
+            return Value(FLOAT, float(text))
+        if tag is BOOL:
+            return Value(BOOL, text == "true")
+        return Value(INT, int(text))
+    except ValueError:
+        raise GardenError(f"bad {_TYPE_NAMES[tag]} literal {text!r}") from None
+
+
+def _unescape(text: str) -> bytes:
+    out = bytearray()
+    i = 0
+    while i < len(text):
+        if text[i] == "\\":
+            e = text[i + 1 : i + 2]
+            if e == "x":
+                out.append(int(text[i + 2 : i + 4], 16))
+                i += 4
+            elif e == "t":
+                out.append(9)
+                i += 2
+            elif e == "n":
+                out.append(10)
+                i += 2
+            elif e == "\\":
+                out.append(92)
+                i += 2
             else:
-                out.extend(text[i].encode("utf-8"))
-                i += 1
-        return Value(STR, bytes(out))
-    if tag is FLOAT:
-        return Value(FLOAT, float(text))
-    if tag is BOOL:
-        return Value(BOOL, text == "true")
-    return Value(INT, int(text))
+                raise GardenError(f"bad escape in garden literal: \\{e}")
+        else:
+            out.extend(text[i].encode("utf-8"))
+            i += 1
+    return bytes(out)
 
 
 def serialize_gardens(gardens: dict[TypeTag, IndexMap]) -> str:
@@ -385,7 +393,11 @@ def load_gardens(text: str) -> dict[TypeTag, IndexMap]:
         tag = _NAME_TYPES.get(type_name)
         if tag is None:
             raise GardenError(f"garden line {lineno}: unknown type {type_name!r}")
-        rows.setdefault(tag, []).append((int(idx_text), parse_literal(tag, lit)))
+        try:
+            entry = (int(idx_text), parse_literal(tag, lit))
+        except (ValueError, GardenError) as e:
+            raise GardenError(f"garden line {lineno}: {e}") from None
+        rows.setdefault(tag, []).append(entry)
     gardens = {}
     for tag, entries in rows.items():
         entries.sort(key=lambda iv: iv[0])

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .garden import (
+    GardenError,
     IndexMap,
     OperatorSignature,
     format_literal,
@@ -367,7 +368,7 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
     if not lines or not lines[0].startswith("iot "):
         raise IotError("not an iot file: missing header")
     head = lines[0].split()
-    if len(head) != 5 or not head[4].startswith("garden:"):
+    if len(head) != 5 or not head[2].isdigit() or not head[4].startswith("garden:"):
         raise IotError(f"malformed iot header: {lines[0]!r}")
     name, arity, kind = head[1], int(head[2]), head[3]
     file_hash = head[4].split(":", 1)[1]
@@ -379,7 +380,10 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
     body = lines[1:]
     pool = ()
     if body and body[0].startswith("pool "):
-        pool = tuple(int(x) for x in body[0][5:].split(",") if x)
+        try:
+            pool = tuple(int(x) for x in body[0][5:].split(",") if x)
+        except ValueError:
+            raise IotError(f"{name}: malformed pool line {body[0]!r}") from None
         body = body[1:]
     dims = _dims_for(op.signature, gardens, pool)
     want_kind = "indexed" if op.signature.return_type in gardens else "raw"
@@ -395,20 +399,21 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
     rows = {}
     bot_rows = 0
     for ln in body:
-        if "->" not in ln:
-            raise IotError(f"malformed iot row: {ln!r}")
-        left, right = ln.split("->")
-        key = tuple(int(x) for x in left.split())
+        try:
+            left, right = ln.split("->")
+            key = tuple(int(x) for x in left.split())
+            right = right.strip()
+            if right == "BOT":
+                cell = BOT
+                bot_rows += 1
+            elif isinstance(result, IndexMap):
+                cell = int(right)
+            else:
+                cell = parse_literal(op.signature.return_type, right)
+        except (ValueError, GardenError) as e:
+            raise IotError(f"{name}: malformed iot row {ln!r}: {e}") from None
         if len(key) != arity:
             raise IotError(f"row key {key} does not match arity {arity}")
-        right = right.strip()
-        if right == "BOT":
-            cell = BOT
-            bot_rows += 1
-        elif isinstance(result, IndexMap):
-            cell = int(right)
-        else:
-            cell = parse_literal(op.signature.return_type, right)
         rows[key] = cell
     domain = set(product(*(d.domain() for d in dims)))
     if rows.keys() != domain:

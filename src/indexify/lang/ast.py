@@ -66,6 +66,13 @@ class EscapedGarden(Exception):
     """Raised when execution consumes BOT (unindexing it or branching on it)."""
 
 
+def no_bot(*values) -> None:
+    """Consume values: BOT among them escapes the garden."""
+    for v in values:
+        if v.raw is BOT:
+            raise EscapedGarden()
+
+
 @dataclass(frozen=True)
 class Value:
     """Tagged runtime value.

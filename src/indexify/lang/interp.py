@@ -37,6 +37,7 @@ from .ast import (
     is_index,
     mk_bool,
     mk_int,
+    no_bot,
     truthy,
 )
 
@@ -176,8 +177,7 @@ class Interpreter:
         return self.truth(self.eval(e, scope))
 
     def truth(self, v: Value) -> bool:
-        if v.raw is BOT:
-            raise EscapedGarden()
+        no_bot(v)
         if is_index(v.tag):
             garden = self.gardens.get(v.tag.base)
             if garden is None:
@@ -197,24 +197,18 @@ class Interpreter:
             return v
         if isinstance(e, UnOp):
             v = self.eval(e.operand, scope)
-            self._no_bot(v)
+            no_bot(v)
             if e.op == "!":
                 return mk_bool(not v.raw)
             return mk_int(-v.raw)
         if isinstance(e, BinOp):
             lv = self.eval(e.left, scope)
             rv = self.eval(e.right, scope)
-            self._no_bot(lv)
-            self._no_bot(rv)
+            no_bot(lv, rv)
             return self.binop(e.op, lv, rv)
         if isinstance(e, Call):
             return self.call(e, scope)
         raise MiniImpError(f"cannot evaluate {e!r}")
-
-    @staticmethod
-    def _no_bot(v: Value) -> None:
-        if v.raw is BOT:
-            raise EscapedGarden()
 
     def binop(self, op: str, lv: Value, rv: Value) -> Value:
         return concrete_binop(op, lv, rv)
@@ -231,7 +225,7 @@ class Interpreter:
         if e.name in self.tables:
             return self.table_call(self.tables[e.name], args)
         if e.name == "puts":
-            self._no_bot(args[0])
+            no_bot(args[0])
             self.outputs.append(args[0].raw)
             return mk_int(0)
         from ..iot import REGISTRY  # iot imports lang, so not at module level
@@ -239,12 +233,11 @@ class Interpreter:
         op = REGISTRY.get(e.name)
         if op is None:
             raise MiniImpError(f"call to unknown function {e.name!r}")
-        for a in args:
-            self._no_bot(a)
+        no_bot(*args)
         return op.eval(*args)
 
     def intrinsic_idx(self, v: Value) -> Value:
-        self._no_bot(v)
+        no_bot(v)
         garden = self.gardens.get(v.tag)
         if garden is None:
             raise MiniImpError(f"idx: no garden for {v.tag!r}")
@@ -253,8 +246,7 @@ class Interpreter:
         return Value(index_of(v.tag), garden.index_or_bot(v))
 
     def intrinsic_unidx(self, v: Value) -> Value:
-        if v.raw is BOT:
-            raise EscapedGarden()
+        no_bot(v)
         garden = self.gardens.get(v.tag.base)
         if garden is None:
             raise MiniImpError(f"unidx: no garden for {v.tag!r}")

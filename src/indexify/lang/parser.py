@@ -106,7 +106,11 @@ def unescape_string(tok: Token) -> bytes:
             i += 1
             e = body[i]
             if e == "x":
-                out.append(int(body[i + 1 : i + 3], 16))
+                try:
+                    out.append(int(body[i + 1 : i + 3], 16))
+                except ValueError:
+                    raise MiniImpSyntaxError(f"bad escape \\x{body[i + 1 : i + 3]}",
+                                             tok.line, tok.col) from None
                 i += 3
                 continue
             if e not in _STR_ESCAPES:

@@ -1,9 +1,10 @@
 """Forking symbolic executor over MiniImp programs.
 
 Two engines share one core.  Indexed mode runs rewriter output: symbolic
-variables range over garden indices, indexed-operator calls fork per table
+variables range over garden indices, and indexed-operator calls fork per table
 row (after filtering rows against concrete arguments and pins already
-entailed by the path condition), and consuming BOT abandons the path with the
+entailed by the path condition).  The executor consumes BOT as the
+interpreter does, by raising EscapedGarden, which ends the path with the
 escaped-garden verdict.  Baseline mode runs the original program and either
 abandons at intractable operator calls or concretizes their symbolic
 arguments (fixed defaults for strings and floats, a model value pinned into
@@ -44,6 +45,7 @@ from .lang.ast import (
     BotLiteral,
     Call,
     Decl,
+    EscapedGarden,
     ExprStmt,
     If,
     Literal,
@@ -63,6 +65,7 @@ from .lang.ast import (
     mk_float,
     mk_int,
     mk_str,
+    no_bot,
     program_layout,
     truthy,
 )
@@ -128,7 +131,6 @@ class TestCase:
     verdict: str
     inputs: dict  # symbolic name -> concrete Value (unindexed)
     covered_branches: frozenset
-    covered_stmts: frozenset
     pc: tuple
 
 
@@ -166,6 +168,8 @@ class _Return(Exception):
 
 
 class _Terminal(Exception):
+    """An assertion failure, an exceeded bound, or abandonment by policy."""
+
     def __init__(self, verdict, emit=True):
         self.verdict = verdict
         self.emit = emit  # abandoned-by-policy paths are counted, never emitted
@@ -233,7 +237,6 @@ class Engine:
                     verdict=verdict,
                     inputs=run.concrete_inputs(model),
                     covered_branches=frozenset(run.covered_branches),
-                    covered_stmts=frozenset(run.covered_stmts),
                     pc=tuple(run.pc),
                 ))
         return ExplorationReport(
@@ -270,7 +273,6 @@ class _Run:
         self.state = solver.PathState()  # the facts of pc
         self.covered_branches = set()
         self.covered_stmts = set()
-        self.outputs = []
         self.symvars: dict[str, SymRef | Opaque] = {}
         self.concretized: dict[str, Value] = {}
         self.loop_counts: dict[tuple, int] = {}
@@ -350,6 +352,8 @@ class _Run:
             return (VERDICT_OK, True)
         except _Return:
             return (VERDICT_OK, True)
+        except EscapedGarden:
+            return (VERDICT_ESCAPED, True)
         except _Terminal as t:
             return (t.verdict, t.emit)
         except _Infeasible:
@@ -461,20 +465,19 @@ class _Run:
                 atom = var_eq_const(s.var, c)
                 self.pc.append(atom)
                 self.state = self.state.extend((atom,))
-                self.concretized[s.var.name] = self._value_from_const(s.tag, c)
+                self.concretized[s.var.name] = _value_from_const(s.tag, c)
 
-    def _value_from_const(self, tag, c) -> Value:
+    def _input_value(self, tag, c) -> Value:
+        """The input value solver constant c stands for: an index is
+        unindexed through its garden."""
         if is_index(tag):
-            return Value(tag, c)
-        if tag is BOOL:
-            return mk_bool(bool(c))
-        return mk_int(c)
+            return self._garden(tag).value_at(c)
+        return _value_from_const(tag, c)
 
     def truth(self, v) -> bool:
         v = self.resolve(v)
         if isinstance(v, Value):
-            if v.raw is BOT:
-                raise _Terminal(VERDICT_ESCAPED)
+            no_bot(v)
             if is_index(v.tag):
                 return truthy(self._garden(v.tag).value_at(v.raw))
             return truthy(v)
@@ -500,8 +503,7 @@ class _Run:
         """Concretize on demand by enumerating the feasible finite domain."""
         v = self.resolve(v)
         if isinstance(v, Value):
-            if v.raw is BOT:
-                raise _Terminal(VERDICT_ESCAPED)
+            no_bot(v)
             return v
         if isinstance(v, Opaque):
             self.intractable([v])
@@ -509,18 +511,10 @@ class _Run:
         return self.decide(lambda: self._value_options(v))
 
     def _value_options(self, v):
-        if isinstance(v, Unindexed):
-            garden = self._garden(v.ref.tag)
-            return [_Option([var_eq_const(v.ref.var, i)], garden.value_at(i))
-                    for i in range(v.ref.var.size)]
-        if is_index(v.tag):
-            return [_Option([var_eq_const(v.var, i)], Value(v.tag, i))
-                    for i in range(v.var.size)]
-        if v.tag is BOOL:
-            return [_Option([var_eq_const(v.var, b)], mk_bool(bool(b)))
-                    for b in (0, 1)]
-        return [_Option([var_eq_const(v.var, n)], mk_int(n))
-                for n in range(v.var.size)]
+        ref, value = ((v.ref, self._input_value) if isinstance(v, Unindexed)
+                      else (v, _value_from_const))
+        return [_Option([var_eq_const(ref.var, c)], value(ref.tag, c))
+                for c in range(ref.var.size)]
 
     # -- expressions --------------------------------------------------------------
 
@@ -538,12 +532,11 @@ class _Run:
             v = self.resolve(self.eval(e.operand, scope))
             if e.op == "!":
                 return mk_bool(not self.truth(v))
-            if isinstance(v, Value):
-                if v.raw is BOT:
-                    raise _Terminal(VERDICT_ESCAPED)
-                return mk_int(-v.raw)
-            self.intractable([v])
-            return mk_int(-self.resolve(v).raw)
+            if not isinstance(v, Value):
+                self.intractable([v])
+                v = self.resolve(v)
+            no_bot(v)
+            return mk_int(-v.raw)
         if isinstance(e, BinOp):
             return self.binop(e, scope)
         if isinstance(e, Call):
@@ -559,26 +552,19 @@ class _Run:
             lb = self.truth(lv)
             rb = self.truth(rv)
             return mk_bool((lb and rb) if e.op == "&&" else (lb or rb))
-        if isinstance(lv, Value) and isinstance(rv, Value):
-            if lv.raw is BOT or rv.raw is BOT:
-                raise _Terminal(VERDICT_ESCAPED)
-            return concrete_binop(e.op, lv, rv)
-        # ordering and arithmetic live outside equality theory
-        self.intractable([x for x in (lv, rv) if not isinstance(x, Value)])
-        return self.binop_resolved(e.op, self.resolve(lv), self.resolve(rv))
-
-    def binop_resolved(self, op, lv, rv):
         if not (isinstance(lv, Value) and isinstance(rv, Value)):
-            raise SymexError("operands remained symbolic after concretization")
-        if lv.raw is BOT or rv.raw is BOT:
-            raise _Terminal(VERDICT_ESCAPED)
-        return concrete_binop(op, lv, rv)
+            # ordering and arithmetic live outside equality theory
+            self.intractable([x for x in (lv, rv) if not isinstance(x, Value)])
+            lv, rv = self.resolve(lv), self.resolve(rv)
+            if not (isinstance(lv, Value) and isinstance(rv, Value)):
+                raise SymexError("operands remained symbolic after concretization")
+        no_bot(lv, rv)
+        return concrete_binop(e.op, lv, rv)
 
     def compare(self, op, lv, rv):
         want = op == "=="
         if isinstance(lv, Value) and isinstance(rv, Value):
-            if lv.raw is BOT or rv.raw is BOT:
-                raise _Terminal(VERDICT_ESCAPED)
+            no_bot(lv, rv)
             return mk_bool((lv.raw == rv.raw) == want)
         if isinstance(lv, Opaque) or isinstance(rv, Opaque):
             self.intractable([x for x in (lv, rv) if isinstance(x, Opaque)])
@@ -592,8 +578,7 @@ class _Run:
                 _Option([var_eq_var(lv.var, rv.var)], want),
                 _Option([var_neq_var(lv.var, rv.var)], not want)]))
         sym, conc = (lv, rv) if isinstance(lv, SymRef) else (rv, lv)
-        if conc.raw is BOT:
-            raise _Terminal(VERDICT_ESCAPED)
+        no_bot(conc)
         c = _const_for(sym, conc)
         if c is None:  # constant outside the symbolic domain: never equal
             return mk_bool(not want)
@@ -635,8 +620,6 @@ class _Run:
     def intrinsic_unidx(self, v):
         v = self.resolve(v)
         if isinstance(v, Value):
-            if v.raw is BOT:
-                raise _Terminal(VERDICT_ESCAPED)
             return self._garden(v.tag).value_at(v.raw)
         if isinstance(v, SymRef):
             return Unindexed(v)
@@ -644,12 +627,8 @@ class _Run:
 
     def builtin_puts(self, v):
         v = self.resolve(v)
-        if isinstance(v, Value):
-            if v.raw is BOT:
-                raise _Terminal(VERDICT_ESCAPED)
-            self.outputs.append(v.raw)
-        else:
-            self.outputs.append(v)  # sink: the value itself is never needed
+        if isinstance(v, Value):  # a symbolic value is a sink, never needed
+            no_bot(v)
         return mk_int(0)
 
     def builtin_call(self, op, args):
@@ -665,49 +644,40 @@ class _Run:
                 resolved = [self.resolve(a) for a in resolved]
             resolved = [a if isinstance(a, Value) else self.force_value(a)
                         for a in resolved]
-        for a in resolved:
-            if a.raw is BOT:
-                raise _Terminal(VERDICT_ESCAPED)
+        no_bot(*resolved)
         return op.eval(*resolved)
 
     # -- indexed operator tables -------------------------------------------------
 
     def table_call(self, table: IndexedOperatorTable, args):
-        resolved = [self.resolve(a) for a in args]
+        # parts[i] is argument i's key component, or its SymRef while free.
+        # The relevant-subset optimization: concrete arguments and pins already
+        # entailed by the path condition filter rows before any forking
         parts = []
-        for a in resolved:
+        for a in map(self.resolve, args):
             if isinstance(a, Value):
-                if a.raw is BOT:
-                    if self.cfg.bot_propagate:
-                        return table.cell_value(BOT)
-                    raise _Terminal(VERDICT_ESCAPED)
-                parts.append(("conc", a.raw))
+                if a.raw is BOT and self.cfg.bot_propagate:
+                    return table.cell_value(BOT)
+                no_bot(a)
+                parts.append(a.raw)
             elif isinstance(a, SymRef):
-                parts.append(("sym", a))
+                pin = self.state.pin(a.var.name)
+                parts.append(a if pin is None else pin)
             else:
                 raise SymexError(f"indexed call on unsupported value {a!r}")
-        # the relevant-subset optimization: concrete arguments and pins already
-        # entailed by the path condition filter rows before any forking
-        for i, (kind, payload) in enumerate(parts):
-            if kind == "sym":
-                pin = self.state.pin(payload.var.name)
-                if pin is not None:
-                    parts[i] = ("conc", pin)
+        free = [i for i, p in enumerate(parts) if isinstance(p, SymRef)]
+        if not free:
+            return table.cell_value(table.lookup(tuple(parts)))
         naive = len(table.rows) * max(table.arity, 1)
-        # reduce to at most one free dimension by enumerating the others
-        while sum(1 for k, _ in parts if k == "sym") > 1:
-            i = next(i for i, (k, _) in enumerate(parts) if k == "sym")
-            v = self.decide(lambda: _dim_options(parts[i][1], table.dims[i]),
+        # reduce to one free dimension by enumerating the others
+        for i in free[:-1]:
+            v = self.decide(lambda: _dim_options(parts[i], table.dims[i]),
                             generated=naive)
             naive = 0
             if v is None:
                 return table.cell_value(BOT)
-            parts[i] = ("conc", v)
-        free_at = next((i for i, (k, _) in enumerate(parts) if k == "sym"), None)
-        if free_at is None:
-            lookup = tuple(p for _, p in parts)
-            return table.cell_value(table.lookup(lookup))
-        cell = self.decide(lambda: _row_options(table, parts, free_at),
+            parts[i] = v
+        cell = self.decide(lambda: _row_options(table, parts, free[-1]),
                            generated=naive, record_fork=True)
         return table.cell_value(cell)
 
@@ -721,16 +691,19 @@ class _Run:
         for name, ref in self.symvars.items():
             if isinstance(ref, Opaque):
                 out[name] = self.concretized.get(name, _concretize_default(ref.tag))
-                continue
-            got = model.get(name, 0)
-            tag = ref.tag
-            if is_index(tag):
-                out[name] = self._garden(tag).value_at(got)
-            elif tag is BOOL:
-                out[name] = mk_bool(bool(got))
             else:
-                out[name] = mk_int(got)
+                out[name] = self._input_value(ref.tag, model.get(name, 0))
         return out
+
+
+def _value_from_const(tag: TypeTag, c: int) -> Value:
+    """The program value of solver constant c for a finite variable of type
+    tag; an index stays an index."""
+    if is_index(tag):
+        return Value(tag, c)
+    if tag is BOOL:
+        return mk_bool(bool(c))
+    return mk_int(c)
 
 
 def _concretize_default(tag: TypeTag) -> Value:
@@ -768,12 +741,11 @@ def _dim_options(ref: SymRef, dim):
 def _row_options(table: IndexedOperatorTable, parts, free_at: int):
     """One option per table row that the concrete arguments leave, plus one
     BOT successor whose condition excludes every surviving row."""
-    ref = parts[free_at][1]
+    ref = parts[free_at]
     rows = []
     for v in table.dims[free_at].domain():
-        lookup = tuple(v if i == free_at else p
-                       for i, (_, p) in enumerate(parts))
-        cell = table.lookup(lookup)
+        cell = table.lookup(tuple(v if i == free_at else p
+                                  for i, p in enumerate(parts)))
         if cell is not BOT:
             rows.append((cell, v))
     rows.sort(key=lambda cv: (_cell_sort_key(cv[0]), cv[1]))

@@ -78,6 +78,68 @@ def test_exit_two_on_empty_garden(tmp_path, capsys):
     assert "garden is empty" in capsys.readouterr().err
 
 
+def _bad_input_args(case, tmp_path, monkeypatch):
+    src = tmp_path / "fig4a.mi"
+    src.write_text(FIG4A_SOURCE)
+    bad = tmp_path / "bad"
+    if case == "garden-index":
+        bad.write_text("x\tstr\ta\n")
+        return [str(src), "--garden", str(bad)]
+    if case == "garden-trailing-backslash":
+        bad.write_text("0\tstr\ta\\\n")
+        return [str(src), "--garden", str(bad)]
+    if case == "seed-hex-escape":
+        bad.write_text("str:ab\\xZZ\n")
+        return [str(src), "--seeds", str(bad)]
+    if case == "seed-float":
+        bad.write_text("float:abc\n")
+        return [str(src), "--seeds", str(bad)]
+    if case == "iot-row":
+        out = tmp_path / "art"
+        assert run_cli(str(src), "--outdir", str(out)) == 0
+        header, _, rows = (out / "tables.iot").read_text().partition("\n")
+        bad.write_text(header + "\na 0 -> 1\n" + rows.partition("\n")[2])
+        return [str(src), "--indexOpDefs", str(bad)]
+    if case == "testcase-value":
+        bad.write_text("s=abc\n")
+        return [str(src), "--replay", str(bad)]
+    if case == "testcase-string":
+        bad.write_text('s="\\"\n')
+        return [str(src), "--replay", str(bad)]
+    if case == "input-directory":
+        return [str(tmp_path)]
+    if case == "garden-directory":
+        return [str(src), "--garden", str(tmp_path)]
+    if case == "source-not-utf8":
+        bad.write_bytes(b"int main(){ return 0; } // \xff\n")
+        return [str(bad)]
+    if case == "source-hex-escape":
+        bad.write_text('int main(){ str s = "\\xZZ"; return 0; }\n')
+        return [str(bad)]
+    if case == "seed-variable":
+        monkeypatch.setenv("INDEXIFY_SEED", "x")
+        return [str(src), "--confluence", "5"]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "garden-index", "garden-trailing-backslash", "seed-hex-escape", "seed-float",
+    "iot-row", "testcase-value", "testcase-string", "input-directory",
+    "garden-directory", "source-not-utf8", "source-hex-escape", "seed-variable",
+])
+def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch):
+    args = _bad_input_args(case, tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert run_cli(*args, "--outdir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("indexify: ") and "Traceback" not in err
+
+
+def test_confluence_zero_trials_is_a_usage_error(fig4a_file, capsys):
+    assert run_cli(fig4a_file, "--confluence", "0") == 2
+    assert "at least 2 trials" in capsys.readouterr().err
+
+
 def test_emitted_raw_table_miss_consumes_bot(tmp_path, capsys):
     # strncmp returns -1 for real, so a table miss must not read as -1 in the
     # emitted program: n = 2 is outside the int pool, and the lookup is BOT

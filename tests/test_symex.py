@@ -186,6 +186,26 @@ def test_unsupported_arithmetic_abandons_without_testcase():
         assert rep.test_cases == ()
 
 
+@pytest.mark.parametrize("use", [
+    "return -r;",
+    "return r + 1;",
+    "int x; symbolic x; if (r == x) { return 1; } return 1;",
+    'str t = substr("ab", r, 1); return 1;',
+])
+def test_consuming_a_bot_result_escapes(use):
+    # n = 2 is outside the int pool {1}, so every strncmp row is BOT and r is
+    # BOT: unary minus, arithmetic, a symbolic comparison and an unindexed
+    # builtin must each consume it as the interpreter does
+    src = ('int main() { str s; symbolic s; int n = 1 + 1; '
+           f'int r = strncmp(s, "zz", n); {use} }}')
+    _, res, gardens, tables = indexed_setup(src, {"strncmp"}, k=0)
+    rep = run_indexed(res, gardens, tables)
+    assert rep.paths == 1
+    assert [tc.verdict for tc in rep.test_cases] == ["escaped-garden"]
+    for tc in rep.test_cases:
+        assert replay(res.program, tc, gardens=gardens, tables=tables).ok
+
+
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------
