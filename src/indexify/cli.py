@@ -32,8 +32,8 @@ from .garden import (
     serialize_gardens,
 )
 from .iot import REGISTRY, IotError, class_for_type, memoise_all, parse_iot, serialize_iot
-from .lang.ast import FLOAT, INT, STR, MiniImpError, Program, Value, mk_bool, mk_str
-from .lang.parser import parse
+from .lang.ast import FLOAT, STR, Literal, MiniImpError, Program, Value, is_index, mk_str
+from .lang.parser import Parser, parse
 from .lang.printer import print_literal
 from .lang.typecheck import typecheck
 from .rewrite import RewriteConfig, RewriteError, emit_indexed_source, normalize
@@ -92,38 +92,45 @@ class Pipeline:
 # ---------------------------------------------------------------------------
 
 
+def read_text(path: str) -> str:
+    """The text of the input file at path; every input file must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
+
+
 def load_seeds_file(path: str) -> SeedSet:
-    """One literal per line with a type prefix: str:..., float:..., int:..."""
+    """One literal per line with a type prefix: str:... or float:..., the
+    literal written as in a garden file."""
     tags = {"str": STR, "float": FLOAT}
     seeds = SeedSet()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise UsageError(f"{path}:{lineno}: expected <type>:<literal>")
-            prefix, text = line.split(":", 1)
-            tag = tags.get(prefix)
-            if tag is None:
-                raise UsageError(f"{path}:{lineno}: unknown seed type {prefix!r}")
-            try:
-                seeds.add(parse_literal(tag, text))
-            except GardenError as e:
-                raise UsageError(f"{path}:{lineno}: {e}") from None
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise UsageError(f"{path}:{lineno}: expected <type>:<literal>")
+        prefix, text = line.split(":", 1)
+        tag = tags.get(prefix)
+        if tag is None:
+            raise UsageError(f"{path}:{lineno}: unknown seed type {prefix!r}")
+        try:
+            seeds.add(parse_literal(tag, text))
+        except GardenError as e:
+            raise UsageError(f"{path}:{lineno}: {e}") from None
     return seeds
 
 
 def load_fplus_file(path: str) -> set:
     names = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            name = line.strip()
-            if not name or name.startswith("#"):
-                continue
-            if name not in REGISTRY:
-                raise UsageError(f"{path}: unknown operator {name!r}")
-            names.add(name)
+    for line in read_text(path).splitlines():
+        name = line.strip()
+        if not name or name.startswith("#"):
+            continue
+        if name not in REGISTRY:
+            raise UsageError(f"{path}: unknown operator {name!r}")
+        names.add(name)
     return names
 
 
@@ -182,8 +189,7 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
     int_pool = harvest_int_pool(program)
 
     if cfg.garden_file:
-        with open(cfg.garden_file, encoding="utf-8") as fh:
-            gardens = load_gardens(fh.read())
+        gardens = load_gardens(read_text(cfg.garden_file))
         for tag in types:
             gardens.setdefault(tag, IndexMap(tag))
     else:
@@ -195,10 +201,9 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
 
     tables = {}
     if cfg.iot_file:
-        with open(cfg.iot_file, encoding="utf-8") as fh:
-            for chunk in _split_iot_chunks(fh.read()):
-                t = parse_iot(chunk, gardens)
-                tables[t.indexed_name] = t
+        for chunk in _split_iot_chunks(read_text(cfg.iot_file)):
+            t = parse_iot(chunk, gardens)
+            tables[t.indexed_name] = t
     missing = {n for n in f_plus if "i_" + n not in tables}
     tables.update(memoise_all(gardens, missing, int_pool))
 
@@ -258,24 +263,12 @@ def format_input_value(v: Value) -> str:
 
 
 def parse_input_value(text: str) -> Value:
-    text = text.strip()
-    if text.startswith('"'):
-        from .lang.parser import tokenize, unescape_string
-
-        tok = tokenize(text)[0]
-        if tok.kind != "string" or tok.text != text:
-            raise UsageError(f"bad input value {text!r}")
-        return mk_str(unescape_string(tok))
-    if text in ("true", "false"):
-        return mk_bool(text == "true")
-    try:
-        return Value(INT, int(text))
-    except ValueError:
-        pass
-    try:
-        return Value(FLOAT, float(text))
-    except ValueError:
-        raise UsageError(f"bad input value {text!r}") from None
+    """A test-case value: one scalar MiniImp literal, a leading - included."""
+    parser = Parser(text)
+    lit = parser.unary()
+    if not isinstance(lit, Literal) or is_index(lit.tag) or parser.cur.kind != "eof":
+        raise UsageError(f"bad input value {text.strip()!r}")
+    return Value(lit.tag, lit.value)
 
 
 def format_testcase(tc: TestCase) -> str:
@@ -364,8 +357,7 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
 
 
 def cmd_run(cfg: CliConfig) -> int:
-    with open(cfg.input_path, encoding="utf-8") as fh:
-        program = parse(fh.read())
+    program = parse(read_text(cfg.input_path))
     pipe = build_pipeline(program, cfg)
     mode = {None: MODE_INDEXED, "abandon": MODE_ABANDON,
             "concretize": MODE_CONCRETIZE}[cfg.baseline]
@@ -380,8 +372,7 @@ def cmd_run(cfg: CliConfig) -> int:
 
 
 def cmd_compare(cfg: CliConfig) -> int:
-    with open(cfg.input_path, encoding="utf-8") as fh:
-        program = parse(fh.read())
+    program = parse(read_text(cfg.input_path))
     pipe = build_pipeline(program, cfg)
     rewrite_pipeline(pipe, cfg)
     baseline_mode = MODE_CONCRETIZE if cfg.baseline == "concretize" else MODE_ABANDON
@@ -418,8 +409,7 @@ def comparison_table(reports: dict) -> str:
 def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
     from .lang.interp import interpret
 
-    with open(cfg.input_path, encoding="utf-8") as fh:
-        program = parse(fh.read())
+    program = parse(read_text(cfg.input_path))
     pipe = build_pipeline(program, cfg)
     if cfg.baseline is None:
         rewrite_pipeline(pipe, cfg)
@@ -433,10 +423,8 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
                  for p in sorted(os.listdir(replay_path)) if p.endswith(".tc")]
     bad = 0
     for p in paths:
-        with open(p, encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            inputs, expected = parse_testcase_file(text)
+            inputs, expected = parse_testcase_file(read_text(p))
         except (UsageError, MiniImpError) as e:
             raise UsageError(f"{p}: {e}") from None
         res = interpret(target, inputs, gardens=gardens, tables=tables,
@@ -451,8 +439,7 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
 def cmd_confluence(cfg: CliConfig, trials: int) -> int:
     from .rewrite import confluence_probe
 
-    with open(cfg.input_path, encoding="utf-8") as fh:
-        program = parse(fh.read())
+    program = parse(read_text(cfg.input_path))
     pipe = build_pipeline(program, cfg)
     rcfg = RewriteConfig(set(cfg.indexed_types), pipe.f_plus, pipe.gardens, pipe.tables)
     try:
@@ -548,7 +535,7 @@ def main(argv=None) -> int:
             return cmd_compare(cfg)
         return cmd_run(cfg)
     except (UsageError, GardenError, IotError, RewriteError, MiniImpError,
-            SymexError, OSError, UnicodeDecodeError) as e:
+            SymexError, OSError) as e:
         print(f"indexify: {e}", file=sys.stderr)
         return 2
 

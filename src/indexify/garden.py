@@ -21,6 +21,7 @@ from .lang.ast import (
     BOT,
     FLOAT,
     INT,
+    SCALARS,
     STR,
     EscapedGarden,
     Literal,
@@ -31,7 +32,8 @@ from .lang.ast import (
     value_key,
     walk_exprs,
 )
-from .lang.printer import print_float
+from .lang.parser import unescape_string
+from .lang.printer import escape_bytes, print_literal
 
 SAT_LIMIT = 2**63 - 1
 
@@ -304,79 +306,34 @@ def predict_free_growth(seed_count: int, arities, k: int) -> GrowthPrediction:
 # Garden files
 # ---------------------------------------------------------------------------
 
-_TYPE_NAMES = {STR: "str", FLOAT: "float", INT: "int", BOOL: "bool"}
-_NAME_TYPES = {v: k for k, v in _TYPE_NAMES.items()}
-
 
 def format_literal(v: Value) -> str:
-    if v.tag is STR:
-        out = []
-        for c in v.raw:
-            if c == 0x09:
-                out.append("\\t")
-            elif c == 0x0A:
-                out.append("\\n")
-            elif c == 0x5C:
-                out.append("\\\\")
-            elif 0x20 <= c < 0x7F:
-                out.append(chr(c))
-            else:
-                out.append(f"\\x{c:02x}")
-        return "".join(out)
-    if v.tag is FLOAT:
-        return print_float(v.raw)
-    if v.tag is BOOL:
-        return "true" if v.raw else "false"
-    return str(v.raw)
+    """Garden text of v: a str is its escaped bytes, unquoted (so a " stays
+    unescaped); any other scalar is its MiniImp literal."""
+    return escape_bytes(v.raw) if v.tag is STR else print_literal(v.tag, v.raw)
 
 
 def parse_literal(tag: TypeTag, text: str) -> Value:
     """A garden-file literal of type tag; malformed text raises GardenError."""
     try:
         if tag is STR:
-            return Value(STR, _unescape(text))
+            return Value(STR, unescape_string(text))
         if tag is FLOAT:
             return Value(FLOAT, float(text))
         if tag is BOOL:
+            if text not in ("true", "false"):
+                raise ValueError(text)
             return Value(BOOL, text == "true")
         return Value(INT, int(text))
     except ValueError:
-        raise GardenError(f"bad {_TYPE_NAMES[tag]} literal {text!r}") from None
-
-
-def _unescape(text: str) -> bytes:
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        if text[i] == "\\":
-            e = text[i + 1 : i + 2]
-            if e == "x":
-                out.append(int(text[i + 2 : i + 4], 16))
-                i += 4
-            elif e == "t":
-                out.append(9)
-                i += 2
-            elif e == "n":
-                out.append(10)
-                i += 2
-            elif e == "\\":
-                out.append(92)
-                i += 2
-            else:
-                raise GardenError(f"bad escape in garden literal: \\{e}")
-        else:
-            out.extend(text[i].encode("utf-8"))
-            i += 1
-    return bytes(out)
+        raise GardenError(f"bad {tag.name} literal {text!r}") from None
 
 
 def serialize_gardens(gardens: dict[TypeTag, IndexMap]) -> str:
     lines = []
     for tag in sorted(gardens, key=lambda t: t.name):
-        imap = gardens[tag]
-        name = _TYPE_NAMES[tag]
-        for i, v in enumerate(imap.values()):
-            lines.append(f"{i}\t{name}\t{format_literal(v)}")
+        for i, v in enumerate(gardens[tag].values()):
+            lines.append(f"{i}\t{tag.name}\t{format_literal(v)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -390,7 +347,7 @@ def load_gardens(text: str) -> dict[TypeTag, IndexMap]:
         if len(parts) != 3:
             raise GardenError(f"garden line {lineno}: expected 3 tab-separated fields")
         idx_text, type_name, lit = parts
-        tag = _NAME_TYPES.get(type_name)
+        tag = SCALARS.get(type_name)
         if tag is None:
             raise GardenError(f"garden line {lineno}: unknown type {type_name!r}")
         try:
@@ -402,11 +359,11 @@ def load_gardens(text: str) -> dict[TypeTag, IndexMap]:
     for tag, entries in rows.items():
         entries.sort(key=lambda iv: iv[0])
         if [i for i, _ in entries] != list(range(len(entries))):
-            raise GardenError(f"{_TYPE_NAMES[tag]} garden indices are not dense from 0")
+            raise GardenError(f"{tag.name} garden indices are not dense from 0")
         imap = IndexMap(tag)
         for i, v in entries:
             got, added = imap.admit(v, 0)
             if not added or got != i:
-                raise GardenError(f"duplicate value in {_TYPE_NAMES[tag]} garden at index {i}")
+                raise GardenError(f"duplicate value in {tag.name} garden at index {i}")
         gardens[tag] = imap
     return gardens

@@ -299,17 +299,19 @@ def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
 
     Rows are inserted in itertools.product order of the dimension domains
     (last position fastest); tables.iot and the emitted IR depend on it.
+    Each dimension fixes its arguments' type, so op.fn gets the raw values
+    without the per-call tag check of BuiltinOp.eval.
     """
     sig = op.signature
     dims = _dims_for(sig, gardens, int_pool)
     result = gardens.get(sig.return_type, sig.return_type)
     domains = [d.domain() for d in dims]
-    values = [[d.value_for(k) for k in dom] for d, dom in zip(dims, domains)]
+    raws = [[d.value_for(k).raw for k in dom] for d, dom in zip(dims, domains)]
     rows = {}
     bot_rows = 0
-    for key, args in zip(product(*domains), product(*values)):
+    for key, args in zip(product(*domains), product(*raws)):
         try:
-            out = op.eval(*args)
+            out = op.fn(*args)
         except Exception:
             rows[key] = BOT
             bot_rows += 1

@@ -52,7 +52,6 @@ class InterpResult:
     verdict: str
     return_value: Value | None
     covered_branches: frozenset
-    covered_stmts: frozenset
     outputs: tuple
 
 
@@ -80,7 +79,6 @@ class Interpreter:
         self.bot_propagate = bot_propagate
         self.decls = {f.name: declared_types(f) for f in program.functions}
         self.covered_branches = set()
-        self.covered_stmts = set()
         self.outputs = []
         self.loop_counts = {}
 
@@ -101,7 +99,6 @@ class Interpreter:
             verdict=verdict,
             return_value=value,
             covered_branches=frozenset(self.covered_branches),
-            covered_stmts=frozenset(self.covered_stmts),
             outputs=tuple(self.outputs),
         )
 
@@ -122,7 +119,6 @@ class Interpreter:
             self.exec_stmt(s, scope, path + (i,))
 
     def exec_stmt(self, s: Stmt, scope, path) -> None:
-        self.covered_stmts.add(path)
         if isinstance(s, Decl):
             scope[s.name] = self.eval(s.init, scope) if s.init is not None else None
         elif isinstance(s, Assign):
@@ -205,13 +201,10 @@ class Interpreter:
             lv = self.eval(e.left, scope)
             rv = self.eval(e.right, scope)
             no_bot(lv, rv)
-            return self.binop(e.op, lv, rv)
+            return concrete_binop(e.op, lv, rv)
         if isinstance(e, Call):
             return self.call(e, scope)
         raise MiniImpError(f"cannot evaluate {e!r}")
-
-    def binop(self, op: str, lv: Value, rv: Value) -> Value:
-        return concrete_binop(op, lv, rv)
 
     def call(self, e: Call, scope) -> Value:
         args = [self.eval(a, scope) for a in e.args]

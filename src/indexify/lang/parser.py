@@ -58,6 +58,7 @@ _TOKEN_RE = re.compile(
 )
 
 _STR_ESCAPES = {"n": 0x0A, "t": 0x09, "r": 0x0D, "0": 0x00, '"': 0x22, "\\": 0x5C}
+_ESCAPE_RE = re.compile(r'\\(x[0-9A-Fa-f]{2}|[ntr0"\\])')
 
 
 class Token:
@@ -96,30 +97,25 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-def unescape_string(tok: Token) -> bytes:
-    body = tok.text[1:-1]
+def unescape_string(body: str) -> bytes:
+    r"""The bytes that escaped text denotes: UTF-8 text with the escapes
+    \n \t \r \0 \" \\ and \xHH (exactly two hex digits).
+
+    Source string literals (between their quotes), garden and seed literals
+    and test-case strings are all decoded here; a bad escape raises ValueError.
+    """
     out = bytearray()
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            i += 1
-            e = body[i]
-            if e == "x":
-                try:
-                    out.append(int(body[i + 1 : i + 3], 16))
-                except ValueError:
-                    raise MiniImpSyntaxError(f"bad escape \\x{body[i + 1 : i + 3]}",
-                                             tok.line, tok.col) from None
-                i += 3
-                continue
-            if e not in _STR_ESCAPES:
-                raise MiniImpSyntaxError(f"bad escape \\{e}", tok.line, tok.col)
-            out.append(_STR_ESCAPES[e])
-            i += 1
-        else:
-            out.extend(c.encode("utf-8"))
-            i += 1
+    pos = 0
+    while (i := body.find("\\", pos)) >= 0:
+        out += body[pos:i].encode("utf-8")
+        m = _ESCAPE_RE.match(body, i)
+        if m is None:
+            bad = body[i : i + 4] if body.startswith("\\x", i) else body[i : i + 2]
+            raise ValueError(f"bad escape {bad}")
+        e = m.group(1)
+        out.append(int(e[1:], 16) if e[0] == "x" else _STR_ESCAPES[e])
+        pos = m.end()
+    out += body[pos:].encode("utf-8")
     return bytes(out)
 
 
@@ -312,7 +308,10 @@ class Parser:
             return Literal(FLOAT, float(tok.text))
         if tok.kind == "string":
             self.bump()
-            return Literal(STR, unescape_string(tok))
+            try:
+                return Literal(STR, unescape_string(tok.text[1:-1]))
+            except ValueError as e:
+                raise MiniImpSyntaxError(str(e), tok.line, tok.col) from None
         if tok.text in ("true", "false"):
             self.bump()
             return Literal(BOOL, tok.text == "true")

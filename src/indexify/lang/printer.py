@@ -40,22 +40,16 @@ _PREC = {
 _UNARY_PREC = 7
 
 
+_NAMED_ESCAPES = {0x09: "\\t", 0x0A: "\\n", 0x5C: "\\\\"}
+_BYTE_TEXT = [_NAMED_ESCAPES.get(c) or (chr(c) if 0x20 <= c < 0x7F else f"\\x{c:02x}")
+              for c in range(256)]
+
+
 def escape_bytes(b: bytes) -> str:
-    out = []
-    for c in b:
-        if c == 0x22:
-            out.append('\\"')
-        elif c == 0x5C:
-            out.append("\\\\")
-        elif c == 0x0A:
-            out.append("\\n")
-        elif c == 0x09:
-            out.append("\\t")
-        elif 0x20 <= c < 0x7F:
-            out.append(chr(c))
-        else:
-            out.append(f"\\x{c:02x}")
-    return "".join(out)
+    r"""The escaped text of b, as garden files hold it: printable ASCII as
+    itself, \t \n \\ by name, every other byte as \xHH.  A " stays as it
+    is; print_literal escapes it inside a quoted literal."""
+    return "".join([_BYTE_TEXT[c] for c in b])
 
 
 def print_float(x: float) -> str:
@@ -81,7 +75,7 @@ def print_literal(tag: TypeTag, value) -> str:
     if tag is BOOL:
         return "true" if value else "false"
     if tag is STR:
-        return f'"{escape_bytes(value)}"'
+        return '"' + escape_bytes(value).replace('"', '\\"') + '"'
     return f"{value}@{tag.base.name}"  # index literal
 
 

@@ -78,15 +78,51 @@ def test_exit_two_on_empty_garden(tmp_path, capsys):
     assert "garden is empty" in capsys.readouterr().err
 
 
+# Malformed \x escapes: a sign, a space, a non-hex digit, one digit.  Each ends
+# its literal, so the last is a trailing \xf.
+BAD_ESCAPES = {"plus": "\\x+1", "space": "\\x 1", "nonhex": "\\xg0", "short": "\\xf"}
+
+# case -> (file option, contents that are not UTF-8)
+NOT_UTF8 = {
+    "seed-not-utf8": ("--seeds", b"str:\xff\n"),
+    "add-seed-not-utf8": ("--addSeeds", b"str:\xff\n"),
+    "garden-not-utf8": ("--garden", b"0\tstr\t\xff\n"),
+    "iot-not-utf8": ("--indexOpDefs", b"iot strstr \xff\n"),
+    "fplus-not-utf8": ("--F+", b"strstr\xff\n"),
+    "testcase-not-utf8": ("--replay", b's1="\xff"\n'),
+}
+
+
 def _bad_input_args(case, tmp_path, monkeypatch):
     src = tmp_path / "fig4a.mi"
     src.write_text(FIG4A_SOURCE)
     bad = tmp_path / "bad"
+    where, _, kind = case.partition("-escape-")
+    if kind:
+        lit = "a" + BAD_ESCAPES[kind]
+        if where == "source":
+            bad.write_text(f'int main(){{ str s = "{lit}"; return 0; }}\n')
+            return [str(bad)]
+        if where == "garden":
+            bad.write_text(f"0\tstr\t{lit}\n")
+            return [str(src), "--garden", str(bad)]
+        if where == "seed":
+            bad.write_text(f"str:{lit}\n")
+            return [str(src), "--seeds", str(bad)]
+        bad.write_text(f's1="{lit}"\n')
+        return [str(src), "--replay", str(bad)]
+    if case in NOT_UTF8:
+        option, data = NOT_UTF8[case]
+        bad.write_bytes(data)
+        return [str(src), option, str(bad)]
     if case == "garden-index":
         bad.write_text("x\tstr\ta\n")
         return [str(src), "--garden", str(bad)]
     if case == "garden-trailing-backslash":
         bad.write_text("0\tstr\ta\\\n")
+        return [str(src), "--garden", str(bad)]
+    if case == "garden-bool":
+        bad.write_text(FIG5_GARDEN_TEXT + "0\tbool\tmaybe\n")
         return [str(src), "--garden", str(bad)]
     if case == "seed-hex-escape":
         bad.write_text("str:ab\\xZZ\n")
@@ -106,6 +142,12 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     if case == "testcase-string":
         bad.write_text('s="\\"\n')
         return [str(src), "--replay", str(bad)]
+    if case == "testcase-index":
+        bad.write_text("s1=0@str\n")
+        return [str(src), "--replay", str(bad)]
+    if case == "testcase-bot":
+        bad.write_text("s1=bot@str\n")
+        return [str(src), "--replay", str(bad)]
     if case == "input-directory":
         return [str(tmp_path)]
     if case == "garden-directory":
@@ -123,9 +165,12 @@ def _bad_input_args(case, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", [
-    "garden-index", "garden-trailing-backslash", "seed-hex-escape", "seed-float",
-    "iot-row", "testcase-value", "testcase-string", "input-directory",
-    "garden-directory", "source-not-utf8", "source-hex-escape", "seed-variable",
+    "garden-index", "garden-trailing-backslash", "garden-bool", "seed-hex-escape",
+    "seed-float", "iot-row", "testcase-value", "testcase-string", "testcase-index",
+    "testcase-bot", "input-directory", "garden-directory", "source-not-utf8",
+    "source-hex-escape", "seed-variable", *NOT_UTF8,
+    *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
+      for kind in BAD_ESCAPES),
 ])
 def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch):
     args = _bad_input_args(case, tmp_path, monkeypatch)
@@ -133,6 +178,8 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
     assert run_cli(*args, "--outdir", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("indexify: ") and "Traceback" not in err
+    if case.endswith("not-utf8"):
+        assert f"{tmp_path / 'bad'}: not UTF-8 text" in err
 
 
 def test_confluence_zero_trials_is_a_usage_error(fig4a_file, capsys):

@@ -13,15 +13,19 @@ from indexify.garden import (
     delta_bot,
     delta_inv,
     extend,
+    format_literal,
     harvest_int_pool,
     harvest_seeds,
     load_gardens,
+    parse_literal,
     predict_free_growth,
     serialize_gardens,
 )
+from indexify.cli import format_input_value, parse_input_value
 from indexify.iot import REGISTRY, eval_builtin
 from indexify.lang.ast import BOT, STR, EscapedGarden, Value, mk_str, value_key
 from indexify.lang.parser import parse
+from indexify.lang.printer import print_literal
 from indexify.lang.typecheck import typecheck
 
 STRCAT = REGISTRY["strcat"].signature
@@ -280,6 +284,22 @@ def test_garden_file_roundtrip():
     text = serialize_gardens(g)
     again = load_gardens(text)
     assert serialize_gardens(again) == text
+
+
+def test_string_text_round_trips_in_every_format():
+    # garden text, test-case text and MiniImp source share one escape codec
+    strings = [bytes([c]) for c in range(256)]
+    strings += [bytes(range(256)), b'say "hi"', b"a\\b\\", b'\\"', b'"\\']
+    for raw in strings:
+        v = mk_str(raw)
+        assert parse_literal(STR, format_literal(v)) == v
+        assert parse_input_value(format_input_value(v)) == v
+        source = f"int main(){{ str s = {print_literal(STR, raw)}; return 0; }}"
+        assert parse(source).main.body[0].init.value == raw
+    # a " stays unescaped in garden text; the source escapes \r \0 \" read too
+    text = '0\tstr\tsay "hi"\n'
+    assert serialize_gardens(load_gardens(text)) == text
+    assert load_gardens('0\tstr\t\\r\\0\\"\n')[STR].values() == [mk_str(b'\r\x00"')]
 
 
 def test_garden_file_verbatim_indices(fig5_gardens):
