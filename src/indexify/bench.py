@@ -18,7 +18,7 @@ from importlib import resources
 
 from .cli import CliConfig, _TYPE_CHOICES, build_pipeline, run_mode
 from .lang.parser import parse
-from .symex import MODE_ABANDON, MODE_CONCRETIZE, MODE_INDEXED, ExplorationReport
+from .symex import MODE_ABANDON, MODE_CONCRETIZE, MODE_INDEXED
 
 DEFAULT_MODES = (MODE_INDEXED, MODE_ABANDON)
 
@@ -114,10 +114,6 @@ class AggregateReport:
         return statistics.mean(r.reports[mode].instr_cov for r in self.results)
 
 
-def _failures(report: ExplorationReport) -> int:
-    return sum(1 for t in report.test_cases if t.verdict == "assertion-failure")
-
-
 def check_witnesses(entry: CorpusEntry, reports: dict) -> tuple:
     violations = []
     indexed = reports.get(MODE_INDEXED)
@@ -125,10 +121,10 @@ def check_witnesses(entry: CorpusEntry, reports: dict) -> tuple:
     baselines = [r for m, r in reports.items() if m != MODE_INDEXED]
     for w in entry.witnesses:
         if w == "bug-indexed-only":
-            if indexed is None or _failures(indexed) == 0:
+            if indexed is None or indexed.assertion_failures == 0:
                 violations.append("expected an assertion-failure in indexed mode")
             for b in baselines:
-                if _failures(b):
+                if b.assertion_failures:
                     violations.append(f"{b.mode} unexpectedly found the assertion")
         elif w == "coverage-gt":
             if indexed is not None and abandon is not None \
@@ -178,7 +174,7 @@ def format_aggregate(agg: AggregateReport) -> str:
         for m in agg.modes:
             rep = r.reports[m]
             row += [f"{rep.branch_covered}/{rep.branch_total}",
-                    str(rep.paths), str(_failures(rep))]
+                    str(rep.paths), str(rep.assertion_failures)]
         row.append("ok" if not r.violations else "; ".join(r.violations))
         rows.append(row)
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]

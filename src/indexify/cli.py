@@ -32,8 +32,8 @@ from .garden import (
     serialize_gardens,
 )
 from .iot import REGISTRY, IotError, class_for_type, memoise_all, parse_iot, serialize_iot
-from .lang.ast import FLOAT, STR, Literal, MiniImpError, Program, Value, is_index, mk_str
-from .lang.parser import Parser, parse
+from .lang.ast import FLOAT, STR, MiniImpError, Program, Value, mk_str
+from .lang.parser import parse, parse_scalar_literal
 from .lang.printer import print_literal
 from .lang.typecheck import typecheck
 from .rewrite import RewriteConfig, RewriteError, emit_indexed_source, normalize
@@ -264,10 +264,7 @@ def format_input_value(v: Value) -> str:
 
 def parse_input_value(text: str) -> Value:
     """A test-case value: one scalar MiniImp literal, a leading - included."""
-    parser = Parser(text)
-    lit = parser.unary()
-    if not isinstance(lit, Literal) or is_index(lit.tag) or parser.cur.kind != "eof":
-        raise UsageError(f"bad input value {text.strip()!r}")
+    lit = parse_scalar_literal(text)
     return Value(lit.tag, lit.value)
 
 
@@ -320,7 +317,7 @@ def human_summary(report: ExplorationReport) -> str:
         f"bcov={report.branch_cov:.2%} icov={report.instr_cov:.2%} "
         f"queries={report.solver_queries} unknowns={report.solver_unknowns} "
         f"escaped={report.escaped_paths} "
-        f"asserts={sum(1 for t in report.test_cases if t.verdict == 'assertion-failure')} "
+        f"asserts={report.assertion_failures} "
         f"time={report.elapsed_s:.2f}s"
     )
 
@@ -367,8 +364,7 @@ def cmd_run(cfg: CliConfig) -> int:
     outdir = write_artifacts(cfg, pipe, {mode: report})
     print(human_summary(report))
     print(f"artifacts: {outdir}")
-    failures = sum(1 for t in report.test_cases if t.verdict == "assertion-failure")
-    return 1 if failures else 0
+    return 1 if report.assertion_failures else 0
 
 
 def cmd_compare(cfg: CliConfig) -> int:
@@ -394,9 +390,7 @@ def comparison_table(reports: dict) -> str:
         ("paths", *(str(r.paths) for r in reports.values())),
         ("queries", *(str(r.solver_queries) for r in reports.values())),
         ("escaped", *(str(r.escaped_paths) for r in reports.values())),
-        ("assert_failures",
-         *(str(sum(1 for t in r.test_cases if t.verdict == "assertion-failure"))
-           for r in reports.values())),
+        ("assert_failures", *(str(r.assertion_failures) for r in reports.values())),
         ("time_s", *(f"{r.elapsed_s:.2f}" for r in reports.values())),
     ]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .lang.ast import (
-    BOOL,
     BOT,
-    FLOAT,
     INT,
     SCALARS,
     STR,
     EscapedGarden,
     Literal,
+    MiniImpSyntaxError,
     Program,
     TypeTag,
     Value,
@@ -32,7 +31,7 @@ from .lang.ast import (
     value_key,
     walk_exprs,
 )
-from .lang.parser import unescape_string
+from .lang.parser import parse_scalar_literal, unescape_string
 from .lang.printer import escape_bytes, print_literal
 
 SAT_LIMIT = 2**63 - 1
@@ -78,7 +77,6 @@ class IndexMap:
         self.type_tag = type_tag
         self._values: list[Value] = []
         self._index: dict[object, int] = {}
-        self._generation: list[int] = []
 
     def __len__(self) -> int:
         return len(self._values)
@@ -86,7 +84,7 @@ class IndexMap:
     def values(self) -> list[Value]:
         return list(self._values)
 
-    def admit(self, v: Value, generation: int = 0) -> tuple[int, bool]:
+    def admit(self, v: Value) -> tuple[int, bool]:
         """Insert v if new; returns (index, freshly_added)."""
         if v.tag != self.type_tag:
             raise GardenError(f"value {v!r} does not belong in a {self.type_tag!r} garden")
@@ -96,7 +94,6 @@ class IndexMap:
         i = len(self._values)
         self._values.append(v)
         self._index[key] = i
-        self._generation.append(generation)
         return i, True
 
     def index_or_bot(self, v: Value):
@@ -110,17 +107,6 @@ class IndexMap:
         if not 0 <= i < len(self._values):
             raise GardenError(f"index {i} outside garden of size {len(self._values)}")
         return self._values[i]
-
-    def generation_of(self, i: int) -> int:
-        return self._generation[i]
-
-
-def delta_bot(imap: IndexMap, v: Value):
-    return imap.index_or_bot(v)
-
-
-def delta_inv(imap: IndexMap, i) -> Value:
-    return imap.value_at(i)
 
 
 @dataclass(frozen=True)
@@ -185,8 +171,8 @@ def _admissible(v: Value, max_str_len: int) -> bool:
 
 
 def extend(imap: IndexMap, op: OperatorSignature, *,
-           snapshot: list[Value] | None = None, max_str_len: int = 8,
-           generation: int = 1) -> tuple[IndexMap, int]:
+           snapshot: list[Value] | None = None,
+           max_str_len: int = 8) -> tuple[IndexMap, int]:
     """One builder pass: apply op to every argument tuple from the snapshot.
 
     Results already present, longer than max_str_len, or failing to evaluate
@@ -207,7 +193,7 @@ def extend(imap: IndexMap, op: OperatorSignature, *,
             skips += 1
             continue
         if _admissible(result, max_str_len):
-            imap.admit(result, generation)
+            imap.admit(result)
         else:
             skips += 1
     return imap, skips
@@ -222,7 +208,7 @@ def build_garden(seeds: SeedSet, cfg: BuilderConfig,
     for tag in sorted(types, key=lambda t: t.name):
         imap = IndexMap(tag)
         for v in seeds.values(tag):
-            imap.admit(v, 0)
+            imap.admit(v)
         gardens[tag] = imap
 
     if cfg.mode == "kleene":
@@ -230,22 +216,21 @@ def build_garden(seeds: SeedSet, cfg: BuilderConfig,
             _kleene_fill(gardens[STR], cfg.max_str_len)
         return gardens
 
-    for rnd in range(1, cfg.k + 1):
+    for _ in range(cfg.k):
         snapshots = {tag: imap.values() for tag, imap in gardens.items()}
         for op in cfg.builders:
             tag = op.return_type
             if tag not in gardens:
                 raise GardenError(f"builder {op.name} needs a {tag!r} garden")
             extend(gardens[tag], op,
-                   snapshot=snapshots[tag], max_str_len=cfg.max_str_len,
-                   generation=rnd)
+                   snapshot=snapshots[tag], max_str_len=cfg.max_str_len)
     return gardens
 
 
 def _kleene_fill(imap: IndexMap, max_len: int) -> None:
     """Admit every string over the seed byte alphabet up to max_len."""
     alphabet = sorted({b for v in imap.values() for b in v.raw})
-    imap.admit(mk_str(b""), 1)
+    imap.admit(mk_str(b""))
     level = [b""]
     for _ in range(max_len):
         nxt = []
@@ -253,7 +238,7 @@ def _kleene_fill(imap: IndexMap, max_len: int) -> None:
             for c in alphabet:
                 t = s + bytes([c])
                 nxt.append(t)
-                imap.admit(mk_str(t), 1)
+                imap.admit(mk_str(t))
         level = nxt
 
 
@@ -314,19 +299,18 @@ def format_literal(v: Value) -> str:
 
 
 def parse_literal(tag: TypeTag, text: str) -> Value:
-    """A garden-file literal of type tag; malformed text raises GardenError."""
+    """A garden-file literal of type tag: a str as format_literal writes it,
+    any other scalar as MiniImp source reads it.  Malformed text, or a
+    literal of another type, raises GardenError."""
     try:
         if tag is STR:
             return Value(STR, unescape_string(text))
-        if tag is FLOAT:
-            return Value(FLOAT, float(text))
-        if tag is BOOL:
-            if text not in ("true", "false"):
-                raise ValueError(text)
-            return Value(BOOL, text == "true")
-        return Value(INT, int(text))
-    except ValueError:
-        raise GardenError(f"bad {tag.name} literal {text!r}") from None
+        lit = parse_scalar_literal(text)
+        if lit.tag is tag:
+            return Value(tag, lit.value)
+    except (ValueError, MiniImpSyntaxError):
+        pass
+    raise GardenError(f"bad {tag.name} literal {text!r}")
 
 
 def serialize_gardens(gardens: dict[TypeTag, IndexMap]) -> str:
@@ -362,7 +346,7 @@ def load_gardens(text: str) -> dict[TypeTag, IndexMap]:
             raise GardenError(f"{tag.name} garden indices are not dense from 0")
         imap = IndexMap(tag)
         for i, v in entries:
-            got, added = imap.admit(v, 0)
+            got, added = imap.admit(v)
             if not added or got != i:
                 raise GardenError(f"duplicate value in {tag.name} garden at index {i}")
         gardens[tag] = imap

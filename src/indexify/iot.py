@@ -399,6 +399,7 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
             f"(file {file_hash}, current {got_hash})"
         )
     rows = {}
+    raw_cells = {}  # text -> Value: a raw table repeats a few results
     bot_rows = 0
     for ln in body:
         try:
@@ -410,8 +411,10 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
                 bot_rows += 1
             elif isinstance(result, IndexMap):
                 cell = int(right)
+            elif right in raw_cells:
+                cell = raw_cells[right]
             else:
-                cell = parse_literal(op.signature.return_type, right)
+                cell = raw_cells[right] = parse_literal(op.signature.return_type, right)
         except (ValueError, GardenError) as e:
             raise IotError(f"{name}: malformed iot row {ln!r}: {e}") from None
         if len(key) != arity:

@@ -36,6 +36,7 @@ from .ast import (
     Var,
     While,
     index_of,
+    is_index,
 )
 
 KEYWORDS = {
@@ -349,3 +350,15 @@ class Parser:
 
 def parse(source: str) -> Program:
     return Parser(source).program()
+
+
+def parse_scalar_literal(text: str) -> Literal:
+    """One scalar MiniImp literal, a leading - included, as source reads it:
+    a test-case value, or a non-str garden, seed or table-cell literal.
+    Anything else (an index, bot, a variable, trailing text) raises
+    MiniImpSyntaxError."""
+    parser = Parser(text)
+    lit = parser.unary()
+    if not isinstance(lit, Literal) or is_index(lit.tag) or parser.cur.kind != "eof":
+        raise MiniImpSyntaxError(f"bad literal {text.strip()!r}")
+    return lit

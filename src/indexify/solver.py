@@ -1,26 +1,26 @@
 """Equality-theory solver over finite index domains.
 
 Path conditions are conjunctions of (dis)equalities between variables and
-index constants; BOT is an extra domain constant distinct from every index.
-solve() merges equality classes with union-find, checks disequalities against
-the classes, and searches for an assignment of the unpinned classes
-(most-constrained first, values ascending, BOT last) so models are
-deterministic and the smallest available.  The search is exhaustive, so the
-verdict is exact; a per-query budget converts pathological instances into an
-"unknown" verdict instead of a hang.
+constants.  A variable ranges over [0, size) and a constant is an int: in
+the symbolic executor, a garden index or an int (a bool as 0 or 1).  The
+escape value is out of band and never reaches a path condition.  solve()
+merges equality classes with union-find, checks disequalities against the
+classes, and searches for an assignment of the unpinned classes
+(most-constrained first, values ascending) so models are deterministic and
+the smallest available.  The search is exhaustive, so the verdict is exact;
+a per-query budget converts pathological instances into an "unknown"
+verdict instead of a hang.
 
 PathState keeps the same classes, pins and exclusions incrementally as a path
 condition grows, and decides it without solve() unless it holds a var-var
-disequality; solve(), simplify() and entailed_pins() stay the reference it
-is tested against.
+disequality: only such a path condition goes to solve().  solve(),
+simplify() and entailed_pins() stay the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-from .lang.ast import BOT
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -31,28 +31,20 @@ DEFAULT_BUDGET_S = 30.0
 
 @dataclass(frozen=True)
 class FiniteVar:
-    """A solver variable over [0, size) plus optionally BOT."""
+    """A solver variable over [0, size)."""
 
     name: str
     size: int
-    allow_bot: bool = False
 
-    def domain(self):
-        yield from range(self.size)
-        if self.allow_bot:
-            yield BOT
-
-    def contains(self, c) -> bool:
-        if c is BOT:
-            return self.allow_bot
-        return isinstance(c, int) and 0 <= c < self.size
+    def contains(self, c: int) -> bool:
+        return 0 <= c < self.size
 
 
 @dataclass(frozen=True)
 class Atom:
     kind: str  # "==c" | "!=c" | "==v" | "!=v"
     var: FiniteVar
-    other: object  # a constant (int or BOT) or another FiniteVar
+    other: object  # an int constant or another FiniteVar
 
     def __repr__(self):
         op = "=" if self.kind.startswith("==") else "!="
@@ -89,7 +81,7 @@ def holds(atom: Atom, assignment: dict) -> bool:
     """Evaluate one atom under a total assignment (name -> constant)."""
     a = assignment[atom.var.name]
     b = assignment[atom.other.name] if isinstance(atom.other, FiniteVar) else atom.other
-    return (a == b or (a is BOT and b is BOT)) == atom.kind.startswith("==")
+    return (a == b) == atom.kind.startswith("==")
 
 
 def satisfies(pc, assignment: dict) -> bool:
@@ -135,12 +127,6 @@ class _UnionFind:
         return ra
 
 
-def _same_const(a, b) -> bool:
-    if a is BOT or b is BOT:
-        return a is b
-    return a == b
-
-
 class _Timeout(Exception):
     pass
 
@@ -162,18 +148,11 @@ def solve(pc, variables=(), budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
     for name, v in vars_by_name.items():
         members.setdefault(uf.find(name), []).append(v)
 
-    # class domain: [0, min size) plus BOT only if every member allows it
-    domains = {}
-    for root, vs in members.items():
-        size = min(v.size for v in vs)
-        allow_bot = all(v.allow_bot for v in vs)
-        domains[root] = (size, allow_bot)
+    # class domain: [0, the smallest member size)
+    sizes = {root: min(v.size for v in vs) for root, vs in members.items()}
 
     def in_domain(root, c) -> bool:
-        size, allow_bot = domains[root]
-        if c is BOT:
-            return allow_bot
-        return 0 <= c < size
+        return 0 <= c < sizes[root]
 
     # pin classes from equality-with-constant atoms
     pins = {}
@@ -183,7 +162,7 @@ def solve(pc, variables=(), budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
         root = uf.find(a.var.name)
         if not a.var.contains(a.other) or not in_domain(root, a.other):
             return SolveResult(UNSAT)
-        if root in pins and not _same_const(pins[root], a.other):
+        if root in pins and pins[root] != a.other:
             return SolveResult(UNSAT)
         pins[root] = a.other
 
@@ -195,7 +174,7 @@ def solve(pc, variables=(), budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
             if not in_domain(root, a.other):
                 continue  # vacuous: the variable can never take this value
             if root in pins:
-                if _same_const(pins[root], a.other):
+                if pins[root] == a.other:
                     return SolveResult(UNSAT)
                 continue
             excluded[root].add(a.other)
@@ -205,7 +184,7 @@ def solve(pc, variables=(), budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
                 return SolveResult(UNSAT)
             pa, pb = pins.get(ra), pins.get(rb)
             if pa is not None and pb is not None:
-                if _same_const(pa, pb):
+                if pa == pb:
                     return SolveResult(UNSAT)
                 continue
             if pa is not None:
@@ -220,14 +199,11 @@ def solve(pc, variables=(), budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
     open_roots = [r for r in members if r not in pins]
 
     def candidates(root):
-        size, allow_bot = domains[root]
         excl = excluded[root]
         taken = {assignment[nb] for nb in neighbors[root] if nb in assignment}
-        for c in range(size):
+        for c in range(sizes[root]):
             if c not in excl and c not in taken:
                 yield c
-        if allow_bot and BOT not in excl and not any(t is BOT for t in taken):
-            yield BOT
 
     deadline = time.monotonic() + budget_s if budget_s else None
 
@@ -282,7 +258,7 @@ def entailed_pins(pc) -> dict:
 def _key(a: Atom):
     """What makes two atoms duplicates of each other for simplify()."""
     return (a.kind, a.var.name,
-            a.other.name if isinstance(a.other, FiniteVar) else ("c", repr(a.other)))
+            a.other.name if isinstance(a.other, FiniteVar) else a.other)
 
 
 def simplify(pc) -> tuple:
@@ -299,7 +275,7 @@ def simplify(pc) -> tuple:
     for a in pc:
         if a.kind == "==c":
             root = uf.find(a.var.name)
-            if root in pins and not _same_const(pins[root], a.other):
+            if root in pins and pins[root] != a.other:
                 conflict = True
             pins.setdefault(root, a.other)
 
@@ -315,13 +291,12 @@ def simplify(pc) -> tuple:
             if not a.var.contains(a.other):
                 continue
             pin = pins.get(uf.find(a.var.name))
-            if pin is not None and not conflict and not _same_const(pin, a.other):
+            if pin is not None and not conflict and pin != a.other:
                 continue
         if a.kind == "!=v":
             pa = pins.get(uf.find(a.var.name))
             pb = pins.get(uf.find(a.other.name))
-            if pa is not None and pb is not None and not conflict \
-                    and not _same_const(pa, pb):
+            if pa is not None and pb is not None and not conflict and pa != pb:
                 continue
         seen.add(key)
         out.append(a)
@@ -331,12 +306,10 @@ def simplify(pc) -> tuple:
 class _Class:
     """One equality class of a PathState."""
 
-    __slots__ = ("size", "bot", "pin", "pin_at", "clash", "neq", "keys")
+    __slots__ = ("size", "pin", "pin_at", "clash", "neq", "keys")
 
     def __init__(self, var: FiniteVar):
-        # the domain is [0, size) plus BOT when every member allows it
-        self.size = var.size
-        self.bot = var.allow_bot
+        self.size = var.size  # the domain is [0, size), size the members' least
         self.pin = None     # the constant of the class's last ==c atom
         self.pin_at = -1    # that atom's position in the path condition
         self.clash = False  # two ==c atoms of the class name different constants
@@ -346,17 +319,15 @@ class _Class:
 
     def copy(self) -> "_Class":
         c = _Class.__new__(_Class)
-        c.size, c.bot, c.pin, c.pin_at, c.clash = (
-            self.size, self.bot, self.pin, self.pin_at, self.clash)
+        c.size, c.pin, c.pin_at, c.clash = self.size, self.pin, self.pin_at, self.clash
         c.neq = self.neq.copy()
         c.keys = self.keys.copy()
         return c
 
     def absorb(self, other: "_Class") -> None:
         self.size = min(self.size, other.size)
-        self.bot = self.bot and other.bot
         if other.pin is not None:
-            if self.pin is not None and not _same_const(self.pin, other.pin):
+            if self.pin is not None and self.pin != other.pin:
                 self.clash = True
             if other.pin_at > self.pin_at:
                 self.pin, self.pin_at = other.pin, other.pin_at
@@ -365,8 +336,8 @@ class _Class:
             self.neq[c] = self.neq.get(c, 0) + n
         self.keys |= other.keys
 
-    def in_domain(self, c) -> bool:
-        return self.bot if c is BOT else 0 <= c < self.size
+    def in_domain(self, c: int) -> bool:
+        return 0 <= c < self.size
 
     def dropped(self) -> int:
         """The class's !=c atoms that simplify() drops, as its pin decides them."""
@@ -380,17 +351,14 @@ class _Class:
         if self.pin is not None:
             return self.in_domain(self.pin) and self.pin not in self.neq
         excluded = sum(1 for c in self.neq if self.in_domain(c))
-        return excluded < self.size + self.bot
+        return excluded < self.size
 
-    def smallest(self):
-        """The value solve() gives the class: its pin, else the smallest
-        constant not excluded, BOT last."""
+    def smallest(self) -> int:
+        """The value solve() gives a feasible class: its pin, else the
+        smallest constant not excluded."""
         if self.pin is not None:
             return self.pin
-        for c in range(self.size):
-            if c not in self.neq:
-                return c
-        return BOT
+        return next(c for c in range(self.size) if c not in self.neq)
 
 
 class PathState:
@@ -476,7 +444,7 @@ class PathState:
                 root = keep
         cls = self._own(root, touched)
         if a.kind == "==c":  # a repeated pin still moves pin_at: the last one wins
-            if cls.pin is not None and not _same_const(cls.pin, a.other):
+            if cls.pin is not None and cls.pin != a.other:
                 cls.clash = True
             cls.pin, cls.pin_at = a.other, self._atoms
         key = _key(a)
@@ -505,7 +473,7 @@ class PathState:
             return self._kept + edges
         for a, b in self._edges.values():
             pa, pb = self._pin_of(a), self._pin_of(b)
-            if pa is not None and pb is not None and not _same_const(pa, pb):
+            if pa is not None and pb is not None and pa != pb:
                 edges -= 1
         return self._kept - self._dropped + edges
 
@@ -523,10 +491,9 @@ class PathState:
                  for name in self._uf.parent}
         for v in variables:
             if v.name not in model:
-                c = next(v.domain(), None)
-                if c is None:
+                if not v.size:
                     return None
-                model[v.name] = c
+                model[v.name] = 0
         return model
 
 

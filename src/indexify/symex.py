@@ -19,11 +19,14 @@ option list or asking the solver.  Past the prefix the run is at the
 frontier: only there is a decision's option list built (true branch first,
 table rows in ascending result order, the BOT successor last), every option
 checked, the first feasible one taken and the other feasible ones queued.
-The path condition travels with the run as a solver.PathState, so a check
-costs the atoms it adds, and solver.solve is consulted only for var-var
-disequalities.  Every queued option was satisfiable when checked, so emitted
-test cases replay on the concrete interpreter by construction; an option the
-solver cannot decide is dropped and counted, and the run goes on.
+Every solver variable ranges over [0, size), and every constant is a
+garden index or an int (a bool is 0 or 1); BOT never enters a path
+condition.  The path condition travels with the run as a solver.PathState,
+so a check costs the atoms it adds, and only a path condition with a
+var-var disequality goes to solver.solve.  Every queued option was
+satisfiable when checked, so emitted test cases replay on the concrete
+interpreter by construction; an option the solver cannot decide is dropped
+and counted, and the run goes on.
 """
 
 from __future__ import annotations
@@ -160,6 +163,10 @@ class ExplorationReport:
     @property
     def instr_cov(self) -> float:
         return self.instr_covered / self.instr_total if self.instr_total else 1.0
+
+    @property
+    def assertion_failures(self) -> int:
+        return sum(1 for t in self.test_cases if t.verdict == VERDICT_ASSERT)
 
 
 class _Return(Exception):
@@ -322,7 +329,7 @@ class _Run:
         self.engine.atoms_sent += state.simplified
         status = state.status
         if status is None:
-            status = solver.solve(solver.simplify(tuple(self.pc) + tuple(atoms))).status
+            status = solver.solve(tuple(self.pc) + tuple(atoms)).status
             if status == solver.UNKNOWN:
                 self.engine.unknowns += 1
         return state if status == solver.SAT else None
@@ -335,7 +342,7 @@ class _Run:
         if self.state.status is not None:
             model = self.state.model(variables)
         else:
-            res = solver.solve(solver.simplify(tuple(self.pc)), variables=variables)
+            res = solver.solve(tuple(self.pc), variables=variables)
             if res.status == solver.UNKNOWN:
                 self.engine.unknowns += 1
                 return None
@@ -717,15 +724,10 @@ def _concretize_default(tag: TypeTag) -> Value:
 
 
 def _const_for(sym: SymRef, conc: Value):
-    """Map a concrete comparison operand onto the symbolic side's domain."""
-    raw = conc.raw
-    if sym.tag is BOOL:
-        raw = 1 if raw else 0
-    if isinstance(raw, bool):
-        raw = int(raw)
-    if isinstance(raw, int) and 0 <= raw < sym.var.size:
-        return raw
-    return None
+    """The solver constant of a concrete operand compared with sym (an index,
+    int or bool, as sym is), or None outside sym's domain."""
+    c = int(conc.raw)
+    return c if sym.var.contains(c) else None
 
 
 def _dim_options(ref: SymRef, dim):
@@ -748,21 +750,11 @@ def _row_options(table: IndexedOperatorTable, parts, free_at: int):
                                   for i, p in enumerate(parts)))
         if cell is not BOT:
             rows.append((cell, v))
-    rows.sort(key=lambda cv: (_cell_sort_key(cv[0]), cv[1]))
+    # a cell is an index, or an int Value for a raw-result table
+    rows.sort(key=lambda cv: (cv[0].raw if isinstance(cv[0], Value) else cv[0], cv[1]))
     options = [_Option([var_eq_const(ref.var, v)], cell) for cell, v in rows]
     options.append(_Option([var_neq_const(ref.var, v) for _, v in rows], BOT))
     return options
-
-
-def _cell_sort_key(cell):
-    raw = cell.raw if isinstance(cell, Value) else cell
-    if isinstance(raw, bool):
-        return (0, int(raw))
-    if isinstance(raw, int):
-        return (0, raw)
-    if isinstance(raw, float):
-        return (0, raw) if raw == raw else (1, 0.0)
-    return (2, repr(raw))
 
 
 # ---------------------------------------------------------------------------

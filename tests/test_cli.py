@@ -93,6 +93,16 @@ NOT_UTF8 = {
 }
 
 
+# non-str literals read as MiniImp source does: no digit separators, no
+# spelled-out infinity, and an int is not a float
+BAD_SCALARS = {
+    "garden-int-underscore": ("--garden", "0\tint\t1_0\n"),
+    "garden-float-infinity": ("--garden", "0\tfloat\tinfinity\n"),
+    "seed-float-underscore": ("--seeds", "float:1_0.5\n"),
+    "seed-float-int": ("--seeds", "float:5\n"),
+}
+
+
 def _bad_input_args(case, tmp_path, monkeypatch):
     src = tmp_path / "fig4a.mi"
     src.write_text(FIG4A_SOURCE)
@@ -124,6 +134,10 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     if case == "garden-bool":
         bad.write_text(FIG5_GARDEN_TEXT + "0\tbool\tmaybe\n")
         return [str(src), "--garden", str(bad)]
+    if case in BAD_SCALARS:
+        option, text = BAD_SCALARS[case]
+        bad.write_text(FIG5_GARDEN_TEXT + text if option == "--garden" else text)
+        return [str(src), option, str(bad)]
     if case == "seed-hex-escape":
         bad.write_text("str:ab\\xZZ\n")
         return [str(src), "--seeds", str(bad)]
@@ -168,7 +182,7 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     "garden-index", "garden-trailing-backslash", "garden-bool", "seed-hex-escape",
     "seed-float", "iot-row", "testcase-value", "testcase-string", "testcase-index",
     "testcase-bot", "input-directory", "garden-directory", "source-not-utf8",
-    "source-hex-escape", "seed-variable", *NOT_UTF8,
+    "source-hex-escape", "seed-variable", *NOT_UTF8, *BAD_SCALARS,
     *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
       for kind in BAD_ESCAPES),
 ])

@@ -10,8 +10,6 @@ from indexify.garden import (
     IndexMap,
     SeedSet,
     build_garden,
-    delta_bot,
-    delta_inv,
     extend,
     format_literal,
     harvest_int_pool,
@@ -23,7 +21,7 @@ from indexify.garden import (
 )
 from indexify.cli import format_input_value, parse_input_value
 from indexify.iot import REGISTRY, eval_builtin
-from indexify.lang.ast import BOT, STR, EscapedGarden, Value, mk_str, value_key
+from indexify.lang.ast import BOOL, BOT, FLOAT, INT, STR, EscapedGarden, Value, mk_str, value_key
 from indexify.lang.parser import parse
 from indexify.lang.printer import print_literal
 from indexify.lang.typecheck import typecheck
@@ -167,9 +165,9 @@ def test_bijection_roundtrip():
                      BuilderConfig(builders=(STRCAT,), k=2, max_str_len=3),
                      types={STR})[STR]
     for v in g.values():
-        assert delta_inv(g, delta_bot(g, v)) == v
+        assert g.value_at(g.index_or_bot(v)) == v
     for i in range(len(g)):
-        assert delta_bot(g, delta_inv(g, i)) == i
+        assert g.index_or_bot(g.value_at(i)) == i
 
 
 def test_dedup_no_duplicates():
@@ -201,9 +199,8 @@ def test_closure_bound():
                 if len(out.raw) <= 4:
                     frontier.add(out.raw)
         layer = frontier
-    for i, v in enumerate(g.values()):
+    for v in g.values():
         assert v.raw in layer
-        assert g.generation_of(i) <= k
 
 
 def test_kleene_mode_enumerates_alphabet():
@@ -220,18 +217,18 @@ def test_kleene_mode_enumerates_alphabet():
 
 def test_delta_bot_fig5(fig5_gardens):
     g = fig5_gardens[STR]
-    assert delta_bot(g, mk_str(b"bar")) == 2
-    assert delta_bot(g, mk_str(b"oobar")) == 1
-    assert delta_bot(g, mk_str(b"nope")) is BOT
+    assert g.index_or_bot(mk_str(b"bar")) == 2
+    assert g.index_or_bot(mk_str(b"oobar")) == 1
+    assert g.index_or_bot(mk_str(b"nope")) is BOT
 
 
 def test_delta_inv_fig5(fig5_gardens):
     g = fig5_gardens[STR]
-    assert delta_inv(g, 2) == mk_str(b"bar")
+    assert g.value_at(2) == mk_str(b"bar")
     with pytest.raises(EscapedGarden):
-        delta_inv(g, BOT)
+        g.value_at(BOT)
     with pytest.raises(GardenError):
-        delta_inv(g, 99)
+        g.value_at(99)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +316,16 @@ def test_garden_file_rejects_duplicates():
 def test_float_garden_values():
     text = "0\tfloat\t2.0\n1\tfloat\tnan\n2\tfloat\tinf\n"
     g = load_gardens(text)
-    from indexify.lang.ast import FLOAT
-
     assert serialize_gardens(g) == text
-    assert delta_bot(g[FLOAT], Value(FLOAT, float("nan"))) == 1
+    assert g[FLOAT].index_or_bot(Value(FLOAT, float("nan"))) == 1
+
+
+def test_scalar_literals_read_as_source_reads_them():
+    for tag, raw in [(INT, -3), (INT, 2**70), (FLOAT, -0.0), (FLOAT, 1e-05),
+                     (FLOAT, 1.5e+300), (FLOAT, float("-inf")), (BOOL, True)]:
+        v = Value(tag, raw)
+        assert value_key(parse_literal(tag, format_literal(v))) == value_key(v)
+    for tag, text in [(INT, "1_0"), (INT, "0x10"), (INT, "1.0"), (FLOAT, "infinity"),
+                      (FLOAT, "1_0.5"), (FLOAT, "5"), (BOOL, "True"), (INT, "0@str")]:
+        with pytest.raises(GardenError):
+            parse_literal(tag, text)

@@ -4,10 +4,10 @@ import pytest
 
 from indexify import rewrite
 from indexify.bench import CORPUS, corpus_path, load_entry
-from indexify.cli import run_mode
+from indexify.cli import CliConfig, build_pipeline, rewrite_pipeline, run_mode
 from indexify.garden import build_garden, BuilderConfig, harvest_int_pool, harvest_seeds
 from indexify.iot import REGISTRY, memoise_all
-from indexify.lang.ast import BOT, STR, BotLiteral, Call, Decl, Literal, index_of, mk_int
+from indexify.lang.ast import BOT, FLOAT, STR, BotLiteral, Call, Decl, Literal, index_of, mk_int
 from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.printer import print_program
@@ -206,7 +206,7 @@ def test_equality_operand_folds_to_index():
       return 0;
     }
     """
-    from indexify.lang.ast import FLOAT, mk_float
+    from indexify.lang.ast import mk_float
     from indexify.garden import SeedSet
 
     p = typecheck(parse(src))
@@ -331,6 +331,98 @@ def test_emitted_source_parses_and_matches_table(fig4a_program, fig5_gardens):
         else:
             assert out.verdict == "ok"
             assert out.return_value == mk_int(1)
+
+
+PICK_SOURCE = """
+str pick(str s) {
+  return strcat(s, "c");
+}
+
+int main() {
+  str a;
+  symbolic a;
+  puts("a");
+  str b = pick(a);
+  if (strcmp(b, "ac") == 0) {
+    return 1;
+  }
+  return 0;
+}
+"""
+
+PICK_NORMAL_FORM = """\
+index<str> pick(index<str> s) {
+  return idx(strcat(unidx(s), "c"));
+}
+
+int main() {
+  index<str> a;
+  symbolic a;
+  puts("a");
+  index<str> b = pick(a);
+  if (i_strcmp(b, 3@str) == 0) {
+    return 1;
+  }
+  return 0;
+}
+"""
+
+FADD_SOURCE = """
+int main() {
+  float a;
+  float x;
+  symbolic a;
+  symbolic x;
+  if (fadd(a, 1.5) == x) {
+    return 1;
+  }
+  if (x == 3.0) {
+    return 2;
+  }
+  return 0;
+}
+"""
+
+FADD_NORMAL_FORM = """\
+int main() {
+  index<float> a;
+  index<float> x;
+  symbolic a;
+  symbolic x;
+  if (idx(fadd(unidx(a), 1.5)) == x) {
+    return 1;
+  }
+  if (x == 1@float) {
+    return 2;
+  }
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("source, types, f_plus, normal_form", [
+    # R3 on a user function's return type and parameter, R8/R9 in its body
+    (PICK_SOURCE, (STR,), ("strcmp",), PICK_NORMAL_FORM),
+    # R7 in the equality-operand form: a raw float result against an index
+    (FADD_SOURCE, (FLOAT,), ("fmul",), FADD_NORMAL_FORM),
+], ids=["r3-user-return", "r7-equality-operand"])
+def test_rewrite_case_normal_form_confluence_and_emitted_source(
+        source, types, f_plus, normal_form):
+    cfg = CliConfig("case.mi", indexed_types=types, f_plus_names=f_plus, k=1)
+    pipe = rewrite_pipeline(build_pipeline(parse(source), cfg), cfg)
+    assert print_program(pipe.indexed.program) == normal_form
+    rcfg = RewriteConfig(set(types), set(f_plus), pipe.gardens, pipe.tables)
+    rep = confluence_probe(typecheck(parse(source)), rcfg, trials=20, seed=0)
+    assert rep.all_equal
+    report = run_mode(cfg, pipe, MODE_INDEXED)
+    assert {tc.verdict for tc in report.test_cases} == {"ok", "escaped-garden"}
+    assert report.branch_covered == report.branch_total
+    emitted = parse(emit_indexed_source(pipe.indexed))
+    for tc in report.test_cases:
+        mem = interpret(pipe.indexed.program, tc.inputs, gardens=pipe.gardens,
+                        tables=pipe.tables)
+        out = interpret(emitted, tc.inputs, gardens=pipe.gardens)
+        assert (out.verdict, out.return_value) == (mem.verdict, mem.return_value)
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)

@@ -2,7 +2,6 @@ import itertools
 import random
 import time
 
-from indexify.lang.ast import BOT
 from indexify.solver import (
     SAT,
     UNKNOWN,
@@ -24,14 +23,13 @@ from indexify.solver import (
 
 def random_pc(rng, max_vars=4, max_domain=8, max_atoms=8):
     nvars = rng.randint(1, max_vars)
-    vs = [FiniteVar(f"v{i}", rng.randint(1, max_domain), rng.random() < 0.3)
-          for i in range(nvars)]
+    vs = [FiniteVar(f"v{i}", rng.randint(1, max_domain)) for i in range(nvars)]
     atoms = []
     for _ in range(rng.randint(1, max_atoms)):
         v = rng.choice(vs)
         kind = rng.randrange(4)
         if kind < 2:
-            c = BOT if rng.random() < 0.15 else rng.randrange(-1, max_domain + 1)
+            c = rng.randrange(-1, max_domain + 1)
             atoms.append(var_eq_const(v, c) if kind == 0 else var_neq_const(v, c))
         else:
             w = rng.choice(vs)
@@ -40,7 +38,7 @@ def random_pc(rng, max_vars=4, max_domain=8, max_atoms=8):
 
 
 def brute_force(pc, vs):
-    for combo in itertools.product(*[list(v.domain()) for v in vs]):
+    for combo in itertools.product(*[range(v.size) for v in vs]):
         asg = {v.name: c for v, c in zip(vs, combo)}
         if satisfies(pc, asg):
             return SAT
@@ -71,19 +69,9 @@ def test_eq_neq_same_pair_unsat():
 
 
 def test_domain_exhaustion_unsat():
-    x = FiniteVar("x", 4)  # no BOT in the domain
+    x = FiniteVar("x", 4)
     atoms = tuple(var_neq_const(x, i) for i in range(4))
     assert solve(atoms).status == UNSAT
-    y = FiniteVar("y", 4, allow_bot=True)
-    atoms = tuple(var_neq_const(y, i) for i in range(4)) + (var_neq_const(y, BOT),)
-    assert solve(atoms).status == UNSAT
-
-
-def test_bot_is_a_distinct_constant():
-    y = FiniteVar("y", 2, allow_bot=True)
-    res = solve(tuple(var_neq_const(y, i) for i in range(2)))
-    assert res.status == SAT
-    assert res.model["y"] is BOT
 
 
 def test_smallest_model_selected():
@@ -197,8 +185,8 @@ def test_exhausted_budget_reports_unknown():
 
 def test_dump_query_format():
     x, y = FiniteVar("x", 4), FiniteVar("y", 4)
-    pc = (var_eq_const(x, 2), var_neq_var(x, y), var_eq_const(y, BOT))
-    assert dump_query(pc) == "x = 2\nx != y\ny = BOT\n"
+    pc = (var_eq_const(x, 2), var_neq_var(x, y), var_eq_const(y, 3))
+    assert dump_query(pc) == "x = 2\nx != y\ny = 3\n"
 
 
 def test_path_state_agrees_with_the_solver_at_every_prefix():
@@ -207,8 +195,7 @@ def test_path_state_agrees_with_the_solver_at_every_prefix():
     rng = random.Random(4321)
     decided = 0
     for trial in range(3000):
-        vs = [FiniteVar(f"v{i}", rng.randint(1, 4), rng.random() < 0.3)
-              for i in range(rng.randint(2, 4))]
+        vs = [FiniteVar(f"v{i}", rng.randint(1, 4)) for i in range(rng.randint(2, 4))]
         # half the sequences have no var-var disequality, so that the state
         # decides them itself rather than deferring to solve()
         kinds = 4 if trial % 2 else 3
@@ -218,7 +205,7 @@ def test_path_state_agrees_with_the_solver_at_every_prefix():
             for _ in range(rng.randint(1, 4)):
                 v, kind = rng.choice(vs), rng.randrange(kinds)
                 if kind < 2:
-                    c = BOT if rng.random() < 0.15 else rng.randrange(-1, 5)
+                    c = rng.randrange(-1, 5)
                     atoms.append(var_eq_const(v, c) if kind == 0 else var_neq_const(v, c))
                 else:
                     w = rng.choice(vs)

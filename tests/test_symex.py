@@ -331,6 +331,40 @@ def test_vendor_bug_only_in_indexed_mode():
         assert all(tc.verdict != "assertion-failure" for tc in base.test_cases)
 
 
+SCALARS_SOURCE = """
+int main() {
+  bool b;
+  int n;
+  symbolic b;
+  symbolic n;
+  int r = 0;
+  if (b) { r = r + 1; }
+  if (n) { r = r + 2; }
+  if (b == true) { r = r + 4; }
+  if (n == 300) { r = r + 8; }
+  return r;
+}
+"""
+
+
+@pytest.mark.parametrize("mode", [MODE_INDEXED, MODE_ABANDON, MODE_CONCRETIZE])
+def test_symbolic_bool_and_int_scalars(mode):
+    # a bool ranges over {0, 1} and an int over [0, int_domain): truthiness
+    # forks on the constant 0, b == true re-reads b's fork, and 300 lies
+    # outside the 256-value int domain, so n == 300 never forks
+    p = typecheck(parse(SCALARS_SOURCE))
+    runner = explore if mode == MODE_INDEXED else explore_baseline
+    rep = runner(p, ExploreConfig(mode=mode))
+    assert rep.paths == 4
+    assert (rep.branch_covered, rep.branch_total) == (7, 8)
+    assert [(tc.inputs["b"].raw, tc.inputs["n"].raw) for tc in rep.test_cases] == \
+        [(True, 1), (True, 0), (False, 1), (False, 0)]
+    assert solver.dump_query(rep.test_cases[0].pc) == "b != 0\nn != 0\nb = 1\n"
+    for tc in rep.test_cases:
+        assert tc.verdict == "ok"
+        assert replay(p, tc).ok
+
+
 def test_integer_program_identical_across_engines():
     src = open(corpus_path("int_maze")).read()
     p = typecheck(parse(src))
