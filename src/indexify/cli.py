@@ -28,10 +28,10 @@ from .garden import (
     harvest_int_pool,
     harvest_seeds,
     load_gardens,
-    parse_literal,
+    load_seeds,
     serialize_gardens,
 )
-from .iot import REGISTRY, IotError, class_for_type, memoise_all, parse_iot, serialize_iot
+from .iot import REGISTRY, IotError, class_for_type, memoise_all, parse_tables, serialize_tables
 from .lang.ast import FLOAT, STR, MiniImpError, Program, Value, mk_str
 from .lang.parser import parse, parse_scalar_literal
 from .lang.printer import print_literal
@@ -102,24 +102,10 @@ def read_text(path: str) -> str:
 
 
 def load_seeds_file(path: str) -> SeedSet:
-    """One literal per line with a type prefix: str:... or float:..., the
-    literal written as in a garden file."""
-    tags = {"str": STR, "float": FLOAT}
-    seeds = SeedSet()
-    for lineno, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise UsageError(f"{path}:{lineno}: expected <type>:<literal>")
-        prefix, text = line.split(":", 1)
-        tag = tags.get(prefix)
-        if tag is None:
-            raise UsageError(f"{path}:{lineno}: unknown seed type {prefix!r}")
-        try:
-            seeds.add(parse_literal(tag, text))
-        except GardenError as e:
-            raise UsageError(f"{path}:{lineno}: {e}") from None
-    return seeds
+    try:
+        return load_seeds(read_text(path))
+    except GardenError as e:
+        raise UsageError(f"{path}: {e}") from None
 
 
 def load_fplus_file(path: str) -> set:
@@ -199,27 +185,11 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
         )
         gardens = build_garden(seeds, bcfg, types=types)
 
-    tables = {}
-    if cfg.iot_file:
-        for chunk in _split_iot_chunks(read_text(cfg.iot_file)):
-            t = parse_iot(chunk, gardens)
-            tables[t.indexed_name] = t
+    tables = parse_tables(read_text(cfg.iot_file), gardens) if cfg.iot_file else {}
     missing = {n for n in f_plus if "i_" + n not in tables}
     tables.update(memoise_all(gardens, missing, int_pool))
 
     return Pipeline(program=program, gardens=gardens, f_plus=f_plus, tables=tables)
-
-
-def _split_iot_chunks(text: str):
-    chunk: list[str] = []
-    for line in text.splitlines():
-        if line.startswith("iot ") and chunk:
-            yield "\n".join(chunk)
-            chunk = []
-        if line.strip():
-            chunk.append(line)
-    if chunk:
-        yield "\n".join(chunk)
 
 
 def rewrite_pipeline(pipe: Pipeline, cfg: CliConfig) -> Pipeline:
@@ -328,8 +298,7 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
     with open(os.path.join(outdir, "garden.txt"), "w", encoding="utf-8") as fh:
         fh.write(serialize_gardens(pipe.gardens))
     with open(os.path.join(outdir, "tables.iot"), "w", encoding="utf-8") as fh:
-        for name in sorted(pipe.tables):
-            fh.write(serialize_iot(pipe.tables[name]))
+        fh.write(serialize_tables(pipe.tables))
     name = os.path.basename(cfg.input_path)
     for mode, report in reports.items():
         suffix = mode.replace("baseline-", "")

@@ -18,6 +18,7 @@ from itertools import product
 
 from .lang.ast import (
     BOT,
+    FLOAT,
     INT,
     SCALARS,
     STR,
@@ -300,8 +301,8 @@ def format_literal(v: Value) -> str:
 
 def parse_literal(tag: TypeTag, text: str) -> Value:
     """A garden-file literal of type tag: a str as format_literal writes it,
-    any other scalar as MiniImp source reads it.  Malformed text, or a
-    literal of another type, raises GardenError."""
+    any other scalar as exactly one MiniImp literal, a leading - included.
+    Malformed text, or a literal of another type, raises GardenError."""
     try:
         if tag is STR:
             return Value(STR, unescape_string(text))
@@ -311,6 +312,24 @@ def parse_literal(tag: TypeTag, text: str) -> Value:
     except (ValueError, MiniImpSyntaxError):
         pass
     raise GardenError(f"bad {tag.name} literal {text!r}")
+
+
+def load_seeds(text: str) -> SeedSet:
+    """Parse a seed file: one literal per line with a type prefix, str:...
+    or float:..., the literal written as in a garden file."""
+    seeds = SeedSet()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        prefix, colon, lit = line.partition(":")
+        tag = {"str": STR, "float": FLOAT}.get(prefix) if colon else None
+        try:
+            if tag is None:
+                raise GardenError("expected str:<literal> or float:<literal>")
+            seeds.add(parse_literal(tag, lit))
+        except GardenError as e:
+            raise GardenError(f"seed line {lineno}: {e}") from None
+    return seeds
 
 
 def serialize_gardens(gardens: dict[TypeTag, IndexMap]) -> str:

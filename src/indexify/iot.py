@@ -4,25 +4,22 @@ The registry holds the concrete C-flavoured semantics (string.h and maths.h
 analogues) that serve as the oracle everywhere else.  memoise() builds an
 IndexedOperatorTable: one row per type-valid argument tuple over the gardens,
 mapping index tuples to either result indices (when the return type is
-indexed) or raw values (when it is not, like strncmp's comparison result).
-BOT is always a distinct cell variant - never the integer -1, which strncmp
-legitimately returns.
+indexed) or the operator's int results (when it is not, like strncmp's
+comparison result).  BOT is always a distinct cell variant - never the
+integer -1, which strncmp legitimately returns.  serialize_tables and
+parse_tables write and read the tables.iot format.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 
-from .garden import (
-    GardenError,
-    IndexMap,
-    OperatorSignature,
-    format_literal,
-    parse_literal,
-)
+from .garden import IndexMap, OperatorSignature, format_literal
 from .lang.ast import (
     BOT,
     FLOAT,
@@ -212,22 +209,22 @@ class IndexedOperatorTable:
     """Complete memoization of one operator over the gardens.
 
     rows maps key tuples to cells and holds exactly the tuples over the
-    dimension domains.  Key components are garden indices for indexed
-    argument positions and raw ints for int positions.  A cell is an int
-    index (indexed results), a Value (raw results), or BOT.  Lookup of
+    dimension domains, in ascending (itertools.product) order.  Key
+    components are garden indices for indexed argument positions and raw
+    ints for int positions.  A cell is a result-garden index (indexed
+    results), the operator's int result (raw results), or BOT.  Lookup of
     anything outside the dimension domains is BOT: the catch-all row.
     """
 
-    def __init__(self, op_name, signature, dims, result, rows, *,
-                 garden_hash, bot_rows=0):
+    def __init__(self, op_name, signature, dims, result, rows, *, garden_hash):
         self.op_name = op_name
         self.indexed_name = "i_" + op_name
         self.signature = signature
         self.dims = dims
-        self.result = result  # IndexMap for indexed results, TypeTag for raw
+        self.result = result  # IndexMap for indexed results, INT for raw
         self.rows = rows
         self.garden_hash = garden_hash
-        self.bot_rows = bot_rows
+        self.cell_tag = index_of(result.type_tag) if self.result_indexed else result
 
     @property
     def result_indexed(self) -> bool:
@@ -237,28 +234,25 @@ class IndexedOperatorTable:
     def arity(self) -> int:
         return len(self.dims)
 
+    @property
+    def bot_rows(self) -> int:
+        return sum(1 for cell in self.rows.values() if cell is BOT)
+
     def lookup(self, key: tuple):
-        """Return the cell for key: an index, a raw Value, or BOT."""
+        """Return the cell for key: an index, an int, or BOT."""
         return self.rows.get(key, BOT)
 
     def cell_value(self, cell) -> Value:
         """The Value an indexed call returns for a cell; BOT stays BOT."""
-        if self.result_indexed:
-            return Value(index_of(self.result.type_tag), cell)
-        if cell is BOT:
-            return Value(self.signature.return_type, BOT)
-        return cell
+        return Value(self.cell_tag, cell)
 
     def lookup_value(self, key: tuple) -> Value:
         return self.cell_value(self.lookup(key))
 
     def indexed_signature(self) -> OperatorSignature:
-        args = []
-        for d, t in zip(self.dims, self.signature.arg_types):
-            args.append(index_of(t) if isinstance(d, GardenDim) else t)
-        ret = index_of(self.result.type_tag) if self.result_indexed \
-            else self.signature.return_type
-        return OperatorSignature(self.indexed_name, tuple(args), ret)
+        args = tuple(index_of(t) if isinstance(d, GardenDim) else t
+                     for d, t in zip(self.dims, self.signature.arg_types))
+        return OperatorSignature(self.indexed_name, args, self.cell_tag)
 
 
 def gardens_fingerprint(dims, result) -> str:
@@ -285,12 +279,20 @@ def _dims_for(signature: OperatorSignature, gardens, int_pool):
         if t in gardens:
             dims.append(GardenDim(gardens[t]))
         elif t is INT:
-            dims.append(IntPoolDim(tuple(int_pool)))
+            dims.append(IntPoolDim(tuple(sorted(set(int_pool)))))
         else:
             raise IotError(
                 f"{signature.name}: argument type {t!r} has no garden and is not int"
             )
     return dims
+
+
+def _result_for(signature: OperatorSignature, gardens):
+    """The result garden, or INT for an operator whose int results stay raw."""
+    t = signature.return_type
+    if t not in gardens and t is not INT:
+        raise IotError(f"{signature.name}: result type {t!r} has no garden and is not int")
+    return gardens.get(t, INT)
 
 
 def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
@@ -304,28 +306,21 @@ def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
     """
     sig = op.signature
     dims = _dims_for(sig, gardens, int_pool)
-    result = gardens.get(sig.return_type, sig.return_type)
+    result = _result_for(sig, gardens)
+    cell_of = result.index_or_bot if isinstance(result, IndexMap) else attrgetter("raw")
     domains = [d.domain() for d in dims]
     raws = [[d.value_for(k).raw for k in dom] for d, dom in zip(dims, domains)]
     rows = {}
-    bot_rows = 0
     for key, args in zip(product(*domains), product(*raws)):
         try:
             out = op.fn(*args)
         except Exception:
             rows[key] = BOT
-            bot_rows += 1
-            continue
-        if isinstance(result, IndexMap):
-            cell = result.index_or_bot(out)
         else:
-            cell = out
-        if cell is BOT:
-            bot_rows += 1
-        rows[key] = cell
+            rows[key] = cell_of(out)
     return IndexedOperatorTable(
         sig.name, sig, dims, result, rows,
-        garden_hash=gardens_fingerprint(dims, result), bot_rows=bot_rows,
+        garden_hash=gardens_fingerprint(dims, result),
     )
 
 
@@ -353,16 +348,24 @@ def serialize_iot(t: IndexedOperatorTable) -> str:
     pools = [d.pool for d in t.dims if isinstance(d, IntPoolDim)]
     if pools:
         lines.append("pool " + ",".join(map(str, pools[0])))
-    for key in sorted(t.rows):
-        cell = t.rows[key]
-        if cell is BOT:
-            out = "BOT"
-        elif isinstance(cell, Value):
-            out = format_literal(cell)
-        else:
-            out = str(cell)
-        lines.append(" ".join(map(str, key)) + " -> " + out)
+    for key, cell in t.rows.items():
+        lines.append(f"{' '.join(map(str, key))} -> {cell}")
     return "\n".join(lines) + "\n"
+
+
+def serialize_tables(tables: dict[str, IndexedOperatorTable]) -> str:
+    """The text of a tables.iot file: every table, by indexed name."""
+    return "".join(serialize_iot(tables[name]) for name in sorted(tables))
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(text: str, line: str) -> int:
+    """A number of a table file: ASCII digits after an optional -."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise IotError(f"malformed iot line {line!r}: {text!r} is not a decimal int")
+    return int(text)
 
 
 def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTable:
@@ -370,9 +373,9 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
     if not lines or not lines[0].startswith("iot "):
         raise IotError("not an iot file: missing header")
     head = lines[0].split()
-    if len(head) != 5 or not head[2].isdigit() or not head[4].startswith("garden:"):
+    if len(head) != 5 or not head[4].startswith("garden:"):
         raise IotError(f"malformed iot header: {lines[0]!r}")
-    name, arity, kind = head[1], int(head[2]), head[3]
+    name, arity, kind = head[1], _decimal(head[2], lines[0]), head[3]
     file_hash = head[4].split(":", 1)[1]
     op = REGISTRY.get(name)
     if op is None:
@@ -382,49 +385,43 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
     body = lines[1:]
     pool = ()
     if body and body[0].startswith("pool "):
-        try:
-            pool = tuple(int(x) for x in body[0][5:].split(",") if x)
-        except ValueError:
-            raise IotError(f"{name}: malformed pool line {body[0]!r}") from None
+        items = body[0][5:]
+        pool = [_decimal(x, body[0]) for x in items.split(",")] if items else ()
         body = body[1:]
     dims = _dims_for(op.signature, gardens, pool)
-    want_kind = "indexed" if op.signature.return_type in gardens else "raw"
+    result = _result_for(op.signature, gardens)
+    want_kind = "indexed" if isinstance(result, IndexMap) else "raw"
     if not kind.startswith(want_kind + ":"):
         raise IotError(f"{name}: result kind {kind!r} does not match gardens")
-    result = gardens.get(op.signature.return_type, op.signature.return_type)
     got_hash = gardens_fingerprint(dims, result)
     if got_hash != file_hash:
         raise IotError(
             f"{name}: table was built from a different garden "
             f"(file {file_hash}, current {got_hash})"
         )
-    rows = {}
-    raw_cells = {}  # text -> Value: a raw table repeats a few results
-    bot_rows = 0
+    size = len(result) if isinstance(result, IndexMap) else None
+    read = {}
     for ln in body:
-        try:
-            left, right = ln.split("->")
-            key = tuple(int(x) for x in left.split())
-            right = right.strip()
-            if right == "BOT":
-                cell = BOT
-                bot_rows += 1
-            elif isinstance(result, IndexMap):
-                cell = int(right)
-            elif right in raw_cells:
-                cell = raw_cells[right]
-            else:
-                cell = raw_cells[right] = parse_literal(op.signature.return_type, right)
-        except (ValueError, GardenError) as e:
-            raise IotError(f"{name}: malformed iot row {ln!r}: {e}") from None
-        if len(key) != arity:
-            raise IotError(f"row key {key} does not match arity {arity}")
-        rows[key] = cell
-    domain = set(product(*(d.domain() for d in dims)))
-    if rows.keys() != domain:
+        left, _, right = ln.partition("->")
+        right = right.strip()
+        cell = BOT if right == "BOT" else _decimal(right, ln)
+        if size is not None and cell is not BOT and not 0 <= cell < size:
+            raise IotError(f"{name}: index {cell} in {ln!r} is outside the "
+                           f"result garden of size {size}")
+        read[tuple(_decimal(x, ln) for x in left.split())] = cell
+    domain = list(product(*(d.domain() for d in dims)))
+    if len(read) != len(body) or read.keys() != set(domain):
         raise IotError(f"{name}: table rows are not the {len(domain)} "
                        f"argument tuples of its domains")
-    return IndexedOperatorTable(
-        name, op.signature, dims, result, rows,
-        garden_hash=file_hash, bot_rows=bot_rows,
-    )
+    rows = {key: read[key] for key in domain}  # domain order, as memoise builds
+    return IndexedOperatorTable(name, op.signature, dims, result, rows,
+                                garden_hash=file_hash)
+
+
+def parse_tables(text: str,
+                 gardens: dict[TypeTag, IndexMap]) -> dict[str, IndexedOperatorTable]:
+    """The tables of a tables.iot file, keyed by indexed name; each table
+    starts at a line beginning `iot `."""
+    tables = [parse_iot(chunk, gardens)
+              for chunk in re.split(r"(?m)^(?=iot )", text) if chunk.strip()]
+    return {t.indexed_name: t for t in tables}

@@ -3,15 +3,14 @@
 MiniImp is a small C-flavoured imperative language: non-recursive functions
 over int / float / bool / str scalars, plus the `index<t>` types that only
 appear in rewritten programs.  Strings are byte strings with no encoding
-normalisation.  AST nodes are plain dataclasses; structural equality ignores
-derived type annotations so that two pipelines producing the same syntax
-compare equal.
+normalisation.  AST nodes are plain dataclasses that hold syntax only, so
+two pipelines producing the same syntax compare equal.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,6 @@ class Expr:
 class Literal(Expr):
     tag: TypeTag
     value: object
-    ty: TypeTag | None = field(default=None, compare=False, repr=False)
 
     def __eq__(self, other):
         # float literals compare under value_key so nan == nan structurally
@@ -165,29 +163,23 @@ class Literal(Expr):
             return False
         return value_key(Value(self.tag, self.value)) == value_key(Value(other.tag, other.value))
 
-    def __repr__(self):
-        return f"Literal(tag={self.tag!r}, value={self.value!r})"
-
 
 @dataclass(eq=True)
 class BotLiteral(Expr):
     """Undefined-value literal; only produced by the rewriter."""
 
     tag: TypeTag  # always an index type
-    ty: TypeTag | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
 class Var(Expr):
     name: str
-    ty: TypeTag | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
 class Call(Expr):
     name: str
     args: list[Expr]
-    ty: TypeTag | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
@@ -195,14 +187,12 @@ class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
-    ty: TypeTag | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
 class UnOp(Expr):
     op: str
     operand: Expr
-    ty: TypeTag | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)

@@ -36,7 +36,6 @@ from .ast import (
     Var,
     While,
     index_of,
-    is_index,
 )
 
 KEYWORDS = {
@@ -353,12 +352,14 @@ def parse(source: str) -> Program:
 
 
 def parse_scalar_literal(text: str) -> Literal:
-    """One scalar MiniImp literal, a leading - included, as source reads it:
-    a test-case value, or a non-str garden, seed or table-cell literal.
-    Anything else (an index, bot, a variable, trailing text) raises
+    """One scalar MiniImp literal, a leading - included: a test-case value,
+    or a non-str garden or seed literal.  The text must be exactly one
+    literal token after an optional -, with no whitespace, comment or
+    parentheses; anything else (an index, bot, a variable) raises
     MiniImpSyntaxError."""
-    parser = Parser(text)
-    lit = parser.unary()
-    if not isinstance(lit, Literal) or is_index(lit.tag) or parser.cur.kind != "eof":
-        raise MiniImpSyntaxError(f"bad literal {text.strip()!r}")
+    m = _TOKEN_RE.fullmatch(text[1:] if text.startswith("-") else text)
+    literal_token = m is not None and m.lastgroup in ("int", "float", "string", "ident")
+    lit = Parser(text).unary() if literal_token else None
+    if not isinstance(lit, Literal):
+        raise MiniImpSyntaxError(f"bad literal {text!r}")
     return lit

@@ -1,6 +1,6 @@
 """MiniImp typechecker.
 
-Annotates every expression node with a TypeTag (the .ty field), checks
+Computes the type of every expression, checks each against its use and
 builtin calls against the operator signature table, and rejects recursive
 user functions (the call graph must be a DAG).  Works on both original
 programs and rewriter output; for the latter, pass the indexed-operator
@@ -163,11 +163,6 @@ class TypeChecker:
             raise MiniImpTypeError(f"type {ty!r} cannot be a condition")
 
     def check_expr(self, f: FunctionDef, e: Expr, scope) -> TypeTag:
-        ty = self._expr(f, e, scope)
-        e.ty = ty
-        return ty
-
-    def _expr(self, f: FunctionDef, e: Expr, scope) -> TypeTag:
         if isinstance(e, Literal):
             return e.tag
         if isinstance(e, BotLiteral):

@@ -65,9 +65,6 @@ class StaleRedex(RewriteError):
 
 INTRINSICS = ("idx", "unidx")
 
-RULES = ("R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10")
-
-
 @dataclass
 class RewriteConfig:
     indexed_types: set
@@ -135,8 +132,6 @@ def _step_field(step) -> str:
 
 def _get(node, path):
     for step in path:
-        if step[0] == "rettype":
-            return node  # R3 handles the slot itself
         node = getattr(node, _step_field(step))
         if len(step) > 1:
             node = node[step[1]]
@@ -514,20 +509,14 @@ def _emit_table_fn(t: IndexedOperatorTable) -> str:
     sig = t.indexed_signature()
     params = ", ".join(f"{print_type(ty)} s{i + 1}" for i, ty in enumerate(sig.arg_types))
     lines = [f"{print_type(sig.return_type)} {t.indexed_name}({params}) {{"]
-    base = t.result.type_tag.name if t.result_indexed else None
-    for key in sorted(t.rows):
-        cell = t.rows[key]
+    for key, cell in t.rows.items():
         if cell is BOT:
             continue  # falls through to the catch-all
-        conds = []
-        for i, (d, k) in enumerate(zip(t.dims, key)):
-            lit = f"{k}@{d.imap.type_tag.name}" if isinstance(d, GardenDim) else str(k)
-            conds.append(f"s{i + 1} == {lit}")
-        ret = f"{cell}@{base}" if t.result_indexed \
-            else print_literal(cell.tag, cell.raw)
-        lines.append(f"  if ({' && '.join(conds)}) {{ return {ret}; }}")
+        conds = " && ".join(f"s{i + 1} == {print_literal(ty, k)}"
+                            for i, (ty, k) in enumerate(zip(sig.arg_types, key)))
+        lines.append(f"  if ({conds}) {{ return {print_literal(t.cell_tag, cell)}; }}")
     if t.result_indexed:
-        lines.append(f"  return bot@{base};")
+        lines.append(f"  return bot@{t.result.type_tag.name};")
     else:
         # the textual encoding has no raw bottom, and any in-band value (such
         # as -1, a real strncmp result) would pass for a hit: a miss consumes

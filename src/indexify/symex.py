@@ -39,7 +39,6 @@ from .iot import REGISTRY, IndexedOperatorTable, IntPoolDim
 from .lang.ast import (
     BOT,
     BOOL,
-    FLOAT,
     INT,
     STR,
     Assert,
@@ -460,8 +459,6 @@ class _Run:
         if self.cfg.mode != MODE_CONCRETIZE:
             raise _Terminal(VERDICT_ESCAPED, emit=False)
         for s in syms:
-            if isinstance(s, Unindexed):
-                s = s.ref
             if isinstance(s, Opaque):
                 self.concretized[s.name] = _concretize_default(s.tag)
             else:
@@ -714,13 +711,8 @@ def _value_from_const(tag: TypeTag, c: int) -> Value:
 
 
 def _concretize_default(tag: TypeTag) -> Value:
-    if tag is STR:
-        return mk_str(b"")
-    if tag is FLOAT:
-        return mk_float(0.0)
-    if tag is BOOL:
-        return mk_bool(False)
-    return mk_int(0)
+    """The fixed default of an opaque (str or float) input."""
+    return mk_str(b"") if tag is STR else mk_float(0.0)
 
 
 def _const_for(sym: SymRef, conc: Value):
@@ -750,8 +742,7 @@ def _row_options(table: IndexedOperatorTable, parts, free_at: int):
                                   for i, p in enumerate(parts)))
         if cell is not BOT:
             rows.append((cell, v))
-    # a cell is an index, or an int Value for a raw-result table
-    rows.sort(key=lambda cv: (cv[0].raw if isinstance(cv[0], Value) else cv[0], cv[1]))
+    rows.sort()
     options = [_Option([var_eq_const(ref.var, v)], cell) for cell, v in rows]
     options.append(_Option([var_neq_const(ref.var, v) for _, v in rows], BOT))
     return options

@@ -116,7 +116,7 @@ def test_criterion_2_memoization_oracle():
                 if table.result_indexed:
                     want = index_of_value.get(value_key(out), BOT)
                 else:
-                    want = out
+                    want = out.raw
                 assert cell == want or (cell is BOT and want is BOT), (name, key)
                 checked_rows += 1
     elapsed = time.monotonic() - t0

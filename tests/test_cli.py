@@ -103,10 +103,49 @@ BAD_SCALARS = {
 }
 
 
+# a non-str literal is exactly one literal token after an optional -: no
+# surrounding whitespace, comment, parentheses or second sign
+BAD_LITERALS = {"space": " 1.5", "comment": "1.5 // note", "parens": "(1.5)",
+                "double-minus": "--1.5"}
+
+# table-file edits: (text to replace, replacement); the first table written is
+# strcat's, whose first row is strcat("", "") = "" at index 0.  An index is a
+# plain decimal inside the result garden, which has 14 values at --k 1, and
+# each argument tuple has one row.
+BAD_TABLES = {
+    "iot-arity": ("iot strcat 2 ", "iot strcat \u00b2 "),
+    "iot-index-underscore": ("\n0 0 -> 0\n", "\n0 0 -> 0_1\n"),
+    "iot-index-range": ("\n0 0 -> 0\n", "\n0 0 -> 14\n"),
+    "iot-duplicate-row": ("\n0 0 -> 0\n", "\n0 0 -> 0\n0 0 -> 5\n"),
+}
+
+
+def _tables_iot(src, tmp_path) -> str:
+    out = tmp_path / "art"
+    assert run_cli(str(src), "--outdir", str(out)) == 0
+    return (out / "tables.iot").read_text()
+
+
 def _bad_input_args(case, tmp_path, monkeypatch):
     src = tmp_path / "fig4a.mi"
     src.write_text(FIG4A_SOURCE)
     bad = tmp_path / "bad"
+    where, _, kind = case.partition("-literal-")
+    if kind:
+        lit = BAD_LITERALS[kind]
+        option, text = {
+            "garden": ("--garden", FIG5_GARDEN_TEXT + f"0\tfloat\t{lit}\n"),
+            "seed": ("--seeds", f"float:{lit}\n"),
+            "testcase": ("--replay", f's1="bar"\nx={lit}\n'),
+        }[where]
+        bad.write_text(text)
+        return [str(src), option, str(bad)]
+    if case in BAD_TABLES:
+        old, new = BAD_TABLES[case]
+        text = _tables_iot(src, tmp_path)
+        assert old in text
+        bad.write_text(text.replace(old, new, 1))
+        return [str(src), "--indexOpDefs", str(bad)]
     where, _, kind = case.partition("-escape-")
     if kind:
         lit = "a" + BAD_ESCAPES[kind]
@@ -145,9 +184,7 @@ def _bad_input_args(case, tmp_path, monkeypatch):
         bad.write_text("float:abc\n")
         return [str(src), "--seeds", str(bad)]
     if case == "iot-row":
-        out = tmp_path / "art"
-        assert run_cli(str(src), "--outdir", str(out)) == 0
-        header, _, rows = (out / "tables.iot").read_text().partition("\n")
+        header, _, rows = _tables_iot(src, tmp_path).partition("\n")
         bad.write_text(header + "\na 0 -> 1\n" + rows.partition("\n")[2])
         return [str(src), "--indexOpDefs", str(bad)]
     if case == "testcase-value":
@@ -182,9 +219,11 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     "garden-index", "garden-trailing-backslash", "garden-bool", "seed-hex-escape",
     "seed-float", "iot-row", "testcase-value", "testcase-string", "testcase-index",
     "testcase-bot", "input-directory", "garden-directory", "source-not-utf8",
-    "source-hex-escape", "seed-variable", *NOT_UTF8, *BAD_SCALARS,
+    "source-hex-escape", "seed-variable", *NOT_UTF8, *BAD_SCALARS, *BAD_TABLES,
     *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
       for kind in BAD_ESCAPES),
+    *(f"{where}-literal-{kind}" for where in ("garden", "seed", "testcase")
+      for kind in BAD_LITERALS),
 ])
 def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch):
     args = _bad_input_args(case, tmp_path, monkeypatch)

@@ -128,7 +128,7 @@ def test_full_table_matches_oracle():
             if t.result_indexed:
                 want = index_of_value.get(value_key(out), BOT)
             else:
-                want = out
+                want = out.raw
             assert cell == want or (cell is BOT and want is BOT)
 
 
@@ -146,7 +146,7 @@ def test_lookup_bot_absorption(fig5_gardens, fig5_strstr):
     assert fig5_strstr.lookup((99, 0)) is BOT
     assert fig5_strstr.lookup_value((3, 2)).raw is BOT  # strstr("oo","bar") misses
     strncmp = memoise(fig5_gardens, REGISTRY["strncmp"], int_pool=(2,))
-    assert strncmp.lookup((0, 0, 2)) == mk_int(0)
+    assert strncmp.lookup((0, 0, 2)) == 0
     assert strncmp.lookup((0, 0, 99)) is BOT  # an int outside the pool
 
 
@@ -184,7 +184,7 @@ def test_raw_result_tables_keep_bot_distinct():
     gardens = _ab_garden()
     t = memoise(gardens, REGISTRY["strcmp"])
     assert not t.result_indexed
-    assert mk_int(-1) in t.rows.values()  # a legitimate -1 result
+    assert -1 in t.rows.values()  # a legitimate -1 result
     assert t.lookup((0, 99)) is BOT  # out of range stays the BOT variant
 
 

@@ -449,6 +449,24 @@ def test_mixed_raw_result_with_symbolic_int():
         assert replay(res.program, tc, gardens=gardens, tables=tables).ok
 
 
+def test_symbolic_int_at_an_int_pool_dimension():
+    # n and m are both free at substr's int dimensions over the pool {0, 1, 2}:
+    # n is enumerated with one more option for every int outside the pool,
+    # whose lookup is BOT, and m is the free dimension of the row fork
+    src = 'int main() { str s = "abc"; int n; symbolic n; int m; symbolic m; ' \
+          'str t = substr(s, n, m); if (strlen(t) == 2) { return 1; } return 0; }'
+    _, res, gardens, tables = indexed_setup(src, {"substr", "strlen"}, k=0)
+    assert [d.pool for d in tables["i_substr"].dims[1:]] == [(0, 1, 2)] * 2
+    rep = run_indexed(res, gardens, tables)
+    assert (rep.paths, rep.escaped_paths) == (7, 4)
+    assert (rep.branch_covered, rep.branch_total) == (1, 2)
+    out_of_pool = [tc for tc in rep.test_cases if tc.inputs["n"].raw not in (0, 1, 2)]
+    assert [tc.inputs["n"].raw for tc in out_of_pool] == [3]
+    assert out_of_pool[0].verdict == "escaped-garden"
+    for tc in rep.test_cases:
+        assert replay(res.program, tc, gardens=gardens, tables=tables).ok
+
+
 def test_unindexing_a_symbolic_string_enumerates_its_garden():
     # strlen is not in F+, so the rewriter hands it unidx(s): the explorer
     # must force s to each feasible garden value, here {"", "ab"}
