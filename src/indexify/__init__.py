@@ -7,5 +7,3 @@ indices, and symbolically execute the result with an equality-theory solver.
 """
 
 __version__ = "0.1.0"
-
-from . import bench, cli, garden, iot, lang, rewrite, solver, symex  # noqa: F401

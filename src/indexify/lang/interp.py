@@ -45,6 +45,7 @@ VERDICT_OK = "ok"
 VERDICT_ASSERT = "assertion-failure"
 VERDICT_ESCAPED = "escaped-garden"
 VERDICT_BOUND = "bound-exceeded"
+VERDICT_DIV_ZERO = "division-by-zero"
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,11 @@ class _AssertFailed(Exception):
 
 class _BoundExceeded(Exception):
     pass
+
+
+class DivisionByZero(Exception):
+    """A `/` or `%` by zero.  It ends the run or path with a verdict: the
+    program is well-formed, so this is not an input error."""
 
 
 class Interpreter:
@@ -95,6 +101,8 @@ class Interpreter:
             verdict = VERDICT_ESCAPED
         except _BoundExceeded:
             verdict = VERDICT_BOUND
+        except DivisionByZero:
+            verdict = VERDICT_DIV_ZERO
         return InterpResult(
             verdict=verdict,
             return_value=value,
@@ -284,14 +292,11 @@ def concrete_binop(op: str, lv: Value, rv: Value) -> Value:
         return mk_int(a - b)
     if op == "*":
         return mk_int(a * b)
-    if op == "/":
+    if op in ("/", "%"):
         if b == 0:
-            raise MiniImpError("division by zero")
-        return mk_int(_c_div(a, b))
-    if op == "%":
-        if b == 0:
-            raise MiniImpError("modulo by zero")
-        return mk_int(a - _c_div(a, b) * b)
+            raise DivisionByZero()
+        q = _c_div(a, b)
+        return mk_int(q if op == "/" else a - q * b)
     raise MiniImpError(f"unknown operator {op!r}")
 
 

@@ -1,10 +1,10 @@
 """MiniImp typechecker.
 
-Computes the type of every expression, checks each against its use and
-builtin calls against the operator signature table, and rejects recursive
-user functions (the call graph must be a DAG).  Works on both original
-programs and rewriter output; for the latter, pass the indexed-operator
-signatures via extra_sigs.
+Checks the type of every expression against its use and builtin calls
+against the operator signature table, and rejects recursive user functions
+(the call graph must be a DAG).  It attaches nothing to the AST: a program
+passes unchanged or raises.  Works on both original programs and rewriter
+output; for the latter, pass the indexed-operator signatures via extra_sigs.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ _ARITH = {"+", "-", "*", "/", "%"}
 _CMP = {"<", "<=", ">", ">="}
 _EQ = {"==", "!="}
 _LOGIC = {"&&", "||"}
-
-# Types that may appear in a condition position (if / while / assert).
-_CONDITION_OK = ("int", "float", "bool", "str", "index")
 
 
 def default_builtin_sigs():
@@ -133,14 +130,15 @@ class TypeChecker:
                     f"cannot assign {got!r} to {s.name}: {scope[s.name]!r}"
                 )
         elif isinstance(s, If):
-            self.check_condition(f, s.cond, scope)
+            # a condition may have any type: every scalar has a truth value
+            self.check_expr(f, s.cond, scope)
             self.check_block(f, s.then, scope)
             self.check_block(f, s.orelse, scope)
         elif isinstance(s, While):
-            self.check_condition(f, s.cond, scope)
+            self.check_expr(f, s.cond, scope)
             self.check_block(f, s.body, scope)
         elif isinstance(s, Assert):
-            self.check_condition(f, s.cond, scope)
+            self.check_expr(f, s.cond, scope)
         elif isinstance(s, Return):
             if s.value is None:
                 raise MiniImpTypeError(f"{f.name}: return requires a value")
@@ -156,11 +154,6 @@ class TypeChecker:
                 raise MiniImpTypeError(f"symbolic on undeclared variable {s.name!r}")
         else:
             raise MiniImpTypeError(f"unknown statement {s!r}")
-
-    def check_condition(self, f, cond: Expr, scope) -> None:
-        ty = self.check_expr(f, cond, scope)
-        if ty.name not in _CONDITION_OK:
-            raise MiniImpTypeError(f"type {ty!r} cannot be a condition")
 
     def check_expr(self, f: FunctionDef, e: Expr, scope) -> TypeTag:
         if isinstance(e, Literal):
@@ -247,5 +240,5 @@ class TypeChecker:
 
 
 def typecheck(p: Program, extra_sigs=None) -> Program:
-    """Annotate p in place and return it; raises MiniImpTypeError on failure."""
+    """Return p unchanged if it typechecks; raise MiniImpTypeError if not."""
     return TypeChecker(p, extra_sigs).run()

@@ -17,6 +17,14 @@ since that operator still computes on real values.  Guards consult declared
 types - never rewrite state - so every redex order reaches the same normal
 form; confluence_probe checks exactly that.  R9/R10 wait until no R7/R8 redex
 remains in the same call.
+
+A redex's path is the sequence of field names and list positions that leads
+from the Program to its site, for example
+("functions", 0, "body", 3, "init", "args", 1).  The site is the node a rule
+replaces: the type field itself for R3 (a function's "return_type", a
+parameter's or a Decl's "type"), the argument for R7/R8 on a call argument,
+the expression otherwise.  So two sites are nested exactly when one path is a
+prefix of the other.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .lang.ast import (
     walk_exprs,
     walk_stmts,
 )
+from .lang.printer import print_literal, print_program, print_type
 from .lang.typecheck import typecheck
 
 
@@ -92,20 +101,16 @@ class RewriteConfig:
 @dataclass(frozen=True)
 class Redex:
     rule: str
-    path: tuple
-    arg: int | None = None  # argument position for R7/R8
+    path: tuple  # field names and list positions from the Program to the site
 
     def __repr__(self):
-        extra = f"#{self.arg}" if self.arg is not None else ""
-        return f"<{self.rule}{extra} at {'/'.join(map(str, self.path))}>"
+        return f"<{self.rule} at {'/'.join(map(str, self.path))}>"
 
 
 @dataclass(frozen=True)
 class IndexationResult:
     program: Program
-    gardens: dict
     tables: dict
-    name_map: dict  # original operator name -> indexed name
 
 
 # ---------------------------------------------------------------------------
@@ -113,28 +118,9 @@ class IndexationResult:
 # ---------------------------------------------------------------------------
 
 
-# path step kind -> the node field it descends into; a step that carries a
-# position indexes into a list field
-_STEP_FIELDS = {
-    "fn": "functions", "param": "params", "body": "body", "loop": "body",
-    "then": "then", "else": "orelse", "arg": "args",
-    "init": "init", "cond": "cond", "value": "value", "expr": "expr",
-    "left": "left", "right": "right", "operand": "operand",
-}
-
-
-def _step_field(step) -> str:
-    name = _STEP_FIELDS.get(step[0])
-    if name is None:
-        raise RewriteError(f"bad path step {step!r}")
-    return name
-
-
 def _get(node, path):
     for step in path:
-        node = getattr(node, _step_field(step))
-        if len(step) > 1:
-            node = node[step[1]]
+        node = node[step] if isinstance(step, int) else getattr(node, step)
     return node
 
 
@@ -143,13 +129,11 @@ def _put(node, path, repl):
     if not path:
         return repl
     step, rest = path[0], path[1:]
-    name = _step_field(step)
-    child = getattr(node, name)
-    if len(step) > 1:
-        items = list(child)
-        items[step[1]] = _put(items[step[1]], rest, repl)
-        return replace(node, **{name: items})
-    return replace(node, **{name: _put(child, rest, repl)})
+    if isinstance(step, int):
+        items = list(node)
+        items[step] = _put(items[step], rest, repl)
+        return items
+    return replace(node, **{step: _put(getattr(node, step), rest, repl)})
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +145,7 @@ class _Guards:
     def __init__(self, program: Program, cfg: RewriteConfig, fn: FunctionDef):
         self.program = program
         self.cfg = cfg
+        self.fn = fn
         # rebuilt per scan: every rule application yields a new FunctionDef.
         # A Decl retyped by R3 and one still awaiting R3 both count as
         # indexed, which is what keeps the guards order-independent.
@@ -239,52 +224,47 @@ def find_redexes(p: Program, cfg: RewriteConfig) -> list[Redex]:
     out: list[Redex] = []
     for fi, fn in enumerate(p.functions):
         g = _Guards(p, cfg, fn)
-        base = (("fn", fi),)
+        base = ("functions", fi)
         if fn.return_type in cfg.indexed_types:
-            out.append(Redex("R3", base + (("rettype",),)))
+            out.append(Redex("R3", base + ("return_type",)))
         for pi, prm in enumerate(fn.params):
             if prm.type in cfg.indexed_types:
-                out.append(Redex("R3", base + (("param", pi),)))
-        _scan_block(fn.body, base, "body", g, out)
+                out.append(Redex("R3", base + ("params", pi, "type")))
+        _scan_block(fn.body, base + ("body",), g, out)
     return out
 
 
-def _scan_block(body, base, kind, g, out):
+def _scan_block(body, path, g, out):
     for i, s in enumerate(body):
-        _scan_stmt(s, base + ((kind, i),), g, out)
+        _scan_stmt(s, path + (i,), g, out)
 
 
 def _scan_stmt(s: Stmt, path, g: _Guards, out):
     if isinstance(s, Decl):
         if s.type in g.cfg.indexed_types:
-            out.append(Redex("R3", path))
+            out.append(Redex("R3", path + ("type",)))
         if s.init is not None:
-            _scan_assign_rhs(s.name, s.init, path + (("init",),), g, out)
+            _scan_rhs_site(g.declared_indexed(g.decls.get(s.name)), s.init,
+                           path + ("init",), g, out)
     elif isinstance(s, Assign):
-        _scan_assign_rhs(s.name, s.value, path + (("value",),), g, out)
+        _scan_rhs_site(g.declared_indexed(g.decls.get(s.name)), s.value,
+                       path + ("value",), g, out)
     elif isinstance(s, If):
-        _scan_expr(s.cond, path + (("cond",),), g, out, context=None)
-        _scan_block(s.then, path, "then", g, out)
-        _scan_block(s.orelse, path, "else", g, out)
+        _scan_expr(s.cond, path + ("cond",), g, out, context=None)
+        _scan_block(s.then, path + ("then",), g, out)
+        _scan_block(s.orelse, path + ("orelse",), g, out)
     elif isinstance(s, While):
-        _scan_expr(s.cond, path + (("cond",),), g, out, context=None)
-        _scan_block(s.body, path, "loop", g, out)
+        _scan_expr(s.cond, path + ("cond",), g, out, context=None)
+        _scan_block(s.body, path + ("body",), g, out)
     elif isinstance(s, Assert):
-        _scan_expr(s.cond, path + (("cond",),), g, out, context=None)
+        _scan_expr(s.cond, path + ("cond",), g, out, context=None)
     elif isinstance(s, Return):
         if s.value is not None:
-            fn_name = path[0]
-            fn = g.program.functions[fn_name[1]]
-            target_indexed = g.declared_indexed(fn.return_type)
-            _scan_rhs_site(target_indexed, s.value, path + (("value",),), g, out)
+            _scan_rhs_site(g.declared_indexed(g.fn.return_type), s.value,
+                           path + ("value",), g, out)
     elif isinstance(s, ExprStmt):
-        _scan_expr(s.expr, path + (("expr",),), g, out, context=None)
+        _scan_expr(s.expr, path + ("expr",), g, out, context=None)
     # MakeSymbolic has no expressions
-
-
-def _scan_assign_rhs(target: str, rhs: Expr, path, g: _Guards, out):
-    target_indexed = g.declared_indexed(g.decls.get(target))
-    _scan_rhs_site(target_indexed, rhs, path, g, out)
 
 
 def _scan_rhs_site(target_indexed: bool, rhs: Expr, path, g: _Guards, out):
@@ -317,7 +297,7 @@ def _maybe_boundary_wrap(target_indexed: bool, call: Call, path, g: _Guards, out
 
 
 def _has_pending_args(call: Call, table, g: _Guards) -> bool:
-    for i, (a, d) in enumerate(zip(call.args, table.dims)):
+    for a, d in zip(call.args, table.dims):
         if isinstance(d, GardenDim):
             if not g.is_index_valued(a) or g.is_raw_indexed_literal(a):
                 return True
@@ -337,13 +317,13 @@ def _scan_expr(e: Expr, path, g: _Guards, out, context):
     if isinstance(e, (BotLiteral, Var)):
         return
     if isinstance(e, UnOp):
-        _scan_expr(e.operand, path + (("operand",),), g, out, context=None)
+        _scan_expr(e.operand, path + ("operand",), g, out, context=None)
         return
     if isinstance(e, BinOp):
         if e.op in ("==", "!="):
             # equality against an index-valued side makes the other operand an
             # index position: literals fold (R4/R5), other raw values wrap (R7)
-            sides = ((e.left, e.right, ("left",)), (e.right, e.left, ("right",)))
+            sides = ((e.left, e.right, "left"), (e.right, e.left, "right"))
             for child, other, step in sides:
                 child_path = path + (step,)
                 if g.is_index_valued(other):
@@ -354,8 +334,8 @@ def _scan_expr(e: Expr, path, g: _Guards, out, context):
                         out.append(Redex("R7", child_path))
                 _scan_expr(child, child_path, g, out, context=None)
             return
-        _scan_expr(e.left, path + (("left",),), g, out, context=None)
-        _scan_expr(e.right, path + (("right",),), g, out, context=None)
+        _scan_expr(e.left, path + ("left",), g, out, context=None)
+        _scan_expr(e.right, path + ("right",), g, out, context=None)
         return
     if isinstance(e, Call):
         if e.name in g.cfg.f_plus:
@@ -363,14 +343,14 @@ def _scan_expr(e: Expr, path, g: _Guards, out, context):
         expectations = g.arg_expectations(e.name)
         for i, a in enumerate(e.args):
             want = expectations[i] if expectations and i < len(expectations) else None
-            arg_path = path + (("arg", i),)
+            arg_path = path + ("args", i)
             if want == "index":
                 if not g.is_index_valued(a) and not g.is_raw_indexed_literal(a):
-                    out.append(Redex("R7", path, arg=i))
+                    out.append(Redex("R7", arg_path))
                 _scan_expr(a, arg_path, g, out, context="index")
             elif want == "raw-indexed":
                 if g.is_index_valued(a):
-                    out.append(Redex("R8", path, arg=i))
+                    out.append(Redex("R8", arg_path))
                 _scan_expr(a, arg_path, g, out, context=None)
             else:
                 _scan_expr(a, arg_path, g, out, context=None)
@@ -394,42 +374,23 @@ def apply_rule(p: Program, r: Redex, cfg: RewriteConfig,
         redexes = find_redexes(p, cfg)
     if r not in redexes:
         raise StaleRedex(f"{r!r} no longer applies")
-    if r.rule == "R3":
-        return _apply_r3(p, r, cfg)
     node = _get(p, r.path)
-    if r.rule == "R4":
-        garden = cfg.gardens[node.tag]
-        idx = garden.index_or_bot(Value(node.tag, node.value))
-        return _put(p, r.path, Literal(index_of(node.tag), idx))
-    if r.rule == "R5":
-        return _put(p, r.path, BotLiteral(index_of(node.tag)))
-    if r.rule == "R6":
-        return _put(p, r.path, replace(node, name="i_" + node.name))
-    if r.rule == "R7":
-        if r.arg is None:  # equality operand form: the site is the expression
-            return _put(p, r.path, Call("idx", [node]))
-        wrapped = Call("idx", [node.args[r.arg]])
-        return _put(p, r.path + (("arg", r.arg),), wrapped)
-    if r.rule == "R8":
-        wrapped = Call("unidx", [node.args[r.arg]])
-        return _put(p, r.path + (("arg", r.arg),), wrapped)
-    if r.rule == "R9":
-        return _put(p, r.path, Call("idx", [node]))
-    if r.rule == "R10":
-        return _put(p, r.path, Call("unidx", [node]))
-    raise RewriteError(f"unknown rule {r.rule!r}")
-
-
-def _apply_r3(p: Program, r: Redex, cfg: RewriteConfig) -> Program:
-    last = r.path[-1]
-    if last[0] == "rettype":
-        fn = _get(p, r.path[:-1])
-        return _put(p, r.path[:-1], replace(fn, return_type=index_of(fn.return_type)))
-    if last[0] == "param":
-        prm = _get(p, r.path)
-        return _put(p, r.path, replace(prm, type=index_of(prm.type)))
-    decl = _get(p, r.path)
-    return _put(p, r.path, replace(decl, type=index_of(decl.type)))
+    if r.rule == "R3":
+        repl = index_of(node)
+    elif r.rule == "R4":
+        idx = cfg.gardens[node.tag].index_or_bot(Value(node.tag, node.value))
+        repl = Literal(index_of(node.tag), idx)
+    elif r.rule == "R5":
+        repl = BotLiteral(index_of(node.tag))
+    elif r.rule == "R6":
+        repl = replace(node, name="i_" + node.name)
+    elif r.rule in ("R7", "R9"):
+        repl = Call("idx", [node])
+    elif r.rule in ("R8", "R10"):
+        repl = Call("unidx", [node])
+    else:
+        raise RewriteError(f"unknown rule {r.rule!r}")
+    return _put(p, r.path, repl)
 
 
 def _ast_size(p: Program) -> int:
@@ -464,12 +425,7 @@ def normalize(p: Program, cfg: RewriteConfig, order: str = "first",
         cur = apply_rule(cur, r, cfg, redexes)
     extra = {t.indexed_name: t.indexed_signature() for t in cfg.tables.values()}
     typecheck(cur, extra_sigs=extra)
-    return IndexationResult(
-        program=cur,
-        gardens=dict(cfg.gardens),
-        tables=dict(cfg.tables),
-        name_map={n: "i_" + n for n in sorted(cfg.f_plus)},
-    )
+    return IndexationResult(program=cur, tables=dict(cfg.tables))
 
 
 @dataclass(frozen=True)
@@ -484,8 +440,6 @@ def confluence_probe(p: Program, cfg: RewriteConfig, trials: int,
     """Normalize under `trials` random redex orders and compare normal forms."""
     if trials < 2:
         raise RewriteError("confluence probe needs at least 2 trials")
-    from .lang.printer import print_program
-
     forms = {}
     for t in range(trials):
         rng = random.Random(seed * 1_000_003 + t)
@@ -504,8 +458,6 @@ def confluence_probe(p: Program, cfg: RewriteConfig, trials: int,
 
 
 def _emit_table_fn(t: IndexedOperatorTable) -> str:
-    from .lang.printer import print_literal, print_type
-
     sig = t.indexed_signature()
     params = ", ".join(f"{print_type(ty)} s{i + 1}" for i, ty in enumerate(sig.arg_types))
     lines = [f"{print_type(sig.return_type)} {t.indexed_name}({params}) {{"]
@@ -528,8 +480,6 @@ def _emit_table_fn(t: IndexedOperatorTable) -> str:
 
 def emit_indexed_source(result: IndexationResult) -> str:
     """Pretty-printed rewritten program plus the injected table definitions."""
-    from .lang.printer import print_program
-
     parts = [print_program(result.program).rstrip("\n")]
     for name in sorted(result.tables):
         parts.append(_emit_table_fn(result.tables[name]))

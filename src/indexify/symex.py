@@ -74,8 +74,10 @@ from .lang.ast import (
 from .lang.interp import (
     VERDICT_ASSERT,
     VERDICT_BOUND,
+    VERDICT_DIV_ZERO,
     VERDICT_ESCAPED,
     VERDICT_OK,
+    DivisionByZero,
     concrete_binop,
     interpret,
 )
@@ -355,19 +357,22 @@ class _Run:
     def execute(self):
         try:
             self.call_function(self.program.main, [])
-            return (VERDICT_OK, True)
-        except _Return:
-            return (VERDICT_OK, True)
         except EscapedGarden:
             return (VERDICT_ESCAPED, True)
+        except DivisionByZero:
+            return (VERDICT_DIV_ZERO, True)
         except _Terminal as t:
             return (t.verdict, t.emit)
         except _Infeasible:
             return None
+        return (VERDICT_OK, True)
 
     def call_function(self, fn, args):
         scope = {p.name: a for p, a in zip(fn.params, args)}
-        self.exec_block(fn.body, scope, (fn.name,))
+        try:
+            self.exec_block(fn.body, scope, (fn.name,))
+        except _Return as r:
+            return r.value
         raise MiniImpError(f"{fn.name} finished without returning")
 
     # -- statements ------------------------------------------------------------
@@ -596,11 +601,7 @@ class _Run:
         args = [self.eval(a, scope) for a in e.args]
         user = self.program.function(e.name)
         if user is not None:
-            try:
-                self.call_function(user, args)
-            except _Return as r:
-                return r.value
-            return None
+            return self.call_function(user, args)
         if e.name == "idx":
             return self.intrinsic_idx(args[0])
         if e.name == "unidx":

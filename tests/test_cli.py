@@ -62,6 +62,26 @@ def test_exit_one_on_assertion_failure(tmp_path, capsys):
     assert "verdict=assertion-failure" in report
 
 
+@pytest.mark.parametrize("source, baseline, suffix", [
+    # the concretized model pins n to 0
+    ("int main(){ int n; symbolic n; return 10 / n; }", ("--baseline", "concretize"),
+     "concretize"),
+    ("int main(){ int z = 0; return 1 % z; }", (), "indexed"),
+])
+def test_division_by_zero_ends_the_path(source, baseline, suffix, tmp_path, capsys):
+    # a zero divisor is a verdict of a well-formed program, not bad input
+    prog = tmp_path / "div.mi"
+    prog.write_text(source)
+    out = str(tmp_path / "art")
+    assert run_cli("--type", "string", str(prog), "--outdir", out, *baseline) == 0
+    report = open(os.path.join(out, f"report.{suffix}.txt")).read()
+    assert "verdict=division-by-zero" in report
+    tc_dir = os.path.join(out, f"testcases.{suffix}")
+    assert run_cli("--type", "string", str(prog), "--replay", tc_dir,
+                   "--outdir", out, *baseline) == 0
+    assert "verdict=division-by-zero" in capsys.readouterr().out
+
+
 def test_exit_two_on_usage_error(tmp_path, capsys):
     assert run_cli("--type", "string", str(tmp_path / "missing.mi")) == 2
     bad = tmp_path / "bad.mi"

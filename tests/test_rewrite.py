@@ -74,7 +74,7 @@ def test_guard_disjointness_along_random_rewrites(fig5_gardens):
     cur = p
     while True:
         redexes = find_redexes(cur, cfg)
-        sites = [(r.path, r.arg) for r in redexes]
+        sites = [r.path for r in redexes]
         assert len(sites) == len(set(sites))
         if not redexes:
             break
@@ -243,7 +243,6 @@ int main() {
 def test_fig4a_normalizes_to_fig4b(fig4a_program, fig5_gardens):
     res = normalize(fig4a_program, fig5_cfg(fig5_gardens))
     assert print_program(res.program) == FIG4B_EXPECTED
-    assert res.name_map == {"strstr": "i_strstr"}
 
 
 def test_program_without_indexed_types_unchanged(fig5_gardens):

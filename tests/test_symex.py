@@ -20,6 +20,7 @@ from indexify.garden import (
 )
 from indexify.iot import REGISTRY, IndexedOperatorTable, memoise_all
 from indexify.lang.ast import BOT, STR, mk_str
+from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.printer import print_program
 from indexify.lang.typecheck import typecheck
@@ -175,6 +176,45 @@ def test_bound_exceeded_path():
     rep = explore(p, ExploreConfig(mode=MODE_INDEXED, unroll=8))
     assert [tc.verdict for tc in rep.test_cases] == ["bound-exceeded"]
     assert replay(p, rep.test_cases[0], unroll=8).ok
+
+
+OPERATOR_ASSERTS = ("-a == 0 - 7", "a != 3", "a <= 7", "a > 6", "!(a >= 8)",
+                    "false || true")
+
+
+@pytest.mark.parametrize("negated", [None, *range(len(OPERATOR_ASSERTS))])
+def test_operators_agree_across_engines(negated):
+    # unary minus on a variable and the ordering and || operators, in both
+    # engines; negating any one assert makes both fail it
+    conds = [f"!({c})" if i == negated else c for i, c in enumerate(OPERATOR_ASSERTS)]
+    asserts = " ".join(f"assert({c});" for c in conds)
+    p = typecheck(parse(f"int main() {{ int a = 7; {asserts} return a; }}"))
+    want = "ok" if negated is None else "assertion-failure"
+    assert interpret(p).verdict == want
+    rep = explore(p, ExploreConfig(mode=MODE_INDEXED))
+    assert rep.paths == 1
+    assert [tc.verdict for tc in rep.test_cases] == [want]
+
+
+def test_state_limit_truncates_exploration():
+    src = """
+    int main() {
+      int a;
+      int b;
+      symbolic a;
+      symbolic b;
+      if (a == 1) { return 1; }
+      if (b == 2) { return 2; }
+      return 0;
+    }
+    """
+    p = typecheck(parse(src))
+    full = explore(p, ExploreConfig(mode=MODE_INDEXED))
+    assert (full.truncated, full.paths) == (False, 3)
+    cut = explore(p, ExploreConfig(mode=MODE_INDEXED, max_states=2))
+    assert cut.truncated
+    assert cut.paths == 1
+    assert len(cut.test_cases) == 1
 
 
 def test_unsupported_arithmetic_abandons_without_testcase():
