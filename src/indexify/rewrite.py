@@ -25,6 +25,13 @@ replaces: the type field itself for R3 (a function's "return_type", a
 parameter's or a Decl's "type"), the argument for R7/R8 on a call argument,
 the expression otherwise.  So two sites are nested exactly when one path is a
 prefix of the other.
+
+normalize scans once per round and contracts every redex of that scan whose
+site is not nested in, or around, another one it takes: a complete
+development (Huet, "Confluent reductions", JACM 1980), which confluence lets
+reach the one-step normal form.  No rule inserts or removes a list element,
+so the untouched sites of a round keep their paths.  order="random" contracts
+one redex per scan instead, for confluence_probe.
 """
 
 from __future__ import annotations
@@ -364,11 +371,11 @@ def _scan_expr(e: Expr, path, g: _Guards, out, context):
 
 
 def apply_rule(p: Program, r: Redex, cfg: RewriteConfig,
-               redexes: list[Redex] | None = None) -> Program:
+               redexes: set[Redex] | None = None) -> Program:
     """Apply one rule at one site; raises StaleRedex if the guard is gone.
 
-    redexes is find_redexes(p, cfg) when the caller has just computed it;
-    without it the guard is checked by a fresh scan.
+    redexes is the set find_redexes returned for the caller's current round;
+    without it the guard is checked by a fresh scan of p.
     """
     if redexes is None:
         redexes = find_redexes(p, cfg)
@@ -402,9 +409,27 @@ def _ast_size(p: Program) -> int:
     return n
 
 
+def _development(redexes: list[Redex]) -> list[Redex]:
+    """The redexes one parallel step contracts: deepest site first, each one
+    whose site neither is, nor lies above or below, a site already taken."""
+    taken, covered = [], set()
+    for r in sorted(redexes, key=lambda r: -len(r.path)):
+        if r.path in covered:
+            continue  # taken sites are no shallower: r is at or above one
+        taken.append(r)
+        covered.update(r.path[:k] for k in range(1, len(r.path) + 1))
+    return taken
+
+
 def normalize(p: Program, cfg: RewriteConfig, order: str = "first",
               rng: random.Random | None = None) -> IndexationResult:
-    """Rewrite to normal form and package gardens/tables with the result."""
+    """Rewrite to normal form and package gardens/tables with the result.
+
+    By default each round scans once and contracts every non-nested redex of
+    that scan (a complete development); nested ones wait for the next round.
+    order="random" contracts one randomly chosen redex per scan, the one-step
+    rewriter confluence_probe compares normal forms of.
+    """
     for name in cfg.tables:
         if p.function(name) is not None:
             raise RewriteError(f"program already defines {name!r}")
@@ -415,14 +440,16 @@ def normalize(p: Program, cfg: RewriteConfig, order: str = "first",
         redexes = find_redexes(cur, cfg)
         if not redexes:
             break
-        steps += 1
-        if steps > cap:
-            raise RewriteError("rewriting did not terminate: schema bug")
         if order == "random":
-            r = (rng or random).choice(redexes)
+            batch = [(rng or random).choice(redexes)]
         else:
-            r = redexes[0]
-        cur = apply_rule(cur, r, cfg, redexes)
+            batch = _development(redexes)
+        found = set(redexes)
+        for r in batch:
+            steps += 1
+            if steps > cap:
+                raise RewriteError("rewriting did not terminate: schema bug")
+            cur = apply_rule(cur, r, cfg, found)
     extra = {t.indexed_name: t.indexed_signature() for t in cfg.tables.values()}
     typecheck(cur, extra_sigs=extra)
     return IndexationResult(program=cur, tables=dict(cfg.tables))

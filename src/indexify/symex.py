@@ -211,6 +211,34 @@ class Engine:
         self.atoms_sent = 0
         self.states = 0
         self.iot_fork_sizes = []
+        self.symrefs: dict[tuple, SymRef | Opaque] = {}
+
+    def symbolic_ref(self, fn_name, name):
+        """The store entry for `symbolic name` in fn_name, built once and
+        shared by every path (it depends on the program and config only)."""
+        ref = self.symrefs.get((fn_name, name))
+        if ref is not None:
+            return ref
+        tag = self.decls[fn_name].get(name)
+        if tag is None:
+            raise SymexError(f"no declaration for symbolic {name!r}")
+        if is_index(tag):
+            garden = self.cfg.gardens.get(tag.base)
+            if garden is None:
+                raise SymexError(f"symbolic {name}: no garden for {tag!r}")
+            if len(garden) == 0:
+                raise SymexError(f"symbolic {name}: the {tag.base!r} garden is "
+                                 "empty; provide seeds")
+            # inputs are real values, so BOT is outside the initial domain
+            ref = SymRef(FiniteVar(name, len(garden)), tag)
+        elif tag is INT:
+            ref = SymRef(FiniteVar(name, self.cfg.int_domain), tag)
+        elif tag is BOOL:
+            ref = SymRef(FiniteVar(name, 2), tag)
+        else:
+            ref = Opaque(name, tag)
+        self.symrefs[fn_name, name] = ref
+        return ref
 
     def explore(self) -> ExplorationReport:
         start = time.monotonic()
@@ -416,28 +444,9 @@ class _Run:
             raise MiniImpError(f"cannot execute {s!r}")
 
     def make_symbolic(self, name, fn_name):
-        if name in self.symvars:
-            return self.symvars[name]
-        tag = self.engine.decls[fn_name].get(name)
-        if tag is None:
-            raise SymexError(f"no declaration for symbolic {name!r}")
-        if is_index(tag):
-            garden = self.cfg.gardens.get(tag.base)
-            if garden is None:
-                raise SymexError(f"symbolic {name}: no garden for {tag!r}")
-            if len(garden) == 0:
-                raise SymexError(f"symbolic {name}: the {tag.base!r} garden is "
-                                 "empty; provide seeds")
-            # inputs are real values, so BOT is outside the initial domain
-            ref = SymRef(FiniteVar(name, len(garden)), tag)
-        elif tag is INT:
-            ref = SymRef(FiniteVar(name, self.cfg.int_domain), tag)
-        elif tag is BOOL:
-            ref = SymRef(FiniteVar(name, 2), tag)
-        else:
-            ref = Opaque(name, tag)
-        self.symvars[name] = ref
-        return ref
+        if name not in self.symvars:
+            self.symvars[name] = self.engine.symbolic_ref(fn_name, name)
+        return self.symvars[name]
 
     # -- symbolic values --------------------------------------------------------
 

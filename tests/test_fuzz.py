@@ -3,6 +3,10 @@ on generated MiniImp programs, not just the shipped corpus."""
 
 import random
 
+import pytest
+
+from indexify import rewrite
+from indexify.bench import CORPUS, load_entry
 from indexify.garden import BuilderConfig, build_garden, harvest_int_pool, harvest_seeds
 from indexify.iot import REGISTRY, memoise_all
 from indexify.lang.ast import STR, mk_str
@@ -175,3 +179,34 @@ def test_random_rewrites_roundtrip_through_printer():
         res = normalize(program, cfg)
         text = print_program(res.program)
         assert parse(text) == res.program
+
+
+def _assert_batched_matches_one_step(program, cfg, monkeypatch, label):
+    # a round checks its redexes only against its own scan; here every
+    # application is re-checked by a fresh find_redexes (apply_rule without
+    # the round's set raises StaleRedex when a guard no longer holds)
+    one_step = normalize(program, cfg, order="random", rng=random.Random(0))
+    apply = rewrite.apply_rule
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "apply_rule", lambda p, r, c, redexes=None: apply(p, r, c))
+        batched = normalize(program, cfg)
+    assert print_program(batched.program) == print_program(one_step.program), label
+
+
+def test_batched_rounds_apply_no_stale_redex_on_random_programs(monkeypatch):
+    rng = random.Random(1980)
+    for trial in range(300):
+        src = ProgramGen(rng).program()
+        program = typecheck(parse(src))
+        f_plus = rng.sample(["strcat", "strstr", "strcmp", "strncmp", "strlen",
+                             "substr"], rng.randint(1, 4))
+        cfg = build_cfg(program, f_plus, k=rng.randint(0, 1))
+        _assert_batched_matches_one_step(program, cfg, monkeypatch, src)
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_batched_rounds_apply_no_stale_redex_on_corpus(entry, monkeypatch):
+    cfg, pipe = load_entry(entry)
+    rcfg = RewriteConfig(set(cfg.indexed_types), pipe.f_plus, pipe.gardens,
+                         pipe.tables)
+    _assert_batched_matches_one_step(pipe.program, rcfg, monkeypatch, entry.name)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from indexify.lang.printer import print_program
 from indexify.lang.typecheck import typecheck
 from indexify.rewrite import (
     RewriteConfig,
+    RewriteError,
     StaleRedex,
     apply_rule,
     confluence_probe,
@@ -175,9 +177,9 @@ def test_stale_redex_rejected(fig5_gardens):
         apply_rule(out, r3, cfg)
 
 
-def test_normalize_scans_once_per_step(fig4a_program, fig5_gardens, monkeypatch):
-    # normalize hands the redexes it found to apply_rule instead of letting
-    # apply_rule scan again: one scan per step plus the final empty one
+def test_normalize_scans_once_per_round(fig4a_program, fig5_gardens, monkeypatch):
+    # a round contracts every non-nested redex of one scan, one apply_rule
+    # each: as many applications as one-step rewriting, far fewer scans
     calls = {"find_redexes": 0, "apply_rule": 0}
 
     def counting(name):
@@ -190,9 +192,20 @@ def test_normalize_scans_once_per_step(fig4a_program, fig5_gardens, monkeypatch)
 
     for name in calls:
         monkeypatch.setattr(rewrite, name, counting(name))
-    normalize(fig4a_program, fig5_cfg(fig5_gardens))
-    assert calls["apply_rule"] > 0
-    assert calls["find_redexes"] == calls["apply_rule"] + 1
+    res = normalize(fig4a_program, fig5_cfg(fig5_gardens))
+    assert print_program(res.program) == FIG4B_EXPECTED
+    assert calls["apply_rule"] == 6
+    assert calls["find_redexes"] <= 3
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import flags_wide_source
+
+    p, cfg = pipeline_cfg(flags_wide_source(random.Random(1)), {"strcmp"}, k=0)
+    calls.update(find_redexes=0, apply_rule=0)
+    res = normalize(p, cfg)
+    assert calls["apply_rule"] == 401  # R3 on flag; R6 and R4 per strcmp
+    assert calls["find_redexes"] <= 4
+    assert find_redexes(res.program, cfg) == []
 
 
 def test_equality_operand_folds_to_index():
@@ -280,10 +293,14 @@ def _walk(f):
     return walk_stmts(f.body)
 
 
-def test_iteration_cap_is_a_safety_net(fig4a_program, fig5_gardens):
-    # a full normalize of the figure program takes far fewer steps than the cap
-    res = normalize(fig4a_program, fig5_cfg(fig5_gardens))
-    assert find_redexes(res.program, fig5_cfg(fig5_gardens)) == []
+def test_iteration_cap_is_a_safety_net(fig4a_program, fig5_gardens, monkeypatch):
+    # a rule that changes nothing leaves its redex in place forever: the cap,
+    # counted in rule applications, ends both the batched and one-step loops
+    monkeypatch.setattr(rewrite, "apply_rule", lambda p, r, cfg, redexes=None: p)
+    cfg = fig5_cfg(fig5_gardens)
+    for order in ("first", "random"):
+        with pytest.raises(RewriteError, match="rewriting did not terminate"):
+            normalize(fig4a_program, cfg, order=order, rng=random.Random(0))
 
 
 # ---------------------------------------------------------------------------
