@@ -25,6 +25,7 @@ from .lang.ast import (
     FLOAT,
     INT,
     STR,
+    EscapedGarden,
     TypeTag,
     Value,
     index_of,
@@ -242,12 +243,17 @@ class IndexedOperatorTable:
         """Return the cell for key: an index, an int, or BOT."""
         return self.rows.get(key, BOT)
 
-    def cell_value(self, cell) -> Value:
-        """The Value an indexed call returns for a cell; BOT stays BOT."""
+    def cell_value(self, cell, bot_propagate: bool = False) -> Value:
+        """The Value an indexed call returns for a cell.  A BOT index is a
+        value that escapes where it is used.  A raw-result miss has no
+        in-band value, so it escapes at the call, as in the emitted source,
+        unless bot_propagate lets BOT flow on."""
+        if cell is BOT and not bot_propagate and not self.result_indexed:
+            raise EscapedGarden()
         return Value(self.cell_tag, cell)
 
-    def lookup_value(self, key: tuple) -> Value:
-        return self.cell_value(self.lookup(key))
+    def lookup_value(self, key: tuple, bot_propagate: bool = False) -> Value:
+        return self.cell_value(self.lookup(key), bot_propagate)
 
     def indexed_signature(self) -> OperatorSignature:
         args = tuple(index_of(t) if isinstance(d, GardenDim) else t

@@ -259,7 +259,7 @@ class Interpreter:
             if v.raw is BOT and not self.bot_propagate:
                 raise EscapedGarden()
             key.append(v.raw)
-        return table.lookup_value(tuple(key))
+        return table.lookup_value(tuple(key), self.bot_propagate)
 
 
 def _c_div(a: int, b: int) -> int:

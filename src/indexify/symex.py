@@ -671,7 +671,7 @@ class _Run:
         for a in map(self.resolve, args):
             if isinstance(a, Value):
                 if a.raw is BOT and self.cfg.bot_propagate:
-                    return table.cell_value(BOT)
+                    return table.cell_value(BOT, self.cfg.bot_propagate)
                 no_bot(a)
                 parts.append(a.raw)
             elif isinstance(a, SymRef):
@@ -681,7 +681,7 @@ class _Run:
                 raise SymexError(f"indexed call on unsupported value {a!r}")
         free = [i for i, p in enumerate(parts) if isinstance(p, SymRef)]
         if not free:
-            return table.cell_value(table.lookup(tuple(parts)))
+            return table.cell_value(table.lookup(tuple(parts)), self.cfg.bot_propagate)
         naive = len(table.rows) * max(table.arity, 1)
         # reduce to one free dimension by enumerating the others
         for i in free[:-1]:
@@ -689,11 +689,11 @@ class _Run:
                             generated=naive)
             naive = 0
             if v is None:
-                return table.cell_value(BOT)
+                return table.cell_value(BOT, self.cfg.bot_propagate)
             parts[i] = v
         cell = self.decide(lambda: _row_options(table, parts, free[-1]),
                            generated=naive, record_fork=True)
-        return table.cell_value(cell)
+        return table.cell_value(cell, self.cfg.bot_propagate)
 
     # -- reporting -----------------------------------------------------------------
 

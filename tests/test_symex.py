@@ -578,3 +578,24 @@ def test_replay_builds_no_options(monkeypatch):
     assert len(rep.iot_fork_sizes) == 85
     assert counts["lookup"] == len(pipe.gardens[STR]) * len(rep.iot_fork_sizes) == 340
     assert counts["solve"] == 0  # x == c and x != c atoms only
+
+
+def test_raw_result_table_miss_escapes_at_the_call():
+    # strlen(s0) is outside strncmp's int pool for every garden value, so
+    # each lookup misses.  A raw-result miss has no in-band value: it
+    # escapes at the call, in memory as in the emitted source, instead of
+    # returning BOT:int from main with verdict ok (the original program
+    # returns 0, 0 and -1 here).  --bot-propagate keeps BOT flowing.
+    src = 'int main() { str s0; symbolic s0; return strncmp("b", "ba", strlen(s0)); }'
+    _, res, gardens, tables = indexed_setup(src, {"strncmp", "substr"}, k=0)
+    rep = run_indexed(res, gardens, tables)
+    assert sorted(tc.inputs["s0"].raw for tc in rep.test_cases) == [b"", b"b", b"ba"]
+    assert [tc.verdict for tc in rep.test_cases] == ["escaped-garden"] * 3
+    for tc in rep.test_cases:
+        assert replay(res.program, tc, gardens=gardens, tables=tables).ok
+    prop = run_indexed(res, gardens, tables, bot_propagate=True)
+    assert [tc.verdict for tc in prop.test_cases] == ["ok"] * 3
+    for tc in prop.test_cases:
+        run = interpret(res.program, tc.inputs, gardens=gardens, tables=tables,
+                        bot_propagate=True)
+        assert (run.verdict, run.return_value.raw) == ("ok", BOT)
