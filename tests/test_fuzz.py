@@ -9,25 +9,37 @@ from indexify import rewrite
 from indexify.bench import CORPUS, load_entry
 from indexify.garden import BuilderConfig, build_garden, harvest_int_pool, harvest_seeds
 from indexify.iot import REGISTRY, memoise_all
-from indexify.lang.ast import STR, mk_str
-from indexify.lang.interp import interpret
+from indexify.lang.ast import STR, mk_bool, mk_int, mk_str
+from indexify.lang.interp import VERDICT_ESCAPED, interpret
 from indexify.lang.parser import parse
 from indexify.lang.printer import print_program
 from indexify.lang.typecheck import typecheck
-from indexify.rewrite import RewriteConfig, confluence_probe, normalize
+from indexify.rewrite import RewriteConfig, confluence_probe, emit_indexed_source, normalize
+from indexify.symex import ExploreConfig, explore
 
 STR_CONSTS = ['"a"', '"b"', '"ab"', '"ba"', '""']
 INT_CONSTS = ["0", "1", "2", "3"]
 
 
 class ProgramGen:
-    """Generates type-correct programs over the string operators."""
+    """Generates type-correct programs over the string operators.
 
-    def __init__(self, rng):
+    With extended=True a program may also hold `while` loops, `assert`s, a
+    call to one user function and a second symbolic input, the bool `flag`
+    or the int `num`.  `num` appears only where the explorer keeps it
+    symbolic (equality, truthiness and the int arguments of strncmp and
+    substr), never under arithmetic or ordering, which abandon the path.
+    """
+
+    def __init__(self, rng, extended=False):
         self.rng = rng
+        self.extended = extended
         self.str_vars = []
         self.int_vars = []
         self.fresh = 0
+        self.sym_int = None   # the symbolic int input, when there is one
+        self.sym_bool = None  # the symbolic bool input, when there is one
+        self.helper = None    # the user function main may call
 
     def str_expr(self, depth=0):
         r = self.rng
@@ -46,43 +58,71 @@ class ProgramGen:
         if kind == "strstr":
             return f"strstr({self.str_expr(depth + 1)}, {self.str_expr(depth + 1)})"
         return (f"substr({self.str_expr(depth + 1)}, "
-                f"{self.int_expr(depth + 1)}, {self.int_expr(depth + 1)})")
+                f"{self.int_expr(depth + 1, sym=True)}, "
+                f"{self.int_expr(depth + 1, sym=True)})")
 
-    def int_expr(self, depth=0):
+    def int_expr(self, depth=0, sym=False):
         r = self.rng
         choices = ["const"]
         if self.int_vars:
             choices += ["var"]
         if depth < 2:
             choices += ["strlen", "strcmp", "strncmp", "plus"]
+            if self.helper is not None:
+                choices += ["call"]
+        if sym and self.sym_int is not None:
+            choices += ["sym"]
         kind = r.choice(choices)
         if kind == "const":
             return r.choice(INT_CONSTS)
         if kind == "var":
             return r.choice(self.int_vars)
+        if kind == "sym":
+            return self.sym_int
+        if kind == "call":
+            return f"{self.helper}({self.str_expr(depth + 1)}, {self.int_expr(depth + 1)})"
         if kind == "strlen":
             return f"strlen({self.str_expr(depth + 1)})"
         if kind == "strcmp":
             return f"strcmp({self.str_expr(depth + 1)}, {self.str_expr(depth + 1)})"
         if kind == "strncmp":
             return (f"strncmp({self.str_expr(depth + 1)}, "
-                    f"{self.str_expr(depth + 1)}, {self.int_expr(depth + 1)})")
+                    f"{self.str_expr(depth + 1)}, {self.int_expr(depth + 1, sym=True)})")
         return f"{self.int_expr(depth + 1)} + {self.int_expr(depth + 1)}"
 
-    def cond(self):
+    def cond(self, boolean=False):
         r = self.rng
-        kind = r.choice(["strtruth", "inteq", "intlt"])
+        kinds = ["inteq", "intlt"] if boolean else ["strtruth", "inteq", "intlt"]
+        if self.sym_bool is not None:
+            kinds += ["flag"]
+        kind = r.choice(kinds)
         if kind == "strtruth":
             return self.str_expr(1)
         if kind == "inteq":
-            return f"{self.int_expr(1)} == {self.int_expr(1)}"
+            op = r.choice(["==", "!="]) if self.extended else "=="
+            return f"{self.int_expr(1, sym=True)} {op} {self.int_expr(1, sym=True)}"
+        if kind == "flag":
+            form = r.randrange(3)
+            if form == 2:
+                return f"{self.sym_bool} && {self.cond(boolean=True)}"
+            return f"!{self.sym_bool}" if form else self.sym_bool
         return f"{self.int_expr(1)} < {self.int_expr(1)}"
+
+    def block(self, n, indent):
+        # declarations inside a block may not have executed after it
+        saved = (list(self.str_vars), list(self.int_vars))
+        out = self.stmts(n, indent)
+        self.str_vars, self.int_vars = saved
+        return out
 
     def stmts(self, n, indent="  "):
         out = []
         r = self.rng
+        kinds = ["sdecl", "idecl", "sassign", "puts", "if"]
+        if self.extended:
+            kinds += ["while", "assert"]
         for _ in range(n):
-            kind = r.choice(["sdecl", "idecl", "sassign", "puts", "if"])
+            kind = r.choice(kinds)
             if kind == "sdecl" or (kind == "sassign" and not self.str_vars):
                 name = f"s{self.fresh}"
                 self.fresh += 1
@@ -97,7 +137,7 @@ class ProgramGen:
                 out.append(f"{indent}{r.choice(self.str_vars)} = {self.str_expr()};")
             elif kind == "puts":
                 out.append(f"{indent}puts({self.str_expr()});")
-            else:
+            elif kind == "if":
                 out.append(f"{indent}if ({self.cond()}) {{")
                 # declarations inside a branch may not have executed afterwards
                 saved = (list(self.str_vars), list(self.int_vars))
@@ -108,27 +148,60 @@ class ProgramGen:
                     out.extend(self.stmts(r.randint(1, 2), indent + "  "))
                     self.str_vars, self.int_vars = saved
                 out.append(f"{indent}}}")
+            elif kind == "assert":
+                out.append(f"{indent}assert({self.cond()});")
+            elif r.random() < 0.3:  # a loop that may run into the unroll bound
+                out.append(f"{indent}while ({self.cond()}) {{")
+                out.extend(self.block(r.randint(1, 2), indent + "  "))
+                out.append(f"{indent}}}")
+            else:
+                counter = f"w{self.fresh}"
+                self.fresh += 1
+                out.append(f"{indent}int {counter} = 0;")
+                out.append(f"{indent}while ({counter} < 2 && {self.cond(boolean=True)}) {{")
+                out.extend(self.block(r.randint(1, 2), indent + "  "))
+                out.append(f"{indent}  {counter} = {counter} + 1;")
+                out.append(f"{indent}}}")
         return out
 
+    def function(self):
+        """One user function over a str and an int parameter."""
+        self.str_vars, self.int_vars = ["a"], ["b"]
+        body = self.stmts(self.rng.randint(1, 3))
+        lines = ["int helper(str a, int b) {", *body,
+                 f"  return {self.int_expr()};", "}", ""]
+        self.helper = "helper"
+        return lines
+
     def program(self):
+        r = self.rng
+        self.fresh = 0
+        lines = ["int main() {", "  str sym;", "  symbolic sym;"]
+        if self.extended:
+            self.sym_int = self.sym_bool = self.helper = None
+            lines = self.function() + lines
+            if r.random() < 0.5:
+                self.sym_bool = "flag"
+                lines += ["  bool flag;", "  symbolic flag;"]
+            else:
+                self.sym_int = "num"
+                lines += ["  int num;", "  symbolic num;"]
         self.str_vars = ["sym"]
         self.int_vars = []
-        self.fresh = 0
-        body = self.stmts(self.rng.randint(3, 6))
-        lines = ["int main() {", "  str sym;", "  symbolic sym;"]
+        body = self.stmts(r.randint(3, 6))
         lines += body
         lines.append(f"  return {self.int_expr()};")
         lines.append("}")
         return "\n".join(lines)
 
 
-def build_cfg(program, f_plus, k=1):
+def build_cfg(program, f_plus, k=1, maxlen=4):
     seeds = harvest_seeds(program, {STR})
     builders = tuple(REGISTRY[n].signature for n in sorted(f_plus)
                      if REGISTRY[n].signature.arg_types == (STR, STR)
                      and REGISTRY[n].signature.return_type is STR)
     gardens = build_garden(seeds, BuilderConfig(builders=builders, k=k,
-                                                max_str_len=4), types={STR})
+                                                max_str_len=maxlen), types={STR})
     tables = memoise_all(gardens, f_plus, harvest_int_pool(program))
     return RewriteConfig({STR}, set(f_plus), gardens, tables)
 
@@ -210,3 +283,65 @@ def test_batched_rounds_apply_no_stale_redex_on_corpus(entry, monkeypatch):
     rcfg = RewriteConfig(set(cfg.indexed_types), pipe.f_plus, pipe.gardens,
                          pipe.tables)
     _assert_batched_matches_one_step(pipe.program, rcfg, monkeypatch, entry.name)
+
+
+ORACLE_INT_DOMAIN = 3  # the symbolic int `num` ranges over 0, 1, 2
+ORACLE_UNROLL = 3
+
+
+def _oracle_inputs(gardens, extra):
+    """Every input of the garden product: `sym` over the string garden and
+    the second symbolic input, `flag` or `num`, over its whole domain."""
+    second = {"flag": [mk_bool(False), mk_bool(True)],
+              "num": [mk_int(n) for n in range(ORACLE_INT_DOMAIN)]}[extra]
+    for s in gardens[STR].values():
+        for v in second:
+            yield {"sym": s, extra: v}
+
+
+def test_exploration_is_complete_on_random_programs():
+    # the exhaustive oracle: on small gardens, interpret the rewritten
+    # program on every input of the garden product.  The (verdict, branch
+    # trace) pairs it shows must be exactly those of the explorer's test
+    # cases: none missing, none extra.  On every input the emitted
+    # .indexed.mi agrees with the in-memory program, and on every input
+    # that does not escape, so does the original program.
+    rng = random.Random(2008)
+    programs = compared = 0
+    verdicts = set()
+    for trial in range(60):
+        src = ProgramGen(rng, extended=True).program()
+        program = typecheck(parse(src))
+        f_plus = rng.sample(["strcat", "strstr", "strcmp", "strncmp", "strlen",
+                             "substr"], rng.randint(1, 4))
+        cfg = build_cfg(program, f_plus, k=rng.randint(0, 2), maxlen=3)
+        res = normalize(program, cfg)
+        gardens, tables = cfg.gardens, cfg.tables
+        extra = "flag" if "symbolic flag;" in src else "num"
+        rep = explore(res.program, ExploreConfig(
+            gardens=gardens, tables=tables, unroll=ORACLE_UNROLL,
+            int_domain=ORACLE_INT_DOMAIN))
+        assert not rep.truncated and rep.solver_unknowns == 0, src
+        assert rep.paths == len(rep.test_cases), src  # nothing abandoned
+        explored = {(tc.verdict, tc.covered_branches) for tc in rep.test_cases}
+        emitted = parse(emit_indexed_source(res))
+        seen = set()
+        for inputs in _oracle_inputs(gardens, extra):
+            mem = interpret(res.program, inputs, gardens=gardens, tables=tables,
+                            unroll=ORACLE_UNROLL)
+            seen.add((mem.verdict, mem.covered_branches))
+            out = interpret(emitted, inputs, gardens=gardens, unroll=ORACLE_UNROLL)
+            assert (out.verdict, out.return_value, out.outputs) == \
+                (mem.verdict, mem.return_value, mem.outputs), (src, inputs)
+            if mem.verdict == VERDICT_ESCAPED:
+                continue
+            orig = interpret(program, inputs, unroll=ORACLE_UNROLL)
+            assert (orig.verdict, orig.return_value, orig.outputs) == \
+                (mem.verdict, mem.return_value, mem.outputs), (src, inputs)
+            compared += 1
+        assert explored == seen, src
+        verdicts |= {v for v, _ in seen}
+        programs += 1
+    assert programs == 60 and compared > 400
+    # the generator reaches every verdict but division by zero
+    assert verdicts == {"ok", "escaped-garden", "assertion-failure", "bound-exceeded"}
