@@ -5,28 +5,33 @@ variables range over garden indices, and indexed-operator calls fork per table
 row (after filtering rows against concrete arguments and pins already
 entailed by the path condition).  The executor consumes BOT as the
 interpreter does, by raising EscapedGarden, which ends the path with the
-escaped-garden verdict.  Baseline mode runs the original program and either
+escaped-garden verdict; a raw-result table miss escapes at the call.  Baseline mode runs the original program and either
 abandons at intractable operator calls or concretizes their symbolic
 arguments (fixed defaults for strings and floats, a model value pinned into
 the path condition for finite-domain variables), mimicking what dynamic
 symbolic execution does.
 
-Paths are enumerated by replay.  Each entry of the exploration stack is the
-list of options chosen so far on one path.  A run re-executes the program
-from the start; at each decision along that prefix it takes the recorded
-option again, adding its atoms to the path condition without building the
-option list or asking the solver.  Past the prefix the run is at the
-frontier: only there is a decision's option list built (true branch first,
-table rows in ascending result order, the BOT successor last), every option
-checked, the first feasible one taken and the other feasible ones queued.
-Every solver variable ranges over [0, size), and every constant is a
-garden index or an int (a bool is 0 or 1); BOT never enters a path
-condition.  The path condition travels with the run as a solver.PathState,
-so a check costs the atoms it adds, and only a path condition with a
-var-var disequality goes to solver.solve.  Every queued option was
-satisfiable when checked, so emitted test cases replay on the concrete
-interpreter by construction; an option the solver cannot decide is dropped
-and counted, and the run goes on.
+Paths are enumerated depth-first over explicit states, forked by copy.
+Each function body is lowered once per exploration into a flat list of
+three-address instructions, so a decision (a branch's truth, ==/!= on a
+symbolic operand, a table's free dimension or row, forcing a symbolic value)
+is always the last step of one instruction.  A state is a frame stack (each
+frame: its instructions, the next one to run, its variables and
+temporaries), loop counts, concretized inputs, covered statements and
+branches, and the path condition.  At a decision the option list is built
+(true branch first, table rows in ascending result order, the BOT successor
+last) and every option checked; the state takes the first feasible one, and
+a copy per other feasible option, which resumes at the next instruction,
+goes on the stack.  Each node of the decision tree therefore runs once.
+The wallclock and state budgets are checked at every decision and loop
+back-edge.  Every solver variable ranges over [0, size), and every constant
+is a garden index or an int (a bool is 0 or 1); BOT never enters a path
+condition.  The path condition travels with the state as a
+solver.PathState, so a check costs the atoms it adds, and only a path
+condition with a var-var disequality goes to solver.solve.  Every queued
+option was satisfiable when checked, so emitted test cases replay on the
+concrete interpreter by construction; an option the solver cannot decide is
+dropped and counted, and the run goes on.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from .lang.ast import (
     no_bot,
     program_layout,
     truthy,
+    walk_stmts,
 )
 from .lang.interp import (
     VERDICT_ASSERT,
@@ -88,6 +94,7 @@ MODE_ABANDON = "baseline-abandon"
 MODE_CONCRETIZE = "baseline-concretize"
 
 _INTRACTABLE_CLASSES = ("string", "float")
+_BOOLS = (mk_bool(False), mk_bool(True))
 
 
 class SymexError(Exception):
@@ -170,13 +177,9 @@ class ExplorationReport:
         return sum(1 for t in self.test_cases if t.verdict == VERDICT_ASSERT)
 
 
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
 class _Terminal(Exception):
-    """An assertion failure, an exceeded bound, or abandonment by policy."""
+    """The end of a path: main returned, an assertion failed, a bound was
+    exceeded, or the path was abandoned by policy."""
 
     def __init__(self, verdict, emit=True):
         self.verdict = verdict
@@ -187,16 +190,314 @@ class _Infeasible(Exception):
     pass
 
 
-class _Option:
-    __slots__ = ("atoms", "payload", "state")
+class _Truncated(Exception):
+    """The wallclock or state budget ran out inside a path."""
 
-    def __init__(self, atoms, payload):
-        self.atoms = atoms
-        self.payload = payload
-        # the path state once the option is taken, set when it is found
-        # feasible: every run that replays the option reaches it with the
-        # same path condition
-        self.state = None
+
+# ---------------------------------------------------------------------------
+# Lowering: function bodies to flat instruction lists
+# ---------------------------------------------------------------------------
+#
+# An instruction is a tuple (handler, fields...).  Operands are a variable
+# name (str, read when the instruction runs), a temporary (int, written by an
+# earlier instruction of the same frame) or a constant (a Value, or None).
+# Expressions are in three-address form, so a decision is always the last
+# thing an instruction does: the decision writes its payload to the
+# instruction's destination, and each successor state resumes at the frame's
+# next instruction.
+
+
+def _pure(e) -> bool:
+    """Evaluating e cannot decide, concretize or end the path."""
+    return isinstance(e, (Literal, BotLiteral, Var))
+
+
+class _Lowering:
+    def __init__(self, engine, codes):
+        self.engine = engine
+        self.codes = codes  # function name -> its instruction list
+        self.code = None
+        self.temps = 0
+
+    def function(self, fn):
+        self.code = self.codes[fn.name]
+        self.temps = 0
+        # an int or bool variable holds a Value or a finite symbolic value,
+        # unless a garden of its type lets unidx() give it an unindexed one
+        tags = {}
+        for name, tag in [(p.name, p.type) for p in fn.params] + \
+                [(s.name, s.type) for _, s in walk_stmts(fn.body) if isinstance(s, Decl)]:
+            tags.setdefault(name, set()).add(tag)
+        gardens = self.engine.cfg.gardens
+        self.finite = {name for name, ts in tags.items()
+                       if all(t in (INT, BOOL) and t not in gardens for t in ts)}
+        self.block(fn.body, (fn.name,))
+        self.emit(self.engine.op_error, f"{fn.name} finished without returning")
+
+    def emit(self, *ins) -> int:
+        self.code.append(ins)
+        return len(self.code) - 1
+
+    def patch(self, at: int, field: int) -> None:
+        """Point field of instruction at (a jump target) at the next one."""
+        ins = self.code[at]
+        self.code[at] = ins[:field] + (len(self.code),) + ins[field + 1:]
+
+    def temp(self) -> int:
+        self.temps += 1
+        return self.temps - 1
+
+    # -- statements ----------------------------------------------------------
+
+    def block(self, body, path):
+        for i, s in enumerate(body):
+            self.stmt(s, path + (i,))
+
+    def stmt(self, s, path):
+        op = self.engine
+        self.emit(op.op_mark, path)
+        if isinstance(s, Decl):
+            self.assign(s.name, s.init)
+        elif isinstance(s, Assign):
+            self.assign(s.name, s.value)
+        elif isinstance(s, If):
+            at = self.emit(op.op_branch, self.cond(s.cond), (path, True), (path, False), None)
+            self.block(s.then, path + ("t",))
+            if s.orelse:
+                skip = self.emit(op.op_jump, None)
+                self.patch(at, 4)
+                self.block(s.orelse, path + ("e",))
+                self.patch(skip, 1)
+            else:
+                self.patch(at, 4)
+        elif isinstance(s, While):
+            head = len(self.code)
+            at = self.emit(op.op_loop, self.cond(s.cond), (path, True), (path, False),
+                           None, path)
+            self.block(s.body, path + ("b",))
+            self.emit(op.op_jump, head)
+            self.patch(at, 4)
+        elif isinstance(s, Assert):
+            self.emit(op.op_assert, self.cond(s.cond))
+        elif isinstance(s, Return):
+            self.emit(op.op_return, self.expr(s.value) if s.value else None)
+        elif isinstance(s, ExprStmt):
+            v = self.expr(s.expr)
+            if isinstance(s.expr, Var):  # still a read of the variable
+                self.emit(op.op_set, self.temp(), v)
+        elif isinstance(s, MakeSymbolic):
+            self.emit(op.op_symbolic, s.name, path[0])
+        else:
+            raise MiniImpError(f"cannot execute {s!r}")
+
+    def assign(self, name, e):
+        if e is None or _pure(e):
+            self.emit(self.engine.op_set, name, None if e is None else self.expr(e))
+        else:
+            self.expr(e, name)
+
+    def holds(self, e):
+        """What e may evaluate to besides a Value: "finite" (a finite
+        symbolic value) for an int or bool variable, "any" (a finite
+        symbolic, opaque or unindexed value) for another variable or a user
+        function's result, "unindexed" for unidx(), and None for every other
+        expression."""
+        if isinstance(e, Var) and e.name in self.finite:
+            return "finite"
+        if isinstance(e, Var) or (isinstance(e, Call) and e.name in self.codes):
+            return "any"
+        if isinstance(e, Call) and e.name == "unidx":
+            return "unindexed"
+        return None
+
+    def cond(self, e):
+        """The operand of a condition: a Value, or a bool written by op_truth."""
+        v = self.expr(e)
+        if self.holds(e) is None:
+            return v
+        t = self.temp()
+        self.emit(self.engine.op_truth, t, v)
+        return t
+
+    # -- expressions ---------------------------------------------------------
+
+    def operands(self, exprs):
+        """Lower exprs left to right.  A variable is read where its value is
+        consumed, unless a later operand may concretize it first."""
+        out = []
+        for i, e in enumerate(exprs):
+            v = self.expr(e)
+            if isinstance(e, Var) and not all(map(_pure, exprs[i + 1:])):
+                t = self.temp()
+                self.emit(self.engine.op_set, t, v)
+                v = t
+            out.append(v)
+        return tuple(out)
+
+    def expr(self, e, dst=None):
+        """Lower e and return its operand; with dst, the value lands there."""
+        op = self.engine
+        if isinstance(e, Literal):
+            return Value(e.tag, e.value)
+        if isinstance(e, BotLiteral):
+            return Value(e.tag, BOT)
+        if isinstance(e, Var):
+            return e.name
+        if dst is None:
+            dst = self.temp()
+        if isinstance(e, UnOp):
+            v = self.expr(e.operand)
+            if e.op == "!":
+                t = self.temp()
+                self.emit(op.op_truth, t, v)
+                self.emit(op.op_not, dst, t)
+            else:
+                self.emit(op.op_neg, dst, v)
+        elif isinstance(e, BinOp):
+            self.binop(e, dst)
+        elif isinstance(e, Call):
+            self.call(e, dst)
+        else:
+            raise MiniImpError(f"cannot evaluate {e!r}")
+        return dst
+
+    def binop(self, e, dst):
+        op = self.engine
+        lv, rv = self.operands([e.left, e.right])
+        if e.op in ("==", "!="):
+            held = self.holds(e.left), self.holds(e.right)
+            if "any" in held:
+                tl, tr = self.temp(), self.temp()
+                self.emit(op.op_opaque, tl, tr, lv, rv)
+                lv, rv = tl, tr
+            if held[0] in ("any", "unindexed"):
+                lv = self.unwrap(lv)
+            if held[1] in ("any", "unindexed"):
+                rv = self.unwrap(rv)
+            self.emit(op.op_compare, dst, e.op == "==", lv, rv)
+        elif e.op in ("&&", "||"):
+            tl, tr = self.temp(), self.temp()
+            self.emit(op.op_truth, tl, lv)
+            self.emit(op.op_truth, tr, rv)
+            self.emit(op.op_logic, dst, e.op == "&&", tl, tr)
+        else:
+            self.emit(op.op_arith, dst, e.op, lv, rv)
+
+    def unwrap(self, v):
+        t = self.temp()
+        self.emit(self.engine.op_unwrap, t, v)
+        return t
+
+    def force(self, v, check_bot):
+        t = self.temp()
+        self.emit(self.engine.op_force, t, v, check_bot)
+        return t
+
+    def call(self, e, dst):
+        op = self.engine
+        args = self.operands(e.args)
+        if e.name in self.codes:
+            params = tuple(p.name for p in op.program.function(e.name).params)
+            self.emit(op.op_call, dst, self.codes[e.name], params, args)
+        elif e.name == "idx":
+            v = args[0] if self.holds(e.args[0]) is None else self.force(args[0], True)
+            self.emit(op.op_idx, dst, v)
+        elif e.name == "unidx":
+            self.emit(op.op_unidx, dst, args[0])
+        elif e.name in op.cfg.tables:
+            table, parts = op.cfg.tables[e.name], self.temp()
+            self.emit(op.op_table, dst, table, args, parts)
+            self.emit(op.op_table_step, dst, table, parts)
+        elif e.name == "puts":
+            self.emit(op.op_puts, dst, args[0])
+        elif e.name not in REGISTRY:
+            self.emit(op.op_error, f"call to unknown function {e.name!r}")
+        elif not any(map(self.holds, e.args)):
+            self.emit(op.op_builtin, dst, REGISTRY[e.name], args)
+        else:
+            held = tuple(self.temp() for _ in args)
+            self.emit(op.op_prepare, held, args, REGISTRY[e.name])
+            forced = tuple(self.force(t, False) for t in held)
+            self.emit(op.op_builtin, dst, REGISTRY[e.name], forced)
+
+
+# ---------------------------------------------------------------------------
+# Explicit states
+# ---------------------------------------------------------------------------
+
+
+class _Frame:
+    """One activation: its instructions, the next one to run, and its store
+    of variables and temporaries."""
+
+    __slots__ = ("code", "ip", "store", "dst")
+
+    def __init__(self, code, store, dst):
+        self.code = code
+        self.ip = 0
+        self.store = store
+        self.dst = dst  # the caller's destination for the return value
+
+    def copy(self) -> "_Frame":
+        f = _Frame(self.code, self.store.copy(), self.dst)
+        f.ip = self.ip
+        return f
+
+
+class _State:
+    """One path in flight, copied at each decision it forks."""
+
+    __slots__ = ("frames", "pc", "facts", "branches", "stmts", "symvars",
+                 "concretized", "loop_counts")
+
+    def __init__(self, main_code):
+        self.frames = [_Frame(main_code, {}, None)]
+        self.pc: list = []
+        self.facts = solver.PathState()  # the facts of pc
+        self.branches = set()  # covered (statement path, taken) edges
+        self.stmts = set()     # covered statement paths
+        self.symvars: dict[str, SymRef | Opaque] = {}
+        self.concretized: dict[str, Value] = {}
+        self.loop_counts: dict[tuple, int] = {}
+
+    def copy(self) -> "_State":
+        st = _State.__new__(_State)
+        st.frames = [f.copy() for f in self.frames]
+        st.pc = self.pc.copy()
+        st.facts = self.facts  # persistent: extend() returns a new one
+        st.branches = self.branches.copy()
+        st.stmts = self.stmts.copy()
+        st.symvars = self.symvars.copy()
+        st.concretized = self.concretized.copy()
+        st.loop_counts = self.loop_counts.copy()
+        return st
+
+    def resolve(self, v):
+        if not self.concretized:
+            return v
+        if isinstance(v, SymRef):
+            return self.concretized.get(v.var.name, v)
+        if isinstance(v, Opaque):
+            return self.concretized.get(v.name, v)
+        return v
+
+
+def _fetch(st: _State, store, a):
+    """An operand's value: a variable is read and resolved, a temporary
+    holds its value, and anything else is a constant."""
+    if a.__class__ is str:
+        v = store.get(a)
+        if v is None:
+            raise MiniImpError(f"read of uninitialised variable {a!r}")
+        return st.resolve(v)
+    if a.__class__ is int:
+        return store[a]
+    return a
+
+
+# ---------------------------------------------------------------------------
+# The explorer
+# ---------------------------------------------------------------------------
 
 
 class Engine:
@@ -212,6 +513,13 @@ class Engine:
         self.states = 0
         self.iot_fork_sizes = []
         self.symrefs: dict[tuple, SymRef | Opaque] = {}
+        self.input_values: dict[int, dict] = {}  # id(SymRef) -> constant -> input
+        self.stack: list[_State] = []
+        self.deadline = 0.0
+        self.codes = {f.name: [] for f in program.functions}
+        lowering = _Lowering(self, self.codes)
+        for f in program.functions:
+            lowering.function(f)
 
     def symbolic_ref(self, fn_name, name):
         """The store entry for `symbolic name` in fn_name, built once and
@@ -242,8 +550,8 @@ class Engine:
 
     def explore(self) -> ExplorationReport:
         start = time.monotonic()
-        deadline = start + self.cfg.wallclock_s
-        stack: list[list[_Option]] = [[]]
+        self.deadline = start + self.cfg.wallclock_s
+        self.stack = [_State(self.codes[self.program.main.name])]
         self.states = 1
         test_cases = []
         covered_branches = set()
@@ -251,29 +559,30 @@ class Engine:
         escaped = 0
         paths = 0
         truncated = False
-        while stack:
-            if time.monotonic() > deadline or self.states > self.cfg.max_states:
+        while self.stack:
+            try:
+                self.check_budget()
+                st = self.stack.pop()
+                outcome = self.run(st)
+            except _Truncated:
                 truncated = True
                 break
-            prefix = stack.pop()
-            run = _Run(self, prefix, stack)
-            outcome = run.execute()
             if outcome is None:
                 continue
             verdict, emit = outcome
             paths += 1
-            covered_branches |= run.covered_branches
-            covered_stmts |= run.covered_stmts
+            covered_branches |= st.branches
+            covered_stmts |= st.stmts
             if verdict == VERDICT_ESCAPED:
                 escaped += 1
-            model = run.model(run.finite_vars()) if emit else None
+            model = self.model(st, self.finite_vars(st)) if emit else None
             if model is not None:  # None: the solver could not give one
                 test_cases.append(TestCase(
                     path_id=len(test_cases),
                     verdict=verdict,
-                    inputs=run.concrete_inputs(model),
-                    covered_branches=frozenset(run.covered_branches),
-                    pc=tuple(run.pc),
+                    inputs=self.concrete_inputs(st, model),
+                    covered_branches=frozenset(st.branches),
+                    pc=tuple(st.pc),
                 ))
         return ExplorationReport(
             mode=self.cfg.mode,
@@ -294,168 +603,89 @@ class Engine:
             elapsed_s=time.monotonic() - start,
         )
 
+    def check_budget(self) -> None:
+        if time.monotonic() > self.deadline or self.states > self.cfg.max_states:
+            raise _Truncated()
 
-class _Run:
-    """One re-execution of the program along a decision prefix."""
-
-    def __init__(self, engine: Engine, prefix, stack):
-        self.engine = engine
-        self.cfg = engine.cfg
-        self.program = engine.program
-        self.path = prefix  # the options chosen so far, the frontier's appended
-        self.stack = stack
-        self.depth = 0
-        self.pc: list = []
-        self.state = solver.PathState()  # the facts of pc
-        self.covered_branches = set()
-        self.covered_stmts = set()
-        self.symvars: dict[str, SymRef | Opaque] = {}
-        self.concretized: dict[str, Value] = {}
-        self.loop_counts: dict[tuple, int] = {}
+    def run(self, st: _State):
+        """Run st to the end of its path and return (verdict, emit), or None
+        when the path turned out infeasible.  Successor states of its
+        decisions go on the stack."""
+        try:
+            while True:
+                fr = st.frames[-1]
+                ins = fr.code[fr.ip]
+                fr.ip += 1
+                ins[0](st, fr, ins)
+        except _Terminal as t:
+            return (t.verdict, t.emit)
+        except EscapedGarden:
+            return (VERDICT_ESCAPED, True)
+        except DivisionByZero:
+            return (VERDICT_DIV_ZERO, True)
+        except _Infeasible:
+            return None
 
     # -- decisions -----------------------------------------------------------
 
-    def decide(self, options, generated: int = 0, record_fork=False):
-        """Take the path's next decision and return the chosen payload.
-
-        options is a callable returning the decision's _Option list; it is
-        called only at the frontier, since a replayed decision takes its
-        recorded option.
-        """
-        d = self.depth
-        self.depth += 1
-        if d < len(self.path):
-            opt = self.path[d]
-            self.pc.extend(opt.atoms)
-            self.state = opt.state
-            return opt.payload
-        # frontier: successor states are created here
-        options = options()
-        self.engine.atoms_generated += generated + sum(len(o.atoms) for o in options)
+    def decide(self, st, fr, dst, options, generated=0, record_fork=False):
+        """Fork st over its feasible options, (atoms, payload) pairs, in
+        order: st takes the first, and a copy of st per other option goes on
+        the stack, last option deepest.  Each writes its payload to dst and
+        resumes at the frame's next instruction."""
+        self.check_budget()
+        self.atoms_generated += generated + sum(len(atoms) for atoms, _ in options)
         feasible = []
-        for opt in options:
-            opt.state = self.check(opt.atoms) if opt.atoms else self.state
-            if opt.state is not None:
-                feasible.append(opt)
+        for atoms, payload in options:
+            facts = self.check(st, atoms) if atoms else st.facts
+            if facts is not None:
+                feasible.append((atoms, payload, facts))
         if record_fork:
-            self.engine.iot_fork_sizes.append(len(feasible))
+            self.iot_fork_sizes.append(len(feasible))
         if not feasible:
             raise _Infeasible()
-        self.engine.states += len(feasible)
-        for opt in reversed(feasible[1:]):
-            self.stack.append(self.path + [opt])
-        opt = feasible[0]
-        self.state = opt.state
-        self.path.append(opt)
-        self.pc.extend(opt.atoms)
-        return opt.payload
+        self.states += len(feasible)
+        for atoms, payload, facts in reversed(feasible[1:]):
+            succ = st.copy()
+            succ.frames[-1].store[dst] = payload
+            succ.pc.extend(atoms)
+            succ.facts = facts
+            self.stack.append(succ)
+        atoms, payload, st.facts = feasible[0]
+        fr.store[dst] = payload
+        st.pc.extend(atoms)
 
-    def check(self, atoms):
-        """The state of pc plus atoms when that is satisfiable; None when it
+    def check(self, st, atoms):
+        """The facts of pc plus atoms when that is satisfiable; None when it
         is not, or when the solver cannot tell (counted as unknown)."""
-        state = self.state.extend(atoms)
-        self.engine.queries += 1
-        self.engine.atoms_sent += state.simplified
-        status = state.status
+        facts = st.facts.extend(atoms)
+        self.queries += 1
+        self.atoms_sent += facts.simplified
+        status = facts.status
         if status is None:
-            status = solver.solve(tuple(self.pc) + tuple(atoms)).status
+            status = solver.solve(tuple(st.pc) + tuple(atoms)).status
             if status == solver.UNKNOWN:
-                self.engine.unknowns += 1
-        return state if status == solver.SAT else None
+                self.unknowns += 1
+        return facts if status == solver.SAT else None
 
-    def model(self, variables):
+    def model(self, st, variables):
         """solve()'s model of pc over its variables and `variables`; None
         when the solver cannot tell (counted as unknown)."""
-        self.engine.queries += 1
-        self.engine.atoms_sent += self.state.simplified
-        if self.state.status is not None:
-            model = self.state.model(variables)
+        self.queries += 1
+        self.atoms_sent += st.facts.simplified
+        if st.facts.status is not None:
+            model = st.facts.model(variables)
         else:
-            res = solver.solve(tuple(self.pc), variables=variables)
+            res = solver.solve(tuple(st.pc), variables=variables)
             if res.status == solver.UNKNOWN:
-                self.engine.unknowns += 1
+                self.unknowns += 1
                 return None
             model = res.model
         if model is None:
             raise SymexError("path condition became unsatisfiable")
         return model
 
-    # -- entry ---------------------------------------------------------------
-
-    def execute(self):
-        try:
-            self.call_function(self.program.main, [])
-        except EscapedGarden:
-            return (VERDICT_ESCAPED, True)
-        except DivisionByZero:
-            return (VERDICT_DIV_ZERO, True)
-        except _Terminal as t:
-            return (t.verdict, t.emit)
-        except _Infeasible:
-            return None
-        return (VERDICT_OK, True)
-
-    def call_function(self, fn, args):
-        scope = {p.name: a for p, a in zip(fn.params, args)}
-        try:
-            self.exec_block(fn.body, scope, (fn.name,))
-        except _Return as r:
-            return r.value
-        raise MiniImpError(f"{fn.name} finished without returning")
-
-    # -- statements ------------------------------------------------------------
-
-    def exec_block(self, body, scope, path):
-        for i, s in enumerate(body):
-            self.exec_stmt(s, scope, path + (i,))
-
-    def exec_stmt(self, s, scope, path):
-        self.covered_stmts.add(path)
-        if isinstance(s, Decl):
-            scope[s.name] = self.eval(s.init, scope) if s.init is not None else None
-        elif isinstance(s, Assign):
-            scope[s.name] = self.eval(s.value, scope)
-        elif isinstance(s, If):
-            taken = self.truth(self.eval(s.cond, scope))
-            self.covered_branches.add((path, taken))
-            self.exec_block(s.then if taken else s.orelse, scope,
-                            path + ("t" if taken else "e",))
-        elif isinstance(s, While):
-            while True:
-                taken = self.truth(self.eval(s.cond, scope))
-                self.covered_branches.add((path, taken))
-                if not taken:
-                    break
-                n = self.loop_counts.get(path, 0) + 1
-                if n > self.cfg.unroll:
-                    raise _Terminal(VERDICT_BOUND)
-                self.loop_counts[path] = n
-                self.exec_block(s.body, scope, path + ("b",))
-        elif isinstance(s, Assert):
-            if not self.truth(self.eval(s.cond, scope)):
-                raise _Terminal(VERDICT_ASSERT)
-        elif isinstance(s, Return):
-            raise _Return(self.eval(s.value, scope) if s.value else None)
-        elif isinstance(s, ExprStmt):
-            self.eval(s.expr, scope)
-        elif isinstance(s, MakeSymbolic):
-            scope[s.name] = self.make_symbolic(s.name, path[0])
-        else:
-            raise MiniImpError(f"cannot execute {s!r}")
-
-    def make_symbolic(self, name, fn_name):
-        if name not in self.symvars:
-            self.symvars[name] = self.engine.symbolic_ref(fn_name, name)
-        return self.symvars[name]
-
-    # -- symbolic values --------------------------------------------------------
-
-    def resolve(self, v):
-        if isinstance(v, SymRef):
-            return self.concretized.get(v.var.name, v)
-        if isinstance(v, Opaque):
-            return self.concretized.get(v.name, v)
-        return v
+    # -- symbolic values -----------------------------------------------------
 
     def _garden(self, tag):
         garden = self.cfg.gardens.get(tag.base)
@@ -463,7 +693,7 @@ class _Run:
             raise SymexError(f"no garden for {tag!r}")
         return garden
 
-    def intractable(self, syms) -> None:
+    def intractable(self, st, syms) -> None:
         """Apply the policy for an operation outside equality theory.
 
         Abandon terminates the path (counted as escaped, no test case);
@@ -474,16 +704,16 @@ class _Run:
             raise _Terminal(VERDICT_ESCAPED, emit=False)
         for s in syms:
             if isinstance(s, Opaque):
-                self.concretized[s.name] = _concretize_default(s.tag)
+                st.concretized[s.name] = _concretize_default(s.tag)
             else:
-                model = self.model([s.var])
+                model = self.model(st, [s.var])
                 if model is None:  # undecided: the path cannot be pinned
                     raise _Infeasible()
                 c = model[s.var.name]
                 atom = var_eq_const(s.var, c)
-                self.pc.append(atom)
-                self.state = self.state.extend((atom,))
-                self.concretized[s.var.name] = _value_from_const(s.tag, c)
+                st.pc.append(atom)
+                st.facts = st.facts.extend((atom,))
+                st.concretized[s.var.name] = _value_from_const(s.tag, c)
 
     def _input_value(self, tag, c) -> Value:
         """The input value solver constant c stands for: an index is
@@ -492,19 +722,11 @@ class _Run:
             return self._garden(tag).value_at(c)
         return _value_from_const(tag, c)
 
-    def truth(self, v) -> bool:
-        v = self.resolve(v)
-        if isinstance(v, Value):
-            no_bot(v)
-            if is_index(v.tag):
-                return truthy(self._garden(v.tag).value_at(v.raw))
-            return truthy(v)
-        if isinstance(v, Unindexed):
-            v = v.ref  # an index is as truthy as the value it denotes
-        if isinstance(v, Opaque):
-            self.intractable([v])
-            return self.truth(self.resolve(v))
-        return self.decide(lambda: self._truth_options(v))
+    def truth(self, v: Value) -> bool:
+        no_bot(v)
+        if is_index(v.tag):
+            return truthy(self._garden(v.tag).value_at(v.raw))
+        return truthy(v)
 
     def _truth_options(self, v: SymRef):
         if is_index(v.tag):
@@ -513,200 +735,277 @@ class _Run:
                      if not truthy(garden.value_at(i))]
         else:
             falsy = [0]
-        options = [_Option([var_neq_const(v.var, f) for f in falsy], True)]
-        options += [_Option([var_eq_const(v.var, f)], False) for f in falsy]
+        options = [([var_neq_const(v.var, f) for f in falsy], True)]
+        options += [([var_eq_const(v.var, f)], False) for f in falsy]
         return options
 
-    def force_value(self, v) -> Value:
-        """Concretize on demand by enumerating the feasible finite domain."""
-        v = self.resolve(v)
+    def force_value(self, st, fr, dst, v) -> None:
+        """Write v to dst, concretized on demand by enumerating its feasible
+        finite domain."""
+        v = st.resolve(v)
+        if isinstance(v, Opaque):
+            self.intractable(st, [v])
+            v = st.resolve(v)
         if isinstance(v, Value):
             no_bot(v)
-            return v
-        if isinstance(v, Opaque):
-            self.intractable([v])
-            return self.force_value(v)
-        return self.decide(lambda: self._value_options(v))
-
-    def _value_options(self, v):
+            fr.store[dst] = v
+            return
         ref, value = ((v.ref, self._input_value) if isinstance(v, Unindexed)
                       else (v, _value_from_const))
-        return [_Option([var_eq_const(ref.var, c)], value(ref.tag, c))
-                for c in range(ref.var.size)]
+        self.decide(st, fr, dst, [([var_eq_const(ref.var, c)], value(ref.tag, c))
+                                  for c in range(ref.var.size)])
 
-    # -- expressions --------------------------------------------------------------
+    # -- instructions ----------------------------------------------------------
 
-    def eval(self, e, scope):
-        if isinstance(e, Literal):
-            return Value(e.tag, e.value)
-        if isinstance(e, BotLiteral):
-            return Value(e.tag, BOT)
-        if isinstance(e, Var):
-            v = scope.get(e.name)
-            if v is None:
-                raise MiniImpError(f"read of uninitialised variable {e.name!r}")
-            return self.resolve(v)
-        if isinstance(e, UnOp):
-            v = self.resolve(self.eval(e.operand, scope))
-            if e.op == "!":
-                return mk_bool(not self.truth(v))
-            if not isinstance(v, Value):
-                self.intractable([v])
-                v = self.resolve(v)
-            no_bot(v)
-            return mk_int(-v.raw)
-        if isinstance(e, BinOp):
-            return self.binop(e, scope)
-        if isinstance(e, Call):
-            return self.call(e, scope)
-        raise MiniImpError(f"cannot evaluate {e!r}")
+    def op_mark(self, st, fr, ins):  # (op, statement path)
+        st.stmts.add(ins[1])
 
-    def binop(self, e: BinOp, scope):
-        lv = self.resolve(self.eval(e.left, scope))
-        rv = self.resolve(self.eval(e.right, scope))
-        if e.op in ("==", "!="):
-            return self.compare(e.op, lv, rv)
-        if e.op in ("&&", "||"):
-            lb = self.truth(lv)
-            rb = self.truth(rv)
-            return mk_bool((lb and rb) if e.op == "&&" else (lb or rb))
+    def op_set(self, st, fr, ins):  # (op, dst, operand)
+        fr.store[ins[1]] = _fetch(st, fr.store, ins[2])
+
+    def op_symbolic(self, st, fr, ins):  # (op, name, function name)
+        name = ins[1]
+        ref = st.symvars.get(name)
+        if ref is None:
+            ref = st.symvars[name] = self.symbolic_ref(ins[2], name)
+        fr.store[name] = ref
+
+    def op_error(self, st, fr, ins):  # (op, message)
+        raise MiniImpError(ins[1])
+
+    def op_jump(self, st, fr, ins):  # (op, target)
+        fr.ip = ins[1]
+
+    def op_truth(self, st, fr, ins):  # (op, dst, operand): dst = a bool
+        v = st.resolve(_fetch(st, fr.store, ins[2]))
+        if isinstance(v, Opaque):
+            self.intractable(st, [v])
+            v = st.resolve(v)
+        if isinstance(v, Value):
+            fr.store[ins[1]] = self.truth(v)
+            return
+        if isinstance(v, Unindexed):
+            v = v.ref  # an index is as truthy as the value it denotes
+        self.decide(st, fr, ins[1], self._truth_options(v))
+
+    def _taken(self, st, fr, cond) -> bool:
+        c = _fetch(st, fr.store, cond)
+        return c if c.__class__ is bool else self.truth(c)
+
+    def op_branch(self, st, fr, ins):  # (op, cond, edge_t, edge_e, else_at)
+        if self._taken(st, fr, ins[1]):
+            st.branches.add(ins[2])
+        else:
+            st.branches.add(ins[3])
+            fr.ip = ins[4]
+
+    def op_loop(self, st, fr, ins):  # (op, cond, edge_t, edge_e, exit_at, path)
+        if not self._taken(st, fr, ins[1]):
+            st.branches.add(ins[3])
+            fr.ip = ins[4]
+            return
+        st.branches.add(ins[2])
+        n = st.loop_counts.get(ins[5], 0) + 1
+        if n > self.cfg.unroll:
+            raise _Terminal(VERDICT_BOUND)
+        st.loop_counts[ins[5]] = n
+        self.check_budget()
+
+    def op_assert(self, st, fr, ins):  # (op, cond)
+        if not self._taken(st, fr, ins[1]):
+            raise _Terminal(VERDICT_ASSERT)
+
+    def op_return(self, st, fr, ins):  # (op, operand)
+        value = _fetch(st, fr.store, ins[1])
+        st.frames.pop()
+        if not st.frames:
+            raise _Terminal(VERDICT_OK)
+        st.frames[-1].store[fr.dst] = value
+
+    def op_call(self, st, fr, ins):  # (op, dst, callee code, params, args)
+        args = [_fetch(st, fr.store, a) for a in ins[4]]
+        st.frames.append(_Frame(ins[2], dict(zip(ins[3], args)), ins[1]))
+
+    def op_not(self, st, fr, ins):  # (op, dst, bool)
+        fr.store[ins[1]] = _BOOLS[not fr.store[ins[2]]]
+
+    def op_neg(self, st, fr, ins):  # (op, dst, operand)
+        v = st.resolve(_fetch(st, fr.store, ins[2]))
+        if not isinstance(v, Value):
+            self.intractable(st, [v])
+            v = st.resolve(v)
+        no_bot(v)
+        fr.store[ins[1]] = mk_int(-v.raw)
+
+    def op_logic(self, st, fr, ins):  # (op, dst, is_and, bool, bool)
+        lb, rb = fr.store[ins[3]], fr.store[ins[4]]
+        fr.store[ins[1]] = _BOOLS[(lb and rb) if ins[2] else (lb or rb)]
+
+    def op_arith(self, st, fr, ins):  # (op, dst, operator, left, right)
+        lv, rv = _fetch(st, fr.store, ins[3]), _fetch(st, fr.store, ins[4])
         if not (isinstance(lv, Value) and isinstance(rv, Value)):
             # ordering and arithmetic live outside equality theory
-            self.intractable([x for x in (lv, rv) if not isinstance(x, Value)])
-            lv, rv = self.resolve(lv), self.resolve(rv)
+            self.intractable(st, [x for x in (lv, rv) if not isinstance(x, Value)])
+            lv, rv = st.resolve(lv), st.resolve(rv)
             if not (isinstance(lv, Value) and isinstance(rv, Value)):
                 raise SymexError("operands remained symbolic after concretization")
         no_bot(lv, rv)
-        return concrete_binop(e.op, lv, rv)
+        fr.store[ins[1]] = concrete_binop(ins[2], lv, rv)
 
-    def compare(self, op, lv, rv):
-        want = op == "=="
+    def op_opaque(self, st, fr, ins):  # (op, dst_l, dst_r, left, right)
+        lv, rv = _fetch(st, fr.store, ins[3]), _fetch(st, fr.store, ins[4])
+        if isinstance(lv, Opaque) or isinstance(rv, Opaque):
+            self.intractable(st, [x for x in (lv, rv) if isinstance(x, Opaque)])
+            lv, rv = st.resolve(lv), st.resolve(rv)
+        fr.store[ins[1]], fr.store[ins[2]] = lv, rv
+
+    def op_unwrap(self, st, fr, ins):  # (op, dst, operand): force an Unindexed
+        v = _fetch(st, fr.store, ins[2])
+        if isinstance(v, Unindexed):
+            self.force_value(st, fr, ins[1], v)
+        else:
+            fr.store[ins[1]] = v
+
+    def op_force(self, st, fr, ins):  # (op, dst, operand, check a Value)
+        v = _fetch(st, fr.store, ins[2])
+        if isinstance(v, Value) and not ins[3]:
+            fr.store[ins[1]] = v
+        else:
+            self.force_value(st, fr, ins[1], v)
+
+    def op_compare(self, st, fr, ins):  # (op, dst, want, left, right)
+        dst, want = ins[1], ins[2]
+        lv, rv = _fetch(st, fr.store, ins[3]), _fetch(st, fr.store, ins[4])
         if isinstance(lv, Value) and isinstance(rv, Value):
             no_bot(lv, rv)
-            return mk_bool((lv.raw == rv.raw) == want)
-        if isinstance(lv, Opaque) or isinstance(rv, Opaque):
-            self.intractable([x for x in (lv, rv) if isinstance(x, Opaque)])
-            return self.compare(op, self.resolve(lv), self.resolve(rv))
-        if isinstance(lv, Unindexed) or isinstance(rv, Unindexed):
-            lv = self.force_value(lv) if isinstance(lv, Unindexed) else lv
-            rv = self.force_value(rv) if isinstance(rv, Unindexed) else rv
-            return self.compare(op, lv, rv)
-        if isinstance(lv, SymRef) and isinstance(rv, SymRef):
-            return mk_bool(self.decide(lambda: [
-                _Option([var_eq_var(lv.var, rv.var)], want),
-                _Option([var_neq_var(lv.var, rv.var)], not want)]))
-        sym, conc = (lv, rv) if isinstance(lv, SymRef) else (rv, lv)
-        no_bot(conc)
-        c = _const_for(sym, conc)
-        if c is None:  # constant outside the symbolic domain: never equal
-            return mk_bool(not want)
-        return mk_bool(self.decide(lambda: [
-            _Option([var_eq_const(sym.var, c)], want),
-            _Option([var_neq_const(sym.var, c)], not want)]))
+            fr.store[dst] = _BOOLS[(lv.raw == rv.raw) == want]
+        elif isinstance(lv, SymRef) and isinstance(rv, SymRef):
+            self.decide(st, fr, dst, [
+                ([var_eq_var(lv.var, rv.var)], _BOOLS[want]),
+                ([var_neq_var(lv.var, rv.var)], _BOOLS[not want])])
+        else:
+            sym, conc = (lv, rv) if isinstance(lv, SymRef) else (rv, lv)
+            no_bot(conc)
+            c = _const_for(sym, conc)
+            if c is None:  # constant outside the symbolic domain: never equal
+                fr.store[dst] = _BOOLS[not want]
+                return
+            self.decide(st, fr, dst, [
+                ([var_eq_const(sym.var, c)], _BOOLS[want]),
+                ([var_neq_const(sym.var, c)], _BOOLS[not want])])
 
-    # -- calls ----------------------------------------------------------------
-
-    def call(self, e: Call, scope):
-        args = [self.eval(a, scope) for a in e.args]
-        user = self.program.function(e.name)
-        if user is not None:
-            return self.call_function(user, args)
-        if e.name == "idx":
-            return self.intrinsic_idx(args[0])
-        if e.name == "unidx":
-            return self.intrinsic_unidx(args[0])
-        if e.name in self.cfg.tables:
-            return self.table_call(self.cfg.tables[e.name], args)
-        if e.name == "puts":
-            return self.builtin_puts(args[0])
-        op = REGISTRY.get(e.name)
-        if op is None:
-            raise MiniImpError(f"call to unknown function {e.name!r}")
-        return self.builtin_call(op, args)
-
-    def intrinsic_idx(self, v):
-        v = self.force_value(v)
+    def op_idx(self, st, fr, ins):  # (op, dst, operand)
+        v = _fetch(st, fr.store, ins[2])
+        no_bot(v)
         garden = self.cfg.gardens.get(v.tag)
         if garden is None:
             raise SymexError(f"idx: no garden for {v.tag!r}")
-        return Value(index_of(v.tag), garden.index_or_bot(v))
+        fr.store[ins[1]] = Value(index_of(v.tag), garden.index_or_bot(v))
 
-    def intrinsic_unidx(self, v):
-        v = self.resolve(v)
+    def op_unidx(self, st, fr, ins):  # (op, dst, operand)
+        v = st.resolve(_fetch(st, fr.store, ins[2]))
         if isinstance(v, Value):
-            return self._garden(v.tag).value_at(v.raw)
-        if isinstance(v, SymRef):
-            return Unindexed(v)
-        raise SymexError(f"unidx applied to {v!r}")
+            fr.store[ins[1]] = self._garden(v.tag).value_at(v.raw)
+        elif isinstance(v, SymRef):
+            fr.store[ins[1]] = Unindexed(v)
+        else:
+            raise SymexError(f"unidx applied to {v!r}")
 
-    def builtin_puts(self, v):
-        v = self.resolve(v)
+    def op_puts(self, st, fr, ins):  # (op, dst, operand)
+        v = st.resolve(_fetch(st, fr.store, ins[2]))
         if isinstance(v, Value):  # a symbolic value is a sink, never needed
             no_bot(v)
-        return mk_int(0)
+        fr.store[ins[1]] = mk_int(0)
 
-    def builtin_call(self, op, args):
-        resolved = [self.resolve(a) for a in args]
+    def op_prepare(self, st, fr, ins):  # (op, dsts, args, builtin)
+        resolved = [st.resolve(_fetch(st, fr.store, a)) for a in ins[2]]
         syms = [a for a in resolved if not isinstance(a, Value)]
         if syms:
             if self.cfg.mode == MODE_INDEXED:
                 # values outside the index algebra stay intractable even here
                 if any(isinstance(a, Opaque) for a in syms):
                     raise _Terminal(VERDICT_ESCAPED, emit=False)
-            elif op.klass in _INTRACTABLE_CLASSES:
-                self.intractable(syms)
-                resolved = [self.resolve(a) for a in resolved]
-            resolved = [a if isinstance(a, Value) else self.force_value(a)
-                        for a in resolved]
-        no_bot(*resolved)
-        return op.eval(*resolved)
+            elif ins[3].klass in _INTRACTABLE_CLASSES:
+                self.intractable(st, syms)
+                resolved = [st.resolve(a) for a in resolved]
+        for dst, v in zip(ins[1], resolved):
+            fr.store[dst] = v
+
+    def op_builtin(self, st, fr, ins):  # (op, dst, builtin, args: Values)
+        args = [st.resolve(_fetch(st, fr.store, a)) for a in ins[3]]
+        no_bot(*args)
+        fr.store[ins[1]] = ins[2].eval(*args)
 
     # -- indexed operator tables -------------------------------------------------
 
-    def table_call(self, table: IndexedOperatorTable, args):
+    def op_table(self, st, fr, ins):  # (op, dst, table, args, parts)
         # parts[i] is argument i's key component, or its SymRef while free.
         # The relevant-subset optimization: concrete arguments and pins already
         # entailed by the path condition filter rows before any forking
+        table, bot_propagate = ins[2], self.cfg.bot_propagate
         parts = []
-        for a in map(self.resolve, args):
+        for a in ins[3]:
+            a = st.resolve(_fetch(st, fr.store, a))
             if isinstance(a, Value):
-                if a.raw is BOT and self.cfg.bot_propagate:
-                    return table.cell_value(BOT, self.cfg.bot_propagate)
+                if a.raw is BOT and bot_propagate:
+                    fr.ip += 1
+                    fr.store[ins[1]] = table.cell_value(BOT, bot_propagate)
+                    return
                 no_bot(a)
                 parts.append(a.raw)
             elif isinstance(a, SymRef):
-                pin = self.state.pin(a.var.name)
+                pin = st.facts.pin(a.var.name)
                 parts.append(a if pin is None else pin)
             else:
                 raise SymexError(f"indexed call on unsupported value {a!r}")
+        if not any(isinstance(p, SymRef) for p in parts):
+            fr.ip += 1
+            fr.store[ins[1]] = table.cell_value(table.lookup(tuple(parts)),
+                                                bot_propagate)
+            return
+        # op_table_step, next, takes the call through its free dimensions
+        self._table_fork(st, fr, table, tuple(parts), ins[4],
+                         len(table.rows) * max(table.arity, 1))
+
+    def op_table_step(self, st, fr, ins):  # (op, dst, table, parts)
+        parts = fr.store[ins[3]]
+        if parts.__class__ is tuple:  # free dimensions left: decide again here
+            fr.ip -= 1
+            self._table_fork(st, fr, ins[2], parts, ins[3], 0)
+        else:  # the cell
+            fr.store[ins[1]] = ins[2].cell_value(parts, self.cfg.bot_propagate)
+
+    def _table_fork(self, st, fr, table, parts, dst, generated):
+        """Enumerate the first free dimension while another one is free,
+        then fork on the rows: the payload is the parts with one more
+        dimension fixed, or the call's cell."""
         free = [i for i, p in enumerate(parts) if isinstance(p, SymRef)]
-        if not free:
-            return table.cell_value(table.lookup(tuple(parts)), self.cfg.bot_propagate)
-        naive = len(table.rows) * max(table.arity, 1)
-        # reduce to one free dimension by enumerating the others
-        for i in free[:-1]:
-            v = self.decide(lambda: _dim_options(parts[i], table.dims[i]),
-                            generated=naive)
-            naive = 0
-            if v is None:
-                return table.cell_value(BOT, self.cfg.bot_propagate)
-            parts[i] = v
-        cell = self.decide(lambda: _row_options(table, parts, free[-1]),
-                           generated=naive, record_fork=True)
-        return table.cell_value(cell, self.cfg.bot_propagate)
+        if len(free) > 1:
+            self.decide(st, fr, dst, _dim_options(parts, free[0], table.dims[free[0]]),
+                        generated)
+        else:
+            self.decide(st, fr, dst, _row_options(table, parts, free[0]),
+                        generated, record_fork=True)
 
     # -- reporting -----------------------------------------------------------------
 
-    def finite_vars(self):
-        return [v.var for v in self.symvars.values() if isinstance(v, SymRef)]
+    def finite_vars(self, st):
+        return [v.var for v in st.symvars.values() if isinstance(v, SymRef)]
 
-    def concrete_inputs(self, model) -> dict:
+    def concrete_inputs(self, st, model) -> dict:
         out = {}
-        for name, ref in self.symvars.items():
+        for name, ref in st.symvars.items():
             if isinstance(ref, Opaque):
-                out[name] = self.concretized.get(name, _concretize_default(ref.tag))
+                out[name] = st.concretized.get(name, _concretize_default(ref.tag))
             else:
-                out[name] = self._input_value(ref.tag, model.get(name, 0))
+                c = model.get(name, 0)
+                values = self.input_values.get(id(ref))
+                if values is None:
+                    values = self.input_values[id(ref)] = {}
+                value = values.get(c)
+                if value is None:
+                    value = values[c] = self._input_value(ref.tag, c)
+                out[name] = value
         return out
 
 
@@ -732,13 +1031,14 @@ def _const_for(sym: SymRef, conc: Value):
     return c if sym.var.contains(c) else None
 
 
-def _dim_options(ref: SymRef, dim):
+def _dim_options(parts, at: int, dim):
     """One option per value of a table dimension, for a symbolic argument
-    that is not the call's free one."""
-    options = [_Option([var_eq_const(ref.var, v)], v) for v in dim.domain()]
-    if isinstance(dim, IntPoolDim):  # out-of-pool values all map to BOT
-        options.append(
-            _Option([var_neq_const(ref.var, v) for v in dim.domain()], None))
+    that is not the call's free one; out of an int pool, the cell is BOT."""
+    ref = parts[at]
+    options = [([var_eq_const(ref.var, v)], parts[:at] + (v,) + parts[at + 1:])
+               for v in dim.domain()]
+    if isinstance(dim, IntPoolDim):
+        options.append(([var_neq_const(ref.var, v) for v in dim.domain()], BOT))
     return options
 
 
@@ -748,13 +1048,12 @@ def _row_options(table: IndexedOperatorTable, parts, free_at: int):
     ref = parts[free_at]
     rows = []
     for v in table.dims[free_at].domain():
-        cell = table.lookup(tuple(v if i == free_at else p
-                                  for i, p in enumerate(parts)))
+        cell = table.lookup(parts[:free_at] + (v,) + parts[free_at + 1:])
         if cell is not BOT:
             rows.append((cell, v))
     rows.sort()
-    options = [_Option([var_eq_const(ref.var, v)], cell) for cell, v in rows]
-    options.append(_Option([var_neq_const(ref.var, v) for _, v in rows], BOT))
+    options = [([var_eq_const(ref.var, v)], cell) for cell, v in rows]
+    options.append(([var_neq_const(ref.var, v) for _, v in rows], BOT))
     return options
 
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from indexify.symex import (
     MODE_ABANDON,
     MODE_CONCRETIZE,
     MODE_INDEXED,
+    Engine,
     ExploreConfig,
     explore,
     explore_baseline,
@@ -547,7 +549,7 @@ def test_solver_unknown_drops_one_option_and_exploration_goes_on(monkeypatch, un
     assert rep.paths == (1 if unknown_at == 1 else 2)
 
 
-def test_replay_builds_no_options(monkeypatch):
+def _vars_pipeline():
     # the vars_deep benchmark shape: four symbolic strings, one strcmp each,
     # so a table fork at each of the 1 + 4 + 16 + 64 inner tree nodes
     lines = ["int main() {"]
@@ -559,7 +561,11 @@ def test_replay_builds_no_options(monkeypatch):
     lines += ["  assert(hits != 4);", "  return hits;", "}"]
     cfg = CliConfig(input_path="vars.mi", indexed_types=(STR,),
                     f_plus_names=("strcmp",), k=0)
-    pipe = rewrite_pipeline(build_pipeline(parse("\n".join(lines)), cfg), cfg)
+    return cfg, rewrite_pipeline(build_pipeline(parse("\n".join(lines)), cfg), cfg)
+
+
+def test_replay_builds_no_options(monkeypatch):
+    cfg, pipe = _vars_pipeline()
     counts = {"lookup": 0, "solve": 0}
     real_lookup, real_solve = IndexedOperatorTable.lookup, solver.solve
 
@@ -599,3 +605,46 @@ def test_raw_result_table_miss_escapes_at_the_call():
         run = interpret(res.program, tc.inputs, gardens=gardens, tables=tables,
                         bot_propagate=True)
         assert (run.verdict, run.return_value.raw) == ("ok", BOT)
+
+
+def test_each_tree_node_runs_its_indexed_call_once(monkeypatch):
+    # states are forked by copy, so an indexed call runs once per node of
+    # the decision tree: 1 + 4 + 16 + 64 = 85.  Re-running each of the 256
+    # paths from main would run 256 x 4 = 1,024 calls
+    cfg, pipe = _vars_pipeline()
+    calls, real = [], Engine.op_table
+
+    def op_table(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Engine, "op_table", op_table)
+    rep = run_mode(cfg, pipe, MODE_INDEXED)
+    assert (rep.paths, rep.states) == (256, 341)
+    assert len(calls) == 85
+
+
+def test_wallclock_budget_is_checked_inside_a_path():
+    # a single path that does not end by itself: the deadline is checked at
+    # the loop's back-edge and at every decision, not only between paths
+    src = "int main() { int i = 0; while (i < 1000000000) { i = i + 1; } return i; }"
+    p = typecheck(parse(src))
+    t0 = time.monotonic()
+    rep = explore(p, ExploreConfig(mode=MODE_INDEXED, unroll=10 ** 9, wallclock_s=0.05))
+    assert time.monotonic() - t0 < 2.0
+    assert rep.truncated
+    assert (rep.paths, rep.test_cases) == (0, ())
+
+
+def test_state_budget_is_checked_at_each_decision():
+    # the budget is the number of states: a run stops at the decision that
+    # would go past it, inside the path that makes it
+    cfg, pipe = _vars_pipeline()
+    full = run_mode(cfg, pipe, MODE_INDEXED)
+    assert not full.truncated
+    cut = explore(pipe.indexed.program, ExploreConfig(
+        gardens=pipe.gardens, tables=pipe.tables, max_states=10))
+    assert cut.truncated
+    assert cut.states <= 10 + len(pipe.gardens[STR])
+    # the first path forks 4 times, 4 states each: the fourth fork is refused
+    assert (cut.paths, cut.test_cases) == (0, ())
