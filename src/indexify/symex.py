@@ -207,6 +207,9 @@ class _Truncated(Exception):
 # next instruction.
 
 
+_SYMBOLIC = (SymRef, Opaque, Unindexed)
+
+
 def _pure(e) -> bool:
     """Evaluating e cannot decide, concretize or end the path."""
     return isinstance(e, (Literal, BotLiteral, Var))
@@ -371,9 +374,9 @@ class _Lowering:
                 self.emit(op.op_opaque, tl, tr, lv, rv)
                 lv, rv = tl, tr
             if held[0] in ("any", "unindexed"):
-                lv = self.unwrap(lv)
+                lv = self.force(lv, (Unindexed,))
             if held[1] in ("any", "unindexed"):
-                rv = self.unwrap(rv)
+                rv = self.force(rv, (Unindexed,))
             self.emit(op.op_compare, dst, e.op == "==", lv, rv)
         elif e.op in ("&&", "||"):
             tl, tr = self.temp(), self.temp()
@@ -383,14 +386,10 @@ class _Lowering:
         else:
             self.emit(op.op_arith, dst, e.op, lv, rv)
 
-    def unwrap(self, v):
+    def force(self, v, forced):
+        """A temporary holding v, forced concrete if it is one of forced."""
         t = self.temp()
-        self.emit(self.engine.op_unwrap, t, v)
-        return t
-
-    def force(self, v, check_bot):
-        t = self.temp()
-        self.emit(self.engine.op_force, t, v, check_bot)
+        self.emit(self.engine.op_force, t, v, forced)
         return t
 
     def call(self, e, dst):
@@ -400,7 +399,8 @@ class _Lowering:
             params = tuple(p.name for p in op.program.function(e.name).params)
             self.emit(op.op_call, dst, self.codes[e.name], params, args)
         elif e.name == "idx":
-            v = args[0] if self.holds(e.args[0]) is None else self.force(args[0], True)
+            v = args[0] if self.holds(e.args[0]) is None else \
+                self.force(args[0], _SYMBOLIC)
             self.emit(op.op_idx, dst, v)
         elif e.name == "unidx":
             self.emit(op.op_unidx, dst, args[0])
@@ -417,7 +417,7 @@ class _Lowering:
         else:
             held = tuple(self.temp() for _ in args)
             self.emit(op.op_prepare, held, args, REGISTRY[e.name])
-            forced = tuple(self.force(t, False) for t in held)
+            forced = tuple(self.force(t, _SYMBOLIC) for t in held)
             self.emit(op.op_builtin, dst, REGISTRY[e.name], forced)
 
 
@@ -859,19 +859,12 @@ class Engine:
             lv, rv = st.resolve(lv), st.resolve(rv)
         fr.store[ins[1]], fr.store[ins[2]] = lv, rv
 
-    def op_unwrap(self, st, fr, ins):  # (op, dst, operand): force an Unindexed
+    def op_force(self, st, fr, ins):  # (op, dst, operand, classes forced)
         v = _fetch(st, fr.store, ins[2])
-        if isinstance(v, Unindexed):
+        if isinstance(v, ins[3]):
             self.force_value(st, fr, ins[1], v)
         else:
             fr.store[ins[1]] = v
-
-    def op_force(self, st, fr, ins):  # (op, dst, operand, check a Value)
-        v = _fetch(st, fr.store, ins[2])
-        if isinstance(v, Value) and not ins[3]:
-            fr.store[ins[1]] = v
-        else:
-            self.force_value(st, fr, ins[1], v)
 
     def op_compare(self, st, fr, ins):  # (op, dst, want, left, right)
         dst, want = ins[1], ins[2]

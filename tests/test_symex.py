@@ -292,6 +292,21 @@ def test_baseline_concretize_pins_finite_variables():
         assert replay(p, tc).ok
 
 
+def test_concretization_runs_once_per_tree_node():
+    # n + 1 pins n with one model query; the fork on k that follows copies
+    # the pinned state, so the second path does not ask for the model again
+    src = ("int main() { int n; symbolic n; int m = n + 1; int k; symbolic k; "
+           "if (k == 2) { return 1; } return m; }")
+    p = typecheck(parse(src))
+    rep = explore_baseline(p, ExploreConfig(mode=MODE_CONCRETIZE))
+    assert [(tc.inputs["n"].raw, tc.inputs["k"].raw) for tc in rep.test_cases] == \
+        [(0, 2), (0, 0)]
+    # the pin, the two sides of k == 2 and one model per path
+    assert (rep.states, rep.paths, rep.solver_queries) == (3, 2, 5)
+    for tc in rep.test_cases:
+        assert replay(p, tc).ok
+
+
 def test_symbolic_scoping_is_function_local():
     # two functions may declare the same name with different types; the
     # symbolic marker binds against the enclosing function's declaration
