@@ -5,11 +5,11 @@ variables range over garden indices, and indexed-operator calls fork per table
 row (after filtering rows against concrete arguments and pins already
 entailed by the path condition).  The executor consumes BOT as the
 interpreter does, by raising EscapedGarden, which ends the path with the
-escaped-garden verdict; a raw-result table miss escapes at the call.  Baseline mode runs the original program and either
-abandons at intractable operator calls or concretizes their symbolic
-arguments (fixed defaults for strings and floats, a model value pinned into
-the path condition for finite-domain variables), mimicking what dynamic
-symbolic execution does.
+escaped-garden verdict; a raw-result table miss escapes at the call.
+Baseline mode runs the original program and either abandons at intractable
+operator calls or concretizes their symbolic arguments (fixed defaults for
+strings and floats, a model value pinned into the path condition for
+finite-domain variables), mimicking what dynamic symbolic execution does.
 
 Paths are enumerated depth-first over explicit states, forked by copy.
 Each function body is lowered once per exploration into a flat list of
