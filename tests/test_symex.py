@@ -652,8 +652,8 @@ def test_wallclock_budget_is_checked_inside_a_path():
 
 
 def test_state_budget_is_checked_at_each_decision():
-    # the budget is the number of states: a run stops at the decision that
-    # would go past it, inside the path that makes it
+    # the budget is the number of states: a run stops at the first decision
+    # made once the count has passed it, inside the path that makes it
     cfg, pipe = _vars_pipeline()
     full = run_mode(cfg, pipe, MODE_INDEXED)
     assert not full.truncated
