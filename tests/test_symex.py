@@ -579,7 +579,8 @@ def _vars_pipeline():
     return cfg, rewrite_pipeline(build_pipeline(parse("\n".join(lines)), cfg), cfg)
 
 
-def test_replay_builds_no_options(monkeypatch):
+def test_each_tree_node_builds_its_options_once(monkeypatch):
+    # a row fork looks up each of the 4 garden values once per node
     cfg, pipe = _vars_pipeline()
     counts = {"lookup": 0, "solve": 0}
     real_lookup, real_solve = IndexedOperatorTable.lookup, solver.solve
