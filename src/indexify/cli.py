@@ -238,11 +238,14 @@ def parse_input_value(text: str) -> Value:
     return Value(lit.tag, lit.value)
 
 
-def format_testcase(tc: TestCase) -> str:
-    lines = [f"# testcase {tc.path_id} verdict={tc.verdict}"]
-    for name in sorted(tc.inputs):
-        lines.append(f"{name}={format_input_value(tc.inputs[name])}")
-    return "\n".join(lines) + "\n"
+def format_inputs(tc: TestCase) -> list:
+    """The test case's inputs as name=value lines, sorted by name."""
+    return [f"{name}={format_input_value(v)}" for name, v in sorted(tc.inputs.items())]
+
+
+def format_testcase(tc: TestCase, inputs: list) -> str:
+    """A .tc file; inputs is format_inputs(tc)."""
+    return "\n".join([f"# testcase {tc.path_id} verdict={tc.verdict}", *inputs]) + "\n"
 
 
 def parse_testcase_file(text: str):
@@ -261,6 +264,7 @@ def parse_testcase_file(text: str):
 
 
 def format_report(report: ExplorationReport, program_name: str) -> str:
+    """The report's summary; format_report_line adds a line per test case."""
     lines = [
         f"program {program_name}",
         f"mode {report.mode}",
@@ -274,11 +278,12 @@ def format_report(report: ExplorationReport, program_name: str) -> str:
         f"instr_coverage {report.instr_covered}/{report.instr_total}",
         f"truncated {str(report.truncated).lower()}",
     ]
-    for tc in report.test_cases:
-        inputs = " ".join(f"{k}={format_input_value(v)}"
-                          for k, v in sorted(tc.inputs.items()))
-        lines.append(f"testcase {tc.path_id} verdict={tc.verdict} {inputs}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def format_report_line(tc: TestCase, inputs: list) -> str:
+    """A test case's report line; inputs is format_inputs(tc)."""
+    return f"testcase {tc.path_id} verdict={tc.verdict} {' '.join(inputs)}".rstrip() + "\n"
 
 
 def human_summary(report: ExplorationReport) -> str:
@@ -302,15 +307,17 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
     name = os.path.basename(cfg.input_path)
     for mode, report in reports.items():
         suffix = mode.replace("baseline-", "")
-        with open(os.path.join(outdir, f"report.{suffix}.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(format_report(report, name))
         tc_dir = os.path.join(outdir, f"testcases.{suffix}")
         os.makedirs(tc_dir, exist_ok=True)
-        for tc in report.test_cases:
-            with open(os.path.join(tc_dir, f"{tc.path_id:04d}.tc"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(format_testcase(tc))
+        with open(os.path.join(outdir, f"report.{suffix}.txt"), "w",
+                  encoding="utf-8") as rep:
+            rep.write(format_report(report, name))
+            for tc in report.test_cases:
+                inputs = format_inputs(tc)  # once, for the report line and the .tc file
+                rep.write(format_report_line(tc, inputs))
+                with open(os.path.join(tc_dir, f"{tc.path_id:04d}.tc"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write(format_testcase(tc, inputs))
     if cfg.emit_ir and pipe.indexed is not None:
         with open(cfg.input_path + ".indexed.mi", "w", encoding="utf-8") as fh:
             fh.write(emit_indexed_source(pipe.indexed))

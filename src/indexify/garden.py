@@ -12,7 +12,6 @@ two builds from the same inputs are bit-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -34,8 +33,6 @@ from .lang.ast import (
 )
 from .lang.parser import parse_scalar_literal, unescape_string
 from .lang.printer import escape_bytes, print_literal
-
-SAT_LIMIT = 2**63 - 1
 
 
 class GardenError(Exception):
@@ -241,51 +238,6 @@ def _kleene_fill(imap: IndexMap, max_len: int) -> None:
                 nxt.append(t)
                 imap.admit(mk_str(t))
         level = nxt
-
-
-# ---------------------------------------------------------------------------
-# Growth prediction (free term algebra)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GrowthPrediction:
-    brute_force: int  # ordered-tuple free-term count after k rounds
-    formula_value: int  # the binomial closed form, evaluated as printed
-    overflowed: bool
-
-
-def predict_free_growth(seed_count: int, arities, k: int) -> GrowthPrediction:
-    """Estimate garden size assuming every builder application is fresh.
-
-    brute_force counts distinct free terms of application depth <= k with
-    ordered argument tuples.  formula_value evaluates the binomial sum over
-    unordered selections; the two are reported side by side rather than
-    asserted equal, since they count different things.
-    """
-    if seed_count < 0 or k < 0 or any(a < 1 for a in arities):
-        raise GardenError("counts must be non-negative and arities >= 1")
-    arities = list(arities)
-    # N[i] = free-term count at depth <= i; N[-1] treated as 0
-    n = [seed_count]
-    overflow = False
-    for i in range(1, k + 2):
-        prev, prev2 = n[i - 1], (n[i - 2] if i >= 2 else 0)
-        total = prev
-        for a in arities:
-            total += prev**a - prev2**a
-        if total > SAT_LIMIT:
-            total = SAT_LIMIT
-            overflow = True
-        n.append(total)
-    formula = 0
-    for m in range(2, k + 3):
-        for a in arities:
-            formula += math.comb(n[m - 1], a) - math.comb(n[m - 2], a)
-    if formula > SAT_LIMIT:
-        formula = SAT_LIMIT
-        overflow = True
-    return GrowthPrediction(brute_force=n[k], formula_value=formula, overflowed=overflow)
 
 
 # ---------------------------------------------------------------------------

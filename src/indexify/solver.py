@@ -12,9 +12,11 @@ a per-query budget converts pathological instances into an "unknown"
 verdict instead of a hang.
 
 PathState keeps the same classes, pins and exclusions incrementally as a path
-condition grows, and decides it without solve() unless it holds a var-var
-disequality: only such a path condition goes to solve().  solve(),
-simplify() and entailed_pins() stay the reference it is tested against.
+condition grows, checks each class on its own as it changes, and hands the
+classes that var-var disequalities join to search(), the search solve() runs
+on the classes it builds from the atom list.  solve(), simplify() and
+entailed_pins() stay the reference PathState is tested against, and a brute
+force over every assignment is the reference of solve().
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ def var_eq_var(a: FiniteVar, b: FiniteVar) -> Atom:
 
 def var_neq_var(a: FiniteVar, b: FiniteVar) -> Atom:
     return Atom("!=v", a, b)
-
-
-PathCondition = tuple  # tuple[Atom, ...]
 
 
 @dataclass(frozen=True)
@@ -167,70 +166,75 @@ def solve(pc, variables=(), budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
         pins[root] = a.other
 
     excluded: dict[str, set] = {root: set() for root in members}
-    neighbors: dict[str, set] = {root: set() for root in members}
+    pairs = []
     for a in pc:
         if a.kind == "!=c":
             root = uf.find(a.var.name)
             if not in_domain(root, a.other):
                 continue  # vacuous: the variable can never take this value
-            if root in pins:
-                if pins[root] == a.other:
-                    return SolveResult(UNSAT)
-                continue
+            if pins.get(root) == a.other:
+                return SolveResult(UNSAT)
             excluded[root].add(a.other)
         elif a.kind == "!=v":
-            ra, rb = uf.find(a.var.name), uf.find(a.other.name)
-            if ra == rb:
-                return SolveResult(UNSAT)
-            pa, pb = pins.get(ra), pins.get(rb)
-            if pa is not None and pb is not None:
-                if pa == pb:
-                    return SolveResult(UNSAT)
-                continue
-            if pa is not None:
-                excluded[rb].add(pa)
-            elif pb is not None:
-                excluded[ra].add(pb)
-            else:
-                neighbors[ra].add(rb)
-                neighbors[rb].add(ra)
+            pairs.append((uf.find(a.var.name), uf.find(a.other.name)))
 
-    assignment = dict(pins)
-    open_roots = [r for r in members if r not in pins]
+    res = search({root: (sizes[root], pins.get(root), excluded[root]) for root in members},
+                 pairs, budget_s)
+    if res.status != SAT:
+        return res
+    return SolveResult(SAT, {name: res.model[uf.find(name)] for name in vars_by_name})
+
+
+def search(classes: dict, pairs, budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
+    """Give every equality class a value, different across each pair.
+
+    classes maps a class's root to (size, pin, excluded): the class is
+    pinned to pin, or with pin None ranges over [0, size) minus the excluded
+    constants.  Each record must be satisfiable on its own (a pin inside the
+    domain and not excluded).  pairs are the (root, root) of var-var
+    disequalities.  Open classes are assigned most-constrained first, values
+    ascending, so the model (root -> constant) is deterministic and the
+    smallest available.  The search is exhaustive, so the verdict is exact
+    unless budget_s runs out first: then it is UNKNOWN.
+    """
+    assignment = {root: pin for root, (_, pin, _) in classes.items() if pin is not None}
+    neighbors: dict[str, set] = {root: set() for root in classes}
+    for ra, rb in pairs:
+        pa = assignment.get(ra)
+        if ra == rb or (pa is not None and pa == assignment.get(rb)):
+            return SolveResult(UNSAT)
+        neighbors[ra].add(rb)
+        neighbors[rb].add(ra)
 
     def candidates(root):
-        excl = excluded[root]
+        size, _, excl = classes[root]
         taken = {assignment[nb] for nb in neighbors[root] if nb in assignment}
-        for c in range(sizes[root]):
+        for c in range(size):
             if c not in excl and c not in taken:
                 yield c
 
     deadline = time.monotonic() + budget_s if budget_s else None
 
-    def search(remaining) -> bool:
+    def assign(remaining) -> bool:
         if deadline is not None and time.monotonic() > deadline:
             raise _Timeout()
         if not remaining:
             return True
-        # most-constrained first; ties broken by name for determinism
-        scored = sorted(remaining, key=lambda r: (sum(1 for _ in candidates(r)), r))
-        root = scored[0]
+        # most-constrained first; ties broken by root name for determinism
+        root = min(remaining, key=lambda r: (sum(1 for _ in candidates(r)), r))
         rest = [r for r in remaining if r != root]
         for c in candidates(root):
             assignment[root] = c
-            if search(rest):
+            if assign(rest):
                 return True
             del assignment[root]
         return False
 
     try:
-        ok = search(open_roots)
+        ok = assign([root for root in classes if root not in assignment])
     except _Timeout:
         return SolveResult(UNKNOWN)
-    if not ok:
-        return SolveResult(UNSAT)
-    model = {name: assignment[uf.find(name)] for name in vars_by_name}
-    return SolveResult(SAT, model)
+    return SolveResult(SAT, assignment) if ok else SolveResult(UNSAT)
 
 
 def entailed_pins(pc) -> dict:
@@ -306,12 +310,12 @@ def simplify(pc) -> tuple:
 class _Class:
     """One equality class of a PathState."""
 
-    __slots__ = ("size", "pin", "pin_at", "clash", "neq", "keys")
+    __slots__ = ("size", "pin", "clash", "neq", "keys")
 
     def __init__(self, var: FiniteVar):
         self.size = var.size  # the domain is [0, size), size the members' least
-        self.pin = None     # the constant of the class's last ==c atom
-        self.pin_at = -1    # that atom's position in the path condition
+        self.pin = None     # the constant of the class's ==c atoms (the first,
+        #                     if they clash)
         self.clash = False  # two ==c atoms of the class name different constants
         self.neq = {}       # constant -> distinct !=c atoms naming it, each
         #                     inside its own variable's domain
@@ -319,7 +323,7 @@ class _Class:
 
     def copy(self) -> "_Class":
         c = _Class.__new__(_Class)
-        c.size, c.pin, c.pin_at, c.clash = self.size, self.pin, self.pin_at, self.clash
+        c.size, c.pin, c.clash = self.size, self.pin, self.clash
         c.neq = self.neq.copy()
         c.keys = self.keys.copy()
         return c
@@ -327,14 +331,17 @@ class _Class:
     def absorb(self, other: "_Class") -> None:
         self.size = min(self.size, other.size)
         if other.pin is not None:
-            if self.pin is not None and self.pin != other.pin:
-                self.clash = True
-            if other.pin_at > self.pin_at:
-                self.pin, self.pin_at = other.pin, other.pin_at
+            self.add_pin(other.pin)
         self.clash = self.clash or other.clash
         for c, n in other.neq.items():
             self.neq[c] = self.neq.get(c, 0) + n
         self.keys |= other.keys
+
+    def add_pin(self, c: int) -> None:
+        if self.pin is None:
+            self.pin = c
+        elif self.pin != c:
+            self.clash = True
 
     def in_domain(self, c: int) -> bool:
         return 0 <= c < self.size
@@ -354,8 +361,8 @@ class _Class:
         return excluded < self.size
 
     def smallest(self) -> int:
-        """The value solve() gives a feasible class: its pin, else the
-        smallest constant not excluded."""
+        """The value solve() gives a feasible class with no var-var
+        disequality: its pin, else the smallest constant not excluded."""
         if self.pin is not None:
             return self.pin
         return next(c for c in range(self.size) if c not in self.neq)
@@ -372,19 +379,20 @@ class PathState:
     every option at a fork is tried from the same state; its cost grows with
     the new atoms and the classes they touch, not with the condition.
 
-    Without var-var disequalities the state decides satisfiability and gives
-    solve()'s model itself.  With one, status is None: the search over
-    neighbouring classes is solve()'s, and so is every UNKNOWN.
+    Each class is checked on its own as it changes.  Only the classes that
+    var-var disequalities join go to search(), the search solve() uses, so
+    without one a state's model is each class's smallest value, and UNKNOWN
+    comes only from that search's budget.  pin() is entailed_pins() for a
+    satisfiable state only: of two clashing pins a class keeps the first.
     """
 
-    __slots__ = ("_uf", "_classes", "_edges", "_atoms", "_unsat", "_clash",
+    __slots__ = ("_uf", "_classes", "_edges", "_unsat", "_clash",
                  "_kept", "_dropped")
 
     def __init__(self):
         self._uf = _UnionFind()
         self._classes = {}   # root name -> _Class
         self._edges = {}     # _key -> (name, name) of every distinct !=v atom
-        self._atoms = 0      # atoms added so far
         self._unsat = False  # some class has no value left
         self._clash = False  # some class is pinned to two constants
         self._kept = 0       # distinct ==c and ==v atoms, and counted !=c atoms
@@ -396,12 +404,11 @@ class PathState:
         st._uf = self._uf.copy()
         st._classes = self._classes.copy()
         st._edges = self._edges  # replaced, never changed in place
-        st._atoms, st._unsat, st._clash, st._kept, st._dropped = (
-            self._atoms, self._unsat, self._clash, self._kept, self._dropped)
+        st._unsat, st._clash, st._kept, st._dropped = (
+            self._unsat, self._clash, self._kept, self._dropped)
         touched = {}  # root -> the class st owns (copied from self) for it
         for a in atoms:
             st._add(a, touched)
-            st._atoms += 1
         for root, cls in touched.items():
             if root in st._classes:  # not merged into another class
                 st._dropped += cls.dropped()
@@ -443,10 +450,8 @@ class PathState:
                 del self._classes[gone]
                 root = keep
         cls = self._own(root, touched)
-        if a.kind == "==c":  # a repeated pin still moves pin_at: the last one wins
-            if cls.pin is not None and cls.pin != a.other:
-                cls.clash = True
-            cls.pin, cls.pin_at = a.other, self._atoms
+        if a.kind == "==c":
+            cls.add_pin(a.other)
         key = _key(a)
         if key in cls.keys:
             return
@@ -459,11 +464,13 @@ class PathState:
         return self._classes[self._uf.find(name)].pin
 
     @property
-    def status(self):
-        """SAT or UNSAT, or None when only solve() can decide."""
-        if self._edges:
-            return None
-        return UNSAT if self._unsat else SAT
+    def status(self) -> str:
+        """solve(pc).status for the path condition pc this state holds."""
+        if self._unsat:
+            return UNSAT
+        if not self._edges:
+            return SAT
+        return self.solve().status
 
     @property
     def simplified(self) -> int:
@@ -478,23 +485,34 @@ class PathState:
         return self._kept - self._dropped + edges
 
     def pin(self, name):
-        """entailed_pins(pc).get(name)."""
+        """entailed_pins(pc).get(name), for a satisfiable pc."""
         if name not in self._uf.parent:
             return None
         return self._pin_of(name)
 
-    def model(self, variables=()) -> dict | None:
-        """solve(pc, variables).model, for a state whose status is not None."""
+    def solve(self, variables=()) -> SolveResult:
+        """solve(pc, variables) for the path condition pc this state holds."""
         if self._unsat:
-            return None
-        model = {name: self._classes[self._uf.find(name)].smallest()
-                 for name in self._uf.parent}
+            return SolveResult(UNSAT)
+        find = self._uf.find
+        model = {name: self._classes[find(name)].smallest() for name in self._uf.parent}
+        if self._edges:
+            pairs = [(find(a), find(b)) for a, b in self._edges.values()]
+            classes = {}
+            for root in {r for pair in pairs for r in pair}:
+                cls = self._classes[root]
+                classes[root] = (cls.size, cls.pin, cls.neq)
+            res = search(classes, pairs)
+            if res.status != SAT:
+                return res
+            for name in model:
+                model[name] = res.model.get(find(name), model[name])
         for v in variables:
             if v.name not in model:
                 if not v.size:
-                    return None
+                    return SolveResult(UNSAT)
                 model[v.name] = 0
-        return model
+        return SolveResult(SAT, model)
 
 
 def dump_query(pc) -> str:

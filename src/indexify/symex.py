@@ -27,11 +27,11 @@ The wallclock and state budgets are checked at every decision and loop
 back-edge.  Every solver variable ranges over [0, size), and every constant
 is a garden index or an int (a bool is 0 or 1); BOT never enters a path
 condition.  The path condition travels with the state as a
-solver.PathState, so a check costs the atoms it adds, and only a path
-condition with a var-var disequality goes to solver.solve.  Every queued
-option was satisfiable when checked, so emitted test cases replay on the
-concrete interpreter by construction; an option the solver cannot decide is
-dropped and counted, and the run goes on.
+solver.PathState, which decides every check and gives every model, so a
+check costs the atoms it adds and the classes that var-var disequalities
+join.  Every queued option was satisfiable when checked, so emitted test
+cases replay on the concrete interpreter by construction; an option the
+solver cannot decide is dropped and counted, and the run goes on.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .lang.ast import (
     no_bot,
     program_layout,
     truthy,
-    walk_stmts,
 )
 from .lang.interp import (
     VERDICT_ASSERT,
@@ -227,13 +226,9 @@ class _Lowering:
         self.temps = 0
         # an int or bool variable holds a Value or a finite symbolic value,
         # unless a garden of its type lets unidx() give it an unindexed one
-        tags = {}
-        for name, tag in [(p.name, p.type) for p in fn.params] + \
-                [(s.name, s.type) for _, s in walk_stmts(fn.body) if isinstance(s, Decl)]:
-            tags.setdefault(name, set()).add(tag)
         gardens = self.engine.cfg.gardens
-        self.finite = {name for name, ts in tags.items()
-                       if all(t in (INT, BOOL) and t not in gardens for t in ts)}
+        self.finite = {name for name, tag in self.engine.decls[fn.name].items()
+                       if tag in (INT, BOOL) and tag not in gardens}
         self.block(fn.body, (fn.name,))
         self.emit(self.engine.op_error, f"{fn.name} finished without returning")
 
@@ -662,28 +657,22 @@ class Engine:
         self.queries += 1
         self.atoms_sent += facts.simplified
         status = facts.status
-        if status is None:
-            status = solver.solve(tuple(st.pc) + tuple(atoms)).status
-            if status == solver.UNKNOWN:
-                self.unknowns += 1
+        if status == solver.UNKNOWN:
+            self.unknowns += 1
         return facts if status == solver.SAT else None
 
     def model(self, st, variables):
-        """solve()'s model of pc over its variables and `variables`; None
-        when the solver cannot tell (counted as unknown)."""
+        """The model of pc over its variables and `variables`; None when the
+        solver cannot tell (counted as unknown)."""
         self.queries += 1
         self.atoms_sent += st.facts.simplified
-        if st.facts.status is not None:
-            model = st.facts.model(variables)
-        else:
-            res = solver.solve(tuple(st.pc), variables=variables)
-            if res.status == solver.UNKNOWN:
-                self.unknowns += 1
-                return None
-            model = res.model
-        if model is None:
+        res = st.facts.solve(variables)
+        if res.status == solver.UNKNOWN:
+            self.unknowns += 1
+            return None
+        if res.status == solver.UNSAT:
             raise SymexError("path condition became unsatisfiable")
-        return model
+        return res.model
 
     # -- symbolic values -----------------------------------------------------
 
@@ -738,22 +727,6 @@ class Engine:
         options = [([var_neq_const(v.var, f) for f in falsy], True)]
         options += [([var_eq_const(v.var, f)], False) for f in falsy]
         return options
-
-    def force_value(self, st, fr, dst, v) -> None:
-        """Write v to dst, concretized on demand by enumerating its feasible
-        finite domain."""
-        v = st.resolve(v)
-        if isinstance(v, Opaque):
-            self.intractable(st, [v])
-            v = st.resolve(v)
-        if isinstance(v, Value):
-            no_bot(v)
-            fr.store[dst] = v
-            return
-        ref, value = ((v.ref, self._input_value) if isinstance(v, Unindexed)
-                      else (v, _value_from_const))
-        self.decide(st, fr, dst, [([var_eq_const(ref.var, c)], value(ref.tag, c))
-                                  for c in range(ref.var.size)])
 
     # -- instructions ----------------------------------------------------------
 
@@ -860,11 +833,19 @@ class Engine:
         fr.store[ins[1]], fr.store[ins[2]] = lv, rv
 
     def op_force(self, st, fr, ins):  # (op, dst, operand, classes forced)
+        # A forced value is finite symbolic or unindexed, never opaque or
+        # concretized: a variable read is resolved, op_prepare resolves or
+        # concretizes a builtin's operands, and the rewriter applies idx only
+        # to values of an indexed type, whose symbolic inputs are finite.  It
+        # is forced by enumerating its feasible finite domain.
         v = _fetch(st, fr.store, ins[2])
-        if isinstance(v, ins[3]):
-            self.force_value(st, fr, ins[1], v)
-        else:
+        if not isinstance(v, ins[3]):
             fr.store[ins[1]] = v
+            return
+        ref, value = ((v.ref, self._input_value) if isinstance(v, Unindexed)
+                      else (v, _value_from_const))
+        self.decide(st, fr, ins[1], [([var_eq_const(ref.var, c)], value(ref.tag, c))
+                                     for c in range(ref.var.size)])
 
     def op_compare(self, st, fr, ins):  # (op, dst, want, left, right)
         dst, want = ins[1], ins[2]
@@ -1003,10 +984,7 @@ class Engine:
 
 
 def _value_from_const(tag: TypeTag, c: int) -> Value:
-    """The program value of solver constant c for a finite variable of type
-    tag; an index stays an index."""
-    if is_index(tag):
-        return Value(tag, c)
+    """The program value of solver constant c for an int or bool variable."""
     if tag is BOOL:
         return mk_bool(bool(c))
     return mk_int(c)

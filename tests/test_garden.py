@@ -16,7 +16,6 @@ from indexify.garden import (
     harvest_seeds,
     load_gardens,
     parse_literal,
-    predict_free_growth,
     serialize_gardens,
 )
 from indexify.cli import format_input_value, parse_input_value
@@ -229,44 +228,6 @@ def test_delta_inv_fig5(fig5_gardens):
         g.value_at(BOT)
     with pytest.raises(GardenError):
         g.value_at(99)
-
-
-# ---------------------------------------------------------------------------
-# growth prediction
-# ---------------------------------------------------------------------------
-
-
-def _free_terms(seed_count, arities, k):
-    # independent oracle: enumerate free terms of depth <= k over fresh symbols
-    terms = {("s", i) for i in range(seed_count)}
-    for _ in range(k):
-        new = set(terms)
-        for f, a in enumerate(arities):
-            for args in itertools.product(sorted(terms, key=repr), repeat=a):
-                new.add((("f", f), args))
-        terms = new
-    return len(terms)
-
-
-def test_predict_k0_is_seed_count():
-    assert predict_free_growth(5, [2], 0).brute_force == 5
-
-
-def test_predict_one_binary_builder():
-    assert predict_free_growth(2, [2], 1).brute_force == 6  # 2 + 2^2
-    assert predict_free_growth(2, [2], 1).brute_force == _free_terms(2, [2], 1)
-
-
-def test_predict_matches_depth_enumeration():
-    for seeds, arities, k in [(2, [2], 2), (3, [1, 2], 2), (2, [3], 1)]:
-        got = predict_free_growth(seeds, arities, k)
-        assert got.brute_force == _free_terms(seeds, arities, k)
-        assert not got.overflowed
-        assert got.formula_value >= 0  # reported alongside, not asserted equal
-
-
-def test_predict_overflow_flag():
-    assert predict_free_growth(100, [2, 2, 3], 3).overflowed
 
 
 # ---------------------------------------------------------------------------

@@ -193,11 +193,11 @@ def test_path_state_agrees_with_the_solver_at_every_prefix():
     """PathState, extended a few atoms at a time, against solve(), simplify()
     and entailed_pins() recomputed from the whole path condition."""
     rng = random.Random(4321)
-    decided = 0
+    with_edges, searched = 0, 0  # prefixes with a var-var atom, and sat ones
     for trial in range(3000):
         vs = [FiniteVar(f"v{i}", rng.randint(1, 4)) for i in range(rng.randint(2, 4))]
-        # half the sequences have no var-var disequality, so that the state
-        # decides them itself rather than deferring to solve()
+        # half the sequences have no var-var disequality, so that the model
+        # of each class on its own is compared as well as the search's
         kinds = 4 if trial % 2 else 3
         state, pc = PathState(), ()
         for _ in range(rng.randint(1, 5)):
@@ -214,13 +214,14 @@ def test_path_state_agrees_with_the_solver_at_every_prefix():
             state, pc = state.extend(atoms), pc + tuple(atoms)
             extra = [rng.choice(vs)]
             assert state.simplified == len(simplify(pc)), pc
-            pins = {n: state.pin(n) for n in pc_vars(pc) if state.pin(n) is not None}
-            assert pins == entailed_pins(pc), pc
-            if state.status is not None:
-                decided += 1
-                ref = solve(pc, variables=extra)
-                assert state.status == ref.status, pc
-                if ref.status == SAT:
-                    assert state.model(extra) == ref.model, pc
+            ref = solve(pc, variables=extra)
+            assert state.status == ref.status, pc
+            assert state.solve(extra) == ref, pc
+            edges = any(a.kind == "!=v" for a in pc)
+            with_edges += edges
+            if ref.status == SAT:  # entailed_pins() is defined for a sat pc only
+                pins = {n: state.pin(n) for n in pc_vars(pc) if state.pin(n) is not None}
+                assert pins == entailed_pins(pc), pc
+                searched += edges
         assert before == len(simplify(pc[:-len(atoms)]))  # extend left it alone
-    assert decided > 3000
+    assert with_edges > 3000 and searched > 300

@@ -307,6 +307,31 @@ def test_concretization_runs_once_per_tree_node():
         assert replay(p, tc).ok
 
 
+@pytest.mark.parametrize("mode", [MODE_INDEXED, MODE_ABANDON, MODE_CONCRETIZE])
+@pytest.mark.parametrize("use", [
+    "if (s) { return 1; }",
+    "if (f) { return 1; }",
+    "int m = -n; if (m == 0) { return 1; }",
+])
+def test_opaque_truth_and_symbolic_negation(mode, use):
+    # a str or float that the run does not index has no finite domain, and
+    # unary minus lies outside equality theory: each abandons the path, or
+    # in concretize mode binds s to "", f to 0.0 and n to its model value,
+    # which respects n != 3
+    src = ("int main() { str s; symbolic s; float f; symbolic f; int n; symbolic n; "
+           f"if (n == 3) {{ return 2; }} {use} return 0; }}")
+    p = typecheck(parse(src))
+    runner = explore if mode == MODE_INDEXED else explore_baseline
+    rep = runner(p, ExploreConfig(mode=mode))
+    assert rep.paths == 2
+    concretized = mode == MODE_CONCRETIZE
+    assert rep.escaped_paths == (0 if concretized else 1)
+    assert [tc.inputs["n"].raw for tc in rep.test_cases] == ([3, 0] if concretized else [3])
+    for tc in rep.test_cases:
+        assert (tc.inputs["s"].raw, tc.inputs["f"].raw, tc.verdict) == (b"", 0.0, "ok")
+        assert replay(p, tc).ok
+
+
 def test_symbolic_scoping_is_function_local():
     # two functions may declare the same name with different types; the
     # symbolic marker binds against the enclosing function's declaration
@@ -543,20 +568,22 @@ def test_unindexing_a_symbolic_string_enumerates_its_garden():
 
 @pytest.mark.parametrize("unknown_at", [1, 2])
 def test_solver_unknown_drops_one_option_and_exploration_goes_on(monkeypatch, unknown_at):
-    # x != y is a var-var disequality, which only solver.solve decides: its
-    # first call checks that option, its second gives that path's model
+    # x != y is a var-var disequality, which the path condition hands to
+    # solver.search: its first call checks that option, its second gives that
+    # path's model
     src = "int main(){ int x; symbolic x; int y; symbolic y; " \
           "if (x == y) { return 1; } return 0; }"
-    real, calls = solver.solve, []
+    real, calls = solver.search, []
 
-    def flaky(pc, variables=(), **kw):
-        calls.append(pc)
+    def flaky(classes, pairs, *args, **kw):
+        calls.append(pairs)
         if len(calls) == unknown_at:
             return solver.SolveResult(solver.UNKNOWN)
-        return real(pc, variables, **kw)
+        return real(classes, pairs, *args, **kw)
 
-    monkeypatch.setattr(solver, "solve", flaky)
+    monkeypatch.setattr(solver, "search", flaky)
     rep = explore(typecheck(parse(src)), ExploreConfig(mode=MODE_INDEXED, int_domain=4))
+    assert len(calls) == unknown_at
     assert rep.solver_unknowns == 1
     assert "unknowns=1" in human_summary(rep)
     assert [tc.inputs["x"].raw == tc.inputs["y"].raw for tc in rep.test_cases] == [True]
@@ -582,24 +609,24 @@ def _vars_pipeline():
 def test_each_tree_node_builds_its_options_once(monkeypatch):
     # a row fork looks up each of the 4 garden values once per node
     cfg, pipe = _vars_pipeline()
-    counts = {"lookup": 0, "solve": 0}
-    real_lookup, real_solve = IndexedOperatorTable.lookup, solver.solve
+    counts = {"lookup": 0, "search": 0}
+    real_lookup, real_search = IndexedOperatorTable.lookup, solver.search
 
     def lookup(table, key):
         counts["lookup"] += 1
         return real_lookup(table, key)
 
-    def solve(*args, **kw):
-        counts["solve"] += 1
-        return real_solve(*args, **kw)
+    def search(*args, **kw):
+        counts["search"] += 1
+        return real_search(*args, **kw)
 
     monkeypatch.setattr(IndexedOperatorTable, "lookup", lookup)
-    monkeypatch.setattr(solver, "solve", solve)
+    monkeypatch.setattr(solver, "search", search)
     rep = run_mode(cfg, pipe, MODE_INDEXED)
     assert rep.paths == 4 ** 4
     assert len(rep.iot_fork_sizes) == 85
     assert counts["lookup"] == len(pipe.gardens[STR]) * len(rep.iot_fork_sizes) == 340
-    assert counts["solve"] == 0  # x == c and x != c atoms only
+    assert counts["search"] == 0  # x == c and x != c atoms only
 
 
 def test_raw_result_table_miss_escapes_at_the_call():
