@@ -170,8 +170,10 @@ def _admissible(v: Value, max_str_len: int) -> bool:
 
 def extend(imap: IndexMap, op: OperatorSignature, *,
            snapshot: list[Value] | None = None,
-           max_str_len: int = 8) -> tuple[IndexMap, int]:
-    """One builder pass: apply op to every argument tuple from the snapshot.
+           max_str_len: int = 8, fresh_from: int = 0) -> tuple[IndexMap, int]:
+    """One builder pass: apply op to the argument tuples from the snapshot
+    that hold a value at index fresh_from or later, in product order (all
+    of them by default).
 
     Results already present, longer than max_str_len, or failing to evaluate
     are not admitted; the skip count is returned alongside the map.  All of
@@ -179,14 +181,17 @@ def extend(imap: IndexMap, op: OperatorSignature, *,
     """
     if any(t != imap.type_tag for t in op.arg_types) or op.return_type != imap.type_tag:
         raise GardenError(f"{op.name} is not a builder for {imap.type_tag!r}")
-    from .iot import eval_builtin  # iot imports this module
+    from .iot import REGISTRY  # iot imports this module
 
+    builtin = REGISTRY.get(op.name)
+    if builtin is None:
+        raise GardenError(f"unknown builder {op.name!r}")
     if snapshot is None:
         snapshot = imap.values()
     skips = 0
-    for args in product(snapshot, repeat=op.arity):
+    for args in _tuples_from([v.raw for v in snapshot], fresh_from, op.arity):
         try:
-            result = eval_builtin(op.name, args)
+            result = builtin.fn(*args)
         except Exception:
             skips += 1
             continue
@@ -197,9 +202,31 @@ def extend(imap: IndexMap, op: OperatorSignature, *,
     return imap, skips
 
 
+def _tuples_from(values: list, fresh_from: int, arity: int):
+    """The tuples over values of the given arity that hold a value at index
+    fresh_from or later, in product (lexicographic) order."""
+    if fresh_from <= 0:
+        yield from product(values, repeat=arity)
+    elif arity > 0:
+        for i, v in enumerate(values):
+            rest = product(values, repeat=arity - 1) if i >= fresh_from \
+                else _tuples_from(values, fresh_from, arity - 1)
+            for tail in rest:
+                yield (v,) + tail
+
+
 def build_garden(seeds: SeedSet, cfg: BuilderConfig,
                  types: set[TypeTag] | None = None) -> dict[TypeTag, IndexMap]:
-    """Grow per-type gardens: k rounds over all builders, shared round snapshot."""
+    """Grow per-type gardens: up to k rounds over all builders, each from a
+    snapshot taken at the start of the round.
+
+    Growth is semi-naive (Bancilhon and Ramakrishnan, SIGMOD 1986): a round
+    applies the builders only to the argument tuples that hold a value the
+    previous round admitted.  Every other tuple was applied in an earlier
+    round with the same result, so the admitted values and their indices are
+    those of applying every builder to the whole snapshot.  Growth stops
+    after a round that admits nothing.
+    """
     if types is None:
         types = set(seeds.per_type)
     gardens: dict[TypeTag, IndexMap] = {}
@@ -214,14 +241,18 @@ def build_garden(seeds: SeedSet, cfg: BuilderConfig,
             _kleene_fill(gardens[STR], cfg.max_str_len)
         return gardens
 
+    fresh_from = dict.fromkeys(gardens, 0)  # per type: the first index of the last round
     for _ in range(cfg.k):
         snapshots = {tag: imap.values() for tag, imap in gardens.items()}
         for op in cfg.builders:
             tag = op.return_type
             if tag not in gardens:
                 raise GardenError(f"builder {op.name} needs a {tag!r} garden")
-            extend(gardens[tag], op,
-                   snapshot=snapshots[tag], max_str_len=cfg.max_str_len)
+            extend(gardens[tag], op, snapshot=snapshots[tag],
+                   max_str_len=cfg.max_str_len, fresh_from=fresh_from[tag])
+        if all(len(gardens[tag]) == len(snap) for tag, snap in snapshots.items()):
+            break
+        fresh_from = {tag: len(snap) for tag, snap in snapshots.items()}
     return gardens
 
 

@@ -1,13 +1,15 @@
-"""Builtin operators and their memoized indexed tables.
+"""Builtin operators and their indexed operator tables.
 
 The registry holds the concrete C-flavoured semantics (string.h and maths.h
-analogues) that serve as the oracle everywhere else.  memoise() builds an
-IndexedOperatorTable: one row per type-valid argument tuple over the gardens,
-mapping index tuples to either result indices (when the return type is
-indexed) or the operator's int results (when it is not, like strncmp's
-comparison result).  BOT is always a distinct cell variant - never the
-integer -1, which strncmp legitimately returns.  serialize_tables and
-parse_tables write and read the tables.iot format.
+analogues) that serve as the oracle everywhere else.  memoise() makes an
+IndexedOperatorTable: over the type-valid argument tuples of the gardens, it
+maps index tuples to either result indices (when the return type is indexed)
+or the operator's int results (when it is not, like strncmp's comparison
+result).  A table computes each cell on its first lookup; the complete table
+is built only where it is read whole, for tables.iot and the emitted IR.
+BOT is always a distinct cell variant - never the integer -1, which strncmp
+legitimately returns.  serialize_tables and parse_tables write and read the
+tables.iot format.
 """
 
 from __future__ import annotations
@@ -72,29 +74,20 @@ def _strstr(hay: bytes, needle: bytes) -> Value:
     return mk_str(hay[pos:]) if pos >= 0 else mk_str(b"")
 
 
-def _byte_at(s: bytes, i: int) -> int:
-    return s[i] if i < len(s) else 0  # implicit NUL terminator
+def _c_order(a: bytes, b: bytes) -> Value:
+    """C's comparison sign of two strings cut at their first NUL.  Bytes
+    compare unsigned, and a proper prefix sorts first, as its terminator
+    does in C."""
+    return mk_int((a > b) - (a < b))
 
 
 def _strncmp(a: bytes, b: bytes, n: int) -> Value:
-    for i in range(max(n, 0)):
-        ca, cb = _byte_at(a, i), _byte_at(b, i)
-        if ca != cb:
-            return mk_int(-1 if ca < cb else 1)
-        if ca == 0:
-            break
-    return mk_int(0)
+    n = max(n, 0)
+    return _c_order(a.partition(b"\0")[0][:n], b.partition(b"\0")[0][:n])
 
 
 def _strcmp(a: bytes, b: bytes) -> Value:
-    i = 0
-    while True:
-        ca, cb = _byte_at(a, i), _byte_at(b, i)
-        if ca != cb:
-            return mk_int(-1 if ca < cb else 1)
-        if ca == 0:
-            return mk_int(0)
-        i += 1
+    return _c_order(a.partition(b"\0")[0], b.partition(b"\0")[0])
 
 
 def _strlen(s: bytes) -> Value:
@@ -194,6 +187,10 @@ class GardenDim:
     def value_for(self, key) -> Value:
         return self.imap.value_at(key)
 
+    def column(self) -> dict:
+        """Each key of the domain, in order, mapped to its raw argument."""
+        return {i: v.raw for i, v in enumerate(self.imap.values())}
+
 
 @dataclass(frozen=True)
 class IntPoolDim:
@@ -205,27 +202,43 @@ class IntPoolDim:
     def value_for(self, key) -> Value:
         return mk_int(key)
 
+    def column(self) -> dict:
+        return {k: k for k in self.pool}
+
+
+_MISS = object()  # a cache probe's default: the key has no cell yet
+
 
 class IndexedOperatorTable:
-    """Complete memoization of one operator over the gardens.
+    """One operator over the gardens, memoised cell by cell on demand.
 
-    rows maps key tuples to cells and holds exactly the tuples over the
-    dimension domains, in ascending (itertools.product) order.  Key
-    components are garden indices for indexed argument positions and raw
-    ints for int positions.  A cell is a result-garden index (indexed
-    results), the operator's int result (raw results), or BOT.  Lookup of
-    anything outside the dimension domains is BOT: the catch-all row.
+    Key components are garden indices for indexed argument positions and
+    raw ints for int positions.  A cell is a result-garden index (indexed
+    results), the operator's int result (raw results), or BOT.  lookup
+    computes a key's cell on its first call and caches it.  Lookup of
+    anything outside the dimension domains is BOT, the catch-all row, and
+    computes nothing.  rows is the complete table: exactly the tuples over
+    the domains, in ascending (itertools.product) order, built on first
+    access.  The gardens must not grow once the table exists: its cells
+    are computed against them on demand.
     """
 
-    def __init__(self, op_name, signature, dims, result, rows, *, garden_hash):
-        self.op_name = op_name
-        self.indexed_name = "i_" + op_name
-        self.signature = signature
+    def __init__(self, op: BuiltinOp, dims, result, *, garden_hash, rows=None):
+        sig = op.signature
+        self.op_name = sig.name
+        self.indexed_name = "i_" + sig.name
+        self.signature = sig
         self.dims = dims
         self.result = result  # IndexMap for indexed results, INT for raw
-        self.rows = rows
         self.garden_hash = garden_hash
         self.cell_tag = index_of(result.type_tag) if self.result_indexed else result
+        self._fn = op.fn
+        self._cell_of = result.index_or_bot if self.result_indexed else attrgetter("raw")
+        # per dimension, key component -> raw argument: the domain check and
+        # the argument of a cell in one probe
+        self._columns = [d.column() for d in dims]
+        self._cells = {} if rows is None else rows
+        self._complete = rows is not None
 
     @property
     def result_indexed(self) -> bool:
@@ -236,12 +249,63 @@ class IndexedOperatorTable:
         return len(self.dims)
 
     @property
+    def size(self) -> int:
+        """The number of rows: the product of the domain sizes."""
+        return math.prod(map(len, self._columns))
+
+    @property
+    def rows(self) -> dict:
+        if not self._complete:
+            cells = self._product_cells()
+            self._cells.clear()  # free the cache before the table is built
+            self._cells = dict(zip(product(*self._columns), cells))
+            self._complete = True
+        return self._cells
+
+    @property
     def bot_rows(self) -> int:
         return sum(1 for cell in self.rows.values() if cell is BOT)
 
     def lookup(self, key: tuple):
         """Return the cell for key: an index, an int, or BOT."""
-        return self.rows.get(key, BOT)
+        cells = self._cells
+        cell = cells.get(key, _MISS)
+        if cell is not _MISS:
+            return cell
+        columns = self._columns
+        if len(key) != len(columns):
+            return BOT
+        args = [*map(dict.get, columns, key)]  # no raw argument is None
+        if None in args:
+            return BOT
+        try:
+            out = self._fn(*args)
+        except Exception:
+            cell = BOT
+        else:
+            cell = self._cell_of(out)
+        cells[key] = cell
+        return cell
+
+    def _product_cells(self) -> list:
+        """Every cell, in product order of the domains.  Cached cells are
+        reused; the others are computed, not cached."""
+        if self._complete:
+            return list(self._cells.values())
+        cached, fn, cell_of = self._cells.get, self._fn, self._cell_of
+        columns = self._columns
+        cells = []
+        for key, args in zip(product(*columns), product(*(c.values() for c in columns))):
+            cell = cached(key, _MISS)
+            if cell is _MISS:
+                try:
+                    out = fn(*args)
+                except Exception:
+                    cell = BOT
+                else:
+                    cell = cell_of(out)
+            cells.append(cell)
+        return cells
 
     def cell_value(self, cell, bot_propagate: bool = False) -> Value:
         """The Value an indexed call returns for a cell.  A BOT index is a
@@ -303,31 +367,18 @@ def _result_for(signature: OperatorSignature, gardens):
 
 def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
             int_pool=()) -> IndexedOperatorTable:
-    """Build the complete table for op over the gardens (plus the int pool).
+    """The table of op over the gardens (plus the int pool).  No cell is
+    computed here: lookup computes each on first use, and rows the rest.
 
-    Rows are inserted in itertools.product order of the dimension domains
-    (last position fastest); tables.iot and the emitted IR depend on it.
-    Each dimension fixes its arguments' type, so op.fn gets the raw values
+    Rows are in itertools.product order of the dimension domains (last
+    position fastest); tables.iot and the emitted IR depend on it.  Each
+    dimension fixes its arguments' type, so op.fn gets the raw values
     without the per-call tag check of BuiltinOp.eval.
     """
-    sig = op.signature
-    dims = _dims_for(sig, gardens, int_pool)
-    result = _result_for(sig, gardens)
-    cell_of = result.index_or_bot if isinstance(result, IndexMap) else attrgetter("raw")
-    domains = [d.domain() for d in dims]
-    raws = [[d.value_for(k).raw for k in dom] for d, dom in zip(dims, domains)]
-    rows = {}
-    for key, args in zip(product(*domains), product(*raws)):
-        try:
-            out = op.fn(*args)
-        except Exception:
-            rows[key] = BOT
-        else:
-            rows[key] = cell_of(out)
-    return IndexedOperatorTable(
-        sig.name, sig, dims, result, rows,
-        garden_hash=gardens_fingerprint(dims, result),
-    )
+    dims = _dims_for(op.signature, gardens, int_pool)
+    result = _result_for(op.signature, gardens)
+    return IndexedOperatorTable(op, dims, result,
+                                garden_hash=gardens_fingerprint(dims, result))
 
 
 def memoise_all(gardens, op_names, int_pool=()) -> dict[str, IndexedOperatorTable]:
@@ -348,14 +399,16 @@ def memoise_all(gardens, op_names, int_pool=()) -> dict[str, IndexedOperatorTabl
 
 
 def serialize_iot(t: IndexedOperatorTable) -> str:
+    """The text of one table: its header, then every row in product order.
+    Cells not yet computed are computed for the text, not cached."""
     kind = f"indexed:{t.result.type_tag.name}" if t.result_indexed \
         else f"raw:{t.result.name}"
     lines = [f"iot {t.op_name} {t.arity} {kind} garden:{t.garden_hash}"]
     pools = [d.pool for d in t.dims if isinstance(d, IntPoolDim)]
     if pools:
         lines.append("pool " + ",".join(map(str, pools[0])))
-    for key, cell in t.rows.items():
-        lines.append(f"{' '.join(map(str, key))} -> {cell}")
+    key_text = map(" ".join, product(*([str(k) for k in d.domain()] for d in t.dims)))
+    lines += map("{} -> {}".format, key_text, t._product_cells())
     return "\n".join(lines) + "\n"
 
 
@@ -420,8 +473,7 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
         raise IotError(f"{name}: table rows are not the {len(domain)} "
                        f"argument tuples of its domains")
     rows = {key: read[key] for key in domain}  # domain order, as memoise builds
-    return IndexedOperatorTable(name, op.signature, dims, result, rows,
-                                garden_hash=file_hash)
+    return IndexedOperatorTable(op, dims, result, garden_hash=file_hash, rows=rows)
 
 
 def parse_tables(text: str,

@@ -939,7 +939,7 @@ class Engine:
             return
         # op_table_step, next, takes the call through its free dimensions
         self._table_fork(st, fr, table, tuple(parts), ins[4],
-                         len(table.rows) * max(table.arity, 1))
+                         table.size * max(table.arity, 1))
 
     def op_table_step(self, st, fr, ins):  # (op, dst, table, parts)
         parts = fr.store[ins[3]]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from indexify.garden import load_gardens
-from indexify.iot import memoise_all
+from indexify.iot import BuiltinOp, memoise_all
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
 
@@ -41,3 +41,14 @@ def fig4a_program():
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def recording(op, calls: list) -> BuiltinOp:
+    """A copy of the builtin op whose fn appends each call's raw arguments
+    to calls."""
+
+    def fn(*args):
+        calls.append(args)
+        return op.fn(*args)
+
+    return BuiltinOp(op.signature, fn, op.klass)

@@ -25,6 +25,8 @@ from indexify.lang.parser import parse
 from indexify.lang.printer import print_literal
 from indexify.lang.typecheck import typecheck
 
+from conftest import recording
+
 STRCAT = REGISTRY["strcat"].signature
 STRSTR = REGISTRY["strstr"].signature
 
@@ -108,6 +110,18 @@ def test_extend_counts_skips():
     assert b"dede" in raws(imap)
 
 
+@pytest.mark.parametrize("fresh_from", range(5))
+def test_extend_applies_the_tuples_with_a_fresh_value(monkeypatch, fresh_from):
+    calls = []
+    monkeypatch.setitem(REGISTRY, "strcat", recording(REGISTRY["strcat"], calls))
+    values = [b"", b"a", b"b", b"c"]
+    imap = _as_map(seed_set(*values))
+    extend(imap, STRCAT, fresh_from=fresh_from)
+    want = [tuple(values[i] for i in t) for t in itertools.product(range(4), repeat=2)
+            if max(t) >= fresh_from]
+    assert calls == want  # in product order
+
+
 def test_extend_rejects_foreign_operator():
     imap = IndexMap(STR)
     with pytest.raises(GardenError):
@@ -149,6 +163,45 @@ def test_monotonic_in_k():
         if prev is not None:
             assert cur[: len(prev)] == prev  # index prefixes stay stable
         prev = cur
+
+
+def _full_pass_garden(seeds, builders, k, max_str_len):
+    """Growth as first specified: every round applies every builder to every
+    argument tuple of the round's snapshot."""
+    imap = _as_map(seeds)
+    for _ in range(k):
+        snapshot = imap.values()
+        for op in builders:
+            for args in itertools.product(snapshot, repeat=op.arity):
+                out = eval_builtin(op.name, args)
+                if len(out.raw) <= max_str_len:
+                    imap.admit(out)
+    return imap
+
+
+@pytest.mark.parametrize("extra", [(), (b"qq",)])
+def test_semi_naive_growth_matches_full_passes(extra):
+    # the garden_memo benchmark's seeds, and a fourth one
+    seeds = seed_set(b"", b"ab", b"bc", b"ca", *extra)
+    for k in range(1, 5):
+        cfg = BuilderConfig(builders=(STRCAT, STRSTR), k=k, max_str_len=5)
+        got = build_garden(seeds, cfg, types={STR})
+        want = _full_pass_garden(seeds, (STRCAT, STRSTR), k, 5)
+        assert raws(got[STR]) == raws(want)
+
+
+def test_growth_stops_after_a_round_that_admits_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setitem(REGISTRY, "strcat", recording(REGISTRY["strcat"], calls))
+    sizes = []
+    for k in (3, 4, 50):
+        calls.clear()
+        g = build_garden(seed_set(b"a", b""), BuilderConfig(builders=(STRCAT,), k=k,
+                                                           max_str_len=2), types={STR})
+        sizes.append((len(g[STR]), len(calls)))
+    # rounds 1 and 2 admit aa and then nothing: round 2 applies the 5 tuples
+    # holding aa, and no later round applies any
+    assert sizes == [(3, 9), (3, 9), (3, 9)]
 
 
 def test_deterministic_serialization():

@@ -20,7 +20,18 @@ from indexify.iot import (
     parse_iot,
     serialize_iot,
 )
-from indexify.lang.ast import BOT, FLOAT, STR, mk_float, mk_int, mk_str, value_key
+from indexify.lang.ast import (
+    BOT,
+    FLOAT,
+    STR,
+    EscapedGarden,
+    mk_float,
+    mk_int,
+    mk_str,
+    value_key,
+)
+
+from conftest import recording
 
 
 def s(x):
@@ -188,6 +199,57 @@ def test_raw_result_tables_keep_bot_distinct():
     assert t.lookup((0, 99)) is BOT  # out of range stays the BOT variant
 
 
+def test_only_looked_up_cells_are_computed():
+    gardens = _ab_garden()
+    calls = []
+    t = memoise(gardens, recording(REGISTRY["strncmp"], calls), int_pool=(1, 4))
+    assert calls == []  # the table computes no cell up front
+    keys = [(0, 1, 4), (3, 2, 1), (6, 6, 4), (3, 2, 1), (0, 1, 4)]
+    cells = [t.lookup(k) for k in keys]
+    assert len(calls) == 3  # one call per distinct key, none for a repeat
+    assert cells[1] == cells[3] and cells[0] == cells[4]
+    eager = memoise(gardens, REGISTRY["strncmp"], int_pool=(1, 4))
+    assert len(eager.rows) == t.size == 7 * 7 * 2  # built whole before any lookup
+    text = serialize_iot(t)  # computes the other cells, without caching them
+    assert len(calls) == t.size
+    assert text == serialize_iot(eager)
+    assert serialize_iot(parse_iot(text, gardens)) == text
+    assert [eager.rows[k] for k in keys] == cells
+    assert t.rows == eager.rows  # the complete table, built once
+    assert list(t.rows) == list(eager.rows)  # in product order
+    assert len(calls) == 2 * t.size - 3
+    t.lookup((5, 5, 1))
+    len(t.rows)
+    assert len(calls) == 2 * t.size - 3
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_keys_outside_the_domains_are_bot_and_compute_nothing(cached):
+    gardens = _ab_garden()
+    n = len(gardens[STR])
+    calls = []
+    t = memoise(gardens, recording(REGISTRY["strncmp"], calls), int_pool=(1, 4))
+    if cached:
+        assert t.lookup((0, 1, 4)) is not BOT
+    made = len(calls)
+    outside = [(BOT, 0, 1), (0, BOT, 4), (0, 0, BOT), (-1, 0, 1), (0, n, 4),
+               (0, 0, 2), (0, 0, -1), (0, 0), (0, 0, 1, 1), ()]
+    for complete in (False, True):
+        for key in outside:
+            assert t.lookup(key) is BOT, key
+            with pytest.raises(EscapedGarden):  # a raw-result miss escapes at the call
+                t.lookup_value(key)
+            assert t.lookup_value(key, bot_propagate=True).raw is BOT
+        assert len(calls) == made
+        assert len(t.rows) == t.size == n * n * 2  # no BOT was cached
+        made = len(calls)
+    indexed = memoise(gardens, REGISTRY["strcat"])
+    for key in ((BOT, 0), (-1, 0), (0, n), (0,)):
+        for propagate in (False, True):  # a BOT index escapes where it is used
+            assert indexed.lookup_value(key, propagate).raw is BOT
+    assert len(indexed.rows) == n * n
+
+
 def test_indexed_signature(fig5_strstr):
     sig = fig5_strstr.indexed_signature()
     assert sig.name == "i_strstr"
@@ -261,3 +323,29 @@ def test_random_float_tables_match_oracle():
         out = eval_builtin("fdiv", [g.value_at(k) for k in key])
         want = index_of_value.get(value_key(out), BOT)
         assert cell == want or (cell is BOT and want is BOT)
+
+
+def _c_compare(a, b, n):
+    """strncmp as C runs it, byte by byte: a string ends at its first NUL
+    or its last byte."""
+    for i in range(n):
+        ca = a[i] if i < len(a) else 0
+        cb = b[i] if i < len(b) else 0
+        if ca != cb:
+            return -1 if ca < cb else 1
+        if ca == 0:
+            return 0
+    return 0
+
+
+def test_string_comparisons_match_a_byte_loop():
+    rng = random.Random(5)
+    strs = [bytes(rng.choice(b"\0ab\xff") for _ in range(rng.randrange(5)))
+            for _ in range(120)]
+    for a in strs:
+        for b in strs:
+            want = _c_compare(a, b, 6)
+            assert eval_builtin("strcmp", [s(a), s(b)]) == mk_int(want), (a, b)
+            for n in (-1, 0, 1, 2, 4):
+                want = _c_compare(a, b, n)
+                assert eval_builtin("strncmp", [s(a), s(b), mk_int(n)]) == mk_int(want)

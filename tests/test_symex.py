@@ -37,7 +37,7 @@ from indexify.symex import (
     replay,
 )
 
-from conftest import FIG4A_SOURCE, FIG5_GARDEN_TEXT
+from conftest import FIG4A_SOURCE, FIG5_GARDEN_TEXT, recording
 
 
 def indexed_setup(source, f_plus, *, garden_text=None, k=3, maxlen=8):
@@ -108,6 +108,63 @@ def test_fork_counts_match_row_enumeration():
     bar = 2
     surviving = sum(1 for i in range(4) if table.rows[(i, bar)] is not BOT)
     assert rep.iot_fork_sizes == (surviving + 1,)  # rows plus one BOT successor
+
+
+GARDEN_MEMO_SHAPE = """
+int main() {
+  str s;
+  symbolic s;
+  int r = 0;
+  str t = strcat(s, "ab");
+  if (strcmp(t, "ab") == 0) {
+    r = 1;
+  }
+  if (strstr(s, "bc")) {
+    r = r + 2;
+  }
+  if (strncmp(s, "ca", 2) == 0) {
+    r = r + 3;
+  }
+  str u = substr(s, 2, 4);
+  if (strlen(u) == 4) {
+    assert(r != 5);
+  }
+  return r;
+}
+"""
+
+
+def test_exploration_computes_only_the_cells_it_reads(monkeypatch):
+    # the garden_memo benchmark's shape, smaller: all six string operators
+    # over a 43-value garden and the int pool 0..5
+    p = typecheck(parse(GARDEN_MEMO_SHAPE))
+    builders = (REGISTRY["strcat"].signature, REGISTRY["strstr"].signature)
+    gardens = build_garden(harvest_seeds(p, {STR}),
+                           BuilderConfig(builders=builders, k=2, max_str_len=6),
+                           types={STR})
+    ops = {"strcat", "strcmp", "strlen", "strncmp", "strstr", "substr"}
+    calls = []
+    for name in ops:
+        monkeypatch.setitem(REGISTRY, name, recording(REGISTRY[name], calls))
+    tables = memoise_all(gardens, ops, harvest_int_pool(p))
+    assert calls == []
+    res = normalize(typecheck(parse(GARDEN_MEMO_SHAPE)),
+                    RewriteConfig({STR}, ops, gardens, tables))
+    read = set()
+    lookup = IndexedOperatorTable.lookup
+
+    def recorded(table, key):
+        read.add((table.indexed_name, key))
+        return lookup(table, key)
+
+    monkeypatch.setattr(IndexedOperatorTable, "lookup", recorded)
+    rep = run_indexed(res, gardens, tables)
+    rows = sum(t.size for t in tables.values())
+    # atoms_generated counts the whole table at each forking call, not the
+    # cells computed
+    assert (rep.paths, rep.atoms_generated) == (14, 3724)
+    assert len(calls) == len(read) < rows / 50  # 99 of 18,232 cells
+    assert rows == sum(len(t.rows) for t in tables.values()) == 18232
 
 
 def test_escape_is_lazy():
