@@ -27,6 +27,7 @@ from .lang.ast import (
     Program,
     TypeTag,
     Value,
+    float_key,
     mk_str,
     value_key,
     walk_exprs,
@@ -97,6 +98,11 @@ class IndexMap:
     def index_or_bot(self, v: Value):
         """delta_bot: the index of v, or BOT if v is outside the garden."""
         return self._index.get(value_key(v), BOT)
+
+    def raw_index_or_bot(self, raw):
+        """index_or_bot of the value of the garden's type whose payload is
+        raw, without building the Value."""
+        return self._index.get(float_key(raw) if self.type_tag is FLOAT else raw, BOT)
 
     def value_at(self, i) -> Value:
         """delta_inv: the value at index i; BOT escapes, overflow is a bug."""
@@ -191,7 +197,7 @@ def extend(imap: IndexMap, op: OperatorSignature, *,
     skips = 0
     for args in _tuples_from([v.raw for v in snapshot], fresh_from, op.arity):
         try:
-            result = builtin.fn(*args)
+            result = Value(op.return_type, builtin.fn(*args))
         except Exception:
             skips += 1
             continue

@@ -7,19 +7,23 @@ maps index tuples to either result indices (when the return type is indexed)
 or the operator's int results (when it is not, like strncmp's comparison
 result).  A table computes each cell on its first lookup; the complete table
 is built only where it is read whole, for tables.iot and the emitted IR.
-BOT is always a distinct cell variant - never the integer -1, which strncmp
-legitimately returns.  serialize_tables and parse_tables write and read the
-tables.iot format.
+Builtins take and return raw payloads (bytes, int, float): a table turns a
+raw result straight into its cell, and BuiltinOp.eval alone wraps a result
+as a Value, for the interpreter and the explorer.  BOT is always a
+distinct cell variant - never the integer -1, which strncmp legitimately
+returns.  serialize_tables and parse_tables write and read the tables.iot
+format.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
 from dataclasses import dataclass
-from itertools import product
-from operator import attrgetter
+from functools import partial
+from itertools import groupby, islice, product, repeat, starmap
 
 from .garden import IndexMap, OperatorSignature, format_literal
 from .lang.ast import (
@@ -31,9 +35,6 @@ from .lang.ast import (
     TypeTag,
     Value,
     index_of,
-    mk_float,
-    mk_int,
-    mk_str,
 )
 
 
@@ -48,90 +49,87 @@ class IotError(Exception):
 
 @dataclass(frozen=True)
 class BuiltinOp:
+    """A builtin: its signature and fn, which maps raw argument payloads
+    (bytes, int, float) to the raw payload of the result."""
+
     signature: OperatorSignature
     fn: object
     klass: str  # "string" | "float" | "io"
 
     def eval(self, *args: Value) -> Value:
+        """Apply the builtin to Values of its argument types.  This is the
+        one place a builtin's raw result is wrapped as a Value."""
         for want, got in zip(self.signature.arg_types, args):
             if got.tag != want:
                 raise IotError(
                     f"{self.signature.name}: argument tag {got.tag!r}, expected {want!r}"
                 )
-        return self.fn(*[a.raw for a in args])
+        return Value(self.signature.return_type, self.fn(*[a.raw for a in args]))
 
 
-def _strcat(a: bytes, b: bytes) -> Value:
-    return mk_str(a + b)
-
-
-def _strstr(hay: bytes, needle: bytes) -> Value:
+def _strstr(hay: bytes, needle: bytes) -> bytes:
     # C: empty needle matches at the start; a miss is NULL, which we carry
     # as the empty string so the result stays indexable
     if not needle:
-        return mk_str(hay)
+        return hay
     pos = hay.find(needle)
-    return mk_str(hay[pos:]) if pos >= 0 else mk_str(b"")
+    return hay[pos:] if pos >= 0 else b""
 
 
-def _c_order(a: bytes, b: bytes) -> Value:
+def _c_order(a: bytes, b: bytes) -> int:
     """C's comparison sign of two strings cut at their first NUL.  Bytes
     compare unsigned, and a proper prefix sorts first, as its terminator
     does in C."""
-    return mk_int((a > b) - (a < b))
+    return (a > b) - (a < b)
 
 
-def _strncmp(a: bytes, b: bytes, n: int) -> Value:
+def _strncmp(a: bytes, b: bytes, n: int) -> int:
     n = max(n, 0)
     return _c_order(a.partition(b"\0")[0][:n], b.partition(b"\0")[0][:n])
 
 
-def _strcmp(a: bytes, b: bytes) -> Value:
+def _strcmp(a: bytes, b: bytes) -> int:
     return _c_order(a.partition(b"\0")[0], b.partition(b"\0")[0])
 
 
-def _strlen(s: bytes) -> Value:
-    return mk_int(len(s))
-
-
-def _substr(s: bytes, start: int, length: int) -> Value:
+def _substr(s: bytes, start: int, length: int) -> bytes:
     if start < 0 or start > len(s) or length < 0:
-        return mk_str(b"")
-    return mk_str(s[start : start + length])
+        return b""
+    return s[start : start + length]
 
 
-def _fdiv(a: float, b: float) -> Value:
+def _fdiv(a: float, b: float) -> float:
     if b == 0.0:
         if a == 0.0 or math.isnan(a):
-            return mk_float(math.nan)
+            return math.nan
         sign = math.copysign(1.0, a) * math.copysign(1.0, b)
-        return mk_float(math.copysign(math.inf, sign))
-    return mk_float(a / b)
+        return math.copysign(math.inf, sign)
+    return a / b
 
 
-def _sqrt(a: float) -> Value:
+def _sqrt(a: float) -> float:
     if a < 0.0:
-        return mk_float(math.nan)  # domain error: NaN is a legitimate garden value
+        return math.nan  # domain error: NaN is a legitimate garden value
     try:
-        return mk_float(math.sqrt(a))
+        return math.sqrt(a)
     except ValueError:
-        return mk_float(math.nan)
+        return math.nan
 
 
-def _fmin(a: float, b: float) -> Value:
+def _fmin(a: float, b: float) -> float:
     if math.isnan(a):
-        return mk_float(b)
+        return b
     if math.isnan(b):
-        return mk_float(a)
-    return mk_float(min(a, b))
+        return a
+    return min(a, b)
 
 
-def _fmax(a: float, b: float) -> Value:
+def _fmax(a: float, b: float) -> float:
     if math.isnan(a):
-        return mk_float(b)
+        return b
     if math.isnan(b):
-        return mk_float(a)
-    return mk_float(max(a, b))
+        return a
+    return max(a, b)
 
 
 def _sig(name, args, ret) -> OperatorSignature:
@@ -139,21 +137,21 @@ def _sig(name, args, ret) -> OperatorSignature:
 
 
 REGISTRY: dict[str, BuiltinOp] = {
-    "strcat": BuiltinOp(_sig("strcat", [STR, STR], STR), _strcat, "string"),
+    "strcat": BuiltinOp(_sig("strcat", [STR, STR], STR), operator.add, "string"),
     "strstr": BuiltinOp(_sig("strstr", [STR, STR], STR), _strstr, "string"),
     "strncmp": BuiltinOp(_sig("strncmp", [STR, STR, INT], INT), _strncmp, "string"),
     "strcmp": BuiltinOp(_sig("strcmp", [STR, STR], INT), _strcmp, "string"),
-    "strlen": BuiltinOp(_sig("strlen", [STR], INT), _strlen, "string"),
+    "strlen": BuiltinOp(_sig("strlen", [STR], INT), len, "string"),
     "substr": BuiltinOp(_sig("substr", [STR, INT, INT], STR), _substr, "string"),
-    "fadd": BuiltinOp(_sig("fadd", [FLOAT, FLOAT], FLOAT), lambda a, b: mk_float(a + b), "float"),
-    "fsub": BuiltinOp(_sig("fsub", [FLOAT, FLOAT], FLOAT), lambda a, b: mk_float(a - b), "float"),
-    "fmul": BuiltinOp(_sig("fmul", [FLOAT, FLOAT], FLOAT), lambda a, b: mk_float(a * b), "float"),
+    "fadd": BuiltinOp(_sig("fadd", [FLOAT, FLOAT], FLOAT), operator.add, "float"),
+    "fsub": BuiltinOp(_sig("fsub", [FLOAT, FLOAT], FLOAT), operator.sub, "float"),
+    "fmul": BuiltinOp(_sig("fmul", [FLOAT, FLOAT], FLOAT), operator.mul, "float"),
     "fdiv": BuiltinOp(_sig("fdiv", [FLOAT, FLOAT], FLOAT), _fdiv, "float"),
     "sqrt": BuiltinOp(_sig("sqrt", [FLOAT], FLOAT), _sqrt, "float"),
-    "fabs": BuiltinOp(_sig("fabs", [FLOAT], FLOAT), lambda a: mk_float(math.fabs(a)), "float"),
+    "fabs": BuiltinOp(_sig("fabs", [FLOAT], FLOAT), math.fabs, "float"),
     "fmin": BuiltinOp(_sig("fmin", [FLOAT, FLOAT], FLOAT), _fmin, "float"),
     "fmax": BuiltinOp(_sig("fmax", [FLOAT, FLOAT], FLOAT), _fmax, "float"),
-    "puts": BuiltinOp(_sig("puts", [STR], INT), lambda s: mk_int(0), "io"),
+    "puts": BuiltinOp(_sig("puts", [STR], INT), lambda s: 0, "io"),
 }
 
 
@@ -200,7 +198,7 @@ class IntPoolDim:
         return self.pool
 
     def value_for(self, key) -> Value:
-        return mk_int(key)
+        return Value(INT, key)
 
     def column(self) -> dict:
         return {k: k for k in self.pool}
@@ -221,6 +219,10 @@ class IndexedOperatorTable:
     the domains, in ascending (itertools.product) order, built on first
     access.  The gardens must not grow once the table exists: its cells
     are computed against them on demand.
+
+    A cell costs one call of op.fn on raw arguments; its raw result goes
+    straight to a cell, the result garden's index of it or the int itself,
+    and no Value is built.
     """
 
     def __init__(self, op: BuiltinOp, dims, result, *, garden_hash, rows=None):
@@ -233,7 +235,8 @@ class IndexedOperatorTable:
         self.garden_hash = garden_hash
         self.cell_tag = index_of(result.type_tag) if self.result_indexed else result
         self._fn = op.fn
-        self._cell_of = result.index_or_bot if self.result_indexed else attrgetter("raw")
+        # raw result -> cell; a raw int result is its own cell
+        self._cell_of = result.raw_index_or_bot if self.result_indexed else None
         # per dimension, key component -> raw argument: the domain check and
         # the argument of a cell in one probe
         self._columns = [d.column() for d in dims]
@@ -283,28 +286,43 @@ class IndexedOperatorTable:
         except Exception:
             cell = BOT
         else:
-            cell = self._cell_of(out)
+            cell = out if self._cell_of is None else self._cell_of(out)
         cells[key] = cell
         return cell
 
+    def _extend_cells(self, cells: list, arg_tuples) -> None:
+        """Append the cells of the argument tuples to cells, one call of the
+        operator each, mapped in C rather than cell by cell."""
+        fn, cell_of = self._fn, self._cell_of
+        while True:
+            try:
+                outs = starmap(fn, arg_tuples)
+                cells += outs if cell_of is None else map(cell_of, outs)
+                return
+            except Exception:
+                # the cells before the raising call are appended, and its
+                # argument tuple is consumed: it is BOT, and the rest go on
+                cells.append(BOT)
+
     def _product_cells(self) -> list:
         """Every cell, in product order of the domains.  Cached cells are
-        reused; the others are computed, not cached."""
+        reused; the others are computed, not cached.
+
+        One pass probes the cache for every key; each run of misses is
+        computed by one map over the argument product.
+        """
         if self._complete:
             return list(self._cells.values())
-        cached, fn, cell_of = self._cells.get, self._fn, self._cell_of
-        columns = self._columns
+        probes = map(self._cells.get, product(*self._columns), repeat(_MISS))
+        args = product(*(c.values() for c in self._columns))
         cells = []
-        for key, args in zip(product(*columns), product(*(c.values() for c in columns))):
-            cell = cached(key, _MISS)
-            if cell is _MISS:
-                try:
-                    out = fn(*args)
-                except Exception:
-                    cell = BOT
-                else:
-                    cell = cell_of(out)
-            cells.append(cell)
+        for missing, run in groupby(probes, partial(operator.is_, _MISS)):
+            if missing:
+                self._extend_cells(cells, islice(args, len([*run])))
+            else:
+                hits = [*run]
+                cells += hits
+                next(islice(args, len(hits), len(hits)), None)  # skip their arguments
         return cells
 
     def cell_value(self, cell, bot_propagate: bool = False) -> Value:
@@ -373,7 +391,8 @@ def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
     Rows are in itertools.product order of the dimension domains (last
     position fastest); tables.iot and the emitted IR depend on it.  Each
     dimension fixes its arguments' type, so op.fn gets the raw values
-    without the per-call tag check of BuiltinOp.eval.
+    without the per-call tag check of BuiltinOp.eval, and its raw result
+    is never wrapped as a Value.
     """
     dims = _dims_for(op.signature, gardens, int_pool)
     result = _result_for(op.signature, gardens)
@@ -408,7 +427,9 @@ def serialize_iot(t: IndexedOperatorTable) -> str:
     if pools:
         lines.append("pool " + ",".join(map(str, pools[0])))
     key_text = map(" ".join, product(*([str(k) for k in d.domain()] for d in t.dims)))
-    lines += map("{} -> {}".format, key_text, t._product_cells())
+    cells = t._product_cells()
+    arrows = {cell: f" -> {cell}" for cell in set(cells)}  # one text per distinct cell
+    lines += map(operator.add, key_text, map(arrows.__getitem__, cells))
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,13 @@
 import hashlib
 import math
 import random
+from itertools import product
 
 import pytest
 
 from indexify.garden import (
     BuilderConfig,
+    IndexMap,
     SeedSet,
     build_garden,
     load_gardens,
@@ -13,6 +15,7 @@ from indexify.garden import (
 )
 from indexify.iot import (
     REGISTRY,
+    BuiltinOp,
     IotError,
     eval_builtin,
     memoise,
@@ -23,6 +26,7 @@ from indexify.iot import (
 from indexify.lang.ast import (
     BOT,
     FLOAT,
+    INT,
     STR,
     EscapedGarden,
     mk_float,
@@ -182,6 +186,105 @@ def test_garden_and_row_order_pinned():
     assert sum(t.bot_rows for t in tables.values()) == 2352
     assert digest.hexdigest() == \
         "f466bea545d78c0ad0e70be267b903b26fb6cfcd572c4245efb1a4d74f4ea86a"
+
+
+def test_float_garden_and_row_order_pinned():
+    # the float companion of the test above: signed zeros and a NaN seed,
+    # grown by fadd/fmul, all eight maths operators.  The digest was taken
+    # before builtins returned raw payloads, so it also pins that no printed
+    # float or garden index moved with them.
+    seeds = SeedSet()
+    for x in (0.0, -0.0, 1.0, -1.5, math.nan):
+        seeds.add(mk_float(x))
+    builders = (REGISTRY["fadd"].signature, REGISTRY["fmul"].signature)
+    gardens = build_garden(seeds, BuilderConfig(builders=builders, k=2), types={FLOAT})
+    ops = ("fadd", "fsub", "fmul", "fdiv", "sqrt", "fabs", "fmin", "fmax")
+    tables = memoise_all(gardens, ops)
+    digest = hashlib.sha256(serialize_gardens(gardens).encode())
+    for name in sorted(tables):
+        digest.update(serialize_iot(tables[name]).encode())
+    assert len(gardens[FLOAT]) == 29
+    assert sum(len(t.rows) for t in tables.values()) == 5104
+    assert sum(t.bot_rows for t in tables.values()) == 2023
+    assert digest.hexdigest() == \
+        "a2b812e61bec1bbdab2efc46a5eb80f41ad2b8aa2b6a2727ea7b85808861faec"
+
+
+def _edge_gardens():
+    """Gardens of edge values: -0.0 stands for both zeros, and no string is
+    longer than 3 bytes, so the pool reaches past every string."""
+    gardens = {STR: IndexMap(STR), FLOAT: IndexMap(FLOAT)}
+    for raw in (b"", b"\0", b"a\0b", b"\xff", b"a", b"b", b"ab", b"\xff\0"):
+        gardens[STR].admit(mk_str(raw))
+    for raw in (-0.0, 0.0, math.nan, math.inf, -math.inf, 1e308, 1.0, -1.0, 0.5):
+        gardens[FLOAT].admit(mk_float(raw))
+    return gardens, (-1, 0, 1, 3, 4, 9)
+
+
+def _eval_cell(table, key):
+    """A key's cell by way of BuiltinOp.eval on Values."""
+    op = REGISTRY[table.op_name]
+    try:
+        out = op.eval(*(d.value_for(k) for d, k in zip(table.dims, key)))
+    except Exception:
+        return BOT
+    return table.result.index_or_bot(out) if table.result_indexed else out.raw
+
+
+@pytest.mark.parametrize("name", sorted(set(REGISTRY) - {"puts"}))
+def test_edge_values_agree_on_every_path_to_a_cell(name):
+    gardens, pool = _edge_gardens()
+    assert len(gardens[FLOAT]) == 8  # 0.0 is -0.0's entry
+    rows = memoise(gardens, REGISTRY[name], pool).rows
+    looked_up = memoise(gardens, REGISTRY[name], pool)
+    assert [looked_up.lookup(key) for key in rows] == list(rows.values())
+    assert [_eval_cell(looked_up, key) for key in rows] == list(rows.values())
+    some = memoise(gardens, REGISTRY[name], pool)
+    for key in list(rows)[::7]:
+        some.lookup(key)
+    assert list(some.rows.items()) == list(rows.items())
+
+
+def test_builtins_return_raw_payloads_of_their_result_type():
+    # the types mk_str, mk_int and mk_float gave: garden keys and printed
+    # floats depend on them
+    gardens, pool = _edge_gardens()
+    want = {STR: bytes, INT: int, FLOAT: float}
+    for name, op in REGISTRY.items():
+        dims = memoise(gardens, op, pool).dims
+        values = product(*([d.value_for(k) for k in d.domain()] for d in dims))
+        for args in values:
+            out = op.eval(*args)
+            assert out.tag is op.signature.return_type
+            assert type(op.fn(*(a.raw for a in args))) is type(out.raw) \
+                is want[out.tag], (name, args)
+
+
+def test_a_raising_operator_gives_bot_on_every_path():
+    # cells whose call raises, alone and in runs, first and last in a row,
+    # next to cached cells: each is BOT and no other cell moves
+    gardens = _ab_garden()
+    g, strcat = gardens[STR], REGISTRY["strcat"]
+
+    def raises(a, b):
+        return len(a + b) == 2 or a == b"b"
+
+    def fn(a, b):
+        if raises(a, b):
+            raise ValueError(a, b)
+        return strcat.fn(a, b)
+
+    op = BuiltinOp(strcat.signature, fn, strcat.klass)
+    want = {key: BOT if raises(*(g.value_at(k).raw for k in key)) else cell
+            for key, cell in memoise(gardens, strcat).rows.items()}
+    assert sum(cell is BOT for cell in want.values()) > len(g)
+    assert list(memoise(gardens, op).rows.items()) == list(want.items())
+    partly = memoise(gardens, op)
+    for key in list(want)[::5]:
+        partly.lookup(key)
+    assert serialize_iot(partly) == serialize_iot(memoise(gardens, op))
+    assert list(partly.rows.items()) == list(want.items())
+    assert [memoise(gardens, op).lookup(key) for key in want] == list(want.values())
 
 
 def test_memoise_order_independent():
