@@ -165,10 +165,10 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
         seeds = load_seeds_file(cfg.seeds_file)  # prevents constant harvesting
     else:
         seeds = harvest_seeds(program, types)
-        if cfg.add_seeds_file:
-            for tag, vals in load_seeds_file(cfg.add_seeds_file).per_type.items():
-                for v in vals:
-                    seeds.add(v)
+    if cfg.add_seeds_file:  # merged into whichever seed set was chosen
+        for vals in load_seeds_file(cfg.add_seeds_file).per_type.values():
+            for v in vals:
+                seeds.add(v)
     if STR in types:
         seeds.add(mk_str(b""))  # the empty string is always seeded
 
@@ -259,7 +259,10 @@ def parse_testcase_file(text: str):
         if not line.strip():
             continue
         name, _, value = line.partition("=")
-        inputs[name.strip()] = parse_input_value(value)
+        name = name.strip()
+        if name in inputs:
+            raise UsageError(f"input {name!r} given twice")
+        inputs[name] = parse_input_value(value)
     return inputs, verdict
 
 
@@ -439,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", dest="seeds_file",
                    help="seed file; prevents constant harvesting")
     p.add_argument("--addSeeds", dest="add_seeds_file",
-                   help="seed file merged into the harvested constants")
+                   help="seed file merged into the seeds, harvested or --seeds")
     p.add_argument("--garden", dest="garden_file",
                    help="load this garden file verbatim instead of building one")
     p.add_argument("--indexOpDefs", dest="iot_file",

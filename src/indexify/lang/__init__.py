@@ -1,57 +1,6 @@
-"""MiniImp: AST, parser, printer, typechecker and concrete interpreter."""
+"""MiniImp: AST, parser, printer, typechecker and concrete interpreter.
 
-from .ast import (  # noqa: F401
-    BOOL,
-    BOT,
-    FLOAT,
-    INT,
-    STR,
-    Assert,
-    Assign,
-    BinOp,
-    BotLiteral,
-    Bottom,
-    Call,
-    Decl,
-    EscapedGarden,
-    Expr,
-    ExprStmt,
-    FunctionDef,
-    If,
-    Literal,
-    MakeSymbolic,
-    MiniImpError,
-    MiniImpSyntaxError,
-    MiniImpTypeError,
-    Param,
-    Program,
-    Return,
-    Stmt,
-    TypeTag,
-    UnOp,
-    Value,
-    Var,
-    While,
-    index_of,
-    is_index,
-    mk_bool,
-    mk_float,
-    mk_int,
-    mk_str,
-    program_layout,
-    truthy,
-    value_key,
-    walk_stmts,
-)
-from .interp import (  # noqa: F401
-    VERDICT_ASSERT,
-    VERDICT_BOUND,
-    VERDICT_DIV_ZERO,
-    VERDICT_ESCAPED,
-    VERDICT_OK,
-    InterpResult,
-    interpret,
-)
-from .parser import parse  # noqa: F401
-from .printer import print_expr, print_program, print_type  # noqa: F401
-from .typecheck import typecheck  # noqa: F401
+Import the submodule that holds a name (`indexify.lang.ast`,
+`indexify.lang.parser`, ...): the package itself re-exports nothing, so
+importing one submodule does not load the others.
+"""

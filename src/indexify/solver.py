@@ -513,8 +513,3 @@ class PathState:
                     return SolveResult(UNSAT)
                 model[v.name] = 0
         return SolveResult(SAT, model)
-
-
-def dump_query(pc) -> str:
-    """Line format for golden tests: `<var> (=|!=) <const|var>` per atom."""
-    return "".join(f"{a!r}\n" for a in pc)

@@ -26,12 +26,15 @@ goes on the stack.  Each node of the decision tree therefore runs once.
 The wallclock and state budgets are checked at every decision and loop
 back-edge.  Every solver variable ranges over [0, size), and every constant
 is a garden index or an int (a bool is 0 or 1); BOT never enters a path
-condition.  The path condition travels with the state as a
-solver.PathState, which decides every check and gives every model, so a
-check costs the atoms it adds and the classes that var-var disequalities
-join.  Every queued option was satisfiable when checked, so emitted test
-cases replay on the concrete interpreter by construction; an option the
-solver cannot decide is dropped and counted, and the run goes on.
+condition.  A state's path condition is its solver.PathState and nothing
+else: a persistent object (extending one returns a new one, so state copies
+share it) that decides every check and gives every model, so a check costs
+the atoms it adds and the classes that var-var disequalities join.  Every
+queued option was satisfiable when checked, so emitted test cases replay on
+the concrete interpreter by construction; an option the solver cannot
+decide is dropped and counted, and the run goes on.  A test case carries
+what replay and the artifacts need: its verdict, its concrete inputs (a
+model of the path condition) and its branch trace.
 """
 
 from __future__ import annotations
@@ -141,7 +144,6 @@ class TestCase:
     verdict: str
     inputs: dict  # symbolic name -> concrete Value (unindexed)
     covered_branches: frozenset
-    pc: tuple
 
 
 @dataclass(frozen=True)
@@ -442,13 +444,12 @@ class _Frame:
 class _State:
     """One path in flight, copied at each decision it forks."""
 
-    __slots__ = ("frames", "pc", "facts", "branches", "stmts", "symvars",
+    __slots__ = ("frames", "facts", "branches", "stmts", "symvars",
                  "concretized", "loop_counts")
 
     def __init__(self, main_code):
         self.frames = [_Frame(main_code, {}, None)]
-        self.pc: list = []
-        self.facts = solver.PathState()  # the facts of pc
+        self.facts = solver.PathState()  # the path condition
         self.branches = set()  # covered (statement path, taken) edges
         self.stmts = set()     # covered statement paths
         self.symvars: dict[str, SymRef | Opaque] = {}
@@ -458,7 +459,6 @@ class _State:
     def copy(self) -> "_State":
         st = _State.__new__(_State)
         st.frames = [f.copy() for f in self.frames]
-        st.pc = self.pc.copy()
         st.facts = self.facts  # persistent: extend() returns a new one
         st.branches = self.branches.copy()
         st.stmts = self.stmts.copy()
@@ -577,7 +577,6 @@ class Engine:
                     verdict=verdict,
                     inputs=self.concrete_inputs(st, model),
                     covered_branches=frozenset(st.branches),
-                    pc=tuple(st.pc),
                 ))
         return ExplorationReport(
             mode=self.cfg.mode,
@@ -634,25 +633,22 @@ class Engine:
         for atoms, payload in options:
             facts = self.check(st, atoms) if atoms else st.facts
             if facts is not None:
-                feasible.append((atoms, payload, facts))
+                feasible.append((payload, facts))
         if record_fork:
             self.iot_fork_sizes.append(len(feasible))
         if not feasible:
             raise _Infeasible()
         self.states += len(feasible)
-        for atoms, payload, facts in reversed(feasible[1:]):
+        for payload, facts in reversed(feasible[1:]):
             succ = st.copy()
             succ.frames[-1].store[dst] = payload
-            succ.pc.extend(atoms)
             succ.facts = facts
             self.stack.append(succ)
-        atoms, payload, st.facts = feasible[0]
-        fr.store[dst] = payload
-        st.pc.extend(atoms)
+        fr.store[dst], st.facts = feasible[0]
 
     def check(self, st, atoms):
-        """The facts of pc plus atoms when that is satisfiable; None when it
-        is not, or when the solver cannot tell (counted as unknown)."""
+        """The path condition plus atoms when that is satisfiable; None when
+        it is not, or when the solver cannot tell (counted as unknown)."""
         facts = st.facts.extend(atoms)
         self.queries += 1
         self.atoms_sent += facts.simplified
@@ -662,8 +658,8 @@ class Engine:
         return facts if status == solver.SAT else None
 
     def model(self, st, variables):
-        """The model of pc over its variables and `variables`; None when the
-        solver cannot tell (counted as unknown)."""
+        """The model of the path condition over its variables and
+        `variables`; None when the solver cannot tell (counted as unknown)."""
         self.queries += 1
         self.atoms_sent += st.facts.simplified
         res = st.facts.solve(variables)
@@ -699,9 +695,7 @@ class Engine:
                 if model is None:  # undecided: the path cannot be pinned
                     raise _Infeasible()
                 c = model[s.var.name]
-                atom = var_eq_const(s.var, c)
-                st.pc.append(atom)
-                st.facts = st.facts.extend((atom,))
+                st.facts = st.facts.extend((var_eq_const(s.var, c),))
                 st.concretized[s.var.name] = _value_from_const(s.tag, c)
 
     def _input_value(self, tag, c) -> Value:

@@ -225,16 +225,11 @@ def test_criterion_7_vendor_bug_end_to_end():
                                              tables=tables, wallclock_s=60.0))
     failures = [tc for tc in rep.test_cases if tc.verdict == "assertion-failure"]
     assert failures
-    pinned = []
-    for tc in failures:
-        pins = {a.var.name: a.other for a in tc.pc if a.kind == "==c"}
-        if pins.get("vendor") == 0 and pins.get("nv11vendor") == 1:
-            pinned.append(tc)
-    assert pinned, "no failure pins vendor=0 and nv11vendor=1"
-    for tc in pinned:
+    bug = {"vendor": mk_str(b"NVidia"), "nv11vendor": mk_str(b"NVidia Corporation")}
+    found = [tc for tc in failures if tc.inputs == bug]
+    assert found, "no failure has vendor NVidia and nv11vendor NVidia Corporation"
+    for tc in found:
         assert replay(res.program, tc, gardens=gardens, tables=tables).ok
-        assert tc.inputs["vendor"] == mk_str(b"NVidia")
-        assert tc.inputs["nv11vendor"] == mk_str(b"NVidia Corporation")
     for mode in (MODE_ABANDON, MODE_CONCRETIZE):
         base = explore_baseline(program, ExploreConfig(mode=mode, wallclock_s=60.0))
         assert all(tc.verdict != "assertion-failure" for tc in base.test_cases), mode

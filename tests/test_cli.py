@@ -6,7 +6,7 @@ import pytest
 from indexify.bench import corpus_path
 from indexify.cli import main
 from indexify.garden import load_gardens
-from indexify.lang.ast import mk_str
+from indexify.lang.ast import STR, mk_str
 from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
@@ -219,6 +219,9 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     if case == "testcase-bot":
         bad.write_text("s1=bot@str\n")
         return [str(src), "--replay", str(bad)]
+    if case == "testcase-duplicate":
+        bad.write_text('s1="ab"\ns1="zz"\n')
+        return [str(src), "--replay", str(bad)]
     if case == "input-directory":
         return [str(tmp_path)]
     if case == "garden-directory":
@@ -238,8 +241,9 @@ def _bad_input_args(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", [
     "garden-index", "garden-trailing-backslash", "garden-bool", "seed-hex-escape",
     "seed-float", "iot-row", "testcase-value", "testcase-string", "testcase-index",
-    "testcase-bot", "input-directory", "garden-directory", "source-not-utf8",
-    "source-hex-escape", "seed-variable", *NOT_UTF8, *BAD_SCALARS, *BAD_TABLES,
+    "testcase-bot", "testcase-duplicate", "input-directory", "garden-directory",
+    "source-not-utf8", "source-hex-escape", "seed-variable", *NOT_UTF8, *BAD_SCALARS,
+    *BAD_TABLES,
     *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
       for kind in BAD_ESCAPES),
     *(f"{where}-literal-{kind}" for where in ("garden", "seed", "testcase")
@@ -253,6 +257,8 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
     assert err.startswith("indexify: ") and "Traceback" not in err
     if case.endswith("not-utf8"):
         assert f"{tmp_path / 'bad'}: not UTF-8 text" in err
+    if case == "testcase-duplicate":
+        assert f"{tmp_path / 'bad'}: input 's1' given twice" in err
 
 
 def test_confluence_zero_trials_is_a_usage_error(fig4a_file, capsys):
@@ -330,6 +336,17 @@ def test_add_seeds_augments_harvest(fig4a_file, tmp_path):
                    "--k", "0", "--outdir", out) == 0
     garden = open(os.path.join(out, "garden.txt")).read()
     assert "zz" in garden and "bar" in garden
+
+
+def test_add_seeds_merges_into_a_seeds_file(fig4a_file, tmp_path):
+    seeds, extra = tmp_path / "seeds.txt", tmp_path / "extra.txt"
+    seeds.write_text("str:zz\n")
+    extra.write_text("str:qq\n")
+    out = tmp_path / "art"
+    assert run_cli(fig4a_file, "--seeds", str(seeds), "--addSeeds", str(extra),
+                   "--k", "0", "--outdir", str(out)) == 0
+    garden = load_gardens((out / "garden.txt").read_text())
+    assert {v.raw for v in garden[STR].values()} == {b"zz", b"qq", b""}
 
 
 def test_float_mode_auto_fplus(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import indexify
 from indexify.bench import CORPUS, corpus_path
 from indexify.lang.ast import (
     BOOL,
@@ -20,6 +24,16 @@ from indexify.lang.printer import print_program
 from indexify.lang.typecheck import typecheck
 
 VENDOR_SOURCE = open(corpus_path("vendor_check")).read()
+
+
+def test_importing_a_submodule_loads_no_other():
+    # the package re-exports nothing, so the AST comes without the interpreter
+    src = os.path.dirname(os.path.dirname(indexify.__file__))
+    code = "import sys, indexify.lang.ast; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    others = {f"indexify.lang.{m}" for m in ("interp", "parser", "printer", "typecheck")}
+    assert "indexify.lang.ast" in out.split() and not others & set(out.split())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from indexify.solver import (
     UNSAT,
     FiniteVar,
     PathState,
-    dump_query,
     entailed_pins,
     pc_vars,
     satisfies,
@@ -181,12 +180,6 @@ def test_exhausted_budget_reports_unknown():
     x, y = FiniteVar("x", 8), FiniteVar("y", 8)
     res = solve((var_neq_var(x, y),), budget_s=-1.0)
     assert res.status == UNKNOWN
-
-
-def test_dump_query_format():
-    x, y = FiniteVar("x", 4), FiniteVar("y", 4)
-    pc = (var_eq_const(x, 2), var_neq_var(x, y), var_eq_const(y, 3))
-    assert dump_query(pc) == "x = 2\nx != y\ny = 3\n"
 
 
 def test_path_state_agrees_with_the_solver_at_every_prefix():

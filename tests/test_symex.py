@@ -498,7 +498,7 @@ def test_symbolic_bool_and_int_scalars(mode):
     assert (rep.branch_covered, rep.branch_total) == (7, 8)
     assert [(tc.inputs["b"].raw, tc.inputs["n"].raw) for tc in rep.test_cases] == \
         [(True, 1), (True, 0), (False, 1), (False, 0)]
-    assert solver.dump_query(rep.test_cases[0].pc) == "b != 0\nn != 0\nb = 1\n"
+    assert (rep.states, rep.atoms_generated, rep.solver_queries) == (11, 14, 18)
     for tc in rep.test_cases:
         assert tc.verdict == "ok"
         assert replay(p, tc).ok
@@ -535,17 +535,30 @@ def test_every_testcase_replays():
             assert r.ok, (src[:30], tc.verdict, r)
 
 
-def test_fork_partition_covers_the_domain():
+def test_fork_partition_covers_the_domain(monkeypatch):
     # over a small garden, every input assignment satisfies exactly one
-    # emitted path condition: the forks partition the space
+    # emitted path condition: the forks partition the space.  A path's
+    # condition is its state's PathState, recorded as the engine asks it for
+    # the path's test case.
     src = open(corpus_path("vendor_check")).read()
     _, res, gardens, tables = indexed_setup(src, {"strncmp"})
+    conditions = []
+    model = Engine.model
+
+    def recording_model(self, st, variables):
+        conditions.append(st.facts)
+        return model(self, st, variables)
+
+    monkeypatch.setattr(Engine, "model", recording_model)
     rep = run_indexed(res, gardens, tables)
+    assert len(conditions) == len(rep.test_cases)
     n = len(gardens[STR])
     assert n <= 8
+    vendor, nv11vendor = solver.FiniteVar("vendor", n), solver.FiniteVar("nv11vendor", n)
     for v, w in itertools.product(range(n), repeat=2):
-        asg = {"vendor": v, "nv11vendor": w}
-        matches = [tc for tc in rep.test_cases if solver.satisfies(tc.pc, asg)]
+        pins = (solver.var_eq_const(vendor, v), solver.var_eq_const(nv11vendor, w))
+        matches = [i for i, facts in enumerate(conditions)
+                   if facts.extend(pins).status == solver.SAT]
         assert len(matches) == 1, (v, w, matches)
 
 
