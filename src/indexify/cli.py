@@ -32,7 +32,7 @@ from .garden import (
     serialize_gardens,
 )
 from .iot import REGISTRY, IotError, class_for_type, memoise_all, parse_tables, serialize_tables
-from .lang.ast import FLOAT, STR, MiniImpError, Program, Value, mk_str
+from .lang.ast import FLOAT, STR, MakeSymbolic, MiniImpError, Program, Value, mk_str, walk_stmts
 from .lang.parser import parse, parse_scalar_literal
 from .lang.printer import print_literal
 from .lang.typecheck import typecheck
@@ -390,6 +390,8 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
         gardens, tables = pipe.gardens, pipe.tables
     else:
         target, gardens, tables = pipe.program, {}, {}
+    symbolic = {s.name for f in target.functions for _, s in walk_stmts(f.body)
+                if isinstance(s, MakeSymbolic)}
     paths = [replay_path]
     if os.path.isdir(replay_path):
         paths = [os.path.join(replay_path, p)
@@ -398,6 +400,9 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
     for p in paths:
         try:
             inputs, expected = parse_testcase_file(read_text(p))
+            unknown = inputs.keys() - symbolic
+            if unknown:
+                raise UsageError(f"input {min(unknown)!r} is never made symbolic")
         except (UsageError, MiniImpError) as e:
             raise UsageError(f"{p}: {e}") from None
         res = interpret(target, inputs, gardens=gardens, tables=tables,

@@ -3,20 +3,21 @@
 Path conditions are conjunctions of (dis)equalities between variables and
 constants.  A variable ranges over [0, size) and a constant is an int: in
 the symbolic executor, a garden index or an int (a bool as 0 or 1).  The
-escape value is out of band and never reaches a path condition.  solve()
-merges equality classes with union-find, checks disequalities against the
-classes, and searches for an assignment of the unpinned classes
-(most-constrained first, values ascending) so models are deterministic and
-the smallest available.  The search is exhaustive, so the verdict is exact;
-a per-query budget converts pathological instances into an "unknown"
-verdict instead of a hang.
+escape value is out of band and never reaches a path condition.
 
-PathState keeps the same classes, pins and exclusions incrementally as a path
-condition grows, checks each class on its own as it changes, and hands the
-classes that var-var disequalities join to search(), the search solve() runs
-on the classes it builds from the atom list.  solve(), simplify() and
-entailed_pins() stay the reference PathState is tested against, and a brute
-force over every assignment is the reference of solve().
+==v atoms merge variables into equality classes (union-find).  A class's
+domain is one bitmask, bit c set while the class can still take c: ==c keeps
+bit c only, !=c clears it, a merge intersects the masks, and an empty mask is
+unsatisfiable.  search() gives the classes values most-constrained first,
+values ascending, so a class no var-var disequality joins takes its lowest
+bit and models are deterministic and the smallest available.  The search is
+exhaustive, so the verdict is exact; a per-query budget converts
+pathological instances into an "unknown" verdict instead of a hang.
+
+solve() builds the classes from a whole atom list, PathState incrementally
+as a path condition grows.  solve(), simplify() and entailed_pins() are the
+reference PathState is tested against, and a brute force over every
+assignment is the reference of solve().
 """
 
 from __future__ import annotations
@@ -130,6 +131,25 @@ class _Timeout(Exception):
     pass
 
 
+def _domain(size: int) -> int:
+    """The mask of [0, size): bit c set for each value c a variable can take."""
+    return (1 << size) - 1
+
+
+def _narrow(mask: int, a: Atom) -> int:
+    """mask under a ==c or !=c atom: only bit c kept, or bit c cleared.  A
+    negative or huge constant is fine: only a bit the mask has is shifted."""
+    c = a.other
+    if c < 0 or not mask >> c & 1:
+        return 0 if a.kind == "==c" else mask
+    return 1 << c if a.kind == "==c" else mask ^ (1 << c)
+
+
+def _lowest(mask: int) -> int:
+    """The smallest value of a non-empty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def solve(pc, variables=(), budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
     """Decide pc; on sat, the model covers pc's variables plus `variables`."""
     vars_by_name = pc_vars(pc)
@@ -137,81 +157,54 @@ def solve(pc, variables=(), budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
         vars_by_name.setdefault(v.name, v)
 
     uf = _UnionFind()
-    for name in vars_by_name:
-        uf.find(name)
     for a in pc:
         if a.kind == "==v":
             uf.union(a.var.name, a.other.name)
 
-    members: dict[str, list] = {}
+    masks = {}  # root -> the class's domain: its members' domains intersected
     for name, v in vars_by_name.items():
-        members.setdefault(uf.find(name), []).append(v)
-
-    # class domain: [0, the smallest member size)
-    sizes = {root: min(v.size for v in vs) for root, vs in members.items()}
-
-    def in_domain(root, c) -> bool:
-        return 0 <= c < sizes[root]
-
-    # pin classes from equality-with-constant atoms
-    pins = {}
-    for a in pc:
-        if a.kind != "==c":
-            continue
-        root = uf.find(a.var.name)
-        if not a.var.contains(a.other) or not in_domain(root, a.other):
-            return SolveResult(UNSAT)
-        if root in pins and pins[root] != a.other:
-            return SolveResult(UNSAT)
-        pins[root] = a.other
-
-    excluded: dict[str, set] = {root: set() for root in members}
+        root = uf.find(name)
+        masks[root] = masks.get(root, -1) & _domain(v.size)
     pairs = []
     for a in pc:
-        if a.kind == "!=c":
-            root = uf.find(a.var.name)
-            if not in_domain(root, a.other):
-                continue  # vacuous: the variable can never take this value
-            if pins.get(root) == a.other:
-                return SolveResult(UNSAT)
-            excluded[root].add(a.other)
-        elif a.kind == "!=v":
+        if a.kind == "!=v":
             pairs.append((uf.find(a.var.name), uf.find(a.other.name)))
+        elif a.kind != "==v":
+            root = uf.find(a.var.name)
+            masks[root] = _narrow(masks[root], a)
 
-    res = search({root: (sizes[root], pins.get(root), excluded[root]) for root in members},
-                 pairs, budget_s)
+    res = search(masks, pairs, budget_s)
     if res.status != SAT:
         return res
     return SolveResult(SAT, {name: res.model[uf.find(name)] for name in vars_by_name})
 
 
-def search(classes: dict, pairs, budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
+def search(masks: dict, pairs, budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
     """Give every equality class a value, different across each pair.
 
-    classes maps a class's root to (size, pin, excluded): the class is
-    pinned to pin, or with pin None ranges over [0, size) minus the excluded
-    constants.  Each record must be satisfiable on its own (a pin inside the
-    domain and not excluded).  pairs are the (root, root) of var-var
-    disequalities.  Open classes are assigned most-constrained first, values
-    ascending, so the model (root -> constant) is deterministic and the
-    smallest available.  The search is exhaustive, so the verdict is exact
-    unless budget_s runs out first: then it is UNKNOWN.
+    masks maps a class's root to its domain mask (bit c set when the class
+    can take c; a pinned class has one bit, an empty mask is unsatisfiable).
+    pairs are the (root, root) of var-var disequalities.  Classes are
+    assigned most-constrained first (fewest values left once the assigned
+    neighbours' are taken out), values ascending, so the model (root ->
+    constant) is deterministic and the smallest available.  The search is
+    exhaustive, so the verdict is exact unless budget_s runs out first:
+    then it is UNKNOWN.
     """
-    assignment = {root: pin for root, (_, pin, _) in classes.items() if pin is not None}
-    neighbors: dict[str, set] = {root: set() for root in classes}
+    neighbors: dict[str, set] = {root: set() for root in masks}
     for ra, rb in pairs:
-        pa = assignment.get(ra)
-        if ra == rb or (pa is not None and pa == assignment.get(rb)):
+        if ra == rb:
             return SolveResult(UNSAT)
         neighbors[ra].add(rb)
         neighbors[rb].add(ra)
+    assignment = {}
 
-    def candidates(root):
-        size, _, excl = classes[root]
-        taken = {assignment[nb] for nb in neighbors[root] if nb in assignment}
-        for c in range(size):
-            if c not in excl and c not in taken:
-                yield c
+    def candidates(root) -> int:
+        free = masks[root]
+        for nb in neighbors[root]:
+            if nb in assignment:
+                free &= ~(1 << assignment[nb])
+        return free
 
     deadline = time.monotonic() + budget_s if budget_s else None
 
@@ -221,17 +214,19 @@ def search(classes: dict, pairs, budget_s: float = DEFAULT_BUDGET_S) -> SolveRes
         if not remaining:
             return True
         # most-constrained first; ties broken by root name for determinism
-        root = min(remaining, key=lambda r: (sum(1 for _ in candidates(r)), r))
+        root = min(remaining, key=lambda r: (candidates(r).bit_count(), r))
         rest = [r for r in remaining if r != root]
-        for c in candidates(root):
-            assignment[root] = c
+        free = candidates(root)
+        while free:
+            assignment[root] = _lowest(free)
             if assign(rest):
                 return True
-            del assignment[root]
+            free &= free - 1
+        assignment.pop(root, None)
         return False
 
     try:
-        ok = assign([root for root in classes if root not in assignment])
+        ok = assign(list(masks))
     except _Timeout:
         return SolveResult(UNKNOWN)
     return SolveResult(SAT, assignment) if ok else SolveResult(UNSAT)
@@ -310,12 +305,11 @@ def simplify(pc) -> tuple:
 class _Class:
     """One equality class of a PathState."""
 
-    __slots__ = ("size", "pin", "clash", "neq", "keys")
+    __slots__ = ("mask", "pin", "clash", "neq", "keys")
 
     def __init__(self, var: FiniteVar):
-        self.size = var.size  # the domain is [0, size), size the members' least
-        self.pin = None     # the constant of the class's ==c atoms (the first,
-        #                     if they clash)
+        self.mask = _domain(var.size)  # the values the class can still take
+        self.pin = None     # the constant of the class's first ==c atom
         self.clash = False  # two ==c atoms of the class name different constants
         self.neq = {}       # constant -> distinct !=c atoms naming it, each
         #                     inside its own variable's domain
@@ -323,13 +317,13 @@ class _Class:
 
     def copy(self) -> "_Class":
         c = _Class.__new__(_Class)
-        c.size, c.pin, c.clash = self.size, self.pin, self.clash
+        c.mask, c.pin, c.clash = self.mask, self.pin, self.clash
         c.neq = self.neq.copy()
         c.keys = self.keys.copy()
         return c
 
     def absorb(self, other: "_Class") -> None:
-        self.size = min(self.size, other.size)
+        self.mask &= other.mask
         if other.pin is not None:
             self.add_pin(other.pin)
         self.clash = self.clash or other.clash
@@ -343,29 +337,11 @@ class _Class:
         elif self.pin != c:
             self.clash = True
 
-    def in_domain(self, c: int) -> bool:
-        return 0 <= c < self.size
-
     def dropped(self) -> int:
         """The class's !=c atoms that simplify() drops, as its pin decides them."""
         if self.pin is None:
             return 0
         return sum(self.neq.values()) - self.neq.get(self.pin, 0)
-
-    def feasible(self) -> bool:
-        if self.clash:
-            return False
-        if self.pin is not None:
-            return self.in_domain(self.pin) and self.pin not in self.neq
-        excluded = sum(1 for c in self.neq if self.in_domain(c))
-        return excluded < self.size
-
-    def smallest(self) -> int:
-        """The value solve() gives a feasible class with no var-var
-        disequality: its pin, else the smallest constant not excluded."""
-        if self.pin is not None:
-            return self.pin
-        return next(c for c in range(self.size) if c not in self.neq)
 
 
 class PathState:
@@ -373,17 +349,18 @@ class PathState:
 
     It holds what solve(), simplify() and entailed_pins() would otherwise
     recompute from the whole condition at each query: the equality classes
-    (a union-find over ==v atoms), each class's domain, pin and excluded
-    constants, the var-var disequalities, and how many atoms simplify()
-    keeps.  extend() returns a new state and leaves this one unchanged, so
+    (a union-find over ==v atoms), each class's domain mask, the var-var
+    disequalities, and, for simplify()'s count, each class's pin and !=c
+    atoms.  extend() returns a new state and leaves this one unchanged, so
     every option at a fork is tried from the same state; its cost grows with
     the new atoms and the classes they touch, not with the condition.
 
-    Each class is checked on its own as it changes.  Only the classes that
-    var-var disequalities join go to search(), the search solve() uses, so
-    without one a state's model is each class's smallest value, and UNKNOWN
-    comes only from that search's budget.  pin() is entailed_pins() for a
-    satisfiable state only: of two clashing pins a class keeps the first.
+    A state is unsatisfiable once a class's mask is empty.  Only the classes
+    that var-var disequalities join go to search(), so without one a state's
+    model is each class's lowest bit, and UNKNOWN comes only from that
+    search's budget.  pin() is entailed_pins() for a satisfiable state only:
+    the constant of a class's ==c atoms (of two clashing pins, the first),
+    not a mask that !=c atoms narrow to one value.
     """
 
     __slots__ = ("_uf", "_classes", "_edges", "_unsat", "_clash",
@@ -413,7 +390,7 @@ class PathState:
             if root in st._classes:  # not merged into another class
                 st._dropped += cls.dropped()
                 st._clash = st._clash or cls.clash
-                st._unsat = st._unsat or not cls.feasible()
+                st._unsat = st._unsat or not cls.mask
         return st
 
     def _own(self, root, touched) -> _Class:
@@ -457,6 +434,8 @@ class PathState:
             return
         cls.keys.add(key)
         self._kept += 1
+        if a.kind != "==v":
+            cls.mask = _narrow(cls.mask, a)
         if a.kind == "!=c":
             cls.neq[a.other] = cls.neq.get(a.other, 0) + 1
 
@@ -495,14 +474,10 @@ class PathState:
         if self._unsat:
             return SolveResult(UNSAT)
         find = self._uf.find
-        model = {name: self._classes[find(name)].smallest() for name in self._uf.parent}
+        model = {name: _lowest(self._classes[find(name)].mask) for name in self._uf.parent}
         if self._edges:
             pairs = [(find(a), find(b)) for a, b in self._edges.values()]
-            classes = {}
-            for root in {r for pair in pairs for r in pair}:
-                cls = self._classes[root]
-                classes[root] = (cls.size, cls.pin, cls.neq)
-            res = search(classes, pairs)
+            res = search({r: self._classes[r].mask for pair in pairs for r in pair}, pairs)
             if res.status != SAT:
                 return res
             for name in model:

@@ -222,6 +222,9 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     if case == "testcase-duplicate":
         bad.write_text('s1="ab"\ns1="zz"\n')
         return [str(src), "--replay", str(bad)]
+    if case == "testcase-unknown-input":
+        bad.write_text('s1="bar"\nnope=3\n')
+        return [str(src), "--replay", str(bad)]
     if case == "input-directory":
         return [str(tmp_path)]
     if case == "garden-directory":
@@ -241,9 +244,9 @@ def _bad_input_args(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", [
     "garden-index", "garden-trailing-backslash", "garden-bool", "seed-hex-escape",
     "seed-float", "iot-row", "testcase-value", "testcase-string", "testcase-index",
-    "testcase-bot", "testcase-duplicate", "input-directory", "garden-directory",
-    "source-not-utf8", "source-hex-escape", "seed-variable", *NOT_UTF8, *BAD_SCALARS,
-    *BAD_TABLES,
+    "testcase-bot", "testcase-duplicate", "testcase-unknown-input", "input-directory",
+    "garden-directory", "source-not-utf8", "source-hex-escape", "seed-variable", *NOT_UTF8,
+    *BAD_SCALARS, *BAD_TABLES,
     *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
       for kind in BAD_ESCAPES),
     *(f"{where}-literal-{kind}" for where in ("garden", "seed", "testcase")
@@ -259,6 +262,8 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
         assert f"{tmp_path / 'bad'}: not UTF-8 text" in err
     if case == "testcase-duplicate":
         assert f"{tmp_path / 'bad'}: input 's1' given twice" in err
+    if case == "testcase-unknown-input":
+        assert f"{tmp_path / 'bad'}: input 'nope' is never made symbolic" in err
 
 
 def test_confluence_zero_trials_is_a_usage_error(fig4a_file, capsys):

@@ -71,6 +71,10 @@ def test_domain_exhaustion_unsat():
     x = FiniteVar("x", 4)
     atoms = tuple(var_neq_const(x, i) for i in range(4))
     assert solve(atoms).status == UNSAT
+    # a variable over an empty domain has no value, constrained or not
+    empty = FiniteVar("e", 0)
+    assert solve((), variables=[empty]).status == UNSAT
+    assert PathState().solve(variables=[empty]).status == UNSAT
 
 
 def test_smallest_model_selected():
