@@ -16,9 +16,9 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from .cli import CliConfig, _TYPE_CHOICES, build_pipeline, run_mode
+from .cli import MODES, CliConfig, _TYPE_CHOICES, build_pipeline, run_mode
 from .lang.parser import parse
-from .symex import MODE_ABANDON, MODE_CONCRETIZE, MODE_INDEXED
+from .symex import MODE_ABANDON, MODE_INDEXED
 
 DEFAULT_MODES = (MODE_INDEXED, MODE_ABANDON)
 
@@ -194,10 +194,8 @@ def main(argv=None) -> int:
                    help="comma-separated: indexed,abandon,concretize")
     p.add_argument("--out", help="write the aggregate report to this file")
     args = p.parse_args(argv)
-    name_map = {"indexed": MODE_INDEXED, "abandon": MODE_ABANDON,
-                "concretize": MODE_CONCRETIZE}
     try:
-        modes = tuple(name_map[m.strip()] for m in args.modes.split(","))
+        modes = tuple(MODES[m.strip()] for m in args.modes.split(","))
     except KeyError as e:
         print(f"indexify-bench: unknown mode {e}", file=sys.stderr)
         return 2

@@ -33,10 +33,11 @@ from .garden import (
 )
 from .iot import REGISTRY, IotError, class_for_type, memoise_all, parse_tables, serialize_tables
 from .lang.ast import FLOAT, STR, MakeSymbolic, MiniImpError, Program, Value, mk_str, walk_stmts
+from .lang.interp import interpret
 from .lang.parser import parse, parse_scalar_literal
 from .lang.printer import print_literal
 from .lang.typecheck import typecheck
-from .rewrite import RewriteConfig, RewriteError, emit_indexed_source, normalize
+from .rewrite import RewriteConfig, RewriteError, confluence_probe, emit_indexed_source, normalize
 from .symex import (
     MODE_ABANDON,
     MODE_CONCRETIZE,
@@ -50,6 +51,7 @@ from .symex import (
 )
 
 _TYPE_CHOICES = {"string": (STR,), "float": (FLOAT,), "both": (STR, FLOAT)}
+MODES = {"indexed": MODE_INDEXED, "abandon": MODE_ABANDON, "concretize": MODE_CONCRETIZE}
 
 
 class UsageError(Exception):
@@ -130,15 +132,15 @@ def default_f_plus(indexed_types) -> set:
     return names
 
 
-def default_builders(f_plus, indexed_types):
-    """B+ defaults to the garden-growable part of F+: mono-typed operators
-    whose arguments and result are all of one indexed type."""
+def default_builders(f_plus, indexed_types) -> tuple:
+    """B+ defaults to the garden-growable part of F+: the builtin ops whose
+    arguments and result are all of one indexed type."""
     builders = []
     for name in sorted(f_plus):
-        sig = REGISTRY[name].signature
-        types = set(sig.arg_types) | {sig.return_type}
-        if len(types) == 1 and sig.return_type in indexed_types:
-            builders.append(sig)
+        op = REGISTRY[name]
+        types = {*op.signature.arg_types, op.signature.return_type}
+        if len(types) == 1 and op.signature.return_type in indexed_types:
+            builders.append(op)
     return tuple(builders)
 
 
@@ -192,14 +194,22 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
     return Pipeline(program=program, gardens=gardens, f_plus=f_plus, tables=tables)
 
 
-def rewrite_pipeline(pipe: Pipeline, cfg: CliConfig) -> Pipeline:
-    rcfg = RewriteConfig(
+def load_pipeline(cfg: CliConfig) -> Pipeline:
+    """Parse the input file and build its pipeline, unrewritten."""
+    return build_pipeline(parse(read_text(cfg.input_path)), cfg)
+
+
+def rewrite_config(pipe: Pipeline, cfg: CliConfig) -> RewriteConfig:
+    return RewriteConfig(
         indexed_types=set(cfg.indexed_types),
         f_plus=pipe.f_plus,
         gardens=pipe.gardens,
         tables=pipe.tables,
     )
-    pipe.indexed = normalize(pipe.program, rcfg)
+
+
+def rewrite_pipeline(pipe: Pipeline, cfg: CliConfig) -> Pipeline:
+    pipe.indexed = normalize(pipe.program, rewrite_config(pipe, cfg))
     return pipe
 
 
@@ -332,33 +342,21 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(cfg: CliConfig) -> int:
-    program = parse(read_text(cfg.input_path))
-    pipe = build_pipeline(program, cfg)
-    mode = {None: MODE_INDEXED, "abandon": MODE_ABANDON,
-            "concretize": MODE_CONCRETIZE}[cfg.baseline]
-    if mode == MODE_INDEXED or cfg.emit_ir:
+def cmd_run(cfg: CliConfig, modes: tuple) -> int:
+    """Explore the program in each mode, write the artifacts, and print a
+    summary for one mode or a table for several.  Exit 1 when a mode found
+    an assertion failure."""
+    pipe = load_pipeline(cfg)
+    if cfg.emit_ir:  # the IR needs the rewrite in a baseline run too
         rewrite_pipeline(pipe, cfg)
-    report = run_mode(cfg, pipe, mode)
-    outdir = write_artifacts(cfg, pipe, {mode: report})
-    print(human_summary(report))
-    print(f"artifacts: {outdir}")
-    return 1 if report.assertion_failures else 0
-
-
-def cmd_compare(cfg: CliConfig) -> int:
-    program = parse(read_text(cfg.input_path))
-    pipe = build_pipeline(program, cfg)
-    rewrite_pipeline(pipe, cfg)
-    baseline_mode = MODE_CONCRETIZE if cfg.baseline == "concretize" else MODE_ABANDON
-    reports = {
-        MODE_INDEXED: run_mode(cfg, pipe, MODE_INDEXED),
-        baseline_mode: run_mode(cfg, pipe, baseline_mode),
-    }
+    reports = {mode: run_mode(cfg, pipe, mode) for mode in modes}
     outdir = write_artifacts(cfg, pipe, reports)
-    print(comparison_table(reports))
+    if len(reports) == 1:
+        print(human_summary(*reports.values()))
+    else:
+        print(comparison_table(reports))
     print(f"artifacts: {outdir}")
-    return 0
+    return 1 if any(r.assertion_failures for r in reports.values()) else 0
 
 
 def comparison_table(reports: dict) -> str:
@@ -380,10 +378,7 @@ def comparison_table(reports: dict) -> str:
 
 
 def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
-    from .lang.interp import interpret
-
-    program = parse(read_text(cfg.input_path))
-    pipe = build_pipeline(program, cfg)
+    pipe = load_pipeline(cfg)
     if cfg.baseline is None:
         rewrite_pipeline(pipe, cfg)
         target = pipe.indexed.program
@@ -415,16 +410,12 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
 
 
 def cmd_confluence(cfg: CliConfig, trials: int) -> int:
-    from .rewrite import confluence_probe
-
-    program = parse(read_text(cfg.input_path))
-    pipe = build_pipeline(program, cfg)
-    rcfg = RewriteConfig(set(cfg.indexed_types), pipe.f_plus, pipe.gardens, pipe.tables)
+    pipe = load_pipeline(cfg)
     try:
         seed = int(os.environ.get("INDEXIFY_SEED", "0"))
     except ValueError:
         raise UsageError("INDEXIFY_SEED must be an integer") from None
-    rep = confluence_probe(program, rcfg, trials, seed=seed)
+    rep = confluence_probe(pipe.program, rewrite_config(pipe, cfg), trials, seed=seed)
     print(f"confluence: trials={rep.trials} distinct={rep.distinct_normal_forms} "
           f"all_equal={rep.all_equal}")
     return 0 if rep.all_equal else 1
@@ -510,8 +501,8 @@ def main(argv=None) -> int:
         if args.confluence_trials is not None:
             return cmd_confluence(cfg, args.confluence_trials)
         if args.compare:
-            return cmd_compare(cfg)
-        return cmd_run(cfg)
+            return cmd_run(cfg, (MODE_INDEXED, MODES[cfg.baseline or "abandon"]))
+        return cmd_run(cfg, (MODES[cfg.baseline or "indexed"],))
     except (UsageError, GardenError, IotError, RewriteError, MiniImpError,
             SymexError, OSError) as e:
         print(f"indexify: {e}", file=sys.stderr)

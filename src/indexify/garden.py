@@ -115,7 +115,7 @@ class IndexMap:
 
 @dataclass(frozen=True)
 class BuilderConfig:
-    builders: tuple[OperatorSignature, ...] = ()
+    builders: tuple = ()  # iot.BuiltinOps, each mono-typed
     k: int = 3
     max_str_len: int = 8
     mode: str = "ops"  # "ops" applies the builders; "kleene" enumerates strings
@@ -174,30 +174,26 @@ def _admissible(v: Value, max_str_len: int) -> bool:
     return True
 
 
-def extend(imap: IndexMap, op: OperatorSignature, *,
+def extend(imap: IndexMap, op, *,
            snapshot: list[Value] | None = None,
            max_str_len: int = 8, fresh_from: int = 0) -> tuple[IndexMap, int]:
-    """One builder pass: apply op to the argument tuples from the snapshot
-    that hold a value at index fresh_from or later, in product order (all
-    of them by default).
+    """One builder pass: apply op, an iot.BuiltinOp, to the argument tuples
+    from the snapshot that hold a value at index fresh_from or later, in
+    product order (all of them by default).
 
     Results already present, longer than max_str_len, or failing to evaluate
     are not admitted; the skip count is returned alongside the map.  All of
     op's argument types must equal the garden's type (builders are mono-typed).
     """
-    if any(t != imap.type_tag for t in op.arg_types) or op.return_type != imap.type_tag:
-        raise GardenError(f"{op.name} is not a builder for {imap.type_tag!r}")
-    from .iot import REGISTRY  # iot imports this module
-
-    builtin = REGISTRY.get(op.name)
-    if builtin is None:
-        raise GardenError(f"unknown builder {op.name!r}")
+    sig = op.signature
+    if any(t != imap.type_tag for t in sig.arg_types) or sig.return_type != imap.type_tag:
+        raise GardenError(f"{sig.name} is not a builder for {imap.type_tag!r}")
     if snapshot is None:
         snapshot = imap.values()
     skips = 0
-    for args in _tuples_from([v.raw for v in snapshot], fresh_from, op.arity):
+    for args in _tuples_from([v.raw for v in snapshot], fresh_from, sig.arity):
         try:
-            result = Value(op.return_type, builtin.fn(*args))
+            result = Value(sig.return_type, op.fn(*args))
         except Exception:
             skips += 1
             continue
@@ -251,9 +247,9 @@ def build_garden(seeds: SeedSet, cfg: BuilderConfig,
     for _ in range(cfg.k):
         snapshots = {tag: imap.values() for tag, imap in gardens.items()}
         for op in cfg.builders:
-            tag = op.return_type
+            tag = op.signature.return_type
             if tag not in gardens:
-                raise GardenError(f"builder {op.name} needs a {tag!r} garden")
+                raise GardenError(f"builder {op.signature.name} needs a {tag!r} garden")
             extend(gardens[tag], op, snapshot=snapshots[tag],
                    max_str_len=cfg.max_str_len, fresh_from=fresh_from[tag])
         if all(len(gardens[tag]) == len(snap) for tag, snap in snapshots.items()):

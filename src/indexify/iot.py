@@ -5,8 +5,8 @@ analogues) that serve as the oracle everywhere else.  memoise() makes an
 IndexedOperatorTable: over the type-valid argument tuples of the gardens, it
 maps index tuples to either result indices (when the return type is indexed)
 or the operator's int results (when it is not, like strncmp's comparison
-result).  A table computes each cell on its first lookup; the complete table
-is built only where it is read whole, for tables.iot and the emitted IR.
+result).  A table computes each cell on its first lookup; tables.iot and
+the emitted IR read every cell through cells(), which caches none it computes.
 Builtins take and return raw payloads (bytes, int, float): a table turns a
 raw result straight into its cell, and BuiltinOp.eval alone wraps a result
 as a Value, for the interpreter and the explorer.  BOT is always a
@@ -259,7 +259,7 @@ class IndexedOperatorTable:
     @property
     def rows(self) -> dict:
         if not self._complete:
-            cells = self._product_cells()
+            cells = self.cells()
             self._cells.clear()  # free the cache before the table is built
             self._cells = dict(zip(product(*self._columns), cells))
             self._complete = True
@@ -304,7 +304,7 @@ class IndexedOperatorTable:
                 # argument tuple is consumed: it is BOT, and the rest go on
                 cells.append(BOT)
 
-    def _product_cells(self) -> list:
+    def cells(self) -> list:
         """Every cell, in product order of the domains.  Cached cells are
         reused; the others are computed, not cached.
 
@@ -427,7 +427,7 @@ def serialize_iot(t: IndexedOperatorTable) -> str:
     if pools:
         lines.append("pool " + ",".join(map(str, pools[0])))
     key_text = map(" ".join, product(*([str(k) for k in d.domain()] for d in t.dims)))
-    cells = t._product_cells()
+    cells = t.cells()
     arrows = {cell: f" -> {cell}" for cell in set(cells)}  # one text per distinct cell
     lines += map(operator.add, key_text, map(arrows.__getitem__, cells))
     return "\n".join(lines) + "\n"

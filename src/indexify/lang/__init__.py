@@ -2,5 +2,5 @@
 
 Import the submodule that holds a name (`indexify.lang.ast`,
 `indexify.lang.parser`, ...): the package itself re-exports nothing, so
-importing one submodule does not load the others.
+importing one submodule loads only the modules that submodule imports.
 """

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..iot import REGISTRY
 from .ast import (
     BOT,
     Assert,
@@ -34,6 +35,7 @@ from .ast import (
     Var,
     While,
     declared_types,
+    index_of,
     is_index,
     mk_bool,
     mk_int,
@@ -229,8 +231,6 @@ class Interpreter:
             no_bot(args[0])
             self.outputs.append(args[0].raw)
             return mk_int(0)
-        from ..iot import REGISTRY  # iot imports lang, so not at module level
-
         op = REGISTRY.get(e.name)
         if op is None:
             raise MiniImpError(f"call to unknown function {e.name!r}")
@@ -242,8 +242,6 @@ class Interpreter:
         garden = self.gardens.get(v.tag)
         if garden is None:
             raise MiniImpError(f"idx: no garden for {v.tag!r}")
-        from .ast import index_of
-
         return Value(index_of(v.tag), garden.index_or_bot(v))
 
     def intrinsic_unidx(self, v: Value) -> Value:

@@ -9,6 +9,7 @@ output; for the latter, pass the indexed-operator signatures via extra_sigs.
 
 from __future__ import annotations
 
+from ..iot import REGISTRY
 from .ast import (
     BOOL,
     INT,
@@ -44,9 +45,7 @@ _LOGIC = {"&&", "||"}
 
 
 def default_builtin_sigs():
-    from .. import iot
-
-    return {name: op.signature for name, op in iot.REGISTRY.items()}
+    return {name: op.signature for name, op in REGISTRY.items()}
 
 
 class _FnSig:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import product
 
 from .iot import REGISTRY, GardenDim, IndexedOperatorTable
 from .lang.ast import (
@@ -488,7 +489,8 @@ def _emit_table_fn(t: IndexedOperatorTable) -> str:
     sig = t.indexed_signature()
     params = ", ".join(f"{print_type(ty)} s{i + 1}" for i, ty in enumerate(sig.arg_types))
     lines = [f"{print_type(sig.return_type)} {t.indexed_name}({params}) {{"]
-    for key, cell in t.rows.items():
+    keys = product(*(d.domain() for d in t.dims))
+    for key, cell in zip(keys, t.cells()):  # not rows, which keeps the whole dict
         if cell is BOT:
             continue  # falls through to the catch-all
         conds = " && ".join(f"s{i + 1} == {print_literal(ty, k)}"

@@ -66,7 +66,7 @@ def test_criterion_1_garden_golden():
     for v in (b"a", b"b", b""):
         seeds.add(mk_str(v))
     cfg = BuilderConfig(
-        builders=(REGISTRY["strcat"].signature, REGISTRY["strstr"].signature),
+        builders=(REGISTRY["strcat"], REGISTRY["strstr"]),
         k=2, max_str_len=2,
     )
     garden = build_garden(seeds, cfg, types={STR})[STR]
@@ -98,8 +98,7 @@ def test_criterion_2_memoization_oracle():
                 seeds.add(mk_float(rng.choice([0.0, 1.0, 2.0, -1.5, 0.25])))
             pool = ("fadd", "fmul", "fmin")
             ops = ("fadd", "fsub", "fmul", "fdiv", "sqrt", "fabs")
-        builders = tuple(REGISTRY[n].signature
-                         for n in rng.sample(pool, rng.randint(1, len(pool))))
+        builders = tuple(REGISTRY[n] for n in rng.sample(pool, rng.randint(1, len(pool))))
         bcfg = BuilderConfig(builders=builders, k=rng.randint(0, 3),
                              max_str_len=rng.randint(2, 4))
         gardens = build_garden(seeds, bcfg, types={tag})

@@ -383,6 +383,14 @@ def test_compare_emits_table(fig4a_file, tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "report.abandon.txt"))
 
 
+def test_compare_exits_one_when_a_mode_finds_the_assertion(tmp_path, capsys):
+    out = str(tmp_path / "art")
+    code = run_cli("--type", "string", corpus_path("vendor_check"), "--compare",
+                   "--outdir", out)
+    assert code == 1  # indexed mode finds it; abandon does not
+    assert re.search(r"^assert_failures +[1-9][0-9]* +0$", capsys.readouterr().out, re.M)
+
+
 def test_replay_command(tmp_path, capsys):
     out = str(tmp_path / "art")
     assert run_cli("--type", "string", corpus_path("vendor_check"),

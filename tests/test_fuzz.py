@@ -197,7 +197,7 @@ class ProgramGen:
 
 def build_cfg(program, f_plus, k=1, maxlen=4):
     seeds = harvest_seeds(program, {STR})
-    builders = tuple(REGISTRY[n].signature for n in sorted(f_plus)
+    builders = tuple(REGISTRY[n] for n in sorted(f_plus)
                      if REGISTRY[n].signature.arg_types == (STR, STR)
                      and REGISTRY[n].signature.return_type is STR)
     gardens = build_garden(seeds, BuilderConfig(builders=builders, k=k,

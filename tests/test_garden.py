@@ -19,7 +19,7 @@ from indexify.garden import (
     serialize_gardens,
 )
 from indexify.cli import format_input_value, parse_input_value
-from indexify.iot import REGISTRY, eval_builtin
+from indexify.iot import REGISTRY
 from indexify.lang.ast import BOOL, BOT, FLOAT, INT, STR, EscapedGarden, Value, mk_str, value_key
 from indexify.lang.parser import parse
 from indexify.lang.printer import print_literal
@@ -27,8 +27,8 @@ from indexify.lang.typecheck import typecheck
 
 from conftest import recording
 
-STRCAT = REGISTRY["strcat"].signature
-STRSTR = REGISTRY["strstr"].signature
+STRCAT = REGISTRY["strcat"]
+STRSTR = REGISTRY["strstr"]
 
 
 def seed_set(*values):
@@ -111,12 +111,11 @@ def test_extend_counts_skips():
 
 
 @pytest.mark.parametrize("fresh_from", range(5))
-def test_extend_applies_the_tuples_with_a_fresh_value(monkeypatch, fresh_from):
+def test_extend_applies_the_tuples_with_a_fresh_value(fresh_from):
     calls = []
-    monkeypatch.setitem(REGISTRY, "strcat", recording(REGISTRY["strcat"], calls))
     values = [b"", b"a", b"b", b"c"]
     imap = _as_map(seed_set(*values))
-    extend(imap, STRCAT, fresh_from=fresh_from)
+    extend(imap, recording(STRCAT, calls), fresh_from=fresh_from)
     want = [tuple(values[i] for i in t) for t in itertools.product(range(4), repeat=2)
             if max(t) >= fresh_from]
     assert calls == want  # in product order
@@ -125,7 +124,7 @@ def test_extend_applies_the_tuples_with_a_fresh_value(monkeypatch, fresh_from):
 def test_extend_rejects_foreign_operator():
     imap = IndexMap(STR)
     with pytest.raises(GardenError):
-        extend(imap, REGISTRY["strlen"].signature)
+        extend(imap, REGISTRY["strlen"])
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +171,8 @@ def _full_pass_garden(seeds, builders, k, max_str_len):
     for _ in range(k):
         snapshot = imap.values()
         for op in builders:
-            for args in itertools.product(snapshot, repeat=op.arity):
-                out = eval_builtin(op.name, args)
+            for args in itertools.product(snapshot, repeat=op.signature.arity):
+                out = op.eval(*args)
                 if len(out.raw) <= max_str_len:
                     imap.admit(out)
     return imap
@@ -190,13 +189,13 @@ def test_semi_naive_growth_matches_full_passes(extra):
         assert raws(got[STR]) == raws(want)
 
 
-def test_growth_stops_after_a_round_that_admits_nothing(monkeypatch):
+def test_growth_stops_after_a_round_that_admits_nothing():
     calls = []
-    monkeypatch.setitem(REGISTRY, "strcat", recording(REGISTRY["strcat"], calls))
+    builders = (recording(STRCAT, calls),)
     sizes = []
     for k in (3, 4, 50):
         calls.clear()
-        g = build_garden(seed_set(b"a", b""), BuilderConfig(builders=(STRCAT,), k=k,
+        g = build_garden(seed_set(b"a", b""), BuilderConfig(builders=builders, k=k,
                                                            max_str_len=2), types={STR})
         sizes.append((len(g[STR]), len(calls)))
     # rounds 1 and 2 admit aa and then nothing: round 2 applies the 5 tuples
@@ -246,8 +245,8 @@ def test_closure_bound():
     for _ in range(k):
         frontier = set(layer)
         for op in (STRCAT, STRSTR):
-            for args in itertools.product(sorted(layer), repeat=op.arity):
-                out = eval_builtin(op.name, [mk_str(a) for a in args])
+            for args in itertools.product(sorted(layer), repeat=op.signature.arity):
+                out = op.eval(*map(mk_str, args))
                 if len(out.raw) <= 4:
                     frontier.add(out.raw)
         layer = frontier

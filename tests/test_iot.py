@@ -123,8 +123,7 @@ def _ab_garden():
         seeds.add(mk_str(v))
     return build_garden(
         seeds,
-        BuilderConfig(builders=(REGISTRY["strcat"].signature,
-                                REGISTRY["strstr"].signature), k=2, max_str_len=2),
+        BuilderConfig(builders=(REGISTRY["strcat"], REGISTRY["strstr"]), k=2, max_str_len=2),
         types={STR},
     )
 
@@ -173,7 +172,7 @@ def test_garden_and_row_order_pinned():
     seeds = SeedSet()
     for v in (b"", b"ab", b"bc", b"ca"):
         seeds.add(mk_str(v))
-    builders = (REGISTRY["strcat"].signature, REGISTRY["strstr"].signature)
+    builders = (REGISTRY["strcat"], REGISTRY["strstr"])
     gardens = build_garden(seeds, BuilderConfig(builders=builders, k=2, max_str_len=6),
                            types={STR})
     ops = ("strcat", "strcmp", "strlen", "strncmp", "strstr", "substr")
@@ -196,7 +195,7 @@ def test_float_garden_and_row_order_pinned():
     seeds = SeedSet()
     for x in (0.0, -0.0, 1.0, -1.5, math.nan):
         seeds.add(mk_float(x))
-    builders = (REGISTRY["fadd"].signature, REGISTRY["fmul"].signature)
+    builders = (REGISTRY["fadd"], REGISTRY["fmul"])
     gardens = build_garden(seeds, BuilderConfig(builders=builders, k=2), types={FLOAT})
     ops = ("fadd", "fsub", "fmul", "fdiv", "sqrt", "fabs", "fmin", "fmax")
     tables = memoise_all(gardens, ops)
@@ -415,8 +414,7 @@ def test_random_float_tables_match_oracle():
         seeds.add(mk_float(rng.choice([0.0, 1.0, 2.0, -3.0, 0.5])))
     gardens = build_garden(
         seeds,
-        BuilderConfig(builders=tuple(REGISTRY[n].signature
-                                     for n in ("fadd", "fmul", "sqrt")), k=2),
+        BuilderConfig(builders=tuple(REGISTRY[n] for n in ("fadd", "fmul", "sqrt")), k=2),
         types={FLOAT},
     )
     g = gardens[FLOAT]

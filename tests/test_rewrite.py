@@ -36,7 +36,7 @@ def fig5_cfg(fig5_gardens):
 def pipeline_cfg(source, f_plus, k=2, maxlen=8):
     p = typecheck(parse(source))
     seeds = harvest_seeds(p, {STR})
-    builders = tuple(REGISTRY[n].signature for n in sorted(f_plus)
+    builders = tuple(REGISTRY[n] for n in sorted(f_plus)
                      if all(t is STR for t in REGISTRY[n].signature.arg_types)
                      and REGISTRY[n].signature.return_type is STR)
     gardens = build_garden(seeds, BuilderConfig(builders=builders, k=k,

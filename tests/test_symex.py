@@ -47,7 +47,7 @@ def indexed_setup(source, f_plus, *, garden_text=None, k=3, maxlen=8):
     else:
         seeds = harvest_seeds(p, {STR})
         builders = tuple(
-            REGISTRY[n].signature for n in sorted(f_plus)
+            REGISTRY[n] for n in sorted(f_plus)
             if all(t is STR for t in REGISTRY[n].signature.arg_types)
             and REGISTRY[n].signature.return_type is STR
         )
@@ -138,7 +138,7 @@ def test_exploration_computes_only_the_cells_it_reads(monkeypatch):
     # the garden_memo benchmark's shape, smaller: all six string operators
     # over a 43-value garden and the int pool 0..5
     p = typecheck(parse(GARDEN_MEMO_SHAPE))
-    builders = (REGISTRY["strcat"].signature, REGISTRY["strstr"].signature)
+    builders = (REGISTRY["strcat"], REGISTRY["strstr"])
     gardens = build_garden(harvest_seeds(p, {STR}),
                            BuilderConfig(builders=builders, k=2, max_str_len=6),
                            types={STR})
