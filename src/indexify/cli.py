@@ -66,8 +66,7 @@ class CliConfig:
     add_seeds_file: str | None = None
     garden_file: str | None = None
     iot_file: str | None = None
-    fplus_file: str | None = None
-    f_plus_names: tuple | None = None  # direct override, used by the bench harness
+    f_plus_names: tuple | None = None  # None: every builtin of the indexed classes
     k: int = 3
     maxlen: int = 8
     builder_mode: str = "ops"
@@ -153,15 +152,13 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
     typecheck(program)
     types = set(cfg.indexed_types)
 
-    if cfg.f_plus_names is not None:
+    if cfg.f_plus_names is None:
+        f_plus = default_f_plus(types)
+    else:
         f_plus = set(cfg.f_plus_names)
         for name in f_plus:
             if name not in REGISTRY:
                 raise UsageError(f"unknown operator {name!r} in F+")
-    elif cfg.fplus_file:
-        f_plus = load_fplus_file(cfg.fplus_file)
-    else:
-        f_plus = default_f_plus(types)
 
     if cfg.seeds_file:
         seeds = load_seeds_file(cfg.seeds_file)  # prevents constant harvesting
@@ -478,7 +475,8 @@ def config_from_args(args) -> CliConfig:
         add_seeds_file=args.add_seeds_file,
         garden_file=args.garden_file,
         iot_file=args.iot_file,
-        fplus_file=args.fplus_file,
+        f_plus_names=(None if args.fplus_file is None
+                      else tuple(sorted(load_fplus_file(args.fplus_file)))),
         k=args.k,
         maxlen=args.maxlen,
         builder_mode=args.builder_mode,
@@ -494,8 +492,8 @@ def config_from_args(args) -> CliConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
+        cfg = config_from_args(args)
         if args.replay_path:
             return cmd_replay(cfg, args.replay_path)
         if args.confluence_trials is not None:

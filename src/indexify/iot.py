@@ -5,14 +5,14 @@ analogues) that serve as the oracle everywhere else.  memoise() makes an
 IndexedOperatorTable: over the type-valid argument tuples of the gardens, it
 maps index tuples to either result indices (when the return type is indexed)
 or the operator's int results (when it is not, like strncmp's comparison
-result).  A table computes each cell on its first lookup; tables.iot and
-the emitted IR read every cell through cells(), which caches none it computes.
-Builtins take and return raw payloads (bytes, int, float): a table turns a
-raw result straight into its cell, and BuiltinOp.eval alone wraps a result
-as a Value, for the interpreter and the explorer.  BOT is always a
-distinct cell variant - never the integer -1, which strncmp legitimately
-returns.  serialize_tables and parse_tables write and read the tables.iot
-format.
+result).  A table computes each cell on its first lookup; tables.iot, rows
+and the emitted IR read every cell through cells(), which caches none it
+computes.  Builtins take and return raw payloads (bytes, int, float): a
+table turns a raw result straight into its cell, and BuiltinOp.eval alone
+wraps a result as a Value, for the interpreter and the explorer.  BOT is
+always a distinct cell variant - never the integer -1, which strncmp
+legitimately returns.  serialize_tables and parse_tables write and read the
+tables.iot format.
 """
 
 from __future__ import annotations
@@ -216,16 +216,16 @@ class IndexedOperatorTable:
     computes a key's cell on its first call and caches it.  Lookup of
     anything outside the dimension domains is BOT, the catch-all row, and
     computes nothing.  rows is the complete table: exactly the tuples over
-    the domains, in ascending (itertools.product) order, built on first
-    access.  The gardens must not grow once the table exists: its cells
-    are computed against them on demand.
+    the domains, in ascending (itertools.product) order, built from cells()
+    on each access and not kept.  The gardens must not grow once the table
+    exists: its cells are computed against them on demand.
 
     A cell costs one call of op.fn on raw arguments; its raw result goes
     straight to a cell, the result garden's index of it or the int itself,
     and no Value is built.
     """
 
-    def __init__(self, op: BuiltinOp, dims, result, *, garden_hash, rows=None):
+    def __init__(self, op: BuiltinOp, dims, result, *, garden_hash, cells=None):
         sig = op.signature
         self.op_name = sig.name
         self.indexed_name = "i_" + sig.name
@@ -240,8 +240,7 @@ class IndexedOperatorTable:
         # per dimension, key component -> raw argument: the domain check and
         # the argument of a cell in one probe
         self._columns = [d.column() for d in dims]
-        self._cells = {} if rows is None else rows
-        self._complete = rows is not None
+        self._cells = {} if cells is None else cells  # key -> cell, as computed
 
     @property
     def result_indexed(self) -> bool:
@@ -258,16 +257,11 @@ class IndexedOperatorTable:
 
     @property
     def rows(self) -> dict:
-        if not self._complete:
-            cells = self.cells()
-            self._cells.clear()  # free the cache before the table is built
-            self._cells = dict(zip(product(*self._columns), cells))
-            self._complete = True
-        return self._cells
+        return dict(zip(product(*self._columns), self.cells()))
 
     @property
     def bot_rows(self) -> int:
-        return sum(1 for cell in self.rows.values() if cell is BOT)
+        return self.cells().count(BOT)
 
     def lookup(self, key: tuple):
         """Return the cell for key: an index, an int, or BOT."""
@@ -311,8 +305,6 @@ class IndexedOperatorTable:
         One pass probes the cache for every key; each run of misses is
         computed by one map over the argument product.
         """
-        if self._complete:
-            return list(self._cells.values())
         probes = map(self._cells.get, product(*self._columns), repeat(_MISS))
         args = product(*(c.values() for c in self._columns))
         cells = []
@@ -489,12 +481,11 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
             raise IotError(f"{name}: index {cell} in {ln!r} is outside the "
                            f"result garden of size {size}")
         read[tuple(_decimal(x, ln) for x in left.split())] = cell
-    domain = list(product(*(d.domain() for d in dims)))
-    if len(read) != len(body) or read.keys() != set(domain):
+    domain = set(product(*(d.domain() for d in dims)))
+    if len(read) != len(body) or read.keys() != domain:
         raise IotError(f"{name}: table rows are not the {len(domain)} "
                        f"argument tuples of its domains")
-    rows = {key: read[key] for key in domain}  # domain order, as memoise builds
-    return IndexedOperatorTable(op, dims, result, garden_hash=file_hash, rows=rows)
+    return IndexedOperatorTable(op, dims, result, garden_hash=file_hash, cells=read)
 
 
 def parse_tables(text: str,

@@ -9,6 +9,7 @@ output; for the latter, pass the indexed-operator signatures via extra_sigs.
 
 from __future__ import annotations
 
+from ..garden import OperatorSignature
 from ..iot import REGISTRY
 from .ast import (
     BOOL,
@@ -48,28 +49,21 @@ def default_builtin_sigs():
     return {name: op.signature for name, op in REGISTRY.items()}
 
 
-class _FnSig:
-    __slots__ = ("arg_types", "return_type")
-
-    def __init__(self, arg_types, return_type):
-        self.arg_types = arg_types
-        self.return_type = return_type
-
-
 class TypeChecker:
     def __init__(self, program: Program, extra_sigs=None):
         self.program = program
         self.builtins = default_builtin_sigs()
         if extra_sigs:
             self.builtins.update(extra_sigs)
-        self.user_fns: dict[str, _FnSig] = {}
+        self.user_fns: dict[str, OperatorSignature] = {}
         self.calls_from: dict[str, set[str]] = {}
 
     def run(self) -> Program:
         for f in self.program.functions:
             if f.name in self.builtins:
                 raise MiniImpTypeError(f"function {f.name!r} shadows a builtin")
-            self.user_fns[f.name] = _FnSig([p.type for p in f.params], f.return_type)
+            self.user_fns[f.name] = OperatorSignature(
+                f.name, tuple(p.type for p in f.params), f.return_type)
         main = self.program.function("main")
         if main is None:
             raise MiniImpTypeError("program has no main function")
@@ -225,12 +219,11 @@ class TypeChecker:
             sig = self.builtins[e.name]
         else:
             raise MiniImpTypeError(f"call to unknown function {e.name!r}")
-        expected = list(sig.arg_types)
-        if len(expected) != len(arg_types):
+        if sig.arity != len(arg_types):
             raise MiniImpTypeError(
-                f"{e.name} expects {len(expected)} arguments, got {len(arg_types)}"
+                f"{e.name} expects {sig.arity} arguments, got {len(arg_types)}"
             )
-        for i, (want, got) in enumerate(zip(expected, arg_types)):
+        for i, (want, got) in enumerate(zip(sig.arg_types, arg_types)):
             if want != got:
                 raise MiniImpTypeError(
                     f"{e.name} argument {i + 1} expects {want!r}, got {got!r}"

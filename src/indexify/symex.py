@@ -10,31 +10,34 @@ Baseline mode runs the original program and either abandons at intractable
 operator calls or concretizes their symbolic arguments (fixed defaults for
 strings and floats, a model value pinned into the path condition for
 finite-domain variables), mimicking what dynamic symbolic execution does.
+Concretizing binds the value where it is read: from then on the state's
+inputs and every variable and temporary that held the symbolic value hold
+the concrete one.
 
-Paths are enumerated depth-first over explicit states, forked by copy.
-Each function body is lowered once per exploration into a flat list of
+Paths are enumerated depth-first over explicit states, forked by copy.  Each
+function body is lowered once per exploration into a flat list of
 three-address instructions, so a decision (a branch's truth, ==/!= on a
 symbolic operand, a table's free dimension or row, forcing a symbolic value)
 is always the last step of one instruction.  A state is a frame stack (each
-frame: its instructions, the next one to run, its variables and
-temporaries), loop counts, concretized inputs, covered statements and
-branches, and the path condition.  At a decision the option list is built
-(true branch first, table rows in ascending result order, the BOT successor
-last) and every option checked; the state takes the first feasible one, and
-a copy per other feasible option, which resumes at the next instruction,
-goes on the stack.  Each node of the decision tree therefore runs once.
-The wallclock and state budgets are checked at every decision and loop
-back-edge.  Every solver variable ranges over [0, size), and every constant
-is a garden index or an int (a bool is 0 or 1); BOT never enters a path
-condition.  A state's path condition is its solver.PathState and nothing
-else: a persistent object (extending one returns a new one, so state copies
-share it) that decides every check and gives every model, so a check costs
-the atoms it adds and the classes that var-var disequalities join.  Every
-queued option was satisfiable when checked, so emitted test cases replay on
-the concrete interpreter by construction; an option the solver cannot
-decide is dropped and counted, and the run goes on.  A test case carries
-what replay and the artifacts need: its verdict, its concrete inputs (a
-model of the path condition) and its branch trace.
+frame: its instructions, the next one to run, its variables and temporaries),
+loop counts, its symbolic inputs (a concretized one holds its bound value),
+covered statements and branches, and the path condition.  At a decision the
+option list is built (true branch first, table rows in ascending result order,
+the BOT successor last) and every option checked; the state takes the first
+feasible one, and a copy per other feasible option, which resumes at the next
+instruction, goes on the stack.  Each node of the decision tree therefore runs
+once.  The wallclock and state budgets are checked at every decision and loop
+back-edge.  Every solver variable ranges over [0, size), and every constant is
+a garden index or an int (a bool is 0 or 1); BOT never enters a path
+condition.  A state's path condition is its solver.PathState and nothing else:
+a persistent object (extending one returns a new one, so state copies share
+it) that decides every check and gives every model, so a check costs the atoms
+it adds and the classes that var-var disequalities join.  Every queued option
+was satisfiable when checked, so emitted test cases replay on the concrete
+interpreter by construction; an option the solver cannot decide is dropped and
+counted, and the run goes on.  A test case carries what replay and the
+artifacts need: its verdict, its concrete inputs (a model of the path
+condition) and its branch trace.
 """
 
 from __future__ import annotations
@@ -95,7 +98,6 @@ MODE_INDEXED = "indexed"
 MODE_ABANDON = "baseline-abandon"
 MODE_CONCRETIZE = "baseline-concretize"
 
-_INTRACTABLE_CLASSES = ("string", "float")
 _BOOLS = (mk_bool(False), mk_bool(True))
 
 
@@ -209,6 +211,7 @@ class _Truncated(Exception):
 
 
 _SYMBOLIC = (SymRef, Opaque, Unindexed)
+_EQ_FORCED = (Unindexed, Opaque)  # an ==/!= operand is forced when it is one
 
 
 def _pure(e) -> bool:
@@ -323,7 +326,9 @@ class _Lowering:
 
     def operands(self, exprs):
         """Lower exprs left to right.  A variable is read where its value is
-        consumed, unless a later operand may concretize it first."""
+        consumed, unless a later operand may decide or end the path: then it
+        is read first, so an uninitialised read fails where the
+        interpreter's does."""
         out = []
         for i, e in enumerate(exprs):
             v = self.expr(e)
@@ -365,15 +370,10 @@ class _Lowering:
         op = self.engine
         lv, rv = self.operands([e.left, e.right])
         if e.op in ("==", "!="):
-            held = self.holds(e.left), self.holds(e.right)
-            if "any" in held:
-                tl, tr = self.temp(), self.temp()
-                self.emit(op.op_opaque, tl, tr, lv, rv)
-                lv, rv = tl, tr
-            if held[0] in ("any", "unindexed"):
-                lv = self.force(lv, (Unindexed,))
-            if held[1] in ("any", "unindexed"):
-                rv = self.force(rv, (Unindexed,))
+            if self.holds(e.left) in ("any", "unindexed"):
+                lv = self.force(lv, _EQ_FORCED)
+            if self.holds(e.right) in ("any", "unindexed"):
+                rv = self.force(rv, _EQ_FORCED)
             self.emit(op.op_compare, dst, e.op == "==", lv, rv)
         elif e.op in ("&&", "||"):
             tl, tr = self.temp(), self.temp()
@@ -412,8 +412,12 @@ class _Lowering:
         elif not any(map(self.holds, e.args)):
             self.emit(op.op_builtin, dst, REGISTRY[e.name], args)
         else:
+            # indexed mode abandons at an opaque operand only, which lies
+            # outside the index algebra; a baseline applies its policy to
+            # every symbolic operand
             held = tuple(self.temp() for _ in args)
-            self.emit(op.op_prepare, held, args, REGISTRY[e.name])
+            self.emit(op.op_prepare, held, args,
+                      (Opaque,) if op.cfg.mode == MODE_INDEXED else _SYMBOLIC)
             forced = tuple(self.force(t, _SYMBOLIC) for t in held)
             self.emit(op.op_builtin, dst, REGISTRY[e.name], forced)
 
@@ -444,16 +448,14 @@ class _Frame:
 class _State:
     """One path in flight, copied at each decision it forks."""
 
-    __slots__ = ("frames", "facts", "branches", "stmts", "symvars",
-                 "concretized", "loop_counts")
+    __slots__ = ("frames", "facts", "branches", "stmts", "symvars", "loop_counts")
 
     def __init__(self, main_code):
         self.frames = [_Frame(main_code, {}, None)]
         self.facts = solver.PathState()  # the path condition
         self.branches = set()  # covered (statement path, taken) edges
         self.stmts = set()     # covered statement paths
-        self.symvars: dict[str, SymRef | Opaque] = {}
-        self.concretized: dict[str, Value] = {}
+        self.symvars: dict[str, SymRef | Opaque | Value] = {}  # bound: a Value
         self.loop_counts: dict[tuple, int] = {}
 
     def copy(self) -> "_State":
@@ -463,28 +465,18 @@ class _State:
         st.branches = self.branches.copy()
         st.stmts = self.stmts.copy()
         st.symvars = self.symvars.copy()
-        st.concretized = self.concretized.copy()
         st.loop_counts = self.loop_counts.copy()
         return st
 
-    def resolve(self, v):
-        if not self.concretized:
-            return v
-        if isinstance(v, SymRef):
-            return self.concretized.get(v.var.name, v)
-        if isinstance(v, Opaque):
-            return self.concretized.get(v.name, v)
-        return v
 
-
-def _fetch(st: _State, store, a):
-    """An operand's value: a variable is read and resolved, a temporary
-    holds its value, and anything else is a constant."""
+def _fetch(store, a):
+    """An operand's value: a variable or a temporary holds it, and anything
+    else is a constant."""
     if a.__class__ is str:
         v = store.get(a)
         if v is None:
             raise MiniImpError(f"read of uninitialised variable {a!r}")
-        return st.resolve(v)
+        return v
     if a.__class__ is int:
         return store[a]
     return a
@@ -678,25 +670,41 @@ class Engine:
             raise SymexError(f"no garden for {tag!r}")
         return garden
 
-    def intractable(self, st, syms) -> None:
-        """Apply the policy for an operation outside equality theory.
+    def intractable(self, st, values, kinds):
+        """Apply the policy for an operation outside equality theory to its
+        operands, values, and return them as the operation uses them.
 
-        Abandon terminates the path (counted as escaped, no test case);
-        concretize binds opaque values to fixed defaults and pins finite
-        variables to their current model value so the path stays consistent.
+        Nothing happens unless an operand is one of kinds.  Then abandon
+        (and indexed mode) ends the path, counted as escaped with no test
+        case.  Concretize binds each distinct such operand once: an opaque
+        value to its fixed default, a finite one to its model value, pinned
+        into the path condition so the path stays consistent.  The bound
+        Value replaces the symbolic one in st.symvars and in every variable
+        and temporary of every frame.  Only concretize mode binds, and it
+        runs original programs, where no symbolic value sits inside another.
         """
-        if self.cfg.mode != MODE_CONCRETIZE:
-            raise _Terminal(VERDICT_ESCAPED, emit=False)
-        for s in syms:
+        bound = {}
+        for s in values:
+            if not isinstance(s, kinds) or id(s) in bound:
+                continue
+            if self.cfg.mode != MODE_CONCRETIZE:
+                raise _Terminal(VERDICT_ESCAPED, emit=False)
             if isinstance(s, Opaque):
-                st.concretized[s.name] = _concretize_default(s.tag)
+                name, value = s.name, _concretize_default(s.tag)
             else:
                 model = self.model(st, [s.var])
                 if model is None:  # undecided: the path cannot be pinned
                     raise _Infeasible()
-                c = model[s.var.name]
+                name, c = s.var.name, model[s.var.name]
                 st.facts = st.facts.extend((var_eq_const(s.var, c),))
-                st.concretized[s.var.name] = _value_from_const(s.tag, c)
+                value = _value_from_const(s.tag, c)
+            bound[id(s)] = st.symvars[name] = value
+            for fr in st.frames:
+                store = fr.store
+                for key, held in store.items():
+                    if held is s:
+                        store[key] = value
+        return [bound.get(id(v), v) for v in values] if bound else values
 
     def _input_value(self, tag, c) -> Value:
         """The input value solver constant c stands for: an index is
@@ -728,10 +736,10 @@ class Engine:
         st.stmts.add(ins[1])
 
     def op_set(self, st, fr, ins):  # (op, dst, operand)
-        fr.store[ins[1]] = _fetch(st, fr.store, ins[2])
+        fr.store[ins[1]] = _fetch(fr.store, ins[2])
 
     def op_symbolic(self, st, fr, ins):  # (op, name, function name)
-        name = ins[1]
+        name = ins[1]  # an input bound by concretization keeps its value
         ref = st.symvars.get(name)
         if ref is None:
             ref = st.symvars[name] = self.symbolic_ref(ins[2], name)
@@ -744,10 +752,9 @@ class Engine:
         fr.ip = ins[1]
 
     def op_truth(self, st, fr, ins):  # (op, dst, operand): dst = a bool
-        v = st.resolve(_fetch(st, fr.store, ins[2]))
+        v = _fetch(fr.store, ins[2])
         if isinstance(v, Opaque):
-            self.intractable(st, [v])
-            v = st.resolve(v)
+            v, = self.intractable(st, (v,), (Opaque,))
         if isinstance(v, Value):
             fr.store[ins[1]] = self.truth(v)
             return
@@ -756,7 +763,7 @@ class Engine:
         self.decide(st, fr, ins[1], self._truth_options(v))
 
     def _taken(self, st, fr, cond) -> bool:
-        c = _fetch(st, fr.store, cond)
+        c = _fetch(fr.store, cond)
         return c if c.__class__ is bool else self.truth(c)
 
     def op_branch(self, st, fr, ins):  # (op, cond, edge_t, edge_e, else_at)
@@ -783,24 +790,23 @@ class Engine:
             raise _Terminal(VERDICT_ASSERT)
 
     def op_return(self, st, fr, ins):  # (op, operand)
-        value = _fetch(st, fr.store, ins[1])
+        value = _fetch(fr.store, ins[1])
         st.frames.pop()
         if not st.frames:
             raise _Terminal(VERDICT_OK)
         st.frames[-1].store[fr.dst] = value
 
     def op_call(self, st, fr, ins):  # (op, dst, callee code, params, args)
-        args = [_fetch(st, fr.store, a) for a in ins[4]]
+        args = [_fetch(fr.store, a) for a in ins[4]]
         st.frames.append(_Frame(ins[2], dict(zip(ins[3], args)), ins[1]))
 
     def op_not(self, st, fr, ins):  # (op, dst, bool)
         fr.store[ins[1]] = _BOOLS[not fr.store[ins[2]]]
 
     def op_neg(self, st, fr, ins):  # (op, dst, operand)
-        v = st.resolve(_fetch(st, fr.store, ins[2]))
+        v = _fetch(fr.store, ins[2])
         if not isinstance(v, Value):
-            self.intractable(st, [v])
-            v = st.resolve(v)
+            v, = self.intractable(st, (v,), _SYMBOLIC)
         no_bot(v)
         fr.store[ins[1]] = mk_int(-v.raw)
 
@@ -809,32 +815,26 @@ class Engine:
         fr.store[ins[1]] = _BOOLS[(lb and rb) if ins[2] else (lb or rb)]
 
     def op_arith(self, st, fr, ins):  # (op, dst, operator, left, right)
-        lv, rv = _fetch(st, fr.store, ins[3]), _fetch(st, fr.store, ins[4])
+        lv, rv = _fetch(fr.store, ins[3]), _fetch(fr.store, ins[4])
         if not (isinstance(lv, Value) and isinstance(rv, Value)):
             # ordering and arithmetic live outside equality theory
-            self.intractable(st, [x for x in (lv, rv) if not isinstance(x, Value)])
-            lv, rv = st.resolve(lv), st.resolve(rv)
-            if not (isinstance(lv, Value) and isinstance(rv, Value)):
-                raise SymexError("operands remained symbolic after concretization")
+            lv, rv = self.intractable(st, (lv, rv), _SYMBOLIC)
         no_bot(lv, rv)
         fr.store[ins[1]] = concrete_binop(ins[2], lv, rv)
 
-    def op_opaque(self, st, fr, ins):  # (op, dst_l, dst_r, left, right)
-        lv, rv = _fetch(st, fr.store, ins[3]), _fetch(st, fr.store, ins[4])
-        if isinstance(lv, Opaque) or isinstance(rv, Opaque):
-            self.intractable(st, [x for x in (lv, rv) if isinstance(x, Opaque)])
-            lv, rv = st.resolve(lv), st.resolve(rv)
-        fr.store[ins[1]], fr.store[ins[2]] = lv, rv
-
     def op_force(self, st, fr, ins):  # (op, dst, operand, classes forced)
-        # A forced value is finite symbolic or unindexed, never opaque or
-        # concretized: a variable read is resolved, op_prepare resolves or
-        # concretizes a builtin's operands, and the rewriter applies idx only
-        # to values of an indexed type, whose symbolic inputs are finite.  It
-        # is forced by enumerating its feasible finite domain.
-        v = _fetch(st, fr.store, ins[2])
+        # A forced value is finite symbolic, unindexed, or an ==/!= operand
+        # with no finite domain, which intractable binds or abandons.  A
+        # builtin's operands are never opaque here, since op_prepare binds or
+        # abandons them, and the rewriter applies idx only to values of an
+        # indexed type, whose symbolic inputs are finite.  A finite value is
+        # forced by enumerating its feasible finite domain.
+        v = _fetch(fr.store, ins[2])
         if not isinstance(v, ins[3]):
             fr.store[ins[1]] = v
+            return
+        if isinstance(v, Opaque):
+            fr.store[ins[1]], = self.intractable(st, (v,), (Opaque,))
             return
         ref, value = ((v.ref, self._input_value) if isinstance(v, Unindexed)
                       else (v, _value_from_const))
@@ -843,7 +843,7 @@ class Engine:
 
     def op_compare(self, st, fr, ins):  # (op, dst, want, left, right)
         dst, want = ins[1], ins[2]
-        lv, rv = _fetch(st, fr.store, ins[3]), _fetch(st, fr.store, ins[4])
+        lv, rv = _fetch(fr.store, ins[3]), _fetch(fr.store, ins[4])
         if isinstance(lv, Value) and isinstance(rv, Value):
             no_bot(lv, rv)
             fr.store[dst] = _BOOLS[(lv.raw == rv.raw) == want]
@@ -863,7 +863,7 @@ class Engine:
                 ([var_neq_const(sym.var, c)], _BOOLS[not want])])
 
     def op_idx(self, st, fr, ins):  # (op, dst, operand)
-        v = _fetch(st, fr.store, ins[2])
+        v = _fetch(fr.store, ins[2])
         no_bot(v)
         garden = self.cfg.gardens.get(v.tag)
         if garden is None:
@@ -871,7 +871,7 @@ class Engine:
         fr.store[ins[1]] = Value(index_of(v.tag), garden.index_or_bot(v))
 
     def op_unidx(self, st, fr, ins):  # (op, dst, operand)
-        v = st.resolve(_fetch(st, fr.store, ins[2]))
+        v = _fetch(fr.store, ins[2])
         if isinstance(v, Value):
             fr.store[ins[1]] = self._garden(v.tag).value_at(v.raw)
         elif isinstance(v, SymRef):
@@ -880,27 +880,18 @@ class Engine:
             raise SymexError(f"unidx applied to {v!r}")
 
     def op_puts(self, st, fr, ins):  # (op, dst, operand)
-        v = st.resolve(_fetch(st, fr.store, ins[2]))
+        v = _fetch(fr.store, ins[2])
         if isinstance(v, Value):  # a symbolic value is a sink, never needed
             no_bot(v)
         fr.store[ins[1]] = mk_int(0)
 
-    def op_prepare(self, st, fr, ins):  # (op, dsts, args, builtin)
-        resolved = [st.resolve(_fetch(st, fr.store, a)) for a in ins[2]]
-        syms = [a for a in resolved if not isinstance(a, Value)]
-        if syms:
-            if self.cfg.mode == MODE_INDEXED:
-                # values outside the index algebra stay intractable even here
-                if any(isinstance(a, Opaque) for a in syms):
-                    raise _Terminal(VERDICT_ESCAPED, emit=False)
-            elif ins[3].klass in _INTRACTABLE_CLASSES:
-                self.intractable(st, syms)
-                resolved = [st.resolve(a) for a in resolved]
-        for dst, v in zip(ins[1], resolved):
+    def op_prepare(self, st, fr, ins):  # (op, dsts, args, kinds the policy takes)
+        args = [_fetch(fr.store, a) for a in ins[2]]
+        for dst, v in zip(ins[1], self.intractable(st, args, ins[3])):
             fr.store[dst] = v
 
     def op_builtin(self, st, fr, ins):  # (op, dst, builtin, args: Values)
-        args = [st.resolve(_fetch(st, fr.store, a)) for a in ins[3]]
+        args = [_fetch(fr.store, a) for a in ins[3]]
         no_bot(*args)
         fr.store[ins[1]] = ins[2].eval(*args)
 
@@ -913,7 +904,7 @@ class Engine:
         table, bot_propagate = ins[2], self.cfg.bot_propagate
         parts = []
         for a in ins[3]:
-            a = st.resolve(_fetch(st, fr.store, a))
+            a = _fetch(fr.store, a)
             if isinstance(a, Value):
                 if a.raw is BOT and bot_propagate:
                     fr.ip += 1
@@ -963,9 +954,7 @@ class Engine:
     def concrete_inputs(self, st, model) -> dict:
         out = {}
         for name, ref in st.symvars.items():
-            if isinstance(ref, Opaque):
-                out[name] = st.concretized.get(name, _concretize_default(ref.tag))
-            else:
+            if isinstance(ref, SymRef):
                 c = model.get(name, 0)
                 values = self.input_values.get(id(ref))
                 if values is None:
@@ -974,6 +963,10 @@ class Engine:
                 if value is None:
                     value = values[c] = self._input_value(ref.tag, c)
                 out[name] = value
+            elif isinstance(ref, Opaque):
+                out[name] = _concretize_default(ref.tag)
+            else:  # bound by concretization
+                out[name] = ref
         return out
 
 

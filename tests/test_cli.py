@@ -225,6 +225,9 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     if case == "testcase-unknown-input":
         bad.write_text('s1="bar"\nnope=3\n')
         return [str(src), "--replay", str(bad)]
+    if case == "fplus-unknown":
+        bad.write_text("strstr\nnope\n")
+        return [str(src), "--F+", str(bad)]
     if case == "input-directory":
         return [str(tmp_path)]
     if case == "garden-directory":
@@ -244,8 +247,9 @@ def _bad_input_args(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", [
     "garden-index", "garden-trailing-backslash", "garden-bool", "seed-hex-escape",
     "seed-float", "iot-row", "testcase-value", "testcase-string", "testcase-index",
-    "testcase-bot", "testcase-duplicate", "testcase-unknown-input", "input-directory",
-    "garden-directory", "source-not-utf8", "source-hex-escape", "seed-variable", *NOT_UTF8,
+    "testcase-bot", "testcase-duplicate", "testcase-unknown-input", "fplus-unknown",
+    "input-directory", "garden-directory", "source-not-utf8", "source-hex-escape",
+    "seed-variable", *NOT_UTF8,
     *BAD_SCALARS, *BAD_TABLES,
     *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
       for kind in BAD_ESCAPES),
@@ -264,6 +268,8 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
         assert f"{tmp_path / 'bad'}: input 's1' given twice" in err
     if case == "testcase-unknown-input":
         assert f"{tmp_path / 'bad'}: input 'nope' is never made symbolic" in err
+    if case == "fplus-unknown":
+        assert f"{tmp_path / 'bad'}: unknown operator 'nope'" in err
 
 
 def test_confluence_zero_trials_is_a_usage_error(fig4a_file, capsys):

@@ -311,18 +311,19 @@ def test_only_looked_up_cells_are_computed():
     assert len(calls) == 3  # one call per distinct key, none for a repeat
     assert cells[1] == cells[3] and cells[0] == cells[4]
     eager = memoise(gardens, REGISTRY["strncmp"], int_pool=(1, 4))
-    assert len(eager.rows) == t.size == 7 * 7 * 2  # built whole before any lookup
+    assert len(eager.rows) == t.size == 7 * 7 * 2  # every cell, before any lookup
     text = serialize_iot(t)  # computes the other cells, without caching them
     assert len(calls) == t.size
     assert text == serialize_iot(eager)
     assert serialize_iot(parse_iot(text, gardens)) == text
     assert [eager.rows[k] for k in keys] == cells
-    assert t.rows == eager.rows  # the complete table, built once
+    assert t.rows == eager.rows  # the complete table
+    assert len(calls) == 2 * t.size - 3
     assert list(t.rows) == list(eager.rows)  # in product order
-    assert len(calls) == 2 * t.size - 3
-    t.lookup((5, 5, 1))
+    assert len(calls) == 3 * t.size - 6  # rows caches nothing it computes
+    t.lookup((5, 5, 1))  # cached, so the next rows computes one cell fewer
     len(t.rows)
-    assert len(calls) == 2 * t.size - 3
+    assert len(calls) == 4 * t.size - 9
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -336,7 +337,7 @@ def test_keys_outside_the_domains_are_bot_and_compute_nothing(cached):
     made = len(calls)
     outside = [(BOT, 0, 1), (0, BOT, 4), (0, 0, BOT), (-1, 0, 1), (0, n, 4),
                (0, 0, 2), (0, 0, -1), (0, 0), (0, 0, 1, 1), ()]
-    for complete in (False, True):
+    for _ in range(2):  # the second time after rows has computed every cell
         for key in outside:
             assert t.lookup(key) is BOT, key
             with pytest.raises(EscapedGarden):  # a raw-result miss escapes at the call

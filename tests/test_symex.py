@@ -364,6 +364,37 @@ def test_concretization_runs_once_per_tree_node():
         assert replay(p, tc).ok
 
 
+def test_concretization_binds_every_copy_of_the_value():
+    # x + x binds n once, and the binding reaches main's variable and the
+    # temporary that holds n for the outer +, so no read asks for n's model
+    # again: the two sides of n == 3, the pin and one model per path
+    src = ("int twice(int x) { return x + x; } "
+           "int main() { int n; symbolic n; if (n == 3) { return 2; } "
+           "return n + twice(n); }")
+    p = typecheck(parse(src))
+    rep = explore_baseline(p, ExploreConfig(mode=MODE_CONCRETIZE))
+    assert (rep.states, rep.paths, rep.solver_queries) == (3, 2, 5)
+    assert [tc.inputs["n"].raw for tc in rep.test_cases] == [3, 0]
+    for tc in rep.test_cases:
+        assert replay(p, tc).ok
+
+
+def test_a_bound_input_keeps_its_value_when_made_symbolic_again():
+    # m + n binds n in the first iteration; the second `symbolic n` reads
+    # that value, as the interpreter reads the one input, so n == 7 does not
+    # fork again
+    src = ("int main() { int n; int i = 0; int m = 0; while (i < 2) { "
+           "symbolic n; if (n == 7) { return 1; } m = m + n; i = i + 1; } "
+           "return m; }")
+    p = typecheck(parse(src))
+    rep = explore_baseline(p, ExploreConfig(mode=MODE_CONCRETIZE))
+    assert (rep.states, rep.paths, rep.solver_queries) == (3, 2, 5)
+    assert [(tc.inputs["n"].raw, tc.verdict) for tc in rep.test_cases] == \
+        [(7, "ok"), (0, "ok")]
+    for tc in rep.test_cases:
+        assert replay(p, tc).ok
+
+
 @pytest.mark.parametrize("mode", [MODE_INDEXED, MODE_ABANDON, MODE_CONCRETIZE])
 @pytest.mark.parametrize("use", [
     "if (s) { return 1; }",
