@@ -312,8 +312,12 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "garden.txt"), "w", encoding="utf-8") as fh:
         fh.write(serialize_gardens(pipe.gardens))
+    emit_ir = cfg.emit_ir and pipe.indexed is not None
+    # cells() caches no cell it computes: with the IR, both writers read one
+    # list per table, so each uncached cell is computed once
+    cells = {name: t.cells() for name, t in pipe.tables.items()} if emit_ir else None
     with open(os.path.join(outdir, "tables.iot"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_tables(pipe.tables))
+        fh.write(serialize_tables(pipe.tables, cells))
     name = os.path.basename(cfg.input_path)
     for mode, report in reports.items():
         suffix = mode.replace("baseline-", "")
@@ -328,9 +332,9 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
                 with open(os.path.join(tc_dir, f"{tc.path_id:04d}.tc"), "w",
                           encoding="utf-8") as fh:
                     fh.write(format_testcase(tc, inputs))
-    if cfg.emit_ir and pipe.indexed is not None:
+    if emit_ir:
         with open(cfg.input_path + ".indexed.mi", "w", encoding="utf-8") as fh:
-            fh.write(emit_indexed_source(pipe.indexed))
+            fh.write(emit_indexed_source(pipe.indexed, cells))
     return outdir
 
 

@@ -191,9 +191,10 @@ def extend(imap: IndexMap, op, *,
     if snapshot is None:
         snapshot = imap.values()
     skips = 0
+    call = op.fn if op.prepare is None else op.call  # no wrapper where none is needed
     for args in _tuples_from([v.raw for v in snapshot], fresh_from, sig.arity):
         try:
-            result = Value(sig.return_type, op.fn(*args))
+            result = Value(sig.return_type, call(*args))
         except Exception:
             skips += 1
             continue

@@ -9,7 +9,10 @@ result).  A table computes each cell on its first lookup; tables.iot, rows
 and the emitted IR read every cell through cells(), which caches none it
 computes.  Builtins take and return raw payloads (bytes, int, float): a
 table turns a raw result straight into its cell, and BuiltinOp.eval alone
-wraps a result as a Value, for the interpreter and the explorer.  BOT is
+wraps a result as a Value, for the interpreter and the explorer.  A builtin
+may prepare an argument before its kernel runs (strcmp cuts each string at
+its first NUL); a table prepares each column value once, when it is built,
+so a cell costs one kernel call on prepared column values.  BOT is
 always a distinct cell variant - never the integer -1, which strncmp
 legitimately returns.  serialize_tables and parse_tables write and read the
 tables.iot format.
@@ -49,12 +52,26 @@ class IotError(Exception):
 
 @dataclass(frozen=True)
 class BuiltinOp:
-    """A builtin: its signature and fn, which maps raw argument payloads
-    (bytes, int, float) to the raw payload of the result."""
+    """A builtin: its signature and fn, its kernel, which maps argument
+    payloads to the raw payload of the result (bytes, int, float).
+
+    prepare is None, or one entry per argument: a function applied once to
+    the argument's raw payload before fn runs, or None to pass the payload
+    as it is.  A table prepares each column value once, so work that depends
+    on one argument alone is done once per garden value, not once per cell.
+    """
 
     signature: OperatorSignature
     fn: object
     klass: str  # "string" | "float" | "io"
+    prepare: tuple | None = None
+
+    def call(self, *raws):
+        """The raw result of fn on raw argument payloads, each prepared
+        first where its argument has a preparation."""
+        if self.prepare is not None:
+            raws = [raw if p is None else p(raw) for p, raw in zip(self.prepare, raws)]
+        return self.fn(*raws)
 
     def eval(self, *args: Value) -> Value:
         """Apply the builtin to Values of its argument types.  This is the
@@ -64,7 +81,7 @@ class BuiltinOp:
                 raise IotError(
                     f"{self.signature.name}: argument tag {got.tag!r}, expected {want!r}"
                 )
-        return Value(self.signature.return_type, self.fn(*[a.raw for a in args]))
+        return Value(self.signature.return_type, self.call(*[a.raw for a in args]))
 
 
 def _strstr(hay: bytes, needle: bytes) -> bytes:
@@ -76,20 +93,23 @@ def _strstr(hay: bytes, needle: bytes) -> bytes:
     return hay[pos:] if pos >= 0 else b""
 
 
+def _c_string(s: bytes) -> bytes:
+    """A C string's bytes: the payload cut at its first NUL."""
+    return s.partition(b"\0")[0]
+
+
 def _c_order(a: bytes, b: bytes) -> int:
-    """C's comparison sign of two strings cut at their first NUL.  Bytes
-    compare unsigned, and a proper prefix sorts first, as its terminator
-    does in C."""
+    """C's comparison sign of two C strings.  Bytes compare unsigned, and a
+    proper prefix sorts first, as its terminator does in C."""
     return (a > b) - (a < b)
 
 
 def _strncmp(a: bytes, b: bytes, n: int) -> int:
-    n = max(n, 0)
-    return _c_order(a.partition(b"\0")[0][:n], b.partition(b"\0")[0][:n])
-
-
-def _strcmp(a: bytes, b: bytes) -> int:
-    return _c_order(a.partition(b"\0")[0], b.partition(b"\0")[0])
+    """C's strncmp sign of two C strings over at most n bytes."""
+    if n <= 0:
+        return 0
+    a, b = a[:n], b[:n]
+    return (a > b) - (a < b)  # _c_order inline: this runs once per cell
 
 
 def _substr(s: bytes, start: int, length: int) -> bytes:
@@ -139,8 +159,10 @@ def _sig(name, args, ret) -> OperatorSignature:
 REGISTRY: dict[str, BuiltinOp] = {
     "strcat": BuiltinOp(_sig("strcat", [STR, STR], STR), operator.add, "string"),
     "strstr": BuiltinOp(_sig("strstr", [STR, STR], STR), _strstr, "string"),
-    "strncmp": BuiltinOp(_sig("strncmp", [STR, STR, INT], INT), _strncmp, "string"),
-    "strcmp": BuiltinOp(_sig("strcmp", [STR, STR], INT), _strcmp, "string"),
+    "strncmp": BuiltinOp(_sig("strncmp", [STR, STR, INT], INT), _strncmp, "string",
+                         (_c_string, _c_string, None)),
+    "strcmp": BuiltinOp(_sig("strcmp", [STR, STR], INT), _c_order, "string",
+                        (_c_string, _c_string)),
     "strlen": BuiltinOp(_sig("strlen", [STR], INT), len, "string"),
     "substr": BuiltinOp(_sig("substr", [STR, INT, INT], STR), _substr, "string"),
     "fadd": BuiltinOp(_sig("fadd", [FLOAT, FLOAT], FLOAT), operator.add, "float"),
@@ -220,9 +242,10 @@ class IndexedOperatorTable:
     on each access and not kept.  The gardens must not grow once the table
     exists: its cells are computed against them on demand.
 
-    A cell costs one call of op.fn on raw arguments; its raw result goes
-    straight to a cell, the result garden's index of it or the int itself,
-    and no Value is built.
+    A cell costs one call of op.fn on prepared column values: each column
+    maps a key component to its argument, prepared once when the table is
+    built.  The raw result goes straight to a cell, the result garden's
+    index of it or the int itself, and no Value is built.
     """
 
     def __init__(self, op: BuiltinOp, dims, result, *, garden_hash, cells=None):
@@ -237,10 +260,14 @@ class IndexedOperatorTable:
         self._fn = op.fn
         # raw result -> cell; a raw int result is its own cell
         self._cell_of = result.raw_index_or_bot if self.result_indexed else None
-        # per dimension, key component -> raw argument: the domain check and
-        # the argument of a cell in one probe
+        # per dimension, key component -> prepared argument: the domain
+        # check and the argument of a cell in one probe
         self._columns = [d.column() for d in dims]
+        for column, prepare in zip(self._columns, op.prepare or ()):
+            if prepare is not None:
+                column.update(zip(column, map(prepare, column.values())))
         self._cells = {} if cells is None else cells  # key -> cell, as computed
+        self._values = {}  # cell -> its Value, for cell_value
 
     @property
     def result_indexed(self) -> bool:
@@ -272,7 +299,7 @@ class IndexedOperatorTable:
         columns = self._columns
         if len(key) != len(columns):
             return BOT
-        args = [*map(dict.get, columns, key)]  # no raw argument is None
+        args = [*map(dict.get, columns, key)]  # no argument is None
         if None in args:
             return BOT
         try:
@@ -318,13 +345,20 @@ class IndexedOperatorTable:
         return cells
 
     def cell_value(self, cell, bot_propagate: bool = False) -> Value:
-        """The Value an indexed call returns for a cell.  A BOT index is a
-        value that escapes where it is used.  A raw-result miss has no
-        in-band value, so it escapes at the call, as in the emitted source,
-        unless bot_propagate lets BOT flow on."""
-        if cell is BOT and not bot_propagate and not self.result_indexed:
-            raise EscapedGarden()
-        return Value(self.cell_tag, cell)
+        """The Value an indexed call returns for a cell, one shared Value
+        per distinct cell.  A BOT index is a value that escapes where it is
+        used.  A raw-result miss has no in-band value, so it escapes at the
+        call, as in the emitted source, unless bot_propagate lets BOT flow
+        on."""
+        value = self._values.get(cell)
+        if value is not None:
+            return value
+        if cell is BOT:
+            if not bot_propagate and not self.result_indexed:
+                raise EscapedGarden()
+            return Value(self.cell_tag, BOT)
+        value = self._values[cell] = Value(self.cell_tag, cell)
+        return value
 
     def lookup_value(self, key: tuple, bot_propagate: bool = False) -> Value:
         return self.cell_value(self.lookup(key), bot_propagate)
@@ -379,12 +413,13 @@ def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
             int_pool=()) -> IndexedOperatorTable:
     """The table of op over the gardens (plus the int pool).  No cell is
     computed here: lookup computes each on first use, and rows the rest.
+    Only op's preparations run here, once per column value.
 
     Rows are in itertools.product order of the dimension domains (last
     position fastest); tables.iot and the emitted IR depend on it.  Each
-    dimension fixes its arguments' type, so op.fn gets the raw values
-    without the per-call tag check of BuiltinOp.eval, and its raw result
-    is never wrapped as a Value.
+    dimension fixes its arguments' type, so op.fn gets prepared column
+    values without the per-call tag check and preparation of
+    BuiltinOp.eval, and its raw result is never wrapped as a Value.
     """
     dims = _dims_for(op.signature, gardens, int_pool)
     result = _result_for(op.signature, gardens)
@@ -409,9 +444,10 @@ def memoise_all(gardens, op_names, int_pool=()) -> dict[str, IndexedOperatorTabl
 # ---------------------------------------------------------------------------
 
 
-def serialize_iot(t: IndexedOperatorTable) -> str:
+def serialize_iot(t: IndexedOperatorTable, cells: list | None = None) -> str:
     """The text of one table: its header, then every row in product order.
-    Cells not yet computed are computed for the text, not cached."""
+    The rows read cells, t.cells() by default: cells not yet computed are
+    computed for the text, not cached."""
     kind = f"indexed:{t.result.type_tag.name}" if t.result_indexed \
         else f"raw:{t.result.name}"
     lines = [f"iot {t.op_name} {t.arity} {kind} garden:{t.garden_hash}"]
@@ -419,15 +455,18 @@ def serialize_iot(t: IndexedOperatorTable) -> str:
     if pools:
         lines.append("pool " + ",".join(map(str, pools[0])))
     key_text = map(" ".join, product(*([str(k) for k in d.domain()] for d in t.dims)))
-    cells = t.cells()
+    if cells is None:
+        cells = t.cells()
     arrows = {cell: f" -> {cell}" for cell in set(cells)}  # one text per distinct cell
     lines += map(operator.add, key_text, map(arrows.__getitem__, cells))
     return "\n".join(lines) + "\n"
 
 
-def serialize_tables(tables: dict[str, IndexedOperatorTable]) -> str:
-    """The text of a tables.iot file: every table, by indexed name."""
-    return "".join(serialize_iot(tables[name]) for name in sorted(tables))
+def serialize_tables(tables: dict[str, IndexedOperatorTable], cells=None) -> str:
+    """The text of a tables.iot file: every table, by indexed name.  cells
+    maps an indexed name to that table's cells() where the caller has them."""
+    cells = cells or {}
+    return "".join(serialize_iot(tables[name], cells.get(name)) for name in sorted(tables))
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")

@@ -764,7 +764,11 @@ class Engine:
 
     def _taken(self, st, fr, cond) -> bool:
         c = _fetch(fr.store, cond)
-        return c if c.__class__ is bool else self.truth(c)
+        if c.__class__ is bool:
+            return c
+        if c is _BOOLS[0] or c is _BOOLS[1]:  # what comparisons store
+            return c.raw
+        return self.truth(c)
 
     def op_branch(self, st, fr, ins):  # (op, cond, edge_t, edge_e, else_at)
         if self._taken(st, fr, ins[1]):
@@ -845,7 +849,8 @@ class Engine:
         dst, want = ins[1], ins[2]
         lv, rv = _fetch(fr.store, ins[3]), _fetch(fr.store, ins[4])
         if isinstance(lv, Value) and isinstance(rv, Value):
-            no_bot(lv, rv)
+            if lv.raw is BOT or rv.raw is BOT:
+                raise EscapedGarden()
             fr.store[dst] = _BOOLS[(lv.raw == rv.raw) == want]
         elif isinstance(lv, SymRef) and isinstance(rv, SymRef):
             self.decide(st, fr, dst, [
@@ -902,7 +907,7 @@ class Engine:
         # The relevant-subset optimization: concrete arguments and pins already
         # entailed by the path condition filter rows before any forking
         table, bot_propagate = ins[2], self.cfg.bot_propagate
-        parts = []
+        parts, free = [], False
         for a in ins[3]:
             a = _fetch(fr.store, a)
             if isinstance(a, Value):
@@ -914,10 +919,14 @@ class Engine:
                 parts.append(a.raw)
             elif isinstance(a, SymRef):
                 pin = st.facts.pin(a.var.name)
-                parts.append(a if pin is None else pin)
+                if pin is None:
+                    free = True
+                    parts.append(a)
+                else:
+                    parts.append(pin)
             else:
                 raise SymexError(f"indexed call on unsupported value {a!r}")
-        if not any(isinstance(p, SymRef) for p in parts):
+        if not free:
             fr.ip += 1
             fr.store[ins[1]] = table.cell_value(table.lookup(tuple(parts)),
                                                 bot_propagate)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -44,11 +45,11 @@ def make_rng(seed: int) -> random.Random:
 
 
 def recording(op, calls: list) -> BuiltinOp:
-    """A copy of the builtin op whose fn appends each call's raw arguments
-    to calls."""
+    """A copy of the builtin op whose fn appends each call's arguments, as
+    prepared, to calls."""
 
     def fn(*args):
         calls.append(args)
         return op.fn(*args)
 
-    return BuiltinOp(op.signature, fn, op.klass)
+    return replace(op, fn=fn)

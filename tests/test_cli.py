@@ -3,15 +3,18 @@ import re
 
 import pytest
 
+from indexify import iot
 from indexify.bench import corpus_path
-from indexify.cli import main
+from indexify.cli import CliConfig, load_pipeline, main, run_mode, write_artifacts
 from indexify.garden import load_gardens
 from indexify.lang.ast import STR, mk_str
 from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
+from indexify.rewrite import emit_indexed_source
+from indexify.symex import MODE_INDEXED
 
-from conftest import FIG4A_SOURCE, FIG5_GARDEN_TEXT
+from conftest import FIG4A_SOURCE, FIG5_GARDEN_TEXT, recording
 
 
 @pytest.fixture
@@ -294,6 +297,30 @@ def test_emitted_raw_table_miss_consumes_bot(tmp_path, capsys):
     gardens = load_gardens(open(os.path.join(out, "garden.txt")).read())
     res = interpret(emitted, {"s": mk_str(b"zz")}, gardens=gardens)
     assert res.verdict == "escaped-garden"
+
+
+def test_indexed_ir_computes_each_uncached_cell_once(tmp_path, monkeypatch):
+    # tables.iot and the emitted IR read one cells() list per table, so
+    # writing both computes each cell that exploration left uncached once
+    src = tmp_path / "cmp.mi"
+    src.write_text('int main(){ str s; symbolic s; str t = strcat(s, "b"); '
+                   'if (strncmp(t, "ab", 2) == 0) { return strlen(s); } return 0; }')
+    calls = []
+    for name in ("strcat", "strncmp", "strlen"):
+        monkeypatch.setitem(iot.REGISTRY, name, recording(iot.REGISTRY[name], calls))
+    cfg = CliConfig(input_path=str(src), f_plus_names=("strcat", "strncmp", "strlen"),
+                    k=1, emit_ir=True, outdir=str(tmp_path / "art"))
+    pipe = load_pipeline(cfg)
+    del calls[:]  # the garden's growth called strcat as a builder
+    reports = {MODE_INDEXED: run_mode(cfg, pipe, MODE_INDEXED)}
+    cached = len(calls)  # one call per cell that a lookup cached
+    cells = sum(t.size for t in pipe.tables.values())
+    assert 0 < cached < cells
+    write_artifacts(cfg, pipe, reports)
+    assert len(calls) == cells
+    # the files are what each writer makes on its own
+    assert open(tmp_path / "art" / "tables.iot").read() == iot.serialize_tables(pipe.tables)
+    assert open(str(src) + ".indexed.mi").read() == emit_indexed_source(pipe.indexed)
 
 
 def test_artifacts_are_reproducible(fig4a_file, tmp_path):
