@@ -245,9 +245,21 @@ def parse_input_value(text: str) -> Value:
     return Value(lit.tag, lit.value)
 
 
-def format_inputs(tc: TestCase) -> list:
-    """The test case's inputs as name=value lines, sorted by name."""
-    return [f"{name}={format_input_value(v)}" for name, v in sorted(tc.inputs.items())]
+def format_inputs(tc: TestCase, lines: dict) -> list:
+    """The test case's inputs as name=value lines, sorted by name.
+
+    lines memoises each line by its name and the id of its Value object,
+    not by value equality, under which 0.0 and -0.0 are one value but print
+    apart.  Its Values must outlive it, as a report's do while it is
+    written.
+    """
+    out = []
+    for name, v in sorted(tc.inputs.items()):
+        line = lines.get((name, id(v)))
+        if line is None:
+            line = lines[name, id(v)] = f"{name}={format_input_value(v)}"
+        out.append(line)
+    return out
 
 
 def format_testcase(tc: TestCase, inputs: list) -> str:
@@ -319,6 +331,7 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
     with open(os.path.join(outdir, "tables.iot"), "w", encoding="utf-8") as fh:
         fh.write(serialize_tables(pipe.tables, cells))
     name = os.path.basename(cfg.input_path)
+    lines = {}  # format_inputs' memo: the reports hold its Values until we return
     for mode, report in reports.items():
         suffix = mode.replace("baseline-", "")
         tc_dir = os.path.join(outdir, f"testcases.{suffix}")
@@ -327,7 +340,7 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
                   encoding="utf-8") as rep:
             rep.write(format_report(report, name))
             for tc in report.test_cases:
-                inputs = format_inputs(tc)  # once, for the report line and the .tc file
+                inputs = format_inputs(tc, lines)  # once, for the report line and the .tc file
                 rep.write(format_report_line(tc, inputs))
                 with open(os.path.join(tc_dir, f"{tc.path_id:04d}.tc"), "w",
                           encoding="utf-8") as fh:

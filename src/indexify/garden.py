@@ -13,7 +13,7 @@ two builds from the same inputs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 
 from .lang.ast import (
     BOT,
@@ -54,12 +54,16 @@ class OperatorSignature:
 @dataclass
 class SeedSet:
     per_type: dict[TypeTag, list[Value]] = field(default_factory=dict)
+    _keys: dict[TypeTag, set] = field(default_factory=dict, init=False, repr=False,
+                                      compare=False)
 
     def add(self, v: Value) -> None:
-        bucket = self.per_type.setdefault(v.tag, [])
+        """Append v to its type's seeds unless a seed has its value_key."""
+        keys = self._keys.setdefault(v.tag, set())
         key = value_key(v)
-        if all(value_key(x) != key for x in bucket):
-            bucket.append(v)
+        if key not in keys:
+            keys.add(key)
+            self.per_type.setdefault(v.tag, []).append(v)
 
     def values(self, tag: TypeTag) -> list[Value]:
         return list(self.per_type.get(tag, []))
@@ -103,6 +107,13 @@ class IndexMap:
         """index_or_bot of the value of the garden's type whose payload is
         raw, without building the Value."""
         return self._index.get(float_key(raw) if self.type_tag is FLOAT else raw, BOT)
+
+    def raw_indices(self, raws):
+        """raw_index_or_bot of each payload of raws, lazily, mapped in C
+        where a payload is its own key (every type but float)."""
+        if self.type_tag is FLOAT:
+            return map(self.raw_index_or_bot, raws)
+        return map(self._index.get, raws, repeat(BOT))
 
     def value_at(self, i) -> Value:
         """delta_inv: the value at index i; BOT escapes, overflow is a bug."""

@@ -10,12 +10,14 @@ and the emitted IR read every cell through cells(), which caches none it
 computes.  Builtins take and return raw payloads (bytes, int, float): a
 table turns a raw result straight into its cell, and BuiltinOp.eval alone
 wraps a result as a Value, for the interpreter and the explorer.  A builtin
-may prepare an argument before its kernel runs (strcmp cuts each string at
+may prepare an argument before its fn runs (strcmp cuts each string at
 its first NUL); a table prepares each column value once, when it is built,
-so a cell costs one kernel call on prepared column values.  BOT is
-always a distinct cell variant - never the integer -1, which strncmp
-legitimately returns.  serialize_tables and parse_tables write and read the
-tables.iot format.
+so a looked-up cell costs one fn call on prepared column values.  An order
+operator (strcmp, strncmp) also has a whole-table kernel: read whole, its
+table is filled from dense ranks of the garden's values, a row at a time,
+with no call per cell.  BOT is always a distinct cell variant - never the
+integer -1, which strncmp legitimately returns.  serialize_tables and
+parse_tables write and read the tables.iot format.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, islice, product, repeat, starmap
+from itertools import chain, groupby, islice, product, repeat, starmap
 
 from .garden import IndexMap, OperatorSignature, format_literal
 from .lang.ast import (
@@ -52,19 +54,26 @@ class IotError(Exception):
 
 @dataclass(frozen=True)
 class BuiltinOp:
-    """A builtin: its signature and fn, its kernel, which maps argument
-    payloads to the raw payload of the result (bytes, int, float).
+    """A builtin: its signature and fn, its per-cell function, which maps
+    argument payloads to the raw payload of the result (bytes, int, float).
 
     prepare is None, or one entry per argument: a function applied once to
     the argument's raw payload before fn runs, or None to pass the payload
     as it is.  A table prepares each column value once, so work that depends
     on one argument alone is done once per garden value, not once per cell.
+
+    tabulate is None, or a whole-table kernel: given each argument's
+    prepared column as a list, it returns fn's raw result for every tuple
+    of their product, in itertools.product order.  It must agree with fn
+    cell for cell, and it must not raise, since it has no per-cell BOT;
+    fn stays the reference and serves every single cell.
     """
 
     signature: OperatorSignature
     fn: object
     klass: str  # "string" | "float" | "io"
     prepare: tuple | None = None
+    tabulate: object = None
 
     def call(self, *raws):
         """The raw result of fn on raw argument payloads, each prepared
@@ -110,6 +119,35 @@ def _strncmp(a: bytes, b: bytes, n: int) -> int:
         return 0
     a, b = a[:n], b[:n]
     return (a > b) - (a < b)  # _c_order inline: this runs once per cell
+
+
+def _c_order_table(col_a: list, col_b: list) -> list:
+    """_c_order of every pair of the columns' C strings, in product order.
+
+    The strings of both columns are ranked densely, so a pair's sign is the
+    sign of its rank difference.  Row a reads it off a window of signs, one
+    C-level map over the ranks of col_b: signs[k-1-r_a+r_b] is
+    sign(r_a - r_b) for ranks in [0, k).
+    """
+    order = sorted({*col_a, *col_b})
+    rank = dict(zip(order, range(len(order))))
+    k = len(order)
+    signs = [1] * (k - 1) + [0] + [-1] * (k - 1)
+    ranks_b = [*map(rank.__getitem__, col_b)]
+    out = []
+    for r in map(rank.__getitem__, col_a):
+        out += map(signs[k - 1 - r : 2 * k - 1 - r].__getitem__, ranks_b)
+    return out
+
+
+def _strncmp_table(col_a: list, col_b: list, pool: list) -> list:
+    """_strncmp over the product of its columns: for each n of the pool,
+    the order of the n-byte prefixes (all 0 for n <= 0), interleaved so
+    that n runs fastest."""
+    pairs = len(col_a) * len(col_b)
+    per_n = [_c_order_table([a[:n] for a in col_a], [b[:n] for b in col_b])
+             if n > 0 else [0] * pairs for n in pool]
+    return [*chain.from_iterable(zip(*per_n))]
 
 
 def _substr(s: bytes, start: int, length: int) -> bytes:
@@ -160,9 +198,9 @@ REGISTRY: dict[str, BuiltinOp] = {
     "strcat": BuiltinOp(_sig("strcat", [STR, STR], STR), operator.add, "string"),
     "strstr": BuiltinOp(_sig("strstr", [STR, STR], STR), _strstr, "string"),
     "strncmp": BuiltinOp(_sig("strncmp", [STR, STR, INT], INT), _strncmp, "string",
-                         (_c_string, _c_string, None)),
+                         (_c_string, _c_string, None), _strncmp_table),
     "strcmp": BuiltinOp(_sig("strcmp", [STR, STR], INT), _c_order, "string",
-                        (_c_string, _c_string)),
+                        (_c_string, _c_string), _c_order_table),
     "strlen": BuiltinOp(_sig("strlen", [STR], INT), len, "string"),
     "substr": BuiltinOp(_sig("substr", [STR, INT, INT], STR), _substr, "string"),
     "fadd": BuiltinOp(_sig("fadd", [FLOAT, FLOAT], FLOAT), operator.add, "float"),
@@ -242,10 +280,12 @@ class IndexedOperatorTable:
     on each access and not kept.  The gardens must not grow once the table
     exists: its cells are computed against them on demand.
 
-    A cell costs one call of op.fn on prepared column values: each column
-    maps a key component to its argument, prepared once when the table is
-    built.  The raw result goes straight to a cell, the result garden's
-    index of it or the int itself, and no Value is built.
+    A looked-up cell costs one call of op.fn on prepared column values:
+    each column maps a key component to its argument, prepared once when
+    the table is built.  The raw result goes straight to a cell, the result
+    garden's index of it or the int itself, and no Value is built.  Read
+    whole, a table whose op has a whole-table kernel (op.tabulate) is
+    filled by one kernel call on the columns, not by a call per cell.
     """
 
     def __init__(self, op: BuiltinOp, dims, result, *, garden_hash, cells=None):
@@ -258,8 +298,11 @@ class IndexedOperatorTable:
         self.garden_hash = garden_hash
         self.cell_tag = index_of(result.type_tag) if self.result_indexed else result
         self._fn = op.fn
-        # raw result -> cell; a raw int result is its own cell
+        self._tabulate = op.tabulate
+        # raw result -> cell, and raw results -> cells lazily; a raw int
+        # result is its own cell
         self._cell_of = result.raw_index_or_bot if self.result_indexed else None
+        self._cells_of = result.raw_indices if self.result_indexed else None
         # per dimension, key component -> prepared argument: the domain
         # check and the argument of a cell in one probe
         self._columns = [d.column() for d in dims]
@@ -314,11 +357,11 @@ class IndexedOperatorTable:
     def _extend_cells(self, cells: list, arg_tuples) -> None:
         """Append the cells of the argument tuples to cells, one call of the
         operator each, mapped in C rather than cell by cell."""
-        fn, cell_of = self._fn, self._cell_of
+        fn, cells_of = self._fn, self._cells_of
         while True:
             try:
                 outs = starmap(fn, arg_tuples)
-                cells += outs if cell_of is None else map(cell_of, outs)
+                cells += outs if cells_of is None else cells_of(outs)
                 return
             except Exception:
                 # the cells before the raising call are appended, and its
@@ -329,11 +372,17 @@ class IndexedOperatorTable:
         """Every cell, in product order of the domains.  Cached cells are
         reused; the others are computed, not cached.
 
-        One pass probes the cache for every key; each run of misses is
-        computed by one map over the argument product.
+        A table with a whole-table kernel and an uncached cell is filled by
+        one kernel call on its columns.  Otherwise one pass probes the cache
+        for every key, and each run of misses is computed by one map of
+        op.fn over the argument product.
         """
-        probes = map(self._cells.get, product(*self._columns), repeat(_MISS))
-        args = product(*(c.values() for c in self._columns))
+        columns = self._columns
+        if self._tabulate is not None and len(self._cells) < self.size:
+            outs = self._tabulate(*(list(c.values()) for c in columns))
+            return outs if self._cells_of is None else [*self._cells_of(outs)]
+        probes = map(self._cells.get, product(*columns), repeat(_MISS))
+        args = product(*(c.values() for c in columns))
         cells = []
         for missing, run in groupby(probes, partial(operator.is_, _MISS)):
             if missing:
@@ -447,19 +496,33 @@ def memoise_all(gardens, op_names, int_pool=()) -> dict[str, IndexedOperatorTabl
 def serialize_iot(t: IndexedOperatorTable, cells: list | None = None) -> str:
     """The text of one table: its header, then every row in product order.
     The rows read cells, t.cells() by default: cells not yet computed are
-    computed for the text, not cached."""
+    computed for the text, not cached.
+
+    No row is built as a string of its own.  A row is three pieces: the
+    text of its key's outer components (one per tuple of the outer
+    dimensions), the text of its last component (one per value of the last
+    dimension) and its arrow (one per distinct cell).  Each kind of piece
+    is laid into every third slot of one list by slice assignment, and one
+    join makes the rows' text.
+    """
     kind = f"indexed:{t.result.type_tag.name}" if t.result_indexed \
         else f"raw:{t.result.name}"
-    lines = [f"iot {t.op_name} {t.arity} {kind} garden:{t.garden_hash}"]
+    head = [f"iot {t.op_name} {t.arity} {kind} garden:{t.garden_hash}\n"]
     pools = [d.pool for d in t.dims if isinstance(d, IntPoolDim)]
     if pools:
-        lines.append("pool " + ",".join(map(str, pools[0])))
-    key_text = map(" ".join, product(*([str(k) for k in d.domain()] for d in t.dims)))
+        head.append("pool " + ",".join(map(str, pools[0])) + "\n")
     if cells is None:
         cells = t.cells()
-    arrows = {cell: f" -> {cell}" for cell in set(cells)}  # one text per distinct cell
-    lines += map(operator.add, key_text, map(arrows.__getitem__, cells))
-    return "\n".join(lines) + "\n"
+    *outer, last = ([str(k) for k in d.domain()] for d in t.dims)
+    prefixes = [*map("".join, product(*([k + " " for k in texts] for texts in outer)))]
+    arrows = {cell: f" -> {cell}\n" for cell in set(cells)}
+    width = 3 * len(last)  # the pieces of the rows of one prefix
+    pieces = [None] * (width * len(prefixes))
+    for j in range(len(last)):
+        pieces[3 * j::width] = prefixes
+    pieces[1::3] = last * len(prefixes)
+    pieces[2::3] = map(arrows.__getitem__, cells)
+    return "".join(head) + "".join(pieces)
 
 
 def serialize_tables(tables: dict[str, IndexedOperatorTable], cells=None) -> str:

@@ -44,12 +44,20 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+KERNEL = "kernel"  # what a recording op appends for a whole-table kernel call
+
+
 def recording(op, calls: list) -> BuiltinOp:
     """A copy of the builtin op whose fn appends each call's arguments, as
-    prepared, to calls."""
+    prepared, to calls, and whose whole-table kernel, if it has one,
+    appends KERNEL."""
 
     def fn(*args):
         calls.append(args)
         return op.fn(*args)
 
-    return replace(op, fn=fn)
+    def tabulate(*columns):
+        calls.append(KERNEL)
+        return op.tabulate(*columns)
+
+    return replace(op, fn=fn, tabulate=None if op.tabulate is None else tabulate)

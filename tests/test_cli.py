@@ -1,20 +1,21 @@
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
-from indexify import iot
+from indexify import iot, symex
 from indexify.bench import corpus_path
 from indexify.cli import CliConfig, load_pipeline, main, run_mode, write_artifacts
 from indexify.garden import load_gardens
-from indexify.lang.ast import STR, mk_str
+from indexify.lang.ast import FLOAT, STR, Value, mk_str
 from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
 from indexify.rewrite import emit_indexed_source
 from indexify.symex import MODE_INDEXED
 
-from conftest import FIG4A_SOURCE, FIG5_GARDEN_TEXT, recording
+from conftest import FIG4A_SOURCE, FIG5_GARDEN_TEXT, KERNEL, recording
 
 
 @pytest.fixture
@@ -301,26 +302,52 @@ def test_emitted_raw_table_miss_consumes_bot(tmp_path, capsys):
 
 def test_indexed_ir_computes_each_uncached_cell_once(tmp_path, monkeypatch):
     # tables.iot and the emitted IR read one cells() list per table, so
-    # writing both computes each cell that exploration left uncached once
+    # writing both computes each cell that exploration left uncached once:
+    # by one call of strncmp's whole-table kernel, and by one fn call per
+    # uncached cell of strcat and strlen, which have none
     src = tmp_path / "cmp.mi"
     src.write_text('int main(){ str s; symbolic s; str t = strcat(s, "b"); '
                    'if (strncmp(t, "ab", 2) == 0) { return strlen(s); } return 0; }')
-    calls = []
-    for name in ("strcat", "strncmp", "strlen"):
-        monkeypatch.setitem(iot.REGISTRY, name, recording(iot.REGISTRY[name], calls))
-    cfg = CliConfig(input_path=str(src), f_plus_names=("strcat", "strncmp", "strlen"),
+    calls = {name: [] for name in ("strcat", "strncmp", "strlen")}
+    for name in calls:
+        monkeypatch.setitem(iot.REGISTRY, name, recording(iot.REGISTRY[name], calls[name]))
+    cfg = CliConfig(input_path=str(src), f_plus_names=tuple(calls),
                     k=1, emit_ir=True, outdir=str(tmp_path / "art"))
     pipe = load_pipeline(cfg)
-    del calls[:]  # the garden's growth called strcat as a builder
+    del calls["strcat"][:]  # the garden's growth called strcat as a builder
     reports = {MODE_INDEXED: run_mode(cfg, pipe, MODE_INDEXED)}
-    cached = len(calls)  # one call per cell that a lookup cached
-    cells = sum(t.size for t in pipe.tables.values())
-    assert 0 < cached < cells
+    cached = {name: len(c) for name, c in calls.items()}  # one per cell a lookup cached
+    assert all(0 < cached[name] < pipe.tables["i_" + name].size for name in calls)
+    assert KERNEL not in calls["strncmp"]
     write_artifacts(cfg, pipe, reports)
-    assert len(calls) == cells
+    assert calls["strncmp"][cached["strncmp"]:] == [KERNEL]
+    for name in ("strcat", "strlen"):
+        assert len(calls[name]) == pipe.tables["i_" + name].size
     # the files are what each writer makes on its own
     assert open(tmp_path / "art" / "tables.iot").read() == iot.serialize_tables(pipe.tables)
     assert open(str(src) + ".indexed.mi").read() == emit_indexed_source(pipe.indexed)
+
+
+def test_artifacts_print_each_zero_as_itself(tmp_path):
+    # write_artifacts formats each input once per Value object: 0.0 == -0.0,
+    # yet each test case keeps the zero it holds, in its line and its file
+    src = tmp_path / "zeros.mi"
+    src.write_text("int main(){ float x; float y; symbolic x; symbolic y; "
+                   "float z = fadd(x, 0.5); return 0; }")
+    cfg = CliConfig(input_path=str(src), indexed_types=(FLOAT,), k=0,
+                    outdir=str(tmp_path / "art"))
+    pipe = load_pipeline(cfg)
+    zero, neg = Value(FLOAT, 0.0), Value(FLOAT, -0.0)
+    cases = [symex.TestCase(i, "ok", inputs, frozenset()) for i, inputs in enumerate(
+        [{"x": zero, "y": neg}, {"x": neg, "y": zero}, {"x": zero, "y": zero}])]
+    report = replace(run_mode(cfg, pipe, MODE_INDEXED), test_cases=tuple(cases))
+    out = write_artifacts(cfg, pipe, {MODE_INDEXED: report})
+    lines = open(os.path.join(out, "report.indexed.txt")).read().splitlines()
+    assert lines[-3:] == ["testcase 0 verdict=ok x=0.0 y=-0.0",
+                          "testcase 1 verdict=ok x=-0.0 y=0.0",
+                          "testcase 2 verdict=ok x=0.0 y=0.0"]
+    tc = open(os.path.join(out, "testcases.indexed", "0001.tc")).read()
+    assert tc == "# testcase 1 verdict=ok\nx=-0.0\ny=0.0\n"
 
 
 def test_artifacts_are_reproducible(fig4a_file, tmp_path):

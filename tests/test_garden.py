@@ -54,6 +54,19 @@ def test_harvest_vendor_constants():
     assert harvest_int_pool(p) == (0, 1, 4, 64)
 
 
+def test_seed_set_keeps_the_first_of_each_value_in_order():
+    # NaNs are one seed and so are the zeros, as in a garden: the first wins
+    s = SeedSet()
+    for tag, raw in [(FLOAT, -0.0), (STR, b"a"), (FLOAT, 1.0), (FLOAT, 0.0),
+                     (FLOAT, float("nan")), (STR, b""), (FLOAT, -float("nan")),
+                     (STR, b"a"), (FLOAT, 1.0), (INT, 0), (INT, 0)]:
+        s.add(Value(tag, raw))
+    assert [repr(v.raw) for v in s.values(FLOAT)] == ["-0.0", "1.0", "nan"]
+    assert s.values(STR) == [mk_str(b"a"), mk_str(b"")]
+    assert s.values(INT) == [Value(INT, 0)]
+    assert set(s.per_type) == {FLOAT, STR, INT}
+
+
 def test_harvest_forces_empty_string():
     p = typecheck(parse("int main(){ return 0; }"))
     seeds = harvest_seeds(p, {STR})

@@ -36,7 +36,7 @@ from indexify.lang.ast import (
     value_key,
 )
 
-from conftest import recording
+from conftest import KERNEL, recording
 
 
 def s(x):
@@ -343,28 +343,33 @@ def test_raw_result_tables_keep_bot_distinct():
 
 
 def test_only_looked_up_cells_are_computed():
+    # with its whole-table kernel, strncmp's table read whole makes one
+    # kernel call; without it, one fn call per uncached cell
     gardens = _ab_garden()
-    calls = []
-    t = memoise(gardens, recording(REGISTRY["strncmp"], calls), int_pool=(1, 4))
-    assert calls == []  # the table computes no cell up front
-    keys = [(0, 1, 4), (3, 2, 1), (6, 6, 4), (3, 2, 1), (0, 1, 4)]
-    cells = [t.lookup(k) for k in keys]
-    assert len(calls) == 3  # one call per distinct key, none for a repeat
-    assert cells[1] == cells[3] and cells[0] == cells[4]
     eager = memoise(gardens, REGISTRY["strncmp"], int_pool=(1, 4))
-    assert len(eager.rows) == t.size == 7 * 7 * 2  # every cell, before any lookup
-    text = serialize_iot(t)  # computes the other cells, without caching them
-    assert len(calls) == t.size
-    assert text == serialize_iot(eager)
-    assert serialize_iot(parse_iot(text, gardens)) == text
-    assert [eager.rows[k] for k in keys] == cells
-    assert t.rows == eager.rows  # the complete table
-    assert len(calls) == 2 * t.size - 3
-    assert list(t.rows) == list(eager.rows)  # in product order
-    assert len(calls) == 3 * t.size - 6  # rows caches nothing it computes
-    t.lookup((5, 5, 1))  # cached, so the next rows computes one cell fewer
-    len(t.rows)
-    assert len(calls) == 4 * t.size - 9
+    for kernel in (False, True):
+        calls = []
+        op = recording(REGISTRY["strncmp"], calls)
+        t = memoise(gardens, op if kernel else replace(op, tabulate=None), int_pool=(1, 4))
+        assert calls == []  # the table computes no cell up front
+        keys = [(0, 1, 4), (3, 2, 1), (6, 6, 4), (3, 2, 1), (0, 1, 4)]
+        cells = [t.lookup(k) for k in keys]
+        assert len(calls) == 3  # one call per distinct key, none for a repeat
+        assert cells[1] == cells[3] and cells[0] == cells[4]
+        assert len(eager.rows) == t.size == 7 * 7 * 2  # every cell, before any lookup
+        read_whole = 1 if kernel else t.size - 3  # calls per whole read
+        text = serialize_iot(t)  # computes the other cells, without caching them
+        assert len(calls) == 3 + read_whole
+        assert text == serialize_iot(eager)
+        assert serialize_iot(parse_iot(text, gardens)) == text
+        assert [eager.rows[k] for k in keys] == cells
+        assert t.rows == eager.rows  # the complete table
+        assert list(t.rows) == list(eager.rows)  # in product order
+        assert len(calls) == 3 + 3 * read_whole  # rows caches nothing it computes
+        assert calls.count(KERNEL) == (3 if kernel else 0)
+        t.lookup((5, 5, 1))  # one fn call; then a cell fewer for a read without kernel
+        len(t.rows)
+        assert len(calls) == (8 if kernel else 4 * t.size - 9)
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -492,3 +497,39 @@ def test_string_comparisons_match_a_byte_loop():
             for n in (-1, 0, 1, 2, 4):
                 want = _c_compare(a, b, n)
                 assert eval_builtin("strncmp", [s(a), s(b), mk_int(n)]) == mk_int(want)
+
+
+def _strcat_table(col_a, col_b):
+    return [a + b for a, b in product(col_a, col_b)]
+
+
+@pytest.mark.parametrize("name", ["strcmp", "strncmp", "strcat"])
+def test_whole_table_kernels_agree_with_fn(name):
+    # random gardens of short strings with NULs and \xff, the empty string
+    # and strings equal after the NUL cut; pools with negative values, 0
+    # and n past every length, and the empty pool.  strcat has no kernel in
+    # the registry: one here checks that a kernel's results outside the
+    # result garden are BOT
+    rng = random.Random(11)
+    op = REGISTRY[name]
+    if op.tabulate is None:
+        op = replace(op, tabulate=_strcat_table)
+    for _ in range(40):
+        garden = IndexMap(STR)
+        for raw in (b"", b"a", b"a\0", b"a\0\xff"):
+            if rng.random() < 0.5:
+                garden.admit(s(raw))
+        for _ in range(rng.randrange(8)):
+            garden.admit(s(bytes(rng.choice(b"\0a\xff") for _ in range(rng.randrange(4)))))
+        pool = rng.sample([-2, -1, 0, 1, 2, 3, 9], rng.randrange(5))
+        calls = []
+        t = memoise({STR: garden}, recording(op, calls), pool)
+        fresh = memoise({STR: garden}, replace(op, tabulate=None), pool)
+        keys = [*product(*(d.domain() for d in t.dims))]
+        assert t.cells() == [fresh.lookup(k) for k in keys], (garden.values(), pool)
+        assert calls == ([KERNEL] if keys else [])
+        for k in keys:
+            t.lookup(k)
+        del calls[:]
+        assert t.cells() == fresh.cells()  # every cell cached: no call at all
+        assert calls == []
