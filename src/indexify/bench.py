@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from .cli import MODES, CliConfig, _TYPE_CHOICES, build_pipeline, run_mode
+from .cli import MODES, CliConfig, _TYPE_CHOICES, build_pipeline, format_columns, run_mode
 from .lang.parser import parse
 from .symex import MODE_ABANDON, MODE_INDEXED
 
@@ -162,7 +162,6 @@ def run_corpus(corpus=CORPUS, modes=DEFAULT_MODES) -> AggregateReport:
 
 
 def format_aggregate(agg: AggregateReport) -> str:
-    lines = []
     header = ["entry", "category"]
     for m in agg.modes:
         short = m.replace("baseline-", "")
@@ -177,9 +176,7 @@ def format_aggregate(agg: AggregateReport) -> str:
                     str(rep.paths), str(rep.assertion_failures)]
         row.append("ok" if not r.violations else "; ".join(r.violations))
         rows.append(row)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    lines = format_columns(rows)
     for m in agg.modes:
         lines.append(f"mean_branch_cov[{m}] {agg.mean_branch_cov(m):.4f}")
         lines.append(f"mean_instr_cov[{m}] {agg.mean_instr_cov(m):.4f}")

@@ -78,6 +78,15 @@ class CliConfig:
     unroll: int = 16
     bot_propagate: bool = False
 
+    def __post_init__(self):
+        if not self.timeout_s > 0:  # a NaN timeout would never expire
+            raise UsageError("--timeout must be a positive number of seconds, "
+                             f"not {self.timeout_s}")
+        if self.max_states < 1:
+            raise UsageError(f"--max-states must be at least 1, not {self.max_states}")
+        if self.unroll < 0:
+            raise UsageError(f"--unroll must be at least 0, not {self.unroll}")
+
 
 @dataclass
 class Pipeline:
@@ -324,12 +333,8 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "garden.txt"), "w", encoding="utf-8") as fh:
         fh.write(serialize_gardens(pipe.gardens))
-    emit_ir = cfg.emit_ir and pipe.indexed is not None
-    # cells() caches no cell it computes: with the IR, both writers read one
-    # list per table, so each uncached cell is computed once
-    cells = {name: t.cells() for name, t in pipe.tables.items()} if emit_ir else None
     with open(os.path.join(outdir, "tables.iot"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_tables(pipe.tables, cells))
+        fh.write(serialize_tables(pipe.tables))
     name = os.path.basename(cfg.input_path)
     lines = {}  # format_inputs' memo: the reports hold its Values until we return
     for mode, report in reports.items():
@@ -345,9 +350,9 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
                 with open(os.path.join(tc_dir, f"{tc.path_id:04d}.tc"), "w",
                           encoding="utf-8") as fh:
                     fh.write(format_testcase(tc, inputs))
-    if emit_ir:
+    if cfg.emit_ir and pipe.indexed is not None:
         with open(cfg.input_path + ".indexed.mi", "w", encoding="utf-8") as fh:
-            fh.write(emit_indexed_source(pipe.indexed, cells))
+            fh.write(emit_indexed_source(pipe.indexed))
     return outdir
 
 
@@ -384,11 +389,15 @@ def comparison_table(reports: dict) -> str:
         ("assert_failures", *(str(r.assertion_failures) for r in reports.values())),
         ("time_s", *(f"{r.elapsed_s:.2f}" for r in reports.values())),
     ]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
-    )
+    return "\n".join(format_columns(rows))
+
+
+def format_columns(rows: list) -> list:
+    """The lines of a text table: each row's cells padded to their column's
+    widest cell and joined by two spaces, with no trailing space."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            for row in rows]
 
 
 def cmd_replay(cfg: CliConfig, replay_path: str) -> int:

@@ -6,18 +6,18 @@ IndexedOperatorTable: over the type-valid argument tuples of the gardens, it
 maps index tuples to either result indices (when the return type is indexed)
 or the operator's int results (when it is not, like strncmp's comparison
 result).  A table computes each cell on its first lookup; tables.iot, rows
-and the emitted IR read every cell through cells(), which caches none it
-computes.  Builtins take and return raw payloads (bytes, int, float): a
-table turns a raw result straight into its cell, and BuiltinOp.eval alone
-wraps a result as a Value, for the interpreter and the explorer.  A builtin
-may prepare an argument before its fn runs (strcmp cuts each string at
-its first NUL); a table prepares each column value once, when it is built,
-so a looked-up cell costs one fn call on prepared column values.  An order
-operator (strcmp, strncmp) also has a whole-table kernel: read whole, its
-table is filled from dense ranks of the garden's values, a row at a time,
-with no call per cell.  BOT is always a distinct cell variant - never the
-integer -1, which strncmp legitimately returns.  serialize_tables and
-parse_tables write and read the tables.iot format.
+and the emitted IR read every cell through cells(), which computes the
+whole table once and keeps it.  Builtins take and return raw payloads
+(bytes, int, float): a table turns a raw result straight into its cell, and
+BuiltinOp.eval alone wraps a result as a Value, for the interpreter and the
+explorer.  A builtin may prepare an argument before its fn runs (strcmp
+cuts each string at its first NUL); a table prepares each column value
+once, when it is built, so a looked-up cell costs one fn call on prepared
+column values.  An order operator (strcmp, strncmp) also has a whole-table
+kernel: read whole, its table is filled from dense ranks of the garden's
+values, a row at a time, with no call per cell.  BOT is always a distinct
+cell variant - never the integer -1, which strncmp legitimately returns.
+serialize_tables and parse_tables write and read the tables.iot format.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, groupby, islice, product, repeat, starmap
+from itertools import chain, product, starmap
 
 from .garden import IndexMap, OperatorSignature, format_literal
 from .lang.ast import (
@@ -276,9 +275,9 @@ class IndexedOperatorTable:
     computes a key's cell on its first call and caches it.  Lookup of
     anything outside the dimension domains is BOT, the catch-all row, and
     computes nothing.  rows is the complete table: exactly the tuples over
-    the domains, in ascending (itertools.product) order, built from cells()
-    on each access and not kept.  The gardens must not grow once the table
-    exists: its cells are computed against them on demand.
+    the domains, in ascending (itertools.product) order, a fresh dict from
+    the kept cells() on each access.  The gardens must not grow once the
+    table exists: its cells are computed against them, and kept.
 
     A looked-up cell costs one call of op.fn on prepared column values:
     each column maps a key component to its argument, prepared once when
@@ -310,6 +309,7 @@ class IndexedOperatorTable:
             if prepare is not None:
                 column.update(zip(column, map(prepare, column.values())))
         self._cells = {} if cells is None else cells  # key -> cell, as computed
+        self._whole = None  # cells(), once a whole read has made it
         self._values = {}  # cell -> its Value, for cell_value
 
     @property
@@ -354,43 +354,36 @@ class IndexedOperatorTable:
         cells[key] = cell
         return cell
 
-    def _extend_cells(self, cells: list, arg_tuples) -> None:
-        """Append the cells of the argument tuples to cells, one call of the
-        operator each, mapped in C rather than cell by cell."""
-        fn, cells_of = self._fn, self._cells_of
-        while True:
-            try:
-                outs = starmap(fn, arg_tuples)
-                cells += outs if cells_of is None else cells_of(outs)
-                return
-            except Exception:
-                # the cells before the raising call are appended, and its
-                # argument tuple is consumed: it is BOT, and the rest go on
-                cells.append(BOT)
-
     def cells(self) -> list:
-        """Every cell, in product order of the domains.  Cached cells are
-        reused; the others are computed, not cached.
+        """Every cell, in product order of the domains, computed on the first
+        call and kept: later calls return the same list, not to be changed.
 
-        A table with a whole-table kernel and an uncached cell is filled by
-        one kernel call on its columns.  Otherwise one pass probes the cache
-        for every key, and each run of misses is computed by one map of
-        op.fn over the argument product.
+        A fully cached table (loaded by parse_iot, or every cell looked up)
+        reads its cache.  Otherwise one kernel call fills it, or without a
+        kernel one map of op.fn over the argument product, where a call
+        that raises gives BOT and the cells after it still follow.
         """
+        if self._whole is not None:
+            return self._whole
         columns = self._columns
-        if self._tabulate is not None and len(self._cells) < self.size:
+        if len(self._cells) == self.size:
+            cells = [*map(self._cells.__getitem__, product(*columns))]
+        elif self._tabulate is not None:
             outs = self._tabulate(*(list(c.values()) for c in columns))
-            return outs if self._cells_of is None else [*self._cells_of(outs)]
-        probes = map(self._cells.get, product(*columns), repeat(_MISS))
-        args = product(*(c.values() for c in columns))
-        cells = []
-        for missing, run in groupby(probes, partial(operator.is_, _MISS)):
-            if missing:
-                self._extend_cells(cells, islice(args, len([*run])))
-            else:
-                hits = [*run]
-                cells += hits
-                next(islice(args, len(hits), len(hits)), None)  # skip their arguments
+            cells = outs if self._cells_of is None else [*self._cells_of(outs)]
+        else:
+            args = product(*(c.values() for c in columns))
+            cells = []
+            while True:
+                try:
+                    outs = starmap(self._fn, args)
+                    cells += outs if self._cells_of is None else self._cells_of(outs)
+                    break
+                except Exception:
+                    # the cells before the raising call are appended, and its
+                    # argument tuple is consumed: it is BOT, and the rest go on
+                    cells.append(BOT)
+        self._whole = cells
         return cells
 
     def cell_value(self, cell, bot_propagate: bool = False) -> Value:
@@ -461,7 +454,7 @@ def _result_for(signature: OperatorSignature, gardens):
 def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
             int_pool=()) -> IndexedOperatorTable:
     """The table of op over the gardens (plus the int pool).  No cell is
-    computed here: lookup computes each on first use, and rows the rest.
+    computed here: lookup computes each on first use, and cells() the rest.
     Only op's preparations run here, once per column value.
 
     Rows are in itertools.product order of the dimension domains (last
@@ -493,10 +486,9 @@ def memoise_all(gardens, op_names, int_pool=()) -> dict[str, IndexedOperatorTabl
 # ---------------------------------------------------------------------------
 
 
-def serialize_iot(t: IndexedOperatorTable, cells: list | None = None) -> str:
-    """The text of one table: its header, then every row in product order.
-    The rows read cells, t.cells() by default: cells not yet computed are
-    computed for the text, not cached.
+def serialize_iot(t: IndexedOperatorTable) -> str:
+    """The text of one table: its header, then every row in product order,
+    read from t.cells().
 
     No row is built as a string of its own.  A row is three pieces: the
     text of its key's outer components (one per tuple of the outer
@@ -511,8 +503,7 @@ def serialize_iot(t: IndexedOperatorTable, cells: list | None = None) -> str:
     pools = [d.pool for d in t.dims if isinstance(d, IntPoolDim)]
     if pools:
         head.append("pool " + ",".join(map(str, pools[0])) + "\n")
-    if cells is None:
-        cells = t.cells()
+    cells = t.cells()
     *outer, last = ([str(k) for k in d.domain()] for d in t.dims)
     prefixes = [*map("".join, product(*([k + " " for k in texts] for texts in outer)))]
     arrows = {cell: f" -> {cell}\n" for cell in set(cells)}
@@ -525,11 +516,9 @@ def serialize_iot(t: IndexedOperatorTable, cells: list | None = None) -> str:
     return "".join(head) + "".join(pieces)
 
 
-def serialize_tables(tables: dict[str, IndexedOperatorTable], cells=None) -> str:
-    """The text of a tables.iot file: every table, by indexed name.  cells
-    maps an indexed name to that table's cells() where the caller has them."""
-    cells = cells or {}
-    return "".join(serialize_iot(tables[name], cells.get(name)) for name in sorted(tables))
+def serialize_tables(tables: dict[str, IndexedOperatorTable]) -> str:
+    """The text of a tables.iot file: every table, by indexed name."""
+    return "".join(serialize_iot(tables[name]) for name in sorted(tables))
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")

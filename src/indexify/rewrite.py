@@ -485,14 +485,11 @@ def confluence_probe(p: Program, cfg: RewriteConfig, trials: int,
 # ---------------------------------------------------------------------------
 
 
-def _emit_table_fn(t: IndexedOperatorTable, cells: list | None) -> str:
+def _emit_table_fn(t: IndexedOperatorTable) -> str:
     sig = t.indexed_signature()
     params = ", ".join(f"{print_type(ty)} s{i + 1}" for i, ty in enumerate(sig.arg_types))
     lines = [f"{print_type(sig.return_type)} {t.indexed_name}({params}) {{"]
-    keys = product(*(d.domain() for d in t.dims))
-    if cells is None:
-        cells = t.cells()  # not rows, which keeps the whole dict
-    for key, cell in zip(keys, cells):
+    for key, cell in zip(product(*(d.domain() for d in t.dims)), t.cells()):
         if cell is BOT:
             continue  # falls through to the catch-all
         conds = " && ".join(f"s{i + 1} == {print_literal(ty, k)}"
@@ -509,12 +506,9 @@ def _emit_table_fn(t: IndexedOperatorTable, cells: list | None) -> str:
     return "\n".join(lines)
 
 
-def emit_indexed_source(result: IndexationResult, cells=None) -> str:
-    """Pretty-printed rewritten program plus the injected table definitions.
-    cells maps an indexed name to that table's cells() where the caller has
-    them."""
-    cells = cells or {}
+def emit_indexed_source(result: IndexationResult) -> str:
+    """Pretty-printed rewritten program plus the injected table definitions."""
     parts = [print_program(result.program).rstrip("\n")]
     for name in sorted(result.tables):
-        parts.append(_emit_table_fn(result.tables[name], cells.get(name)))
+        parts.append(_emit_table_fn(result.tables[name]))
     return "\n\n".join(parts) + "\n"

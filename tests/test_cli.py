@@ -276,6 +276,20 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
         assert f"{tmp_path / 'bad'}: unknown operator 'nope'" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--timeout", "nan"), ("--timeout", "-1"), ("--timeout", "0"),
+    ("--max-states", "0"), ("--unroll", "-1"),
+])
+def test_bad_budget_exits_two_with_a_message(flag, value, fig4a_file, tmp_path, capsys):
+    # a NaN timeout would never expire, and the others would explore nothing
+    # or cut every loop, each without a word
+    out = tmp_path / "out"
+    assert run_cli(fig4a_file, flag, value, "--outdir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"indexify: {flag} must be ") and "Traceback" not in err
+    assert not out.exists()  # rejected before any work
+
+
 def test_confluence_zero_trials_is_a_usage_error(fig4a_file, capsys):
     assert run_cli(fig4a_file, "--confluence", "0") == 2
     assert "at least 2 trials" in capsys.readouterr().err
@@ -300,11 +314,11 @@ def test_emitted_raw_table_miss_consumes_bot(tmp_path, capsys):
     assert res.verdict == "escaped-garden"
 
 
-def test_indexed_ir_computes_each_uncached_cell_once(tmp_path, monkeypatch):
-    # tables.iot and the emitted IR read one cells() list per table, so
-    # writing both computes each cell that exploration left uncached once:
-    # by one call of strncmp's whole-table kernel, and by one fn call per
-    # uncached cell of strcat and strlen, which have none
+def test_indexed_ir_and_tables_read_each_table_whole_once(tmp_path, monkeypatch):
+    # tables.iot and the emitted IR read each table's kept cells(), so
+    # writing both reads each table whole once: by one call of strncmp's
+    # whole-table kernel, and by one fn call per cell of strcat and strlen,
+    # which have none, after the cells exploration's lookups cached
     src = tmp_path / "cmp.mi"
     src.write_text('int main(){ str s; symbolic s; str t = strcat(s, "b"); '
                    'if (strncmp(t, "ab", 2) == 0) { return strlen(s); } return 0; }')
@@ -322,10 +336,12 @@ def test_indexed_ir_computes_each_uncached_cell_once(tmp_path, monkeypatch):
     write_artifacts(cfg, pipe, reports)
     assert calls["strncmp"][cached["strncmp"]:] == [KERNEL]
     for name in ("strcat", "strlen"):
-        assert len(calls[name]) == pipe.tables["i_" + name].size
-    # the files are what each writer makes on its own
+        assert len(calls[name]) == cached[name] + pipe.tables["i_" + name].size
+    made = {name: len(c) for name, c in calls.items()}
+    # the files are what each writer makes on its own, from the kept cells
     assert open(tmp_path / "art" / "tables.iot").read() == iot.serialize_tables(pipe.tables)
     assert open(str(src) + ".indexed.mi").read() == emit_indexed_source(pipe.indexed)
+    assert {name: len(c) for name, c in calls.items()} == made
 
 
 def test_artifacts_print_each_zero_as_itself(tmp_path):

@@ -343,8 +343,10 @@ def test_raw_result_tables_keep_bot_distinct():
 
 
 def test_only_looked_up_cells_are_computed():
-    # with its whole-table kernel, strncmp's table read whole makes one
-    # kernel call; without it, one fn call per uncached cell
+    # lookups compute only the cells they read.  The first whole read
+    # computes the complete table and keeps it: one kernel call with
+    # strncmp's whole-table kernel, one fn call per cell without it.  Later
+    # whole reads compute nothing
     gardens = _ab_garden()
     eager = memoise(gardens, REGISTRY["strncmp"], int_pool=(1, 4))
     for kernel in (False, True):
@@ -357,19 +359,36 @@ def test_only_looked_up_cells_are_computed():
         assert len(calls) == 3  # one call per distinct key, none for a repeat
         assert cells[1] == cells[3] and cells[0] == cells[4]
         assert len(eager.rows) == t.size == 7 * 7 * 2  # every cell, before any lookup
-        read_whole = 1 if kernel else t.size - 3  # calls per whole read
-        text = serialize_iot(t)  # computes the other cells, without caching them
+        text = serialize_iot(t)  # the first whole read
+        read_whole = 1 if kernel else t.size  # its calls
         assert len(calls) == 3 + read_whole
+        assert calls.count(KERNEL) == (1 if kernel else 0)
         assert text == serialize_iot(eager)
         assert serialize_iot(parse_iot(text, gardens)) == text
         assert [eager.rows[k] for k in keys] == cells
         assert t.rows == eager.rows  # the complete table
         assert list(t.rows) == list(eager.rows)  # in product order
-        assert len(calls) == 3 + 3 * read_whole  # rows caches nothing it computes
-        assert calls.count(KERNEL) == (3 if kernel else 0)
-        t.lookup((5, 5, 1))  # one fn call; then a cell fewer for a read without kernel
+        assert t.bot_rows == eager.bot_rows
+        assert serialize_iot(t) == text and t.cells() is t.cells()
+        assert len(calls) == 3 + read_whole  # every read after the first: no call
+        t.lookup((5, 5, 1))  # lookup keeps its own cache: one fn call
         len(t.rows)
-        assert len(calls) == (8 if kernel else 4 * t.size - 9)
+        assert len(calls) == 4 + read_whole
+
+
+@pytest.mark.parametrize("name, pool", [("strncmp", (1, 4)), ("strcat", ())])
+def test_a_loaded_table_read_whole_computes_nothing(name, pool, monkeypatch):
+    # a table read by parse_iot has every cell cached: reading it whole
+    # reads the cache, with no fn or kernel call
+    gardens = _ab_garden()
+    text = serialize_iot(memoise(gardens, REGISTRY[name], int_pool=pool))
+    calls = []
+    monkeypatch.setitem(REGISTRY, name, recording(REGISTRY[name], calls))
+    loaded = parse_iot(text, gardens)
+    assert serialize_iot(loaded) == text
+    assert loaded.bot_rows == text.count("-> BOT")
+    assert len(loaded.rows) == loaded.size
+    assert calls == []
 
 
 @pytest.mark.parametrize("cached", [False, True])
