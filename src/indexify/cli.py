@@ -9,7 +9,7 @@ Artifacts (garden file, operator tables, reports, test cases) land in
 <input>.out/ by default; --outputIndexedIR additionally writes the rewritten
 source to <input>.indexed.mi.  Exit status: 0 on success, 1 when an
 assertion-failure test case was found (or a replay diverged), 2 on bad input,
-an empty garden included.
+an empty garden and a program nested too deeply included.
 """
 
 from __future__ import annotations
@@ -184,6 +184,10 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
 
     if cfg.garden_file:
         gardens = load_gardens(read_text(cfg.garden_file))
+        for tag in gardens:
+            if tag not in (STR, FLOAT):  # no --type indexes int or bool
+                raise UsageError(f"{cfg.garden_file}: the garden holds {tag.name} "
+                                 "values; only str and float values are indexed")
         for tag in types:
             gardens.setdefault(tag, IndexMap(tag))
     else:
@@ -350,6 +354,11 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
                 with open(os.path.join(tc_dir, f"{tc.path_id:04d}.tc"), "w",
                           encoding="utf-8") as fh:
                     fh.write(format_testcase(tc, inputs))
+        # a rerun replaces the mode's test cases: remove a last run's surplus
+        i = len(report.test_cases)
+        while os.path.exists(path := os.path.join(tc_dir, f"{i:04d}.tc")):
+            os.remove(path)
+            i += 1
     if cfg.emit_ir and pipe.indexed is not None:
         with open(cfg.input_path + ".indexed.mi", "w", encoding="utf-8") as fh:
             fh.write(emit_indexed_source(pipe.indexed))
@@ -530,6 +539,9 @@ def main(argv=None) -> int:
     except (UsageError, GardenError, IotError, RewriteError, MiniImpError,
             SymexError, OSError) as e:
         print(f"indexify: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"indexify: {args.input}: nested too deeply to analyse", file=sys.stderr)
         return 2
 
 

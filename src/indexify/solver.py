@@ -5,19 +5,19 @@ constants.  A variable ranges over [0, size) and a constant is an int: in
 the symbolic executor, a garden index or an int (a bool as 0 or 1).  The
 escape value is out of band and never reaches a path condition.
 
-==v atoms merge variables into equality classes (union-find).  A class's
-domain is one bitmask, bit c set while the class can still take c: ==c keeps
-bit c only, !=c clears it, a merge intersects the masks, and an empty mask is
-unsatisfiable.  search() gives the classes values most-constrained first,
-values ascending, so a class no var-var disequality joins takes its lowest
-bit and models are deterministic and the smallest available.  The search is
-exhaustive, so the verdict is exact; a per-query budget converts
-pathological instances into an "unknown" verdict instead of a hang.
+==v atoms merge variables into equality classes, each named by its smallest
+member.  A class's domain is one bitmask, bit c set while it can still take
+c: ==c keeps bit c only, !=c clears it, a merge intersects the masks, and an
+empty mask is unsatisfiable.  search() gives the classes values
+most-constrained first, values ascending, so a class no var-var disequality
+joins takes its lowest bit and models are deterministic and the smallest
+available.  The search is exhaustive, so the verdict is exact; a per-query
+budget converts pathological instances into an "unknown" verdict.
 
-solve() builds the classes from a whole atom list, PathState incrementally
-as a path condition grows.  solve(), simplify() and entailed_pins() are the
-reference PathState is tested against, and a brute force over every
-assignment is the reference of solve().
+solve() joins the ==v components of a whole atom list and PathState maps
+each variable to its class as a path condition grows; neither keeps a
+union-find.  solve(), simplify() and entailed_pins() are the reference
+PathState is tested against; a brute force over all assignments is solve()'s.
 """
 
 from __future__ import annotations
@@ -97,36 +97,6 @@ def pc_vars(pc) -> dict:
     return out
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent
-        if x not in p:
-            p[x] = x
-            return x
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def copy(self) -> "_UnionFind":
-        uf = _UnionFind()
-        uf.parent = self.parent.copy()
-        return uf
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the lexicographically smaller name as representative so
-            # class identities (and therefore models) are deterministic
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-        return ra
-
-
 class _Timeout(Exception):
     pass
 
@@ -150,43 +120,51 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _classes(pc, names) -> dict:
+    """Each of names (which hold every variable of pc's ==v atoms) -> its
+    equality class under those atoms, named by the class's smallest member."""
+    members = {name: {name} for name in names}  # a set shared by its class
+    for a in pc:
+        if a.kind == "==v":
+            ca, cb = members[a.var.name], members[a.other.name]
+            if ca is not cb:
+                ca |= cb
+                for name in cb:
+                    members[name] = ca
+    return {name: min(cls) for name, cls in members.items()}
+
+
 def solve(pc, variables=(), budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
     """Decide pc; on sat, the model covers pc's variables plus `variables`."""
     vars_by_name = pc_vars(pc)
     for v in variables:
         vars_by_name.setdefault(v.name, v)
+    cls = _classes(pc, vars_by_name)
 
-    uf = _UnionFind()
-    for a in pc:
-        if a.kind == "==v":
-            uf.union(a.var.name, a.other.name)
-
-    masks = {}  # root -> the class's domain: its members' domains intersected
+    masks = {}  # class -> its domain: its members' domains intersected
     for name, v in vars_by_name.items():
-        root = uf.find(name)
-        masks[root] = masks.get(root, -1) & _domain(v.size)
+        masks[cls[name]] = masks.get(cls[name], -1) & _domain(v.size)
     pairs = []
     for a in pc:
         if a.kind == "!=v":
-            pairs.append((uf.find(a.var.name), uf.find(a.other.name)))
+            pairs.append((cls[a.var.name], cls[a.other.name]))
         elif a.kind != "==v":
-            root = uf.find(a.var.name)
-            masks[root] = _narrow(masks[root], a)
+            masks[cls[a.var.name]] = _narrow(masks[cls[a.var.name]], a)
 
     res = search(masks, pairs, budget_s)
     if res.status != SAT:
         return res
-    return SolveResult(SAT, {name: res.model[uf.find(name)] for name in vars_by_name})
+    return SolveResult(SAT, {name: res.model[cls[name]] for name in vars_by_name})
 
 
 def search(masks: dict, pairs, budget_s: float = DEFAULT_BUDGET_S) -> SolveResult:
     """Give every equality class a value, different across each pair.
 
-    masks maps a class's root to its domain mask (bit c set when the class
+    masks maps a class's name to its domain mask (bit c set when the class
     can take c; a pinned class has one bit, an empty mask is unsatisfiable).
-    pairs are the (root, root) of var-var disequalities.  Classes are
+    pairs are the (name, name) of var-var disequalities.  Classes are
     assigned most-constrained first (fewest values left once the assigned
-    neighbours' are taken out), values ascending, so the model (root ->
+    neighbours' are taken out), values ascending, so the model (name ->
     constant) is deterministic and the smallest available.  The search is
     exhaustive, so the verdict is exact unless budget_s runs out first:
     then it is UNKNOWN.
@@ -213,7 +191,7 @@ def search(masks: dict, pairs, budget_s: float = DEFAULT_BUDGET_S) -> SolveResul
             raise _Timeout()
         if not remaining:
             return True
-        # most-constrained first; ties broken by root name for determinism
+        # most-constrained first; ties broken by class name for determinism
         root = min(remaining, key=lambda r: (candidates(r).bit_count(), r))
         rest = [r for r in remaining if r != root]
         free = candidates(root)
@@ -238,20 +216,13 @@ def entailed_pins(pc) -> dict:
     Used to filter table rows before forking; only equality reasoning is
     applied (constants reached through ==c / ==v chains).
     """
-    uf = _UnionFind()
+    names = pc_vars(pc)
+    cls = _classes(pc, names)
     pins = {}
     for a in pc:
-        if a.kind == "==v":
-            uf.union(a.var.name, a.other.name)
-    for a in pc:
         if a.kind == "==c":
-            pins[uf.find(a.var.name)] = a.other
-    out = {}
-    for v in pc_vars(pc).values():
-        root = uf.find(v.name)
-        if root in pins:
-            out[v.name] = pins[root]
-    return out
+            pins[cls[a.var.name]] = a.other
+    return {name: pins[cls[name]] for name in names if cls[name] in pins}
 
 
 def _key(a: Atom):
@@ -265,18 +236,15 @@ def simplify(pc) -> tuple:
     disequalities, and disequalities already decided by constant pins.
     Equisatisfiable with the input, and any model of the output satisfies it.
     """
-    uf = _UnionFind()
-    for a in pc:
-        if a.kind == "==v":
-            uf.union(a.var.name, a.other.name)
+    cls = _classes(pc, pc_vars(pc))
     pins = {}
     conflict = False
     for a in pc:
         if a.kind == "==c":
-            root = uf.find(a.var.name)
-            if root in pins and pins[root] != a.other:
+            c = cls[a.var.name]
+            if c in pins and pins[c] != a.other:
                 conflict = True
-            pins.setdefault(root, a.other)
+            pins.setdefault(c, a.other)
 
     out = []
     seen = set()
@@ -289,12 +257,12 @@ def simplify(pc) -> tuple:
         if a.kind == "!=c":
             if not a.var.contains(a.other):
                 continue
-            pin = pins.get(uf.find(a.var.name))
+            pin = pins.get(cls[a.var.name])
             if pin is not None and not conflict and pin != a.other:
                 continue
         if a.kind == "!=v":
-            pa = pins.get(uf.find(a.var.name))
-            pb = pins.get(uf.find(a.other.name))
+            pa = pins.get(cls[a.var.name])
+            pb = pins.get(cls[a.other.name])
             if pa is not None and pb is not None and not conflict and pa != pb:
                 continue
         seen.add(key)
@@ -305,9 +273,11 @@ def simplify(pc) -> tuple:
 class _Class:
     """One equality class of a PathState."""
 
-    __slots__ = ("mask", "pin", "clash", "neq", "keys")
+    __slots__ = ("name", "members", "mask", "pin", "clash", "neq", "keys")
 
     def __init__(self, var: FiniteVar):
+        self.name = var.name  # the smallest member's name
+        self.members = [var.name]
         self.mask = _domain(var.size)  # the values the class can still take
         self.pin = None     # the constant of the class's first ==c atom
         self.clash = False  # two ==c atoms of the class name different constants
@@ -317,12 +287,13 @@ class _Class:
 
     def copy(self) -> "_Class":
         c = _Class.__new__(_Class)
-        c.mask, c.pin, c.clash = self.mask, self.pin, self.clash
-        c.neq = self.neq.copy()
-        c.keys = self.keys.copy()
+        c.name, c.mask, c.pin, c.clash = self.name, self.mask, self.pin, self.clash
+        c.members, c.neq, c.keys = self.members.copy(), self.neq.copy(), self.keys.copy()
         return c
 
     def absorb(self, other: "_Class") -> None:
+        """Merge other, whose name is larger, into this class."""
+        self.members += other.members
         self.mask &= other.mask
         if other.pin is not None:
             self.add_pin(other.pin)
@@ -348,12 +319,13 @@ class PathState:
     """The facts of a path condition, extended atom by atom along the path.
 
     It holds what solve(), simplify() and entailed_pins() would otherwise
-    recompute from the whole condition at each query: the equality classes
-    (a union-find over ==v atoms), each class's domain mask, the var-var
-    disequalities, and, for simplify()'s count, each class's pin and !=c
-    atoms.  extend() returns a new state and leaves this one unchanged, so
-    every option at a fork is tried from the same state; its cost grows with
-    the new atoms and the classes they touch, not with the condition.
+    recompute from the whole condition at each query: each variable's
+    equality class (one _Class its members share, named by its smallest
+    member), each class's domain mask, the var-var disequalities, and, for
+    simplify()'s count, each class's pin and !=c atoms.  extend() returns a
+    new state and leaves this one unchanged, so every option at a fork is
+    tried from the same state: it copies the dict of classes, and once each
+    class the new atoms change.
 
     A state is unsatisfiable once a class's mask is empty.  Only the classes
     that var-var disequalities join go to search(), so without one a state's
@@ -363,12 +335,10 @@ class PathState:
     not a mask that !=c atoms narrow to one value.
     """
 
-    __slots__ = ("_uf", "_classes", "_edges", "_unsat", "_clash",
-                 "_kept", "_dropped")
+    __slots__ = ("_vars", "_edges", "_unsat", "_clash", "_kept", "_dropped")
 
     def __init__(self):
-        self._uf = _UnionFind()
-        self._classes = {}   # root name -> _Class
+        self._vars = {}      # variable name -> its _Class
         self._edges = {}     # _key -> (name, name) of every distinct !=v atom
         self._unsat = False  # some class has no value left
         self._clash = False  # some class is pinned to two constants
@@ -378,38 +348,41 @@ class PathState:
     def extend(self, atoms) -> "PathState":
         """The state of this path condition with atoms appended."""
         st = PathState.__new__(PathState)
-        st._uf = self._uf.copy()
-        st._classes = self._classes.copy()
+        st._vars = self._vars.copy()
         st._edges = self._edges  # replaced, never changed in place
         st._unsat, st._clash, st._kept, st._dropped = (
             self._unsat, self._clash, self._kept, self._dropped)
-        touched = {}  # root -> the class st owns (copied from self) for it
+        owned = set()  # the classes st made or copied, and has not merged away
         for a in atoms:
-            st._add(a, touched)
-        for root, cls in touched.items():
-            if root in st._classes:  # not merged into another class
-                st._dropped += cls.dropped()
-                st._clash = st._clash or cls.clash
-                st._unsat = st._unsat or not cls.mask
+            st._add(a, owned)
+        for cls in owned:
+            st._dropped += cls.dropped()
+            st._clash = st._clash or cls.clash
+            st._unsat = st._unsat or not cls.mask
         return st
 
-    def _own(self, root, touched) -> _Class:
-        cls = touched.get(root)
+    def _class(self, var: FiniteVar, owned) -> _Class:
+        cls = self._vars.get(var.name)
         if cls is None:
-            cls = touched[root] = self._classes[root] = self._classes[root].copy()
-            self._dropped -= cls.dropped()
+            cls = self._vars[var.name] = _Class(var)
+            owned.add(cls)
         return cls
 
-    def _root(self, var: FiniteVar, touched) -> str:
-        if var.name not in self._uf.parent:
-            self._uf.find(var.name)
-            touched[var.name] = self._classes[var.name] = _Class(var)
-        return self._uf.find(var.name)
+    def _own(self, cls: _Class, owned) -> _Class:
+        """cls, copied on its first change in this extend()."""
+        if cls in owned:
+            return cls
+        self._dropped -= cls.dropped()
+        cls = cls.copy()
+        for name in cls.members:
+            self._vars[name] = cls
+        owned.add(cls)
+        return cls
 
-    def _add(self, a: Atom, touched) -> None:
-        root = self._root(a.var, touched)
+    def _add(self, a: Atom, owned) -> None:
+        cls = self._class(a.var, owned)
         if a.kind == "!=v":
-            self._root(a.other, touched)
+            self._class(a.other, owned)
             key = _key(a)
             if key not in self._edges:
                 self._edges = {**self._edges, key: (a.var.name, a.other.name)}
@@ -417,16 +390,18 @@ class PathState:
         if a.kind == "!=c" and not a.var.contains(a.other):
             return  # vacuous, and simplify() drops it
         if a.kind == "==v":
-            other = self._root(a.other, touched)
-            if a.var.name == a.other.name:
+            other = self._class(a.other, owned)
+            if other is not cls:
+                cls, gone = self._own(cls, owned), self._own(other, owned)
+                if gone.name < cls.name:
+                    cls, gone = gone, cls
+                cls.absorb(gone)
+                owned.remove(gone)
+                for name in gone.members:
+                    self._vars[name] = cls
+            elif a.var.name == a.other.name:
                 return
-            if other != root:
-                keep = self._uf.union(root, other)
-                gone = other if keep == root else root
-                self._own(keep, touched).absorb(self._own(gone, touched))
-                del self._classes[gone]
-                root = keep
-        cls = self._own(root, touched)
+        cls = self._own(cls, owned)
         if a.kind == "==c":
             cls.add_pin(a.other)
         key = _key(a)
@@ -438,9 +413,6 @@ class PathState:
             cls.mask = _narrow(cls.mask, a)
         if a.kind == "!=c":
             cls.neq[a.other] = cls.neq.get(a.other, 0) + 1
-
-    def _pin_of(self, name):
-        return self._classes[self._uf.find(name)].pin
 
     @property
     def status(self) -> str:
@@ -458,30 +430,27 @@ class PathState:
         if self._clash:  # simplify() drops nothing by pins then
             return self._kept + edges
         for a, b in self._edges.values():
-            pa, pb = self._pin_of(a), self._pin_of(b)
+            pa, pb = self._vars[a].pin, self._vars[b].pin
             if pa is not None and pb is not None and pa != pb:
                 edges -= 1
         return self._kept - self._dropped + edges
 
     def pin(self, name):
         """entailed_pins(pc).get(name), for a satisfiable pc."""
-        if name not in self._uf.parent:
-            return None
-        return self._pin_of(name)
+        return self._vars[name].pin if name in self._vars else None
 
     def solve(self, variables=()) -> SolveResult:
         """solve(pc, variables) for the path condition pc this state holds."""
         if self._unsat:
             return SolveResult(UNSAT)
-        find = self._uf.find
-        model = {name: _lowest(self._classes[find(name)].mask) for name in self._uf.parent}
-        if self._edges:
-            pairs = [(find(a), find(b)) for a, b in self._edges.values()]
-            res = search({r: self._classes[r].mask for pair in pairs for r in pair}, pairs)
+        found = {}  # class name -> the value search() gives it
+        if self._edges:  # a class's name is a member, so _vars maps it to the class
+            pairs = [(self._vars[a].name, self._vars[b].name) for a, b in self._edges.values()]
+            res = search({c: self._vars[c].mask for pair in pairs for c in pair}, pairs)
             if res.status != SAT:
                 return res
-            for name in model:
-                model[name] = res.model.get(find(name), model[name])
+            found = res.model
+        model = {name: found.get(c.name, _lowest(c.mask)) for name, c in self._vars.items()}
         for v in variables:
             if v.name not in model:
                 if not v.size:

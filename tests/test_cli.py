@@ -144,6 +144,17 @@ BAD_TABLES = {
 }
 
 
+# valid programs nested deeper than the parser, type checker or lowering
+# can recurse
+DEEP_SOURCES = {
+    "source-deep-parens": "int main(){ int x = " + "(" * 120 + "1" + ")" * 120
+                          + "; return x; }\n",
+    "source-deep-plus": "int main(){ int x = " + " + ".join(["1"] * 500) + "; return x; }\n",
+    "source-deep-ifs": "int main(){ int x = 0; " + "if (x == 0) { " * 600 + "x = 1; "
+                       + "} " * 600 + "return x; }\n",
+}
+
+
 def _tables_iot(src, tmp_path) -> str:
     out = tmp_path / "art"
     assert run_cli(str(src), "--outdir", str(out)) == 0
@@ -194,6 +205,12 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     if case == "garden-trailing-backslash":
         bad.write_text("0\tstr\ta\\\n")
         return [str(src), "--garden", str(bad)]
+    if case == "garden-int":  # well formed, but no --type indexes ints
+        bad.write_text(FIG5_GARDEN_TEXT + "0\tint\t0\n1\tint\t5\n")
+        return [str(src), "--garden", str(bad)]
+    if case in DEEP_SOURCES:
+        bad.write_text(DEEP_SOURCES[case])
+        return [str(bad)]
     if case == "garden-bool":
         bad.write_text(FIG5_GARDEN_TEXT + "0\tbool\tmaybe\n")
         return [str(src), "--garden", str(bad)]
@@ -249,11 +266,11 @@ def _bad_input_args(case, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", [
-    "garden-index", "garden-trailing-backslash", "garden-bool", "seed-hex-escape",
+    "garden-index", "garden-trailing-backslash", "garden-int", "garden-bool", "seed-hex-escape",
     "seed-float", "iot-row", "testcase-value", "testcase-string", "testcase-index",
     "testcase-bot", "testcase-duplicate", "testcase-unknown-input", "fplus-unknown",
     "input-directory", "garden-directory", "source-not-utf8", "source-hex-escape",
-    "seed-variable", *NOT_UTF8,
+    "seed-variable", *NOT_UTF8, *DEEP_SOURCES,
     *BAD_SCALARS, *BAD_TABLES,
     *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
       for kind in BAD_ESCAPES),
@@ -274,6 +291,10 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
         assert f"{tmp_path / 'bad'}: input 'nope' is never made symbolic" in err
     if case == "fplus-unknown":
         assert f"{tmp_path / 'bad'}: unknown operator 'nope'" in err
+    if case == "garden-int":
+        assert f"{tmp_path / 'bad'}: the garden holds int values" in err
+    if case in DEEP_SOURCES:
+        assert err == f"indexify: {tmp_path / 'bad'}: nested too deeply to analyse\n"
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -476,6 +497,21 @@ def test_replay_command(tmp_path, capsys):
                    "--replay", tc_dir, "--outdir", out)
     assert code == 0  # every test case reproduces its recorded verdict
     assert "assertion-failure" in capsys.readouterr().out
+
+
+def test_a_rerun_replaces_the_test_cases(tmp_path, capsys):
+    # flag_dispatch has 50 paths at --k 2 and 13 at --k 1: the second run
+    # must leave its own 13 test cases, not the first run's other 37
+    out = tmp_path / "art"
+    program = corpus_path("flag_dispatch")
+    assert run_cli(program, "--k", "2", "--outdir", str(out)) == 0
+    assert len(os.listdir(out / "testcases.indexed")) == 50
+    assert run_cli(program, "--k", "1", "--outdir", str(out)) == 0
+    tc_dir = out / "testcases.indexed"
+    assert sorted(os.listdir(tc_dir)) == [f"{i:04d}.tc" for i in range(13)]
+    capsys.readouterr()
+    assert run_cli(program, "--k", "1", "--replay", str(tc_dir)) == 0
+    assert "EXPECTED" not in capsys.readouterr().out
 
 
 def test_confluence_command(fig4a_file, capsys, monkeypatch):

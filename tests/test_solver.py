@@ -84,6 +84,17 @@ def test_smallest_model_selected():
     assert res.model["y"] == 0
 
 
+def test_a_class_is_named_by_its_smallest_member():
+    # {a, c} and {b} tie on values left, and the search breaks the tie on the
+    # class's name: "a" goes first and takes 0.  Named "c", it would go after
+    # "b" and take 1.
+    a, b, c = (FiniteVar(n, 2) for n in "abc")
+    for pc in ((var_eq_var(c, a), var_neq_var(b, c)),
+               (var_eq_var(a, c), var_neq_var(c, b))):
+        assert solve(pc).model == {"a": 0, "c": 0, "b": 1}, pc
+        assert PathState().extend(pc).solve().model == {"a": 0, "c": 0, "b": 1}, pc
+
+
 def test_unconstrained_variables_get_values():
     x, z = FiniteVar("x", 4), FiniteVar("z", 4)
     res = solve((var_eq_const(x, 2),), variables=[z])
