@@ -26,18 +26,26 @@ option list is built (true branch first, table rows in ascending result order,
 the BOT successor last) and every option checked; the state takes the first
 feasible one, and a copy per other feasible option, which resumes at the next
 instruction, goes on the stack.  Each node of the decision tree therefore runs
-once.  The wallclock and state budgets are checked at every decision and loop
-back-edge.  Every solver variable ranges over [0, size), and every constant is
-a garden index or an int (a bool is 0 or 1); BOT never enters a path
-condition.  A state's path condition is its solver.PathState and nothing else:
-a persistent object (extending one returns a new one, so state copies share
-it) that decides every check and gives every model, so a check costs the atoms
-it adds and the classes that var-var disequalities join.  Every queued option
-was satisfiable when checked, so emitted test cases replay on the concrete
-interpreter by construction; an option the solver cannot decide is dropped and
-counted, and the run goes on.  A test case carries what replay and the
+once.  An if, while or assert whose condition is T(x, k...) ==/!= c (T an
+indexed table, x its only variable argument, at a garden dimension, and the
+rest literals) is one fused site: a concrete or pinned x decides the
+statement from the site's partition of x's garden, one list entry per index
+(the comparison's truth, or BOT), each filled through table.lookup the first
+time its index reaches the site.  A free x forks on the rows as any indexed
+call does, and its successors run the unfused chain.  The wallclock and
+state budgets are checked at every decision and loop back-edge.  Every solver
+variable ranges over [0, size), and every constant is a garden index or an
+int (a bool is 0 or 1); BOT never enters a path condition.  A state's path
+condition is its solver.PathState and nothing else: a persistent object
+(extending one returns a new one, so state copies share it) that decides
+every check and gives every model, so a check costs the atoms it adds and the
+classes that var-var disequalities join.  Every queued option was
+satisfiable when checked, so emitted test cases replay on the concrete
+interpreter by construction; an option the solver cannot decide is dropped
+and counted, and the run goes on.  A test case carries what replay and the
 artifacts need: its verdict, its concrete inputs (a model of the path
-condition) and its branch trace.
+condition) and its branch trace, one frozenset shared by every test case
+with the same trace.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import solver
-from .iot import REGISTRY, IndexedOperatorTable, IntPoolDim
+from .iot import REGISTRY, GardenDim, IndexedOperatorTable, IntPoolDim
 from .lang.ast import (
     BOT,
     BOOL,
@@ -208,6 +216,17 @@ class _Truncated(Exception):
 # thing an instruction does: the decision writes its payload to the
 # instruction's destination, and each successor state resumes at the frame's
 # next instruction.
+#
+# A condition T(x, k...) ==/!= c lowers to op_table, op_table_step and
+# op_compare, then the statement's op_branch, op_loop or op_assert.  fuse()
+# turns that op_table into a fused site, a superoperator over the chain: it
+# keeps op_table's fields and adds a _Site and the statement's own fields.
+# For a concrete or pinned x the site reads its partition, a list indexed by
+# x's garden index and filled on demand, and then marks the edge and jumps,
+# counts the loop iteration, or fails the assertion itself.  For a free x it
+# is op_table, so the row fork and its successors are the chain's, with no
+# instruction added; any other x also goes through op_table, which escapes or
+# errors as the chain does.
 
 
 _SYMBOLIC = (SymRef, Opaque, Unindexed)
@@ -217,6 +236,33 @@ _EQ_FORCED = (Unindexed, Opaque)  # an ==/!= operand is forced when it is one
 def _pure(e) -> bool:
     """Evaluating e cannot decide, concretize or end the path."""
     return isinstance(e, (Literal, BotLiteral, Var))
+
+
+_CHAIN = 3  # a fused site's distance to its statement's own instruction
+
+
+class _Site:
+    """The comparison T(x, k...) ==/!= c of a fused site, with T's key for x
+    left out, and the site's partition of x's garden.  outcomes[i] is None
+    until x = i first reaches the site, then whether the comparison holds,
+    or BOT when the cell is BOT: the path escapes there."""
+
+    __slots__ = ("var", "table", "key", "at", "c", "want", "outcomes")
+
+    def __init__(self, var, table, key, at, c, want):
+        self.var = var
+        self.table = table
+        self.key = key  # the literals' raw values; None at x's position
+        self.at = at
+        self.c = c
+        self.want = want
+        self.outcomes = [None] * len(table.dims[at].domain())
+
+    def outcome(self, i):
+        """The partition's entry for x = i, read through table.lookup."""
+        cell = self.table.lookup(self.key[:self.at] + (i,) + self.key[self.at + 1:])
+        out = self.outcomes[i] = BOT if cell is BOT else (cell == self.c) == self.want
+        return out
 
 
 class _Lowering:
@@ -264,7 +310,8 @@ class _Lowering:
         elif isinstance(s, Assign):
             self.assign(s.name, s.value)
         elif isinstance(s, If):
-            at = self.emit(op.op_branch, self.cond(s.cond), (path, True), (path, False), None)
+            cond, site = self.cond(s.cond)
+            at = self.emit(op.op_branch, cond, (path, True), (path, False), None)
             self.block(s.then, path + ("t",))
             if s.orelse:
                 skip = self.emit(op.op_jump, None)
@@ -273,15 +320,18 @@ class _Lowering:
                 self.patch(skip, 1)
             else:
                 self.patch(at, 4)
+            self.fuse(site, at, op.op_fused_branch)
         elif isinstance(s, While):
             head = len(self.code)
-            at = self.emit(op.op_loop, self.cond(s.cond), (path, True), (path, False),
-                           None, path)
+            cond, site = self.cond(s.cond)
+            at = self.emit(op.op_loop, cond, (path, True), (path, False), None, path)
             self.block(s.body, path + ("b",))
             self.emit(op.op_jump, head)
             self.patch(at, 4)
+            self.fuse(site, at, op.op_fused_loop)
         elif isinstance(s, Assert):
-            self.emit(op.op_assert, self.cond(s.cond))
+            cond, site = self.cond(s.cond)
+            self.fuse(site, self.emit(op.op_assert, cond), op.op_fused_assert)
         elif isinstance(s, Return):
             self.emit(op.op_return, self.expr(s.value) if s.value else None)
         elif isinstance(s, ExprStmt):
@@ -314,13 +364,41 @@ class _Lowering:
         return None
 
     def cond(self, e):
-        """The operand of a condition: a Value, or a bool written by op_truth."""
+        """The operand of a condition (a Value, or a bool written by op_truth
+        or op_compare) and its _Site when e has the fused shape, else None."""
         v = self.expr(e)
         if self.holds(e) is None:
-            return v
+            return v, self.site(e)
         t = self.temp()
         self.emit(self.engine.op_truth, t, v)
-        return t
+        return t, None
+
+    def site(self, e):
+        """A _Site for e of the shape T(x, k...) ==/!= c: T an indexed
+        table, x the call's only variable, at a garden dimension, and the
+        k... and c literals with a value.  None for any other expression."""
+        if not (isinstance(e, BinOp) and e.op in ("==", "!=")):
+            return None
+        call, c = (e.left, e.right) if isinstance(e.left, Call) else (e.right, e.left)
+        table = self.engine.cfg.tables.get(call.name) if isinstance(call, Call) else None
+        if table is None or not isinstance(c, Literal) or call.name in self.codes:
+            return None
+        at = [i for i, a in enumerate(call.args) if not isinstance(a, Literal)]
+        if len(at) != 1 or not isinstance(call.args[at[0]], Var) \
+                or not isinstance(table.dims[at[0]], GardenDim):
+            return None
+        key = tuple(None if isinstance(a, Var) else a.value for a in call.args)
+        return _Site(call.args[at[0]].name, table, key, at[0], c.value, e.op == "==")
+
+    def fuse(self, site, at, handler):
+        """Turn the op_table that opens the chain of statement instruction
+        at (op_table, op_table_step, op_compare, then at itself) into the
+        fused site: handler, op_table's fields, the site, and the
+        statement's fields after its condition."""
+        if site is not None:
+            head = self.code[at - _CHAIN]
+            assert head[0] == self.engine.op_table, head
+            self.code[at - _CHAIN] = (handler,) + head[1:] + (site,) + self.code[at][2:]
 
     # -- expressions ---------------------------------------------------------
 
@@ -543,6 +621,7 @@ class Engine:
         test_cases = []
         covered_branches = set()
         covered_stmts = set()
+        traces = {}  # one shared frozenset per distinct branch trace
         escaped = 0
         paths = 0
         truncated = False
@@ -564,11 +643,12 @@ class Engine:
                 escaped += 1
             model = self.model(st, self.finite_vars(st)) if emit else None
             if model is not None:  # None: the solver could not give one
+                trace = frozenset(st.branches)
                 test_cases.append(TestCase(
                     path_id=len(test_cases),
                     verdict=verdict,
                     inputs=self.concrete_inputs(st, model),
-                    covered_branches=frozenset(st.branches),
+                    covered_branches=traces.setdefault(trace, trace),
                 ))
         return ExplorationReport(
             mode=self.cfg.mode,
@@ -783,10 +863,14 @@ class Engine:
             fr.ip = ins[4]
             return
         st.branches.add(ins[2])
-        n = st.loop_counts.get(ins[5], 0) + 1
+        self._iteration(st, ins[5])
+
+    def _iteration(self, st, path) -> None:
+        """Count one more iteration of the loop at path."""
+        n = st.loop_counts.get(path, 0) + 1
         if n > self.cfg.unroll:
             raise _Terminal(VERDICT_BOUND)
-        st.loop_counts[ins[5]] = n
+        st.loop_counts[path] = n
         self.check_budget()
 
     def op_assert(self, st, fr, ins):  # (op, cond)
@@ -942,6 +1026,60 @@ class Engine:
             self._table_fork(st, fr, ins[2], parts, ins[3], 0)
         else:  # the cell
             fr.store[ins[1]] = ins[2].cell_value(parts, self.cfg.bot_propagate)
+
+    # -- fused table-compare-branch sites -------------------------------------
+    #
+    # A fused instruction is op_table's (op, dst, table, args, parts), then
+    # the _Site, then the fields of the statement's own instruction after its
+    # condition.  op_table_step, op_compare and that instruction follow it.
+
+    def _site_taken(self, st, fr, ins):
+        """Whether a fused site's comparison holds, read from its partition
+        for a concrete or pinned x.  None when op_table ran instead: a free x
+        forks on the rows, and any other x takes op_table's way, escapes and
+        errors included.  Then the chain after the site runs."""
+        site = ins[5]
+        x = fr.store.get(site.var)
+        if x.__class__ is SymRef:
+            i = st.facts.pin(x.var.name)
+        else:
+            i = x.raw if x.__class__ is Value else None
+        outcomes = site.outcomes
+        if i.__class__ is not int or not 0 <= i < len(outcomes):
+            self.op_table(st, fr, ins)
+            return None
+        taken = outcomes[i]
+        if taken is None:
+            taken = site.outcome(i)
+        if taken is BOT:
+            raise EscapedGarden()
+        return taken
+
+    def op_fused_branch(self, st, fr, ins):  # (op, op_table's, site, edge_t, edge_e, else_at)
+        taken = self._site_taken(st, fr, ins)
+        if taken:
+            st.branches.add(ins[6])
+            fr.ip += _CHAIN
+        elif taken is not None:
+            st.branches.add(ins[7])
+            fr.ip = ins[8]
+
+    def op_fused_loop(self, st, fr, ins):  # (op, op_table's, site, edge_t, edge_e, exit_at, path)
+        taken = self._site_taken(st, fr, ins)
+        if taken:
+            st.branches.add(ins[6])
+            fr.ip += _CHAIN
+            self._iteration(st, ins[9])
+        elif taken is not None:
+            st.branches.add(ins[7])
+            fr.ip = ins[8]
+
+    def op_fused_assert(self, st, fr, ins):  # (op, op_table's, site)
+        taken = self._site_taken(st, fr, ins)
+        if taken:
+            fr.ip += _CHAIN
+        elif taken is not None:
+            raise _Terminal(VERDICT_ASSERT)
 
     def _table_fork(self, st, fr, table, parts, dst, generated):
         """Enumerate the first free dimension while another one is free,

@@ -792,3 +792,12 @@ def test_state_budget_is_checked_at_each_decision():
     assert cut.states <= 10 + len(pipe.gardens[STR])
     # the first path forks 4 times, 4 states each: the fourth fork is refused
     assert (cut.paths, cut.test_cases) == (0, ())
+
+
+def test_test_cases_share_one_branch_trace_per_distinct_trace():
+    # 256 paths, but each of the 4 branches is taken or not: 16 traces
+    cfg, pipe = _vars_pipeline()
+    rep = run_mode(cfg, pipe, MODE_INDEXED)
+    assert len(rep.test_cases) == 256
+    traces = {tc.covered_branches for tc in rep.test_cases}
+    assert len(traces) == len({id(tc.covered_branches) for tc in rep.test_cases}) == 16
