@@ -219,14 +219,15 @@ class _Truncated(Exception):
 #
 # A condition T(x, k...) ==/!= c lowers to op_table, op_table_step and
 # op_compare, then the statement's op_branch, op_loop or op_assert.  fuse()
-# turns that op_table into a fused site, a superoperator over the chain: it
-# keeps op_table's fields and adds a _Site and the statement's own fields.
+# turns that op_table into op_fused, a superoperator over the chain: it keeps
+# op_table's fields and adds a _Site, the statement's decided method
+# (fused_branch, fused_loop or fused_assert) and the statement's own fields.
 # For a concrete or pinned x the site reads its partition, a list indexed by
-# x's garden index and filled on demand, and then marks the edge and jumps,
-# counts the loop iteration, or fails the assertion itself.  For a free x it
-# is op_table, so the row fork and its successors are the chain's, with no
-# instruction added; any other x also goes through op_table, which escapes or
-# errors as the chain does.
+# x's garden index and filled on demand, and the decided method then marks
+# the edge and jumps, counts the loop iteration, or fails the assertion.  For
+# a free x op_fused calls op_table, so the row fork and its successors are
+# the chain's, with no instruction added; any other x also goes through
+# op_table, which escapes or errors as the chain does.
 
 
 _SYMBOLIC = (SymRef, Opaque, Unindexed)
@@ -242,25 +243,26 @@ _CHAIN = 3  # a fused site's distance to its statement's own instruction
 
 
 class _Site:
-    """The comparison T(x, k...) ==/!= c of a fused site, with T's key for x
-    left out, and the site's partition of x's garden.  outcomes[i] is None
-    until x = i first reaches the site, then whether the comparison holds,
-    or BOT when the cell is BOT: the path escapes there."""
+    """The comparison T(x, k...) ==/!= c of a fused site, and the site's
+    partition of x's garden.  T's key for x = i is head + (i,) + tail, the
+    literals' raw values around x.  outcomes[i] is None until x = i first
+    reaches the site, then whether the comparison holds, or BOT when the
+    cell is BOT: the path escapes there."""
 
-    __slots__ = ("var", "table", "key", "at", "c", "want", "outcomes")
+    __slots__ = ("var", "table", "head", "tail", "c", "want", "outcomes")
 
-    def __init__(self, var, table, key, at, c, want):
+    def __init__(self, var, table, head, tail, c, want):
         self.var = var
         self.table = table
-        self.key = key  # the literals' raw values; None at x's position
-        self.at = at
+        self.head = head
+        self.tail = tail
         self.c = c
         self.want = want
-        self.outcomes = [None] * len(table.dims[at].domain())
+        self.outcomes = [None] * len(table.dims[len(head)].domain())
 
     def outcome(self, i):
         """The partition's entry for x = i, read through table.lookup."""
-        cell = self.table.lookup(self.key[:self.at] + (i,) + self.key[self.at + 1:])
+        cell = self.table.lookup(self.head + (i,) + self.tail)
         out = self.outcomes[i] = BOT if cell is BOT else (cell == self.c) == self.want
         return out
 
@@ -320,7 +322,7 @@ class _Lowering:
                 self.patch(skip, 1)
             else:
                 self.patch(at, 4)
-            self.fuse(site, at, op.op_fused_branch)
+            self.fuse(site, at, op.fused_branch)
         elif isinstance(s, While):
             head = len(self.code)
             cond, site = self.cond(s.cond)
@@ -328,10 +330,10 @@ class _Lowering:
             self.block(s.body, path + ("b",))
             self.emit(op.op_jump, head)
             self.patch(at, 4)
-            self.fuse(site, at, op.op_fused_loop)
+            self.fuse(site, at, op.fused_loop)
         elif isinstance(s, Assert):
             cond, site = self.cond(s.cond)
-            self.fuse(site, self.emit(op.op_assert, cond), op.op_fused_assert)
+            self.fuse(site, self.emit(op.op_assert, cond), op.fused_assert)
         elif isinstance(s, Return):
             self.emit(op.op_return, self.expr(s.value) if s.value else None)
         elif isinstance(s, ExprStmt):
@@ -387,18 +389,22 @@ class _Lowering:
         if len(at) != 1 or not isinstance(call.args[at[0]], Var) \
                 or not isinstance(table.dims[at[0]], GardenDim):
             return None
-        key = tuple(None if isinstance(a, Var) else a.value for a in call.args)
-        return _Site(call.args[at[0]].name, table, key, at[0], c.value, e.op == "==")
+        at = at[0]
+        raws = tuple(a.value for a in call.args[:at] + call.args[at + 1:])
+        return _Site(call.args[at].name, table, raws[:at], raws[at:], c.value,
+                     e.op == "==")
 
-    def fuse(self, site, at, handler):
+    def fuse(self, site, at, decided):
         """Turn the op_table that opens the chain of statement instruction
         at (op_table, op_table_step, op_compare, then at itself) into the
-        fused site: handler, op_table's fields, the site, and the
-        statement's fields after its condition."""
+        fused site: op_fused, op_table's fields, the site, decided (what the
+        statement does with the comparison's truth), and the statement's
+        fields after its condition."""
         if site is not None:
             head = self.code[at - _CHAIN]
             assert head[0] == self.engine.op_table, head
-            self.code[at - _CHAIN] = (handler,) + head[1:] + (site,) + self.code[at][2:]
+            self.code[at - _CHAIN] = ((self.engine.op_fused,) + head[1:] + (site, decided)
+                                      + self.code[at][2:])
 
     # -- expressions ---------------------------------------------------------
 
@@ -1030,14 +1036,15 @@ class Engine:
     # -- fused table-compare-branch sites -------------------------------------
     #
     # A fused instruction is op_table's (op, dst, table, args, parts), then
-    # the _Site, then the fields of the statement's own instruction after its
-    # condition.  op_table_step, op_compare and that instruction follow it.
+    # the _Site, the statement's decided method, and the fields of the
+    # statement's own instruction after its condition.  op_table_step,
+    # op_compare and that instruction follow it.
 
-    def _site_taken(self, st, fr, ins):
-        """Whether a fused site's comparison holds, read from its partition
-        for a concrete or pinned x.  None when op_table ran instead: a free x
-        forks on the rows, and any other x takes op_table's way, escapes and
-        errors included.  Then the chain after the site runs."""
+    def op_fused(self, st, fr, ins):  # (op, op_table's, site, decided, statement's)
+        """Decide a concrete or pinned x from the site's partition.  A free x
+        goes through op_table, which forks on the rows, and so does any
+        other x, escapes and errors included; the chain after the site then
+        runs."""
         site = ins[5]
         x = fr.store.get(site.var)
         if x.__class__ is SymRef:
@@ -1047,39 +1054,35 @@ class Engine:
         outcomes = site.outcomes
         if i.__class__ is not int or not 0 <= i < len(outcomes):
             self.op_table(st, fr, ins)
-            return None
+            return
         taken = outcomes[i]
         if taken is None:
             taken = site.outcome(i)
         if taken is BOT:
             raise EscapedGarden()
-        return taken
+        ins[6](st, fr, ins, taken)
 
-    def op_fused_branch(self, st, fr, ins):  # (op, op_table's, site, edge_t, edge_e, else_at)
-        taken = self._site_taken(st, fr, ins)
+    def fused_branch(self, st, fr, ins, taken):  # statement's: edge_t, edge_e, else_at
         if taken:
-            st.branches.add(ins[6])
-            fr.ip += _CHAIN
-        elif taken is not None:
             st.branches.add(ins[7])
-            fr.ip = ins[8]
-
-    def op_fused_loop(self, st, fr, ins):  # (op, op_table's, site, edge_t, edge_e, exit_at, path)
-        taken = self._site_taken(st, fr, ins)
-        if taken:
-            st.branches.add(ins[6])
             fr.ip += _CHAIN
-            self._iteration(st, ins[9])
-        elif taken is not None:
+        else:
+            st.branches.add(ins[8])
+            fr.ip = ins[9]
+
+    def fused_loop(self, st, fr, ins, taken):  # statement's: edge_t, edge_e, exit_at, path
+        if taken:
             st.branches.add(ins[7])
-            fr.ip = ins[8]
-
-    def op_fused_assert(self, st, fr, ins):  # (op, op_table's, site)
-        taken = self._site_taken(st, fr, ins)
-        if taken:
             fr.ip += _CHAIN
-        elif taken is not None:
+            self._iteration(st, ins[10])
+        else:
+            st.branches.add(ins[8])
+            fr.ip = ins[9]
+
+    def fused_assert(self, st, fr, ins, taken):  # statement's: none
+        if not taken:
             raise _Terminal(VERDICT_ASSERT)
+        fr.ip += _CHAIN
 
     def _table_fork(self, st, fr, table, parts, dst, generated):
         """Enumerate the first free dimension while another one is free,

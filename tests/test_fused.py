@@ -4,6 +4,7 @@ site's partition of x's garden, and must behave exactly as the unfused
 op_table, op_table_step, op_compare and branch chain does."""
 
 import dataclasses
+import random
 import types
 
 import pytest
@@ -45,7 +46,7 @@ def _sites_setup():
 def fused_sites(engine):
     """(code, position) of every fused instruction the engine lowered."""
     return [(code, p) for code in engine.codes.values()
-            for p, ins in enumerate(code) if ins[0].__name__.startswith("op_fused_")]
+            for p, ins in enumerate(code) if ins[0] == engine.op_fused]
 
 
 def chain_outcome(engine, code, p, i):
@@ -55,7 +56,7 @@ def chain_outcome(engine, code, p, i):
     site = code[p][5]
     fr = types.SimpleNamespace(store={}, ip=0)
     step, compare = code[p + 1], code[p + 2]
-    fr.store[step[3]] = site.table.lookup(site.key[:site.at] + (i,) + site.key[site.at + 1:])
+    fr.store[step[3]] = site.table.lookup(site.head + (i,) + site.tail)
     try:
         engine.op_table_step(None, fr, step)
         engine.op_compare(None, fr, compare)
@@ -209,6 +210,66 @@ def _explore_both(monkeypatch, program, cfg):
         assert fused_sites(engine) == []
         unfused = engine.explore()
     return fused, unfused
+
+
+class FusedShapes:
+    """Random programs over one symbolic string x, made of the shapes a site
+    fuses: if, while and assert on strcmp, strlen or strncmp of x against a
+    literal, with the literal on either side.  Reassigning x to a literal
+    makes it concrete, and strcat onto x can leave the garden (BOT)."""
+
+    STRS = ('"a"', '"b"', '"ab"', '""')
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def cond(self):
+        r = self.rng
+        call = r.choice([f"strcmp(x, {r.choice(self.STRS)})", "strlen(x)",
+                         f"strncmp(x, {r.choice(self.STRS)}, {r.randint(0, 2)})"])
+        c, op = str(r.randint(0, 2)), r.choice(["==", "!="])
+        return f"{call} {op} {c}" if r.random() < 0.8 else f"{c} {op} {call}"
+
+    def stmts(self, depth, n):
+        r, out = self.rng, []
+        for _ in range(n):
+            kind = r.choice(["if", "if", "while", "assert", "assign", "cat"]
+                            if depth < 2 else ["assign", "cat", "count"])
+            if kind == "if":
+                out.append(f"if ({self.cond()}) {{ {self.stmts(depth + 1, 2)} }}"
+                           f" else {{ {self.stmts(depth + 1, 1)} }}")
+            elif kind == "while":
+                out.append(f"while ({self.cond()}) {{ {self.stmts(depth + 1, 1)} }}")
+            elif kind == "assert":
+                out.append(f"assert({self.cond()});")
+            elif kind == "assign":
+                out.append(f"x = {r.choice(self.STRS)};")
+            elif kind == "cat":
+                out.append(f"x = strcat(x, {r.choice(self.STRS)});")
+            else:
+                out.append("r = r + 1;")
+        return " ".join(out)
+
+    def program(self):
+        return (f"int main() {{ str x; symbolic x; int r = 0; if ({self.cond()}) {{ r = 1; }} "
+                + self.stmts(0, 4) + " return r; }")
+
+
+def test_fusion_keeps_the_reports_of_random_programs(monkeypatch):
+    rng = random.Random(23)
+    fused_runs = 0
+    for _ in range(40):
+        src = FusedShapes(rng).program()
+        cfg = CliConfig(input_path="r.mi", indexed_types=(STR,),
+                        f_plus_names=("strcat", "strcmp", "strlen", "strncmp"),
+                        k=1, maxlen=3, unroll=3, bot_propagate=rng.random() < 0.5)
+        pipe = rewrite_pipeline(build_pipeline(parse(src), cfg), cfg)
+        explore_cfg = ExploreConfig(gardens=pipe.gardens, tables=pipe.tables, unroll=3,
+                                    bot_propagate=cfg.bot_propagate, wallclock_s=10.0)
+        fused_runs += bool(fused_sites(Engine(pipe.indexed.program, explore_cfg)))
+        fused, unfused = _explore_both(monkeypatch, pipe.indexed.program, explore_cfg)
+        assert _observed(fused) == _observed(unfused), src
+    assert fused_runs == 40
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
