@@ -430,10 +430,10 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
             unknown = inputs.keys() - symbolic
             if unknown:
                 raise UsageError(f"input {min(unknown)!r} is never made symbolic")
+            res = interpret(target, inputs, gardens=gardens, tables=tables,
+                            unroll=cfg.unroll, bot_propagate=cfg.bot_propagate)
         except (UsageError, MiniImpError) as e:
             raise UsageError(f"{p}: {e}") from None
-        res = interpret(target, inputs, gardens=gardens, tables=tables,
-                        unroll=cfg.unroll, bot_propagate=cfg.bot_propagate)
         ok = expected is None or res.verdict == expected
         print(f"{p}: verdict={res.verdict}"
               + ("" if ok else f" EXPECTED {expected}"))

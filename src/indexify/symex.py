@@ -28,24 +28,23 @@ feasible one, and a copy per other feasible option, which resumes at the next
 instruction, goes on the stack.  Each node of the decision tree therefore runs
 once.  An if, while or assert whose condition is T(x, k...) ==/!= c (T an
 indexed table, x its only variable argument, at a garden dimension, and the
-rest literals) is one fused site: a concrete or pinned x decides the
-statement from the site's partition of x's garden, one list entry per index
-(the comparison's truth, or BOT), each filled through table.lookup the first
-time its index reaches the site.  A free x forks on the rows as any indexed
-call does, and its successors run the unfused chain.  The wallclock and
-state budgets are checked at every decision and loop back-edge.  Every solver
-variable ranges over [0, size), and every constant is a garden index or an
-int (a bool is 0 or 1); BOT never enters a path condition.  A state's path
-condition is its solver.PathState and nothing else: a persistent object
-(extending one returns a new one, so state copies share it) that decides
-every check and gives every model, so a check costs the atoms it adds and the
-classes that var-var disequalities join.  Every queued option was
-satisfiable when checked, so emitted test cases replay on the concrete
-interpreter by construction; an option the solver cannot decide is dropped
-and counted, and the run goes on.  A test case carries what replay and the
-artifacts need: its verdict, its concrete inputs (a model of the path
-condition) and its branch trace, one frozenset shared by every test case
-with the same trace.
+rest literals) is one fused site: for a concrete or pinned x it reads the
+cell table.lookup computes once and keeps for x's index, escapes on BOT, and
+runs the statement's own instruction with the comparison's truth as its
+condition.  A free x forks on the rows as any indexed call does, and its
+successors run the unfused chain.  The wallclock and state budgets are
+checked at every decision and loop back-edge.  Every solver variable ranges
+over [0, size), and every constant is a garden index or an int (a bool is 0
+or 1); BOT never enters a path condition.  A state's path condition is its
+solver.PathState and nothing else: a persistent object (extending one returns
+a new one, so state copies share it) that decides every check and gives every
+model, so a check costs the atoms it adds and the classes that var-var
+disequalities join.  Every queued option was satisfiable when checked, so
+emitted test cases replay on the concrete interpreter by construction; an
+option the solver cannot decide is dropped and counted, and the run goes on.
+A test case carries what replay and the artifacts need: its verdict, its
+concrete inputs (a model of the path condition) and its branch trace, one
+frozenset shared by every test case with the same trace.
 """
 
 from __future__ import annotations
@@ -211,7 +210,8 @@ class _Truncated(Exception):
 #
 # An instruction is a tuple (handler, fields...).  Operands are a variable
 # name (str, read when the instruction runs), a temporary (int, written by an
-# earlier instruction of the same frame) or a constant (a Value, or None).
+# earlier instruction of the same frame) or a constant (a Value, a bool, or
+# None).
 # Expressions are in three-address form, so a decision is always the last
 # thing an instruction does: the decision writes its payload to the
 # instruction's destination, and each successor state resumes at the frame's
@@ -220,14 +220,15 @@ class _Truncated(Exception):
 # A condition T(x, k...) ==/!= c lowers to op_table, op_table_step and
 # op_compare, then the statement's op_branch, op_loop or op_assert.  fuse()
 # turns that op_table into op_fused, a superoperator over the chain: it keeps
-# op_table's fields and adds a _Site, the statement's decided method
-# (fused_branch, fused_loop or fused_assert) and the statement's own fields.
-# For a concrete or pinned x the site reads its partition, a list indexed by
-# x's garden index and filled on demand, and the decided method then marks
-# the edge and jumps, counts the loop iteration, or fails the assertion.  For
-# a free x op_fused calls op_table, so the row fork and its successors are
-# the chain's, with no instruction added; any other x also goes through
-# op_table, which escapes or errors as the chain does.
+# op_table's fields and adds a _Site and the statement's own instruction
+# twice, its condition the constant False in one copy and True in the other.
+# For a concrete or pinned x the site reads the cell lookup keeps for x's
+# index (BOT escapes), skips the chain and runs the copy the comparison's
+# truth picks, so op_branch, op_loop and op_assert alone mark the edge,
+# count the loop iteration or fail the assertion.  For a free x op_fused
+# calls op_table, so the row fork and its successors are the chain's, with
+# no instruction added; any other x also goes through op_table, which
+# escapes or errors as the chain does.
 
 
 _SYMBOLIC = (SymRef, Opaque, Unindexed)
@@ -243,13 +244,10 @@ _CHAIN = 3  # a fused site's distance to its statement's own instruction
 
 
 class _Site:
-    """The comparison T(x, k...) ==/!= c of a fused site, and the site's
-    partition of x's garden.  T's key for x = i is head + (i,) + tail, the
-    literals' raw values around x.  outcomes[i] is None until x = i first
-    reaches the site, then whether the comparison holds, or BOT when the
-    cell is BOT: the path escapes there."""
+    """The comparison T(x, k...) ==/!= c of a fused site.  T's key for x = i
+    is head + (i,) + tail, the literals' raw values around x."""
 
-    __slots__ = ("var", "table", "head", "tail", "c", "want", "outcomes")
+    __slots__ = ("var", "table", "head", "tail", "c", "want")
 
     def __init__(self, var, table, head, tail, c, want):
         self.var = var
@@ -258,13 +256,6 @@ class _Site:
         self.tail = tail
         self.c = c
         self.want = want
-        self.outcomes = [None] * len(table.dims[len(head)].domain())
-
-    def outcome(self, i):
-        """The partition's entry for x = i, read through table.lookup."""
-        cell = self.table.lookup(self.head + (i,) + self.tail)
-        out = self.outcomes[i] = BOT if cell is BOT else (cell == self.c) == self.want
-        return out
 
 
 class _Lowering:
@@ -322,7 +313,7 @@ class _Lowering:
                 self.patch(skip, 1)
             else:
                 self.patch(at, 4)
-            self.fuse(site, at, op.fused_branch)
+            self.fuse(site, at)
         elif isinstance(s, While):
             head = len(self.code)
             cond, site = self.cond(s.cond)
@@ -330,10 +321,10 @@ class _Lowering:
             self.block(s.body, path + ("b",))
             self.emit(op.op_jump, head)
             self.patch(at, 4)
-            self.fuse(site, at, op.fused_loop)
+            self.fuse(site, at)
         elif isinstance(s, Assert):
             cond, site = self.cond(s.cond)
-            self.fuse(site, self.emit(op.op_assert, cond), op.fused_assert)
+            self.fuse(site, self.emit(op.op_assert, cond))
         elif isinstance(s, Return):
             self.emit(op.op_return, self.expr(s.value) if s.value else None)
         elif isinstance(s, ExprStmt):
@@ -394,17 +385,17 @@ class _Lowering:
         return _Site(call.args[at].name, table, raws[:at], raws[at:], c.value,
                      e.op == "==")
 
-    def fuse(self, site, at, decided):
+    def fuse(self, site, at):
         """Turn the op_table that opens the chain of statement instruction
         at (op_table, op_table_step, op_compare, then at itself) into the
-        fused site: op_fused, op_table's fields, the site, decided (what the
-        statement does with the comparison's truth), and the statement's
-        fields after its condition."""
+        fused site: op_fused, op_table's fields, the site, and the
+        statement's instruction twice, its condition the constant False,
+        then True."""
         if site is not None:
-            head = self.code[at - _CHAIN]
+            head, ins = self.code[at - _CHAIN], self.code[at]
             assert head[0] == self.engine.op_table, head
-            self.code[at - _CHAIN] = ((self.engine.op_fused,) + head[1:] + (site, decided)
-                                      + self.code[at][2:])
+            self.code[at - _CHAIN] = (self.engine.op_fused,) + head[1:] + (
+                site, ins[:1] + (False,) + ins[2:], ins[:1] + (True,) + ins[2:])
 
     # -- expressions ---------------------------------------------------------
 
@@ -849,7 +840,9 @@ class Engine:
         self.decide(st, fr, ins[1], self._truth_options(v))
 
     def _taken(self, st, fr, cond) -> bool:
-        c = _fetch(fr.store, cond)
+        # a condition is a temporary or a constant: cond() reads a variable
+        # through op_truth
+        c = fr.store[cond] if cond.__class__ is int else cond
         if c.__class__ is bool:
             return c
         if c is _BOOLS[0] or c is _BOOLS[1]:  # what comparisons store
@@ -869,14 +862,10 @@ class Engine:
             fr.ip = ins[4]
             return
         st.branches.add(ins[2])
-        self._iteration(st, ins[5])
-
-    def _iteration(self, st, path) -> None:
-        """Count one more iteration of the loop at path."""
-        n = st.loop_counts.get(path, 0) + 1
+        n = st.loop_counts.get(ins[5], 0) + 1
         if n > self.cfg.unroll:
             raise _Terminal(VERDICT_BOUND)
-        st.loop_counts[path] = n
+        st.loop_counts[ins[5]] = n
         self.check_budget()
 
     def op_assert(self, st, fr, ins):  # (op, cond)
@@ -1036,12 +1025,12 @@ class Engine:
     # -- fused table-compare-branch sites -------------------------------------
     #
     # A fused instruction is op_table's (op, dst, table, args, parts), then
-    # the _Site, the statement's decided method, and the fields of the
-    # statement's own instruction after its condition.  op_table_step,
-    # op_compare and that instruction follow it.
+    # the _Site and the statement's own instruction with its condition False,
+    # then True.  op_table_step, op_compare and that instruction follow it.
 
-    def op_fused(self, st, fr, ins):  # (op, op_table's, site, decided, statement's)
-        """Decide a concrete or pinned x from the site's partition.  A free x
+    def op_fused(self, st, fr, ins):  # (op, op_table's, site, if false, if true)
+        """For a concrete or pinned x, read its cell, skip the chain and run
+        the statement's instruction for the comparison's truth.  A free x
         goes through op_table, which forks on the rows, and so does any
         other x, escapes and errors included; the chain after the site then
         runs."""
@@ -1051,38 +1040,15 @@ class Engine:
             i = st.facts.pin(x.var.name)
         else:
             i = x.raw if x.__class__ is Value else None
-        outcomes = site.outcomes
-        if i.__class__ is not int or not 0 <= i < len(outcomes):
+        if i.__class__ is not int:
             self.op_table(st, fr, ins)
             return
-        taken = outcomes[i]
-        if taken is None:
-            taken = site.outcome(i)
-        if taken is BOT:
+        cell = site.table.lookup(site.head + (i,) + site.tail)
+        if cell is BOT:  # a key outside the domains included
             raise EscapedGarden()
-        ins[6](st, fr, ins, taken)
-
-    def fused_branch(self, st, fr, ins, taken):  # statement's: edge_t, edge_e, else_at
-        if taken:
-            st.branches.add(ins[7])
-            fr.ip += _CHAIN
-        else:
-            st.branches.add(ins[8])
-            fr.ip = ins[9]
-
-    def fused_loop(self, st, fr, ins, taken):  # statement's: edge_t, edge_e, exit_at, path
-        if taken:
-            st.branches.add(ins[7])
-            fr.ip += _CHAIN
-            self._iteration(st, ins[10])
-        else:
-            st.branches.add(ins[8])
-            fr.ip = ins[9]
-
-    def fused_assert(self, st, fr, ins, taken):  # statement's: none
-        if not taken:
-            raise _Terminal(VERDICT_ASSERT)
         fr.ip += _CHAIN
+        stmt = ins[7] if (cell == site.c) == site.want else ins[6]
+        stmt[0](st, fr, stmt)
 
     def _table_fork(self, st, fr, table, parts, dst, generated):
         """Enumerate the first free dimension while another one is free,

@@ -237,6 +237,11 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     if case == "testcase-index":
         bad.write_text("s1=0@str\n")
         return [str(src), "--replay", str(bad)]
+    if case == "testcase-type":  # one bad file of a replayed directory
+        bad.mkdir()
+        (bad / "0000.tc").write_text('s1="bar"\n')
+        (bad / "0001.tc").write_text("s1=1\n")
+        return [str(src), "--replay", str(bad)]
     if case == "testcase-bot":
         bad.write_text("s1=bot@str\n")
         return [str(src), "--replay", str(bad)]
@@ -268,8 +273,8 @@ def _bad_input_args(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", [
     "garden-index", "garden-trailing-backslash", "garden-int", "garden-bool", "seed-hex-escape",
     "seed-float", "iot-row", "testcase-value", "testcase-string", "testcase-index",
-    "testcase-bot", "testcase-duplicate", "testcase-unknown-input", "fplus-unknown",
-    "input-directory", "garden-directory", "source-not-utf8", "source-hex-escape",
+    "testcase-type", "testcase-bot", "testcase-duplicate", "testcase-unknown-input",
+    "fplus-unknown", "input-directory", "garden-directory", "source-not-utf8", "source-hex-escape",
     "seed-variable", *NOT_UTF8, *DEEP_SOURCES,
     *BAD_SCALARS, *BAD_TABLES,
     *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
@@ -289,6 +294,8 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
         assert f"{tmp_path / 'bad'}: input 's1' given twice" in err
     if case == "testcase-unknown-input":
         assert f"{tmp_path / 'bad'}: input 'nope' is never made symbolic" in err
+    if case == "testcase-type":
+        assert f"{tmp_path / 'bad' / '0001.tc'}: input 's1' has tag int" in err
     if case == "fplus-unknown":
         assert f"{tmp_path / 'bad'}: unknown operator 'nope'" in err
     if case == "garden-int":

@@ -1,8 +1,11 @@
 """Fused table-compare-branch sites: an `if`, `while` or `assert` whose
-condition is T(x, k...) ==/!= c decides a concrete or pinned x from the
-site's partition of x's garden, and must behave exactly as the unfused
-op_table, op_table_step, op_compare and branch chain does."""
+condition is T(x, k...) ==/!= c decides a concrete or pinned x on the one
+cell of T that lookup keeps for x's index, then runs the statement's own
+instruction with the comparison's truth as its condition.  It must behave
+exactly as the unfused op_table, op_table_step, op_compare and statement
+chain does."""
 
+import collections
 import dataclasses
 import random
 import types
@@ -10,12 +13,16 @@ import types
 import pytest
 
 from indexify.bench import CORPUS, load_entry
-from indexify.cli import CliConfig, build_pipeline, rewrite_pipeline, run_mode
+from indexify.cli import (CliConfig, build_pipeline, explore_config, rewrite_pipeline,
+                          run_mode)
 from indexify.garden import load_gardens
-from indexify.iot import memoise_all
-from indexify.lang.ast import BOT, STR, EscapedGarden, MiniImpError
+from indexify.iot import IndexedOperatorTable, memoise_all
+from indexify.lang.ast import BOT, STR, EscapedGarden, MiniImpError, Value
+from indexify.lang.interp import VERDICT_ASSERT
 from indexify.lang.parser import parse
-from indexify.symex import MODE_INDEXED, Engine, ExploreConfig, _Lowering
+from indexify.solver import PathState, var_eq_const
+from indexify.symex import (_CHAIN, MODE_ABANDON, MODE_CONCRETIZE, MODE_INDEXED, Engine,
+                            ExploreConfig, _Lowering, _Terminal)
 
 GARDEN_TEXT = "0\tstr\t\n1\tstr\ta\n2\tstr\txab\n3\tstr\tb\n"
 
@@ -65,55 +72,121 @@ def chain_outcome(engine, code, p, i):
     return fr.store[compare[1]].raw
 
 
+def _effect(run, store, ip, facts):
+    """What run(st, fr) does to a fresh state whose frame holds store and
+    has just been dispatched instruction ip: the branch edges it marks, its
+    loop counts and the next instruction, or its verdict when the path ends
+    there (BOT: it escapes)."""
+    st = types.SimpleNamespace(branches=set(), loop_counts={}, facts=facts)
+    fr = types.SimpleNamespace(store=store, ip=ip + 1)
+    try:
+        run(st, fr)
+    except EscapedGarden:
+        return BOT
+    except _Terminal as t:
+        return t.verdict
+    return st.branches, st.loop_counts, fr.ip
+
+
+def site_effect(engine, code, p, x, facts=None):
+    """What fused site p does with x bound to the Value or SymRef x."""
+    return _effect(lambda st, fr: engine.op_fused(st, fr, code[p]),
+                   {code[p][5].var: x}, p, facts)
+
+
+def chain_effect(engine, code, p, i):
+    """What the unfused chain after fused site p does for x = i: the cell
+    lookup keeps, then op_table_step, op_compare and the statement's own
+    instruction, dispatched as Engine.run does."""
+    site, parts = code[p][5], code[p + 1][3]
+
+    def run(st, fr):
+        for _ in range(_CHAIN):
+            ins = code[fr.ip]
+            fr.ip += 1
+            ins[0](st, fr, ins)
+    return _effect(run, {parts: site.table.lookup(site.head + (i,) + site.tail)}, p, None)
+
+
 @pytest.mark.parametrize("bot_propagate", [False, True])
 def test_fused_partitions_agree_with_lookup_and_compare(bot_propagate):
+    # every site decides each garden index, concrete or pinned, as the
+    # chain does: the same edge, loop count and jump, the same escape, the
+    # same assertion failure
     program, gardens, tables = _sites_setup()
     engine = Engine(program, ExploreConfig(gardens=gardens, tables=tables,
                                            bot_propagate=bot_propagate))
     sites = fused_sites(engine)
     assert [code[p][2].op_name for code, p in sites] == \
         ["strcmp", "strlen", "strstr", "strstr", "strncmp"]
-    engine.explore()
+    engine.explore()  # sets the budgets a loop iteration checks
+    ref = engine.symbolic_ref("main", "x")
     seen = set()
     for code, p in sites:
-        site = code[p][5]
-        assert len(site.outcomes) == len(gardens[STR])
-        # exploration fills entries lazily; each one it filled is the chain's
-        filled = [i for i, out in enumerate(site.outcomes) if out is not None]
-        for i in filled:
-            assert site.outcomes[i] == chain_outcome(engine, code, p, i), (site.table, i)
-        for i in range(len(site.outcomes)):
-            want = chain_outcome(engine, code, p, i)
-            assert site.outcome(i) == want == site.outcomes[i], (site.table, i)
-            seen.add((site.table.result_indexed, want))
-    # true, false and BOT entries of raw- and indexed-result tables alike
+        site, stmt = code[p][5], code[p + _CHAIN]
+        for i in range(len(gardens[STR])):
+            truth, chain = chain_outcome(engine, code, p, i), chain_effect(engine, code, p, i)
+            pinned = PathState().extend((var_eq_const(ref.var, i),))
+            assert site_effect(engine, code, p, Value(ref.tag, i)) == chain, (site.table, i)
+            assert site_effect(engine, code, p, ref, pinned) == chain, (site.table, i)
+            if truth is BOT:
+                assert chain is BOT
+            elif stmt[0] == engine.op_assert:
+                assert chain == (VERDICT_ASSERT if not truth else (set(), {}, p + _CHAIN + 1))
+            else:
+                assert chain[0] == {stmt[2] if truth else stmt[3]}, (site.table, i)
+            seen.add((site.table.result_indexed, truth))
+    # true, false and BOT cells of raw- and indexed-result tables alike
     assert seen == {(r, out) for r in (False, True) for out in (True, False, BOT)}
 
 
-def test_exploration_fills_only_the_entries_it_reads():
-    # the first site forks on x's rows and fills nothing; strlen and the
+def test_exploration_fills_only_the_entries_it_reads(monkeypatch):
+    # the first site forks on x's rows through op_table; strlen and the
     # while see x pinned to each of the 4 garden values, and the strstr
     # after the loop only "" and "b": x = "a" loops to the bound and
-    # x = "xab" escapes at the while
+    # x = "xab" escapes at the while.  Each pinned visit looks up its own
+    # key only, never the rest of x's garden.
     program, gardens, tables = _sites_setup()
+    keys = collections.defaultdict(set)  # site -> the keys its visits look up
+    reading = [None]  # the site whose pinned or concrete x is being read
+    lookup, op_fused, op_table = IndexedOperatorTable.lookup, Engine.op_fused, Engine.op_table
+
+    def counted_lookup(self, key):
+        if reading[0] is not None:
+            keys[reading[0]].add(key)
+        return lookup(self, key)
+
+    def counted_fused(self, st, fr, ins):
+        reading[0] = ins[5]
+        try:
+            return op_fused(self, st, fr, ins)
+        finally:
+            reading[0] = None
+
+    def uncounted_table(self, st, fr, ins):
+        reading[0] = None
+        return op_table(self, st, fr, ins)
+
+    monkeypatch.setattr(IndexedOperatorTable, "lookup", counted_lookup)
+    monkeypatch.setattr(Engine, "op_fused", counted_fused)
+    monkeypatch.setattr(Engine, "op_table", uncounted_table)
     engine = Engine(program, ExploreConfig(gardens=gardens, tables=tables))
     engine.explore()
-    filled = [sum(out is not None for out in code[p][5].outcomes)
-              for code, p in fused_sites(engine)]
-    assert filled[:4] == [0, 4, 4, 2]
+    assert [len(keys[code[p][5]]) for code, p in fused_sites(engine)][:4] == [0, 4, 4, 2]
 
 
 def test_a_pinned_site_runs_no_chain(monkeypatch):
     # flags 3: the first comparison forks on 4 rows (3 flags and the empty
-    # string; its BOT option is infeasible) and pins `flag`; the other two
-    # decide it from their partitions
+    # string; its BOT option is infeasible) and pins `flag`, and each of the
+    # 4 successors runs that site's chain; the other two sites decide from
+    # the cell and run only op_branch, 4 times each
     src = "int main() { str flag; symbolic flag; int r = 0;\n" + "".join(
         f'  if (strcmp(flag, "-{f}") == 0) {{ r = {i}; }}\n'
         for i, f in enumerate("abc", 1)) + "  return r; }\n"
     cfg = CliConfig(input_path="flags.mi", indexed_types=(STR,),
                     f_plus_names=("strcmp",), k=0)
     pipe = rewrite_pipeline(build_pipeline(parse(src), cfg), cfg)
-    calls = {"op_table": 0, "op_compare": 0, "op_branch": 0}
+    calls = {"op_table": 0, "op_table_step": 0, "op_compare": 0, "op_branch": 0}
     for name in calls:
         real = getattr(Engine, name)
 
@@ -124,7 +197,7 @@ def test_a_pinned_site_runs_no_chain(monkeypatch):
         monkeypatch.setattr(Engine, name, counted)
     rep = run_mode(cfg, pipe, MODE_INDEXED)
     assert (rep.paths, rep.iot_fork_sizes) == (4, (4,))
-    assert calls == {"op_table": 1, "op_compare": 4, "op_branch": 4}
+    assert calls == {"op_table": 1, "op_table_step": 4, "op_compare": 4, "op_branch": 12}
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +387,48 @@ def test_a_fused_site_reads_an_uninitialised_variable_as_the_chain_does():
     assert len(fused_sites(engine)) == 1
     with pytest.raises(MiniImpError, match="uninitialised variable 'x'"):
         engine.explore()
+
+
+def _conditions(engine):
+    """The condition field of every op_branch, op_loop and op_assert the
+    engine lowered, and of both copies of the statement at each fused
+    site, with the number of fused sites."""
+    stmts = (engine.op_branch, engine.op_loop, engine.op_assert)
+    conds, sites = [], 0
+    for code in engine.codes.values():
+        for ins in code:
+            if ins[0] == engine.op_fused:
+                sites += 1
+                assert ins[6][0] == ins[7][0] in stmts
+                assert (ins[6][1], ins[7][1]) == (False, True)
+                assert ins[6][2:] == ins[7][2:]
+                conds += [ins[6][1], ins[7][1]]
+            elif ins[0] in stmts:
+                conds.append(ins[1])
+    return conds, sites
+
+
+def test_a_statement_condition_is_a_temporary_or_a_constant():
+    # Engine._taken reads its condition without _fetch: the lowering reads
+    # a variable condition through op_truth into a temporary
+    engines = []
+    for entry in CORPUS:
+        cfg, pipe = load_entry(entry)
+        pipe = rewrite_pipeline(pipe, cfg)
+        for mode in (MODE_INDEXED, MODE_ABANDON, MODE_CONCRETIZE):
+            program = pipe.indexed.program if mode == MODE_INDEXED else pipe.program
+            engines.append(Engine(program, explore_config(cfg, pipe, mode)))
+    rng = random.Random(24)
+    for _ in range(20):
+        cfg = CliConfig(input_path="r.mi", indexed_types=(STR,),
+                        f_plus_names=("strcat", "strcmp", "strlen", "strncmp"),
+                        k=1, maxlen=3)
+        pipe = rewrite_pipeline(build_pipeline(parse(FusedShapes(rng).program()), cfg), cfg)
+        engines.append(Engine(pipe.indexed.program, explore_config(cfg, pipe, MODE_INDEXED)))
+    kinds, sites = set(), 0
+    for engine in engines:
+        conds, n = _conditions(engine)
+        kinds |= {c.__class__ for c in conds}
+        sites += n
+    assert kinds <= {int, Value, bool}
+    assert int in kinds and bool in kinds and sites > 40

@@ -15,7 +15,7 @@ from indexify.lang.parser import parse
 from indexify.lang.printer import print_program
 from indexify.lang.typecheck import typecheck
 from indexify.rewrite import RewriteConfig, confluence_probe, emit_indexed_source, normalize
-from indexify.symex import ExploreConfig, explore
+from indexify.symex import Engine, ExploreConfig, explore
 
 STR_CONSTS = ['"a"', '"b"', '"ab"', '"ba"', '""']
 INT_CONSTS = ["0", "1", "2", "3"]
@@ -29,11 +29,17 @@ class ProgramGen:
     or the int `num`.  `num` appears only where the explorer keeps it
     symbolic (equality, truthiness and the int arguments of strncmp and
     substr), never under arithmetic or ordering, which abandon the path.
+
+    With sites=True half of the conditions of `if`, `while` and `assert`
+    compare strcmp, strlen or strncmp of a string input (`sym`, or the user
+    function's parameter) and literals with an int literal, the shape the
+    explorer fuses into one site.
     """
 
-    def __init__(self, rng, extended=False):
+    def __init__(self, rng, extended=False, sites=False):
         self.rng = rng
         self.extended = extended
+        self.sites = sites
         self.str_vars = []
         self.int_vars = []
         self.fresh = 0
@@ -90,8 +96,21 @@ class ProgramGen:
                     f"{self.str_expr(depth + 1)}, {self.int_expr(depth + 1, sym=True)})")
         return f"{self.int_expr(depth + 1)} + {self.int_expr(depth + 1)}"
 
+    def site_cond(self):
+        """op(sym, lit...) ==/!= lit, op one of strcmp, strlen, strncmp."""
+        r = self.rng
+        op = r.choice(["strcmp", "strlen", "strncmp"])
+        args = self.str_vars[0]
+        if op != "strlen":
+            args += f", {r.choice(STR_CONSTS)}"
+        if op == "strncmp":
+            args += f", {r.choice(INT_CONSTS)}"
+        return f"{op}({args}) {r.choice(['==', '!='])} {r.choice(INT_CONSTS)}"
+
     def cond(self, boolean=False):
         r = self.rng
+        if self.sites and not boolean and r.random() < 0.5:
+            return self.site_cond()
         kinds = ["inteq", "intlt"] if boolean else ["strtruth", "inteq", "intlt"]
         if self.sym_bool is not None:
             kinds += ["flag"]
@@ -195,14 +214,15 @@ class ProgramGen:
         return "\n".join(lines)
 
 
-def build_cfg(program, f_plus, k=1, maxlen=4):
+def build_cfg(program, f_plus, k=1, maxlen=4, int_pool=None):
     seeds = harvest_seeds(program, {STR})
     builders = tuple(REGISTRY[n] for n in sorted(f_plus)
                      if REGISTRY[n].signature.arg_types == (STR, STR)
                      and REGISTRY[n].signature.return_type is STR)
     gardens = build_garden(seeds, BuilderConfig(builders=builders, k=k,
                                                 max_str_len=maxlen), types={STR})
-    tables = memoise_all(gardens, f_plus, harvest_int_pool(program))
+    tables = memoise_all(gardens, f_plus, harvest_int_pool(program)
+                         if int_pool is None else int_pool)
     return RewriteConfig({STR}, set(f_plus), gardens, tables)
 
 
@@ -299,49 +319,98 @@ def _oracle_inputs(gardens, extra):
             yield {"sym": s, extra: v}
 
 
+def _check_exhaustively(src, f_plus, k, int_pool=None):
+    """The exhaustive oracle on one program: on small gardens, interpret
+    the rewritten program on every input of the garden product.  The
+    (verdict, branch trace) pairs it shows must be exactly those of the
+    explorer's test cases: none missing, none extra.  On every input the
+    emitted .indexed.mi agrees with the in-memory program, and on every
+    input that does not escape, so does the original program.  Returns the
+    number of inputs compared with the original program and the verdicts
+    seen."""
+    program = typecheck(parse(src))
+    cfg = build_cfg(program, f_plus, k=k, maxlen=3, int_pool=int_pool)
+    res = normalize(program, cfg)
+    gardens, tables = cfg.gardens, cfg.tables
+    extra = "flag" if "symbolic flag;" in src else "num"
+    rep = explore(res.program, ExploreConfig(
+        gardens=gardens, tables=tables, unroll=ORACLE_UNROLL,
+        int_domain=ORACLE_INT_DOMAIN))
+    assert not rep.truncated and rep.solver_unknowns == 0, src
+    assert rep.paths == len(rep.test_cases), src  # nothing abandoned
+    explored = {(tc.verdict, tc.covered_branches) for tc in rep.test_cases}
+    emitted = parse(emit_indexed_source(res))
+    seen = set()
+    compared = 0
+    for inputs in _oracle_inputs(gardens, extra):
+        mem = interpret(res.program, inputs, gardens=gardens, tables=tables,
+                        unroll=ORACLE_UNROLL)
+        seen.add((mem.verdict, mem.covered_branches))
+        out = interpret(emitted, inputs, gardens=gardens, unroll=ORACLE_UNROLL)
+        assert (out.verdict, out.return_value, out.outputs) == \
+            (mem.verdict, mem.return_value, mem.outputs), (src, inputs)
+        if mem.verdict == VERDICT_ESCAPED:
+            continue
+        orig = interpret(program, inputs, unroll=ORACLE_UNROLL)
+        assert (orig.verdict, orig.return_value, orig.outputs) == \
+            (mem.verdict, mem.return_value, mem.outputs), (src, inputs)
+        compared += 1
+    assert explored == seen, src
+    return compared, {v for v, _ in seen}
+
+
 def test_exploration_is_complete_on_random_programs():
-    # the exhaustive oracle: on small gardens, interpret the rewritten
-    # program on every input of the garden product.  The (verdict, branch
-    # trace) pairs it shows must be exactly those of the explorer's test
-    # cases: none missing, none extra.  On every input the emitted
-    # .indexed.mi agrees with the in-memory program, and on every input
-    # that does not escape, so does the original program.
     rng = random.Random(2008)
     programs = compared = 0
     verdicts = set()
     for trial in range(60):
         src = ProgramGen(rng, extended=True).program()
-        program = typecheck(parse(src))
         f_plus = rng.sample(["strcat", "strstr", "strcmp", "strncmp", "strlen",
                              "substr"], rng.randint(1, 4))
-        cfg = build_cfg(program, f_plus, k=rng.randint(0, 2), maxlen=3)
-        res = normalize(program, cfg)
-        gardens, tables = cfg.gardens, cfg.tables
-        extra = "flag" if "symbolic flag;" in src else "num"
-        rep = explore(res.program, ExploreConfig(
-            gardens=gardens, tables=tables, unroll=ORACLE_UNROLL,
-            int_domain=ORACLE_INT_DOMAIN))
-        assert not rep.truncated and rep.solver_unknowns == 0, src
-        assert rep.paths == len(rep.test_cases), src  # nothing abandoned
-        explored = {(tc.verdict, tc.covered_branches) for tc in rep.test_cases}
-        emitted = parse(emit_indexed_source(res))
-        seen = set()
-        for inputs in _oracle_inputs(gardens, extra):
-            mem = interpret(res.program, inputs, gardens=gardens, tables=tables,
-                            unroll=ORACLE_UNROLL)
-            seen.add((mem.verdict, mem.covered_branches))
-            out = interpret(emitted, inputs, gardens=gardens, unroll=ORACLE_UNROLL)
-            assert (out.verdict, out.return_value, out.outputs) == \
-                (mem.verdict, mem.return_value, mem.outputs), (src, inputs)
-            if mem.verdict == VERDICT_ESCAPED:
-                continue
-            orig = interpret(program, inputs, unroll=ORACLE_UNROLL)
-            assert (orig.verdict, orig.return_value, orig.outputs) == \
-                (mem.verdict, mem.return_value, mem.outputs), (src, inputs)
-            compared += 1
-        assert explored == seen, src
-        verdicts |= {v for v, _ in seen}
+        n, seen = _check_exhaustively(src, f_plus, rng.randint(0, 2))
+        compared += n
+        verdicts |= seen
         programs += 1
     assert programs == 60 and compared > 400
     # the generator reaches every verdict but division by zero
     assert verdicts == {"ok", "escaped-garden", "assertion-failure", "bound-exceeded"}
+
+
+def test_exploration_is_complete_on_random_fused_sites(monkeypatch):
+    # the same oracle on programs whose conditions often have the fused
+    # shape, with the site's operators always indexed.  The int pool leaves
+    # out 3, so every cell of a strncmp at n = 3 is BOT: on garden keys the
+    # three operators have no other BOT cell.  A fused site decides a
+    # concrete or pinned input itself and gives any other to op_table.
+    calls = {"op_fused": 0, "op_table": 0}  # op_table: those op_fused makes
+    inside = [False]
+    op_fused, op_table = Engine.op_fused, Engine.op_table
+
+    def counted_fused(self, st, fr, ins):
+        calls["op_fused"] += 1
+        inside[0] = True
+        try:
+            return op_fused(self, st, fr, ins)
+        finally:
+            inside[0] = False
+
+    def counted_table(self, st, fr, ins):
+        calls["op_table"] += inside[0]
+        return op_table(self, st, fr, ins)
+
+    monkeypatch.setattr(Engine, "op_fused", counted_fused)
+    monkeypatch.setattr(Engine, "op_table", counted_table)
+    rng = random.Random(2424)
+    compared = 0
+    verdicts = set()
+    for trial in range(40):
+        src = ProgramGen(rng, extended=True, sites=True).program()
+        f_plus = ["strcmp", "strlen", "strncmp"] + rng.sample(
+            ["strcat", "strstr", "substr"], rng.randint(0, 2))
+        n, seen = _check_exhaustively(src, f_plus, rng.randint(0, 2), int_pool=(0, 1, 2))
+        compared += n
+        verdicts |= seen
+    assert compared > 250
+    assert verdicts == {"ok", "escaped-garden", "assertion-failure", "bound-exceeded"}
+    # 309 site visits at this seed, 14 of them with a free input
+    assert calls["op_fused"] - calls["op_table"] > 200, calls
