@@ -124,10 +124,20 @@ def load_fplus_file(path: str) -> set:
         name = line.strip()
         if not name or name.startswith("#"):
             continue
-        if name not in REGISTRY:
-            raise UsageError(f"{path}: unknown operator {name!r}")
+        check_fplus_name(name, path)
         names.add(name)
     return names
+
+
+def check_fplus_name(name: str, where: str) -> None:
+    """Reject an F+ name that is not a string or float operator: an io
+    operator such as puts has no table that keeps its effect."""
+    op = REGISTRY.get(name)
+    if op is None:
+        raise UsageError(f"{where}: unknown operator {name!r}")
+    if op.klass not in ("string", "float"):
+        raise UsageError(f"{where}: {name!r} is an {op.klass} operator, "
+                         "not a string or float one")
 
 
 def default_f_plus(indexed_types) -> set:
@@ -166,8 +176,7 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
     else:
         f_plus = set(cfg.f_plus_names)
         for name in f_plus:
-            if name not in REGISTRY:
-                raise UsageError(f"unknown operator {name!r} in F+")
+            check_fplus_name(name, "F+")
 
     if cfg.seeds_file:
         seeds = load_seeds_file(cfg.seeds_file)  # prevents constant harvesting

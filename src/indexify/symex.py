@@ -217,18 +217,20 @@ class _Truncated(Exception):
 # instruction's destination, and each successor state resumes at the frame's
 # next instruction.
 #
-# A condition T(x, k...) ==/!= c lowers to op_table, op_table_step and
-# op_compare, then the statement's op_branch, op_loop or op_assert.  fuse()
-# turns that op_table into op_fused, a superoperator over the chain: it keeps
-# op_table's fields and adds a _Site and the statement's own instruction
-# twice, its condition the constant False in one copy and True in the other.
-# For a concrete or pinned x the site reads the cell lookup keeps for x's
-# index (BOT escapes), skips the chain and runs the copy the comparison's
-# truth picks, so op_branch, op_loop and op_assert alone mark the edge,
-# count the loop iteration or fail the assertion.  For a free x op_fused
-# calls op_table, so the row fork and its successors are the chain's, with
-# no instruction added; any other x also goes through op_table, which
-# escapes or errors as the chain does.
+# An if lowers to op_branch, and a while to op_branch, then op_iterate, which
+# counts the iteration its body starts.  A condition T(x, k...) ==/!= c
+# lowers to op_table, op_table_step and op_compare, then the statement's
+# op_branch or op_assert.  fuse() turns that op_table into op_fused, a
+# superoperator over the chain: it keeps op_table's fields and adds a _Site
+# and the statement's own instruction twice, its condition the constant False
+# in one copy and True in the other.  For a concrete or pinned x the site
+# reads the cell lookup keeps for x's index (BOT escapes), skips the chain and
+# runs the copy the comparison's truth picks, so op_branch and op_assert
+# alone mark the edge or fail the assertion, and a while's op_iterate runs
+# next as it does after the chain.  For a free x op_fused calls op_table, so
+# the row fork and its successors are the chain's, with no instruction added;
+# any other x also goes through op_table, which escapes or errors as the
+# chain does.
 
 
 _SYMBOLIC = (SymRef, Opaque, Unindexed)
@@ -317,7 +319,8 @@ class _Lowering:
         elif isinstance(s, While):
             head = len(self.code)
             cond, site = self.cond(s.cond)
-            at = self.emit(op.op_loop, cond, (path, True), (path, False), None, path)
+            at = self.emit(op.op_branch, cond, (path, True), (path, False), None)
+            self.emit(op.op_iterate, path)
             self.block(s.body, path + ("b",))
             self.emit(op.op_jump, head)
             self.patch(at, 4)
@@ -345,15 +348,13 @@ class _Lowering:
     def holds(self, e):
         """What e may evaluate to besides a Value: "finite" (a finite
         symbolic value) for an int or bool variable, "any" (a finite
-        symbolic, opaque or unindexed value) for another variable or a user
-        function's result, "unindexed" for unidx(), and None for every other
-        expression."""
+        symbolic, opaque or unindexed value) for another variable, a user
+        function's result or unidx(), and None for every other expression."""
         if isinstance(e, Var) and e.name in self.finite:
             return "finite"
-        if isinstance(e, Var) or (isinstance(e, Call) and e.name in self.codes):
+        if isinstance(e, Var) or (isinstance(e, Call) and (
+                e.name in self.codes or e.name == "unidx")):
             return "any"
-        if isinstance(e, Call) and e.name == "unidx":
-            return "unindexed"
         return None
 
     def cond(self, e):
@@ -431,8 +432,8 @@ class _Lowering:
                 t = self.temp()
                 self.emit(op.op_truth, t, v)
                 self.emit(op.op_not, dst, t)
-            else:
-                self.emit(op.op_neg, dst, v)
+            else:  # unary minus applies to an int only
+                self.emit(op.op_arith, dst, "-", mk_int(0), v)
         elif isinstance(e, BinOp):
             self.binop(e, dst)
         elif isinstance(e, Call):
@@ -445,9 +446,9 @@ class _Lowering:
         op = self.engine
         lv, rv = self.operands([e.left, e.right])
         if e.op in ("==", "!="):
-            if self.holds(e.left) in ("any", "unindexed"):
+            if self.holds(e.left) == "any":
                 lv = self.force(lv, _EQ_FORCED)
-            if self.holds(e.right) in ("any", "unindexed"):
+            if self.holds(e.right) == "any":
                 rv = self.force(rv, _EQ_FORCED)
             self.emit(op.op_compare, dst, e.op == "==", lv, rv)
         elif e.op in ("&&", "||"):
@@ -484,17 +485,13 @@ class _Lowering:
             self.emit(op.op_puts, dst, args[0])
         elif e.name not in REGISTRY:
             self.emit(op.op_error, f"call to unknown function {e.name!r}")
-        elif not any(map(self.holds, e.args)):
-            self.emit(op.op_builtin, dst, REGISTRY[e.name], args)
         else:
-            # indexed mode abandons at an opaque operand only, which lies
-            # outside the index algebra; a baseline applies its policy to
-            # every symbolic operand
-            held = tuple(self.temp() for _ in args)
-            self.emit(op.op_prepare, held, args,
-                      (Opaque,) if op.cfg.mode == MODE_INDEXED else _SYMBOLIC)
-            forced = tuple(self.force(t, _SYMBOLIC) for t in held)
-            self.emit(op.op_builtin, dst, REGISTRY[e.name], forced)
+            # op_builtin applies a baseline's policy to every symbolic
+            # operand; indexed mode forces each one first, and abandons at an
+            # opaque one, which lies outside the index algebra
+            if op.cfg.mode == MODE_INDEXED and any(map(self.holds, e.args)):
+                args = tuple(self.force(a, _SYMBOLIC) for a in args)
+            self.emit(op.op_builtin, dst, REGISTRY[e.name], args)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +635,7 @@ class Engine:
             covered_stmts |= st.stmts
             if verdict == VERDICT_ESCAPED:
                 escaped += 1
-            model = self.model(st, self.finite_vars(st)) if emit else None
+            model = self.model(st, ()) if emit else None
             if model is not None:  # None: the solver could not give one
                 trace = frozenset(st.branches)
                 test_cases.append(TestCase(
@@ -856,16 +853,11 @@ class Engine:
             st.branches.add(ins[3])
             fr.ip = ins[4]
 
-    def op_loop(self, st, fr, ins):  # (op, cond, edge_t, edge_e, exit_at, path)
-        if not self._taken(st, fr, ins[1]):
-            st.branches.add(ins[3])
-            fr.ip = ins[4]
-            return
-        st.branches.add(ins[2])
-        n = st.loop_counts.get(ins[5], 0) + 1
+    def op_iterate(self, st, fr, ins):  # (op, loop path): its body starts again
+        n = st.loop_counts.get(ins[1], 0) + 1
         if n > self.cfg.unroll:
             raise _Terminal(VERDICT_BOUND)
-        st.loop_counts[ins[5]] = n
+        st.loop_counts[ins[1]] = n
         self.check_budget()
 
     def op_assert(self, st, fr, ins):  # (op, cond)
@@ -886,13 +878,6 @@ class Engine:
     def op_not(self, st, fr, ins):  # (op, dst, bool)
         fr.store[ins[1]] = _BOOLS[not fr.store[ins[2]]]
 
-    def op_neg(self, st, fr, ins):  # (op, dst, operand)
-        v = _fetch(fr.store, ins[2])
-        if not isinstance(v, Value):
-            v, = self.intractable(st, (v,), _SYMBOLIC)
-        no_bot(v)
-        fr.store[ins[1]] = mk_int(-v.raw)
-
     def op_logic(self, st, fr, ins):  # (op, dst, is_and, bool, bool)
         lb, rb = fr.store[ins[3]], fr.store[ins[4]]
         fr.store[ins[1]] = _BOOLS[(lb and rb) if ins[2] else (lb or rb)]
@@ -906,12 +891,12 @@ class Engine:
         fr.store[ins[1]] = concrete_binop(ins[2], lv, rv)
 
     def op_force(self, st, fr, ins):  # (op, dst, operand, classes forced)
-        # A forced value is finite symbolic, unindexed, or an ==/!= operand
-        # with no finite domain, which intractable binds or abandons.  A
-        # builtin's operands are never opaque here, since op_prepare binds or
-        # abandons them, and the rewriter applies idx only to values of an
-        # indexed type, whose symbolic inputs are finite.  A finite value is
-        # forced by enumerating its feasible finite domain.
+        # A forced value is finite symbolic, unindexed, or has no finite
+        # domain: an ==/!= operand, which intractable binds or abandons, or
+        # an indexed-mode builtin's operand, which intractable abandons.  The
+        # rewriter applies idx only to values of an indexed type, whose
+        # symbolic inputs are finite.  A finite value is forced by
+        # enumerating its feasible finite domain.
         v = _fetch(fr.store, ins[2])
         if not isinstance(v, ins[3]):
             fr.store[ins[1]] = v
@@ -969,13 +954,8 @@ class Engine:
             no_bot(v)
         fr.store[ins[1]] = mk_int(0)
 
-    def op_prepare(self, st, fr, ins):  # (op, dsts, args, kinds the policy takes)
-        args = [_fetch(fr.store, a) for a in ins[2]]
-        for dst, v in zip(ins[1], self.intractable(st, args, ins[3])):
-            fr.store[dst] = v
-
-    def op_builtin(self, st, fr, ins):  # (op, dst, builtin, args: Values)
-        args = [_fetch(fr.store, a) for a in ins[3]]
+    def op_builtin(self, st, fr, ins):  # (op, dst, builtin, args)
+        args = self.intractable(st, [_fetch(fr.store, a) for a in ins[3]], _SYMBOLIC)
         no_bot(*args)
         fr.store[ins[1]] = ins[2].eval(*args)
 
@@ -1064,14 +1044,11 @@ class Engine:
 
     # -- reporting -----------------------------------------------------------------
 
-    def finite_vars(self, st):
-        return [v.var for v in st.symvars.values() if isinstance(v, SymRef)]
-
     def concrete_inputs(self, st, model) -> dict:
         out = {}
         for name, ref in st.symvars.items():
             if isinstance(ref, SymRef):
-                c = model.get(name, 0)
+                c = model.get(name, 0)  # 0 where the path condition never names it
                 values = self.input_values.get(id(ref))
                 if values is None:
                     values = self.input_values[id(ref)] = {}

@@ -6,7 +6,8 @@ import pytest
 
 from indexify import iot, symex
 from indexify.bench import corpus_path
-from indexify.cli import CliConfig, load_pipeline, main, run_mode, write_artifacts
+from indexify.cli import (CliConfig, UsageError, load_pipeline, main, run_mode,
+                          write_artifacts)
 from indexify.garden import load_gardens
 from indexify.lang.ast import FLOAT, STR, Value, mk_str
 from indexify.lang.interp import interpret
@@ -254,6 +255,9 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     if case == "fplus-unknown":
         bad.write_text("strstr\nnope\n")
         return [str(src), "--F+", str(bad)]
+    if case == "fplus-puts":  # i_puts would print nothing
+        bad.write_text("strcat\nputs\n")
+        return [str(src), "--F+", str(bad)]
     if case == "input-directory":
         return [str(tmp_path)]
     if case == "garden-directory":
@@ -274,7 +278,8 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     "garden-index", "garden-trailing-backslash", "garden-int", "garden-bool", "seed-hex-escape",
     "seed-float", "iot-row", "testcase-value", "testcase-string", "testcase-index",
     "testcase-type", "testcase-bot", "testcase-duplicate", "testcase-unknown-input",
-    "fplus-unknown", "input-directory", "garden-directory", "source-not-utf8", "source-hex-escape",
+    "fplus-unknown", "fplus-puts", "input-directory", "garden-directory", "source-not-utf8",
+    "source-hex-escape",
     "seed-variable", *NOT_UTF8, *DEEP_SOURCES,
     *BAD_SCALARS, *BAD_TABLES,
     *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
@@ -298,10 +303,22 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
         assert f"{tmp_path / 'bad' / '0001.tc'}: input 's1' has tag int" in err
     if case == "fplus-unknown":
         assert f"{tmp_path / 'bad'}: unknown operator 'nope'" in err
+    if case == "fplus-puts":
+        assert f"{tmp_path / 'bad'}: 'puts' is an io operator" in err
     if case == "garden-int":
         assert f"{tmp_path / 'bad'}: the garden holds int values" in err
     if case in DEEP_SOURCES:
         assert err == f"indexify: {tmp_path / 'bad'}: nested too deeply to analyse\n"
+
+
+def test_a_configured_f_plus_rejects_an_io_operator(tmp_path):
+    # F+ given as a config field is checked as an --F+ file is: i_puts would
+    # be a table call that prints nothing
+    src = tmp_path / "puts.mi"
+    src.write_text('int main() { str s; symbolic s; puts(s); return 0; }')
+    cfg = CliConfig(input_path=str(src), f_plus_names=("puts", "strcat"))
+    with pytest.raises(UsageError, match="F\\+: 'puts' is an io operator"):
+        load_pipeline(cfg)
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -17,7 +17,7 @@ from indexify.cli import (CliConfig, build_pipeline, explore_config, rewrite_pip
                           run_mode)
 from indexify.garden import load_gardens
 from indexify.iot import IndexedOperatorTable, memoise_all
-from indexify.lang.ast import BOT, STR, EscapedGarden, MiniImpError, Value
+from indexify.lang.ast import BOT, STR, EscapedGarden, MiniImpError, Value, While, walk_stmts
 from indexify.lang.interp import VERDICT_ASSERT
 from indexify.lang.parser import parse
 from indexify.solver import PathState, var_eq_const
@@ -72,15 +72,19 @@ def chain_outcome(engine, code, p, i):
     return fr.store[compare[1]].raw
 
 
-def _effect(run, store, ip, facts):
-    """What run(st, fr) does to a fresh state whose frame holds store and
-    has just been dispatched instruction ip: the branch edges it marks, its
-    loop counts and the next instruction, or its verdict when the path ends
-    there (BOT: it escapes)."""
+def _effect(engine, code, run, store, ip, facts):
+    """What run(st, fr), then a while's op_iterate when it runs next, does to
+    a fresh state whose frame holds store and has just been dispatched
+    instruction ip: the branch edges it marks, its loop counts and the next
+    instruction, or its verdict when the path ends there (BOT: it escapes)."""
     st = types.SimpleNamespace(branches=set(), loop_counts={}, facts=facts)
     fr = types.SimpleNamespace(store=store, ip=ip + 1)
     try:
         run(st, fr)
+        ins = code[fr.ip]
+        if ins[0] == engine.op_iterate:
+            fr.ip += 1
+            ins[0](st, fr, ins)
     except EscapedGarden:
         return BOT
     except _Terminal as t:
@@ -90,14 +94,14 @@ def _effect(run, store, ip, facts):
 
 def site_effect(engine, code, p, x, facts=None):
     """What fused site p does with x bound to the Value or SymRef x."""
-    return _effect(lambda st, fr: engine.op_fused(st, fr, code[p]),
+    return _effect(engine, code, lambda st, fr: engine.op_fused(st, fr, code[p]),
                    {code[p][5].var: x}, p, facts)
 
 
 def chain_effect(engine, code, p, i):
     """What the unfused chain after fused site p does for x = i: the cell
     lookup keeps, then op_table_step, op_compare and the statement's own
-    instruction, dispatched as Engine.run does."""
+    instruction, dispatched as Engine.run does, then a while's op_iterate."""
     site, parts = code[p][5], code[p + 1][3]
 
     def run(st, fr):
@@ -105,7 +109,8 @@ def chain_effect(engine, code, p, i):
             ins = code[fr.ip]
             fr.ip += 1
             ins[0](st, fr, ins)
-    return _effect(run, {parts: site.table.lookup(site.head + (i,) + site.tail)}, p, None)
+    return _effect(engine, code, run,
+                   {parts: site.table.lookup(site.head + (i,) + site.tail)}, p, None)
 
 
 @pytest.mark.parametrize("bot_propagate", [False, True])
@@ -121,7 +126,7 @@ def test_fused_partitions_agree_with_lookup_and_compare(bot_propagate):
         ["strcmp", "strlen", "strstr", "strstr", "strncmp"]
     engine.explore()  # sets the budgets a loop iteration checks
     ref = engine.symbolic_ref("main", "x")
-    seen = set()
+    seen, iterations = set(), 0
     for code, p in sites:
         site, stmt = code[p][5], code[p + _CHAIN]
         for i in range(len(gardens[STR])):
@@ -135,9 +140,14 @@ def test_fused_partitions_agree_with_lookup_and_compare(bot_propagate):
                 assert chain == (VERDICT_ASSERT if not truth else (set(), {}, p + _CHAIN + 1))
             else:
                 assert chain[0] == {stmt[2] if truth else stmt[3]}, (site.table, i)
+                after = code[p + _CHAIN + 1]
+                if after[0] == engine.op_iterate:  # the while counts its iteration
+                    assert chain[1] == ({after[1]: 1} if truth else {}), (site.table, i)
+                    iterations += bool(truth)
             seen.add((site.table.result_indexed, truth))
     # true, false and BOT cells of raw- and indexed-result tables alike
     assert seen == {(r, out) for r in (False, True) for out in (True, False, BOT)}
+    assert iterations > 0
 
 
 def test_exploration_fills_only_the_entries_it_reads(monkeypatch):
@@ -390,22 +400,32 @@ def test_a_fused_site_reads_an_uninitialised_variable_as_the_chain_does():
 
 
 def _conditions(engine):
-    """The condition field of every op_branch, op_loop and op_assert the
-    engine lowered, and of both copies of the statement at each fused
-    site, with the number of fused sites."""
-    stmts = (engine.op_branch, engine.op_loop, engine.op_assert)
-    conds, sites = [], 0
+    """The condition field of every op_branch and op_assert the engine
+    lowered, and of both copies of the statement at each fused site, with
+    the number of fused sites and of whiles.  On the way it checks that an
+    op_branch is followed by op_iterate with the statement's path exactly
+    when the statement is a while, and that each while has one op_iterate."""
+    stmts = (engine.op_branch, engine.op_assert)
+    whiles = {path for f in engine.program.functions
+              for path, s in walk_stmts(f.body, (f.name,)) if isinstance(s, While)}
+    conds, sites, iterated = [], 0, []
     for code in engine.codes.values():
-        for ins in code:
+        for p, ins in enumerate(code):
             if ins[0] == engine.op_fused:
                 sites += 1
-                assert ins[6][0] == ins[7][0] in stmts
+                assert ins[6][0] == ins[7][0] == code[p + _CHAIN][0] in stmts
                 assert (ins[6][1], ins[7][1]) == (False, True)
-                assert ins[6][2:] == ins[7][2:]
+                assert ins[6][2:] == ins[7][2:] == code[p + _CHAIN][2:]
                 conds += [ins[6][1], ins[7][1]]
             elif ins[0] in stmts:
                 conds.append(ins[1])
-    return conds, sites
+            if ins[0] == engine.op_branch:
+                path = ins[2][0]
+                assert (code[p + 1] == (engine.op_iterate, path)) == (path in whiles)
+            elif ins[0] == engine.op_iterate:
+                iterated.append(ins[1])
+    assert len(iterated) == len(whiles) and set(iterated) == whiles
+    return conds, sites, len(whiles)
 
 
 def test_a_statement_condition_is_a_temporary_or_a_constant():
@@ -425,10 +445,11 @@ def test_a_statement_condition_is_a_temporary_or_a_constant():
                         k=1, maxlen=3)
         pipe = rewrite_pipeline(build_pipeline(parse(FusedShapes(rng).program()), cfg), cfg)
         engines.append(Engine(pipe.indexed.program, explore_config(cfg, pipe, MODE_INDEXED)))
-    kinds, sites = set(), 0
+    kinds, sites, whiles = set(), 0, 0
     for engine in engines:
-        conds, n = _conditions(engine)
+        conds, n, loops = _conditions(engine)
         kinds |= {c.__class__ for c in conds}
         sites += n
+        whiles += loops
     assert kinds <= {int, Value, bool}
-    assert int in kinds and bool in kinds and sites > 40
+    assert int in kinds and bool in kinds and sites > 40 and whiles > 20

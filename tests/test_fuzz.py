@@ -15,7 +15,8 @@ from indexify.lang.parser import parse
 from indexify.lang.printer import print_program
 from indexify.lang.typecheck import typecheck
 from indexify.rewrite import RewriteConfig, confluence_probe, emit_indexed_source, normalize
-from indexify.symex import Engine, ExploreConfig, explore
+from indexify.symex import (MODE_ABANDON, MODE_CONCRETIZE, Engine, ExploreConfig, explore,
+                            explore_baseline, replay)
 
 STR_CONSTS = ['"a"', '"b"', '"ab"', '"ba"', '""']
 INT_CONSTS = ["0", "1", "2", "3"]
@@ -414,3 +415,26 @@ def test_exploration_is_complete_on_random_fused_sites(monkeypatch):
     assert verdicts == {"ok", "escaped-garden", "assertion-failure", "bound-exceeded"}
     # 309 site visits at this seed, 14 of them with a free input
     assert calls["op_fused"] - calls["op_table"] > 200, calls
+
+
+def test_baselines_replay_on_random_programs():
+    # both baselines run the original program, where `sym` has no finite
+    # domain: abandon ends a path where an operator reads a symbolic value,
+    # and concretize binds it there, `sym` to "" and `num` to a model value.
+    # Every test case replays on the original program with its verdict and
+    # branch trace, and every other path was abandoned
+    rng = random.Random(7)
+    cases = abandoned = 0
+    for trial in range(120):
+        src = ProgramGen(rng, extended=True).program()
+        program = typecheck(parse(src))
+        for mode in (MODE_ABANDON, MODE_CONCRETIZE):
+            rep = explore_baseline(program, ExploreConfig(
+                mode=mode, unroll=ORACLE_UNROLL, int_domain=ORACLE_INT_DOMAIN))
+            assert not rep.truncated and rep.solver_unknowns == 0, src
+            assert rep.paths == len(rep.test_cases) + rep.escaped_paths, src
+            for tc in rep.test_cases:
+                assert replay(program, tc, unroll=ORACLE_UNROLL).ok, (src, mode, tc)
+            cases += len(rep.test_cases)
+            abandoned += rep.escaped_paths
+    assert cases > 150 and abandoned > 100  # 171 and 113 at this seed

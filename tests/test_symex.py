@@ -20,7 +20,7 @@ from indexify.garden import (
     load_gardens,
 )
 from indexify.iot import REGISTRY, IndexedOperatorTable, memoise_all
-from indexify.lang.ast import BOT, STR, mk_str
+from indexify.lang.ast import BOT, FLOAT, STR, mk_str
 from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.printer import print_program
@@ -418,6 +418,28 @@ def test_opaque_truth_and_symbolic_negation(mode, use):
     for tc in rep.test_cases:
         assert (tc.inputs["s"].raw, tc.inputs["f"].raw, tc.verdict) == (b"", 0.0, "ok")
         assert replay(p, tc).ok
+
+
+def test_every_builtin_takes_its_str_or_float_parameters_first():
+    # indexed mode forces a builtin's operands left to right and abandons at
+    # an opaque (str or float) one.  With no such parameter after one of
+    # another type, no operand forks before an opaque one ends the path
+    for name, op in REGISTRY.items():
+        types = op.signature.arg_types
+        late = [t for i, t in enumerate(types)
+                if t in (STR, FLOAT) and any(u != t for u in types[:i])]
+        assert name == "puts" or not late, name
+
+
+def test_an_opaque_builtin_operand_abandons_before_a_finite_one_forks():
+    # --type float leaves s opaque: substr abandons at s before the symbolic
+    # int n, its next operand, forks or asks the solver
+    src = ("int main() { str s; symbolic s; int n; symbolic n; "
+           "str t = substr(s, n, 1); return strlen(t); }")
+    cfg = CliConfig(input_path="t.mi", indexed_types=(FLOAT,))
+    rep = run_mode(cfg, rewrite_pipeline(build_pipeline(parse(src), cfg), cfg), MODE_INDEXED)
+    assert (rep.paths, rep.states, rep.escaped_paths, rep.solver_queries) == (1, 1, 1, 0)
+    assert rep.test_cases == ()
 
 
 def test_symbolic_scoping_is_function_local():
