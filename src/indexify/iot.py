@@ -5,9 +5,11 @@ analogues) that serve as the oracle everywhere else.  memoise() makes an
 IndexedOperatorTable: over the type-valid argument tuples of the gardens, it
 maps index tuples to either result indices (when the return type is indexed)
 or the operator's int results (when it is not, like strncmp's comparison
-result).  A table computes each cell on its first lookup; tables.iot, rows
-and the emitted IR read every cell through cells(), which computes the
-whole table once and keeps it.  Builtins take and return raw payloads
+result).  A table's lookup computes the cell it is asked for and keeps
+nothing; tables.iot, rows and the emitted IR read every cell through
+cells(), which computes the whole table once and keeps it, the table's one
+store.  A table read from a tables.iot file keeps the file's rows instead,
+and answers its lookups from them.  Builtins take and return raw payloads
 (bytes, int, float): a table turns a raw result straight into its cell, and
 BuiltinOp.eval alone wraps a result as a Value, for the interpreter and the
 explorer.  A builtin may prepare an argument before its fn runs (strcmp
@@ -214,13 +216,6 @@ REGISTRY: dict[str, BuiltinOp] = {
 }
 
 
-def eval_builtin(name: str, args) -> Value:
-    op = REGISTRY.get(name)
-    if op is None:
-        raise IotError(f"unknown builtin {name!r}")
-    return op.eval(*args)
-
-
 def class_for_type(tag: TypeTag) -> str:
     if tag is STR:
         return "string"
@@ -241,9 +236,6 @@ class GardenDim:
     def domain(self):
         return range(len(self.imap))
 
-    def value_for(self, key) -> Value:
-        return self.imap.value_at(key)
-
     def column(self) -> dict:
         """Each key of the domain, in order, mapped to its raw argument."""
         return {i: v.raw for i, v in enumerate(self.imap.values())}
@@ -256,28 +248,24 @@ class IntPoolDim:
     def domain(self):
         return self.pool
 
-    def value_for(self, key) -> Value:
-        return Value(INT, key)
-
     def column(self) -> dict:
         return {k: k for k in self.pool}
 
 
-_MISS = object()  # a cache probe's default: the key has no cell yet
-
-
 class IndexedOperatorTable:
-    """One operator over the gardens, memoised cell by cell on demand.
+    """One operator over the gardens, computed cell by cell on demand.
 
     Key components are garden indices for indexed argument positions and
     raw ints for int positions.  A cell is a result-garden index (indexed
     results), the operator's int result (raw results), or BOT.  lookup
-    computes a key's cell on its first call and caches it.  Lookup of
+    computes a key's cell on every call and keeps nothing.  Lookup of
     anything outside the dimension domains is BOT, the catch-all row, and
     computes nothing.  rows is the complete table: exactly the tuples over
     the domains, in ascending (itertools.product) order, a fresh dict from
     the kept cells() on each access.  The gardens must not grow once the
-    table exists: its cells are computed against them, and kept.
+    table exists: its cells are computed against them, and kept.  A table
+    that parse_iot loaded keeps the file's rows as cells() from the start,
+    and its lookups read them: the file, not op.fn, is its table.
 
     A looked-up cell costs one call of op.fn on prepared column values:
     each column maps a key component to its argument, prepared once when
@@ -305,11 +293,17 @@ class IndexedOperatorTable:
         # per dimension, key component -> prepared argument: the domain
         # check and the argument of a cell in one probe
         self._columns = [d.column() for d in dims]
-        for column, prepare in zip(self._columns, op.prepare or ()):
-            if prepare is not None:
-                column.update(zip(column, map(prepare, column.values())))
-        self._cells = {} if cells is None else cells  # key -> cell, as computed
-        self._whole = None  # cells(), once a whole read has made it
+        self._whole = cells  # cells(): the file's rows, or made by a whole read
+        if cells is None:
+            for column, prepare in zip(self._columns, op.prepare or ()):
+                if prepare is not None:
+                    column.update(zip(column, map(prepare, column.values())))
+        else:  # a component's argument is its offset in the file's rows
+            stride = 1
+            for column in reversed(self._columns):
+                column.update(zip(column, range(0, stride * len(column), stride)))
+                stride *= len(column)
+            self._fn, self._cell_of = (lambda *offsets: cells[sum(offsets)]), None
         self._values = {}  # cell -> its Value, for cell_value
 
     @property
@@ -334,11 +328,9 @@ class IndexedOperatorTable:
         return self.cells().count(BOT)
 
     def lookup(self, key: tuple):
-        """Return the cell for key: an index, an int, or BOT."""
-        cells = self._cells
-        cell = cells.get(key, _MISS)
-        if cell is not _MISS:
-            return cell
+        """Return the cell for key: an index, an int, or BOT, computed on
+        every call (read from the file's rows for a loaded table) and not
+        kept."""
         columns = self._columns
         if len(key) != len(columns):
             return BOT
@@ -348,27 +340,22 @@ class IndexedOperatorTable:
         try:
             out = self._fn(*args)
         except Exception:
-            cell = BOT
-        else:
-            cell = out if self._cell_of is None else self._cell_of(out)
-        cells[key] = cell
-        return cell
+            return BOT
+        return out if self._cell_of is None else self._cell_of(out)
 
     def cells(self) -> list:
         """Every cell, in product order of the domains, computed on the first
         call and kept: later calls return the same list, not to be changed.
 
-        A fully cached table (loaded by parse_iot, or every cell looked up)
-        reads its cache.  Otherwise one kernel call fills it, or without a
-        kernel one map of op.fn over the argument product, where a call
-        that raises gives BOT and the cells after it still follow.
+        A loaded table returns the file's rows.  Otherwise one kernel call
+        fills the list, or without a kernel one map of op.fn over the
+        argument product, where a call that raises gives BOT and the cells
+        after it still follow.
         """
         if self._whole is not None:
             return self._whole
         columns = self._columns
-        if len(self._cells) == self.size:
-            cells = [*map(self._cells.__getitem__, product(*columns))]
-        elif self._tabulate is not None:
+        if self._tabulate is not None:
             outs = self._tabulate(*(list(c.values()) for c in columns))
             cells = outs if self._cells_of is None else [*self._cells_of(outs)]
         else:
@@ -401,9 +388,6 @@ class IndexedOperatorTable:
             return Value(self.cell_tag, BOT)
         value = self._values[cell] = Value(self.cell_tag, cell)
         return value
-
-    def lookup_value(self, key: tuple, bot_propagate: bool = False) -> Value:
-        return self.cell_value(self.lookup(key), bot_propagate)
 
     def indexed_signature(self) -> OperatorSignature:
         args = tuple(index_of(t) if isinstance(d, GardenDim) else t
@@ -454,8 +438,9 @@ def _result_for(signature: OperatorSignature, gardens):
 def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
             int_pool=()) -> IndexedOperatorTable:
     """The table of op over the gardens (plus the int pool).  No cell is
-    computed here: lookup computes each on first use, and cells() the rest.
-    Only op's preparations run here, once per column value.
+    computed here: lookup computes the cell it is asked for, each time, and
+    the first whole read computes every cell once.  Only op's preparations
+    run here, once per column value.
 
     Rows are in itertools.product order of the dimension domains (last
     position fastest); tables.iot and the emitted IR depend on it.  Each
@@ -572,11 +557,12 @@ def parse_iot(text: str, gardens: dict[TypeTag, IndexMap]) -> IndexedOperatorTab
             raise IotError(f"{name}: index {cell} in {ln!r} is outside the "
                            f"result garden of size {size}")
         read[tuple(_decimal(x, ln) for x in left.split())] = cell
-    domain = set(product(*(d.domain() for d in dims)))
-    if len(read) != len(body) or read.keys() != domain:
-        raise IotError(f"{name}: table rows are not the {len(domain)} "
+    keys = [*product(*(d.domain() for d in dims))]
+    if len(read) != len(body) or read.keys() != set(keys):
+        raise IotError(f"{name}: table rows are not the {len(keys)} "
                        f"argument tuples of its domains")
-    return IndexedOperatorTable(op, dims, result, garden_hash=file_hash, cells=read)
+    return IndexedOperatorTable(op, dims, result, garden_hash=file_hash,
+                                cells=[*map(read.__getitem__, keys)])
 
 
 def parse_tables(text: str,

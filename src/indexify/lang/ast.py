@@ -189,6 +189,18 @@ class BinOp(Expr):
     right: Expr
 
 
+# Each binary operator's precedence level: a higher level binds more tightly,
+# and the operators of one level associate to the left.  The parser and the
+# printer both read it.
+PRECEDENCE = {
+    "||": 1, "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+
+
 @dataclass(eq=True)
 class UnOp(Expr):
     op: str

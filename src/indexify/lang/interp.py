@@ -257,7 +257,7 @@ class Interpreter:
             if v.raw is BOT and not self.bot_propagate:
                 raise EscapedGarden()
             key.append(v.raw)
-        return table.lookup_value(tuple(key), self.bot_propagate)
+        return table.cell_value(table.lookup(tuple(key)), self.bot_propagate)
 
 
 def _c_div(a: int, b: int) -> int:

@@ -12,6 +12,7 @@ from .ast import (
     BOOL,
     FLOAT,
     INT,
+    PRECEDENCE,
     SCALARS,
     STR,
     Assert,
@@ -264,23 +265,14 @@ class Parser:
         self.expect(";")
         return ExprStmt(expr)
 
-    _BINOPS = [  # precedence levels, loosest first
-        ("||",),
-        ("&&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    def expression(self, level: int = 0) -> Expr:
-        if level == len(self._BINOPS):
-            return self.unary()
-        left = self.expression(level + 1)
-        while self.cur.kind == "op" and self.cur.text in self._BINOPS[level]:
+    def expression(self, floor: int = 1) -> Expr:
+        """Precedence climbing: a unary, then each binary operator that
+        binds at least as tightly as floor, its right operand parsed one
+        level tighter than the operator."""
+        left = self.unary()
+        while PRECEDENCE.get(self.cur.text, 0) >= floor:
             op = self.bump().text
-            right = self.expression(level + 1)
-            left = BinOp(op, left, right)
+            left = BinOp(op, left, self.expression(PRECEDENCE[op] + 1))
         return left
 
     def unary(self) -> Expr:

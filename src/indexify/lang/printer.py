@@ -8,6 +8,7 @@ from .ast import (
     BOOL,
     FLOAT,
     INT,
+    PRECEDENCE,
     STR,
     Assert,
     Assign,
@@ -30,14 +31,7 @@ from .ast import (
     While,
 )
 
-_PREC = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
-_UNARY_PREC = 7
+_UNARY_PREC = max(PRECEDENCE.values()) + 1  # tighter than every binary operator
 
 
 _NAMED_ESCAPES = {0x09: "\\t", 0x0A: "\\n", 0x5C: "\\\\"}
@@ -96,7 +90,7 @@ def print_expr(e: Expr, prec: int = 0) -> str:
         s = f"{e.op}{print_expr(e.operand, _UNARY_PREC + 1)}"
         return f"({s})" if prec > _UNARY_PREC else s
     if isinstance(e, BinOp):
-        p = _PREC[e.op]
+        p = PRECEDENCE[e.op]
         s = f"{print_expr(e.left, p)} {e.op} {print_expr(e.right, p + 1)}"
         return f"({s})" if prec > p else s
     raise TypeError(f"unprintable node {e!r}")

@@ -28,17 +28,17 @@ feasible one, and a copy per other feasible option, which resumes at the next
 instruction, goes on the stack.  Each node of the decision tree therefore runs
 once.  An if, while or assert whose condition is T(x, k...) ==/!= c (T an
 indexed table, x its only variable argument, at a garden dimension, and the
-rest literals) is one fused site: for a concrete or pinned x it reads the
-cell table.lookup computes once and keeps for x's index, escapes on BOT, and
-runs the statement's own instruction with the comparison's truth as its
-condition.  A free x forks on the rows as any indexed call does, and its
-successors run the unfused chain.  The wallclock and state budgets are
-checked at every decision and loop back-edge.  Every solver variable ranges
-over [0, size), and every constant is a garden index or an int (a bool is 0
-or 1); BOT never enters a path condition.  A state's path condition is its
-solver.PathState and nothing else: a persistent object (extending one returns
-a new one, so state copies share it) that decides every check and gives every
-model, so a check costs the atoms it adds and the classes that var-var
+rest literals) is one fused site: for a concrete or pinned x it computes
+the cell of x's index with table.lookup, escapes on BOT, and runs the
+statement's own instruction with the comparison's truth as its condition.
+A free x forks on the rows as any indexed call does, and its successors run
+the unfused chain.  The wallclock and state budgets are checked at every
+decision and loop back-edge.  Every solver variable ranges over [0, size),
+and every constant is a garden index or an int (a bool is 0 or 1); BOT never
+enters a path condition.  A state's path condition is its solver.PathState
+and nothing else: a persistent object (extending one returns a new one, so
+state copies share it) that decides every check and gives every model, so a
+check costs the atoms it adds and the classes that var-var
 disequalities join.  Every queued option was satisfiable when checked, so
 emitted test cases replay on the concrete interpreter by construction; an
 option the solver cannot decide is dropped and counted, and the run goes on.
@@ -146,6 +146,10 @@ class ExploreConfig:
     bot_propagate: bool = False
     int_domain: int = 256  # symbolic non-indexed ints range over [0, this)
 
+    def __post_init__(self):
+        if self.int_domain < 1:  # an empty domain has no value to give an input
+            raise SymexError(f"int_domain must be at least 1, not {self.int_domain}")
+
 
 @dataclass(frozen=True)
 class TestCase:
@@ -224,7 +228,7 @@ class _Truncated(Exception):
 # superoperator over the chain: it keeps op_table's fields and adds a _Site
 # and the statement's own instruction twice, its condition the constant False
 # in one copy and True in the other.  For a concrete or pinned x the site
-# reads the cell lookup keeps for x's index (BOT escapes), skips the chain and
+# computes the cell of x's index with lookup (BOT escapes), skips the chain and
 # runs the copy the comparison's truth picks, so op_branch and op_assert
 # alone mark the edge or fail the assertion, and a while's op_iterate runs
 # next as it does after the chain.  For a free x op_fused calls op_table, so
@@ -1009,11 +1013,11 @@ class Engine:
     # then True.  op_table_step, op_compare and that instruction follow it.
 
     def op_fused(self, st, fr, ins):  # (op, op_table's, site, if false, if true)
-        """For a concrete or pinned x, read its cell, skip the chain and run
-        the statement's instruction for the comparison's truth.  A free x
-        goes through op_table, which forks on the rows, and so does any
-        other x, escapes and errors included; the chain after the site then
-        runs."""
+        """For a concrete or pinned x, compute its cell with lookup, skip
+        the chain and run the statement's instruction for the comparison's
+        truth.  A free x goes through op_table, which forks on the rows, and
+        so does any other x, escapes and errors included; the chain after
+        the site then runs."""
         site = ins[5]
         x = fr.store.get(site.var)
         if x.__class__ is SymRef:

@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 
 from indexify.garden import load_gardens
-from indexify.iot import BuiltinOp, memoise_all
+from indexify.iot import REGISTRY, BuiltinOp, GardenDim, memoise_all
+from indexify.lang.ast import Value, mk_int
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
 
@@ -42,6 +43,17 @@ def fig4a_program():
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def eval_builtin(name: str, args) -> Value:
+    """The registry's builtin name applied to Values."""
+    return REGISTRY[name].eval(*args)
+
+
+def value_for(dim, key) -> Value:
+    """The Value a table dimension's key component stands for: a garden
+    index's value, or the int of a pool dimension."""
+    return dim.imap.value_at(key) if isinstance(dim, GardenDim) else mk_int(key)
 
 
 KERNEL = "kernel"  # what a recording op appends for a whole-table kernel call

@@ -18,7 +18,7 @@ from indexify.garden import (
     build_garden,
     load_gardens,
 )
-from indexify.iot import REGISTRY, eval_builtin, memoise, memoise_all
+from indexify.iot import REGISTRY, memoise, memoise_all
 from indexify.lang.ast import (
     BOOL,
     BOT,
@@ -47,7 +47,7 @@ from indexify.symex import (
     replay,
 )
 
-from conftest import FIG4A_SOURCE, FIG5_GARDEN_TEXT
+from conftest import FIG4A_SOURCE, FIG5_GARDEN_TEXT, eval_builtin, value_for
 from test_solver import brute_force, random_pc
 
 
@@ -110,7 +110,7 @@ def test_criterion_2_memoization_oracle():
         for name in rng.sample(ops, 2):
             table = memoise(gardens, REGISTRY[name], int_pool=(0, 1, 4))
             for key, cell in table.rows.items():
-                args = [d.value_for(k) for d, k in zip(table.dims, key)]
+                args = [value_for(d, k) for d, k in zip(table.dims, key)]
                 out = eval_builtin(name, args)
                 if table.result_indexed:
                     want = index_of_value.get(value_key(out), BOT)

@@ -148,7 +148,7 @@ BAD_TABLES = {
 # valid programs nested deeper than the parser, type checker or lowering
 # can recurse
 DEEP_SOURCES = {
-    "source-deep-parens": "int main(){ int x = " + "(" * 120 + "1" + ")" * 120
+    "source-deep-parens": "int main(){ int x = " + "(" * 1000 + "1" + ")" * 1000
                           + "; return x; }\n",
     "source-deep-plus": "int main(){ int x = " + " + ".join(["1"] * 500) + "; return x; }\n",
     "source-deep-ifs": "int main(){ int x = 0; " + "if (x == 0) { " * 600 + "x = 1; "
@@ -363,7 +363,7 @@ def test_indexed_ir_and_tables_read_each_table_whole_once(tmp_path, monkeypatch)
     # tables.iot and the emitted IR read each table's kept cells(), so
     # writing both reads each table whole once: by one call of strncmp's
     # whole-table kernel, and by one fn call per cell of strcat and strlen,
-    # which have none, after the cells exploration's lookups cached
+    # which have none, after the fn calls of exploration's lookups
     src = tmp_path / "cmp.mi"
     src.write_text('int main(){ str s; symbolic s; str t = strcat(s, "b"); '
                    'if (strncmp(t, "ab", 2) == 0) { return strlen(s); } return 0; }')
@@ -375,13 +375,13 @@ def test_indexed_ir_and_tables_read_each_table_whole_once(tmp_path, monkeypatch)
     pipe = load_pipeline(cfg)
     del calls["strcat"][:]  # the garden's growth called strcat as a builder
     reports = {MODE_INDEXED: run_mode(cfg, pipe, MODE_INDEXED)}
-    cached = {name: len(c) for name, c in calls.items()}  # one per cell a lookup cached
-    assert all(0 < cached[name] < pipe.tables["i_" + name].size for name in calls)
+    looked_up = {name: len(c) for name, c in calls.items()}  # one per lookup
+    assert all(0 < looked_up[name] < pipe.tables["i_" + name].size for name in calls)
     assert KERNEL not in calls["strncmp"]
     write_artifacts(cfg, pipe, reports)
-    assert calls["strncmp"][cached["strncmp"]:] == [KERNEL]
+    assert calls["strncmp"][looked_up["strncmp"]:] == [KERNEL]
     for name in ("strcat", "strlen"):
-        assert len(calls[name]) == cached[name] + pipe.tables["i_" + name].size
+        assert len(calls[name]) == looked_up[name] + pipe.tables["i_" + name].size
     made = {name: len(c) for name, c in calls.items()}
     # the files are what each writer makes on its own, from the kept cells
     assert open(tmp_path / "art" / "tables.iot").read() == iot.serialize_tables(pipe.tables)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -18,7 +19,6 @@ from indexify.iot import (
     REGISTRY,
     BuiltinOp,
     IotError,
-    eval_builtin,
     memoise,
     memoise_all,
     parse_iot,
@@ -36,7 +36,7 @@ from indexify.lang.ast import (
     value_key,
 )
 
-from conftest import KERNEL, recording
+from conftest import KERNEL, eval_builtin, recording, value_for
 
 
 def s(x):
@@ -97,9 +97,7 @@ def test_float_semantics():
 
 def test_builtin_tag_validation():
     with pytest.raises(IotError):
-        eval_builtin("strcat", [s(b"a"), mk_int(1)])
-    with pytest.raises(IotError):
-        eval_builtin("nosuch", [])
+        REGISTRY["strcat"].eval(s(b"a"), mk_int(1))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +160,8 @@ def test_lookup_bot_absorption(fig5_gardens, fig5_strstr):
     assert fig5_strstr.lookup((0, 2)) == 2
     assert fig5_strstr.lookup((BOT, 2)) is BOT
     assert fig5_strstr.lookup((99, 0)) is BOT
-    assert fig5_strstr.lookup_value((3, 2)).raw is BOT  # strstr("oo","bar") misses
+    miss = fig5_strstr.lookup((3, 2))  # strstr("oo","bar") misses
+    assert fig5_strstr.cell_value(miss).raw is BOT
     strncmp = memoise(fig5_gardens, REGISTRY["strncmp"], int_pool=(2,))
     assert strncmp.lookup((0, 0, 2)) == 0
     assert strncmp.lookup((0, 0, 99)) is BOT  # an int outside the pool
@@ -228,7 +227,7 @@ def _eval_cell(table, key):
     """A key's cell by way of BuiltinOp.eval on Values."""
     op = REGISTRY[table.op_name]
     try:
-        out = op.eval(*(d.value_for(k) for d, k in zip(table.dims, key)))
+        out = op.eval(*(value_for(d, k) for d, k in zip(table.dims, key)))
     except Exception:
         return BOT
     return table.result.index_or_bot(out) if table.result_indexed else out.raw
@@ -292,7 +291,7 @@ def test_builtins_return_raw_payloads_of_their_result_type():
     want = {STR: bytes, INT: int, FLOAT: float}
     for name, op in REGISTRY.items():
         dims = memoise(gardens, op, pool).dims
-        values = product(*([d.value_for(k) for k in d.domain()] for d in dims))
+        values = product(*([value_for(d, k) for k in d.domain()] for d in dims))
         for args in values:
             out = op.eval(*args)
             assert out.tag is op.signature.return_type
@@ -302,7 +301,7 @@ def test_builtins_return_raw_payloads_of_their_result_type():
 
 def test_a_raising_operator_gives_bot_on_every_path():
     # cells whose call raises, alone and in runs, first and last in a row,
-    # next to cached cells: each is BOT and no other cell moves
+    # read whole and looked up: each is BOT and no other cell moves
     gardens = _ab_garden()
     g, strcat = gardens[STR], REGISTRY["strcat"]
 
@@ -343,10 +342,11 @@ def test_raw_result_tables_keep_bot_distinct():
 
 
 def test_only_looked_up_cells_are_computed():
-    # lookups compute only the cells they read.  The first whole read
-    # computes the complete table and keeps it: one kernel call with
-    # strncmp's whole-table kernel, one fn call per cell without it.  Later
-    # whole reads compute nothing
+    # each lookup computes the cell it reads with one fn call, a repeated
+    # key included, and keeps nothing.  The first whole read computes the
+    # complete table, whatever was looked up before it, and keeps it: one
+    # kernel call with strncmp's whole-table kernel, one fn call per cell
+    # without it.  Later whole reads compute nothing
     gardens = _ab_garden()
     eager = memoise(gardens, REGISTRY["strncmp"], int_pool=(1, 4))
     for kernel in (False, True):
@@ -356,12 +356,12 @@ def test_only_looked_up_cells_are_computed():
         assert calls == []  # the table computes no cell up front
         keys = [(0, 1, 4), (3, 2, 1), (6, 6, 4), (3, 2, 1), (0, 1, 4)]
         cells = [t.lookup(k) for k in keys]
-        assert len(calls) == 3  # one call per distinct key, none for a repeat
+        assert len(calls) == len(keys)  # one call per lookup, a repeat included
         assert cells[1] == cells[3] and cells[0] == cells[4]
         assert len(eager.rows) == t.size == 7 * 7 * 2  # every cell, before any lookup
         text = serialize_iot(t)  # the first whole read
         read_whole = 1 if kernel else t.size  # its calls
-        assert len(calls) == 3 + read_whole
+        assert len(calls) == len(keys) + read_whole
         assert calls.count(KERNEL) == (1 if kernel else 0)
         assert text == serialize_iot(eager)
         assert serialize_iot(parse_iot(text, gardens)) == text
@@ -370,16 +370,35 @@ def test_only_looked_up_cells_are_computed():
         assert list(t.rows) == list(eager.rows)  # in product order
         assert t.bot_rows == eager.bot_rows
         assert serialize_iot(t) == text and t.cells() is t.cells()
-        assert len(calls) == 3 + read_whole  # every read after the first: no call
-        t.lookup((5, 5, 1))  # lookup keeps its own cache: one fn call
+        assert len(calls) == len(keys) + read_whole  # every read after the first: no call
+        assert [t.lookup(k) for k in keys] == cells  # after a whole read, one call each
         len(t.rows)
-        assert len(calls) == 4 + read_whole
+        assert len(calls) == 2 * len(keys) + read_whole
+
+
+def test_lookups_retain_nothing():
+    # 40,000 distinct lookups of a strcmp table over 200 strings: the table
+    # keeps none of the cells they compute
+    garden = IndexMap(STR)
+    for i in range(200):
+        garden.admit(s(b"%03d" % i))
+    t = memoise({STR: garden}, REGISTRY["strcmp"])
+    keys = [*product(range(200), repeat=2)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for key in keys:
+            t.lookup(key)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 @pytest.mark.parametrize("name, pool", [("strncmp", (1, 4)), ("strcat", ())])
 def test_a_loaded_table_read_whole_computes_nothing(name, pool, monkeypatch):
-    # a table read by parse_iot has every cell cached: reading it whole
-    # reads the cache, with no fn or kernel call
+    # a table read by parse_iot keeps the file's rows: reading it whole
+    # reads them, with no fn or kernel call
     gardens = _ab_garden()
     text = serialize_iot(memoise(gardens, REGISTRY[name], int_pool=pool))
     calls = []
@@ -391,13 +410,38 @@ def test_a_loaded_table_read_whole_computes_nothing(name, pool, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("cached", [False, True])
-def test_keys_outside_the_domains_are_bot_and_compute_nothing(cached):
+@pytest.mark.parametrize("name, pool", [("strncmp", (1, 4)), ("strcat", ())])
+def test_a_loaded_table_answers_from_its_file(name, pool, monkeypatch):
+    # one in-domain cell of the file is edited by hand: the loaded table's
+    # lookups, cells() and text all give the file's cells, and op.fn and
+    # its kernel are never called
+    gardens = _ab_garden()
+    rows = memoise(gardens, REGISTRY[name], int_pool=pool).rows
+    key = [*rows][9]
+    new = 1 if rows[key] == 0 else 0  # an index of the 7-value garden too
+    want = [*rows.values()]
+    want[9] = new
+    text = serialize_iot(memoise(gardens, REGISTRY[name], int_pool=pool))
+    line = " ".join(map(str, key)) + " -> "
+    edited = text.replace(f"\n{line}{rows[key]}\n", f"\n{line}{new}\n")
+    assert edited.count("\n") == text.count("\n") and edited != text
+    calls = []
+    monkeypatch.setitem(REGISTRY, name, recording(REGISTRY[name], calls))
+    loaded = parse_iot(edited, gardens)
+    assert [loaded.lookup(k) for k in rows] == want
+    assert loaded.lookup((7,) + key[1:]) is BOT  # outside the domains
+    assert loaded.cells() == want
+    assert serialize_iot(loaded) == edited
+    assert calls == []
+
+
+@pytest.mark.parametrize("looked_up", [False, True])
+def test_keys_outside_the_domains_are_bot_and_compute_nothing(looked_up):
     gardens = _ab_garden()
     n = len(gardens[STR])
     calls = []
     t = memoise(gardens, recording(REGISTRY["strncmp"], calls), int_pool=(1, 4))
-    if cached:
+    if looked_up:
         assert t.lookup((0, 1, 4)) is not BOT
     made = len(calls)
     outside = [(BOT, 0, 1), (0, BOT, 4), (0, 0, BOT), (-1, 0, 1), (0, n, 4),
@@ -406,15 +450,15 @@ def test_keys_outside_the_domains_are_bot_and_compute_nothing(cached):
         for key in outside:
             assert t.lookup(key) is BOT, key
             with pytest.raises(EscapedGarden):  # a raw-result miss escapes at the call
-                t.lookup_value(key)
-            assert t.lookup_value(key, bot_propagate=True).raw is BOT
+                t.cell_value(t.lookup(key))
+            assert t.cell_value(t.lookup(key), bot_propagate=True).raw is BOT
         assert len(calls) == made
-        assert len(t.rows) == t.size == n * n * 2  # no BOT was cached
+        assert len(t.rows) == t.size == n * n * 2
         made = len(calls)
     indexed = memoise(gardens, REGISTRY["strcat"])
     for key in ((BOT, 0), (-1, 0), (0, n), (0,)):
         for propagate in (False, True):  # a BOT index escapes where it is used
-            assert indexed.lookup_value(key, propagate).raw is BOT
+            assert indexed.cell_value(indexed.lookup(key), propagate).raw is BOT
     assert len(indexed.rows) == n * n
 
 
@@ -546,9 +590,6 @@ def test_whole_table_kernels_agree_with_fn(name):
         fresh = memoise({STR: garden}, replace(op, tabulate=None), pool)
         keys = [*product(*(d.domain() for d in t.dims))]
         assert t.cells() == [fresh.lookup(k) for k in keys], (garden.values(), pool)
-        assert calls == ([KERNEL] if keys else [])
-        for k in keys:
-            t.lookup(k)
-        del calls[:]
-        assert t.cells() == fresh.cells()  # every cell cached: no call at all
-        assert calls == []
+        assert calls == [KERNEL]  # an empty pool's table too: its kernel gives []
+        assert t.cells() == fresh.cells()  # the kept cells: no call at all
+        assert calls == [KERNEL]

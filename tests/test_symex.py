@@ -32,6 +32,7 @@ from indexify.symex import (
     MODE_INDEXED,
     Engine,
     ExploreConfig,
+    SymexError,
     explore,
     explore_baseline,
     replay,
@@ -150,11 +151,11 @@ def test_exploration_computes_only_the_cells_it_reads(monkeypatch):
     assert calls == []
     res = normalize(typecheck(parse(GARDEN_MEMO_SHAPE)),
                     RewriteConfig({STR}, ops, gardens, tables))
-    read = set()
+    read = []
     lookup = IndexedOperatorTable.lookup
 
     def recorded(table, key):
-        read.add((table.indexed_name, key))
+        read.append((table.indexed_name, key))
         return lookup(table, key)
 
     monkeypatch.setattr(IndexedOperatorTable, "lookup", recorded)
@@ -163,7 +164,9 @@ def test_exploration_computes_only_the_cells_it_reads(monkeypatch):
     # atoms_generated counts the whole table at each forking call, not the
     # cells computed
     assert (rep.paths, rep.atoms_generated) == (14, 3724)
-    assert len(calls) == len(read) < rows / 50  # 99 of 18,232 cells
+    # every fn call is one lookup's, and the cells read are few
+    assert len(calls) == len(read) == 108
+    assert len(set(read)) < rows / 50  # 99 of 18,232 cells
     assert rows == sum(len(t.rows) for t in tables.values()) == 18232
 
 
@@ -712,6 +715,17 @@ def test_solver_unknown_drops_one_option_and_exploration_goes_on(monkeypatch, un
     assert [tc.inputs["x"].raw == tc.inputs["y"].raw for tc in rep.test_cases] == [True]
     # an undecided option is dropped; an undecided model keeps the path
     assert rep.paths == (1 if unknown_at == 1 else 2)
+
+
+@pytest.mark.parametrize("int_domain", [0, -3])
+def test_an_int_domain_below_one_is_rejected(int_domain):
+    # an empty domain has no value for a symbolic int: explore would emit a
+    # test case with n = 0, outside it
+    with pytest.raises(SymexError, match=f"int_domain must be at least 1, not {int_domain}"):
+        ExploreConfig(mode=MODE_INDEXED, int_domain=int_domain)
+    rep = explore(typecheck(parse("int main() { int n; symbolic n; return 1; }")),
+                  ExploreConfig(mode=MODE_INDEXED, int_domain=1))
+    assert [tc.inputs["n"].raw for tc in rep.test_cases] == [0]
 
 
 def _vars_pipeline():
