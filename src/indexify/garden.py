@@ -74,18 +74,31 @@ class IndexMap:
 
     BOT is out-of-band: it is never a key and is represented by the BOT
     sentinel, not by any integer.
+
+    The map also keeps its garden text: format_literal of each value, in
+    index order, the literals a garden file holds.  It is made on first use
+    and dropped when admit adds a value, so the garden file and the table
+    hash format each value once however many tables read the garden.
     """
 
     def __init__(self, type_tag: TypeTag):
         self.type_tag = type_tag
         self._values: list[Value] = []
         self._index: dict[object, int] = {}
+        self._texts: list[str] | None = None
 
     def __len__(self) -> int:
         return len(self._values)
 
     def values(self) -> list[Value]:
         return list(self._values)
+
+    def texts(self) -> list[str]:
+        """format_literal of each value, in index order: the garden text.
+        The list is kept, and is not to be changed."""
+        if self._texts is None:
+            self._texts = [*map(format_literal, self._values)]
+        return self._texts
 
     def admit(self, v: Value) -> tuple[int, bool]:
         """Insert v if new; returns (index, freshly_added)."""
@@ -97,6 +110,7 @@ class IndexMap:
         i = len(self._values)
         self._values.append(v)
         self._index[key] = i
+        self._texts = None
         return i, True
 
     def index_or_bot(self, v: Value):
@@ -179,12 +193,6 @@ def harvest_int_pool(p: Program) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _admissible(v: Value, max_str_len: int) -> bool:
-    if v.tag is STR:
-        return len(v.raw) <= max_str_len
-    return True
-
-
 def extend(imap: IndexMap, op, *,
            snapshot: list[Value] | None = None,
            max_str_len: int = 8, fresh_from: int = 0) -> tuple[IndexMap, int]:
@@ -193,26 +201,30 @@ def extend(imap: IndexMap, op, *,
     product order (all of them by default).
 
     Results already present, longer than max_str_len, or failing to evaluate
-    are not admitted; the skip count is returned alongside the map.  All of
-    op's argument types must equal the garden's type (builders are mono-typed).
+    are not admitted; the skip count (the long and the failing results) is
+    returned alongside the map.  Each result is judged on op's raw payload,
+    and a Value is built only for a result that is admitted.  All of op's
+    argument types must equal the garden's type (builders are mono-typed).
     """
     sig = op.signature
-    if any(t != imap.type_tag for t in sig.arg_types) or sig.return_type != imap.type_tag:
-        raise GardenError(f"{sig.name} is not a builder for {imap.type_tag!r}")
+    tag = imap.type_tag
+    if any(t != tag for t in sig.arg_types) or sig.return_type != tag:
+        raise GardenError(f"{sig.name} is not a builder for {tag!r}")
     if snapshot is None:
         snapshot = imap.values()
+    limit = max_str_len if tag is STR else None  # only a string has a length bound
     skips = 0
     call = op.fn if op.prepare is None else op.call  # no wrapper where none is needed
     for args in _tuples_from([v.raw for v in snapshot], fresh_from, sig.arity):
         try:
-            result = Value(sig.return_type, call(*args))
+            raw = call(*args)
         except Exception:
             skips += 1
             continue
-        if _admissible(result, max_str_len):
-            imap.admit(result)
-        else:
+        if limit is not None and len(raw) > limit:
             skips += 1
+        elif imap.raw_index_or_bot(raw) is BOT:
+            imap.admit(Value(tag, raw))
     return imap, skips
 
 
@@ -330,10 +342,12 @@ def load_seeds(text: str) -> SeedSet:
 
 
 def serialize_gardens(gardens: dict[TypeTag, IndexMap]) -> str:
+    """The text of a garden file: a line `index<TAB>type<TAB>literal` per
+    value, types by name, values in index order.  The literals are each
+    garden's kept text (IndexMap.texts)."""
     lines = []
     for tag in sorted(gardens, key=lambda t: t.name):
-        for i, v in enumerate(gardens[tag].values()):
-            lines.append(f"{i}\t{tag.name}\t{format_literal(v)}")
+        lines += (f"{i}\t{tag.name}\t{text}" for i, text in enumerate(gardens[tag].texts()))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, product, starmap
 
-from .garden import IndexMap, OperatorSignature, format_literal
+from .garden import IndexMap, OperatorSignature
 from .lang.ast import (
     BOT,
     FLOAT,
@@ -396,21 +396,29 @@ class IndexedOperatorTable:
 
 
 def gardens_fingerprint(dims, result) -> str:
-    """Hash binding a table to the exact gardens (and pool) it was built from."""
+    """Hash binding a table to the exact gardens (and pool) it was built from:
+    the first 16 hex digits of SHA-256 over one section per argument
+    dimension, in order, then one for an indexed result.  A garden section
+    is its name (garden or result), a NUL, and each value's garden-file
+    literal followed by a NUL; a pool section is pool, a NUL, the
+    comma-joined pool and a NUL.  The literals are the gardens' kept text
+    (IndexMap.texts), so no value is formatted here.  Tables files carry
+    this hash, so its definition must not change."""
     h = hashlib.sha256()
     for d in dims:
         if isinstance(d, GardenDim):
-            h.update(b"garden\0")
-            for v in d.imap.values():
-                h.update(format_literal(v).encode("utf-8") + b"\0")
+            h.update(_garden_section(b"garden\0", d.imap))
         else:
-            h.update(b"pool\0")
-            h.update(",".join(map(str, d.pool)).encode("ascii") + b"\0")
+            h.update(b"pool\0" + ",".join(map(str, d.pool)).encode("ascii") + b"\0")
     if isinstance(result, IndexMap):
-        h.update(b"result\0")
-        for v in result.values():
-            h.update(format_literal(v).encode("utf-8") + b"\0")
+        h.update(_garden_section(b"result\0", result))
     return h.hexdigest()[:16]
+
+
+def _garden_section(name: bytes, imap: IndexMap) -> bytes:
+    """A garden's section of gardens_fingerprint: name, then each literal
+    followed by a NUL."""
+    return name + "\0".join([*imap.texts(), ""]).encode("utf-8")
 
 
 def _dims_for(signature: OperatorSignature, gardens, int_pool):
@@ -440,7 +448,8 @@ def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
     """The table of op over the gardens (plus the int pool).  No cell is
     computed here: lookup computes the cell it is asked for, each time, and
     the first whole read computes every cell once.  Only op's preparations
-    run here, once per column value.
+    run here, once per column value, and the table's garden hash is taken
+    from the gardens' kept text, which no later table formats again.
 
     Rows are in itertools.product order of the dimension domains (last
     position fastest); tables.iot and the emitted IR depend on it.  Each

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -138,6 +140,66 @@ def test_extend_rejects_foreign_operator():
     imap = IndexMap(STR)
     with pytest.raises(GardenError):
         extend(imap, REGISTRY["strlen"])
+
+
+def _value_first_extend(imap, op, *, max_str_len, fresh_from):
+    """extend as first written: each result is wrapped as a Value, then
+    judged by its length, then offered to admit."""
+    snapshot = imap.values()
+    skips = 0
+    for idx in itertools.product(range(len(snapshot)), repeat=op.signature.arity):
+        if max(idx) < fresh_from:
+            continue
+        try:
+            result = Value(op.signature.return_type, op.call(*(snapshot[i].raw for i in idx)))
+        except Exception:
+            skips += 1
+            continue
+        if result.tag is not STR or len(result.raw) <= max_str_len:
+            imap.admit(result)
+        else:
+            skips += 1
+    return imap, skips
+
+
+def _strcat_unless_nul(a: bytes, b: bytes) -> bytes:
+    """strcat that raises on a left operand starting with NUL."""
+    if a[:1] == b"\0":
+        raise ValueError("NUL")
+    return a + b
+
+
+_FLOATS = (math.nan, -math.nan, -0.0, 0.0, math.inf, -math.inf, 1.0, -2.5, 0.5, 1e308)
+
+
+@pytest.mark.parametrize("name", ["strcat", "strstr", "raising", "fadd", "fmul",
+                                  "fdiv", "fmin", "fmax"])
+def test_raw_first_growth_equals_value_first_growth(name):
+    # the values, their order (and so which of two equal floats is kept) and
+    # the skip count, for every fresh_from of random snapshots
+    op = replace(STRCAT, fn=_strcat_unless_nul) if name == "raising" else REGISTRY[name]
+    tag = op.signature.return_type
+    rng = random.Random(name)
+    for _ in range(40):
+        max_str_len = rng.randint(1, 4)
+        if tag is STR:
+            seeds = [bytes(rng.choice(b"\0ab") for _ in range(rng.randint(0, max_str_len + 1)))
+                     for _ in range(rng.randint(0, 6))]
+        else:
+            seeds = [rng.choice(_FLOATS) for _ in range(rng.randint(0, 6))]
+        base = IndexMap(tag)
+        for raw in seeds:
+            base.admit(Value(tag, raw))
+        for fresh_from in range(len(base) + 1):
+            got, want = IndexMap(tag), IndexMap(tag)
+            for v in base.values():
+                got.admit(v)
+                want.admit(v)
+            _, got_skips = extend(got, op, max_str_len=max_str_len, fresh_from=fresh_from)
+            _, want_skips = _value_first_extend(want, op, max_str_len=max_str_len,
+                                                fresh_from=fresh_from)
+            assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
+            assert got_skips == want_skips
 
 
 # ---------------------------------------------------------------------------

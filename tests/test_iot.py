@@ -1,24 +1,30 @@
 import hashlib
 import math
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from indexify import cli, garden
 from indexify.garden import (
     BuilderConfig,
     IndexMap,
     SeedSet,
     build_garden,
+    format_literal,
     load_gardens,
     serialize_gardens,
 )
 from indexify.iot import (
     REGISTRY,
     BuiltinOp,
+    GardenDim,
     IotError,
+    gardens_fingerprint,
     memoise,
     memoise_all,
     parse_iot,
@@ -35,6 +41,7 @@ from indexify.lang.ast import (
     mk_str,
     value_key,
 )
+from indexify.lang.parser import parse
 
 from conftest import KERNEL, eval_builtin, recording, value_for
 
@@ -485,6 +492,105 @@ def test_parse_rejects_wrong_garden(fig5_strstr):
     other = load_gardens("0\tstr\tfoobar\n1\tstr\tbar\n")
     with pytest.raises(IotError, match="different garden"):
         parse_iot(serialize_iot(fig5_strstr), other)
+
+
+def _hash_gardens():
+    """A str garden of bytes that print escaped, or that print as
+    themselves where a quoted literal would escape them, and a float garden
+    of nan, the infinities, a signed value and one printed with an exponent."""
+    gardens = {STR: IndexMap(STR), FLOAT: IndexMap(FLOAT)}
+    for raw in (b"", b'a"b', b"x\\y", b"\t", b"\n", b"\x00\x80\xff", "é→😀".encode()):
+        gardens[STR].admit(mk_str(raw))
+    for raw in (math.nan, math.inf, -math.inf, 0.0, 1e-05, -2.5):
+        gardens[FLOAT].admit(mk_float(raw))
+    return gardens
+
+
+def _per_value_fingerprint(dims, result) -> str:
+    """gardens_fingerprint as first written: one update per literal, each
+    formatted from its Value."""
+    h = hashlib.sha256()
+    for d in dims:
+        if isinstance(d, GardenDim):
+            h.update(b"garden\0")
+            for v in d.imap.values():
+                h.update(format_literal(v).encode("utf-8") + b"\0")
+        else:
+            h.update(b"pool\0")
+            h.update(",".join(map(str, d.pool)).encode("ascii") + b"\0")
+    if isinstance(result, IndexMap):
+        h.update(b"result\0")
+        for v in result.values():
+            h.update(format_literal(v).encode("utf-8") + b"\0")
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, pool, empty, want", [
+    ("strcat", (), False, "67e8e376d34ce5cc"),
+    ("strlen", (), False, "2e9e1d580527443b"),
+    ("fadd", (), False, "2f1d3b82537367c1"),
+    ("substr", (-1, 0, 3), False, "1a661981361f8b65"),
+    ("strncmp", (0, 2), False, "38e54dcec6682b50"),
+    ("strstr", (), True, "d87c632ca8b40629"),
+    ("substr", (), True, "9b9ecb096aef74db"),
+])
+def test_table_hash_pinned(name, pool, empty, want):
+    # tables files carry this hash, so --indexOpDefs files written by any
+    # earlier build must still load: the values are fixed, not recomputed
+    gardens = {STR: IndexMap(STR)} if empty else _hash_gardens()
+    t = memoise(gardens, REGISTRY[name], pool)
+    assert t.garden_hash == want
+    assert gardens_fingerprint(t.dims, t.result) == want
+    assert _per_value_fingerprint(t.dims, t.result) == want
+
+
+@pytest.mark.parametrize("name, tag, new, empty", [
+    ("strcat", STR, mk_str(b"new\0"), False),
+    ("substr", STR, mk_str(b""), True),
+    ("fmul", FLOAT, mk_float(-0.5), False),
+])
+def test_table_hash_and_garden_file_follow_the_garden(name, tag, new, empty):
+    # the kept garden text must not outlive an admit: a stale copy would
+    # give a grown garden its old hash and its old garden file
+    gardens = {STR: IndexMap(STR)} if empty else _hash_gardens()
+    t = memoise(gardens, REGISTRY[name], (0, 1))
+    text = serialize_gardens(gardens)
+    before = gardens_fingerprint(t.dims, t.result)
+    assert before == t.garden_hash
+    gardens[tag].admit(new)
+    after = gardens_fingerprint(t.dims, t.result)
+    assert after != before
+    assert after == _per_value_fingerprint(t.dims, t.result)
+    assert serialize_gardens(gardens) != text
+    assert load_gardens(serialize_gardens(gardens))[tag].values()[-1:] == [new]
+
+
+def test_setup_formats_each_garden_value_once(monkeypatch, tmp_path):
+    # every table of garden_memo hashes the same 121-value garden, and
+    # garden.txt lists it: the text of each value is made once for all of them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import make_jobs
+
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return format_literal(v)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "indexify" and \
+                getattr(module, "format_literal", None) is format_literal:
+            monkeypatch.setattr(module, "format_literal", counting)
+    assert garden.format_literal is counting
+    (job,) = make_jobs("garden_memo", 1)
+    cfg = replace(job.cfg, outdir=str(tmp_path), input_path=str(tmp_path / "g.mi"))
+    pipe = cli.build_pipeline(parse(job.source), cfg)
+    cli.rewrite_pipeline(pipe, cfg)
+    reports = {mode: cli.run_mode(cfg, pipe, mode) for mode in job.modes}
+    cli.write_artifacts(cfg, pipe, reports)
+    assert len(pipe.tables) == 6
+    assert len(pipe.gardens[STR]) == 121
+    assert 0 < len(calls) <= 121  # 1,573 + 121 when each table formatted its own
 
 
 def test_parse_rejects_malformed(fig5_gardens):
