@@ -156,6 +156,57 @@ DEEP_SOURCES = {
 }
 
 
+# case -> (source, the message it is rejected with): one per rejection of the
+# tokenizer, the parser and the type checker.  The operator messages name the
+# operand type each operator needs.
+BAD_SOURCES = {
+    "source-character": ("int main(){ return 1 $ 2; }", "unexpected character '$'"),
+    "source-expected": ("int main(){ return 0 }", "expected ';', found '}'"),
+    "source-duplicate-function": ("int f(){ return 0; } int f(){ return 1; } "
+                                  "int main(){ return 0; }", "duplicate function 'f'"),
+    "source-unknown-type": ("char main(){ return 0; }", "unknown type 'char'"),
+    "source-identifier": ("int 5(){ return 0; }", "expected identifier, found '5'"),
+    "source-shadowed-builtin": ("int strlen(str s){ return 0; } int main(){ return 0; }",
+                                "function 'strlen' shadows a builtin"),
+    "source-no-main": ("int f(){ return 0; }", "program has no main function"),
+    "source-main-parameters": ("int main(int x){ return x; }", "main takes no parameters"),
+    "source-duplicate-parameter": ("int f(int a, int a){ return a; } "
+                                   "int main(){ return f(1, 2); }",
+                                   "duplicate parameter 'a' in f"),
+    "source-initialiser-type": ("int main(){ int x = true; return x; }",
+                                "cannot initialise x: int with bool"),
+    "source-undeclared-assignment": ("int main(){ y = 1; return 0; }",
+                                     "assignment to undeclared variable 'y'"),
+    "source-assignment-type": ('int main(){ int x; x = "a"; return x; }',
+                               "cannot assign str to x: int"),
+    "source-bare-return": ("int main(){ return; }", "main: return requires a value"),
+    "source-return-type": ("int main(){ return true; }", "main returns int, got bool"),
+    "source-undeclared-symbolic": ("int main(){ symbolic q; return 0; }",
+                                   "symbolic on undeclared variable 'q'"),
+    "source-arith-operands": ("int main(){ return 1 + true; }",
+                              "+ needs int operands, got int, bool"),
+    "source-mod-operands": ("int main(){ return 1.5 % 2; }",
+                            "% needs int operands, got float, int"),
+    "source-ordering-operands": ("int main(){ bool b = 1.5 < 2.5; return 0; }",
+                                 "< needs int operands, got float, float"),
+    "source-mismatched-equality": ("int main(){ bool b = 1 != true; return 0; }",
+                                   "!= on mismatched types int, bool"),
+    "source-str-equality": ('int main(){ bool b = "a" == "b"; return 0; }',
+                            "== on str is not defined; use strcmp"),
+    "source-logic-operands": ("int main(){ bool b = true && 1; return 0; }",
+                              "&& needs bool operands, got bool, int"),
+    "source-not-operand": ("int main(){ bool b = !1; return 0; }", "! needs bool, got int"),
+    "source-minus-operand": ("int main(){ bool t = true; int x = -t; return x; }",
+                             "unary - needs int, got bool"),
+    "source-idx-arity": ("int main(){ idx(1, 2); return 0; }", "idx takes one argument"),
+    "source-idx-index": ('int main(){ idx(idx("a")); return 0; }',
+                         "idx applied to an already-indexed value"),
+    "source-unidx-arity": ("int main(){ unidx(); return 0; }", "unidx takes one argument"),
+    "source-unidx-plain": ("int main(){ unidx(1); return 0; }",
+                           "unidx needs an index value, got int"),
+}
+
+
 def _tables_iot(src, tmp_path) -> str:
     out = tmp_path / "art"
     assert run_cli(str(src), "--outdir", str(out)) == 0
@@ -212,6 +263,14 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     if case in DEEP_SOURCES:
         bad.write_text(DEEP_SOURCES[case])
         return [str(bad)]
+    if case in BAD_SOURCES:
+        bad.write_text(BAD_SOURCES[case][0])
+        return [str(bad)]
+    if case == "source-emitted":  # its i_* functions clash with the tables
+        prog = tmp_path / "vendor_check.mi"
+        prog.write_text(open(corpus_path("vendor_check")).read())
+        assert run_cli(str(prog), "--outputIndexedIR", "--outdir", str(tmp_path / "art")) == 1
+        return [str(prog) + ".indexed.mi"]
     if case == "garden-bool":
         bad.write_text(FIG5_GARDEN_TEXT + "0\tbool\tmaybe\n")
         return [str(src), "--garden", str(bad)]
@@ -280,7 +339,7 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     "testcase-type", "testcase-bot", "testcase-duplicate", "testcase-unknown-input",
     "fplus-unknown", "fplus-puts", "input-directory", "garden-directory", "source-not-utf8",
     "source-hex-escape",
-    "seed-variable", *NOT_UTF8, *DEEP_SOURCES,
+    "seed-variable", *NOT_UTF8, *DEEP_SOURCES, *BAD_SOURCES, "source-emitted",
     *BAD_SCALARS, *BAD_TABLES,
     *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
       for kind in BAD_ESCAPES),
@@ -309,6 +368,10 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
         assert f"{tmp_path / 'bad'}: the garden holds int values" in err
     if case in DEEP_SOURCES:
         assert err == f"indexify: {tmp_path / 'bad'}: nested too deeply to analyse\n"
+    if case in BAD_SOURCES:
+        assert BAD_SOURCES[case][1] in err
+    if case == "source-emitted":
+        assert "program already defines 'i_strcat'" in err
 
 
 def test_a_configured_f_plus_rejects_an_io_operator(tmp_path):
