@@ -233,9 +233,11 @@ def rewrite_pipeline(pipe: Pipeline, cfg: CliConfig) -> Pipeline:
 
 
 def explore_config(cfg: CliConfig, pipe: Pipeline, mode: str) -> ExploreConfig:
+    """Every mode gets the gardens, which an emitted .indexed.mi needs to
+    run; only indexed mode gets the tables."""
     return ExploreConfig(
         mode=mode,
-        gardens=pipe.gardens if mode == MODE_INDEXED else {},
+        gardens=pipe.gardens,
         tables=pipe.tables if mode == MODE_INDEXED else {},
         unroll=cfg.unroll,
         max_states=cfg.max_states,
@@ -422,10 +424,9 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
     pipe = load_pipeline(cfg)
     if cfg.baseline is None:
         rewrite_pipeline(pipe, cfg)
-        target = pipe.indexed.program
-        gardens, tables = pipe.gardens, pipe.tables
+        target, tables = pipe.indexed.program, pipe.tables
     else:
-        target, gardens, tables = pipe.program, {}, {}
+        target, tables = pipe.program, {}
     symbolic = {s.name for f in target.functions for _, s in walk_stmts(f.body)
                 if isinstance(s, MakeSymbolic)}
     paths = [replay_path]
@@ -439,7 +440,7 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
             unknown = inputs.keys() - symbolic
             if unknown:
                 raise UsageError(f"input {min(unknown)!r} is never made symbolic")
-            res = interpret(target, inputs, gardens=gardens, tables=tables,
+            res = interpret(target, inputs, gardens=pipe.gardens, tables=tables,
                             unroll=cfg.unroll, bot_propagate=cfg.bot_propagate)
         except (UsageError, MiniImpError) as e:
             raise UsageError(f"{p}: {e}") from None

@@ -242,7 +242,7 @@ def _tuples_from(values: list, fresh_from: int, arity: int):
 
 
 def build_garden(seeds: SeedSet, cfg: BuilderConfig,
-                 types: set[TypeTag] | None = None) -> dict[TypeTag, IndexMap]:
+                 types: set[TypeTag]) -> dict[TypeTag, IndexMap]:
     """Grow per-type gardens: up to k rounds over all builders, each from a
     snapshot taken at the start of the round.
 
@@ -253,8 +253,6 @@ def build_garden(seeds: SeedSet, cfg: BuilderConfig,
     those of applying every builder to the whole snapshot.  Growth stops
     after a round that admits nothing.
     """
-    if types is None:
-        types = set(seeds.per_type)
     gardens: dict[TypeTag, IndexMap] = {}
     for tag in sorted(types, key=lambda t: t.name):
         imap = IndexMap(tag)

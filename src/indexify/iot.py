@@ -169,10 +169,7 @@ def _fdiv(a: float, b: float) -> float:
 def _sqrt(a: float) -> float:
     if a < 0.0:
         return math.nan  # domain error: NaN is a legitimate garden value
-    try:
-        return math.sqrt(a)
-    except ValueError:
-        return math.nan
+    return math.sqrt(a)  # -0.0, nan and inf do not raise
 
 
 def _fmin(a: float, b: float) -> float:

@@ -9,6 +9,7 @@ two pipelines producing the same syntax compare equal.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -189,15 +190,47 @@ class BinOp(Expr):
     right: Expr
 
 
-# Each binary operator's precedence level: a higher level binds more tightly,
-# and the operators of one level associate to the left.  The parser and the
-# printer both read it.
-PRECEDENCE = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
+class DivisionByZero(Exception):
+    """A `/` or `%` by zero.  It ends the run or path with a verdict: the
+    program is well-formed, so this is not an input error."""
+
+
+def _divide(a: int, b: int) -> int:
+    if b == 0:
+        raise DivisionByZero()
+    q = abs(a) // abs(b)  # C semantics: truncate toward zero
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+@dataclass(frozen=True)
+class Operator:
+    """A binary operator.  precedence: a higher level binds more tightly, and
+    the operators of one level associate to the left.  operand: the type of
+    both operands, None for any one type but str.  fn maps the operands' raw
+    payloads to the result's; && and || evaluate both operands."""
+
+    precedence: int
+    operand: TypeTag | None
+    result: TypeTag
+    fn: object
+
+
+# Every binary operator; the parser, printer, type checker, interpreter and
+# explorer all read it.
+OPERATORS = {
+    "||": Operator(1, BOOL, BOOL, lambda a, b: bool(a or b)),
+    "&&": Operator(2, BOOL, BOOL, lambda a, b: bool(a and b)),
+    "==": Operator(3, None, BOOL, operator.eq),  # IEEE on floats: nan != nan
+    "!=": Operator(3, None, BOOL, operator.ne),
+    "<": Operator(4, INT, BOOL, operator.lt),
+    "<=": Operator(4, INT, BOOL, operator.le),
+    ">": Operator(4, INT, BOOL, operator.gt),
+    ">=": Operator(4, INT, BOOL, operator.ge),
+    "+": Operator(5, INT, INT, operator.add),
+    "-": Operator(5, INT, INT, operator.sub),
+    "*": Operator(6, INT, INT, operator.mul),
+    "/": Operator(6, INT, INT, _divide),
+    "%": Operator(6, INT, INT, lambda a, b: a - _divide(a, b) * b),
 }
 
 

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from ..iot import REGISTRY
 from .ast import (
     BOT,
+    OPERATORS,
     Assert,
     Assign,
     BinOp,
     BotLiteral,
     Call,
     Decl,
+    DivisionByZero,
     EscapedGarden,
     Expr,
     ExprStmt,
@@ -69,11 +71,6 @@ class _AssertFailed(Exception):
 
 class _BoundExceeded(Exception):
     pass
-
-
-class DivisionByZero(Exception):
-    """A `/` or `%` by zero.  It ends the run or path with a verdict: the
-    program is well-formed, so this is not an input error."""
 
 
 class Interpreter:
@@ -211,7 +208,8 @@ class Interpreter:
             lv = self.eval(e.left, scope)
             rv = self.eval(e.right, scope)
             no_bot(lv, rv)
-            return concrete_binop(e.op, lv, rv)
+            op = OPERATORS[e.op]
+            return Value(op.result, op.fn(lv.raw, rv.raw))
         if isinstance(e, Call):
             return self.call(e, scope)
         raise MiniImpError(f"cannot evaluate {e!r}")
@@ -258,44 +256,6 @@ class Interpreter:
                 raise EscapedGarden()
             key.append(v.raw)
         return table.cell_value(table.lookup(tuple(key)), self.bot_propagate)
-
-
-def _c_div(a: int, b: int) -> int:
-    # C semantics: truncate toward zero
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def concrete_binop(op: str, lv: Value, rv: Value) -> Value:
-    a, b = lv.raw, rv.raw
-    if op == "==":
-        return mk_bool(a == b)  # IEEE semantics on floats: nan != nan
-    if op == "!=":
-        return mk_bool(a != b)
-    if op == "&&":
-        return mk_bool(bool(a and b))
-    if op == "||":
-        return mk_bool(bool(a or b))
-    if op == "<":
-        return mk_bool(a < b)
-    if op == "<=":
-        return mk_bool(a <= b)
-    if op == ">":
-        return mk_bool(a > b)
-    if op == ">=":
-        return mk_bool(a >= b)
-    if op == "+":
-        return mk_int(a + b)
-    if op == "-":
-        return mk_int(a - b)
-    if op == "*":
-        return mk_int(a * b)
-    if op in ("/", "%"):
-        if b == 0:
-            raise DivisionByZero()
-        q = _c_div(a, b)
-        return mk_int(q if op == "/" else a - q * b)
-    raise MiniImpError(f"unknown operator {op!r}")
 
 
 def interpret(p: Program, inputs=None, *, gardens=None, tables=None,

@@ -12,7 +12,7 @@ from .ast import (
     BOOL,
     FLOAT,
     INT,
-    PRECEDENCE,
+    OPERATORS,
     SCALARS,
     STR,
     Assert,
@@ -270,9 +270,8 @@ class Parser:
         binds at least as tightly as floor, its right operand parsed one
         level tighter than the operator."""
         left = self.unary()
-        while PRECEDENCE.get(self.cur.text, 0) >= floor:
-            op = self.bump().text
-            left = BinOp(op, left, self.expression(PRECEDENCE[op] + 1))
+        while (op := OPERATORS.get(self.cur.text)) is not None and op.precedence >= floor:
+            left = BinOp(self.bump().text, left, self.expression(op.precedence + 1))
         return left
 
     def unary(self) -> Expr:

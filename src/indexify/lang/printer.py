@@ -8,7 +8,7 @@ from .ast import (
     BOOL,
     FLOAT,
     INT,
-    PRECEDENCE,
+    OPERATORS,
     STR,
     Assert,
     Assign,
@@ -31,7 +31,8 @@ from .ast import (
     While,
 )
 
-_UNARY_PREC = max(PRECEDENCE.values()) + 1  # tighter than every binary operator
+# tighter than every binary operator
+_UNARY_PREC = max(op.precedence for op in OPERATORS.values()) + 1
 
 
 _NAMED_ESCAPES = {0x09: "\\t", 0x0A: "\\n", 0x5C: "\\\\"}
@@ -90,7 +91,7 @@ def print_expr(e: Expr, prec: int = 0) -> str:
         s = f"{e.op}{print_expr(e.operand, _UNARY_PREC + 1)}"
         return f"({s})" if prec > _UNARY_PREC else s
     if isinstance(e, BinOp):
-        p = PRECEDENCE[e.op]
+        p = OPERATORS[e.op].precedence
         s = f"{print_expr(e.left, p)} {e.op} {print_expr(e.right, p + 1)}"
         return f"({s})" if prec > p else s
     raise TypeError(f"unprintable node {e!r}")

@@ -14,6 +14,7 @@ from ..iot import REGISTRY
 from .ast import (
     BOOL,
     INT,
+    OPERATORS,
     STR,
     Assert,
     Assign,
@@ -38,12 +39,6 @@ from .ast import (
     index_of,
     is_index,
 )
-
-_ARITH = {"+", "-", "*", "/", "%"}
-_CMP = {"<", "<=", ">", ">="}
-_EQ = {"==", "!="}
-_LOGIC = {"&&", "||"}
-
 
 def default_builtin_sigs():
     return {name: op.signature for name, op in REGISTRY.items()}
@@ -160,25 +155,18 @@ class TypeChecker:
         if isinstance(e, BinOp):
             lt = self.check_expr(f, e.left, scope)
             rt = self.check_expr(f, e.right, scope)
-            if e.op in _ARITH:
-                if lt is INT and rt is INT:
-                    return INT
-                raise MiniImpTypeError(f"{e.op} needs int operands, got {lt!r}, {rt!r}")
-            if e.op in _CMP:
-                if lt is INT and rt is INT:
-                    return BOOL
-                raise MiniImpTypeError(f"{e.op} needs int operands, got {lt!r}, {rt!r}")
-            if e.op in _EQ:
+            op = OPERATORS.get(e.op)
+            if op is None:
+                raise MiniImpTypeError(f"unknown operator {e.op!r}")
+            if op.operand is None:  # == and !=
                 if lt != rt:
                     raise MiniImpTypeError(f"{e.op} on mismatched types {lt!r}, {rt!r}")
                 if lt is STR:
                     raise MiniImpTypeError("== on str is not defined; use strcmp")
-                return BOOL
-            if e.op in _LOGIC:
-                if lt is BOOL and rt is BOOL:
-                    return BOOL
-                raise MiniImpTypeError(f"{e.op} needs bool operands, got {lt!r}, {rt!r}")
-            raise MiniImpTypeError(f"unknown operator {e.op!r}")
+            elif not (lt is op.operand and rt is op.operand):
+                raise MiniImpTypeError(
+                    f"{e.op} needs {op.operand.name} operands, got {lt!r}, {rt!r}")
+            return op.result
         if isinstance(e, UnOp):
             ot = self.check_expr(f, e.operand, scope)
             if e.op == "!":

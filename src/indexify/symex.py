@@ -58,6 +58,7 @@ from .lang.ast import (
     BOT,
     BOOL,
     INT,
+    OPERATORS,
     STR,
     Assert,
     Assign,
@@ -65,6 +66,7 @@ from .lang.ast import (
     BotLiteral,
     Call,
     Decl,
+    DivisionByZero,
     EscapedGarden,
     ExprStmt,
     If,
@@ -95,8 +97,6 @@ from .lang.interp import (
     VERDICT_DIV_ZERO,
     VERDICT_ESCAPED,
     VERDICT_OK,
-    DivisionByZero,
-    concrete_binop,
     interpret,
 )
 from .solver import FiniteVar, var_eq_const, var_eq_var, var_neq_const, var_neq_var
@@ -437,7 +437,7 @@ class _Lowering:
                 self.emit(op.op_truth, t, v)
                 self.emit(op.op_not, dst, t)
             else:  # unary minus applies to an int only
-                self.emit(op.op_arith, dst, "-", mk_int(0), v)
+                self.emit(op.op_arith, dst, OPERATORS["-"], mk_int(0), v)
         elif isinstance(e, BinOp):
             self.binop(e, dst)
         elif isinstance(e, Call):
@@ -461,7 +461,7 @@ class _Lowering:
             self.emit(op.op_truth, tr, rv)
             self.emit(op.op_logic, dst, e.op == "&&", tl, tr)
         else:
-            self.emit(op.op_arith, dst, e.op, lv, rv)
+            self.emit(op.op_arith, dst, OPERATORS[e.op], lv, rv)
 
     def force(self, v, forced):
         """A temporary holding v, forced concrete if it is one of forced."""
@@ -758,8 +758,9 @@ class Engine:
         value to its fixed default, a finite one to its model value, pinned
         into the path condition so the path stays consistent.  The bound
         Value replaces the symbolic one in st.symvars and in every variable
-        and temporary of every frame.  Only concretize mode binds, and it
-        runs original programs, where no symbolic value sits inside another.
+        and temporary of every frame.  An unindexed value, which unidx() in
+        an emitted program gives, is bound to its index's garden value; the
+        index stays symbolic in st.symvars, pinned.
         """
         bound = {}
         for s in values:
@@ -768,15 +769,19 @@ class Engine:
             if self.cfg.mode != MODE_CONCRETIZE:
                 raise _Terminal(VERDICT_ESCAPED, emit=False)
             if isinstance(s, Opaque):
-                name, value = s.name, _concretize_default(s.tag)
+                value = st.symvars[s.name] = _concretize_default(s.tag)
             else:
-                model = self.model(st, [s.var])
+                ref = s.ref if isinstance(s, Unindexed) else s
+                model = self.model(st, [ref.var])
                 if model is None:  # undecided: the path cannot be pinned
                     raise _Infeasible()
-                name, c = s.var.name, model[s.var.name]
-                st.facts = st.facts.extend((var_eq_const(s.var, c),))
-                value = _value_from_const(s.tag, c)
-            bound[id(s)] = st.symvars[name] = value
+                c = model[ref.var.name]
+                st.facts = st.facts.extend((var_eq_const(ref.var, c),))
+                if ref is s:
+                    value = st.symvars[ref.var.name] = _value_from_const(s.tag, c)
+                else:
+                    value = self._input_value(ref.tag, c)
+            bound[id(s)] = value
             for fr in st.frames:
                 store = fr.store
                 for key, held in store.items():
@@ -892,7 +897,7 @@ class Engine:
             # ordering and arithmetic live outside equality theory
             lv, rv = self.intractable(st, (lv, rv), _SYMBOLIC)
         no_bot(lv, rv)
-        fr.store[ins[1]] = concrete_binop(ins[2], lv, rv)
+        fr.store[ins[1]] = Value(ins[2].result, ins[2].fn(lv.raw, rv.raw))
 
     def op_force(self, st, fr, ins):  # (op, dst, operand, classes forced)
         # A forced value is finite symbolic, unindexed, or has no finite

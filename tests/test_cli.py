@@ -586,6 +586,34 @@ def test_replay_command(tmp_path, capsys):
     assert "assertion-failure" in capsys.readouterr().out
 
 
+def test_every_engine_explores_the_emitted_program(tmp_path, capsys):
+    # the paper's experiment: the emitted vendor_check, given its garden and
+    # no F+, runs in every mode, where each operator is an i_* if-chain.  The
+    # baselines find the assertion they miss on the original program, and
+    # their test cases replay on the emitted program
+    prog = tmp_path / "vendor_check.mi"
+    prog.write_text(open(corpus_path("vendor_check")).read())
+    assert run_cli(str(prog), "--outputIndexedIR", "--outdir", str(tmp_path / "art")) == 1
+    assert run_cli(str(prog), "--baseline", "abandon", "--outdir", str(tmp_path / "orig")) == 0
+    emitted, empty = str(prog) + ".indexed.mi", tmp_path / "empty.txt"
+    empty.write_text("")
+    given = ["--garden", str(tmp_path / "art" / "garden.txt"), "--F+", str(empty)]
+    for mode, suffix in (([], "indexed"), (["--baseline", "abandon"], "abandon"),
+                         (["--baseline", "concretize"], "concretize")):
+        out = tmp_path / suffix
+        assert run_cli(emitted, *given, *mode, "--outdir", str(out)) == 1
+        report = (out / f"report.{suffix}.txt").read_text()
+        assert "paths 9\n" in report and "solver_queries 957\n" in report
+        assert report.count("verdict=assertion-failure") == 2
+        capsys.readouterr()
+        assert run_cli(emitted, *given, *mode, "--replay", str(out / f"testcases.{suffix}")) == 0
+        assert capsys.readouterr().out.count("verdict=assertion-failure") == 2
+        # with no garden for its inputs, the emitted program is bad input
+        assert run_cli(emitted, "--type", "float", "--F+", str(empty), *mode,
+                       "--outdir", str(out)) == 2
+        assert "symbolic vendor: no garden for index<str>" in capsys.readouterr().err
+
+
 def test_a_rerun_replaces_the_test_cases(tmp_path, capsys):
     # flag_dispatch has 50 paths at --k 2 and 13 at --k 1: the second run
     # must leave its own 13 test cases, not the first run's other 37

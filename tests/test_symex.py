@@ -25,7 +25,7 @@ from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.printer import print_program
 from indexify.lang.typecheck import typecheck
-from indexify.rewrite import RewriteConfig, normalize
+from indexify.rewrite import RewriteConfig, emit_indexed_source, normalize
 from indexify.symex import (
     MODE_ABANDON,
     MODE_CONCRETIZE,
@@ -837,3 +837,22 @@ def test_test_cases_share_one_branch_trace_per_distinct_trace():
     assert len(rep.test_cases) == 256
     traces = {tc.covered_branches for tc in rep.test_cases}
     assert len(traces) == len({id(tc.covered_branches) for tc in rep.test_cases}) == 16
+
+
+def test_concretize_binds_an_unindexed_operand():
+    # in an emitted program a builtin outside F+ reads unidx() of a symbolic
+    # index.  Abandon ends that path; concretize binds the operand to the
+    # garden value of the index's model value, and the index stays symbolic,
+    # pinned to it
+    src = ('int main(){ str s; symbolic s; if (strcmp(s, "ab") == 0) { return 1; } '
+           'return strlen(s); }')
+    _, res, gardens, _ = indexed_setup(src, {"strcmp"}, k=0)
+    emitted = typecheck(parse(emit_indexed_source(res)))
+    assert "strlen(unidx(s))" in emit_indexed_source(res)
+    abandon = explore_baseline(emitted, ExploreConfig(mode=MODE_ABANDON, gardens=gardens))
+    assert (abandon.paths, abandon.escaped_paths, len(abandon.test_cases)) == (2, 1, 1)
+    rep = explore_baseline(emitted, ExploreConfig(mode=MODE_CONCRETIZE, gardens=gardens))
+    assert (rep.paths, rep.escaped_paths) == (2, 0)
+    assert sorted(tc.inputs["s"].raw for tc in rep.test_cases) == [b"", b"ab"]
+    for tc in rep.test_cases:
+        assert replay(emitted, tc, gardens=gardens).ok
