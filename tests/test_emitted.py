@@ -4,11 +4,10 @@ the unmodified engines with the gardens and no tables.
 
 A behaviour is a test case's verdict and its branch trace restricted to the
 original program's functions.  Indexed mode on the emitted program shows
-exactly the behaviours of the table run.  The baselines show a subset: abandon
-ends a path where a builtin outside F+ reads unidx() of a symbolic index, and
-concretize binds that operand to one value.  Every test case replays on the
-emitted program, and every one that does not escape agrees with the original
-program.
+exactly the behaviours of the table run.  Abandon shows a subset: it ends a
+path where a builtin outside F+ reads unidx() of a symbolic index.  Every test
+case replays on the emitted program, and every one that does not escape agrees
+with the original program.
 """
 
 import random
@@ -22,8 +21,8 @@ from indexify.lang.interp import VERDICT_ESCAPED, interpret
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
 from indexify.rewrite import emit_indexed_source, normalize
-from indexify.symex import (MODE_ABANDON, MODE_CONCRETIZE, MODE_INDEXED, ExploreConfig,
-                            explore, explore_baseline, replay)
+from indexify.symex import (MODE_ABANDON, MODE_INDEXED, ExploreConfig, explore,
+                            explore_baseline, replay)
 
 from test_fuzz import ORACLE_INT_DOMAIN, ORACLE_UNROLL, ProgramGen, build_cfg
 
@@ -70,8 +69,7 @@ def test_emitted_random_programs_keep_every_behaviour():
     # an emitted run can take 100 times the table run's states, so each run
     # is capped; a truncated run is checked for a subset only, and counted
     rng = random.Random(1)
-    truncated = 0
-    lost = {MODE_ABANDON: 0, MODE_CONCRETIZE: 0}  # programs with a behaviour lost
+    truncated = lost = 0  # lost: programs where abandon loses a behaviour
     for trial in range(15):
         src = ProgramGen(rng, extended=True).program()
         f_plus = rng.sample(["strcat", "strstr", "strcmp", "strncmp", "strlen",
@@ -86,15 +84,14 @@ def test_emitted_random_programs_keep_every_behaviour():
         names = {f.name for f in program.functions}
         want = _behaviours(table, names)
         emitted = typecheck(parse(emit_indexed_source(res)))
-        for mode in (MODE_INDEXED, MODE_ABANDON, MODE_CONCRETIZE):
+        for mode in (MODE_INDEXED, MODE_ABANDON):
             rep = _run_emitted(emitted, program, replace(base, mode=mode))
             got = _behaviours(rep, names)
             assert got <= want, (src, mode)
             truncated += rep.truncated
             if mode == MODE_INDEXED and not rep.truncated:
                 assert got == want, src
-            elif mode != MODE_INDEXED:
-                lost[mode] += got != want
+            elif mode == MODE_ABANDON:
+                lost += got != want
     assert truncated == 1  # one emitted indexed run needs 15,511 states
-    # abandon loses behaviours on most programs, concretize on a few
-    assert lost == {MODE_ABANDON: 12, MODE_CONCRETIZE: 5}, lost
+    assert lost == 12

@@ -847,8 +847,9 @@ def test_concretize_binds_an_unindexed_operand():
     src = ('int main(){ str s; symbolic s; if (strcmp(s, "ab") == 0) { return 1; } '
            'return strlen(s); }')
     _, res, gardens, _ = indexed_setup(src, {"strcmp"}, k=0)
-    emitted = typecheck(parse(emit_indexed_source(res)))
-    assert "strlen(unidx(s))" in emit_indexed_source(res)
+    text = emit_indexed_source(res)
+    assert "strlen(unidx(s))" in text
+    emitted = typecheck(parse(text))
     abandon = explore_baseline(emitted, ExploreConfig(mode=MODE_ABANDON, gardens=gardens))
     assert (abandon.paths, abandon.escaped_paths, len(abandon.test_cases)) == (2, 1, 1)
     rep = explore_baseline(emitted, ExploreConfig(mode=MODE_CONCRETIZE, gardens=gardens))
