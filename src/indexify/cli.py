@@ -31,7 +31,7 @@ from .garden import (
     load_seeds,
     serialize_gardens,
 )
-from .iot import REGISTRY, IotError, class_for_type, memoise_all, parse_tables, serialize_tables
+from .iot import REGISTRY, IotError, memoise_all, parse_tables, serialize_tables
 from .lang.ast import FLOAT, STR, MakeSymbolic, MiniImpError, Program, Value, mk_str, walk_stmts
 from .lang.interp import interpret
 from .lang.parser import parse, parse_scalar_literal
@@ -135,19 +135,13 @@ def check_fplus_name(name: str, where: str) -> None:
     op = REGISTRY.get(name)
     if op is None:
         raise UsageError(f"{where}: unknown operator {name!r}")
-    if op.klass not in ("string", "float"):
-        raise UsageError(f"{where}: {name!r} is an {op.klass} operator, "
+    if op.indexes is None:
+        raise UsageError(f"{where}: {name!r} is an io operator, "
                          "not a string or float one")
 
 
 def default_f_plus(indexed_types) -> set:
-    names = set()
-    for tag in indexed_types:
-        klass = class_for_type(tag)
-        for name, op in REGISTRY.items():
-            if op.klass == klass:
-                names.add(name)
-    return names
+    return {name for name, op in REGISTRY.items() if op.indexes in indexed_types}
 
 
 def default_builders(f_plus, indexed_types) -> tuple:

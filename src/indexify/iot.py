@@ -72,7 +72,7 @@ class BuiltinOp:
 
     signature: OperatorSignature
     fn: object
-    klass: str  # "string" | "float" | "io"
+    indexes: TypeTag | None  # the type its table indexes; None for puts
     prepare: tuple | None = None
     tabulate: object = None
 
@@ -193,32 +193,24 @@ def _sig(name, args, ret) -> OperatorSignature:
 
 
 REGISTRY: dict[str, BuiltinOp] = {
-    "strcat": BuiltinOp(_sig("strcat", [STR, STR], STR), operator.add, "string"),
-    "strstr": BuiltinOp(_sig("strstr", [STR, STR], STR), _strstr, "string"),
-    "strncmp": BuiltinOp(_sig("strncmp", [STR, STR, INT], INT), _strncmp, "string",
+    "strcat": BuiltinOp(_sig("strcat", [STR, STR], STR), operator.add, STR),
+    "strstr": BuiltinOp(_sig("strstr", [STR, STR], STR), _strstr, STR),
+    "strncmp": BuiltinOp(_sig("strncmp", [STR, STR, INT], INT), _strncmp, STR,
                          (_c_string, _c_string, None), _strncmp_table),
-    "strcmp": BuiltinOp(_sig("strcmp", [STR, STR], INT), _c_order, "string",
+    "strcmp": BuiltinOp(_sig("strcmp", [STR, STR], INT), _c_order, STR,
                         (_c_string, _c_string), _c_order_table),
-    "strlen": BuiltinOp(_sig("strlen", [STR], INT), len, "string"),
-    "substr": BuiltinOp(_sig("substr", [STR, INT, INT], STR), _substr, "string"),
-    "fadd": BuiltinOp(_sig("fadd", [FLOAT, FLOAT], FLOAT), operator.add, "float"),
-    "fsub": BuiltinOp(_sig("fsub", [FLOAT, FLOAT], FLOAT), operator.sub, "float"),
-    "fmul": BuiltinOp(_sig("fmul", [FLOAT, FLOAT], FLOAT), operator.mul, "float"),
-    "fdiv": BuiltinOp(_sig("fdiv", [FLOAT, FLOAT], FLOAT), _fdiv, "float"),
-    "sqrt": BuiltinOp(_sig("sqrt", [FLOAT], FLOAT), _sqrt, "float"),
-    "fabs": BuiltinOp(_sig("fabs", [FLOAT], FLOAT), math.fabs, "float"),
-    "fmin": BuiltinOp(_sig("fmin", [FLOAT, FLOAT], FLOAT), _fmin, "float"),
-    "fmax": BuiltinOp(_sig("fmax", [FLOAT, FLOAT], FLOAT), _fmax, "float"),
-    "puts": BuiltinOp(_sig("puts", [STR], INT), lambda s: 0, "io"),
+    "strlen": BuiltinOp(_sig("strlen", [STR], INT), len, STR),
+    "substr": BuiltinOp(_sig("substr", [STR, INT, INT], STR), _substr, STR),
+    "fadd": BuiltinOp(_sig("fadd", [FLOAT, FLOAT], FLOAT), operator.add, FLOAT),
+    "fsub": BuiltinOp(_sig("fsub", [FLOAT, FLOAT], FLOAT), operator.sub, FLOAT),
+    "fmul": BuiltinOp(_sig("fmul", [FLOAT, FLOAT], FLOAT), operator.mul, FLOAT),
+    "fdiv": BuiltinOp(_sig("fdiv", [FLOAT, FLOAT], FLOAT), _fdiv, FLOAT),
+    "sqrt": BuiltinOp(_sig("sqrt", [FLOAT], FLOAT), _sqrt, FLOAT),
+    "fabs": BuiltinOp(_sig("fabs", [FLOAT], FLOAT), math.fabs, FLOAT),
+    "fmin": BuiltinOp(_sig("fmin", [FLOAT, FLOAT], FLOAT), _fmin, FLOAT),
+    "fmax": BuiltinOp(_sig("fmax", [FLOAT, FLOAT], FLOAT), _fmax, FLOAT),
+    "puts": BuiltinOp(_sig("puts", [STR], INT), lambda s: 0, None),
 }
-
-
-def class_for_type(tag: TypeTag) -> str:
-    if tag is STR:
-        return "string"
-    if tag is FLOAT:
-        return "float"
-    raise IotError(f"no builtin class for {tag!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,9 @@ def is_index(tag: TypeTag) -> bool:
     return tag.name == "index"
 
 
+INTRINSICS = ("idx", "unidx")  # index and unindex a value; no function may take these names
+
+
 class Bottom:
     """The undefined value: any computation that leaves the garden."""
 
@@ -340,18 +343,12 @@ class MiniImpTypeError(MiniImpError):
 
 
 # ---------------------------------------------------------------------------
-# Layout: stable statement / branch numbering
+# Walks: stable statement paths
 # ---------------------------------------------------------------------------
 
-# The rewriter never adds, removes or reorders statements, so pre-order
-# numbering gives identical ids for a program and its rewritten form.  That is
-# what makes coverage comparable across modes.
-
-
-@dataclass(frozen=True)
-class Layout:
-    stmt_count: int
-    branch_count: int  # number of branch *sites*; each has 2 edges
+# The rewriter never adds, removes or reorders statements, so a statement's
+# path is identical in a program and its rewritten form.  That is what makes
+# coverage comparable across modes.
 
 
 def walk_stmts(body: list[Stmt], path: tuple = ()):
@@ -396,14 +393,3 @@ def declared_types(f: FunctionDef) -> dict:
         if isinstance(s, Decl):
             out[s.name] = s.type
     return out
-
-
-def program_layout(p: Program) -> Layout:
-    branches = 0
-    n = 0
-    for f in p.functions:
-        for _, s in walk_stmts(f.body):
-            n += 1
-            if isinstance(s, (If, While)):
-                branches += 1
-    return Layout(stmt_count=n, branch_count=branches)

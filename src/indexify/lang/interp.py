@@ -65,12 +65,12 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-class _AssertFailed(Exception):
-    pass
+class _Stop(Exception):
+    """The end of a run before main returned: an assertion failed or a loop
+    bound was exceeded."""
 
-
-class _BoundExceeded(Exception):
-    pass
+    def __init__(self, verdict):
+        self.verdict = verdict
 
 
 class Interpreter:
@@ -82,7 +82,7 @@ class Interpreter:
         self.tables = tables or {}
         self.unroll = unroll
         self.bot_propagate = bot_propagate
-        self.decls = {f.name: declared_types(f) for f in program.functions}
+        self.decls = {}  # function name -> declared types, once it runs `symbolic`
         self.covered_branches = set()
         self.outputs = []
         self.loop_counts = {}
@@ -94,12 +94,10 @@ class Interpreter:
         value = None
         try:
             value = self.call_function(self.program.main, [])
-        except _AssertFailed:
-            verdict = VERDICT_ASSERT
+        except _Stop as stop:
+            verdict = stop.verdict
         except EscapedGarden:
             verdict = VERDICT_ESCAPED
-        except _BoundExceeded:
-            verdict = VERDICT_BOUND
         except DivisionByZero:
             verdict = VERDICT_DIV_ZERO
         return InterpResult(
@@ -142,12 +140,12 @@ class Interpreter:
                     break
                 n = self.loop_counts.get(path, 0) + 1
                 if n > self.unroll:
-                    raise _BoundExceeded()
+                    raise _Stop(VERDICT_BOUND)
                 self.loop_counts[path] = n
                 self.exec_block(s.body, scope, path + ("b",))
         elif isinstance(s, Assert):
             if not self.condition(s.cond, scope):
-                raise _AssertFailed()
+                raise _Stop(VERDICT_ASSERT)
         elif isinstance(s, Return):
             raise _ReturnSignal(self.eval(s.value, scope) if s.value else None)
         elif isinstance(s, ExprStmt):
@@ -161,15 +159,15 @@ class Interpreter:
         if name not in self.inputs:
             raise MiniImpError(f"unbound symbolic variable {name!r}")
         v = self.inputs[name]
-        want = self.decls[fn_name].get(name)
+        decls = self.decls.get(fn_name)
+        if decls is None:
+            decls = self.decls[fn_name] = declared_types(self.program.function(fn_name))
+        want = decls.get(name)
         if want is None:
             raise MiniImpError(f"no declaration for {name!r}")
         if is_index(want) and v.tag == want.base:
             # inputs carry real values; map them into the garden here
-            garden = self.gardens.get(want.base)
-            if garden is None:
-                raise MiniImpError(f"no garden for {want.base!r}")
-            v = Value(want, garden.index_or_bot(v))
+            v = Value(want, self.garden(want.base).index_or_bot(v))
         if v.tag != want:
             raise MiniImpError(f"input {name!r} has tag {v.tag!r}, expected {want!r}")
         scope[name] = v
@@ -182,10 +180,7 @@ class Interpreter:
     def truth(self, v: Value) -> bool:
         no_bot(v)
         if is_index(v.tag):
-            garden = self.gardens.get(v.tag.base)
-            if garden is None:
-                raise MiniImpError(f"no garden for {v.tag!r}")
-            return truthy(garden.value_at(v.raw))
+            return truthy(self.garden(v.tag.base).value_at(v.raw))
         return truthy(v)
 
     def eval(self, e: Expr, scope) -> Value:
@@ -237,17 +232,18 @@ class Interpreter:
 
     def intrinsic_idx(self, v: Value) -> Value:
         no_bot(v)
-        garden = self.gardens.get(v.tag)
-        if garden is None:
-            raise MiniImpError(f"idx: no garden for {v.tag!r}")
-        return Value(index_of(v.tag), garden.index_or_bot(v))
+        return Value(index_of(v.tag), self.garden(v.tag).index_or_bot(v))
 
     def intrinsic_unidx(self, v: Value) -> Value:
         no_bot(v)
-        garden = self.gardens.get(v.tag.base)
+        return self.garden(v.tag.base).value_at(v.raw)
+
+    def garden(self, base):
+        """The garden of base values, which a run that indexes them needs."""
+        garden = self.gardens.get(base)
         if garden is None:
-            raise MiniImpError(f"unidx: no garden for {v.tag!r}")
-        return garden.value_at(v.raw)
+            raise MiniImpError(f"no garden for {base!r}")
+        return garden
 
     def table_call(self, table, args: list[Value]) -> Value:
         key = []

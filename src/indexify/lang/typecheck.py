@@ -9,11 +9,14 @@ output; for the latter, pass the indexed-operator signatures via extra_sigs.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
+
 from ..garden import OperatorSignature
 from ..iot import REGISTRY
 from .ast import (
     BOOL,
     INT,
+    INTRINSICS,
     OPERATORS,
     STR,
     Assert,
@@ -40,14 +43,11 @@ from .ast import (
     is_index,
 )
 
-def default_builtin_sigs():
-    return {name: op.signature for name, op in REGISTRY.items()}
-
 
 class TypeChecker:
     def __init__(self, program: Program, extra_sigs=None):
         self.program = program
-        self.builtins = default_builtin_sigs()
+        self.builtins = {name: op.signature for name, op in REGISTRY.items()}
         if extra_sigs:
             self.builtins.update(extra_sigs)
         self.user_fns: dict[str, OperatorSignature] = {}
@@ -57,6 +57,8 @@ class TypeChecker:
         for f in self.program.functions:
             if f.name in self.builtins:
                 raise MiniImpTypeError(f"function {f.name!r} shadows a builtin")
+            if f.name in INTRINSICS:
+                raise MiniImpTypeError(f"function {f.name!r} shadows an intrinsic")
             self.user_fns[f.name] = OperatorSignature(
                 f.name, tuple(p.type for p in f.params), f.return_type)
         main = self.program.function("main")
@@ -70,21 +72,15 @@ class TypeChecker:
         return self.program
 
     def check_dag(self) -> None:
-        state: dict[str, int] = {}  # 1 = in progress, 2 = done
-
-        def visit(name, chain):
-            if state.get(name) == 2:
-                return
-            if state.get(name) == 1:
-                cycle = " -> ".join(chain + [name])
-                raise MiniImpTypeError(f"recursive call chain: {cycle}")
-            state[name] = 1
-            for callee in sorted(self.calls_from.get(name, ())):
-                visit(callee, chain + [name])
-            state[name] = 2
-
-        for f in self.program.functions:
-            visit(f.name, [])
+        # the sorter takes each caller's callees as its predecessors, so it
+        # reports a cycle against the call direction; sorting keeps the
+        # reported cycle independent of set order
+        graph = {f: sorted(callees) for f, callees in self.calls_from.items()}
+        try:
+            TopologicalSorter(graph).prepare()
+        except CycleError as e:
+            cycle = " -> ".join(reversed(e.args[1]))
+            raise MiniImpTypeError(f"recursive call chain: {cycle}") from None
 
     def check_function(self, f: FunctionDef) -> None:
         scope: dict[str, TypeTag] = {}

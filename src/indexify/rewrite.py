@@ -43,6 +43,7 @@ from itertools import product
 from .iot import REGISTRY, GardenDim, IndexedOperatorTable
 from .lang.ast import (
     BOT,
+    INTRINSICS,
     Assert,
     Assign,
     BinOp,
@@ -79,8 +80,6 @@ class RewriteError(Exception):
 class StaleRedex(RewriteError):
     """The redex guard no longer holds at its site; caller should re-scan."""
 
-
-INTRINSICS = ("idx", "unidx")
 
 @dataclass
 class RewriteConfig:
@@ -174,16 +173,13 @@ class _Guards:
         if isinstance(e, Var):
             return self.declared_indexed(self.decls.get(e.name))
         if isinstance(e, Call):
-            if e.name == "idx":
-                return True
-            if e.name == "unidx":
-                return False
-            t = self.cfg.table_for(e.name)
-            if t is not None:
-                return t.result_indexed
-            user = self.program.function(e.name)
-            if user is not None:
-                return self.declared_indexed(user.return_type)
+            kind, callee = self.callee(e.name)
+            if kind == "intrinsic":
+                return e.name == "idx"
+            if kind == "table":
+                return callee.result_indexed
+            if kind == "user":
+                return self.declared_indexed(callee.return_type)
             return False  # external builtin results are raw
         return False
 
@@ -198,28 +194,31 @@ class _Guards:
         positions are external parameters of a to-be-indexed type that must
         keep receiving real values.
         """
-        if callee in INTRINSICS:
-            return None
-        t = self.cfg.table_for(callee)
-        if t is not None:
-            return ["index" if isinstance(d, GardenDim) else None for d in t.dims]
-        user = self.program.function(callee)
-        if user is not None:
+        kind, obj = self.callee(callee)
+        if kind == "table":
+            return ["index" if isinstance(d, GardenDim) else None for d in obj.dims]
+        if kind == "user":
             return ["index" if self.declared_indexed(p.type) else None
-                    for p in user.params]
-        op = REGISTRY.get(callee)
-        if op is not None:
+                    for p in obj.params]
+        if kind == "builtin" and obj is not None:
             return ["raw-indexed" if at in self.cfg.indexed_types else None
-                    for at in op.signature.arg_types]
+                    for at in obj.signature.arg_types]
         return None
 
-    def unindexed_external(self, callee: str):
-        """The registry entry for callee when it stays unindexed, else None."""
-        if callee in INTRINSICS or self.cfg.table_for(callee) is not None:
-            return None
-        if self.program.function(callee) is not None:
-            return None
-        return REGISTRY.get(callee)
+    def callee(self, name: str):
+        """What a callee name denotes, checked in this order: ("intrinsic",
+        name), ("table", its table, whether or not R6 renamed the call),
+        ("user", its FunctionDef) or ("builtin", its registry entry, None
+        for an unknown name)."""
+        if name in INTRINSICS:
+            return "intrinsic", name
+        table = self.cfg.table_for(name)
+        if table is not None:
+            return "table", table
+        user = self.program.function(name)
+        if user is not None:
+            return "user", user
+        return "builtin", REGISTRY.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -285,22 +284,18 @@ def _scan_rhs_site(target_indexed: bool, rhs: Expr, path, g: _Guards, out):
 
 
 def _maybe_boundary_wrap(target_indexed: bool, call: Call, path, g: _Guards, out):
-    if call.name in INTRINSICS:
-        return
-    table = g.cfg.table_for(call.name)
-    if table is None:
-        op = g.unindexed_external(call.name)
-        if op is None:
-            return  # user functions are rewritten structurally, never wrapped
-        returns_indexed_type = op.signature.return_type in g.cfg.indexed_types
+    # intrinsics and user functions (rewritten structurally) are never wrapped
+    kind, callee = g.callee(call.name)
+    if kind == "builtin" and callee is not None:
+        returns_indexed_type = callee.signature.return_type in g.cfg.indexed_types
         if target_indexed and returns_indexed_type:
             # R9 waits until R8 has unwrapped every argument of this call
             if not any(g.is_index_valued(a) for a in call.args):
                 out.append(Redex("R9", path))
-    else:
-        if not target_indexed and table.result_indexed:
+    elif kind == "table":
+        if not target_indexed and callee.result_indexed:
             # R10 mirrors R9: wait until every argument is in index form
-            if not _has_pending_args(call, table, g):
+            if not _has_pending_args(call, callee, g):
                 out.append(Redex("R10", path))
 
 

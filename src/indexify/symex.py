@@ -88,7 +88,6 @@ from .lang.ast import (
     mk_int,
     mk_str,
     no_bot,
-    program_layout,
     truthy,
 )
 from .lang.interp import (
@@ -304,6 +303,7 @@ class _Lowering:
     def stmt(self, s, path):
         op = self.engine
         self.emit(op.op_mark, path)
+        op.instr_total += 1
         if isinstance(s, Decl):
             self.assign(s.name, s.init)
         elif isinstance(s, Assign):
@@ -311,6 +311,7 @@ class _Lowering:
         elif isinstance(s, If):
             cond, site = self.cond(s.cond)
             at = self.emit(op.op_branch, cond, (path, True), (path, False), None)
+            op.branch_total += 2  # two edges per site
             self.block(s.then, path + ("t",))
             if s.orelse:
                 skip = self.emit(op.op_jump, None)
@@ -324,6 +325,7 @@ class _Lowering:
             head = len(self.code)
             cond, site = self.cond(s.cond)
             at = self.emit(op.op_branch, cond, (path, True), (path, False), None)
+            op.branch_total += 2
             self.emit(op.op_iterate, path)
             self.block(s.body, path + ("b",))
             self.emit(op.op_jump, head)
@@ -567,7 +569,6 @@ class Engine:
     def __init__(self, program: Program, cfg: ExploreConfig):
         self.program = program
         self.cfg = cfg
-        self.layout = program_layout(program)
         self.decls = {f.name: declared_types(f) for f in program.functions}
         self.queries = 0
         self.unknowns = 0
@@ -580,6 +581,7 @@ class Engine:
         self.stack: list[_State] = []
         self.deadline = 0.0
         self.codes = {f.name: [] for f in program.functions}
+        self.instr_total = self.branch_total = 0  # counted by the lowering
         lowering = _Lowering(self, self.codes)
         for f in program.functions:
             lowering.function(f)
@@ -651,9 +653,9 @@ class Engine:
         return ExplorationReport(
             mode=self.cfg.mode,
             test_cases=tuple(test_cases),
-            branch_total=2 * self.layout.branch_count,
+            branch_total=self.branch_total,
             branch_covered=len(covered_branches),
-            instr_total=self.layout.stmt_count,
+            instr_total=self.instr_total,
             instr_covered=len(covered_stmts),
             states=self.states,
             paths=paths,
@@ -777,10 +779,9 @@ class Engine:
                     raise _Infeasible()
                 c = model[ref.var.name]
                 st.facts = st.facts.extend((var_eq_const(ref.var, c),))
+                value = self._input_value(ref.tag, c)
                 if ref is s:
-                    value = st.symvars[ref.var.name] = _value_from_const(s.tag, c)
-                else:
-                    value = self._input_value(ref.tag, c)
+                    st.symvars[ref.var.name] = value
             bound[id(s)] = value
             for fr in st.frames:
                 store = fr.store
@@ -791,10 +792,10 @@ class Engine:
 
     def _input_value(self, tag, c) -> Value:
         """The input value solver constant c stands for: an index is
-        unindexed through its garden."""
+        unindexed through its garden, and an int or bool is c."""
         if is_index(tag):
             return self._garden(tag).value_at(c)
-        return _value_from_const(tag, c)
+        return mk_bool(bool(c)) if tag is BOOL else mk_int(c)
 
     def truth(self, v: Value) -> bool:
         no_bot(v)
@@ -913,9 +914,8 @@ class Engine:
         if isinstance(v, Opaque):
             fr.store[ins[1]], = self.intractable(st, (v,), (Opaque,))
             return
-        ref, value = ((v.ref, self._input_value) if isinstance(v, Unindexed)
-                      else (v, _value_from_const))
-        self.decide(st, fr, ins[1], [([var_eq_const(ref.var, c)], value(ref.tag, c))
+        ref = v.ref if isinstance(v, Unindexed) else v
+        self.decide(st, fr, ins[1], [([var_eq_const(ref.var, c)], self._input_value(ref.tag, c))
                                      for c in range(ref.var.size)])
 
     def op_compare(self, st, fr, ins):  # (op, dst, want, left, right)
@@ -1070,13 +1070,6 @@ class Engine:
             else:  # bound by concretization
                 out[name] = ref
         return out
-
-
-def _value_from_const(tag: TypeTag, c: int) -> Value:
-    """The program value of solver constant c for an int or bool variable."""
-    if tag is BOOL:
-        return mk_bool(bool(c))
-    return mk_int(c)
 
 
 def _concretize_default(tag: TypeTag) -> Value:

@@ -168,6 +168,17 @@ BAD_SOURCES = {
     "source-identifier": ("int 5(){ return 0; }", "expected identifier, found '5'"),
     "source-shadowed-builtin": ("int strlen(str s){ return 0; } int main(){ return 0; }",
                                 "function 'strlen' shadows a builtin"),
+    # both engines would run the user function, where the type checker
+    # typed the call as the intrinsic
+    "source-shadowed-idx": ("int idx(int x){ return x + 1; } "
+                            "int main(){ index<int> y = idx(3); return 0; }",
+                            "function 'idx' shadows an intrinsic"),
+    "source-shadowed-unidx": ('str unidx(str s){ return s; } '
+                              'int main(){ str t = unidx("a"); return 0; }',
+                              "function 'unidx' shadows an intrinsic"),
+    "source-recursion": ("int main(){ return f(1); } "
+                         "int f(int x){ return g(x); } int g(int x){ return f(x); }",
+                         "recursive call chain: f -> g -> f"),
     "source-no-main": ("int f(){ return 0; }", "program has no main function"),
     "source-main-parameters": ("int main(int x){ return x; }", "main takes no parameters"),
     "source-duplicate-parameter": ("int f(int a, int a){ return a; } "
@@ -612,6 +623,29 @@ def test_every_engine_explores_the_emitted_program(tmp_path, capsys):
         assert run_cli(emitted, "--type", "float", "--F+", str(empty), *mode,
                        "--outdir", str(out)) == 2
         assert "symbolic vendor: no garden for index<str>" in capsys.readouterr().err
+        assert run_cli(emitted, "--type", "float", "--F+", str(empty), *mode,
+                       "--replay", str(out / f"testcases.{suffix}")) == 2
+        assert "no garden for str\n" in capsys.readouterr().err
+
+
+def test_every_engine_branches_on_an_unindexed_input(tmp_path, capsys):
+    # an index input's truth is its garden value's: "" is false, "a" true
+    src = tmp_path / "unidx.mi"
+    src.write_text("int main(){ index<str> s; symbolic s; "
+                   "if (unidx(s)) { return 1; } return 0; }")
+    garden, empty = tmp_path / "garden.txt", tmp_path / "empty.txt"
+    garden.write_text("0\tstr\t\n1\tstr\ta\n")
+    empty.write_text("")
+    given = ["--garden", str(garden), "--F+", str(empty)]
+    for mode, suffix in (([], "indexed"), (["--baseline", "abandon"], "abandon"),
+                         (["--baseline", "concretize"], "concretize")):
+        out = tmp_path / suffix
+        assert run_cli(str(src), *given, *mode, "--outdir", str(out)) == 0
+        report = (out / f"report.{suffix}.txt").read_text()
+        assert "paths 2\n" in report and "branch_coverage 2/2\n" in report
+        capsys.readouterr()
+        assert run_cli(str(src), *given, *mode, "--replay", str(out / f"testcases.{suffix}")) == 0
+        assert capsys.readouterr().out.count("verdict=ok") == 2
 
 
 def test_a_rerun_replaces_the_test_cases(tmp_path, capsys):

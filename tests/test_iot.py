@@ -320,7 +320,7 @@ def test_a_raising_operator_gives_bot_on_every_path():
             raise ValueError(a, b)
         return strcat.fn(a, b)
 
-    op = BuiltinOp(strcat.signature, fn, strcat.klass)
+    op = BuiltinOp(strcat.signature, fn, strcat.indexes)
     want = {key: BOT if raises(*(g.value_at(k).raw for k in key)) else cell
             for key, cell in memoise(gardens, strcat).rows.items()}
     assert sum(cell is BOT for cell in want.values()) > len(g)
