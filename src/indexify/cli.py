@@ -23,7 +23,6 @@ from .garden import (
     BuilderConfig,
     GardenError,
     IndexMap,
-    SeedSet,
     build_garden,
     harvest_int_pool,
     harvest_seeds,
@@ -86,6 +85,10 @@ class CliConfig:
             raise UsageError(f"--max-states must be at least 1, not {self.max_states}")
         if self.unroll < 0:
             raise UsageError(f"--unroll must be at least 0, not {self.unroll}")
+        if self.k < 0:
+            raise UsageError(f"--k must be at least 0, not {self.k}")
+        if self.maxlen < 1:
+            raise UsageError(f"--maxlen must be at least 1, not {self.maxlen}")
 
 
 @dataclass
@@ -111,10 +114,12 @@ def read_text(path: str) -> str:
         raise UsageError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
 
 
-def load_seeds_file(path: str) -> SeedSet:
+def parse_file(path: str, parse_text, *args):
+    """parse_text(text, *args) of the input file at path; an error in the
+    text names the file."""
     try:
-        return load_seeds(read_text(path))
-    except GardenError as e:
+        return parse_text(read_text(path), *args)
+    except (GardenError, IotError) as e:
         raise UsageError(f"{path}: {e}") from None
 
 
@@ -173,12 +178,12 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
             check_fplus_name(name, "F+")
 
     if cfg.seeds_file:
-        seeds = load_seeds_file(cfg.seeds_file)  # prevents constant harvesting
+        seeds = parse_file(cfg.seeds_file, load_seeds)  # prevents constant harvesting
     else:
         seeds = harvest_seeds(program, types)
     if cfg.add_seeds_file:  # merged into whichever seed set was chosen
-        for vals in load_seeds_file(cfg.add_seeds_file).per_type.values():
-            for v in vals:
+        for imap in parse_file(cfg.add_seeds_file, load_seeds).per_type.values():
+            for v in imap.values():
                 seeds.add(v)
     if STR in types:
         seeds.add(mk_str(b""))  # the empty string is always seeded
@@ -186,7 +191,7 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
     int_pool = harvest_int_pool(program)
 
     if cfg.garden_file:
-        gardens = load_gardens(read_text(cfg.garden_file))
+        gardens = parse_file(cfg.garden_file, load_gardens)
         for tag in gardens:
             if tag not in (STR, FLOAT):  # no --type indexes int or bool
                 raise UsageError(f"{cfg.garden_file}: the garden holds {tag.name} "
@@ -200,7 +205,7 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
         )
         gardens = build_garden(seeds, bcfg, types=types)
 
-    tables = parse_tables(read_text(cfg.iot_file), gardens) if cfg.iot_file else {}
+    tables = parse_file(cfg.iot_file, parse_tables, gardens) if cfg.iot_file else {}
     missing = {n for n in f_plus if "i_" + n not in tables}
     tables.update(memoise_all(gardens, missing, int_pool))
 

@@ -53,20 +53,17 @@ class OperatorSignature:
 
 @dataclass
 class SeedSet:
-    per_type: dict[TypeTag, list[Value]] = field(default_factory=dict)
-    _keys: dict[TypeTag, set] = field(default_factory=dict, init=False, repr=False,
-                                      compare=False)
+    """Each type's seeds in the order added; an IndexMap per type keeps the
+    first of each value_key, as a garden does."""
+    per_type: dict[TypeTag, IndexMap] = field(default_factory=dict)
 
     def add(self, v: Value) -> None:
-        """Append v to its type's seeds unless a seed has its value_key."""
-        keys = self._keys.setdefault(v.tag, set())
-        key = value_key(v)
-        if key not in keys:
-            keys.add(key)
-            self.per_type.setdefault(v.tag, []).append(v)
+        if v.tag not in self.per_type:
+            self.per_type[v.tag] = IndexMap(v.tag)
+        self.per_type[v.tag].admit(v)
 
     def values(self, tag: TypeTag) -> list[Value]:
-        return list(self.per_type.get(tag, []))
+        return self.per_type[tag].values() if tag in self.per_type else []
 
 
 class IndexMap:
@@ -194,17 +191,14 @@ def harvest_int_pool(p: Program) -> tuple[int, ...]:
 
 
 def extend(imap: IndexMap, op, *,
-           snapshot: list[Value] | None = None,
-           max_str_len: int = 8, fresh_from: int = 0) -> tuple[IndexMap, int]:
-    """One builder pass: apply op, an iot.BuiltinOp, to the argument tuples
-    from the snapshot that hold a value at index fresh_from or later, in
-    product order (all of them by default).
+           snapshot: list[Value] | None = None, max_str_len: int = 8) -> None:
+    """One builder pass: apply op, an iot.BuiltinOp, to every argument tuple
+    over the snapshot (the whole garden by default), in product order.
 
     Results already present, longer than max_str_len, or failing to evaluate
-    are not admitted; the skip count (the long and the failing results) is
-    returned alongside the map.  Each result is judged on op's raw payload,
-    and a Value is built only for a result that is admitted.  All of op's
-    argument types must equal the garden's type (builders are mono-typed).
+    are not admitted.  Each result is judged on op's raw payload, and a Value
+    is built only for a result that is admitted.  All of op's argument types
+    must equal the garden's type (builders are mono-typed).
     """
     sig = op.signature
     tag = imap.type_tag
@@ -213,46 +207,21 @@ def extend(imap: IndexMap, op, *,
     if snapshot is None:
         snapshot = imap.values()
     limit = max_str_len if tag is STR else None  # only a string has a length bound
-    skips = 0
     call = op.fn if op.prepare is None else op.call  # no wrapper where none is needed
-    for args in _tuples_from([v.raw for v in snapshot], fresh_from, sig.arity):
+    for args in product([v.raw for v in snapshot], repeat=sig.arity):
         try:
             raw = call(*args)
         except Exception:
-            skips += 1
             continue
-        if limit is not None and len(raw) > limit:
-            skips += 1
-        elif imap.raw_index_or_bot(raw) is BOT:
+        if (limit is None or len(raw) <= limit) and imap.raw_index_or_bot(raw) is BOT:
             imap.admit(Value(tag, raw))
-    return imap, skips
-
-
-def _tuples_from(values: list, fresh_from: int, arity: int):
-    """The tuples over values of the given arity that hold a value at index
-    fresh_from or later, in product (lexicographic) order."""
-    if fresh_from <= 0:
-        yield from product(values, repeat=arity)
-    elif arity > 0:
-        for i, v in enumerate(values):
-            rest = product(values, repeat=arity - 1) if i >= fresh_from \
-                else _tuples_from(values, fresh_from, arity - 1)
-            for tail in rest:
-                yield (v,) + tail
 
 
 def build_garden(seeds: SeedSet, cfg: BuilderConfig,
                  types: set[TypeTag]) -> dict[TypeTag, IndexMap]:
-    """Grow per-type gardens: up to k rounds over all builders, each from a
-    snapshot taken at the start of the round.
-
-    Growth is semi-naive (Bancilhon and Ramakrishnan, SIGMOD 1986): a round
-    applies the builders only to the argument tuples that hold a value the
-    previous round admitted.  Every other tuple was applied in an earlier
-    round with the same result, so the admitted values and their indices are
-    those of applying every builder to the whole snapshot.  Growth stops
-    after a round that admits nothing.
-    """
+    """Grow per-type gardens: up to k rounds, each applying every builder to
+    every argument tuple over a snapshot taken at the start of the round.
+    Growth stops after a round that admits nothing."""
     gardens: dict[TypeTag, IndexMap] = {}
     for tag in sorted(types, key=lambda t: t.name):
         imap = IndexMap(tag)
@@ -265,18 +234,15 @@ def build_garden(seeds: SeedSet, cfg: BuilderConfig,
             _kleene_fill(gardens[STR], cfg.max_str_len)
         return gardens
 
-    fresh_from = dict.fromkeys(gardens, 0)  # per type: the first index of the last round
     for _ in range(cfg.k):
         snapshots = {tag: imap.values() for tag, imap in gardens.items()}
         for op in cfg.builders:
             tag = op.signature.return_type
             if tag not in gardens:
                 raise GardenError(f"builder {op.signature.name} needs a {tag!r} garden")
-            extend(gardens[tag], op, snapshot=snapshots[tag],
-                   max_str_len=cfg.max_str_len, fresh_from=fresh_from[tag])
+            extend(gardens[tag], op, snapshot=snapshots[tag], max_str_len=cfg.max_str_len)
         if all(len(gardens[tag]) == len(snap) for tag, snap in snapshots.items()):
             break
-        fresh_from = {tag: len(snap) for tag, snap in snapshots.items()}
     return gardens
 
 

@@ -169,20 +169,15 @@ class Parser:
         return Program(functions)
 
     def type_name(self) -> TypeTag:
-        tok = self.bump()
-        if tok.text == "index":
-            self.expect("<")
-            base = self.bump()
-            if base.text not in SCALARS:
-                raise MiniImpSyntaxError(f"unknown type {base.text!r}", base.line, base.col)
-            self.expect(">")
-            return index_of(SCALARS[base.text])
-        if tok.text not in SCALARS:
-            raise MiniImpSyntaxError(f"unknown type {tok.text!r}", tok.line, tok.col)
-        return SCALARS[tok.text]
+        if not self.eat("index"):
+            return self.base_type()
+        self.expect("<")
+        base = self.base_type()
+        self.expect(">")
+        return index_of(base)
 
     def at_type(self) -> bool:
-        return self.cur.kind == "ident" and self.cur.text in ("int", "float", "bool", "str", "index")
+        return self.cur.kind == "ident" and (self.cur.text in SCALARS or self.cur.text == "index")
 
     def function(self) -> FunctionDef:
         rtype = self.type_name()

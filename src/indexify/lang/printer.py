@@ -55,12 +55,6 @@ def print_float(x: float) -> str:
     return repr(x)
 
 
-def print_type(t: TypeTag) -> str:
-    if t.name == "index":
-        return f"index<{t.base.name}>"
-    return t.name
-
-
 def print_literal(tag: TypeTag, value) -> str:
     """The MiniImp source text of a literal of type tag."""
     if tag is INT:
@@ -102,7 +96,7 @@ def _print_block(body: list[Stmt], indent: int, out: list[str]) -> None:
     for s in body:
         if isinstance(s, Decl):
             init = f" = {print_expr(s.init)}" if s.init is not None else ""
-            out.append(f"{pad}{print_type(s.type)} {s.name}{init};")
+            out.append(f"{pad}{s.type!r} {s.name}{init};")
         elif isinstance(s, Assign):
             out.append(f"{pad}{s.name} = {print_expr(s.value)};")
         elif isinstance(s, If):
@@ -129,8 +123,8 @@ def _print_block(body: list[Stmt], indent: int, out: list[str]) -> None:
 
 
 def print_function(f: FunctionDef) -> str:
-    params = ", ".join(f"{print_type(p.type)} {p.name}" for p in f.params)
-    out = [f"{print_type(f.return_type)} {f.name}({params}) {{"]
+    params = ", ".join(f"{p.type!r} {p.name}" for p in f.params)
+    out = [f"{f.return_type!r} {f.name}({params}) {{"]
     _print_block(f.body, 1, out)
     out.append("}")
     return "\n".join(out)

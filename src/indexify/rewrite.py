@@ -69,7 +69,7 @@ from .lang.ast import (
     walk_exprs,
     walk_stmts,
 )
-from .lang.printer import print_literal, print_program, print_type
+from .lang.printer import print_literal, print_program
 from .lang.typecheck import typecheck
 
 
@@ -482,8 +482,8 @@ def confluence_probe(p: Program, cfg: RewriteConfig, trials: int,
 
 def _emit_table_fn(t: IndexedOperatorTable) -> str:
     sig = t.indexed_signature()
-    params = ", ".join(f"{print_type(ty)} s{i + 1}" for i, ty in enumerate(sig.arg_types))
-    lines = [f"{print_type(sig.return_type)} {t.indexed_name}({params}) {{"]
+    params = ", ".join(f"{ty!r} s{i + 1}" for i, ty in enumerate(sig.arg_types))
+    lines = [f"{sig.return_type!r} {t.indexed_name}({params}) {{"]
     for key, cell in zip(product(*(d.domain() for d in t.dims)), t.cells()):
         if cell is BOT:
             continue  # falls through to the catch-all

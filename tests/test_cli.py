@@ -144,6 +144,27 @@ BAD_TABLES = {
     "iot-duplicate-row": ("\n0 0 -> 0\n", "\n0 0 -> 0\n0 0 -> 5\n"),
 }
 
+# table-header edits, as in BAD_TABLES, and the message each is rejected with;
+# strcmp's table is the second written, and its results stay raw ints
+BAD_HEADERS = {
+    "iot-header-fields": ("iot strcat 2 indexed:str ", "iot strcat 2 ", "malformed iot header"),
+    "iot-header-operator": ("iot strcat 2 ", "iot nope 2 ",
+                            "iot file for unknown operator 'nope'"),
+    "iot-header-arity": ("iot strcmp 2 ", "iot strcmp 3 ",
+                         "strcmp: arity 3 does not match signature"),
+    "iot-header-kind": ("iot strcmp 2 raw:int ", "iot strcmp 2 indexed:str ",
+                        "strcmp: result kind 'indexed:str' does not match gardens"),
+}
+
+# case -> (file option, contents, the message they are rejected with)
+BAD_FILES = {
+    "seed-prefix": ("--seeds", "abc\n", "seed line 1: expected str:<literal> or float:<literal>"),
+    "garden-fields": ("--garden", "0\tstr\n", "garden line 1: expected 3 tab-separated fields"),
+    "garden-type": ("--garden", "0\tchar\ta\n", "garden line 1: unknown type 'char'"),
+    # fadd's table needs a float garden, which --type string does not grow
+    "fplus-float": ("--F+", "fadd\n", "fadd: argument type float has no garden and is not int"),
+}
+
 
 # valid programs nested deeper than the parser, type checker or lowering
 # can recurse
@@ -238,8 +259,8 @@ def _bad_input_args(case, tmp_path, monkeypatch):
         }[where]
         bad.write_text(text)
         return [str(src), option, str(bad)]
-    if case in BAD_TABLES:
-        old, new = BAD_TABLES[case]
+    if case in BAD_TABLES or case in BAD_HEADERS:
+        old, new = BAD_TABLES[case] if case in BAD_TABLES else BAD_HEADERS[case][:2]
         text = _tables_iot(src, tmp_path)
         assert old in text
         bad.write_text(text.replace(old, new, 1))
@@ -261,6 +282,10 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     if case in NOT_UTF8:
         option, data = NOT_UTF8[case]
         bad.write_bytes(data)
+        return [str(src), option, str(bad)]
+    if case in BAD_FILES:
+        option, text, _ = BAD_FILES[case]
+        bad.write_text(text)
         return [str(src), option, str(bad)]
     if case == "garden-index":
         bad.write_text("x\tstr\ta\n")
@@ -351,7 +376,7 @@ def _bad_input_args(case, tmp_path, monkeypatch):
     "fplus-unknown", "fplus-puts", "input-directory", "garden-directory", "source-not-utf8",
     "source-hex-escape",
     "seed-variable", *NOT_UTF8, *DEEP_SOURCES, *BAD_SOURCES, "source-emitted",
-    *BAD_SCALARS, *BAD_TABLES,
+    *BAD_SCALARS, *BAD_TABLES, *BAD_HEADERS, *BAD_FILES,
     *(f"{where}-escape-{kind}" for where in ("source", "garden", "seed", "testcase")
       for kind in BAD_ESCAPES),
     *(f"{where}-literal-{kind}" for where in ("garden", "seed", "testcase")
@@ -383,6 +408,12 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
         assert BAD_SOURCES[case][1] in err
     if case == "source-emitted":
         assert "program already defines 'i_strcat'" in err
+    if case.startswith(("garden-", "iot-")) and case != "garden-directory":
+        assert err.startswith(f"indexify: {tmp_path / 'bad'}: ")  # the file is named
+    if case in BAD_HEADERS:
+        assert f"{tmp_path / 'bad'}: {BAD_HEADERS[case][2]}" in err
+    if case in BAD_FILES:
+        assert BAD_FILES[case][2] in err
 
 
 def test_a_configured_f_plus_rejects_an_io_operator(tmp_path):
@@ -397,7 +428,7 @@ def test_a_configured_f_plus_rejects_an_io_operator(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--timeout", "nan"), ("--timeout", "-1"), ("--timeout", "0"),
-    ("--max-states", "0"), ("--unroll", "-1"),
+    ("--max-states", "0"), ("--unroll", "-1"), ("--k", "-1"), ("--maxlen", "0"),
 ])
 def test_bad_budget_exits_two_with_a_message(flag, value, fig4a_file, tmp_path, capsys):
     # a NaN timeout would never expire, and the others would explore nothing
@@ -407,6 +438,45 @@ def test_bad_budget_exits_two_with_a_message(flag, value, fig4a_file, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith(f"indexify: {flag} must be ") and "Traceback" not in err
     assert not out.exists()  # rejected before any work
+
+
+def test_a_bad_k_is_rejected_with_a_garden_file(fig4a_file, fig5_file, tmp_path, capsys):
+    # a loaded garden grows nothing, but --k is checked all the same
+    out = tmp_path / "out"
+    assert run_cli(fig4a_file, "--garden", fig5_file, "--k", "-1", "--outdir", str(out)) == 2
+    assert capsys.readouterr().err == "indexify: --k must be at least 0, not -1\n"
+    assert not out.exists()
+
+
+# case -> (source, the message exploring it stops with); the default --type
+# string grows no float garden
+PROGRAM_ERRORS = {
+    "no-return": ("int f(int x){ if (x) { return 1; } } "
+                  "int main(){ int n; symbolic n; return f(n); }",
+                  "f finished without returning"),
+    "uninitialised": ("int main(){ int x; x; return 0; }", "read of uninitialised variable 'x'"),
+    "index-garden": ("int main(){ if (0@float) { return 1; } return 0; }",
+                     "no garden for index<float>"),
+    "idx-garden": ("int main(){ idx(1.5); return 0; }", "idx: no garden for float"),
+}
+
+
+@pytest.mark.parametrize("baseline", [None, "abandon", "concretize"])
+@pytest.mark.parametrize("case", PROGRAM_ERRORS)
+def test_a_program_error_exits_two_and_writes_nothing(case, baseline, tmp_path, capsys):
+    source, message = PROGRAM_ERRORS[case]
+    src = tmp_path / "p.mi"
+    src.write_text(source)
+    out = tmp_path / "out"
+    args = (str(src), "--outdir", str(out)) + (("--baseline", baseline) if baseline else ())
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == f"indexify: {message}\n"
+    assert not out.exists()
+    if case == "no-return":  # the interpreter, replaying the path n = 0
+        tc = tmp_path / "n0.tc"
+        tc.write_text("n=0\n")
+        assert run_cli(*args, "--replay", str(tc)) == 2
+        assert capsys.readouterr().err == f"indexify: {tc}: {message}\n"
 
 
 def test_confluence_zero_trials_is_a_usage_error(fig4a_file, capsys):

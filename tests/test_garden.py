@@ -119,21 +119,17 @@ def test_extend_strstr_adds_suffix():
 
 def test_extend_counts_skips():
     imap = _as_map(seed_set(b"abc", b"de"))
-    _, skips = extend(imap, STRCAT, max_str_len=4)
+    extend(imap, STRCAT, max_str_len=4)
     # abc+abc, abc+de, de+abc are too long; de+de fits
-    assert skips == 3
-    assert b"dede" in raws(imap)
+    assert raws(imap) == [b"abc", b"de", b"dede"]
 
 
-@pytest.mark.parametrize("fresh_from", range(5))
-def test_extend_applies_the_tuples_with_a_fresh_value(fresh_from):
+def test_extend_applies_every_tuple():
     calls = []
     values = [b"", b"a", b"b", b"c"]
     imap = _as_map(seed_set(*values))
-    extend(imap, recording(STRCAT, calls), fresh_from=fresh_from)
-    want = [tuple(values[i] for i in t) for t in itertools.product(range(4), repeat=2)
-            if max(t) >= fresh_from]
-    assert calls == want  # in product order
+    extend(imap, recording(STRCAT, calls))
+    assert calls == [*itertools.product(values, repeat=2)]  # in product order
 
 
 def test_extend_rejects_foreign_operator():
@@ -142,24 +138,17 @@ def test_extend_rejects_foreign_operator():
         extend(imap, REGISTRY["strlen"])
 
 
-def _value_first_extend(imap, op, *, max_str_len, fresh_from):
+def _value_first_extend(imap, op, *, max_str_len):
     """extend as first written: each result is wrapped as a Value, then
     judged by its length, then offered to admit."""
     snapshot = imap.values()
-    skips = 0
     for idx in itertools.product(range(len(snapshot)), repeat=op.signature.arity):
-        if max(idx) < fresh_from:
-            continue
         try:
             result = Value(op.signature.return_type, op.call(*(snapshot[i].raw for i in idx)))
         except Exception:
-            skips += 1
             continue
         if result.tag is not STR or len(result.raw) <= max_str_len:
             imap.admit(result)
-        else:
-            skips += 1
-    return imap, skips
 
 
 def _strcat_unless_nul(a: bytes, b: bytes) -> bytes:
@@ -175,8 +164,8 @@ _FLOATS = (math.nan, -math.nan, -0.0, 0.0, math.inf, -math.inf, 1.0, -2.5, 0.5, 
 @pytest.mark.parametrize("name", ["strcat", "strstr", "raising", "fadd", "fmul",
                                   "fdiv", "fmin", "fmax"])
 def test_raw_first_growth_equals_value_first_growth(name):
-    # the values, their order (and so which of two equal floats is kept) and
-    # the skip count, for every fresh_from of random snapshots
+    # the values and their order (and so which of two equal floats is kept),
+    # for random snapshots
     op = replace(STRCAT, fn=_strcat_unless_nul) if name == "raising" else REGISTRY[name]
     tag = op.signature.return_type
     rng = random.Random(name)
@@ -190,16 +179,13 @@ def test_raw_first_growth_equals_value_first_growth(name):
         base = IndexMap(tag)
         for raw in seeds:
             base.admit(Value(tag, raw))
-        for fresh_from in range(len(base) + 1):
-            got, want = IndexMap(tag), IndexMap(tag)
-            for v in base.values():
-                got.admit(v)
-                want.admit(v)
-            _, got_skips = extend(got, op, max_str_len=max_str_len, fresh_from=fresh_from)
-            _, want_skips = _value_first_extend(want, op, max_str_len=max_str_len,
-                                                fresh_from=fresh_from)
-            assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
-            assert got_skips == want_skips
+        got, want = IndexMap(tag), IndexMap(tag)
+        for v in base.values():
+            got.admit(v)
+            want.admit(v)
+        extend(got, op, max_str_len=max_str_len)
+        _value_first_extend(want, op, max_str_len=max_str_len)
+        assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +240,7 @@ def _full_pass_garden(seeds, builders, k, max_str_len):
 
 
 @pytest.mark.parametrize("extra", [(), (b"qq",)])
-def test_semi_naive_growth_matches_full_passes(extra):
+def test_growth_matches_full_passes(extra):
     # the garden_memo benchmark's seeds, and a fourth one
     seeds = seed_set(b"", b"ab", b"bc", b"ca", *extra)
     for k in range(1, 5):
@@ -273,9 +259,9 @@ def test_growth_stops_after_a_round_that_admits_nothing():
         g = build_garden(seed_set(b"a", b""), BuilderConfig(builders=builders, k=k,
                                                            max_str_len=2), types={STR})
         sizes.append((len(g[STR]), len(calls)))
-    # rounds 1 and 2 admit aa and then nothing: round 2 applies the 5 tuples
-    # holding aa, and no later round applies any
-    assert sizes == [(3, 9), (3, 9), (3, 9)]
+    # rounds 1 and 2 admit aa and then nothing: round 1 applies the 4 tuples
+    # over {a, ""}, round 2 the 9 over {a, "", aa}, and no later round any
+    assert sizes == [(3, 13), (3, 13), (3, 13)]
 
 
 def test_deterministic_serialization():
