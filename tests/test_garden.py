@@ -124,12 +124,20 @@ def test_extend_counts_skips():
     assert raws(imap) == [b"abc", b"de", b"dede"]
 
 
-def test_extend_applies_every_tuple():
+@pytest.mark.parametrize("fresh_from", range(5))
+def test_extend_applies_the_tuples_with_a_fresh_value(fresh_from):
+    # values[fresh_from:] are admitted after the others; a pass still
+    # applies every tuple, those with a fresh value among them
     calls = []
     values = [b"", b"a", b"b", b"c"]
-    imap = _as_map(seed_set(*values))
+    imap = _as_map(seed_set(*values[:fresh_from]))
+    for v in values[fresh_from:]:
+        imap.admit(mk_str(v))
     extend(imap, recording(STRCAT, calls))
     assert calls == [*itertools.product(values, repeat=2)]  # in product order
+    fresh = [tuple(values[i] for i in t) for t in itertools.product(range(4), repeat=2)
+             if max(t) >= fresh_from]
+    assert [c for c in calls if c in fresh] == fresh
 
 
 def test_extend_rejects_foreign_operator():
