@@ -4,8 +4,11 @@ Twelve small programs exercise each transformation pathway: the vendor-string
 bug, substring branching, a flag-dispatch ladder, a substring-search loop,
 cross-boundary calls, nested indexed calls, float guards, mixed string/int
 gates, and integer controls.  run_corpus() executes them under the requested
-modes, checks each entry's expected witnesses (regressions exit nonzero), and
-aggregates coverage and solver statistics.
+modes, checks each entry's expected witnesses and, with check.check_runs, the
+paper's run invariants on every test case of every mode (every one replays,
+an indexed one agrees with the original program inside the garden, and the
+emitted source behaves as the in-memory tables), and aggregates coverage and
+solver statistics.  A violation of either kind makes indexify-bench exit 1.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
+from .check import check_runs
 from .cli import MODES, CliConfig, _TYPE_CHOICES, build_pipeline, format_columns, run_mode
 from .lang.parser import parse
 from .symex import MODE_ABANDON, MODE_INDEXED
@@ -156,7 +160,7 @@ def run_corpus(corpus=CORPUS, modes=DEFAULT_MODES) -> AggregateReport:
         results.append(EntryResult(
             entry=entry,
             reports=reports,
-            violations=check_witnesses(entry, reports),
+            violations=(*check_witnesses(entry, reports), *check_runs(cfg, pipe, reports)),
         ))
     return AggregateReport(results=tuple(results), modes=tuple(modes))
 

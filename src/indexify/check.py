@@ -1,0 +1,85 @@
+"""The paper's run invariants, checked on the test cases a run emits.
+
+Indexify maps a finite part of the program's algebra of expressions to
+indices augmented with BOT, so inside the garden a rewritten run that does
+not escape behaves as the original.  A run's behaviour is its verdict,
+return value and outputs, and the branch edges it covers in the original
+program's functions: an emitted .indexed.mi adds i_* functions, whose
+if-chains are table rows, not branches of the program.
+
+check_runs checks a run's reports and returns one finding per broken
+invariant, naming its mode and test case:
+
+    replay diverged              the test case's replay on the program its
+                                 mode explored gives another verdict or
+                                 branch trace
+    disagrees inside the garden  an indexed test case's rewritten run does
+                                 not escape and behaves otherwise than the
+                                 original program
+    emitted source differs       the emitted source, run with the gardens,
+                                 behaves otherwise than the in-memory tables
+"""
+
+from __future__ import annotations
+
+from .lang.interp import VERDICT_ESCAPED, interpret
+from .lang.parser import parse
+from .rewrite import emit_indexed_source
+from .symex import MODE_INDEXED, replay
+
+
+def behaviour(res, functions) -> tuple:
+    """What the interpreter run res shows: its verdict, return value and
+    outputs, and the branch edges it covered in the named functions."""
+    return (res.verdict, res.return_value, res.outputs,
+            frozenset(b for b in res.covered_branches if b[0][0] in functions))
+
+
+def agrees(original, rewritten, inputs, *, unroll: int = 16, **kw) -> bool | None:
+    """Whether the rewritten program's run on inputs shows the original's
+    behaviour: None when it escapes the garden, where there is nothing to
+    compare.  kw (gardens, tables, bot_propagate) is for the rewritten run."""
+    new = interpret(rewritten, inputs, unroll=unroll, **kw)
+    if new.verdict == VERDICT_ESCAPED:
+        return None
+    names = {f.name for f in original.functions}
+    return behaviour(new, names) == behaviour(interpret(original, inputs, unroll=unroll), names)
+
+
+def check_case(tc, explored, original=None, **kw) -> str | None:
+    """The finding on test case tc, or None: tc replays on explored, the
+    program it was explored on, and, given the original program, a run of
+    explored on its inputs agrees with it.  kw is replay's."""
+    res = replay(explored, tc, **kw)
+    if not res.ok:
+        return f"replay diverged ({res.detail})"
+    if original is not None and agrees(original, explored, tc.inputs, **kw) is False:
+        return "disagrees inside the garden"
+    return None
+
+
+def check_runs(cfg, pipe, reports: dict) -> list:
+    """The findings on every test case of reports (mode -> report), the run
+    of cfg (a cli.CliConfig) on pipe (a cli.Pipeline).  Each test case must
+    replay; an indexed one must agree with the original program and, unless
+    cfg.bot_propagate lets BOT flow on as the emitted source cannot, behave
+    in the emitted source as under the in-memory tables."""
+    findings = []
+    names = {f.name for f in pipe.program.functions}
+    for mode, report in reports.items():
+        indexed = mode == MODE_INDEXED
+        explored, original = (pipe.indexed.program, pipe.program) if indexed \
+            else (pipe.program, None)
+        kw = dict(gardens=pipe.gardens, tables=pipe.tables if indexed else None,
+                  unroll=cfg.unroll, bot_propagate=cfg.bot_propagate)
+        emitted = None
+        if indexed and not cfg.bot_propagate:
+            emitted = parse(emit_indexed_source(pipe.indexed))
+        for tc in report.test_cases:
+            found = [check_case(tc, explored, original, **kw)]
+            if emitted is not None:
+                out = interpret(emitted, tc.inputs, gardens=pipe.gardens, unroll=cfg.unroll)
+                if behaviour(out, names) != behaviour(interpret(explored, tc.inputs, **kw), names):
+                    found.append("emitted source differs")
+            findings += [f"{mode} test case {tc.path_id}: {f}" for f in found if f]
+    return findings

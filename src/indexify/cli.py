@@ -31,7 +31,7 @@ from .garden import (
     serialize_gardens,
 )
 from .iot import REGISTRY, IotError, memoise_all, parse_tables, serialize_tables
-from .lang.ast import FLOAT, STR, MakeSymbolic, MiniImpError, Program, Value, mk_str, walk_stmts
+from .lang.ast import FLOAT, STR, MiniImpError, Program, Value, mk_str, symbolic_inputs
 from .lang.interp import interpret
 from .lang.parser import parse, parse_scalar_literal
 from .lang.printer import print_literal
@@ -123,26 +123,32 @@ def parse_file(path: str, parse_text, *args):
         raise UsageError(f"{path}: {e}") from None
 
 
-def load_fplus_file(path: str) -> set:
+def load_fplus_file(path: str, indexed_types) -> set:
     names = set()
     for line in read_text(path).splitlines():
         name = line.strip()
         if not name or name.startswith("#"):
             continue
-        check_fplus_name(name, path)
+        check_fplus_name(name, path, indexed_types)
         names.add(name)
     return names
 
 
-def check_fplus_name(name: str, where: str) -> None:
-    """Reject an F+ name that is not a string or float operator: an io
-    operator such as puts has no table that keeps its effect."""
+def check_fplus_name(name: str, where: str, indexed_types) -> None:
+    """Reject an F+ name that is not an operator of an indexed type: an io
+    operator such as puts has no table that keeps its effect, and an
+    operator of a type that is not indexed has no garden to tabulate over."""
     op = REGISTRY.get(name)
     if op is None:
         raise UsageError(f"{where}: unknown operator {name!r}")
     if op.indexes is None:
         raise UsageError(f"{where}: {name!r} is an io operator, "
                          "not a string or float one")
+    if op.indexes not in indexed_types:
+        option = next((k for k, v in _TYPE_CHOICES.items()
+                       if set(v) == set(indexed_types)), None)
+        raise UsageError(f"{where}: {name!r} is a {op.indexes!r} operator, "
+                         f"and --type {option} indexes no {op.indexes!r} values")
 
 
 def default_f_plus(indexed_types) -> set:
@@ -174,8 +180,8 @@ def build_pipeline(program: Program, cfg: CliConfig) -> Pipeline:
         f_plus = default_f_plus(types)
     else:
         f_plus = set(cfg.f_plus_names)
-        for name in f_plus:
-            check_fplus_name(name, "F+")
+        for name in sorted(f_plus):
+            check_fplus_name(name, "F+", types)
 
     if cfg.seeds_file:
         seeds = parse_file(cfg.seeds_file, load_seeds)  # prevents constant harvesting
@@ -426,8 +432,7 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
         target, tables = pipe.indexed.program, pipe.tables
     else:
         target, tables = pipe.program, {}
-    symbolic = {s.name for f in target.functions for _, s in walk_stmts(f.body)
-                if isinstance(s, MakeSymbolic)}
+    symbolic = symbolic_inputs(target)
     paths = [replay_path]
     if os.path.isdir(replay_path):
         paths = [os.path.join(replay_path, p)
@@ -520,7 +525,8 @@ def config_from_args(args) -> CliConfig:
         garden_file=args.garden_file,
         iot_file=args.iot_file,
         f_plus_names=(None if args.fplus_file is None
-                      else tuple(sorted(load_fplus_file(args.fplus_file)))),
+                      else tuple(sorted(load_fplus_file(args.fplus_file,
+                                                        _TYPE_CHOICES[args.types])))),
         k=args.k,
         maxlen=args.maxlen,
         builder_mode=args.builder_mode,

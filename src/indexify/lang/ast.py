@@ -393,3 +393,16 @@ def declared_types(f: FunctionDef) -> dict:
         if isinstance(s, Decl):
             out[s.name] = s.type
     return out
+
+
+def symbolic_inputs(p: Program) -> dict:
+    """name -> declared type of every variable p makes symbolic, in statement
+    order, each typed by the declared_types of the function that makes it
+    symbolic first."""
+    out = {}
+    for f in p.functions:
+        decls = declared_types(f)
+        for _, s in walk_stmts(f.body):
+            if isinstance(s, MakeSymbolic):
+                out.setdefault(s.name, decls[s.name])
+    return out

@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from indexify.garden import load_gardens
+from indexify.cli import default_builders
+from indexify.garden import (BuilderConfig, build_garden, harvest_int_pool, harvest_seeds,
+                             load_gardens)
 from indexify.iot import REGISTRY, BuiltinOp, GardenDim, memoise_all
-from indexify.lang.ast import Value, mk_int
+from indexify.lang.ast import STR, Value, mk_int
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
+from indexify.rewrite import RewriteConfig
 
 FIG5_GARDEN_TEXT = "0\tstr\tfoobar\n1\tstr\toobar\n2\tstr\tbar\n3\tstr\too\n"
 
@@ -39,6 +42,18 @@ def fig5_strstr(fig5_gardens):
 @pytest.fixture
 def fig4a_program():
     return typecheck(parse(FIG4A_SOURCE))
+
+
+def build_cfg(program, f_plus, *, k=1, maxlen=4, int_pool=None, gardens=None) -> RewriteConfig:
+    """The rewrite configuration of a string run with the operators f_plus
+    indexed: tables over the given gardens, or over a garden grown from the
+    program's harvested seeds by the CLI's default builders, and over the
+    given int pool or the program's."""
+    if gardens is None:
+        bcfg = BuilderConfig(builders=default_builders(f_plus, {STR}), k=k, max_str_len=maxlen)
+        gardens = build_garden(harvest_seeds(program, {STR}), bcfg, types={STR})
+    pool = harvest_int_pool(program) if int_pool is None else int_pool
+    return RewriteConfig({STR}, set(f_plus), gardens, memoise_all(gardens, f_plus, pool))
 
 
 def make_rng(seed: int) -> random.Random:

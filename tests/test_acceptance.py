@@ -11,6 +11,7 @@ import pytest
 
 from indexify import solver
 from indexify.bench import CONTROL, CORPUS, STRING_HEAVY, load_entry, run_corpus
+from indexify.check import agrees, check_runs
 from indexify.cli import rewrite_pipeline
 from indexify.garden import (
     BuilderConfig,
@@ -24,16 +25,13 @@ from indexify.lang.ast import (
     BOT,
     FLOAT,
     STR,
-    Decl,
-    MakeSymbolic,
     mk_bool,
     mk_float,
     mk_int,
     mk_str,
+    symbolic_inputs,
     value_key,
-    walk_stmts,
 )
-from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
 from indexify.rewrite import RewriteConfig, confluence_probe, normalize
@@ -147,22 +145,6 @@ def test_criterion_4_confluence_fuzz():
     _report(4, "confluence fuzz, 12 programs x 1000 orders", t0)
 
 
-def _symbolic_names(program):
-    decls = {}
-    for f in program.functions:
-        for p in f.params:
-            decls[p.name] = p.type
-        for _, s in walk_stmts(f.body):
-            if isinstance(s, Decl):
-                decls[s.name] = s.type
-    names = []
-    for f in program.functions:
-        for _, s in walk_stmts(f.body):
-            if isinstance(s, MakeSymbolic):
-                names.append((s.name, decls[s.name]))
-    return names
-
-
 def test_criterion_5_homomorphism_differential():
     t0 = time.monotonic()
     rng = random.Random(55)
@@ -171,10 +153,10 @@ def test_criterion_5_homomorphism_differential():
         cfg, pipe = load_entry(entry)
         rewrite_pipeline(pipe, cfg)
         res = pipe.indexed
-        names = _symbolic_names(pipe.program)
+        names = symbolic_inputs(pipe.program)
         for _ in range(200):
             inputs = {}
-            for name, tag in names:
+            for name, tag in names.items():
                 if tag is STR:
                     inputs[name] = rng.choice(pipe.gardens[STR].values())
                 elif tag is FLOAT:
@@ -183,15 +165,10 @@ def test_criterion_5_homomorphism_differential():
                     inputs[name] = mk_bool(rng.random() < 0.5)
                 else:
                     inputs[name] = mk_int(rng.randrange(256))
-            indexed = interpret(res.program, inputs, gardens=pipe.gardens,
-                                tables=pipe.tables)
-            if indexed.verdict == "escaped-garden":
-                continue
-            original = interpret(pipe.program, inputs)
-            assert indexed.verdict == original.verdict, (entry.name, inputs)
-            assert indexed.return_value == original.return_value, (entry.name, inputs)
-            assert indexed.outputs == original.outputs, (entry.name, inputs)
-            compared += 1
+            agreed = agrees(pipe.program, res.program, inputs, gardens=pipe.gardens,
+                            tables=pipe.tables)
+            assert agreed is not False, (entry.name, inputs)
+            compared += agreed is True
     assert compared > 1000
     _report(5, f"homomorphism differential, {compared} non-escaping runs", t0)
 
@@ -296,14 +273,7 @@ def test_criterion_10_replay_soundness(corpus_runs):
     for r in corpus_runs.results:
         cfg, pipe = load_entry(r.entry)
         rewrite_pipeline(pipe, cfg)
-        for mode, rep in r.reports.items():
-            for tc in rep.test_cases:
-                if mode == MODE_INDEXED:
-                    rr = replay(pipe.indexed.program, tc, gardens=pipe.gardens,
-                                tables=pipe.tables)
-                else:
-                    rr = replay(pipe.program, tc)
-                assert rr.ok, (r.entry.name, mode, tc.path_id, rr)
-                total += 1
+        assert check_runs(cfg, pipe, r.reports) == [], r.entry.name
+        total += sum(len(rep.test_cases) for rep in r.reports.values())
     assert total > 100
     _report(10, f"replay soundness, {total} test cases", t0)

@@ -13,6 +13,8 @@ from indexify.bench import (
     run_corpus,
 )
 from indexify.cli import run_mode
+from indexify.lang.ast import (BOOL, FLOAT, INT, STR, mk_bool, mk_float, mk_int, mk_str,
+                               symbolic_inputs)
 from indexify.lang.interp import VERDICT_ASSERT, VERDICT_OK, interpret
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
@@ -31,28 +33,12 @@ def test_corpus_has_twelve_entries_across_categories():
 
 
 def test_every_entry_parses_typechecks_and_terminates():
+    # at least one input completes within the default unroll bound:
+    # defaults cover programs whose symbolic variables never block
+    zero = {STR: mk_str(b""), INT: mk_int(0), FLOAT: mk_float(0.0), BOOL: mk_bool(False)}
     for entry in CORPUS:
         program = typecheck(parse(open(corpus_path(entry.name)).read()))
-        # at least one input completes within the default unroll bound:
-        # defaults cover programs whose symbolic variables never block
-        defaults = {}
-        from indexify.lang.ast import FLOAT, INT, STR, mk_float, mk_int, mk_str
-        from indexify.lang.ast import BOOL, mk_bool, walk_stmts, Decl, MakeSymbolic
-
-        names = set()
-        for f in program.functions:
-            for _, s in walk_stmts(f.body):
-                if isinstance(s, MakeSymbolic):
-                    names.add(s.name)
-        decls = {}
-        for f in program.functions:
-            for _, s in walk_stmts(f.body):
-                if isinstance(s, Decl):
-                    decls[s.name] = s.type
-        for n in names:
-            tag = decls[n]
-            defaults[n] = {STR: mk_str(b""), INT: mk_int(0),
-                           FLOAT: mk_float(0.0), BOOL: mk_bool(False)}[tag]
+        defaults = {n: zero[tag] for n, tag in symbolic_inputs(program).items()}
         res = interpret(program, defaults)
         assert res.verdict in ("ok", "assertion-failure"), entry.name
 

@@ -1,0 +1,121 @@
+"""indexify.check: each finding comes from one planted fault, and names the
+test case it breaks.  vendor_check's indexed run is clean until a fault is
+planted in a strncmp cell that reads 0 (a match) for a test case that does
+not escape."""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
+import pytest
+
+import indexify
+from indexify import check
+from indexify.bench import CORPUS, load_entry, run_corpus
+from indexify.check import check_runs
+from indexify.cli import load_pipeline, run_mode
+from indexify.iot import IndexedOperatorTable, serialize_tables
+from indexify.lang.interp import VERDICT_ASSERT, VERDICT_ESCAPED, VERDICT_OK, interpret
+from indexify.lang.printer import print_literal
+from indexify.symex import MODE_INDEXED
+
+TABLE = "i_strncmp"
+
+
+@pytest.fixture
+def vendor_run():
+    cfg, pipe = load_entry(next(e for e in CORPUS if e.name == "vendor_check"))
+    report = run_mode(cfg, pipe, MODE_INDEXED)
+    assert check_runs(cfg, pipe, {MODE_INDEXED: report}) == []
+    return cfg, pipe, report
+
+
+def cells_read(pipe, tc, monkeypatch) -> set:
+    """The (table, key) pairs that tc's run on the in-memory tables looks up."""
+    reads = set()
+    lookup = IndexedOperatorTable.lookup
+
+    def recorded(table, key):
+        reads.add((table.indexed_name, key))
+        return lookup(table, key)
+
+    with monkeypatch.context() as m:
+        m.setattr(IndexedOperatorTable, "lookup", recorded)
+        interpret(pipe.indexed.program, tc.inputs, gardens=pipe.gardens, tables=pipe.tables)
+    return reads
+
+
+def matching_key(pipe, report, monkeypatch) -> tuple:
+    """The first strncmp key that reads 0 in a non-escaping test case's run."""
+    return next(key for tc in report.test_cases if tc.verdict != VERDICT_ESCAPED
+                for name, key in sorted(cells_read(pipe, tc, monkeypatch))
+                if name == TABLE and pipe.tables[TABLE].lookup(key) == 0)
+
+
+def readers(pipe, report, key, monkeypatch) -> list:
+    """The test cases of report whose in-memory run reads the strncmp key."""
+    return [tc for tc in report.test_cases if (TABLE, key) in cells_read(pipe, tc, monkeypatch)]
+
+
+def test_a_flipped_verdict_is_reported_as_a_replay_divergence(vendor_run):
+    cfg, pipe, report = vendor_run
+    tc = next(t for t in report.test_cases if t.verdict == VERDICT_ASSERT)
+    flipped = tuple(replace(t, verdict=VERDICT_OK) if t is tc else t for t in report.test_cases)
+    assert check_runs(cfg, pipe, {MODE_INDEXED: replace(report, test_cases=flipped)}) == \
+        [f"indexed test case {tc.path_id}: replay diverged (verdict mismatch)"]
+
+
+def test_a_tampered_table_cell_disagrees_inside_the_garden(vendor_run, tmp_path, monkeypatch):
+    # the cell is changed in tables.iot and loaded as --indexOpDefs loads it;
+    # the run explored over it replays, and its emitted source agrees with it
+    cfg, pipe, report = vendor_run
+    key = matching_key(pipe, report, monkeypatch)
+    row = " ".join(map(str, key)) + " -> 0\n"
+    lines = serialize_tables(pipe.tables).splitlines(keepends=True)
+    start = lines.index(next(ln for ln in lines if ln.startswith(f"iot {TABLE[2:]} ")))
+    lines[lines.index(row, start)] = row.replace("-> 0", "-> 1")
+    path = tmp_path / "tables.iot"
+    path.write_text("".join(lines))
+    cfg = replace(cfg, iot_file=str(path))
+    pipe = load_pipeline(cfg)
+    report = run_mode(cfg, pipe, MODE_INDEXED)
+    flagged = [tc for tc in readers(pipe, report, key, monkeypatch)
+               if tc.verdict != VERDICT_ESCAPED]
+    assert flagged
+    assert check_runs(cfg, pipe, {MODE_INDEXED: report}) == \
+        [f"indexed test case {tc.path_id}: disagrees inside the garden" for tc in flagged]
+
+
+def test_a_dropped_emitted_row_is_reported_as_emitted_source_differs(vendor_run, monkeypatch):
+    cfg, pipe, report = vendor_run
+    key = matching_key(pipe, report, monkeypatch)
+    types = pipe.tables[TABLE].indexed_signature().arg_types
+    conds = " && ".join(f"s{i + 1} == {print_literal(t, k)}"
+                        for i, (t, k) in enumerate(zip(types, key)))
+    emit = check.emit_indexed_source
+
+    def dropping_the_row(result):
+        lines = emit(result).split("\n")
+        kept = [ln for ln in lines if not ln.startswith(f"  if ({conds}) {{")]
+        assert len(kept) == len(lines) - 1
+        return "\n".join(kept)
+
+    monkeypatch.setattr(check, "emit_indexed_source", dropping_the_row)
+    flagged = readers(pipe, report, key, monkeypatch)
+    assert flagged
+    findings = [f"indexed test case {tc.path_id}: emitted source differs" for tc in flagged]
+    assert check_runs(cfg, pipe, {MODE_INDEXED: report}) == findings
+    # the corpus bench counts each finding as a violation of its entry
+    entry = next(e for e in CORPUS if e.name == "vendor_check")
+    assert run_corpus(corpus=(entry,), modes=(MODE_INDEXED,)).violations == \
+        tuple(("vendor_check", f) for f in findings)
+
+
+def test_importing_check_loads_neither_cli_nor_bench():
+    # bench imports check, and the CLI may: check must not import them back
+    src = os.path.dirname(os.path.dirname(indexify.__file__))
+    code = "import sys, indexify.check; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert not {"indexify.cli", "indexify.bench"} & set(out.split())

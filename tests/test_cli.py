@@ -162,7 +162,8 @@ BAD_FILES = {
     "garden-fields": ("--garden", "0\tstr\n", "garden line 1: expected 3 tab-separated fields"),
     "garden-type": ("--garden", "0\tchar\ta\n", "garden line 1: unknown type 'char'"),
     # fadd's table needs a float garden, which --type string does not grow
-    "fplus-float": ("--F+", "fadd\n", "fadd: argument type float has no garden and is not int"),
+    "fplus-float": ("--F+", "fadd\n",
+                    "'fadd' is a float operator, and --type string indexes no float values"),
 }
 
 
@@ -408,7 +409,7 @@ def test_bad_input_exits_two_with_a_message(case, tmp_path, capsys, monkeypatch)
         assert BAD_SOURCES[case][1] in err
     if case == "source-emitted":
         assert "program already defines 'i_strcat'" in err
-    if case.startswith(("garden-", "iot-")) and case != "garden-directory":
+    if case.startswith(("garden-", "iot-", "fplus-")) and case != "garden-directory":
         assert err.startswith(f"indexify: {tmp_path / 'bad'}: ")  # the file is named
     if case in BAD_HEADERS:
         assert f"{tmp_path / 'bad'}: {BAD_HEADERS[case][2]}" in err
@@ -424,6 +425,21 @@ def test_a_configured_f_plus_rejects_an_io_operator(tmp_path):
     cfg = CliConfig(input_path=str(src), f_plus_names=("puts", "strcat"))
     with pytest.raises(UsageError, match="F\\+: 'puts' is an io operator"):
         load_pipeline(cfg)
+
+
+@pytest.mark.parametrize("name, types, message", [
+    ("fadd", (STR,), "'fadd' is a float operator, and --type string indexes no float values"),
+    ("strcat", (FLOAT,), "'strcat' is a str operator, and --type float indexes no str values"),
+])
+def test_a_configured_f_plus_rejects_an_operator_of_an_unindexed_type(name, types, message,
+                                                                     tmp_path):
+    # its table would need a garden of a type the run does not index
+    src = tmp_path / "main.mi"
+    src.write_text("int main() { return 0; }")
+    cfg = CliConfig(input_path=str(src), indexed_types=types, f_plus_names=(name,))
+    with pytest.raises(UsageError) as e:
+        load_pipeline(cfg)
+    assert str(e.value) == f"F+: {message}"
 
 
 @pytest.mark.parametrize("flag, value", [

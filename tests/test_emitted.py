@@ -16,23 +16,20 @@ from dataclasses import replace
 import pytest
 
 from indexify.bench import CORPUS, load_entry
+from indexify.check import check_case
 from indexify.cli import explore_config, run_mode
-from indexify.lang.interp import VERDICT_ESCAPED, interpret
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
 from indexify.rewrite import emit_indexed_source, normalize
-from indexify.symex import (MODE_ABANDON, MODE_INDEXED, ExploreConfig, explore,
-                            explore_baseline, replay)
+from indexify.symex import MODE_ABANDON, MODE_INDEXED, ExploreConfig, explore, explore_baseline
 
-from test_fuzz import ORACLE_INT_DOMAIN, ORACLE_UNROLL, ProgramGen, build_cfg
-
-
-def _trace(tc, names):
-    return frozenset(b for b in tc.covered_branches if b[0][0] in names)
+from conftest import build_cfg
+from test_fuzz import ORACLE_INT_DOMAIN, ORACLE_UNROLL, ProgramGen
 
 
 def _behaviours(rep, names):
-    return {(tc.verdict, _trace(tc, names)) for tc in rep.test_cases}
+    return {(tc.verdict, frozenset(b for b in tc.covered_branches if b[0][0] in names))
+            for tc in rep.test_cases}
 
 
 def _run_emitted(emitted, program, cfg):
@@ -40,13 +37,9 @@ def _run_emitted(emitted, program, cfg):
     and that every one that does not escape agrees with program."""
     run = explore if cfg.mode == MODE_INDEXED else explore_baseline
     rep = run(emitted, cfg)
-    names = {f.name for f in program.functions}
     for tc in rep.test_cases:
-        assert replay(emitted, tc, gardens=cfg.gardens, unroll=cfg.unroll).ok, (cfg.mode, tc)
-        if tc.verdict != VERDICT_ESCAPED:
-            orig = interpret(program, tc.inputs, unroll=cfg.unroll)
-            assert (orig.verdict, orig.covered_branches) == \
-                (tc.verdict, _trace(tc, names)), (cfg.mode, tc)
+        assert check_case(tc, emitted, program, gardens=cfg.gardens,
+                          unroll=cfg.unroll) is None, (cfg.mode, tc)
     return rep
 
 

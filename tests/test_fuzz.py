@@ -7,16 +7,17 @@ import pytest
 
 from indexify import rewrite
 from indexify.bench import CORPUS, load_entry
-from indexify.garden import BuilderConfig, build_garden, harvest_int_pool, harvest_seeds
-from indexify.iot import REGISTRY, memoise_all
-from indexify.lang.ast import STR, mk_bool, mk_int, mk_str
-from indexify.lang.interp import VERDICT_ESCAPED, interpret
+from indexify.check import agrees, behaviour
+from indexify.lang.ast import STR, mk_bool, mk_int
+from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.printer import print_program
 from indexify.lang.typecheck import typecheck
 from indexify.rewrite import RewriteConfig, confluence_probe, emit_indexed_source, normalize
 from indexify.symex import (MODE_ABANDON, MODE_CONCRETIZE, Engine, ExploreConfig, explore,
                             explore_baseline, replay)
+
+from conftest import build_cfg
 
 STR_CONSTS = ['"a"', '"b"', '"ab"', '"ba"', '""']
 INT_CONSTS = ["0", "1", "2", "3"]
@@ -215,18 +216,6 @@ class ProgramGen:
         return "\n".join(lines)
 
 
-def build_cfg(program, f_plus, k=1, maxlen=4, int_pool=None):
-    seeds = harvest_seeds(program, {STR})
-    builders = tuple(REGISTRY[n] for n in sorted(f_plus)
-                     if REGISTRY[n].signature.arg_types == (STR, STR)
-                     and REGISTRY[n].signature.return_type is STR)
-    gardens = build_garden(seeds, BuilderConfig(builders=builders, k=k,
-                                                max_str_len=maxlen), types={STR})
-    tables = memoise_all(gardens, f_plus, harvest_int_pool(program)
-                         if int_pool is None else int_pool)
-    return RewriteConfig({STR}, set(f_plus), gardens, tables)
-
-
 def test_confluence_on_random_programs():
     rng = random.Random(8080)
     for trial in range(30):
@@ -252,15 +241,9 @@ def test_homomorphism_on_random_programs():
         garden = cfg.gardens[STR]
         for _ in range(30):
             inputs = {"sym": rng.choice(garden.values())}
-            indexed = interpret(res.program, inputs, gardens=cfg.gardens,
-                                tables=cfg.tables)
-            if indexed.verdict == "escaped-garden":
-                continue
-            original = interpret(program, inputs)
-            assert indexed.verdict == original.verdict, src
-            assert indexed.return_value == original.return_value, src
-            assert indexed.outputs == original.outputs, src
-            compared += 1
+            agreed = agrees(program, res.program, inputs, gardens=cfg.gardens, tables=cfg.tables)
+            assert agreed is not False, src
+            compared += agreed is True
     assert compared > 200
 
 
@@ -325,10 +308,10 @@ def _check_exhaustively(src, f_plus, k, int_pool=None):
     the rewritten program on every input of the garden product.  The
     (verdict, branch trace) pairs it shows must be exactly those of the
     explorer's test cases: none missing, none extra.  On every input the
-    emitted .indexed.mi agrees with the in-memory program, and on every
-    input that does not escape, so does the original program.  Returns the
-    number of inputs compared with the original program and the verdicts
-    seen."""
+    emitted .indexed.mi shows the in-memory program's behaviour, and on
+    every input that does not escape, so does the original program.
+    Returns the number of inputs compared with the original program and the
+    verdicts seen."""
     program = typecheck(parse(src))
     cfg = build_cfg(program, f_plus, k=k, maxlen=3, int_pool=int_pool)
     res = normalize(program, cfg)
@@ -341,6 +324,7 @@ def _check_exhaustively(src, f_plus, k, int_pool=None):
     assert rep.paths == len(rep.test_cases), src  # nothing abandoned
     explored = {(tc.verdict, tc.covered_branches) for tc in rep.test_cases}
     emitted = parse(emit_indexed_source(res))
+    names = {f.name for f in program.functions}
     seen = set()
     compared = 0
     for inputs in _oracle_inputs(gardens, extra):
@@ -348,14 +332,11 @@ def _check_exhaustively(src, f_plus, k, int_pool=None):
                         unroll=ORACLE_UNROLL)
         seen.add((mem.verdict, mem.covered_branches))
         out = interpret(emitted, inputs, gardens=gardens, unroll=ORACLE_UNROLL)
-        assert (out.verdict, out.return_value, out.outputs) == \
-            (mem.verdict, mem.return_value, mem.outputs), (src, inputs)
-        if mem.verdict == VERDICT_ESCAPED:
-            continue
-        orig = interpret(program, inputs, unroll=ORACLE_UNROLL)
-        assert (orig.verdict, orig.return_value, orig.outputs) == \
-            (mem.verdict, mem.return_value, mem.outputs), (src, inputs)
-        compared += 1
+        assert behaviour(out, names) == behaviour(mem, names), (src, inputs)
+        agreed = agrees(program, res.program, inputs, gardens=gardens, tables=tables,
+                        unroll=ORACLE_UNROLL)
+        assert agreed is not False, (src, inputs)
+        compared += agreed is True
     assert explored == seen, src
     return compared, {v for v, _ in seen}
 

@@ -5,9 +5,10 @@ import pytest
 
 from indexify import rewrite
 from indexify.bench import CORPUS, corpus_path, load_entry
+from indexify.check import check_runs
 from indexify.cli import CliConfig, build_pipeline, rewrite_pipeline, run_mode
-from indexify.garden import build_garden, BuilderConfig, harvest_int_pool, harvest_seeds
-from indexify.iot import REGISTRY, memoise_all
+from indexify.garden import build_garden, BuilderConfig
+from indexify.iot import memoise_all
 from indexify.lang.ast import BOT, FLOAT, STR, BotLiteral, Call, Decl, Literal, index_of, mk_int
 from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
@@ -25,24 +26,12 @@ from indexify.rewrite import (
 )
 from indexify.symex import MODE_INDEXED
 
-from conftest import FIG4A_SOURCE
+from conftest import FIG4A_SOURCE, build_cfg
 
 
 def fig5_cfg(fig5_gardens):
     tables = memoise_all(fig5_gardens, {"strstr"})
     return RewriteConfig({STR}, {"strstr"}, fig5_gardens, tables)
-
-
-def pipeline_cfg(source, f_plus, k=2, maxlen=8):
-    p = typecheck(parse(source))
-    seeds = harvest_seeds(p, {STR})
-    builders = tuple(REGISTRY[n] for n in sorted(f_plus)
-                     if all(t is STR for t in REGISTRY[n].signature.arg_types)
-                     and REGISTRY[n].signature.return_type is STR)
-    gardens = build_garden(seeds, BuilderConfig(builders=builders, k=k,
-                                                max_str_len=maxlen), types={STR})
-    tables = memoise_all(gardens, f_plus, harvest_int_pool(p))
-    return p, RewriteConfig({STR}, set(f_plus), gardens, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +126,8 @@ def test_r5_replaces_out_of_garden_literal(fig5_gardens):
 
 
 def test_r5_dead_when_seeds_are_harvested():
-    p, cfg = pipeline_cfg(FIG4A_SOURCE, {"strstr"})
+    p = typecheck(parse(FIG4A_SOURCE))
+    cfg = build_cfg(p, {"strstr"}, k=2, maxlen=8)
     cur = p
     while True:
         redexes = find_redexes(cur, cfg)
@@ -200,7 +190,8 @@ def test_normalize_scans_once_per_round(fig4a_program, fig5_gardens, monkeypatch
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     from perfbench.workloads import flags_wide_source
 
-    p, cfg = pipeline_cfg(flags_wide_source(random.Random(1)), {"strcmp"}, k=0)
+    p = typecheck(parse(flags_wide_source(random.Random(1))))
+    cfg = build_cfg(p, {"strcmp"}, k=0, maxlen=8)
     calls.update(find_redexes=0, apply_rule=0)
     res = normalize(p, cfg)
     assert calls["apply_rule"] == 401  # R3 on flag; R6 and R4 per strcmp
@@ -266,8 +257,8 @@ def test_program_without_indexed_types_unchanged(fig5_gardens):
 
 
 def test_vendor_program_renames_both_call_sites():
-    src = open(corpus_path("vendor_check")).read()
-    p, cfg = pipeline_cfg(src, {"strncmp"}, k=1)
+    p = typecheck(parse(open(corpus_path("vendor_check")).read()))
+    cfg = build_cfg(p, {"strncmp"}, k=1, maxlen=8)
     res = normalize(p, cfg)
     text = print_program(res.program)
     assert text.count("i_strncmp") == 2
@@ -278,8 +269,8 @@ def test_output_typechecks_with_index_types():
     for name, fp in [("substring_branch", {"strstr"}),
                      ("greeting_boundary", {"strcat", "strstr"}),
                      ("vendor_check", {"strncmp"})]:
-        src = open(corpus_path(name)).read()
-        p, cfg = pipeline_cfg(src, fp, k=1, maxlen=16)
+        p = typecheck(parse(open(corpus_path(name)).read()))
+        cfg = build_cfg(p, fp, k=1, maxlen=16)
         res = normalize(p, cfg)
         for f in res.program.functions:
             for _, s in _walk(f):
@@ -433,24 +424,13 @@ def test_rewrite_case_normal_form_confluence_and_emitted_source(
     report = run_mode(cfg, pipe, MODE_INDEXED)
     assert {tc.verdict for tc in report.test_cases} == {"ok", "escaped-garden"}
     assert report.branch_covered == report.branch_total
-    emitted = parse(emit_indexed_source(pipe.indexed))
-    for tc in report.test_cases:
-        mem = interpret(pipe.indexed.program, tc.inputs, gardens=pipe.gardens,
-                        tables=pipe.tables)
-        out = interpret(emitted, tc.inputs, gardens=pipe.gardens)
-        assert (out.verdict, out.return_value) == (mem.verdict, mem.return_value)
+    assert check_runs(cfg, pipe, {MODE_INDEXED: report}) == []
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_emitted_source_agrees_with_in_memory_program(entry):
     # the emitted if-chains, run with gardens and no tables, give every test
-    # case the verdict and return value of the in-memory tables
+    # case the behaviour of the in-memory tables
     cfg, pipe = load_entry(entry)
     report = run_mode(cfg, pipe, MODE_INDEXED)
-    emitted = parse(emit_indexed_source(pipe.indexed))
-    for tc in report.test_cases:
-        mem = interpret(pipe.indexed.program, tc.inputs, gardens=pipe.gardens,
-                        tables=pipe.tables, unroll=cfg.unroll)
-        out = interpret(emitted, tc.inputs, gardens=pipe.gardens, unroll=cfg.unroll)
-        assert (out.verdict, out.return_value) == (mem.verdict, mem.return_value), \
-            (tc.path_id, tc.inputs)
+    assert check_runs(cfg, pipe, {MODE_INDEXED: report}) == []

@@ -38,27 +38,14 @@ from indexify.symex import (
     replay,
 )
 
-from conftest import FIG4A_SOURCE, FIG5_GARDEN_TEXT, recording
+from conftest import FIG4A_SOURCE, FIG5_GARDEN_TEXT, build_cfg, recording
 
 
 def indexed_setup(source, f_plus, *, garden_text=None, k=3, maxlen=8):
     p = typecheck(parse(source))
-    if garden_text is not None:
-        gardens = load_gardens(garden_text)
-    else:
-        seeds = harvest_seeds(p, {STR})
-        builders = tuple(
-            REGISTRY[n] for n in sorted(f_plus)
-            if all(t is STR for t in REGISTRY[n].signature.arg_types)
-            and REGISTRY[n].signature.return_type is STR
-        )
-        gardens = build_garden(seeds, BuilderConfig(builders=builders, k=k,
-                                                    max_str_len=maxlen),
-                               types={STR})
-    tables = memoise_all(gardens, f_plus, harvest_int_pool(p))
-    cfg = RewriteConfig({STR}, set(f_plus), gardens, tables)
-    res = normalize(typecheck(parse(source)), cfg)
-    return p, res, gardens, tables
+    cfg = build_cfg(p, f_plus, k=k, maxlen=maxlen,
+                    gardens=None if garden_text is None else load_gardens(garden_text))
+    return p, normalize(typecheck(parse(source)), cfg), cfg.gardens, cfg.tables
 
 
 def run_indexed(res, gardens, tables, **kw):
