@@ -6,17 +6,23 @@ Eight rules, each rewriting exactly one site:
   R4  fold an in-garden literal at an index-expecting position to its index
   R5  replace an out-of-garden literal at an index-expecting position by bot
   R6  rename a call to an operator in F+ to its indexed version (i_*)
-  R7  wrap a still-raw argument of an indexed call in idx(...)
+  R7  wrap a still-raw value at an index-expecting position in idx(...)
   R8  wrap an index-valued argument of an unindexed external call in unidx(...)
   R9  wrap an unindexed call result assigned to an indexed target in idx(...)
   R10 wrap an indexed call result assigned to a raw target in unidx(...)
 
-R4/R5 apply only where an index is expected (indexed-call arguments, targets
-with indexed declarations): a literal feeding an unindexed operator stays raw,
-since that operator still computes on real values.  Guards consult declared
-types - never rewrite state - so every redex order reaches the same normal
-form; confluence_probe checks exactly that.  R9/R10 wait until no R7/R8 redex
-remains in the same call.
+A position may expect one of two things.  An index position (a table's
+garden dimension, a user parameter of indexed declared type, or a side of
+==/!= whose other side is index-valued) folds a raw literal of an indexed
+type (R4/R5) and wraps any other raw non-literal (R7).  A raw-indexed
+position (an external builtin's parameter of an indexed type) unwraps an
+index-valued argument (R8).  Elsewhere a literal stays raw, since the
+operator it feeds still computes on real values; the one other place a
+literal folds is an assignment-like site (declaration, assignment, return)
+with an indexed target.  R9/R10 wait until no argument of the call has a
+redex of its position: R8 for R9; R4, R5 or R7 for R10.  Guards consult
+declared types - never rewrite state - so every redex order reaches the same
+normal form; confluence_probe checks exactly that.
 
 A redex's path is the sequence of field names and list positions that leads
 from the Program to its site, for example
@@ -44,7 +50,6 @@ from .iot import REGISTRY, GardenDim, IndexedOperatorTable
 from .lang.ast import (
     BOT,
     INTRINSICS,
-    Assert,
     Assign,
     BinOp,
     BotLiteral,
@@ -53,7 +58,6 @@ from .lang.ast import (
     Expr,
     ExprStmt,
     FunctionDef,
-    If,
     Literal,
     Program,
     Return,
@@ -62,7 +66,6 @@ from .lang.ast import (
     UnOp,
     Value,
     Var,
-    While,
     declared_types,
     index_of,
     is_index,
@@ -183,27 +186,27 @@ class _Guards:
             return False  # external builtin results are raw
         return False
 
-    def is_raw_indexed_literal(self, e: Expr) -> bool:
-        return isinstance(e, Literal) and e.tag in self.cfg.indexed_types
-
-    def arg_expectations(self, callee: str):
-        """Per-position expectation: "index", "raw-indexed", or None.
+    def arg_expectations(self, call: Call):
+        """Each argument of call with what its position expects: "index",
+        "raw-indexed", or None.
 
         "index" positions want an index value (table garden dimensions and
         user-function parameters of indexed declared type); "raw-indexed"
         positions are external parameters of a to-be-indexed type that must
         keep receiving real values.
         """
-        kind, obj = self.callee(callee)
+        kind, obj = self.callee(call.name)
         if kind == "table":
-            return ["index" if isinstance(d, GardenDim) else None for d in obj.dims]
-        if kind == "user":
-            return ["index" if self.declared_indexed(p.type) else None
-                    for p in obj.params]
-        if kind == "builtin" and obj is not None:
-            return ["raw-indexed" if at in self.cfg.indexed_types else None
-                    for at in obj.signature.arg_types]
-        return None
+            wants = ["index" if isinstance(d, GardenDim) else None for d in obj.dims]
+        elif kind == "user":
+            wants = ["index" if self.declared_indexed(p.type) else None
+                     for p in obj.params]
+        elif kind == "builtin" and obj is not None:
+            wants = ["raw-indexed" if at in self.cfg.indexed_types else None
+                     for at in obj.signature.arg_types]
+        else:
+            wants = []
+        return zip(call.args, wants + [None] * (len(call.args) - len(wants)))
 
     def callee(self, name: str):
         """What a callee name denotes, checked in this order: ("intrinsic",
@@ -237,128 +240,91 @@ def find_redexes(p: Program, cfg: RewriteConfig) -> list[Redex]:
         for pi, prm in enumerate(fn.params):
             if prm.type in cfg.indexed_types:
                 out.append(Redex("R3", base + ("params", pi, "type")))
-        _scan_block(fn.body, base + ("body",), g, out)
+        _scan_stmts(fn.body, base + ("body",), g, out)
     return out
 
 
-def _scan_block(body, path, g, out):
+def _scan_stmts(body: list[Stmt], path, g: _Guards, out):
     for i, s in enumerate(body):
-        _scan_stmt(s, path + (i,), g, out)
+        at = path + (i,)
+        if isinstance(s, (Decl, Assign, Return)):
+            if isinstance(s, Decl) and s.type in g.cfg.indexed_types:
+                out.append(Redex("R3", at + ("type",)))
+            step = "init" if isinstance(s, Decl) else "value"
+            rhs = getattr(s, step)
+            if rhs is not None:
+                target = g.fn.return_type if isinstance(s, Return) else g.decls.get(s.name)
+                _scan_site(rhs, at + (step,), g, out, g.declared_indexed(target))
+        elif isinstance(s, ExprStmt):
+            _scan_expr(s.expr, at + ("expr",), g, out)
+        elif hasattr(s, "cond"):  # if, while, assert: a condition and its blocks
+            _scan_expr(s.cond, at + ("cond",), g, out)
+            for step in ("then", "orelse", "body"):
+                if hasattr(s, step):
+                    _scan_stmts(getattr(s, step), at + (step,), g, out)
+        # MakeSymbolic has no expressions
 
 
-def _scan_stmt(s: Stmt, path, g: _Guards, out):
-    if isinstance(s, Decl):
-        if s.type in g.cfg.indexed_types:
-            out.append(Redex("R3", path + ("type",)))
-        if s.init is not None:
-            _scan_rhs_site(g.declared_indexed(g.decls.get(s.name)), s.init,
-                           path + ("init",), g, out)
-    elif isinstance(s, Assign):
-        _scan_rhs_site(g.declared_indexed(g.decls.get(s.name)), s.value,
-                       path + ("value",), g, out)
-    elif isinstance(s, If):
-        _scan_expr(s.cond, path + ("cond",), g, out, context=None)
-        _scan_block(s.then, path + ("then",), g, out)
-        _scan_block(s.orelse, path + ("orelse",), g, out)
-    elif isinstance(s, While):
-        _scan_expr(s.cond, path + ("cond",), g, out, context=None)
-        _scan_block(s.body, path + ("body",), g, out)
-    elif isinstance(s, Assert):
-        _scan_expr(s.cond, path + ("cond",), g, out, context=None)
-    elif isinstance(s, Return):
-        if s.value is not None:
-            _scan_rhs_site(g.declared_indexed(g.fn.return_type), s.value,
-                           path + ("value",), g, out)
-    elif isinstance(s, ExprStmt):
-        _scan_expr(s.expr, path + ("expr",), g, out, context=None)
-    # MakeSymbolic has no expressions
-
-
-def _scan_rhs_site(target_indexed: bool, rhs: Expr, path, g: _Guards, out):
-    """An assignment-like site: Eq. R4/R5 for direct literals, R9/R10 for
-    direct calls crossing the indexed/unindexed boundary."""
-    context = "index" if target_indexed else None
+def _scan_site(rhs: Expr, path, g: _Guards, out, indexed: bool):
+    """An assignment-like site, whose target is indexed or not.  A literal
+    folds (R4/R5) for an indexed target.  A call whose result crosses between
+    indices and real values is wrapped once no argument of it has a position
+    rule: a builtin's raw result for an indexed target (R9), a table's index
+    result for a raw one (R10)."""
     if isinstance(rhs, Call):
-        _maybe_boundary_wrap(target_indexed, rhs, path, g, out)
-    _scan_expr(rhs, path, g, out, context=context)
+        kind, callee = g.callee(rhs.name)
+        if kind == "builtin" and callee is not None:
+            crosses = indexed and callee.signature.return_type in g.cfg.indexed_types
+        else:  # intrinsics and user functions (rewritten structurally) never cross
+            crosses = kind == "table" and not indexed and callee.result_indexed
+        if crosses and not any(_position_rule(a, want, g)
+                               for a, want in g.arg_expectations(rhs)):
+            out.append(Redex("R9" if indexed else "R10", path))
+    _scan_expr(rhs, path, g, out, "index" if indexed and isinstance(rhs, Literal) else None)
 
 
-def _maybe_boundary_wrap(target_indexed: bool, call: Call, path, g: _Guards, out):
-    # intrinsics and user functions (rewritten structurally) are never wrapped
-    kind, callee = g.callee(call.name)
-    if kind == "builtin" and callee is not None:
-        returns_indexed_type = callee.signature.return_type in g.cfg.indexed_types
-        if target_indexed and returns_indexed_type:
-            # R9 waits until R8 has unwrapped every argument of this call
-            if not any(g.is_index_valued(a) for a in call.args):
-                out.append(Redex("R9", path))
-    elif kind == "table":
-        if not target_indexed and callee.result_indexed:
-            # R10 mirrors R9: wait until every argument is in index form
-            if not _has_pending_args(call, callee, g):
-                out.append(Redex("R10", path))
+def _position_rule(e: Expr, want, g: _Guards) -> str | None:
+    """The rule e needs where its position expects want: at an "index"
+    position a raw literal of an indexed type folds (R4 in the garden, R5
+    out of it) and any other raw non-literal is wrapped (R7); at a
+    "raw-indexed" position an index-valued e is unwrapped (R8)."""
+    if want == "index":
+        if isinstance(e, Literal):
+            if e.tag in g.cfg.indexed_types:
+                in_garden = g.cfg.gardens[e.tag].index_or_bot(Value(e.tag, e.value)) is not BOT
+                return "R4" if in_garden else "R5"
+        elif not g.is_index_valued(e):
+            return "R7"
+    elif want == "raw-indexed" and g.is_index_valued(e):
+        return "R8"
+    return None
 
 
-def _has_pending_args(call: Call, table, g: _Guards) -> bool:
-    for a, d in zip(call.args, table.dims):
-        if isinstance(d, GardenDim):
-            if not g.is_index_valued(a) or g.is_raw_indexed_literal(a):
-                return True
-    return False
-
-
-def _scan_expr(e: Expr, path, g: _Guards, out, context):
-    """context is "index" when an index value is expected at this position."""
-    if isinstance(e, Literal):
-        if context == "index" and e.tag in g.cfg.indexed_types:
-            garden = g.cfg.gardens[e.tag]
-            if garden.index_or_bot(Value(e.tag, e.value)) is not BOT:
-                out.append(Redex("R4", path))
-            else:
-                out.append(Redex("R5", path))
-        return
-    if isinstance(e, (BotLiteral, Var)):
+def _scan_expr(e: Expr, path, g: _Guards, out, want=None):
+    """e's position rule, then, unless that folded e, its subexpressions'
+    redexes, each under what its own position expects."""
+    rule = want and _position_rule(e, want, g)
+    if rule:
+        out.append(Redex(rule, path))
+        if rule in ("R4", "R5"):
+            return
+    if isinstance(e, (Literal, BotLiteral, Var)):
         return
     if isinstance(e, UnOp):
-        _scan_expr(e.operand, path + ("operand",), g, out, context=None)
-        return
-    if isinstance(e, BinOp):
-        if e.op in ("==", "!="):
-            # equality against an index-valued side makes the other operand an
-            # index position: literals fold (R4/R5), other raw values wrap (R7)
-            sides = ((e.left, e.right, "left"), (e.right, e.left, "right"))
-            for child, other, step in sides:
-                child_path = path + (step,)
-                if g.is_index_valued(other):
-                    if g.is_raw_indexed_literal(child):
-                        _scan_expr(child, child_path, g, out, context="index")
-                        continue
-                    if not g.is_index_valued(child) and not isinstance(child, Literal):
-                        out.append(Redex("R7", child_path))
-                _scan_expr(child, child_path, g, out, context=None)
-            return
-        _scan_expr(e.left, path + ("left",), g, out, context=None)
-        _scan_expr(e.right, path + ("right",), g, out, context=None)
-        return
-    if isinstance(e, Call):
+        _scan_expr(e.operand, path + ("operand",), g, out)
+    elif isinstance(e, BinOp):
+        # equality against an index-valued side makes the other an index position
+        equality = e.op in ("==", "!=")
+        for step, other in (("left", e.right), ("right", e.left)):
+            want = "index" if equality and g.is_index_valued(other) else None
+            _scan_expr(getattr(e, step), path + (step,), g, out, want)
+    elif isinstance(e, Call):
         if e.name in g.cfg.f_plus:
             out.append(Redex("R6", path))
-        expectations = g.arg_expectations(e.name)
-        for i, a in enumerate(e.args):
-            want = expectations[i] if expectations and i < len(expectations) else None
-            arg_path = path + ("args", i)
-            if want == "index":
-                if not g.is_index_valued(a) and not g.is_raw_indexed_literal(a):
-                    out.append(Redex("R7", arg_path))
-                _scan_expr(a, arg_path, g, out, context="index")
-            elif want == "raw-indexed":
-                if g.is_index_valued(a):
-                    out.append(Redex("R8", arg_path))
-                _scan_expr(a, arg_path, g, out, context=None)
-            else:
-                _scan_expr(a, arg_path, g, out, context=None)
-        return
-    raise RewriteError(f"cannot scan {e!r}")
+        for i, (a, want) in enumerate(g.arg_expectations(e)):
+            _scan_expr(a, path + ("args", i), g, out, want)
+    else:
+        raise RewriteError(f"cannot scan {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from indexify.lang.parser import parse
 from indexify.lang.printer import print_program
 from indexify.lang.typecheck import typecheck
 from indexify.rewrite import (
+    Redex,
     RewriteConfig,
     RewriteError,
     StaleRedex,
@@ -146,6 +147,25 @@ def test_r10_on_synthetic_partial_rewrite(fig5_gardens):
     assert len(r10) == 1
     out = apply_rule(p, r10[0], cfg)
     assert out.main.body[1].value.name == "unidx"
+
+
+def test_r9_and_r10_wait_for_their_arguments(fig5_gardens):
+    # a call crossing the boundary is wrapped only once no argument has a
+    # redex of its position: R8 holds back R9, and R4 holds back R10
+    cfg = fig5_cfg(fig5_gardens)
+
+    def offered(p):
+        return {(r.rule, r.path[3:]) for r in find_redexes(p, cfg) if r.rule != "R3"}
+
+    p = typecheck(parse('int main(){ str s; symbolic s; str t = strcat(s, "oo"); return 0; }'))
+    assert offered(p) == {("R8", (2, "init", "args", 0))}
+    p = apply_rule(p, Redex("R8", ("functions", 0, "body", 2, "init", "args", 0)), cfg)
+    assert offered(p) == {("R9", (2, "init"))}
+
+    p = parse('int main(){ int y; y = i_strstr(0@str, "bar"); return y; }')
+    assert offered(p) == {("R4", (1, "value", "args", 1))}
+    p = apply_rule(p, Redex("R4", ("functions", 0, "body", 1, "value", "args", 1)), cfg)
+    assert offered(p) == {("R10", (1, "value"))}
 
 
 def test_no_redexes_for_boundary_free_flows(fig5_gardens):

@@ -6,11 +6,13 @@ Runs every job of perfbench/workloads.py at seeds 1 and 2 through the calls
 the command line makes (build_pipeline, rewrite_pipeline, run_mode per mode,
 write_artifacts) with --outputIndexedIR on, writing the artifacts into a
 temporary directory.  It prints one JSON object: the sha256 of every file
-written, every counter of every report, and a digest of each report's test
-cases.  Run it in two checkouts and diff the outputs to check that a change
-keeps every artifact, counter and test case.  The program is imported from
-the checkout's src/ and the workloads from its perfbench/, which is only
-read.
+written, every counter of every report, a digest of each report's test
+cases, and each job's rewriting: how many times it called
+rewrite.find_redexes and rewrite.apply_rule, and one sha256 over every redex
+list find_redexes returned, in call order.  Run it in two checkouts and diff
+the outputs to check that a change keeps every artifact, counter, test case
+and redex sequence.  The program is imported from the checkout's src/ and
+the workloads from its perfbench/, which is only read.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from indexify import bench, cli  # noqa: E402
+from indexify import bench, cli, rewrite  # noqa: E402
 from indexify.lang.parser import parse  # noqa: E402
 
 SEEDS = (1, 2)
@@ -55,6 +58,32 @@ def counters(report) -> dict:
     return out
 
 
+@contextmanager
+def rewriting_recorded():
+    """Yield a dict that counts the find_redexes and apply_rule calls made in
+    the block and hashes every redex list find_redexes returns, in order."""
+    tally = {"find_redexes": 0, "apply_rule": 0}
+    h = hashlib.sha256()
+    find_redexes, apply_rule = rewrite.find_redexes, rewrite.apply_rule
+
+    def recorded_find(*args, **kwargs):
+        out = find_redexes(*args, **kwargs)
+        tally["find_redexes"] += 1
+        h.update(repr(out).encode())
+        return out
+
+    def recorded_apply(*args, **kwargs):
+        tally["apply_rule"] += 1
+        return apply_rule(*args, **kwargs)
+
+    rewrite.find_redexes, rewrite.apply_rule = recorded_find, recorded_apply
+    try:
+        yield tally
+    finally:
+        rewrite.find_redexes, rewrite.apply_rule = find_redexes, apply_rule
+        tally["redexes"] = h.hexdigest()
+
+
 def run_job(job, outdir: str) -> dict:
     """Run one job with its artifacts under outdir; its reports' counters."""
     if job.source is None:
@@ -71,19 +100,21 @@ def run_job(job, outdir: str) -> dict:
 
 
 def digest() -> dict:
-    files, reports = {}, {}
+    files, reports, rewriting = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for workload in workloads.WORKLOADS:
                 for job in workloads.make_jobs(workload, seed):
                     where = f"{seed}/{workload}/{job.name}"
-                    reports[where] = run_job(job, os.path.join(tmp, where))
+                    with rewriting_recorded() as rewriting[where]:
+                        reports[where] = run_job(job, os.path.join(tmp, where))
         for folder, _, names in os.walk(tmp):
             for name in names:
                 path = os.path.join(folder, name)
                 with open(path, "rb") as fh:
                     files[os.path.relpath(path, tmp)] = _sha256(fh.read())
-    return {"file_count": len(files), "files": files, "reports": reports}
+    return {"file_count": len(files), "files": files, "reports": reports,
+            "rewriting": rewriting}
 
 
 if __name__ == "__main__":
