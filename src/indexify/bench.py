@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .check import check_runs
-from .cli import MODES, CliConfig, _TYPE_CHOICES, build_pipeline, format_columns, run_mode
+from .cli import (MODE_NAMES, MODES, CliConfig, _TYPE_CHOICES, build_pipeline, format_columns,
+                  run_mode)
 from .lang.parser import parse
 from .symex import MODE_ABANDON, MODE_INDEXED
 
@@ -45,8 +46,8 @@ class CorpusEntry:
     witnesses: tuple
     types: str = "string"
     f_plus: tuple | None = None  # None: every builtin of the indexed classes
-    k: int = 3
-    maxlen: int = 8
+    k: int = CliConfig.k
+    maxlen: int = CliConfig.maxlen
 
 
 CORPUS = (
@@ -168,7 +169,7 @@ def run_corpus(corpus=CORPUS, modes=DEFAULT_MODES) -> AggregateReport:
 def format_aggregate(agg: AggregateReport) -> str:
     header = ["entry", "category"]
     for m in agg.modes:
-        short = m.replace("baseline-", "")
+        short = MODE_NAMES[m]
         header += [f"bcov[{short}]", f"paths[{short}]", f"asserts[{short}]"]
     header.append("witnesses")
     rows = [header]
@@ -191,8 +192,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(prog="indexify-bench",
                                 description="Run the shipped corpus and check "
                                             "its expected witnesses.")
-    p.add_argument("--modes", default="indexed,abandon",
-                   help="comma-separated: indexed,abandon,concretize")
+    p.add_argument("--modes", default=",".join(MODE_NAMES[m] for m in DEFAULT_MODES),
+                   help=f"comma-separated: {','.join(MODES)} (default %(default)s)")
     p.add_argument("--out", help="write the aggregate report to this file")
     args = p.parse_args(argv)
     try:

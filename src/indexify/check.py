@@ -22,10 +22,10 @@ invariant, naming its mode and test case:
 
 from __future__ import annotations
 
-from .lang.interp import VERDICT_ESCAPED, interpret
+from .lang.interp import UNROLL, VERDICT_ESCAPED, interpret
 from .lang.parser import parse
 from .rewrite import emit_indexed_source
-from .symex import MODE_INDEXED, replay
+from .symex import MODE_INDEXED, compare_replay
 
 
 def behaviour(res, functions) -> tuple:
@@ -35,11 +35,15 @@ def behaviour(res, functions) -> tuple:
             frozenset(b for b in res.covered_branches if b[0][0] in functions))
 
 
-def agrees(original, rewritten, inputs, *, unroll: int = 16, **kw) -> bool | None:
+def agrees(original, rewritten, inputs, *, unroll: int = UNROLL, **kw) -> bool | None:
     """Whether the rewritten program's run on inputs shows the original's
     behaviour: None when it escapes the garden, where there is nothing to
     compare.  kw (gardens, tables, bot_propagate) is for the rewritten run."""
-    new = interpret(rewritten, inputs, unroll=unroll, **kw)
+    return _agrees(original, interpret(rewritten, inputs, unroll=unroll, **kw), inputs, unroll)
+
+
+def _agrees(original, new, inputs, unroll: int) -> bool | None:
+    """agrees, given new, the rewritten program's run on inputs."""
     if new.verdict == VERDICT_ESCAPED:
         return None
     names = {f.name for f in original.functions}
@@ -49,11 +53,17 @@ def agrees(original, rewritten, inputs, *, unroll: int = 16, **kw) -> bool | Non
 def check_case(tc, explored, original=None, **kw) -> str | None:
     """The finding on test case tc, or None: tc replays on explored, the
     program it was explored on, and, given the original program, a run of
-    explored on its inputs agrees with it.  kw is replay's."""
-    res = replay(explored, tc, **kw)
-    if not res.ok:
-        return f"replay diverged ({res.detail})"
-    if original is not None and agrees(original, explored, tc.inputs, **kw) is False:
+    explored on its inputs agrees with it.  kw is interpret's."""
+    return _finding(tc, interpret(explored, tc.inputs, **kw), original,
+                    kw.get("unroll", UNROLL))
+
+
+def _finding(tc, res, original, unroll: int) -> str | None:
+    """check_case's finding, given res, the run of explored on tc's inputs."""
+    rep = compare_replay(tc, res)
+    if not rep.ok:
+        return f"replay diverged ({rep.detail})"
+    if original is not None and _agrees(original, res, tc.inputs, unroll) is False:
         return "disagrees inside the garden"
     return None
 
@@ -63,23 +73,24 @@ def check_runs(cfg, pipe, reports: dict) -> list:
     of cfg (a cli.CliConfig) on pipe (a cli.Pipeline).  Each test case must
     replay; an indexed one must agree with the original program and, unless
     cfg.bot_propagate lets BOT flow on as the emitted source cannot, behave
-    in the emitted source as under the in-memory tables."""
+    in the emitted source as under the in-memory tables.  Each program runs
+    at most once per test case."""
     findings = []
     names = {f.name for f in pipe.program.functions}
     for mode, report in reports.items():
         indexed = mode == MODE_INDEXED
-        explored, original = (pipe.indexed.program, pipe.program) if indexed \
-            else (pipe.program, None)
-        kw = dict(gardens=pipe.gardens, tables=pipe.tables if indexed else None,
-                  unroll=cfg.unroll, bot_propagate=cfg.bot_propagate)
+        explored, tables = pipe.target(mode)
+        original = pipe.program if indexed else None
         emitted = None
         if indexed and not cfg.bot_propagate:
             emitted = parse(emit_indexed_source(pipe.indexed))
         for tc in report.test_cases:
-            found = [check_case(tc, explored, original, **kw)]
+            res = interpret(explored, tc.inputs, gardens=pipe.gardens, tables=tables,
+                            unroll=cfg.unroll, bot_propagate=cfg.bot_propagate)
+            found = [_finding(tc, res, original, cfg.unroll)]
             if emitted is not None:
                 out = interpret(emitted, tc.inputs, gardens=pipe.gardens, unroll=cfg.unroll)
-                if behaviour(out, names) != behaviour(interpret(explored, tc.inputs, **kw), names):
+                if behaviour(out, names) != behaviour(res, names):
                     found.append("emitted source differs")
             findings += [f"{mode} test case {tc.path_id}: {f}" for f in found if f]
     return findings

@@ -17,9 +17,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .garden import (
+    BUILDER_MODES,
     BuilderConfig,
     GardenError,
     IndexMap,
@@ -32,7 +33,7 @@ from .garden import (
 )
 from .iot import REGISTRY, IotError, memoise_all, parse_tables, serialize_tables
 from .lang.ast import FLOAT, STR, MiniImpError, Program, Value, mk_str, symbolic_inputs
-from .lang.interp import interpret
+from .lang.interp import UNROLL, interpret
 from .lang.parser import parse, parse_scalar_literal
 from .lang.printer import print_literal
 from .lang.typecheck import typecheck
@@ -50,7 +51,9 @@ from .symex import (
 )
 
 _TYPE_CHOICES = {"string": (STR,), "float": (FLOAT,), "both": (STR, FLOAT)}
+# A mode's name: its option value, its artifacts' suffix and its bench column.
 MODES = {"indexed": MODE_INDEXED, "abandon": MODE_ABANDON, "concretize": MODE_CONCRETIZE}
+MODE_NAMES = {mode: name for name, mode in MODES.items()}
 
 
 class UsageError(Exception):
@@ -59,6 +62,9 @@ class UsageError(Exception):
 
 @dataclass
 class CliConfig:
+    """A run's settings.  Each bound's default is the one of the stage that
+    owns it, and each command-line option's dest is its field's name."""
+
     input_path: str
     indexed_types: tuple = (STR,)
     seeds_file: str | None = None
@@ -66,15 +72,15 @@ class CliConfig:
     garden_file: str | None = None
     iot_file: str | None = None
     f_plus_names: tuple | None = None  # None: every builtin of the indexed classes
-    k: int = 3
-    maxlen: int = 8
-    builder_mode: str = "ops"
+    k: int = BuilderConfig.k
+    maxlen: int = BuilderConfig.max_str_len
+    builder_mode: str = BuilderConfig.mode
     baseline: str | None = None  # None = indexed mode
     emit_ir: bool = False
     outdir: str | None = None
-    max_states: int = 100_000
-    timeout_s: float = 60.0
-    unroll: int = 16
+    max_states: int = ExploreConfig.max_states
+    timeout_s: float = ExploreConfig.wallclock_s
+    unroll: int = UNROLL
     bot_propagate: bool = False
 
     def __post_init__(self):
@@ -98,6 +104,14 @@ class Pipeline:
     f_plus: set
     tables: dict
     indexed: object | None = None  # IndexationResult when rewriting ran
+
+    def target(self, mode: str) -> tuple:
+        """The program mode explores and the tables it reads: in indexed
+        mode the rewritten program, once rewrite_pipeline has run, and the
+        tables; in a baseline mode the original program and no table."""
+        if mode == MODE_INDEXED:
+            return self.indexed.program, self.tables
+        return self.program, {}
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +253,11 @@ def rewrite_pipeline(pipe: Pipeline, cfg: CliConfig) -> Pipeline:
 
 def explore_config(cfg: CliConfig, pipe: Pipeline, mode: str) -> ExploreConfig:
     """Every mode gets the gardens, which an emitted .indexed.mi needs to
-    run; only indexed mode gets the tables."""
+    run, and the tables pipe.target(mode) reads."""
     return ExploreConfig(
         mode=mode,
         gardens=pipe.gardens,
-        tables=pipe.tables if mode == MODE_INDEXED else {},
+        tables=pipe.target(mode)[1],
         unroll=cfg.unroll,
         max_states=cfg.max_states,
         wallclock_s=cfg.timeout_s,
@@ -252,11 +266,10 @@ def explore_config(cfg: CliConfig, pipe: Pipeline, mode: str) -> ExploreConfig:
 
 
 def run_mode(cfg: CliConfig, pipe: Pipeline, mode: str) -> ExplorationReport:
-    if mode == MODE_INDEXED:
-        if pipe.indexed is None:
-            rewrite_pipeline(pipe, cfg)
-        return explore(pipe.indexed.program, explore_config(cfg, pipe, mode))
-    return explore_baseline(pipe.program, explore_config(cfg, pipe, mode))
+    if mode == MODE_INDEXED and pipe.indexed is None:
+        rewrite_pipeline(pipe, cfg)
+    run = explore if mode == MODE_INDEXED else explore_baseline
+    return run(pipe.target(mode)[0], explore_config(cfg, pipe, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +371,7 @@ def write_artifacts(cfg: CliConfig, pipe: Pipeline, reports: dict) -> str:
     name = os.path.basename(cfg.input_path)
     lines = {}  # format_inputs' memo: the reports hold its Values until we return
     for mode, report in reports.items():
-        suffix = mode.replace("baseline-", "")
+        suffix = MODE_NAMES[mode]
         tc_dir = os.path.join(outdir, f"testcases.{suffix}")
         os.makedirs(tc_dir, exist_ok=True)
         with open(os.path.join(outdir, f"report.{suffix}.txt"), "w",
@@ -427,11 +440,10 @@ def format_columns(rows: list) -> list:
 
 def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
     pipe = load_pipeline(cfg)
-    if cfg.baseline is None:
+    mode = MODES[cfg.baseline or "indexed"]
+    if mode == MODE_INDEXED:
         rewrite_pipeline(pipe, cfg)
-        target, tables = pipe.indexed.program, pipe.tables
-    else:
-        target, tables = pipe.program, {}
+    target, tables = pipe.target(mode)
     symbolic = symbolic_inputs(target)
     paths = [replay_path]
     if os.path.isdir(replay_path):
@@ -473,13 +485,15 @@ def cmd_confluence(cfg: CliConfig, trials: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The options.  One that sets a CliConfig field has the field's name
+    as its dest, and a bound's default is the field's."""
     p = argparse.ArgumentParser(
         prog="indexify",
         description="Rewrite intractable operators into finite memoized lookup "
                     "tables and symbolically execute over the index algebra.",
     )
-    p.add_argument("input", help="MiniImp source file (.mi)")
-    p.add_argument("--type", dest="types", choices=sorted(_TYPE_CHOICES),
+    p.add_argument("input_path", metavar="input", help="MiniImp source file (.mi)")
+    p.add_argument("--type", dest="indexed_types", choices=sorted(_TYPE_CHOICES),
                    default="string", help="types to index (default: string)")
     p.add_argument("--seeds", dest="seeds_file",
                    help="seed file; prevents constant harvesting")
@@ -489,22 +503,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="load this garden file verbatim instead of building one")
     p.add_argument("--indexOpDefs", dest="iot_file",
                    help="reuse serialized operator tables from this file")
-    p.add_argument("--F+", "--F_+", dest="fplus_file",
+    p.add_argument("--F+", "--F_+", dest="f_plus_names", metavar="FPLUS_FILE",
                    help="file naming the operators to index, one per line")
-    p.add_argument("--k", type=int, default=3,
-                   help="builder application bound (default 3)")
-    p.add_argument("--maxlen", type=int, default=8,
-                   help="maximum admitted string length (default 8)")
-    p.add_argument("--builder", dest="builder_mode", choices=("ops", "kleene"),
-                   default="ops", help="garden growth mode")
+    p.add_argument("--k", type=int, default=CliConfig.k,
+                   help="builder application bound (default %(default)s)")
+    p.add_argument("--maxlen", type=int, default=CliConfig.maxlen,
+                   help="maximum admitted string length (default %(default)s)")
+    p.add_argument("--builder", dest="builder_mode", choices=BUILDER_MODES,
+                   default=CliConfig.builder_mode, help="garden growth mode")
     p.add_argument("--baseline", choices=("abandon", "concretize"),
                    help="run the unrewritten program under a baseline policy")
     p.add_argument("--outputIndexedIR", dest="emit_ir", action="store_true",
                    help="write the rewritten source to <input>.indexed.mi")
     p.add_argument("--outdir", help="artifact directory (default <input>.out)")
-    p.add_argument("--max-states", type=int, default=100_000)
-    p.add_argument("--timeout", dest="timeout_s", type=float, default=60.0)
-    p.add_argument("--unroll", type=int, default=16)
+    p.add_argument("--max-states", type=int, default=CliConfig.max_states,
+                   help="exploration state bound (default %(default)s)")
+    p.add_argument("--timeout", dest="timeout_s", type=float, default=CliConfig.timeout_s,
+                   help="exploration wall-clock bound in seconds (default %(default)s)")
+    p.add_argument("--unroll", type=int, default=CliConfig.unroll,
+                   help="loop iteration bound (default %(default)s)")
     p.add_argument("--bot-propagate", action="store_true",
                    help="let BOT flow through indexed operators; only branches abandon")
     p.add_argument("--compare", action="store_true",
@@ -517,27 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> CliConfig:
-    return CliConfig(
-        input_path=args.input,
-        indexed_types=_TYPE_CHOICES[args.types],
-        seeds_file=args.seeds_file,
-        add_seeds_file=args.add_seeds_file,
-        garden_file=args.garden_file,
-        iot_file=args.iot_file,
-        f_plus_names=(None if args.fplus_file is None
-                      else tuple(sorted(load_fplus_file(args.fplus_file,
-                                                        _TYPE_CHOICES[args.types])))),
-        k=args.k,
-        maxlen=args.maxlen,
-        builder_mode=args.builder_mode,
-        baseline=args.baseline,
-        emit_ir=args.emit_ir,
-        outdir=args.outdir,
-        max_states=args.max_states,
-        timeout_s=args.timeout_s,
-        unroll=args.unroll,
-        bot_propagate=args.bot_propagate,
-    )
+    """The CliConfig of parsed args: --type names its types and the --F+
+    file its operators; every other field is its option's value."""
+    values = {f.name: getattr(args, f.name) for f in fields(CliConfig)}
+    types = values["indexed_types"] = _TYPE_CHOICES[args.indexed_types]
+    if args.f_plus_names is not None:
+        values["f_plus_names"] = tuple(sorted(load_fplus_file(args.f_plus_names, types)))
+    return CliConfig(**values)
 
 
 def main(argv=None) -> int:
@@ -556,7 +559,7 @@ def main(argv=None) -> int:
         print(f"indexify: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        print(f"indexify: {args.input}: nested too deeply to analyse", file=sys.stderr)
+        print(f"indexify: {args.input_path}: nested too deeply to analyse", file=sys.stderr)
         return 2
 
 

@@ -135,19 +135,22 @@ class IndexMap:
         return self._values[i]
 
 
+BUILDER_MODES = ("ops", "kleene")  # "ops" applies the builders; "kleene" enumerates strings
+
+
 @dataclass(frozen=True)
 class BuilderConfig:
     builders: tuple = ()  # iot.BuiltinOps, each mono-typed
     k: int = 3
     max_str_len: int = 8
-    mode: str = "ops"  # "ops" applies the builders; "kleene" enumerates strings
+    mode: str = "ops"  # one of BUILDER_MODES
 
     def __post_init__(self):
         if self.k < 0:
             raise GardenError("k must be >= 0")
         if self.max_str_len < 1:
             raise GardenError("max_str_len must be >= 1")
-        if self.mode not in ("ops", "kleene"):
+        if self.mode not in BUILDER_MODES:
             raise GardenError(f"unknown builder mode {self.mode!r}")
 
 
@@ -190,8 +193,8 @@ def harvest_int_pool(p: Program) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def extend(imap: IndexMap, op, *,
-           snapshot: list[Value] | None = None, max_str_len: int = 8) -> None:
+def extend(imap: IndexMap, op, *, snapshot: list[Value] | None = None,
+           max_str_len: int = BuilderConfig.max_str_len) -> None:
     """One builder pass: apply op, an iot.BuiltinOp, to every argument tuple
     over the snapshot (the whole garden by default), in product order.
 

@@ -51,6 +51,11 @@ VERDICT_ESCAPED = "escaped-garden"
 VERDICT_BOUND = "bound-exceeded"
 VERDICT_DIV_ZERO = "division-by-zero"
 
+# The default loop bound: a loop that iterates more often ends the run with
+# VERDICT_BOUND.  Exploration and replay bound their loops the same way, so a
+# replayed test case reproduces its bound-exceeded verdict.
+UNROLL = 16
+
 
 @dataclass(frozen=True)
 class InterpResult:
@@ -75,7 +80,7 @@ class _Stop(Exception):
 
 class Interpreter:
     def __init__(self, program: Program, inputs, *, gardens=None, tables=None,
-                 unroll: int = 16, bot_propagate: bool = False):
+                 unroll: int = UNROLL, bot_propagate: bool = False):
         self.program = program
         self.inputs = inputs or {}
         self.gardens = gardens or {}
@@ -254,9 +259,7 @@ class Interpreter:
         return table.cell_value(table.lookup(tuple(key)), self.bot_propagate)
 
 
-def interpret(p: Program, inputs=None, *, gardens=None, tables=None,
-              unroll: int = 16, bot_propagate: bool = False) -> InterpResult:
-    return Interpreter(
-        p, inputs, gardens=gardens, tables=tables, unroll=unroll,
-        bot_propagate=bot_propagate,
-    ).run()
+def interpret(p: Program, inputs=None, **kw) -> InterpResult:
+    """p's run on inputs; kw is Interpreter's: gardens, tables, unroll and
+    bot_propagate."""
+    return Interpreter(p, inputs, **kw).run()

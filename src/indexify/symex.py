@@ -91,6 +91,7 @@ from .lang.ast import (
     truthy,
 )
 from .lang.interp import (
+    UNROLL,
     VERDICT_ASSERT,
     VERDICT_BOUND,
     VERDICT_DIV_ZERO,
@@ -139,7 +140,7 @@ class ExploreConfig:
     mode: str = MODE_INDEXED
     gardens: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
-    unroll: int = 16
+    unroll: int = UNROLL
     max_states: int = 100_000
     wallclock_s: float = 60.0
     bot_propagate: bool = False
@@ -1138,11 +1139,15 @@ class ReplayResult:
     detail: str = ""
 
 
-def replay(program: Program, tc: TestCase, *, gardens=None, tables=None,
-           unroll: int = 16, bot_propagate: bool = False) -> ReplayResult:
-    """Re-run a test case on the concrete interpreter and compare outcomes."""
-    res = interpret(program, tc.inputs, gardens=gardens, tables=tables,
-                    unroll=unroll, bot_propagate=bot_propagate)
+def replay(program: Program, tc: TestCase, **kw) -> ReplayResult:
+    """Re-run a test case on the concrete interpreter and compare outcomes.
+    kw is interpret's: gardens, tables, unroll and bot_propagate."""
+    return compare_replay(tc, interpret(program, tc.inputs, **kw))
+
+
+def compare_replay(tc: TestCase, res) -> ReplayResult:
+    """Whether res, a concrete run on tc's inputs, reproduces tc's verdict
+    and branch trace."""
     if res.verdict != tc.verdict:
         return ReplayResult(False, res.verdict, tc.verdict, "verdict mismatch")
     if res.covered_branches != tc.covered_branches:

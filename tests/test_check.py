@@ -6,6 +6,7 @@ not escape."""
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,8 @@ from indexify.bench import CORPUS, load_entry, run_corpus
 from indexify.check import check_runs
 from indexify.cli import load_pipeline, run_mode
 from indexify.iot import IndexedOperatorTable, serialize_tables
-from indexify.lang.interp import VERDICT_ASSERT, VERDICT_ESCAPED, VERDICT_OK, interpret
+from indexify.lang.interp import (VERDICT_ASSERT, VERDICT_ESCAPED, VERDICT_OK, Interpreter,
+                                  interpret)
 from indexify.lang.printer import print_literal
 from indexify.symex import MODE_INDEXED
 
@@ -110,6 +112,28 @@ def test_a_dropped_emitted_row_is_reported_as_emitted_source_differs(vendor_run,
     entry = next(e for e in CORPUS if e.name == "vendor_check")
     assert run_corpus(corpus=(entry,), modes=(MODE_INDEXED,)).violations == \
         tuple(("vendor_check", f) for f in findings)
+
+
+def test_each_program_runs_once_per_test_case(vendor_run, monkeypatch):
+    # the replay, the agreement and the emitted-source comparison share one
+    # run of the rewritten program; the original program runs once for each
+    # test case that does not escape, and the emitted source once for each
+    cfg, pipe, report = vendor_run
+    runs = Counter()
+    run = Interpreter.run
+
+    def counted(self):
+        runs[id(self.program)] += 1
+        return run(self)
+
+    monkeypatch.setattr(Interpreter, "run", counted)
+    assert check_runs(cfg, pipe, {MODE_INDEXED: report}) == []
+    n = len(report.test_cases)
+    assert n == 9
+    assert runs.pop(id(pipe.indexed.program)) == n
+    assert runs.pop(id(pipe.program)) == sum(t.verdict != VERDICT_ESCAPED
+                                             for t in report.test_cases)
+    assert list(runs.values()) == [n]  # the emitted source
 
 
 def test_importing_check_loads_neither_cli_nor_bench():

@@ -6,7 +6,7 @@ import pytest
 
 from indexify import iot, symex
 from indexify.bench import corpus_path
-from indexify.cli import (CliConfig, UsageError, load_pipeline, main, run_mode,
+from indexify.cli import (MODE_NAMES, CliConfig, UsageError, load_pipeline, main, run_mode,
                           write_artifacts)
 from indexify.garden import load_gardens
 from indexify.lang.ast import FLOAT, STR, Value, mk_str
@@ -645,13 +645,57 @@ def test_float_mode_auto_fplus(tmp_path, capsys):
         assert f"iot {name} " in tables
 
 
-def test_defaults_match_documentation():
-    from indexify.cli import build_parser
+def test_defaults_match_documentation(monkeypatch, capsys):
+    # each default has one definition, in the stage that owns it: the loop
+    # bound in the interpreter, garden growth's in BuilderConfig and
+    # exploration's in ExploreConfig.  Every other place reads it there, and
+    # the help of both entry points prints it.  argparse formats help only
+    # when asked, so a bad % in a help string shows here and nowhere else.
+    import dataclasses
+    import inspect
 
-    args = build_parser().parse_args(["prog.mi"])
-    assert args.k == 3
-    assert args.maxlen == 8
-    assert args.types == "string"
+    from indexify import bench, check, garden
+    from indexify.cli import build_parser, config_from_args
+    from indexify.garden import BuilderConfig
+    from indexify.lang import interp
+    from indexify.symex import ExploreConfig
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    unroll = interp.UNROLL  # interpret and symex.replay pass unroll on to Interpreter
+    assert {default(interp.Interpreter, "unroll"), default(check.agrees, "unroll"),
+            ExploreConfig().unroll} == {unroll}
+    built, explored = BuilderConfig(), ExploreConfig()
+    assert default(garden.extend, "max_str_len") == built.max_str_len
+    owned = {"k": built.k, "maxlen": built.max_str_len, "builder_mode": built.mode,
+             "max_states": explored.max_states, "timeout_s": explored.wallclock_s,
+             "unroll": unroll}
+    assert owned == {"k": 3, "maxlen": 8, "builder_mode": "ops", "max_states": 100_000,
+                     "timeout_s": 60.0, "unroll": 16}  # as README's "Selected flags"
+    cfg = CliConfig("prog.mi")
+    assert {name: getattr(cfg, name) for name in owned} == owned
+    entry = bench.CorpusEntry("prog", "generated", ())
+    assert (entry.k, entry.maxlen) == (cfg.k, cfg.maxlen)
+
+    parser = build_parser()
+    args = parser.parse_args(["prog.mi"])
+    assert {f.name for f in dataclasses.fields(CliConfig)} <= set(vars(args))
+    assert {name: getattr(args, name) for name in owned} == owned
+    assert args.indexed_types == "string"
+    assert config_from_args(args) == cfg
+
+    monkeypatch.setenv("COLUMNS", "200")  # no option's help wraps
+    text = parser.format_help()
+    for option, name in (("--k", "k"), ("--maxlen", "maxlen"), ("--max-states", "max_states"),
+                         ("--timeout", "timeout_s"), ("--unroll", "unroll")):
+        assert re.search(rf"^  {option} [A-Z_]+\s+\w[^\n]*\(default {owned[name]}\)$",
+                         text, re.M), (option, text)
+    with pytest.raises(SystemExit):
+        bench.main(["--help"])
+    modes = ",".join(MODE_NAMES[m] for m in bench.DEFAULT_MODES)
+    assert modes == "indexed,abandon"
+    assert f"(default {modes})" in capsys.readouterr().out
 
 
 def test_compare_emits_table(fig4a_file, tmp_path, capsys):
