@@ -21,7 +21,7 @@ from importlib import resources
 
 from .check import check_runs
 from .cli import (MODE_NAMES, MODES, CliConfig, _TYPE_CHOICES, build_pipeline, format_columns,
-                  run_mode)
+                  run_mode, type_option)
 from .lang.parser import parse
 from .symex import MODE_ABANDON, MODE_INDEXED
 
@@ -44,7 +44,7 @@ class CorpusEntry:
     name: str
     category: str
     witnesses: tuple
-    types: str = "string"
+    types: str = type_option(CliConfig.indexed_types)
     f_plus: tuple | None = None  # None: every builtin of the indexed classes
     k: int = CliConfig.k
     maxlen: int = CliConfig.maxlen

@@ -32,7 +32,7 @@ from .garden import (
     serialize_gardens,
 )
 from .iot import REGISTRY, IotError, memoise_all, parse_tables, serialize_tables
-from .lang.ast import FLOAT, STR, MiniImpError, Program, Value, mk_str, symbolic_inputs
+from .lang.ast import FLOAT, STR, MiniImpError, Program, Value, mk_str
 from .lang.interp import UNROLL, interpret
 from .lang.parser import parse, parse_scalar_literal
 from .lang.printer import print_literal
@@ -159,10 +159,13 @@ def check_fplus_name(name: str, where: str, indexed_types) -> None:
         raise UsageError(f"{where}: {name!r} is an io operator, "
                          "not a string or float one")
     if op.indexes not in indexed_types:
-        option = next((k for k, v in _TYPE_CHOICES.items()
-                       if set(v) == set(indexed_types)), None)
-        raise UsageError(f"{where}: {name!r} is a {op.indexes!r} operator, "
-                         f"and --type {option} indexes no {op.indexes!r} values")
+        raise UsageError(f"{where}: {name!r} is a {op.indexes!r} operator, and --type "
+                         f"{type_option(indexed_types)} indexes no {op.indexes!r} values")
+
+
+def type_option(indexed_types) -> str | None:
+    """The --type value that indexes exactly indexed_types."""
+    return next((k for k, v in _TYPE_CHOICES.items() if set(v) == set(indexed_types)), None)
 
 
 def default_f_plus(indexed_types) -> set:
@@ -444,7 +447,6 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
     if mode == MODE_INDEXED:
         rewrite_pipeline(pipe, cfg)
     target, tables = pipe.target(mode)
-    symbolic = symbolic_inputs(target)
     paths = [replay_path]
     if os.path.isdir(replay_path):
         paths = [os.path.join(replay_path, p)
@@ -453,9 +455,6 @@ def cmd_replay(cfg: CliConfig, replay_path: str) -> int:
     for p in paths:
         try:
             inputs, expected = parse_testcase_file(read_text(p))
-            unknown = inputs.keys() - symbolic
-            if unknown:
-                raise UsageError(f"input {min(unknown)!r} is never made symbolic")
             res = interpret(target, inputs, gardens=pipe.gardens, tables=tables,
                             unroll=cfg.unroll, bot_propagate=cfg.bot_propagate)
         except (UsageError, MiniImpError) as e:
@@ -494,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input_path", metavar="input", help="MiniImp source file (.mi)")
     p.add_argument("--type", dest="indexed_types", choices=sorted(_TYPE_CHOICES),
-                   default="string", help="types to index (default: string)")
+                   default=type_option(CliConfig.indexed_types),
+                   help="types to index (default %(default)s)")
     p.add_argument("--seeds", dest="seeds_file",
                    help="seed file; prevents constant harvesting")
     p.add_argument("--addSeeds", dest="add_seeds_file",
@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum admitted string length (default %(default)s)")
     p.add_argument("--builder", dest="builder_mode", choices=BUILDER_MODES,
                    default=CliConfig.builder_mode, help="garden growth mode")
-    p.add_argument("--baseline", choices=("abandon", "concretize"),
+    p.add_argument("--baseline", choices=[n for n, m in MODES.items() if m != MODE_INDEXED],
                    help="run the unrewritten program under a baseline policy")
     p.add_argument("--outputIndexedIR", dest="emit_ir", action="store_true",
                    help="write the rewritten source to <input>.indexed.mi")

@@ -385,24 +385,26 @@ def _subexprs(e: Expr):
             yield from _subexprs(a)
 
 
-def declared_types(f: FunctionDef) -> dict:
+def declared_types(f: FunctionDef, inputs: dict | None = None) -> dict:
     """name -> declared type, for the params and every Decl of f, nested ones
-    included.  A Decl retyped to index<t> reports its index type."""
+    included.  A Decl retyped to index<t> reports its index type.  Given
+    inputs, the same walk adds to it each variable f makes symbolic, with its
+    declared type, unless inputs holds it already."""
     out = {p.name: p.type for p in f.params}
     for _, s in walk_stmts(f.body):
         if isinstance(s, Decl):
             out[s.name] = s.type
+        elif inputs is not None and isinstance(s, MakeSymbolic):
+            inputs.setdefault(s.name, out[s.name])
     return out
 
 
 def symbolic_inputs(p: Program) -> dict:
-    """name -> declared type of every variable p makes symbolic, in statement
-    order, each typed by the declared_types of the function that makes it
-    symbolic first."""
+    """name -> declared type of every input of p, in statement order: the
+    one table of p's inputs.  An input is a variable p makes symbolic, and
+    the type checker gives one name one type in every function that makes
+    it symbolic."""
     out = {}
     for f in p.functions:
-        decls = declared_types(f)
-        for _, s in walk_stmts(f.body):
-            if isinstance(s, MakeSymbolic):
-                out.setdefault(s.name, decls[s.name])
+        declared_types(f, out)
     return out

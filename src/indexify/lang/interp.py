@@ -36,12 +36,12 @@ from .ast import (
     Value,
     Var,
     While,
-    declared_types,
     index_of,
     is_index,
     mk_bool,
     mk_int,
     no_bot,
+    symbolic_inputs,
     truthy,
 )
 
@@ -87,7 +87,10 @@ class Interpreter:
         self.tables = tables or {}
         self.unroll = unroll
         self.bot_propagate = bot_propagate
-        self.decls = {}  # function name -> declared types, once it runs `symbolic`
+        self.input_types = symbolic_inputs(program)
+        unknown = self.inputs.keys() - self.input_types
+        if unknown:
+            raise MiniImpError(f"input {min(unknown)!r} is never made symbolic")
         self.covered_branches = set()
         self.outputs = []
         self.loop_counts = {}
@@ -156,20 +159,15 @@ class Interpreter:
         elif isinstance(s, ExprStmt):
             self.eval(s.expr, scope)
         elif isinstance(s, MakeSymbolic):
-            self.bind_symbolic(s.name, scope, path[0])
+            self.bind_symbolic(s.name, scope)
         else:
             raise MiniImpError(f"cannot execute {s!r}")
 
-    def bind_symbolic(self, name: str, scope, fn_name: str) -> None:
+    def bind_symbolic(self, name: str, scope) -> None:
         if name not in self.inputs:
             raise MiniImpError(f"unbound symbolic variable {name!r}")
         v = self.inputs[name]
-        decls = self.decls.get(fn_name)
-        if decls is None:
-            decls = self.decls[fn_name] = declared_types(self.program.function(fn_name))
-        want = decls.get(name)
-        if want is None:
-            raise MiniImpError(f"no declaration for {name!r}")
+        want = self.input_types[name]
         if is_index(want) and v.tag == want.base:
             # inputs carry real values; map them into the garden here
             v = Value(want, self.garden(want.base).index_or_bot(v))

@@ -2,9 +2,11 @@
 
 Checks the type of every expression against its use and builtin calls
 against the operator signature table, and rejects recursive user functions
-(the call graph must be a DAG).  It attaches nothing to the AST: a program
-passes unchanged or raises.  Works on both original programs and rewriter
-output; for the latter, pass the indexed-operator signatures via extra_sigs.
+(the call graph must be a DAG).  One name made symbolic in several functions
+is one input, so it must have one declared type in all of them.  It attaches
+nothing to the AST: a program passes unchanged or raises.  Works on both
+original programs and rewriter output; for the latter, pass the
+indexed-operator signatures via extra_sigs.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ class TypeChecker:
             self.builtins.update(extra_sigs)
         self.user_fns: dict[str, OperatorSignature] = {}
         self.calls_from: dict[str, set[str]] = {}
+        self.inputs: dict[str, tuple] = {}  # input name -> (function, type)
 
     def run(self) -> Program:
         for f in self.program.functions:
@@ -136,6 +139,10 @@ class TypeChecker:
         elif isinstance(s, MakeSymbolic):
             if s.name not in scope:
                 raise MiniImpTypeError(f"symbolic on undeclared variable {s.name!r}")
+            first = self.inputs.setdefault(s.name, (f.name, scope[s.name]))
+            if first[1] != scope[s.name]:  # named in function-name order, not program order
+                (f1, t1), (f2, t2) = sorted((first, (f.name, scope[s.name])))
+                raise MiniImpTypeError(f"input {s.name!r} is {t1!r} in {f1} and {t2!r} in {f2}")
         else:
             raise MiniImpTypeError(f"unknown statement {s!r}")
 

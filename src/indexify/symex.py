@@ -277,7 +277,8 @@ class _Lowering:
         # an int or bool variable holds a Value or a finite symbolic value,
         # unless a garden of its type lets unidx() give it an unindexed one
         gardens = self.engine.cfg.gardens
-        self.finite = {name for name, tag in self.engine.decls[fn.name].items()
+        decls = declared_types(fn, self.engine.input_types)
+        self.finite = {name for name, tag in decls.items()
                        if tag in (INT, BOOL) and tag not in gardens}
         self.block(fn.body, (fn.name,))
         self.emit(self.engine.op_error, f"{fn.name} finished without returning")
@@ -342,7 +343,7 @@ class _Lowering:
             if isinstance(s.expr, Var):  # still a read of the variable
                 self.emit(op.op_set, self.temp(), v)
         elif isinstance(s, MakeSymbolic):
-            self.emit(op.op_symbolic, s.name, path[0])
+            self.emit(op.op_symbolic, s.name)
         else:
             raise MiniImpError(f"cannot execute {s!r}")
 
@@ -570,14 +571,14 @@ class Engine:
     def __init__(self, program: Program, cfg: ExploreConfig):
         self.program = program
         self.cfg = cfg
-        self.decls = {f.name: declared_types(f) for f in program.functions}
         self.queries = 0
         self.unknowns = 0
         self.atoms_generated = 0
         self.atoms_sent = 0
         self.states = 0
         self.iot_fork_sizes = []
-        self.symrefs: dict[tuple, SymRef | Opaque] = {}
+        self.input_types = {}  # the program's symbolic_inputs, which the lowering finds
+        self.symrefs: dict[str, SymRef | Opaque] = {}
         self.input_values: dict[int, dict] = {}  # id(SymRef) -> constant -> input
         self.stack: list[_State] = []
         self.deadline = 0.0
@@ -587,15 +588,13 @@ class Engine:
         for f in program.functions:
             lowering.function(f)
 
-    def symbolic_ref(self, fn_name, name):
-        """The store entry for `symbolic name` in fn_name, built once and
-        shared by every path (it depends on the program and config only)."""
-        ref = self.symrefs.get((fn_name, name))
+    def symbolic_ref(self, name):
+        """The store entry for the input name, built once and shared by
+        every path (it depends on the program and config only)."""
+        ref = self.symrefs.get(name)
         if ref is not None:
             return ref
-        tag = self.decls[fn_name].get(name)
-        if tag is None:
-            raise SymexError(f"no declaration for symbolic {name!r}")
+        tag = self.input_types[name]
         if is_index(tag):
             garden = self.cfg.gardens.get(tag.base)
             if garden is None:
@@ -611,7 +610,7 @@ class Engine:
             ref = SymRef(FiniteVar(name, 2), tag)
         else:
             ref = Opaque(name, tag)
-        self.symrefs[fn_name, name] = ref
+        self.symrefs[name] = ref
         return ref
 
     def explore(self) -> ExplorationReport:
@@ -823,11 +822,11 @@ class Engine:
     def op_set(self, st, fr, ins):  # (op, dst, operand)
         fr.store[ins[1]] = _fetch(fr.store, ins[2])
 
-    def op_symbolic(self, st, fr, ins):  # (op, name, function name)
+    def op_symbolic(self, st, fr, ins):  # (op, name)
         name = ins[1]  # an input bound by concretization keeps its value
         ref = st.symvars.get(name)
         if ref is None:
-            ref = st.symvars[name] = self.symbolic_ref(ins[2], name)
+            ref = st.symvars[name] = self.symbolic_ref(name)
         fr.store[name] = ref
 
     def op_error(self, st, fr, ins):  # (op, message)

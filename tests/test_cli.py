@@ -6,7 +6,7 @@ import pytest
 
 from indexify import iot, symex
 from indexify.bench import corpus_path
-from indexify.cli import (MODE_NAMES, CliConfig, UsageError, load_pipeline, main, run_mode,
+from indexify.cli import (MODE_NAMES, MODES, CliConfig, UsageError, load_pipeline, main, run_mode,
                           write_artifacts)
 from indexify.garden import load_gardens
 from indexify.lang.ast import FLOAT, STR, Value, mk_str
@@ -216,6 +216,10 @@ BAD_SOURCES = {
     "source-return-type": ("int main(){ return true; }", "main returns int, got bool"),
     "source-undeclared-symbolic": ("int main(){ symbolic q; return 0; }",
                                    "symbolic on undeclared variable 'q'"),
+    "source-input-types": ("int f(){ int s; symbolic s; if (s == 3) { return 1; } return 0; } "
+                           'int main(){ str s; symbolic s; int r = f(); '
+                           'if (strcmp(s, "ab") == 0) { return r; } return 0; }',
+                           "input 's' is int in f and str in main"),
     "source-arith-operands": ("int main(){ return 1 + true; }",
                               "+ needs int operands, got int, bool"),
     "source-mod-operands": ("int main(){ return 1.5 % 2; }",
@@ -495,6 +499,26 @@ def test_a_program_error_exits_two_and_writes_nothing(case, baseline, tmp_path, 
         assert capsys.readouterr().err == f"indexify: {tc}: {message}\n"
 
 
+@pytest.mark.parametrize("mode", [(), ("--baseline", "abandon"), ("--baseline", "concretize"),
+                                  ("--compare",), ("--replay",)],
+                         ids=["indexed", "abandon", "concretize", "compare", "replay"])
+def test_an_input_with_two_types_exits_two_in_every_mode(mode, tmp_path, capsys):
+    # without the type checker's rule, indexed mode compared a string's
+    # index with 3 and wrote test cases --replay rejected, and both
+    # baselines crashed on the string's opaque value
+    source, message = BAD_SOURCES["source-input-types"]
+    src = tmp_path / "p.mi"
+    src.write_text(source)
+    out = tmp_path / "out"
+    if mode == ("--replay",):
+        tc = tmp_path / "s.tc"
+        tc.write_text('s="ab"\n')
+        mode += (str(tc),)
+    assert run_cli(str(src), *mode, "--outdir", str(out)) == 2
+    assert capsys.readouterr().err == f"indexify: {message}\n"
+    assert not out.exists()
+
+
 def test_confluence_zero_trials_is_a_usage_error(fig4a_file, capsys):
     assert run_cli(fig4a_file, "--confluence", "0") == 2
     assert "at least 2 trials" in capsys.readouterr().err
@@ -682,7 +706,7 @@ def test_defaults_match_documentation(monkeypatch, capsys):
     args = parser.parse_args(["prog.mi"])
     assert {f.name for f in dataclasses.fields(CliConfig)} <= set(vars(args))
     assert {name: getattr(args, name) for name in owned} == owned
-    assert args.indexed_types == "string"
+    assert args.indexed_types == entry.types == "string"  # as README's usage
     assert config_from_args(args) == cfg
 
     monkeypatch.setenv("COLUMNS", "200")  # no option's help wraps
@@ -691,6 +715,11 @@ def test_defaults_match_documentation(monkeypatch, capsys):
                          ("--timeout", "timeout_s"), ("--unroll", "unroll")):
         assert re.search(rf"^  {option} [A-Z_]+\s+\w[^\n]*\(default {owned[name]}\)$",
                          text, re.M), (option, text)
+    assert re.search(r"^  --type \{both,float,string\}\s+\w[^\n]*\(default string\)$",
+                     text, re.M), text
+    baselines = ",".join(name for name in MODES if name != "indexed")
+    assert baselines == "abandon,concretize"
+    assert f"--baseline {{{baselines}}}" in text
     with pytest.raises(SystemExit):
         bench.main(["--help"])
     modes = ",".join(MODE_NAMES[m] for m in bench.DEFAULT_MODES)

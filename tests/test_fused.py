@@ -125,7 +125,7 @@ def test_fused_partitions_agree_with_lookup_and_compare(bot_propagate):
     assert [code[p][2].op_name for code, p in sites] == \
         ["strcmp", "strlen", "strstr", "strstr", "strncmp"]
     engine.explore()  # sets the budgets a loop iteration checks
-    ref = engine.symbolic_ref("main", "x")
+    ref = engine.symbolic_ref("x")
     seen, iterations = set(), 0
     for code, p in sites:
         site, stmt = code[p][5], code[p + _CHAIN]

@@ -17,6 +17,7 @@ from indexify.lang.ast import (
     index_of,
     mk_int,
     mk_str,
+    symbolic_inputs,
 )
 from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
@@ -170,6 +171,28 @@ def test_recursion_rejected():
 def test_str_equality_rejected():
     with pytest.raises(MiniImpTypeError, match="strcmp"):
         typecheck(parse('int main(){ str a = "x"; if (a == a) { return 1; } return 0; }'))
+
+
+# f and main make one name symbolic with two types: one input, two types
+INPUT_CLASH = {
+    "f": "int f(){ int s; symbolic s; if (s == 3) { return 1; } return 0; }",
+    "main": 'int main(){ str s; symbolic s; int r = f(); '
+            'if (strcmp(s, "ab") == 0) { return r; } return 0; }',
+}
+
+
+@pytest.mark.parametrize("order", [("f", "main"), ("main", "f")], ids=["f-first", "main-first"])
+def test_an_input_with_two_types_rejected(order):
+    with pytest.raises(MiniImpTypeError) as e:
+        typecheck(parse(" ".join(INPUT_CLASH[name] for name in order)))
+    assert str(e.value) == "input 's' is int in f and str in main"
+
+
+def test_an_input_made_symbolic_in_two_functions_has_one_type():
+    src = ("int f(){ int s; symbolic s; return s; } "
+           "int main(){ int s; symbolic s; bool b; symbolic b; return s + f(); }")
+    p = typecheck(parse(src))
+    assert symbolic_inputs(p) == {"s": INT, "b": BOOL}
 
 
 # ---------------------------------------------------------------------------

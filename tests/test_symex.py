@@ -5,7 +5,7 @@ import pytest
 
 from indexify import solver
 from indexify.bench import CORPUS, corpus_path, load_entry
-from indexify.check import check_case
+from indexify.check import check_case, check_runs
 from indexify.cli import (
     CliConfig,
     build_pipeline,
@@ -384,6 +384,31 @@ def test_a_bound_input_keeps_its_value_when_made_symbolic_again():
         [(7, "ok"), (0, "ok")]
     for tc in rep.test_cases:
         assert replay(p, tc).ok
+
+
+# main and g, which main calls twice, make t symbolic: one input, which
+# every `symbolic t` of a run binds to one value, so each mode forks on it
+# as on one variable.  An int t takes both sides of t == 3 in every mode;
+# abandon mode abandons at the first strcmp on a str t, and concretize binds
+# it to ""
+@pytest.mark.parametrize("decl, cond, expected", [
+    ("int", "t == 3", {MODE_INDEXED: (4, [3, 0]), MODE_ABANDON: (4, [3, 0]),
+                       MODE_CONCRETIZE: (4, [3, 0])}),
+    ("str", 'strcmp(t, "ab") == 0',
+     {MODE_INDEXED: (4, [b"", b"ab", b"abab", b"ababab", b"abababab"]),
+      MODE_ABANDON: (0, []), MODE_CONCRETIZE: (2, [b""])}),
+], ids=["int", "str"])
+def test_an_input_made_symbolic_in_two_functions_is_one_input(decl, cond, expected):
+    src = (f"int g(int n) {{ {decl} t; symbolic t; if ({cond}) {{ return n + 1; }} return n; }} "
+           f"int main() {{ {decl} t; symbolic t; int a = g(0); int b = g(a); "
+           f"if ({cond}) {{ return a + b; }} return a; }}")
+    cfg = CliConfig("shared.mi")
+    for mode, (covered, inputs) in expected.items():
+        pipe = build_pipeline(parse(src), cfg)
+        rep = run_mode(cfg, pipe, mode)
+        assert (rep.branch_covered, rep.branch_total) == (covered, 4)
+        assert [tc.inputs["t"].raw for tc in rep.test_cases] == inputs
+        assert check_runs(cfg, pipe, {mode: rep}) == []
 
 
 @pytest.mark.parametrize("mode", [MODE_INDEXED, MODE_ABANDON, MODE_CONCRETIZE])
