@@ -65,8 +65,38 @@ class Bottom:
 BOT = Bottom()
 
 
-class EscapedGarden(Exception):
+# How a run of the interpreter, or a path of the explorer, ends.
+VERDICT_OK = "ok"  # main returned
+VERDICT_ASSERT = "assertion-failure"
+VERDICT_ESCAPED = "escaped-garden"
+VERDICT_BOUND = "bound-exceeded"  # a loop iterated more often than the unroll bound
+VERDICT_DIV_ZERO = "division-by-zero"
+VERDICT_UNINIT = "uninitialised-read"  # a variable was read before any assignment
+VERDICT_NO_RETURN = "missing-return"  # a function finished without returning
+
+
+class RunEnd(Exception):
+    """The end of a run or path, with its verdict.  Each engine catches it
+    in one place.  A fault of a well-formed program (a zero divisor, an
+    uninitialised read, a missing return) ends only the path it happens on;
+    bad input raises MiniImpError instead."""
+
+    def __init__(self, verdict: str):
+        self.verdict = verdict
+
+
+class EscapedGarden(RunEnd):
     """Raised when execution consumes BOT (unindexing it or branching on it)."""
+
+    def __init__(self):
+        self.verdict = VERDICT_ESCAPED
+
+
+class DivisionByZero(RunEnd):
+    """A `/` or `%` by zero."""
+
+    def __init__(self):
+        self.verdict = VERDICT_DIV_ZERO
 
 
 def no_bot(*values) -> None:
@@ -191,11 +221,6 @@ class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
-
-
-class DivisionByZero(Exception):
-    """A `/` or `%` by zero.  It ends the run or path with a verdict: the
-    program is well-formed, so this is not an input error."""
 
 
 def _divide(a: int, b: int) -> int:

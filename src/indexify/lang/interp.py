@@ -2,8 +2,15 @@
 
 Runs both original and rewritten programs.  For rewritten programs it needs
 the gardens (for the idx/unidx intrinsics and for index truthiness) and the
-indexed operator tables.  Consuming BOT - unindexing it, branching on it, or
-comparing against it - abandons the run with the escaped-garden verdict.
+indexed operator tables.  Every way a run ends is a lang.ast.RunEnd, caught
+in run() alone, which gives the run its verdict.  Consuming BOT - unindexing
+it, branching on it, or comparing against it - ends it with the
+escaped-garden verdict.  A fault of a well-formed program ends it with a
+verdict too: a `/` or `%` by zero, a read of a variable before any
+assignment (uninitialised-read), and a function that finishes without
+returning (missing-return).  MiniImpError is bad input: a test case that
+names an unknown input or gives one a wrong type, or a program that needs a
+garden the run lacks.
 """
 
 from __future__ import annotations
@@ -14,13 +21,18 @@ from ..iot import REGISTRY
 from .ast import (
     BOT,
     OPERATORS,
+    VERDICT_ASSERT,
+    VERDICT_BOUND,
+    VERDICT_ESCAPED,  # re-exported: check and perfbench import it from here
+    VERDICT_NO_RETURN,
+    VERDICT_OK,
+    VERDICT_UNINIT,
     Assert,
     Assign,
     BinOp,
     BotLiteral,
     Call,
     Decl,
-    DivisionByZero,
     EscapedGarden,
     Expr,
     ExprStmt,
@@ -31,6 +43,7 @@ from .ast import (
     MiniImpError,
     Program,
     Return,
+    RunEnd,
     Stmt,
     UnOp,
     Value,
@@ -44,12 +57,6 @@ from .ast import (
     symbolic_inputs,
     truthy,
 )
-
-VERDICT_OK = "ok"
-VERDICT_ASSERT = "assertion-failure"
-VERDICT_ESCAPED = "escaped-garden"
-VERDICT_BOUND = "bound-exceeded"
-VERDICT_DIV_ZERO = "division-by-zero"
 
 # The default loop bound: a loop that iterates more often ends the run with
 # VERDICT_BOUND.  Exploration and replay bound their loops the same way, so a
@@ -68,14 +75,6 @@ class InterpResult:
 class _ReturnSignal(Exception):
     def __init__(self, value):
         self.value = value
-
-
-class _Stop(Exception):
-    """The end of a run before main returned: an assertion failed or a loop
-    bound was exceeded."""
-
-    def __init__(self, verdict):
-        self.verdict = verdict
 
 
 class Interpreter:
@@ -102,12 +101,8 @@ class Interpreter:
         value = None
         try:
             value = self.call_function(self.program.main, [])
-        except _Stop as stop:
-            verdict = stop.verdict
-        except EscapedGarden:
-            verdict = VERDICT_ESCAPED
-        except DivisionByZero:
-            verdict = VERDICT_DIV_ZERO
+        except RunEnd as end:
+            verdict = end.verdict
         return InterpResult(
             verdict=verdict,
             return_value=value,
@@ -123,7 +118,7 @@ class Interpreter:
             self.exec_block(f.body, scope, (f.name,))
         except _ReturnSignal as r:
             return r.value
-        raise MiniImpError(f"{f.name} finished without returning")
+        raise RunEnd(VERDICT_NO_RETURN)
 
     # -- statements ----------------------------------------------------------
 
@@ -148,12 +143,12 @@ class Interpreter:
                     break
                 n = self.loop_counts.get(path, 0) + 1
                 if n > self.unroll:
-                    raise _Stop(VERDICT_BOUND)
+                    raise RunEnd(VERDICT_BOUND)
                 self.loop_counts[path] = n
                 self.exec_block(s.body, scope, path + ("b",))
         elif isinstance(s, Assert):
             if not self.condition(s.cond, scope):
-                raise _Stop(VERDICT_ASSERT)
+                raise RunEnd(VERDICT_ASSERT)
         elif isinstance(s, Return):
             raise _ReturnSignal(self.eval(s.value, scope) if s.value else None)
         elif isinstance(s, ExprStmt):
@@ -194,7 +189,7 @@ class Interpreter:
         if isinstance(e, Var):
             v = scope.get(e.name)
             if v is None:
-                raise MiniImpError(f"read of uninitialised variable {e.name!r}")
+                raise RunEnd(VERDICT_UNINIT)
             return v
         if isinstance(e, UnOp):
             v = self.eval(e.operand, scope)

@@ -3,13 +3,19 @@
 Two engines share one core.  Indexed mode runs rewriter output: symbolic
 variables range over garden indices, and indexed-operator calls fork per table
 row (after filtering rows against concrete arguments and pins already
-entailed by the path condition).  The executor consumes BOT as the
-interpreter does, by raising EscapedGarden, which ends the path with the
-escaped-garden verdict; a raw-result table miss escapes at the call.
-Baseline mode runs the original program and either abandons at intractable
-operator calls or concretizes their symbolic arguments (fixed defaults for
-strings and floats, a model value pinned into the path condition for
-finite-domain variables), mimicking what dynamic symbolic execution does.
+entailed by the path condition).  A path ends as a run of the interpreter
+does, by raising a lang.ast.RunEnd, and Engine.run alone catches it; its
+verdict is the path's.  Main returning, a failed assertion, an exceeded
+loop bound, consuming BOT (EscapedGarden; a raw-result table miss escapes at
+the call), a zero divisor, an uninitialised read and a function finishing
+without returning each end only their own path.  MiniImpError and SymexError
+are bad input, such as a call to an unknown function or an index with no
+garden, and end the whole run.  Baseline mode runs the original program
+and either abandons at intractable operator calls or concretizes their
+symbolic arguments (fixed defaults for strings and floats, a model value
+pinned into the path condition for finite-domain variables), mimicking what
+dynamic symbolic execution does.  An abandoned path is counted as escaped
+and emits no test case.
 Concretizing binds the value where it is read: from then on the state's
 inputs and every variable and temporary that held the symbolic value hold
 the concrete one.
@@ -60,13 +66,18 @@ from .lang.ast import (
     INT,
     OPERATORS,
     STR,
+    VERDICT_ASSERT,
+    VERDICT_BOUND,
+    VERDICT_ESCAPED,
+    VERDICT_NO_RETURN,
+    VERDICT_OK,
+    VERDICT_UNINIT,
     Assert,
     Assign,
     BinOp,
     BotLiteral,
     Call,
     Decl,
-    DivisionByZero,
     EscapedGarden,
     ExprStmt,
     If,
@@ -75,6 +86,7 @@ from .lang.ast import (
     MiniImpError,
     Program,
     Return,
+    RunEnd,
     TypeTag,
     UnOp,
     Value,
@@ -90,15 +102,7 @@ from .lang.ast import (
     no_bot,
     truthy,
 )
-from .lang.interp import (
-    UNROLL,
-    VERDICT_ASSERT,
-    VERDICT_BOUND,
-    VERDICT_DIV_ZERO,
-    VERDICT_ESCAPED,
-    VERDICT_OK,
-    interpret,
-)
+from .lang.interp import UNROLL, interpret
 from .solver import FiniteVar, var_eq_const, var_eq_var, var_neq_const, var_neq_var
 
 MODE_INDEXED = "indexed"
@@ -191,13 +195,9 @@ class ExplorationReport:
         return sum(1 for t in self.test_cases if t.verdict == VERDICT_ASSERT)
 
 
-class _Terminal(Exception):
-    """The end of a path: main returned, an assertion failed, a bound was
-    exceeded, or the path was abandoned by policy."""
-
-    def __init__(self, verdict, emit=True):
-        self.verdict = verdict
-        self.emit = emit  # abandoned-by-policy paths are counted, never emitted
+class _Abandoned(EscapedGarden):
+    """A path abandoned by policy at an intractable operation: counted as
+    escaped, never emitted as a test case."""
 
 
 class _Infeasible(Exception):
@@ -233,8 +233,8 @@ class _Truncated(Exception):
 # alone mark the edge or fail the assertion, and a while's op_iterate runs
 # next as it does after the chain.  For a free x op_fused calls op_table, so
 # the row fork and its successors are the chain's, with no instruction added;
-# any other x also goes through op_table, which escapes or errors as the
-# chain does.
+# any other x also goes through op_table, which escapes or ends the path on
+# an uninitialised read as the chain does.
 
 
 _SYMBOLIC = (SymRef, Opaque, Unindexed)
@@ -281,7 +281,7 @@ class _Lowering:
         self.finite = {name for name, tag in decls.items()
                        if tag in (INT, BOOL) and tag not in gardens}
         self.block(fn.body, (fn.name,))
-        self.emit(self.engine.op_error, f"{fn.name} finished without returning")
+        self.emit(self.engine.op_raise, RunEnd, VERDICT_NO_RETURN)
 
     def emit(self, *ins) -> int:
         self.code.append(ins)
@@ -411,8 +411,8 @@ class _Lowering:
     def operands(self, exprs):
         """Lower exprs left to right.  A variable is read where its value is
         consumed, unless a later operand may decide or end the path: then it
-        is read first, so an uninitialised read fails where the
-        interpreter's does."""
+        is read first, so an uninitialised read ends the path where the
+        interpreter's run ends."""
         out = []
         for i, e in enumerate(exprs):
             v = self.expr(e)
@@ -492,7 +492,7 @@ class _Lowering:
         elif e.name == "puts":
             self.emit(op.op_puts, dst, args[0])
         elif e.name not in REGISTRY:
-            self.emit(op.op_error, f"call to unknown function {e.name!r}")
+            self.emit(op.op_raise, MiniImpError, f"call to unknown function {e.name!r}")
         else:
             # op_builtin applies a baseline's policy to every symbolic
             # operand; indexed mode forces each one first, and abandons at an
@@ -555,7 +555,7 @@ def _fetch(store, a):
     if a.__class__ is str:
         v = store.get(a)
         if v is None:
-            raise MiniImpError(f"read of uninitialised variable {a!r}")
+            raise RunEnd(VERDICT_UNINIT)
         return v
     if a.__class__ is int:
         return store[a]
@@ -629,19 +629,19 @@ class Engine:
             try:
                 self.check_budget()
                 st = self.stack.pop()
-                outcome = self.run(st)
+                end = self.run(st)
             except _Truncated:
                 truncated = True
                 break
-            if outcome is None:
+            if end is None:
                 continue
-            verdict, emit = outcome
+            verdict = end.verdict
             paths += 1
             covered_branches |= st.branches
             covered_stmts |= st.stmts
             if verdict == VERDICT_ESCAPED:
                 escaped += 1
-            model = self.model(st, ()) if emit else None
+            model = None if end.__class__ is _Abandoned else self.model(st, ())
             if model is not None:  # None: the solver could not give one
                 trace = frozenset(st.branches)
                 test_cases.append(TestCase(
@@ -674,21 +674,17 @@ class Engine:
             raise _Truncated()
 
     def run(self, st: _State):
-        """Run st to the end of its path and return (verdict, emit), or None
-        when the path turned out infeasible.  Successor states of its
-        decisions go on the stack."""
+        """Run st to the end of its path and return the RunEnd that ended
+        it, or None when the path turned out infeasible.  Successor states
+        of its decisions go on the stack."""
         try:
             while True:
                 fr = st.frames[-1]
                 ins = fr.code[fr.ip]
                 fr.ip += 1
                 ins[0](st, fr, ins)
-        except _Terminal as t:
-            return (t.verdict, t.emit)
-        except EscapedGarden:
-            return (VERDICT_ESCAPED, True)
-        except DivisionByZero:
-            return (VERDICT_DIV_ZERO, True)
+        except RunEnd as end:
+            return end
         except _Infeasible:
             return None
 
@@ -769,7 +765,7 @@ class Engine:
             if not isinstance(s, kinds) or id(s) in bound:
                 continue
             if self.cfg.mode != MODE_CONCRETIZE:
-                raise _Terminal(VERDICT_ESCAPED, emit=False)
+                raise _Abandoned()
             if isinstance(s, Opaque):
                 value = st.symvars[s.name] = _concretize_default(s.tag)
             else:
@@ -829,8 +825,8 @@ class Engine:
             ref = st.symvars[name] = self.symbolic_ref(name)
         fr.store[name] = ref
 
-    def op_error(self, st, fr, ins):  # (op, message)
-        raise MiniImpError(ins[1])
+    def op_raise(self, st, fr, ins):  # (op, exception class, its argument)
+        raise ins[1](ins[2])
 
     def op_jump(self, st, fr, ins):  # (op, target)
         fr.ip = ins[1]
@@ -866,19 +862,19 @@ class Engine:
     def op_iterate(self, st, fr, ins):  # (op, loop path): its body starts again
         n = st.loop_counts.get(ins[1], 0) + 1
         if n > self.cfg.unroll:
-            raise _Terminal(VERDICT_BOUND)
+            raise RunEnd(VERDICT_BOUND)
         st.loop_counts[ins[1]] = n
         self.check_budget()
 
     def op_assert(self, st, fr, ins):  # (op, cond)
         if not self._taken(st, fr, ins[1]):
-            raise _Terminal(VERDICT_ASSERT)
+            raise RunEnd(VERDICT_ASSERT)
 
     def op_return(self, st, fr, ins):  # (op, operand)
         value = _fetch(fr.store, ins[1])
         st.frames.pop()
         if not st.frames:
-            raise _Terminal(VERDICT_OK)
+            raise RunEnd(VERDICT_OK)
         st.frames[-1].store[fr.dst] = value
 
     def op_call(self, st, fr, ins):  # (op, dst, callee code, params, args)
@@ -973,11 +969,11 @@ class Engine:
     def op_table(self, st, fr, ins):  # (op, dst, table, args, parts)
         # parts[i] is argument i's key component, or its SymRef while free.
         # The relevant-subset optimization: concrete arguments and pins already
-        # entailed by the path condition filter rows before any forking
+        # entailed by the path condition filter rows before any forking.  Every
+        # argument is read before any is consumed, as in the interpreter
         table, bot_propagate = ins[2], self.cfg.bot_propagate
         parts, free = [], False
-        for a in ins[3]:
-            a = _fetch(fr.store, a)
+        for a in [_fetch(fr.store, a) for a in ins[3]]:
             if isinstance(a, Value):
                 if a.raw is BOT and bot_propagate:
                     fr.ip += 1
@@ -1021,8 +1017,8 @@ class Engine:
         """For a concrete or pinned x, compute its cell with lookup, skip
         the chain and run the statement's instruction for the comparison's
         truth.  A free x goes through op_table, which forks on the rows, and
-        so does any other x, escapes and errors included; the chain after
-        the site then runs."""
+        so does any other x, escapes and uninitialised reads included; the
+        chain after the site then runs."""
         site = ins[5]
         x = fr.store.get(site.var)
         if x.__class__ is SymRef:

@@ -6,10 +6,12 @@ import pytest
 
 from indexify import iot, symex
 from indexify.bench import corpus_path
+from indexify.check import check_runs
 from indexify.cli import (MODE_NAMES, MODES, CliConfig, UsageError, load_pipeline, main, run_mode,
                           write_artifacts)
 from indexify.garden import load_gardens
-from indexify.lang.ast import FLOAT, STR, Value, mk_str
+from indexify.lang.ast import (FLOAT, STR, VERDICT_NO_RETURN, VERDICT_OK, VERDICT_UNINIT, Value,
+                               mk_str)
 from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
@@ -468,13 +470,13 @@ def test_a_bad_k_is_rejected_with_a_garden_file(fig4a_file, fig5_file, tmp_path,
     assert not out.exists()
 
 
-# case -> (source, the message exploring it stops with); the default --type
+# case -> (source, what exploring it ends with): a runtime fault's verdict,
+# or the message of a garden error, which is bad input; the default --type
 # string grows no float garden
 PROGRAM_ERRORS = {
     "no-return": ("int f(int x){ if (x) { return 1; } } "
-                  "int main(){ int n; symbolic n; return f(n); }",
-                  "f finished without returning"),
-    "uninitialised": ("int main(){ int x; x; return 0; }", "read of uninitialised variable 'x'"),
+                  "int main(){ int n; symbolic n; return f(n); }", VERDICT_NO_RETURN),
+    "uninitialised": ("int main(){ int x; x; return 0; }", VERDICT_UNINIT),
     "index-garden": ("int main(){ if (0@float) { return 1; } return 0; }",
                      "no garden for index<float>"),
     "idx-garden": ("int main(){ idx(1.5); return 0; }", "idx: no garden for float"),
@@ -484,19 +486,65 @@ PROGRAM_ERRORS = {
 @pytest.mark.parametrize("baseline", [None, "abandon", "concretize"])
 @pytest.mark.parametrize("case", PROGRAM_ERRORS)
 def test_a_program_error_exits_two_and_writes_nothing(case, baseline, tmp_path, capsys):
-    source, message = PROGRAM_ERRORS[case]
+    # A garden error exits 2 with its message and writes nothing.  A fault
+    # of a well-formed program ends only the path that reaches it, with its
+    # verdict: exit 0, artifacts written, and each test case replays to its
+    # verdict.  Every mode reaches both faults here.
+    source, outcome = PROGRAM_ERRORS[case]
     src = tmp_path / "p.mi"
     src.write_text(source)
     out = tmp_path / "out"
     args = (str(src), "--outdir", str(out)) + (("--baseline", baseline) if baseline else ())
-    assert run_cli(*args) == 2
-    assert capsys.readouterr().err == f"indexify: {message}\n"
-    assert not out.exists()
+    if outcome not in (VERDICT_NO_RETURN, VERDICT_UNINIT):
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err == f"indexify: {outcome}\n"
+        assert not out.exists()
+        return
+    assert run_cli(*args) == 0
+    assert capsys.readouterr().err == ""
+    report = (out / f"report.{baseline or 'indexed'}.txt").read_text()
+    assert f"verdict={outcome}" in report
+    assert run_cli(*args, "--replay", str(out / f"testcases.{baseline or 'indexed'}")) == 0
+    assert f"verdict={outcome}" in capsys.readouterr().out
     if case == "no-return":  # the interpreter, replaying the path n = 0
         tc = tmp_path / "n0.tc"
         tc.write_text("n=0\n")
-        assert run_cli(*args, "--replay", str(tc)) == 2
-        assert capsys.readouterr().err == f"indexify: {tc}: {message}\n"
+        assert run_cli(*args, "--replay", str(tc)) == 0
+        assert capsys.readouterr().out == f"{tc}: verdict={VERDICT_NO_RETURN}\n"
+
+
+# case -> (source, verdict): only s = "ab" returns a value, so a path with
+# another s ends in the fault
+FAULTS = {
+    "uninitialised": ('int main() { str s; symbolic s; int x; '
+                      'if (strcmp(s, "ab") == 0) { x = 1; } return x; }', VERDICT_UNINIT),
+    "no-return": ('int f(str s) { if (strcmp(s, "ab") == 0) { return 1; } } '
+                  'int main() { str s; symbolic s; return f(s); }', VERDICT_NO_RETURN),
+}
+
+
+@pytest.mark.parametrize("case", FAULTS)
+def test_a_runtime_fault_ends_only_its_path(case, tmp_path, capsys):
+    # indexed mode reaches the fault beside the "ab" path, concretize mode
+    # on s = "", and abandon mode ends its one path at strcmp first
+    source, verdict = FAULTS[case]
+    src = tmp_path / "p.mi"
+    src.write_text(source)
+    cfg = CliConfig(str(src), k=1)
+    expected = {MODE_INDEXED: {VERDICT_OK, verdict}, symex.MODE_CONCRETIZE: {verdict},
+                symex.MODE_ABANDON: set()}
+    for mode, verdicts in expected.items():
+        pipe = load_pipeline(cfg)
+        report = run_mode(cfg, pipe, mode)
+        assert {tc.verdict for tc in report.test_cases} == verdicts
+        assert check_runs(cfg, pipe, {mode: report}) == []
+    assert report.paths == report.escaped_paths == 1
+    out = str(tmp_path / "out")
+    for mode in ((), ("--baseline", "abandon"), ("--baseline", "concretize"), ("--compare",)):
+        assert run_cli(str(src), *mode, "--outdir", out) == 0, mode
+        assert capsys.readouterr().err == ""
+    assert run_cli(str(src), "--replay", os.path.join(out, "testcases.indexed")) == 0
+    assert f"verdict={verdict}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", [(), ("--baseline", "abandon"), ("--baseline", "concretize"),

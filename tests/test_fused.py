@@ -17,12 +17,13 @@ from indexify.cli import (CliConfig, build_pipeline, explore_config, rewrite_pip
                           run_mode)
 from indexify.garden import load_gardens
 from indexify.iot import IndexedOperatorTable, memoise_all
-from indexify.lang.ast import BOT, STR, EscapedGarden, MiniImpError, Value, While, walk_stmts
-from indexify.lang.interp import VERDICT_ASSERT
+from indexify.lang.ast import (BOT, STR, VERDICT_UNINIT, EscapedGarden, RunEnd, Value, While,
+                               walk_stmts)
+from indexify.lang.interp import VERDICT_ASSERT, interpret
 from indexify.lang.parser import parse
 from indexify.solver import PathState, var_eq_const
 from indexify.symex import (_CHAIN, MODE_ABANDON, MODE_CONCRETIZE, MODE_INDEXED, Engine,
-                            ExploreConfig, _Lowering, _Terminal)
+                            ExploreConfig, _Lowering)
 
 GARDEN_TEXT = "0\tstr\t\n1\tstr\ta\n2\tstr\txab\n3\tstr\tb\n"
 
@@ -87,8 +88,8 @@ def _effect(engine, code, run, store, ip, facts):
             ins[0](st, fr, ins)
     except EscapedGarden:
         return BOT
-    except _Terminal as t:
-        return t.verdict
+    except RunEnd as end:
+        return end.verdict
     return st.branches, st.loop_counts, fr.ip
 
 
@@ -388,15 +389,33 @@ def test_a_fused_site_escapes_where_the_chain_does(monkeypatch, x):
         assert [tc.verdict for tc in fused.test_cases] == ["escaped-garden"]
 
 
-def test_a_fused_site_reads_an_uninitialised_variable_as_the_chain_does():
+def test_a_fused_site_reads_an_uninitialised_variable_as_the_chain_does(monkeypatch):
+    # the read ends the path with its verdict, at the site as in the chain
+    # and in the interpreter
     _, gardens, tables = _sites_setup()
     program = parse("int main() { index<str> x; int r = 0;\n"
                     "  if (i_strcmp(x, 1@str) == 0) { r = 1; }\n"
                     "  return r; }\n")
-    engine = Engine(program, ExploreConfig(gardens=gardens, tables=tables))
-    assert len(fused_sites(engine)) == 1
-    with pytest.raises(MiniImpError, match="uninitialised variable 'x'"):
-        engine.explore()
+    assert len(fused_sites(Engine(program, ExploreConfig(gardens=gardens, tables=tables)))) == 1
+    fused, unfused = _explore_both(monkeypatch, program, ExploreConfig(
+        gardens=gardens, tables=tables))
+    assert _observed(fused) == _observed(unfused)
+    assert [tc.verdict for tc in fused.test_cases] == [VERDICT_UNINIT]
+    assert interpret(program, gardens=gardens, tables=tables).verdict == VERDICT_UNINIT
+
+
+@pytest.mark.parametrize("bot_propagate", [False, True])
+def test_a_table_call_reads_every_argument_before_it_consumes_one(bot_propagate):
+    # the interpreter evaluates every argument first, so a BOT argument
+    # before an uninitialised one ends the run at the read, not in an escape
+    _, gardens, tables = _sites_setup()
+    program = parse("int main() { index<str> x = bot@str; int n;\n"
+                    "  if (i_strncmp(x, 1@str, n) == 0) { return 1; }\n"
+                    "  return 0; }\n")
+    kw = dict(gardens=gardens, tables=tables, bot_propagate=bot_propagate)
+    report = Engine(program, ExploreConfig(**kw)).explore()
+    assert [tc.verdict for tc in report.test_cases] == [VERDICT_UNINIT]
+    assert interpret(program, **kw).verdict == VERDICT_UNINIT
 
 
 def _conditions(engine):

@@ -36,12 +36,18 @@ class ProgramGen:
     compare strcmp, strlen or strncmp of a string input (`sym`, or the user
     function's parameter) and literals with an int literal, the shape the
     explorer fuses into one site.
+
+    With faults=True a program may declare an int with no initialiser and
+    assign it on one branch of an `if` only, so a later read may be
+    uninitialised, and with extended=True the user function may end in an
+    `if` that returns, so a path may finish without returning.
     """
 
-    def __init__(self, rng, extended=False, sites=False):
+    def __init__(self, rng, extended=False, sites=False, faults=False):
         self.rng = rng
         self.extended = extended
         self.sites = sites
+        self.faults = faults
         self.str_vars = []
         self.int_vars = []
         self.fresh = 0
@@ -142,6 +148,8 @@ class ProgramGen:
         kinds = ["sdecl", "idecl", "sassign", "puts", "if"]
         if self.extended:
             kinds += ["while", "assert"]
+        if self.faults:
+            kinds += ["udecl"]
         for _ in range(n):
             kind = r.choice(kinds)
             if kind == "sdecl" or (kind == "sassign" and not self.str_vars):
@@ -171,6 +179,12 @@ class ProgramGen:
                 out.append(f"{indent}}}")
             elif kind == "assert":
                 out.append(f"{indent}assert({self.cond()});")
+            elif kind == "udecl":  # assigned on one branch: a later read may fail
+                name = f"u{self.fresh}"
+                self.fresh += 1
+                out.append(f"{indent}int {name};")
+                out.append(f"{indent}if ({self.cond()}) {{ {name} = {self.int_expr()}; }}")
+                self.int_vars.append(name)
             elif r.random() < 0.3:  # a loop that may run into the unroll bound
                 out.append(f"{indent}while ({self.cond()}) {{")
                 out.extend(self.block(r.randint(1, 2), indent + "  "))
@@ -189,8 +203,12 @@ class ProgramGen:
         """One user function over a str and an int parameter."""
         self.str_vars, self.int_vars = ["a"], ["b"]
         body = self.stmts(self.rng.randint(1, 3))
-        lines = ["int helper(str a, int b) {", *body,
-                 f"  return {self.int_expr()};", "}", ""]
+        if self.faults and self.rng.random() < 0.5:  # a path with no return
+            body.append(f"  if ({self.cond()}) {{ return {self.int_expr()}; }}")
+            lines = ["int helper(str a, int b) {", *body, "}", ""]
+        else:
+            lines = ["int helper(str a, int b) {", *body,
+                     f"  return {self.int_expr()};", "}", ""]
         self.helper = "helper"
         return lines
 
@@ -354,8 +372,28 @@ def test_exploration_is_complete_on_random_programs():
         verdicts |= seen
         programs += 1
     assert programs == 60 and compared > 400
-    # the generator reaches every verdict but division by zero
+    # without faults the generator reaches every verdict but division by
+    # zero, an uninitialised read and a missing return
     assert verdicts == {"ok", "escaped-garden", "assertion-failure", "bound-exceeded"}
+
+
+def test_exploration_is_complete_on_random_programs_with_faults():
+    # the same oracle where a path may read an int before any assignment or
+    # leave the helper without returning: the explorer ends such a path with
+    # the fault's verdict at the point where the interpreter's run ends
+    rng = random.Random(3535)
+    compared = 0
+    verdicts = set()
+    for trial in range(40):
+        src = ProgramGen(rng, extended=True, faults=True).program()
+        f_plus = rng.sample(["strcat", "strstr", "strcmp", "strncmp", "strlen",
+                             "substr"], rng.randint(1, 4))
+        n, seen = _check_exhaustively(src, f_plus, rng.randint(0, 2))
+        compared += n
+        verdicts |= seen
+    assert compared > 250
+    assert verdicts == {"ok", "escaped-garden", "assertion-failure", "bound-exceeded",
+                        "uninitialised-read", "missing-return"}
 
 
 def test_exploration_is_complete_on_random_fused_sites(monkeypatch):
