@@ -5,13 +5,16 @@ restricted to.  Seeds are harvested from program constants (the empty string
 is always seeded for str); builders are applied in rounds, each round working
 from a snapshot of the garden at the start of that round, so a value admitted
 in round i is reachable by at most i nested builder applications over the
-seeds.  Index assignment is canonical - seeds in harvest order, then round by
-round, builder by builder, argument tuples in lexicographic index order - so
-two builds from the same inputs are bit-identical.
+seeds.  A float garden holds no NaN and no -0.0 (is_garden_float), so a
+float result that is one of them is outside it.  Index assignment is
+canonical - seeds in harvest order, then round by round, builder by builder,
+argument tuples in lexicographic index order - so two builds from the same
+inputs are bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product, repeat
 
@@ -54,7 +57,7 @@ class OperatorSignature:
 @dataclass
 class SeedSet:
     """Each type's seeds in the order added; an IndexMap per type keeps the
-    first of each value_key, as a garden does."""
+    first of each value_key and skips a NaN or a -0.0, as a garden does."""
     per_type: dict[TypeTag, IndexMap] = field(default_factory=dict)
 
     def add(self, v: Value) -> None:
@@ -64,6 +67,13 @@ class SeedSet:
 
     def values(self, tag: TypeTag) -> list[Value]:
         return self.per_type[tag].values() if tag in self.per_type else []
+
+
+def is_garden_float(x: float) -> bool:
+    """Whether a float garden may hold x: x equals itself and no other
+    garden value, so that index equality is float equality.  A NaN equals
+    nothing, and -0.0 equals 0.0."""
+    return x == x and (x != 0.0 or math.copysign(1.0, x) > 0.0)
 
 
 class IndexMap:
@@ -98,12 +108,15 @@ class IndexMap:
         return self._texts
 
     def admit(self, v: Value) -> tuple[int, bool]:
-        """Insert v if new; returns (index, freshly_added)."""
+        """Insert v if new; returns (index, freshly_added).  A float that is
+        not a garden float is skipped, and gets (BOT, False)."""
         if v.tag != self.type_tag:
             raise GardenError(f"value {v!r} does not belong in a {self.type_tag!r} garden")
         key = value_key(v)
         if key in self._index:
             return self._index[key], False
+        if v.tag is FLOAT and not is_garden_float(v.raw):
+            return BOT, False
         i = len(self._values)
         self._values.append(v)
         self._index[key] = i
@@ -198,10 +211,11 @@ def extend(imap: IndexMap, op, *, snapshot: list[Value] | None = None,
     """One builder pass: apply op, an iot.BuiltinOp, to every argument tuple
     over the snapshot (the whole garden by default), in product order.
 
-    Results already present, longer than max_str_len, or failing to evaluate
-    are not admitted.  Each result is judged on op's raw payload, and a Value
-    is built only for a result that is admitted.  All of op's argument types
-    must equal the garden's type (builders are mono-typed).
+    Results already present, longer than max_str_len, failing to evaluate,
+    or a NaN or a -0.0 are not admitted.  Each result is judged on op's raw
+    payload, and a Value is built only for a result that is admitted.  All
+    of op's argument types must equal the garden's type (builders are
+    mono-typed).
     """
     sig = op.signature
     tag = imap.type_tag
@@ -333,6 +347,8 @@ def load_gardens(text: str) -> dict[TypeTag, IndexMap]:
             raise GardenError(f"garden line {lineno}: unknown type {type_name!r}")
         try:
             entry = (int(idx_text), parse_literal(tag, lit))
+            if tag is FLOAT and not is_garden_float(entry[1].raw):
+                raise GardenError(f"a float garden holds no NaN and no -0.0, found {lit!r}")
         except (ValueError, GardenError) as e:
             raise GardenError(f"garden line {lineno}: {e}") from None
         rows.setdefault(tag, []).append(entry)

@@ -168,7 +168,7 @@ def _fdiv(a: float, b: float) -> float:
 
 def _sqrt(a: float) -> float:
     if a < 0.0:
-        return math.nan  # domain error: NaN is a legitimate garden value
+        return math.nan  # domain error: no garden holds NaN, so its cell is BOT
     return math.sqrt(a)  # -0.0, nan and inf do not raise
 
 

@@ -139,17 +139,13 @@ def mk_str(s: bytes | str) -> Value:
     return Value(STR, bytes(s))
 
 
-def float_key(x: float) -> object:
-    """Canonical dict key for a float, under value equality.
+def float_key(x: float) -> bytes:
+    """Dict key for a float: its bit pattern.
 
-    All NaNs collapse to one garden entry (so domain errors stay usable as a
-    single distinct value) and 0.0 / -0.0 collapse together, which keeps
-    index equality aligned with float equality for every non-NaN value.
+    A float garden holds only values that equal themselves and nothing else,
+    never a NaN or a -0.0 (garden.IndexMap.admit), so there equal keys are
+    equal values, and a NaN or a -0.0 is looked up as BOT.
     """
-    if x != x:
-        return "nan"
-    if x == 0.0:
-        x = 0.0
     return struct.pack("<d", x)
 
 
@@ -192,10 +188,11 @@ class Literal(Expr):
     value: object
 
     def __eq__(self, other):
-        # float literals compare under value_key so nan == nan structurally
+        # every NaN prints as nan, so nan == nan structurally
         if not isinstance(other, Literal) or self.tag != other.tag:
             return False
-        return value_key(Value(self.tag, self.value)) == value_key(Value(other.tag, other.value))
+        x, y = self.value, other.value
+        return x == y or x != x and y != y
 
 
 @dataclass(eq=True)

@@ -2,6 +2,11 @@
 
 The grammar lives in docs/grammar.md; the pretty-printer in printer.py emits
 the canonical formatting, and parse(print(p)) == p structurally.
+
+The source is scanned once, by one regular expression whose last
+alternative takes any character no token starts with.  Tokens are
+(kind, text, offset) tuples, and a line and column are worked out from an
+offset only when a MiniImpSyntaxError is raised.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ _TOKEN_RE = re.compile(
   | (?P<string>"(?:\\.|[^"\\])*")
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>\|\||&&|==|!=|<=|>=|->|[-+*/%<>!=(){},;@])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -62,39 +68,25 @@ _STR_ESCAPES = {"n": 0x0A, "t": 0x09, "r": 0x0D, "0": 0x00, '"': 0x22, "\\": 0x5
 _ESCAPE_RE = re.compile(r'\\(x[0-9A-Fa-f]{2}|[ntr0"\\])')
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind},{self.text!r})"
+def _syntax_error(msg: str, source: str, offset: int) -> MiniImpSyntaxError:
+    """The error msg at offset in source, placed at its 1-based line and
+    column; a tab is one column."""
+    line = source.count("\n", 0, offset) + 1
+    return MiniImpSyntaxError(msg, line, offset - source.rfind("\n", 0, offset))
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, without whitespace or comments,
+    then ("eof", "", len(source))."""
     tokens = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            raise MiniImpSyntaxError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise _syntax_error(f"unexpected character {m.group()!r}", source, m.start())
+        if kind != "ws" and kind != "comment":
+            append((kind, m.group(), m.start()))
+    append(("eof", "", len(source)))
     return tokens
 
 
@@ -121,45 +113,44 @@ def unescape_string(body: str) -> bytes:
 
 
 class Parser:
+    """The current token's kind, text and offset are attributes, which bump
+    advances; a syntax error is placed from the offset when it is raised."""
+
     def __init__(self, source: str):
+        self.source = source
         self.tokens = tokenize(source)
         self.i = 0
+        self.kind, self.text, self.pos = self.tokens[0]
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
-
-    def bump(self) -> Token:
-        t = self.cur
+    def bump(self) -> str:
+        """Consume the current token, never eof; returns its text."""
+        text = self.text
         self.i += 1
-        return t
-
-    def at(self, text: str) -> bool:
-        return self.cur.text == text and self.cur.kind in ("op", "ident")
+        self.kind, self.text, self.pos = self.tokens[self.i]
+        return text
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
+        # no number, string or eof token has the text of an operator or word
+        if self.text == text:
             self.bump()
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
-            raise MiniImpSyntaxError(
-                f"expected {text!r}, found {self.cur.text!r}", self.cur.line, self.cur.col
-            )
-        return self.bump()
+    def expect(self, text: str) -> None:
+        if self.text != text:
+            self.fail(f"expected {text!r}, found {self.text!r}")
+        self.bump()
 
     def fail(self, msg: str):
-        raise MiniImpSyntaxError(msg, self.cur.line, self.cur.col)
+        raise _syntax_error(msg, self.source, self.pos) from None
 
     # -- grammar -----------------------------------------------------------
 
     def program(self) -> Program:
         functions = []
-        while self.cur.kind != "eof":
+        while self.kind != "eof":
             functions.append(self.function())
         names = set()
         for f in functions:
@@ -176,15 +167,12 @@ class Parser:
         self.expect(">")
         return index_of(base)
 
-    def at_type(self) -> bool:
-        return self.cur.kind == "ident" and (self.cur.text in SCALARS or self.cur.text == "index")
-
     def function(self) -> FunctionDef:
         rtype = self.type_name()
         name = self.ident()
         self.expect("(")
         params = []
-        if not self.at(")"):
+        if self.text != ")":
             while True:
                 ptype = self.type_name()
                 params.append(Param(self.ident(), ptype))
@@ -195,11 +183,9 @@ class Parser:
         return FunctionDef(name, params, rtype, body)
 
     def ident(self) -> str:
-        tok = self.cur
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            self.fail(f"expected identifier, found {tok.text!r}")
-        self.bump()
-        return tok.text
+        if self.kind != "ident" or self.text in KEYWORDS:
+            self.fail(f"expected identifier, found {self.text!r}")
+        return self.bump()
 
     def block(self) -> list[Stmt]:
         self.expect("{")
@@ -209,7 +195,7 @@ class Parser:
         return stmts
 
     def statement(self) -> Stmt:
-        if self.at_type():
+        if self.text in SCALARS or self.text == "index":
             ty = self.type_name()
             name = self.ident()
             init = None
@@ -217,40 +203,35 @@ class Parser:
                 init = self.expression()
             self.expect(";")
             return Decl(name, ty, init)
-        if self.at("if"):
-            self.bump()
+        if self.eat("if"):
             self.expect("(")
             cond = self.expression()
             self.expect(")")
             then = self.block()
             orelse = self.block() if self.eat("else") else []
             return If(cond, then, orelse)
-        if self.at("while"):
-            self.bump()
+        if self.eat("while"):
             self.expect("(")
             cond = self.expression()
             self.expect(")")
             return While(cond, self.block())
-        if self.at("assert"):
-            self.bump()
+        if self.eat("assert"):
             self.expect("(")
             cond = self.expression()
             self.expect(")")
             self.expect(";")
             return Assert(cond)
-        if self.at("return"):
-            self.bump()
-            value = None if self.at(";") else self.expression()
+        if self.eat("return"):
+            value = None if self.text == ";" else self.expression()
             self.expect(";")
             return Return(value)
-        if self.at("symbolic"):
-            self.bump()
+        if self.eat("symbolic"):
             name = self.ident()
             self.expect(";")
             return MakeSymbolic(name)
         # assignment or bare expression
-        if self.cur.kind == "ident" and self.tokens[self.i + 1].text == "=" \
-                and self.tokens[self.i + 2].text != "=":
+        if self.kind == "ident" and self.tokens[self.i + 1][1] == "=" \
+                and self.tokens[self.i + 2][1] != "=":
             name = self.ident()
             self.expect("=")
             value = self.expression()
@@ -265,16 +246,14 @@ class Parser:
         binds at least as tightly as floor, its right operand parsed one
         level tighter than the operator."""
         left = self.unary()
-        while (op := OPERATORS.get(self.cur.text)) is not None and op.precedence >= floor:
-            left = BinOp(self.bump().text, left, self.expression(op.precedence + 1))
+        while (op := OPERATORS.get(self.text)) is not None and op.precedence >= floor:
+            left = BinOp(self.bump(), left, self.expression(op.precedence + 1))
         return left
 
     def unary(self) -> Expr:
-        if self.at("!"):
-            self.bump()
+        if self.eat("!"):
             return UnOp("!", self.unary())
-        if self.at("-"):
-            self.bump()
+        if self.eat("-"):
             operand = self.unary()
             # fold negation into numeric literals so -1 and -2.5 are literals
             if isinstance(operand, Literal) and operand.tag in (INT, FLOAT):
@@ -283,40 +262,40 @@ class Parser:
         return self.primary()
 
     def primary(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "int":
+        kind, text = self.kind, self.text
+        if kind == "int":
             self.bump()
             if self.eat("@"):
-                return Literal(index_of(self.base_type()), int(tok.text))
-            return Literal(INT, int(tok.text))
-        if tok.kind == "float":
+                return Literal(index_of(self.base_type()), int(text))
+            return Literal(INT, int(text))
+        if kind == "float":
             self.bump()
-            return Literal(FLOAT, float(tok.text))
-        if tok.kind == "string":
-            self.bump()
+            return Literal(FLOAT, float(text))
+        if kind == "string":
             try:
-                return Literal(STR, unescape_string(tok.text[1:-1]))
+                value = unescape_string(text[1:-1])
             except ValueError as e:
-                raise MiniImpSyntaxError(str(e), tok.line, tok.col) from None
-        if tok.text in ("true", "false"):
+                self.fail(str(e))
             self.bump()
-            return Literal(BOOL, tok.text == "true")
-        if tok.text in ("nan", "inf"):
+            return Literal(STR, value)
+        if text in ("true", "false"):
             self.bump()
-            return Literal(FLOAT, float(tok.text))
-        if tok.text == "bot":
+            return Literal(BOOL, text == "true")
+        if text in ("nan", "inf"):
             self.bump()
+            return Literal(FLOAT, float(text))
+        if self.eat("bot"):
             self.expect("@")
             return BotLiteral(index_of(self.base_type()))
         if self.eat("("):
             e = self.expression()
             self.expect(")")
             return e
-        if tok.kind == "ident":
+        if kind == "ident":
             name = self.ident()
             if self.eat("("):
                 args = []
-                if not self.at(")"):
+                if self.text != ")":
                     while True:
                         args.append(self.expression())
                         if not self.eat(","):
@@ -324,13 +303,14 @@ class Parser:
                 self.expect(")")
                 return Call(name, args)
             return Var(name)
-        self.fail(f"expected expression, found {tok.text!r}")
+        self.fail(f"expected expression, found {text!r}")
 
     def base_type(self) -> TypeTag:
-        tok = self.bump()
-        if tok.text not in SCALARS:
-            raise MiniImpSyntaxError(f"unknown type {tok.text!r}", tok.line, tok.col)
-        return SCALARS[tok.text]
+        tag = SCALARS.get(self.text)
+        if tag is None:
+            self.fail(f"unknown type {self.text!r}")
+        self.bump()
+        return tag
 
 
 def parse(source: str) -> Program:

@@ -10,8 +10,8 @@ from indexify.check import check_runs
 from indexify.cli import (MODE_NAMES, MODES, CliConfig, UsageError, load_pipeline, main, run_mode,
                           write_artifacts)
 from indexify.garden import load_gardens
-from indexify.lang.ast import (FLOAT, STR, VERDICT_NO_RETURN, VERDICT_OK, VERDICT_UNINIT, Value,
-                               mk_str)
+from indexify.lang.ast import (FLOAT, STR, VERDICT_ESCAPED, VERDICT_NO_RETURN, VERDICT_OK,
+                               VERDICT_UNINIT, Value, mk_str)
 from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.typecheck import typecheck
@@ -163,6 +163,12 @@ BAD_FILES = {
     "seed-prefix": ("--seeds", "abc\n", "seed line 1: expected str:<literal> or float:<literal>"),
     "garden-fields": ("--garden", "0\tstr\n", "garden line 1: expected 3 tab-separated fields"),
     "garden-type": ("--garden", "0\tchar\ta\n", "garden line 1: unknown type 'char'"),
+    # a float garden holds only values that equal themselves and nothing else
+    "garden-float-nan": ("--garden", "0\tfloat\t1.0\n1\tfloat\tnan\n",
+                         "garden line 2: a float garden holds no NaN and no -0.0, found 'nan'"),
+    "garden-float-negative-zero": ("--garden", "0\tfloat\t-0.0\n",
+                                   "garden line 1: a float garden holds no NaN and no -0.0, "
+                                   "found '-0.0'"),
     # fadd's table needs a float garden, which --type string does not grow
     "fplus-float": ("--F+", "fadd\n",
                     "'fadd' is a float operator, and --type string indexes no float values"),
@@ -545,6 +551,41 @@ def test_a_runtime_fault_ends_only_its_path(case, tmp_path, capsys):
         assert capsys.readouterr().err == ""
     assert run_cli(str(src), "--replay", os.path.join(out, "testcases.indexed")) == 0
     assert f"verdict={verdict}" in capsys.readouterr().out
+
+
+# case -> (float program, a garden input whose rewritten run must escape).
+# Rewritten == on index<float> compares indices, so a garden holding a NaN
+# would make sqrt(-1.0) equal itself, and one keying -0.0 as 0.0 would give
+# fdiv(1.0, -0.0) 0.0's cell, +inf, where the original gives -inf.
+FLOAT_EQUALITY = {
+    "nan": ("int main() { float x; symbolic x; float m = fsub(0.0, 1.0); "
+            "float y = sqrt(x); if (y == y) { return 1; } return 0; }", -1.0),
+    "signed-zero": ("int main() { float x; symbolic x; float m = fsub(0.0, 1.0); "
+                    "float y = fmul(x, m); float z = fdiv(1.0, y); "
+                    "if (fmin(z, 0.0) == z) { return 1; } return 0; }", 0.0),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_EQUALITY)
+def test_a_float_result_that_is_nan_or_negative_zero_escapes(case, tmp_path):
+    source, escapes = FLOAT_EQUALITY[case]
+    src = tmp_path / "p.mi"
+    src.write_text(source)
+    cfg = CliConfig(str(src), indexed_types=(FLOAT,), k=1)
+    pipes = {}
+    for mode in MODES.values():
+        pipes[mode] = load_pipeline(cfg)
+        report = run_mode(cfg, pipes[mode], mode)
+        assert check_runs(cfg, pipes[mode], {mode: report}) == [], mode
+    pipe = pipes[MODE_INDEXED]
+    # the input is in the garden, and its rewritten run escapes where the
+    # original takes a branch
+    assert Value(FLOAT, escapes) in pipe.gardens[FLOAT].values()
+    inputs = {"x": Value(FLOAT, escapes)}
+    assert interpret(pipe.program, inputs).verdict == VERDICT_OK
+    rewritten = interpret(pipe.target(MODE_INDEXED)[0], inputs, gardens=pipe.gardens,
+                          tables=pipe.tables)
+    assert rewritten.verdict == VERDICT_ESCAPED
 
 
 @pytest.mark.parametrize("mode", [(), ("--baseline", "abandon"), ("--baseline", "concretize"),

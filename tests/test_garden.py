@@ -57,13 +57,14 @@ def test_harvest_vendor_constants():
 
 
 def test_seed_set_keeps_the_first_of_each_value_in_order():
-    # NaNs are one seed and so are the zeros, as in a garden: the first wins
+    # the first of each value wins, and a NaN or a -0.0 is skipped, as in a
+    # garden: -0.0 is not 0.0's seed
     s = SeedSet()
     for tag, raw in [(FLOAT, -0.0), (STR, b"a"), (FLOAT, 1.0), (FLOAT, 0.0),
                      (FLOAT, float("nan")), (STR, b""), (FLOAT, -float("nan")),
-                     (STR, b"a"), (FLOAT, 1.0), (INT, 0), (INT, 0)]:
+                     (STR, b"a"), (FLOAT, 1.0), (FLOAT, -0.0), (INT, 0), (INT, 0)]:
         s.add(Value(tag, raw))
-    assert [repr(v.raw) for v in s.values(FLOAT)] == ["-0.0", "1.0", "nan"]
+    assert [repr(v.raw) for v in s.values(FLOAT)] == ["1.0", "0.0"]
     assert s.values(STR) == [mk_str(b"a"), mk_str(b"")]
     assert s.values(INT) == [Value(INT, 0)]
     assert set(s.per_type) == {FLOAT, STR, INT}
@@ -396,10 +397,21 @@ def test_garden_file_rejects_duplicates():
 
 
 def test_float_garden_values():
-    text = "0\tfloat\t2.0\n1\tfloat\tnan\n2\tfloat\tinf\n"
+    # a float garden holds only values that equal themselves and nothing
+    # else: a NaN or a -0.0 is looked up as BOT, and a file holding one is bad
+    text = "0\tfloat\t2.0\n1\tfloat\t0.0\n2\tfloat\tinf\n"
     g = load_gardens(text)
     assert serialize_gardens(g) == text
-    assert g[FLOAT].index_or_bot(Value(FLOAT, float("nan"))) == 1
+    assert g[FLOAT].index_or_bot(Value(FLOAT, 0.0)) == 1
+    for raw in (float("nan"), -float("nan"), -0.0):
+        assert g[FLOAT].index_or_bot(Value(FLOAT, raw)) is BOT
+        assert g[FLOAT].raw_index_or_bot(raw) is BOT
+        assert g[FLOAT].admit(Value(FLOAT, raw)) == (BOT, False)
+    assert len(g[FLOAT]) == 3
+    for bad in ("nan", "-nan", "-0.0"):
+        with pytest.raises(GardenError, match=f"garden line 2: a float garden holds no NaN "
+                                              f"and no -0.0, found '{bad}'"):
+            load_gardens(f"0\tfloat\t2.0\n1\tfloat\t{bad}\n")
 
 
 def test_scalar_literals_read_as_source_reads_them():

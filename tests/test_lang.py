@@ -106,6 +106,38 @@ def test_syntax_error_carries_position():
     assert e.value.line == 2
 
 
+@pytest.mark.parametrize("source, msg, line, col", [
+    ("int main(){\n\treturn $; }", "unexpected character '$'", 2, 9),
+    ("int main(){ return 0; }\n\t\t#", "unexpected character '#'", 2, 3),
+    ('int main(){ str s = "ab; return 0; }', "unexpected character '\"'", 1, 21),
+    ("// a comment\n  int main(){ return @; }", "expected expression, found '@'", 2, 22),
+    ("int main(){ return 0 }", "expected ';', found '}'", 1, 22),
+    ("int main(){\n  if (1 { return 0; } }", "expected ')', found '{'", 2, 9),
+    ("int if(){ return 0; }", "expected identifier, found 'if'", 1, 5),
+    ("int main(){ int 3 = 1; return 0; }", "expected identifier, found '3'", 1, 17),
+    ("int main(){\n  return ;; }", "expected expression, found ';'", 2, 11),
+    ("int main(){\r\n\treturn 1 +; }", "expected expression, found ';'", 2, 12),
+    ('int main(){\n  str s;\n  s = "a\\qb"; return 0; }', "bad escape \\q", 3, 7),
+    ('int main(){\n\n  str s = "\\x4"; return 0; }', "bad escape \\x4", 3, 11),
+    ("wibble main(){ return 0; }", "unknown type 'wibble'", 1, 1),
+    ("int main(){ index<wibble> x; return 0; }", "unknown type 'wibble'", 1, 19),
+    ("int main(){ int x = 1@\n", "unknown type ''", 2, 1),
+    ("int main(){ return 0;", "expected expression, found ''", 1, 22),
+    ("int main(){ return 0;\n", "expected expression, found ''", 2, 1),
+    ("int main(", "unknown type ''", 1, 10),
+], ids=["char-after-tab", "char-last", "unterminated-string", "after-comment",
+        "token", "token-line-2", "identifier-keyword", "identifier-number",
+        "expression", "expression-crlf", "escape-line-3", "short-hex-escape",
+        "type", "index-type", "type-at-eof", "expression-at-eof",
+        "expression-at-eof-line-2", "type-at-eof-in-params"])
+def test_a_syntax_error_names_its_line_and_column(source, msg, line, col):
+    # a tab is one column, and a \r is one column before its \n
+    with pytest.raises(MiniImpSyntaxError) as e:
+        parse(source)
+    assert (e.value.msg, e.value.line, e.value.col) == (msg, line, col)
+    assert str(e.value) == f"{line}:{col}: {msg}"
+
+
 def test_string_escapes_roundtrip():
     p = parse(r'int main(){ str s = "a\tb\n\\\"\x00\xff"; return 0; }')
     lit = p.main.body[0].init
