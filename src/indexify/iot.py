@@ -19,7 +19,10 @@ column values.  An order operator (strcmp, strncmp) also has a whole-table
 kernel: read whole, its table is filled from dense ranks of the garden's
 values, a row at a time, with no call per cell.  BOT is always a distinct
 cell variant - never the integer -1, which strncmp legitimately returns.
-serialize_tables and parse_tables write and read the tables.iot format.
+
+Both texts of a table are written here, from its cells in one row order:
+serialize_tables and parse_tables write and read the tables.iot format, and
+table_source writes the i_* function the emitted .indexed.mi defines.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .lang.ast import (
     Value,
     index_of,
 )
+from .lang.printer import print_literal
 
 
 class IotError(Exception):
@@ -441,7 +445,8 @@ def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
     from the gardens' kept text, which no later table formats again.
 
     Rows are in itertools.product order of the dimension domains (last
-    position fastest); tables.iot and the emitted IR depend on it.  Each
+    position fastest); serialize_iot and table_source, the writers of
+    tables.iot and of the emitted IR, both lay rows out in it.  Each
     dimension fixes its arguments' type, so op.fn gets prepared column
     values without the per-call tag check and preparation of
     BuiltinOp.eval, and its raw result is never wrapped as a Value.
@@ -497,6 +502,39 @@ def serialize_iot(t: IndexedOperatorTable) -> str:
     pieces[1::3] = last * len(prefixes)
     pieces[2::3] = map(arrows.__getitem__, cells)
     return "".join(head) + "".join(pieces)
+
+
+def table_source(t: IndexedOperatorTable) -> str:
+    """The MiniImp source of t's indexed function, as the emitted program
+    defines it: one line per non-BOT row in product order, read from
+    t.cells(), then a catch-all that every BOT row and every key outside
+    the domains falls through to.
+
+    A row line is `if (`, its key's conditions `s1 == <literal> && ...` and
+    its return.  As in serialize_iot, no key part is formatted per row:
+    each domain value's condition is formatted once, the outer dimensions'
+    conditions are joined once per tuple of them, after `if (`, and each
+    distinct cell's return is formatted once.
+    """
+    sig = t.indexed_signature()
+    params = ", ".join(f"{ty!r} s{i + 1}" for i, ty in enumerate(sig.arg_types))
+    cells = t.cells()
+    *outer, last = ([f"s{i + 1} == {print_literal(ty, k)}" for k in d.domain()]
+                    for i, (ty, d) in enumerate(zip(sig.arg_types, t.dims)))
+    prefixes = ["  if (" + "".join(p)
+                for p in product(*([c + " && " for c in conds] for conds in outer))]
+    returns = {cell: f") {{ return {print_literal(t.cell_tag, cell)}; }}"
+               for cell in set(cells) if cell is not BOT}
+    rows = [prefix + cond + returns[cell]
+            for (prefix, cond), cell in zip(product(prefixes, last), cells)
+            if cell is not BOT]
+    # the textual encoding has no raw bottom, and any in-band value (such as
+    # -1, a real strncmp result) would pass for a hit: a raw-result miss
+    # consumes BOT instead, and so escapes at the call, as cell_value's miss
+    # does.  Raw-result tables are the int-valued string operators.
+    miss = f"bot@{t.result.type_tag.name}" if t.result_indexed else "strlen(unidx(bot@str))"
+    return "\n".join([f"{sig.return_type!r} {t.indexed_name}({params}) {{",
+                      *rows, f"  return {miss};", "}"])
 
 
 def serialize_tables(tables: dict[str, IndexedOperatorTable]) -> str:

@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import product
 
-from .iot import REGISTRY, GardenDim, IndexedOperatorTable
+from .iot import REGISTRY, GardenDim, IndexedOperatorTable, table_source
 from .lang.ast import (
     BOT,
     INTRINSICS,
@@ -72,7 +71,7 @@ from .lang.ast import (
     walk_exprs,
     walk_stmts,
 )
-from .lang.printer import print_literal, print_program
+from .lang.printer import print_program
 from .lang.typecheck import typecheck
 
 
@@ -446,30 +445,9 @@ def confluence_probe(p: Program, cfg: RewriteConfig, trials: int,
 # ---------------------------------------------------------------------------
 
 
-def _emit_table_fn(t: IndexedOperatorTable) -> str:
-    sig = t.indexed_signature()
-    params = ", ".join(f"{ty!r} s{i + 1}" for i, ty in enumerate(sig.arg_types))
-    lines = [f"{sig.return_type!r} {t.indexed_name}({params}) {{"]
-    for key, cell in zip(product(*(d.domain() for d in t.dims)), t.cells()):
-        if cell is BOT:
-            continue  # falls through to the catch-all
-        conds = " && ".join(f"s{i + 1} == {print_literal(ty, k)}"
-                            for i, (ty, k) in enumerate(zip(sig.arg_types, key)))
-        lines.append(f"  if ({conds}) {{ return {print_literal(t.cell_tag, cell)}; }}")
-    if t.result_indexed:
-        lines.append(f"  return bot@{t.result.type_tag.name};")
-    else:
-        # the textual encoding has no raw bottom, and any in-band value (such
-        # as -1, a real strncmp result) would pass for a hit: a miss consumes
-        # BOT instead.  Raw-result tables are the int-valued string operators.
-        lines.append("  return strlen(unidx(bot@str));")
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def emit_indexed_source(result: IndexationResult) -> str:
-    """Pretty-printed rewritten program plus the injected table definitions."""
+    """Pretty-printed rewritten program plus the injected table definitions,
+    each table's i_* function as iot.table_source writes it, by name."""
     parts = [print_program(result.program).rstrip("\n")]
-    for name in sorted(result.tables):
-        parts.append(_emit_table_fn(result.tables[name]))
+    parts += [table_source(result.tables[name]) for name in sorted(result.tables)]
     return "\n\n".join(parts) + "\n"

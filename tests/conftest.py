@@ -44,16 +44,18 @@ def fig4a_program():
     return typecheck(parse(FIG4A_SOURCE))
 
 
-def build_cfg(program, f_plus, *, k=1, maxlen=4, int_pool=None, gardens=None) -> RewriteConfig:
-    """The rewrite configuration of a string run with the operators f_plus
-    indexed: tables over the given gardens, or over a garden grown from the
-    program's harvested seeds by the CLI's default builders, and over the
-    given int pool or the program's."""
+def build_cfg(program, f_plus, *, k=1, maxlen=4, int_pool=None, gardens=None,
+              tag=STR) -> RewriteConfig:
+    """The rewrite configuration of a run that indexes the type tag (str by
+    default) with the operators f_plus indexed: tables over the given
+    gardens, or over a garden grown from the program's harvested seeds by
+    the CLI's default builders, and over the given int pool or the
+    program's."""
     if gardens is None:
-        bcfg = BuilderConfig(builders=default_builders(f_plus, {STR}), k=k, max_str_len=maxlen)
-        gardens = build_garden(harvest_seeds(program, {STR}), bcfg, types={STR})
+        bcfg = BuilderConfig(builders=default_builders(f_plus, {tag}), k=k, max_str_len=maxlen)
+        gardens = build_garden(harvest_seeds(program, {tag}), bcfg, types={tag})
     pool = harvest_int_pool(program) if int_pool is None else int_pool
-    return RewriteConfig({STR}, set(f_plus), gardens, memoise_all(gardens, f_plus, pool))
+    return RewriteConfig({tag}, set(f_plus), gardens, memoise_all(gardens, f_plus, pool))
 
 
 def make_rng(seed: int) -> random.Random:

@@ -2,13 +2,14 @@
 on generated MiniImp programs, not just the shipped corpus."""
 
 import random
+from itertools import product
 
 import pytest
 
 from indexify import rewrite
 from indexify.bench import CORPUS, load_entry
 from indexify.check import agrees, behaviour
-from indexify.lang.ast import STR, mk_bool, mk_int
+from indexify.lang.ast import BOOL, FLOAT, INT, STR, mk_bool, mk_int, symbolic_inputs
 from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 from indexify.lang.printer import print_program
@@ -21,6 +22,9 @@ from conftest import build_cfg
 
 STR_CONSTS = ['"a"', '"b"', '"ab"', '"ba"', '""']
 INT_CONSTS = ["0", "1", "2", "3"]
+FLOAT_CONSTS = ["0.0", "-1.0", "1.0"]
+FLOAT_UNARY = ["sqrt", "fabs"]
+FLOAT_OPS = ["fadd", "fsub", "fmul", "fdiv", "fmin", "fmax"] + FLOAT_UNARY
 
 
 class ProgramGen:
@@ -234,6 +238,68 @@ class ProgramGen:
         return "\n".join(lines)
 
 
+class FloatProgramGen:
+    """Generates type-correct programs over the float builtins, with one
+    symbolic input, the float `x`.  A program declares float variables built
+    from the eight float builtins over float variables and the literals
+    0.0, -1.0 and 1.0, and its `if` and `assert` conditions compare two such
+    expressions with == or !=.  It declares 0.0 and -1.0 first, so the
+    harvested seeds always hold both."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def expr(self, depth=0):
+        r = self.rng
+        kind = r.choice(["const", "var", "var"] + (["op", "op"] if depth < 2 else []))
+        if kind == "const":
+            return r.choice(FLOAT_CONSTS)
+        if kind == "var":
+            return r.choice(self.vars)
+        op = r.choice(FLOAT_OPS)
+        args = [self.expr(depth + 1) for _ in range(1 if op in FLOAT_UNARY else 2)]
+        return f"{op}({', '.join(args)})"
+
+    def cond(self):
+        return f"{self.expr(1)} {self.rng.choice(['==', '!='])} {self.expr(1)}"
+
+    def stmts(self, n, indent="  ", depth=0):
+        out = []
+        r = self.rng
+        for _ in range(n):
+            kind = r.choice(["decl", "decl", "assign", "if", "assert"] if depth < 2
+                            else ["decl", "assign"])
+            if kind == "decl":
+                name = f"f{self.fresh}"
+                self.fresh += 1
+                out.append(f"{indent}float {name} = {self.expr()};")
+                self.vars.append(name)
+            elif kind == "assign":
+                out.append(f"{indent}r = r + {r.randint(1, 3)};")
+            elif kind == "assert":
+                out.append(f"{indent}assert({self.cond()});")
+            else:
+                # declarations inside a branch may not have executed afterwards
+                saved = list(self.vars)
+                out.append(f"{indent}if ({self.cond()}) {{")
+                out.extend(self.stmts(r.randint(1, 2), indent + "  ", depth + 1))
+                self.vars = list(saved)
+                if r.random() < 0.4:
+                    out.append(f"{indent}}} else {{")
+                    out.extend(self.stmts(r.randint(1, 2), indent + "  ", depth + 1))
+                    self.vars = saved
+                out.append(f"{indent}}}")
+        return out
+
+    def program(self):
+        self.vars, self.fresh = ["x", "zero", "m"], 0
+        lines = ["int main() {", "  float x;", "  symbolic x;", "  float zero = 0.0;",
+                 "  float m = -1.0;", "  int r = 0;"]
+        lines += self.stmts(self.rng.randint(3, 6))
+        lines += ["  return r;", "}"]
+        return "\n".join(lines)
+
+
 def test_confluence_on_random_programs():
     rng = random.Random(8080)
     for trial in range(30):
@@ -311,30 +377,31 @@ ORACLE_INT_DOMAIN = 3  # the symbolic int `num` ranges over 0, 1, 2
 ORACLE_UNROLL = 3
 
 
-def _oracle_inputs(gardens, extra):
-    """Every input of the garden product: `sym` over the string garden and
-    the second symbolic input, `flag` or `num`, over its whole domain."""
-    second = {"flag": [mk_bool(False), mk_bool(True)],
-              "num": [mk_int(n) for n in range(ORACLE_INT_DOMAIN)]}[extra]
-    for s in gardens[STR].values():
-        for v in second:
-            yield {"sym": s, extra: v}
+def _oracle_inputs(program, gardens):
+    """Every input of the garden product: each symbolic input of an indexed
+    type over its garden, a bool over both values and an int, `num`, over
+    [0, ORACLE_INT_DOMAIN)."""
+    domains = {BOOL: [mk_bool(False), mk_bool(True)],
+               INT: [mk_int(n) for n in range(ORACLE_INT_DOMAIN)]}
+    names, types = zip(*symbolic_inputs(program).items())
+    for values in product(*(gardens[t].values() if t in gardens else domains[t]
+                            for t in types)):
+        yield dict(zip(names, values))
 
 
-def _check_exhaustively(src, f_plus, k, int_pool=None):
+def _check_exhaustively(src, f_plus, k, int_pool=None, tag=STR):
     """The exhaustive oracle on one program: on small gardens, interpret
     the rewritten program on every input of the garden product.  The
     (verdict, branch trace) pairs it shows must be exactly those of the
     explorer's test cases: none missing, none extra.  On every input the
     emitted .indexed.mi shows the in-memory program's behaviour, and on
-    every input that does not escape, so does the original program.
-    Returns the number of inputs compared with the original program and the
-    verdicts seen."""
+    every input that does not escape, so does the original program.  The
+    garden indexes the type tag, str by default.  Returns the number of
+    inputs compared with the original program and the verdicts seen."""
     program = typecheck(parse(src))
-    cfg = build_cfg(program, f_plus, k=k, maxlen=3, int_pool=int_pool)
+    cfg = build_cfg(program, f_plus, k=k, maxlen=3, int_pool=int_pool, tag=tag)
     res = normalize(program, cfg)
     gardens, tables = cfg.gardens, cfg.tables
-    extra = "flag" if "symbolic flag;" in src else "num"
     rep = explore(res.program, ExploreConfig(
         gardens=gardens, tables=tables, unroll=ORACLE_UNROLL,
         int_domain=ORACLE_INT_DOMAIN))
@@ -345,7 +412,7 @@ def _check_exhaustively(src, f_plus, k, int_pool=None):
     names = {f.name for f in program.functions}
     seen = set()
     compared = 0
-    for inputs in _oracle_inputs(gardens, extra):
+    for inputs in _oracle_inputs(program, gardens):
         mem = interpret(res.program, inputs, gardens=gardens, tables=tables,
                         unroll=ORACLE_UNROLL)
         seen.add((mem.verdict, mem.covered_branches))
@@ -394,6 +461,24 @@ def test_exploration_is_complete_on_random_programs_with_faults():
     assert compared > 250
     assert verdicts == {"ok", "escaped-garden", "assertion-failure", "bound-exceeded",
                         "uninitialised-read", "missing-return"}
+
+
+def test_exploration_is_complete_on_random_float_programs():
+    # the same oracle where the garden indexes float: seeds 0.0, -1.0 and
+    # the program's other literals, grown by the float builtins of F+.  A
+    # NaN or -0.0 result is outside the garden, so index equality is float
+    # equality and a rewritten comparison takes the original's branch
+    rng = random.Random(1717)
+    compared = 0
+    verdicts = set()
+    for trial in range(200):
+        src = FloatProgramGen(rng).program()
+        f_plus = rng.sample(FLOAT_OPS, rng.randint(1, 4))
+        n, seen = _check_exhaustively(src, f_plus, rng.randint(0, 1), tag=FLOAT)
+        compared += n
+        verdicts |= seen
+    assert compared > 400  # 480 at this seed
+    assert verdicts == {"ok", "escaped-garden", "assertion-failure"}
 
 
 def test_exploration_is_complete_on_random_fused_sites(monkeypatch):
@@ -457,3 +542,28 @@ def test_baselines_replay_on_random_programs():
             cases += len(rep.test_cases)
             abandoned += rep.escaped_paths
     assert cases > 150 and abandoned > 100  # 171 and 113 at this seed
+
+
+def test_indexed_mode_covers_every_edge_abandon_covers():
+    # the paper's reach claim edge by edge, on runs within the oracle's
+    # bounds: every branch edge of the original program's functions that an
+    # abandon test case covers, an indexed test case covers too
+    rng = random.Random(99)
+    ahead = 0
+    bounds = {"unroll": ORACLE_UNROLL, "int_domain": ORACLE_INT_DOMAIN}
+    for trial in range(150):
+        src = ProgramGen(rng, extended=True).program()
+        f_plus = rng.sample(["strcat", "strstr", "strcmp", "strncmp", "strlen",
+                             "substr"], rng.randint(1, 4))
+        program = typecheck(parse(src))
+        cfg = build_cfg(program, f_plus, k=rng.randint(0, 2), maxlen=3)
+        indexed = explore(normalize(program, cfg).program,
+                          ExploreConfig(gardens=cfg.gardens, tables=cfg.tables, **bounds))
+        abandon = explore_baseline(program, ExploreConfig(mode=MODE_ABANDON, **bounds))
+        assert not indexed.truncated and not abandon.truncated, src
+        names = {f.name for f in program.functions}
+        by_indexed, by_abandon = ({b for tc in rep.test_cases for b in tc.covered_branches
+                                   if b[0][0] in names} for rep in (indexed, abandon))
+        assert by_abandon <= by_indexed, src
+        ahead += by_abandon < by_indexed
+    assert ahead > 90  # indexed mode covers strictly more edges in 98 programs

@@ -29,6 +29,7 @@ from indexify.iot import (
     memoise_all,
     parse_iot,
     serialize_iot,
+    table_source,
 )
 from indexify.lang.ast import (
     BOT,
@@ -488,6 +489,34 @@ def test_serialize_roundtrip(fig5_gardens, fig5_strstr):
     again = parse_iot(text, fig5_gardens)
     assert again.rows == fig5_strstr.rows
     assert serialize_iot(again) == text
+
+
+def test_table_source_pinned(fig5_gardens, fig5_strstr):
+    # the emitted i_* function: a line per non-BOT row, in the row order of
+    # tables.iot, then the miss.  A raw result's miss consumes BOT, so it
+    # escapes at the call
+    assert table_source(fig5_strstr) == "\n".join([
+        "index<str> i_strstr(index<str> s1, index<str> s2) {",
+        "  if (s1 == 0@str && s2 == 0@str) { return 0@str; }",
+        "  if (s1 == 0@str && s2 == 1@str) { return 1@str; }",
+        "  if (s1 == 0@str && s2 == 2@str) { return 2@str; }",
+        "  if (s1 == 0@str && s2 == 3@str) { return 1@str; }",
+        "  if (s1 == 1@str && s2 == 1@str) { return 1@str; }",
+        "  if (s1 == 1@str && s2 == 2@str) { return 2@str; }",
+        "  if (s1 == 1@str && s2 == 3@str) { return 1@str; }",
+        "  if (s1 == 2@str && s2 == 2@str) { return 2@str; }",
+        "  if (s1 == 3@str && s2 == 3@str) { return 3@str; }",
+        "  return bot@str;",
+        "}"])
+    strlen = memoise_all(fig5_gardens, {"strlen"})["i_strlen"]
+    assert table_source(strlen) == "\n".join([
+        "int i_strlen(index<str> s1) {",
+        "  if (s1 == 0@str) { return 6; }",
+        "  if (s1 == 1@str) { return 5; }",
+        "  if (s1 == 2@str) { return 3; }",
+        "  if (s1 == 3@str) { return 2; }",
+        "  return strlen(unidx(bot@str));",
+        "}"])
 
 
 def test_parse_rejects_wrong_garden(fig5_strstr):
