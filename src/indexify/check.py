@@ -22,6 +22,7 @@ invariant, naming its mode and test case:
 
 from __future__ import annotations
 
+from .lang.ast import symbolic_inputs
 from .lang.interp import UNROLL, VERDICT_ESCAPED, interpret
 from .lang.parser import parse
 from .rewrite import emit_indexed_source
@@ -42,12 +43,14 @@ def agrees(original, rewritten, inputs, *, unroll: int = UNROLL, **kw) -> bool |
     return _agrees(original, interpret(rewritten, inputs, unroll=unroll, **kw), inputs, unroll)
 
 
-def _agrees(original, new, inputs, unroll: int) -> bool | None:
-    """agrees, given new, the rewritten program's run on inputs."""
+def _agrees(original, new, inputs, unroll: int, input_types=None) -> bool | None:
+    """agrees, given new, the rewritten program's run on inputs; input_types
+    is the original program's inputs table, or None to work it out."""
     if new.verdict == VERDICT_ESCAPED:
         return None
     names = {f.name for f in original.functions}
-    return behaviour(new, names) == behaviour(interpret(original, inputs, unroll=unroll), names)
+    return behaviour(new, names) == behaviour(
+        interpret(original, inputs, unroll=unroll, input_types=input_types), names)
 
 
 def check_case(tc, explored, original=None, **kw) -> str | None:
@@ -58,12 +61,14 @@ def check_case(tc, explored, original=None, **kw) -> str | None:
                     kw.get("unroll", UNROLL))
 
 
-def _finding(tc, res, original, unroll: int) -> str | None:
-    """check_case's finding, given res, the run of explored on tc's inputs."""
+def _finding(tc, res, original, unroll: int, input_types=None) -> str | None:
+    """check_case's finding, given res, the run of explored on tc's inputs;
+    input_types is _agrees'."""
     rep = compare_replay(tc, res)
     if not rep.ok:
         return f"replay diverged ({rep.detail})"
-    if original is not None and _agrees(original, res, tc.inputs, unroll) is False:
+    if original is not None and \
+            _agrees(original, res, tc.inputs, unroll, input_types) is False:
         return "disagrees inside the garden"
     return None
 
@@ -74,22 +79,28 @@ def check_runs(cfg, pipe, reports: dict) -> list:
     replay; an indexed one must agree with the original program and, unless
     cfg.bot_propagate lets BOT flow on as the emitted source cannot, behave
     in the emitted source as under the in-memory tables.  Each program runs
-    at most once per test case."""
+    at most once per test case, and its inputs table is worked out once."""
     findings = []
     names = {f.name for f in pipe.program.functions}
+    original_types = symbolic_inputs(pipe.program)
     for mode, report in reports.items():
         indexed = mode == MODE_INDEXED
         explored, tables = pipe.target(mode)
+        explored_types = original_types if explored is pipe.program else \
+            symbolic_inputs(explored)
         original = pipe.program if indexed else None
-        emitted = None
+        emitted = emitted_types = None
         if indexed and not cfg.bot_propagate:
             emitted = parse(emit_indexed_source(pipe.indexed))
+            emitted_types = symbolic_inputs(emitted)
         for tc in report.test_cases:
             res = interpret(explored, tc.inputs, gardens=pipe.gardens, tables=tables,
-                            unroll=cfg.unroll, bot_propagate=cfg.bot_propagate)
-            found = [_finding(tc, res, original, cfg.unroll)]
+                            unroll=cfg.unroll, bot_propagate=cfg.bot_propagate,
+                            input_types=explored_types)
+            found = [_finding(tc, res, original, cfg.unroll, original_types)]
             if emitted is not None:
-                out = interpret(emitted, tc.inputs, gardens=pipe.gardens, unroll=cfg.unroll)
+                out = interpret(emitted, tc.inputs, gardens=pipe.gardens, unroll=cfg.unroll,
+                                input_types=emitted_types)
                 if behaviour(out, names) != behaviour(res, names):
                     found.append("emitted source differs")
             findings += [f"{mode} test case {tc.path_id}: {f}" for f in found if f]

@@ -79,14 +79,16 @@ class _ReturnSignal(Exception):
 
 class Interpreter:
     def __init__(self, program: Program, inputs, *, gardens=None, tables=None,
-                 unroll: int = UNROLL, bot_propagate: bool = False):
+                 unroll: int = UNROLL, bot_propagate: bool = False, input_types=None):
+        # input_types is symbolic_inputs(program), which a caller running one
+        # program many times works out once and passes in
         self.program = program
         self.inputs = inputs or {}
         self.gardens = gardens or {}
         self.tables = tables or {}
         self.unroll = unroll
         self.bot_propagate = bot_propagate
-        self.input_types = symbolic_inputs(program)
+        self.input_types = symbolic_inputs(program) if input_types is None else input_types
         unknown = self.inputs.keys() - self.input_types
         if unknown:
             raise MiniImpError(f"input {min(unknown)!r} is never made symbolic")
@@ -253,6 +255,6 @@ class Interpreter:
 
 
 def interpret(p: Program, inputs=None, **kw) -> InterpResult:
-    """p's run on inputs; kw is Interpreter's: gardens, tables, unroll and
-    bot_propagate."""
+    """p's run on inputs; kw is Interpreter's: gardens, tables, unroll,
+    bot_propagate and input_types."""
     return Interpreter(p, inputs, **kw).run()

@@ -29,7 +29,9 @@ frame: its instructions, the next one to run, its variables and temporaries),
 loop counts, its symbolic inputs (a concretized one holds its bound value),
 covered statements and branches, and the path condition.  At a decision the
 option list is built (true branch first, table rows in ascending result order,
-the BOT successor last) and every option checked; the state takes the first
+the BOT successor last) and every option checked; a table fork's list is built
+once per (table, concrete or pinned arguments) in an exploration and reused by
+every state that reaches the call with them.  The state takes the first
 feasible one, and a copy per other feasible option, which resumes at the next
 instruction, goes on the stack.  Each node of the decision tree therefore runs
 once.  An if, while or assert whose condition is T(x, k...) ==/!= c (T an
@@ -580,6 +582,7 @@ class Engine:
         self.input_types = {}  # the program's symbolic_inputs, which the lowering finds
         self.symrefs: dict[str, SymRef | Opaque] = {}
         self.input_values: dict[int, dict] = {}  # id(SymRef) -> constant -> input
+        self.fork_options: dict[tuple, list] = {}  # (table, parts) -> its fork's options
         self.stack: list[_State] = []
         self.deadline = 0.0
         self.codes = {f.name: [] for f in program.functions}
@@ -1038,14 +1041,17 @@ class Engine:
     def _table_fork(self, st, fr, table, parts, dst, generated):
         """Enumerate the first free dimension while another one is free,
         then fork on the rows: the payload is the parts with one more
-        dimension fixed, or the call's cell."""
+        dimension fixed, or the call's cell.  The options are built once per
+        (table, parts) and reused by every state that reaches the call with
+        the same concrete or pinned arguments and free SymRefs."""
         free = [i for i, p in enumerate(parts) if isinstance(p, SymRef)]
-        if len(free) > 1:
-            self.decide(st, fr, dst, _dim_options(parts, free[0], table.dims[free[0]]),
-                        generated)
-        else:
-            self.decide(st, fr, dst, _row_options(table, parts, free[0]),
-                        generated, record_fork=True)
+        rows = len(free) == 1
+        options = self.fork_options.get((table, parts))
+        if options is None:
+            options = self.fork_options[table, parts] = (
+                _row_options(table, parts, free[0]) if rows else
+                _dim_options(parts, free[0], table.dims[free[0]]))
+        self.decide(st, fr, dst, options, generated, record_fork=rows)
 
     # -- reporting -----------------------------------------------------------------
 
@@ -1093,7 +1099,9 @@ def _dim_options(parts, at: int, dim):
 
 def _row_options(table: IndexedOperatorTable, parts, free_at: int):
     """One option per table row that the concrete arguments leave, plus one
-    BOT successor whose condition excludes every surviving row."""
+    BOT successor whose condition excludes every surviving row.  Engine
+    builds them once per (table, concrete or pinned arguments) in an
+    exploration and reuses them, so they are only read."""
     ref = parts[free_at]
     rows = []
     for v in table.dims[free_at].domain():

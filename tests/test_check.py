@@ -17,10 +17,11 @@ from indexify.bench import CORPUS, load_entry, run_corpus
 from indexify.check import check_runs
 from indexify.cli import load_pipeline, run_mode
 from indexify.iot import IndexedOperatorTable, serialize_tables
+from indexify.lang import interp
 from indexify.lang.interp import (VERDICT_ASSERT, VERDICT_ESCAPED, VERDICT_OK, Interpreter,
                                   interpret)
 from indexify.lang.printer import print_literal
-from indexify.symex import MODE_INDEXED
+from indexify.symex import MODE_ABANDON, MODE_INDEXED
 
 TABLE = "i_strncmp"
 
@@ -134,6 +135,28 @@ def test_each_program_runs_once_per_test_case(vendor_run, monkeypatch):
     assert runs.pop(id(pipe.program)) == sum(t.verdict != VERDICT_ESCAPED
                                              for t in report.test_cases)
     assert list(runs.values()) == [n]  # the emitted source
+
+
+def test_each_program_works_out_its_inputs_once(vendor_run, monkeypatch):
+    # check_runs gives each interpreter run its program's inputs table, so
+    # the original, rewritten and emitted programs are each walked once for
+    # their inputs, not once per test case and mode
+    cfg, pipe, report = vendor_run
+    reports = {MODE_INDEXED: report, MODE_ABANDON: run_mode(cfg, pipe, MODE_ABANDON)}
+    walked = Counter()
+    symbolic_inputs = interp.symbolic_inputs
+
+    def counted(program):
+        walked[id(program)] += 1
+        return symbolic_inputs(program)
+
+    monkeypatch.setattr(interp, "symbolic_inputs", counted)
+    monkeypatch.setattr(check, "symbolic_inputs", counted)
+    assert check_runs(cfg, pipe, reports) == []
+    assert len(report.test_cases) + len(reports[MODE_ABANDON].test_cases) > 3  # runs > programs
+    assert walked.pop(id(pipe.program)) == 1
+    assert walked.pop(id(pipe.indexed.program)) == 1
+    assert list(walked.values()) == [1]  # the emitted source
 
 
 def test_importing_check_loads_neither_cli_nor_bench():

@@ -760,7 +760,9 @@ def _vars_pipeline():
 
 
 def test_each_tree_node_builds_its_options_once(monkeypatch):
-    # a row fork looks up each of the 4 garden values once per node
+    # a row fork's options are built once per call site and arguments, and
+    # every later node reuses them: each of the 4 strcmp sites looks up
+    # each of the 4 garden values once, though 85 nodes fork on rows
     cfg, pipe = _vars_pipeline()
     counts = {"lookup": 0, "search": 0}
     real_lookup, real_search = IndexedOperatorTable.lookup, solver.search
@@ -778,8 +780,34 @@ def test_each_tree_node_builds_its_options_once(monkeypatch):
     rep = run_mode(cfg, pipe, MODE_INDEXED)
     assert rep.paths == 4 ** 4
     assert len(rep.iot_fork_sizes) == 85
-    assert counts["lookup"] == len(pipe.gardens[STR]) * len(rep.iot_fork_sizes) == 340
+    assert counts["lookup"] == len(pipe.gardens[STR]) * 4 == 16
     assert counts["search"] == 0  # x == c and x != c atoms only
+
+
+def test_one_call_site_forks_on_each_states_own_rows():
+    # the branch on c leaves t "b" on one path and "a" on the other, so the
+    # one i_strcat call forks twice with different concrete arguments: each
+    # fork is over the rows its t leaves, plus the BOT successor, and
+    # neither may reuse the other's options
+    src = ('int main() { str s; symbolic s; int c; symbolic c; str t = "a"; '
+           'if (c == 1) { t = "b"; } '
+           'if (strcmp(strcat(s, t), "ab") == 0) { return 1; } return 0; }')
+    cfg = CliConfig(input_path="key.mi", indexed_types=(STR,),
+                    f_plus_names=("strcat", "strcmp"), k=0)
+    pipe = rewrite_pipeline(build_pipeline(parse(src), cfg), cfg)
+    garden, table = pipe.gardens[STR], pipe.tables["i_strcat"]
+    assert [v.raw for v in garden.values()] == [b"", b"a", b"b", b"ab"]
+    rep = run_mode(cfg, pipe, MODE_INDEXED)
+    a, b = (garden.index_or_bot(mk_str(v)) for v in (b"a", b"b"))
+    rows = {t: sum(table.lookup((i, t)) is not BOT for i in range(len(garden))) for t in (a, b)}
+    # c == 1 is explored first, so t is "b" at the first fork
+    assert rep.iot_fork_sizes == (rows[b] + 1, rows[a] + 1) == (3, 2)
+    assert [(tc.inputs["s"].raw, tc.verdict) for tc in rep.test_cases] == [
+        (b"", "ok"), (b"a", "ok"), (b"b", "escaped-garden"),
+        (b"", "ok"), (b"a", "escaped-garden")]
+    for tc in rep.test_cases:
+        assert replay(pipe.indexed.program, tc, gardens=pipe.gardens, tables=pipe.tables).ok
+    assert check_runs(cfg, pipe, {MODE_INDEXED: rep}) == []
 
 
 def test_raw_result_table_miss_escapes_at_the_call():
