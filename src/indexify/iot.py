@@ -20,9 +20,14 @@ kernel: read whole, its table is filled from dense ranks of the garden's
 values, a row at a time, with no call per cell.  BOT is always a distinct
 cell variant - never the integer -1, which strncmp legitimately returns.
 
+A table's call is the one rule of an indexed call, for the interpreter and
+the explorer alike: a BOT argument ends the path at the call, as an escape
+(or, with bot_propagate, gives BOT), and so does a raw-result miss.
+
 Both texts of a table are written here, from its cells in one row order:
 serialize_tables and parse_tables write and read the tables.iot format, and
-table_source writes the i_* function the emitted .indexed.mi defines.
+table_source writes the i_* function the emitted .indexed.mi defines, which
+states call's rule: it reads each garden argument before its rows.
 """
 
 from __future__ import annotations
@@ -366,6 +371,17 @@ class IndexedOperatorTable:
         self._whole = cells
         return cells
 
+    def call(self, key: tuple, bot_propagate: bool = False) -> Value:
+        """The Value a call with key returns, the one rule of an indexed
+        call, which table_source writes as text.  A BOT component is
+        consumed at the call: it escapes, or with bot_propagate gives the
+        BOT Value.  Any other key gives its cell's cell_value."""
+        if BOT in key:
+            if not bot_propagate:
+                raise EscapedGarden()
+            return self.cell_value(BOT, True)
+        return self.cell_value(self.lookup(key), bot_propagate)
+
     def cell_value(self, cell, bot_propagate: bool = False) -> Value:
         """The Value an indexed call returns for a cell, one shared Value
         per distinct cell.  A BOT index is a value that escapes where it is
@@ -506,9 +522,10 @@ def serialize_iot(t: IndexedOperatorTable) -> str:
 
 def table_source(t: IndexedOperatorTable) -> str:
     """The MiniImp source of t's indexed function, as the emitted program
-    defines it: one line per non-BOT row in product order, read from
-    t.cells(), then a catch-all that every BOT row and every key outside
-    the domains falls through to.
+    defines it: call's rule as text.  First a read of each garden argument,
+    `unidx(sN);`, so that a BOT argument escapes at the call, then one line
+    per non-BOT row in product order, read from t.cells(), then a catch-all
+    that every BOT row and every key outside the domains falls through to.
 
     A row line is `if (`, its key's conditions `s1 == <literal> && ...` and
     its return.  As in serialize_iot, no key part is formatted per row:
@@ -533,8 +550,9 @@ def table_source(t: IndexedOperatorTable) -> str:
     # consumes BOT instead, and so escapes at the call, as cell_value's miss
     # does.  Raw-result tables are the int-valued string operators.
     miss = f"bot@{t.result.type_tag.name}" if t.result_indexed else "strlen(unidx(bot@str))"
+    reads = [f"  unidx(s{i + 1});" for i, d in enumerate(t.dims) if isinstance(d, GardenDim)]
     return "\n".join([f"{sig.return_type!r} {t.indexed_name}({params}) {{",
-                      *rows, f"  return {miss};", "}"])
+                      *reads, *rows, f"  return {miss};", "}"])
 
 
 def serialize_tables(tables: dict[str, IndexedOperatorTable]) -> str:

@@ -4,13 +4,14 @@ Runs both original and rewritten programs.  For rewritten programs it needs
 the gardens (for the idx/unidx intrinsics and for index truthiness) and the
 indexed operator tables.  Every way a run ends is a lang.ast.RunEnd, caught
 in run() alone, which gives the run its verdict.  Consuming BOT - unindexing
-it, branching on it, or comparing against it - ends it with the
-escaped-garden verdict.  A fault of a well-formed program ends it with a
-verdict too: a `/` or `%` by zero, a read of a variable before any
-assignment (uninitialised-read), and a function that finishes without
-returning (missing-return).  MiniImpError is bad input: a test case that
-names an unknown input or gives one a wrong type, or a program that needs a
-garden the run lacks.
+it, branching on it, comparing against it, or passing it to an indexed
+table's call (iot.IndexedOperatorTable.call, which also ends a raw-result
+miss) - ends it with the escaped-garden verdict.  A fault of a well-formed
+program ends it with a verdict too: a `/` or `%` by zero, a read of a
+variable before any assignment (uninitialised-read), and a function that
+finishes without returning (missing-return).  MiniImpError is bad input:
+a test case that names an unknown input or gives one a wrong type, or a
+program that needs a garden the run lacks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .ast import (
     BotLiteral,
     Call,
     Decl,
-    EscapedGarden,
     Expr,
     ExprStmt,
     FunctionDef,
@@ -219,7 +219,7 @@ class Interpreter:
         if e.name == "unidx":
             return self.intrinsic_unidx(args[0])
         if e.name in self.tables:
-            return self.table_call(self.tables[e.name], args)
+            return self.tables[e.name].call(tuple(a.raw for a in args), self.bot_propagate)
         if e.name == "puts":
             no_bot(args[0])
             self.outputs.append(args[0].raw)
@@ -244,14 +244,6 @@ class Interpreter:
         if garden is None:
             raise MiniImpError(f"no garden for {base!r}")
         return garden
-
-    def table_call(self, table, args: list[Value]) -> Value:
-        key = []
-        for v in args:
-            if v.raw is BOT and not self.bot_propagate:
-                raise EscapedGarden()
-            key.append(v.raw)
-        return table.cell_value(table.lookup(tuple(key)), self.bot_propagate)
 
 
 def interpret(p: Program, inputs=None, **kw) -> InterpResult:

@@ -6,10 +6,12 @@ row (after filtering rows against concrete arguments and pins already
 entailed by the path condition).  A path ends as a run of the interpreter
 does, by raising a lang.ast.RunEnd, and Engine.run alone catches it; its
 verdict is the path's.  Main returning, a failed assertion, an exceeded
-loop bound, consuming BOT (EscapedGarden; a raw-result table miss escapes at
-the call), a zero divisor, an uninitialised read and a function finishing
-without returning each end only their own path.  MiniImpError and SymexError
-are bad input, such as a call to an unknown function or an index with no
+loop bound, consuming BOT (EscapedGarden; a BOT argument of a table call and
+a raw-result miss escape at the call, by iot.IndexedOperatorTable.call's
+rule, which the interpreter and the emitted i_* functions follow too), a
+zero divisor, an uninitialised read and a function finishing without
+returning each end only their own path.  MiniImpError and SymexError are
+bad input, such as a call to an unknown function or an index with no
 garden, and end the whole run.  Baseline mode runs the original program
 and either abandons at intractable operator calls or concretizes their
 symbolic arguments (fixed defaults for strings and floats, a model value
@@ -973,16 +975,12 @@ class Engine:
         # parts[i] is argument i's key component, or its SymRef while free.
         # The relevant-subset optimization: concrete arguments and pins already
         # entailed by the path condition filter rows before any forking.  Every
-        # argument is read before any is consumed, as in the interpreter
-        table, bot_propagate = ins[2], self.cfg.bot_propagate
+        # argument is read before any is consumed, as in the interpreter: a key
+        # with no free component, or with a BOT one, is the table's call
+        table = ins[2]
         parts, free = [], False
         for a in [_fetch(fr.store, a) for a in ins[3]]:
             if isinstance(a, Value):
-                if a.raw is BOT and bot_propagate:
-                    fr.ip += 1
-                    fr.store[ins[1]] = table.cell_value(BOT, bot_propagate)
-                    return
-                no_bot(a)
                 parts.append(a.raw)
             elif isinstance(a, SymRef):
                 pin = st.facts.pin(a.var.name)
@@ -993,10 +991,9 @@ class Engine:
                     parts.append(pin)
             else:
                 raise SymexError(f"indexed call on unsupported value {a!r}")
-        if not free:
+        if not free or BOT in parts:
             fr.ip += 1
-            fr.store[ins[1]] = table.cell_value(table.lookup(tuple(parts)),
-                                                bot_propagate)
+            fr.store[ins[1]] = table.call(tuple(parts), self.cfg.bot_propagate)
             return
         # op_table_step, next, takes the call through its free dimensions
         self._table_fork(st, fr, table, tuple(parts), ins[4],

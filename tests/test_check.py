@@ -15,13 +15,14 @@ import indexify
 from indexify import check
 from indexify.bench import CORPUS, load_entry, run_corpus
 from indexify.check import check_runs
-from indexify.cli import load_pipeline, run_mode
+from indexify.cli import CliConfig, load_pipeline, run_mode
 from indexify.iot import IndexedOperatorTable, serialize_tables
 from indexify.lang import interp
+from indexify.lang.ast import FLOAT
 from indexify.lang.interp import (VERDICT_ASSERT, VERDICT_ESCAPED, VERDICT_OK, Interpreter,
                                   interpret)
 from indexify.lang.printer import print_literal
-from indexify.symex import MODE_ABANDON, MODE_INDEXED
+from indexify.symex import MODE_ABANDON, MODE_CONCRETIZE, MODE_INDEXED
 
 TABLE = "i_strncmp"
 
@@ -157,6 +158,23 @@ def test_each_program_works_out_its_inputs_once(vendor_run, monkeypatch):
     assert walked.pop(id(pipe.program)) == 1
     assert walked.pop(id(pipe.indexed.program)) == 1
     assert list(walked.values()) == [1]  # the emitted source
+
+
+def test_a_bot_argument_escapes_in_the_emitted_source_too(tmp_path):
+    # i_fdiv over the garden {0.0, -1.0} has no non-BOT row.  For x = -1.0
+    # i_fmul(f1, f1) is BOT, and the i_fdiv call escapes on it, in memory
+    # and in the emitted source alike
+    path = tmp_path / "fdiv.mi"
+    path.write_text("int main() { float x; symbolic x; float zero = 0.0; float m = -1.0;\n"
+                    "  int r = 0; float f0 = fmax(fmin(m, 0.0), 0.0); float f1 = x;\n"
+                    "  float f2 = fdiv(0.0, fmul(f1, f1)); return r; }\n")
+    cfg = CliConfig(str(path), indexed_types=(FLOAT,), f_plus_names=("fadd", "fdiv", "fmul"),
+                    k=0)
+    pipe = load_pipeline(cfg)
+    reports = {mode: run_mode(cfg, pipe, mode)
+               for mode in (MODE_INDEXED, MODE_ABANDON, MODE_CONCRETIZE)}
+    assert VERDICT_ESCAPED in {tc.verdict for tc in reports[MODE_INDEXED].test_cases}
+    assert check_runs(cfg, pipe, reports) == []
 
 
 def test_importing_check_loads_neither_cli_nor_bench():

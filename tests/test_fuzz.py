@@ -481,6 +481,23 @@ def test_exploration_is_complete_on_random_float_programs():
     assert verdicts == {"ok", "escaped-garden", "assertion-failure"}
 
 
+def test_exploration_is_complete_on_random_float_programs_with_a_wider_f_plus():
+    # the float oracle with F+ drawn as 2-6 of the eight builtins, from its
+    # own stream.  More tables have no non-BOT row, and such a table's
+    # emitted function must escape on a BOT argument as its call does
+    rng = random.Random(1717)
+    compared = 0
+    verdicts = set()
+    for trial in range(40):
+        src = FloatProgramGen(rng).program()
+        f_plus = rng.sample(FLOAT_OPS, rng.randint(2, 6))
+        n, seen = _check_exhaustively(src, f_plus, rng.randint(0, 1), tag=FLOAT)
+        compared += n
+        verdicts |= seen
+    assert compared > 100  # 122 at this seed
+    assert verdicts == {"ok", "escaped-garden", "assertion-failure"}
+
+
 def test_exploration_is_complete_on_random_fused_sites(monkeypatch):
     # the same oracle on programs whose conditions often have the fused
     # shape, with the site's operators always indexed.  The int pool leaves

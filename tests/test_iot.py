@@ -36,12 +36,15 @@ from indexify.lang.ast import (
     FLOAT,
     INT,
     STR,
+    VERDICT_ESCAPED,
     EscapedGarden,
+    Value,
     mk_float,
     mk_int,
     mk_str,
     value_key,
 )
+from indexify.lang.interp import interpret
 from indexify.lang.parser import parse
 
 from conftest import KERNEL, eval_builtin, recording, value_for
@@ -492,11 +495,14 @@ def test_serialize_roundtrip(fig5_gardens, fig5_strstr):
 
 
 def test_table_source_pinned(fig5_gardens, fig5_strstr):
-    # the emitted i_* function: a line per non-BOT row, in the row order of
-    # tables.iot, then the miss.  A raw result's miss consumes BOT, so it
-    # escapes at the call
+    # the emitted i_* function: a read of each garden argument, so that a
+    # BOT argument escapes at the call, a line per non-BOT row, in the row
+    # order of tables.iot, then the miss.  A raw result's miss consumes BOT,
+    # so it escapes at the call
     assert table_source(fig5_strstr) == "\n".join([
         "index<str> i_strstr(index<str> s1, index<str> s2) {",
+        "  unidx(s1);",
+        "  unidx(s2);",
         "  if (s1 == 0@str && s2 == 0@str) { return 0@str; }",
         "  if (s1 == 0@str && s2 == 1@str) { return 1@str; }",
         "  if (s1 == 0@str && s2 == 2@str) { return 2@str; }",
@@ -511,12 +517,46 @@ def test_table_source_pinned(fig5_gardens, fig5_strstr):
     strlen = memoise_all(fig5_gardens, {"strlen"})["i_strlen"]
     assert table_source(strlen) == "\n".join([
         "int i_strlen(index<str> s1) {",
+        "  unidx(s1);",
         "  if (s1 == 0@str) { return 6; }",
         "  if (s1 == 1@str) { return 5; }",
         "  if (s1 == 2@str) { return 3; }",
         "  if (s1 == 3@str) { return 2; }",
         "  return strlen(unidx(bot@str));",
         "}"])
+
+
+def test_call_consumes_a_bot_component(fig5_gardens, fig5_strstr):
+    # one rule for an indexed call, whatever its result: a BOT argument
+    # escapes, or with bot_propagate gives the BOT Value; any other key
+    # gives its cell's Value, a raw-result miss escaping as cell_value's does
+    strlen = memoise_all(fig5_gardens, {"strlen"})["i_strlen"]
+    for table, key, cell in ((fig5_strstr, (0, 2), 2), (strlen, (0,), 6)):
+        assert table.call(key) == table.call(key, True) == Value(table.cell_tag, cell)
+        bot = key[:-1] + (BOT,)
+        with pytest.raises(EscapedGarden):
+            table.call(bot)
+        assert table.call(bot, bot_propagate=True) == Value(table.cell_tag, BOT)
+    assert fig5_strstr.call((3, 2)) == Value(fig5_strstr.cell_tag, BOT)  # a miss
+    with pytest.raises(EscapedGarden):
+        strlen.call((99,))
+    assert strlen.call((99,), bot_propagate=True) == Value(INT, BOT)
+
+
+def test_an_emitted_function_with_no_row_escapes_on_a_bot_argument():
+    # fdiv over {0.0, -1.0} gives NaN, -0.0, -inf and 1.0, none in the
+    # garden: no row line reads s2, so only the read of each argument makes
+    # the emitted call escape on a BOT argument, as the table's call does
+    gardens = {FLOAT: IndexMap(FLOAT)}
+    for raw in (0.0, -1.0):
+        gardens[FLOAT].admit(mk_float(raw))
+    fdiv = memoise_all(gardens, {"fdiv"})["i_fdiv"]
+    assert fdiv.bot_rows == fdiv.size == 4
+    program = parse(table_source(fdiv) + "\nint main() {\n"
+                    "  index<float> r = i_fdiv(0@float, bot@float);\n  return 0;\n}")
+    assert interpret(program, gardens=gardens).verdict == VERDICT_ESCAPED
+    with pytest.raises(EscapedGarden):
+        fdiv.call((0, BOT))
 
 
 def test_parse_rejects_wrong_garden(fig5_strstr):

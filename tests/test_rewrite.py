@@ -352,7 +352,7 @@ def test_emitted_source_parses_and_matches_table(fig4a_program, fig5_gardens):
             % (i, j, "0@str" if cell is BOT else f"{cell}@str")
         )
         program = type(emitted)(functions=others + [probe.main])
-        out = interpret(program)
+        out = interpret(program, gardens=fig5_gardens)  # the reads of s1, s2 need them
         if cell is BOT:
             assert out.verdict == "escaped-garden"  # comparing BOT escapes
         else:
