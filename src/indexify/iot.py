@@ -5,20 +5,23 @@ analogues) that serve as the oracle everywhere else.  memoise() makes an
 IndexedOperatorTable: over the type-valid argument tuples of the gardens, it
 maps index tuples to either result indices (when the return type is indexed)
 or the operator's int results (when it is not, like strncmp's comparison
-result).  A table's lookup computes the cell it is asked for and keeps
-nothing; tables.iot, rows and the emitted IR read every cell through
-cells(), which computes the whole table once and keeps it, the table's one
-store.  A table read from a tables.iot file keeps the file's rows instead,
-and answers its lookups from them.  Builtins take and return raw payloads
+result).  A table's lookup computes the cell it is asked for, and its line
+the cells along one free argument with the others fixed, in one pass; both
+keep nothing.  The explorer reads lines, and a concrete call a lookup.
+tables.iot, rows and the emitted IR read every cell through cells(), which
+computes the whole table once and keeps it, the table's one store.  A table
+read from a tables.iot file keeps the file's rows instead, and answers its
+lookups and lines from them.  Builtins take and return raw payloads
 (bytes, int, float): a table turns a raw result straight into its cell, and
 BuiltinOp.eval alone wraps a result as a Value, for the interpreter and the
 explorer.  A builtin may prepare an argument before its fn runs (strcmp
 cuts each string at its first NUL); a table prepares each column value
 once, when it is built, so a looked-up cell costs one fn call on prepared
-column values.  An order operator (strcmp, strncmp) also has a whole-table
-kernel: read whole, its table is filled from dense ranks of the garden's
-values, a row at a time, with no call per cell.  BOT is always a distinct
-cell variant - never the integer -1, which strncmp legitimately returns.
+column values, and a line one map of fn over a prepared column.  An order
+operator (strcmp, strncmp) also has a whole-table kernel: read whole, its
+table is filled from dense ranks of the garden's values, a row at a time,
+with no call per cell.  BOT is always a distinct cell variant - never the
+integer -1, which strncmp legitimately returns.
 
 A table's call is the one rule of an indexed call, for the interpreter and
 the explorer alike: a BOT argument ends the path at the call, as an escape
@@ -37,7 +40,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import chain, product, starmap
+from itertools import chain, product, repeat, starmap
 
 from .garden import IndexMap, OperatorSignature
 from .lang.ast import (
@@ -256,21 +259,25 @@ class IndexedOperatorTable:
     Key components are garden indices for indexed argument positions and
     raw ints for int positions.  A cell is a result-garden index (indexed
     results), the operator's int result (raw results), or BOT.  lookup
-    computes a key's cell on every call and keeps nothing.  Lookup of
-    anything outside the dimension domains is BOT, the catch-all row, and
-    computes nothing.  rows is the complete table: exactly the tuples over
-    the domains, in ascending (itertools.product) order, a fresh dict from
-    the kept cells() on each access.  The gardens must not grow once the
+    computes a key's cell on every call and keeps nothing, and line computes
+    the cells of every key along one dimension, lookup's cell for each, in
+    one pass, and keeps nothing either.  Lookup of anything outside the
+    dimension domains is BOT, the catch-all row, and computes nothing.
+    rows is the complete table: exactly the tuples over the domains, in
+    ascending (itertools.product) order, a fresh dict from the kept cells()
+    on each access.  The gardens must not grow once the
     table exists: its cells are computed against them, and kept.  A table
     that parse_iot loaded keeps the file's rows as cells() from the start,
-    and its lookups read them: the file, not op.fn, is its table.
+    and its lookups and lines read them: the file, not op.fn, is its table.
 
     A looked-up cell costs one call of op.fn on prepared column values:
     each column maps a key component to its argument, prepared once when
-    the table is built.  The raw result goes straight to a cell, the result
-    garden's index of it or the int itself, and no Value is built.  Read
-    whole, a table whose op has a whole-table kernel (op.tabulate) is
-    filled by one kernel call on the columns, not by a call per cell.
+    the table is built, and a line's cells cost one map of op.fn over the
+    free column with the other arguments bound.  The raw result goes
+    straight to a cell, the result garden's index of it or the int itself,
+    and no Value is built.  Read whole, a table whose op has a whole-table
+    kernel (op.tabulate) is filled by one kernel call on the columns, not
+    by a call per cell.
     """
 
     def __init__(self, op: BuiltinOp, dims, result, *, garden_hash, cells=None):
@@ -301,7 +308,8 @@ class IndexedOperatorTable:
             for column in reversed(self._columns):
                 column.update(zip(column, range(0, stride * len(column), stride)))
                 stride *= len(column)
-            self._fn, self._cell_of = (lambda *offsets: cells[sum(offsets)]), None
+            self._fn = lambda *offsets: cells[sum(offsets)]
+            self._cell_of = self._cells_of = None
         self._values = {}  # cell -> its Value, for cell_value
 
     @property
@@ -357,19 +365,40 @@ class IndexedOperatorTable:
             outs = self._tabulate(*(list(c.values()) for c in columns))
             cells = outs if self._cells_of is None else [*self._cells_of(outs)]
         else:
-            args = product(*(c.values() for c in columns))
-            cells = []
-            while True:
-                try:
-                    outs = starmap(self._fn, args)
-                    cells += outs if self._cells_of is None else self._cells_of(outs)
-                    break
-                except Exception:
-                    # the cells before the raising call are appended, and its
-                    # argument tuple is consumed: it is BOT, and the rest go on
-                    cells.append(BOT)
+            cells = self._apply(product(*(c.values() for c in columns)))
         self._whole = cells
         return cells
+
+    def line(self, head: tuple, tail: tuple) -> list:
+        """The cells of head + (v,) + tail for every v of dimension
+        len(head)'s domain, in domain order: lookup's cell for each key,
+        computed in one pass of op.fn over the free column's prepared
+        values with the fixed arguments bound (read from the file's rows
+        for a loaded table), and not kept.  A fixed component outside its
+        domain makes every cell BOT and computes none."""
+        columns = self._columns
+        at = len(head)
+        free = columns[at]
+        fixed = [*map(dict.get, columns[:at] + columns[at + 1:], head + tail)]
+        if at + 1 + len(tail) != len(columns) or None in fixed:
+            return [BOT] * len(free)
+        return self._apply(zip(*map(repeat, fixed[:at]), free.values(),
+                               *map(repeat, fixed[at:])))
+
+    def _apply(self, args) -> list:
+        """The cell of each argument tuple of the iterator args, in order,
+        from one map of op.fn over it: a call that raises gives BOT, and the
+        cells after it still follow."""
+        cells = []
+        while True:
+            try:
+                outs = starmap(self._fn, args)
+                cells += outs if self._cells_of is None else self._cells_of(outs)
+                return cells
+            except Exception:
+                # the cells before the raising call are appended, and its
+                # argument tuple is consumed: it is BOT, and the rest go on
+                cells.append(BOT)
 
     def call(self, key: tuple, bot_propagate: bool = False) -> Value:
         """The Value a call with key returns, the one rule of an indexed
@@ -455,10 +484,11 @@ def _result_for(signature: OperatorSignature, gardens):
 def memoise(gardens: dict[TypeTag, IndexMap], op: BuiltinOp,
             int_pool=()) -> IndexedOperatorTable:
     """The table of op over the gardens (plus the int pool).  No cell is
-    computed here: lookup computes the cell it is asked for, each time, and
-    the first whole read computes every cell once.  Only op's preparations
-    run here, once per column value, and the table's garden hash is taken
-    from the gardens' kept text, which no later table formats again.
+    computed here: lookup computes the cell it is asked for, and line the
+    cells along one dimension, each time, and the first whole read computes
+    every cell once.  Only op's preparations run here, once per column
+    value, and the table's garden hash is taken from the gardens' kept
+    text, which no later table formats again.
 
     Rows are in itertools.product order of the dimension domains (last
     position fastest); serialize_iot and table_source, the writers of

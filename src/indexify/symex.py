@@ -32,15 +32,18 @@ loop counts, its symbolic inputs (a concretized one holds its bound value),
 covered statements and branches, and the path condition.  At a decision the
 option list is built (true branch first, table rows in ascending result order,
 the BOT successor last) and every option checked; a table fork's list is built
-once per (table, concrete or pinned arguments) in an exploration and reused by
-every state that reaches the call with them.  The state takes the first
-feasible one, and a copy per other feasible option, which resumes at the next
-instruction, goes on the stack.  Each node of the decision tree therefore runs
-once.  An if, while or assert whose condition is T(x, k...) ==/!= c (T an
-indexed table, x its only variable argument, at a garden dimension, and the
-rest literals) is one fused site: for a concrete or pinned x it computes
-the cell of x's index with table.lookup, escapes on BOT, and runs the
-statement's own instruction with the comparison's truth as its condition.
+once per (table, concrete or pinned arguments) in an exploration, from one
+table.line over the free dimension, and reused by every state that reaches
+the call with them.  The state takes the first feasible one, and a copy per
+other feasible option, which resumes at the next instruction, goes on the
+stack.  Each node of the decision tree therefore runs once.  An if, while or
+assert whose condition is T(x, k...) ==/!= c (T an indexed table, x its only
+variable argument, at a garden dimension, and the rest literals) is one
+fused site: the first concrete or pinned x to reach it computes the site's
+line, the cells of x's whole garden dimension in one table.line pass, which
+the site keeps for the exploration; each such x reads its index's cell
+there, escapes on BOT, and runs the statement's own instruction with the
+comparison's truth as its condition.
 A free x forks on the rows as any indexed call does, and its successors run
 the unfused chain.  The wallclock and state budgets are checked at every
 decision and loop back-edge.  Every solver variable ranges over [0, size),
@@ -232,13 +235,14 @@ class _Truncated(Exception):
 # superoperator over the chain: it keeps op_table's fields and adds a _Site
 # and the statement's own instruction twice, its condition the constant False
 # in one copy and True in the other.  For a concrete or pinned x the site
-# computes the cell of x's index with lookup (BOT escapes), skips the chain and
-# runs the copy the comparison's truth picks, so op_branch and op_assert
-# alone mark the edge or fail the assertion, and a while's op_iterate runs
-# next as it does after the chain.  For a free x op_fused calls op_table, so
-# the row fork and its successors are the chain's, with no instruction added;
-# any other x also goes through op_table, which escapes or ends the path on
-# an uninitialised read as the chain does.
+# reads the cell of x's index from its line, computed by the first such x to
+# reach it (BOT escapes), skips the chain and runs the copy the comparison's
+# truth picks, so op_branch and op_assert alone mark the edge or fail the
+# assertion, and a while's op_iterate runs next as it does after the chain.
+# For a free x op_fused calls op_table, so the row fork and its successors are
+# the chain's, with no instruction added; any other x also goes through
+# op_table, which escapes or ends the path on an uninitialised read as the
+# chain does.
 
 
 _SYMBOLIC = (SymRef, Opaque, Unindexed)
@@ -255,9 +259,11 @@ _CHAIN = 3  # a fused site's distance to its statement's own instruction
 
 class _Site:
     """The comparison T(x, k...) ==/!= c of a fused site.  T's key for x = i
-    is head + (i,) + tail, the literals' raw values around x."""
+    is head + (i,) + tail, the literals' raw values around x.  line is None
+    until a concrete or pinned x first reaches the site, then T.line(head,
+    tail), x's garden dimension read in one pass, kept for the exploration."""
 
-    __slots__ = ("var", "table", "head", "tail", "c", "want")
+    __slots__ = ("var", "table", "head", "tail", "c", "want", "line")
 
     def __init__(self, var, table, head, tail, c, want):
         self.var = var
@@ -266,6 +272,7 @@ class _Site:
         self.tail = tail
         self.c = c
         self.want = want
+        self.line = None
 
 
 class _Lowering:
@@ -1014,11 +1021,12 @@ class Engine:
     # then True.  op_table_step, op_compare and that instruction follow it.
 
     def op_fused(self, st, fr, ins):  # (op, op_table's, site, if false, if true)
-        """For a concrete or pinned x, compute its cell with lookup, skip
-        the chain and run the statement's instruction for the comparison's
-        truth.  A free x goes through op_table, which forks on the rows, and
-        so does any other x, escapes and uninitialised reads included; the
-        chain after the site then runs."""
+        """For a concrete or pinned x, read its cell from the site's line,
+        computed when such an x first reaches the site (an index outside the
+        line is BOT), skip the chain and run the statement's instruction for
+        the comparison's truth.  A free x goes through op_table, which forks
+        on the rows, and so does any other x, escapes and uninitialised
+        reads included; the chain after the site then runs."""
         site = ins[5]
         x = fr.store.get(site.var)
         if x.__class__ is SymRef:
@@ -1028,7 +1036,10 @@ class Engine:
         if i.__class__ is not int:
             self.op_table(st, fr, ins)
             return
-        cell = site.table.lookup(site.head + (i,) + site.tail)
+        line = site.line
+        if line is None:
+            line = site.line = site.table.line(site.head, site.tail)
+        cell = line[i] if 0 <= i < len(line) else BOT
         if cell is BOT:  # a key outside the domains included
             raise EscapedGarden()
         fr.ip += _CHAIN
@@ -1095,17 +1106,15 @@ def _dim_options(parts, at: int, dim):
 
 
 def _row_options(table: IndexedOperatorTable, parts, free_at: int):
-    """One option per table row that the concrete arguments leave, plus one
-    BOT successor whose condition excludes every surviving row.  Engine
-    builds them once per (table, concrete or pinned arguments) in an
-    exploration and reuses them, so they are only read."""
+    """One option per table row that the concrete arguments leave, read
+    from one line of the table, plus one BOT successor whose condition
+    excludes every surviving row.  Engine builds them once per (table,
+    concrete or pinned arguments) in an exploration and reuses them, so
+    they are only read."""
     ref = parts[free_at]
-    rows = []
-    for v in table.dims[free_at].domain():
-        cell = table.lookup(parts[:free_at] + (v,) + parts[free_at + 1:])
-        if cell is not BOT:
-            rows.append((cell, v))
-    rows.sort()
+    line = table.line(parts[:free_at], parts[free_at + 1:])
+    rows = sorted((cell, v) for v, cell in zip(table.dims[free_at].domain(), line)
+                  if cell is not BOT)
     options = [([var_eq_const(ref.var, v)], cell) for cell, v in rows]
     options.append(([var_neq_const(ref.var, v) for _, v in rows], BOT))
     return options

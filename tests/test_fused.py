@@ -1,6 +1,6 @@
 """Fused table-compare-branch sites: an `if`, `while` or `assert` whose
-condition is T(x, k...) ==/!= c decides a concrete or pinned x on the one
-cell of T that lookup keeps for x's index, then runs the statement's own
+condition is T(x, k...) ==/!= c decides a concrete or pinned x on the cell
+of x's index in the site's line of T, then runs the statement's own
 instruction with the comparison's truth as its condition.  It must behave
 exactly as the unfused op_table, op_table_step, op_compare and statement
 chain does."""
@@ -146,6 +146,9 @@ def test_fused_partitions_agree_with_lookup_and_compare(bot_propagate):
                     assert chain[1] == ({after[1]: 1} if truth else {}), (site.table, i)
                     iterations += bool(truth)
             seen.add((site.table.result_indexed, truth))
+        for i in (-1, len(gardens[STR])):  # an index outside the line escapes
+            assert site_effect(engine, code, p, Value(ref.tag, i)) is BOT
+            assert chain_effect(engine, code, p, i) is BOT
     # true, false and BOT cells of raw- and indexed-result tables alike
     assert seen == {(r, out) for r in (False, True) for out in (True, False, BOT)}
     assert iterations > 0
@@ -155,35 +158,58 @@ def test_exploration_fills_only_the_entries_it_reads(monkeypatch):
     # the first site forks on x's rows through op_table; strlen and the
     # while see x pinned to each of the 4 garden values, and the strstr
     # after the loop only "" and "b": x = "a" loops to the bound and
-    # x = "xab" escapes at the while.  Each pinned visit looks up its own
-    # key only, never the rest of x's garden.
+    # x = "xab" escapes at the while.  A site computes its line, x's whole
+    # garden dimension, at the first pinned visit and reads it at every
+    # later one; a site no pinned x reaches computes none.
     program, gardens, tables = _sites_setup()
-    keys = collections.defaultdict(set)  # site -> the keys its visits look up
+    lines = collections.Counter()  # site -> the lines its pinned visits compute
+    visits = collections.Counter()  # site -> its pinned visits
     reading = [None]  # the site whose pinned or concrete x is being read
-    lookup, op_fused, op_table = IndexedOperatorTable.lookup, Engine.op_fused, Engine.op_table
+    line, op_fused, op_table = IndexedOperatorTable.line, Engine.op_fused, Engine.op_table
 
-    def counted_lookup(self, key):
+    def counted_line(self, head, tail):
         if reading[0] is not None:
-            keys[reading[0]].add(key)
-        return lookup(self, key)
+            lines[reading[0]] += 1
+        return line(self, head, tail)
 
     def counted_fused(self, st, fr, ins):
         reading[0] = ins[5]
+        visits[ins[5]] += 1
         try:
             return op_fused(self, st, fr, ins)
         finally:
             reading[0] = None
 
     def uncounted_table(self, st, fr, ins):
+        if reading[0] is not None:
+            visits[reading[0]] -= 1
         reading[0] = None
         return op_table(self, st, fr, ins)
 
-    monkeypatch.setattr(IndexedOperatorTable, "lookup", counted_lookup)
+    monkeypatch.setattr(IndexedOperatorTable, "line", counted_line)
     monkeypatch.setattr(Engine, "op_fused", counted_fused)
     monkeypatch.setattr(Engine, "op_table", uncounted_table)
     engine = Engine(program, ExploreConfig(gardens=gardens, tables=tables))
     engine.explore()
-    assert [len(keys[code[p][5]]) for code, p in fused_sites(engine)][:4] == [0, 4, 4, 2]
+    sites = [code[p][5] for code, p in fused_sites(engine)]
+    # x = "a" meets the while's site once per iteration, up to the bound
+    assert [visits[site] for site in sites] == [0, 4, 20, 2, 0]
+    assert [lines[site] for site in sites] == [0, 1, 1, 1, 0]
+    assert [site.line is not None for site in sites] == [lines[site] == 1 for site in sites]
+    for site in sites[1:4]:
+        assert site.line == [site.table.lookup(site.head + (i,) + site.tail)
+                             for i in range(len(gardens[STR]))]
+
+
+def _flags_3():
+    """The configuration and pipeline of flags 3: three comparisons of one
+    symbolic string with a flag each."""
+    src = "int main() { str flag; symbolic flag; int r = 0;\n" + "".join(
+        f'  if (strcmp(flag, "-{f}") == 0) {{ r = {i}; }}\n'
+        for i, f in enumerate("abc", 1)) + "  return r; }\n"
+    cfg = CliConfig(input_path="flags.mi", indexed_types=(STR,),
+                    f_plus_names=("strcmp",), k=0)
+    return cfg, rewrite_pipeline(build_pipeline(parse(src), cfg), cfg)
 
 
 def test_a_pinned_site_runs_no_chain(monkeypatch):
@@ -191,12 +217,7 @@ def test_a_pinned_site_runs_no_chain(monkeypatch):
     # string; its BOT option is infeasible) and pins `flag`, and each of the
     # 4 successors runs that site's chain; the other two sites decide from
     # the cell and run only op_branch, 4 times each
-    src = "int main() { str flag; symbolic flag; int r = 0;\n" + "".join(
-        f'  if (strcmp(flag, "-{f}") == 0) {{ r = {i}; }}\n'
-        for i, f in enumerate("abc", 1)) + "  return r; }\n"
-    cfg = CliConfig(input_path="flags.mi", indexed_types=(STR,),
-                    f_plus_names=("strcmp",), k=0)
-    pipe = rewrite_pipeline(build_pipeline(parse(src), cfg), cfg)
+    cfg, pipe = _flags_3()
     calls = {"op_table": 0, "op_table_step": 0, "op_compare": 0, "op_branch": 0}
     for name in calls:
         real = getattr(Engine, name)
@@ -209,6 +230,53 @@ def test_a_pinned_site_runs_no_chain(monkeypatch):
     rep = run_mode(cfg, pipe, MODE_INDEXED)
     assert (rep.paths, rep.iot_fork_sizes) == (4, (4,))
     assert calls == {"op_table": 1, "op_table_step": 4, "op_compare": 4, "op_branch": 12}
+
+
+def _sizes(x):
+    """The length of x and of every list, tuple and dict inside it; None
+    for anything else."""
+    if isinstance(x, dict):
+        x = [*x.keys(), *x.values()]
+    if isinstance(x, (list, tuple)):
+        return [len(x), *map(_sizes, x)]
+    return None
+
+
+def test_each_exploration_computes_each_sites_line_once(monkeypatch):
+    # flags 3: the first site's row fork and the two pinned sites each
+    # compute one line per exploration.  A second exploration over the same
+    # tables computes them again: a line belongs to the exploration's
+    # lowering, not to the table.  lookup is never called, and no attribute
+    # of the table grows, so it keeps no cell; only cell_value's one shared
+    # Value per distinct cell is added.
+    cfg, pipe = _flags_3()
+    table = pipe.tables["i_strcmp"]
+    lines, lookups = [], []
+    line, lookup = IndexedOperatorTable.line, IndexedOperatorTable.lookup
+
+    def counted_line(self, head, tail):
+        lines.append((head, tail))
+        return line(self, head, tail)
+
+    def counted_lookup(self, key):
+        lookups.append(key)
+        return lookup(self, key)
+
+    def sizes():
+        return {name: _sizes(value) for name, value in vars(table).items()
+                if name != "_values"}
+
+    monkeypatch.setattr(IndexedOperatorTable, "line", counted_line)
+    monkeypatch.setattr(IndexedOperatorTable, "lookup", counted_lookup)
+    before = sizes()
+    for explorations in (1, 2):
+        rep = run_mode(cfg, pipe, MODE_INDEXED)
+        assert (rep.paths, rep.iot_fork_sizes) == (4, (4,))
+        assert len(lines) == 3 * explorations
+        assert sorted(set(lines)) == sorted(lines[:3])  # one per site
+        assert sizes() == before
+    assert lookups == []
+    assert set(table._values) <= {-1, 0, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -178,11 +178,10 @@ def test_lookup_bot_absorption(fig5_gardens, fig5_strstr):
     assert strncmp.lookup((0, 0, 99)) is BOT  # an int outside the pool
 
 
-def test_garden_and_row_order_pinned():
-    # the garden_memo benchmark's shape, smaller: three two-byte seeds grown
-    # by strcat/strstr, all six string operators over the int pool 0..5.  The
-    # digest pins garden index assignment and row order, so any change in
-    # how argument tuples are enumerated shows here.
+def _garden_memo_shape():
+    """The garden_memo benchmark's shape, smaller: three two-byte seeds
+    grown by strcat/strstr, and all six string operators over the int pool
+    0..5."""
     seeds = SeedSet()
     for v in (b"", b"ab", b"bc", b"ca"):
         seeds.add(mk_str(v))
@@ -190,7 +189,13 @@ def test_garden_and_row_order_pinned():
     gardens = build_garden(seeds, BuilderConfig(builders=builders, k=2, max_str_len=6),
                            types={STR})
     ops = ("strcat", "strcmp", "strlen", "strncmp", "strstr", "substr")
-    tables = memoise_all(gardens, ops, int_pool=range(6))
+    return gardens, memoise_all(gardens, ops, int_pool=range(6))
+
+
+def test_garden_and_row_order_pinned():
+    # the digest pins garden index assignment and row order, so any change
+    # in how argument tuples are enumerated shows here.
+    gardens, tables = _garden_memo_shape()
     digest = hashlib.sha256(serialize_gardens(gardens).encode())
     for name in sorted(tables):
         digest.update(serialize_iot(tables[name]).encode())
@@ -473,6 +478,94 @@ def test_keys_outside_the_domains_are_bot_and_compute_nothing(looked_up):
         for propagate in (False, True):  # a BOT index escapes where it is used
             assert indexed.cell_value(indexed.lookup(key), propagate).raw is BOT
     assert len(indexed.rows) == n * n
+
+
+def _check_lines(t):
+    """Each line of t, every dimension free in turn, against lookup of its
+    keys; the number of lines checked."""
+    domains = [[*d.domain()] for d in t.dims]
+    lines = 0
+    for at in range(t.arity):
+        for fixed in product(*domains[:at], *domains[at + 1:]):
+            head, tail = fixed[:at], fixed[at:]
+            want = [t.lookup(head + (v,) + tail) for v in domains[at]]
+            assert t.line(head, tail) == want, (t.op_name, head, tail)
+            lines += 1
+    return lines
+
+
+def test_a_line_is_the_lookups_of_its_keys():
+    # every line of the garden_memo shape's tables, substr's and strncmp's
+    # int-pool dimensions free included, then of its tables as parse_iot
+    # loads them; no line reads its table whole
+    gardens, tables = _garden_memo_shape()
+    n = len(gardens[STR])
+    lines = {name: _check_lines(t) for name, t in tables.items()}
+    assert lines == {"i_strcat": 2 * n, "i_strcmp": 2 * n, "i_strlen": 1,
+                     "i_strncmp": 2 * n * 6 + n * n, "i_strstr": 2 * n,
+                     "i_substr": 6 * 6 + 2 * n * 6}
+    for name, t in tables.items():
+        assert t._whole is None, name
+        loaded = parse_iot(serialize_iot(t), gardens)
+        assert _check_lines(loaded) == lines[name]
+        assert loaded.cells() == t.cells()
+
+
+def test_a_line_with_a_fixed_component_outside_its_domain_is_bot():
+    # as lookup is on each of its keys, and no cell is computed
+    gardens = _ab_garden()
+    n = len(gardens[STR])
+    calls = []
+    t = memoise(gardens, recording(REGISTRY["strncmp"], calls), int_pool=(1, 4))
+    for head, tail in [((), (BOT, 1)), ((), (0, 2)), ((), (0, -1)), ((-1,), (4,)),
+                       ((n,), (1,)), ((0, n), ()), ((0,), (1, 1)), ((0,), ())]:
+        free = t.dims[len(head)]
+        want = [t.lookup(head + (v,) + tail) for v in free.domain()]
+        assert want == [BOT] * len(free.domain())
+        assert t.line(head, tail) == want, (head, tail)
+    assert calls == []
+
+
+def test_a_float_line_is_bot_where_the_result_is_nan_or_negative_zero():
+    gardens, pool = _edge_gardens()
+    g = gardens[FLOAT]
+    zero, one = (g.index_or_bot(mk_float(x)) for x in (0.0, 1.0))
+    fdiv, fmul = (memoise(gardens, REGISTRY[name]) for name in ("fdiv", "fmul"))
+    # 0.0 / 0.0 is NaN and 0.0 * -1.0 is -0.0: neither is in the garden
+    assert math.isnan(REGISTRY["fdiv"].fn(0.0, 0.0))
+    assert fdiv.line((zero,), ())[zero] is BOT
+    assert math.copysign(1.0, REGISTRY["fmul"].fn(0.0, -1.0)) == -1.0
+    products = [0.0 * g.value_at(i).raw for i in range(len(g))]
+    assert fmul.line((zero,), ()) == [
+        BOT if math.isnan(r) or math.copysign(1.0, r) < 0 else zero for r in products]
+    assert sum(math.isnan(r) for r in products) == 2  # 0.0 * inf and 0.0 * -inf
+    assert fdiv.line((), (one,))[zero] == zero
+    for name in ("fadd", "fsub", "fmul", "fdiv", "sqrt", "fabs", "fmin", "fmax"):
+        _check_lines(memoise(gardens, REGISTRY[name], pool))
+
+
+def test_a_raising_call_is_one_bot_cell_of_its_line():
+    # the call on one argument raises: its cell is BOT, every other cell
+    # of the line is computed, in one fn call each
+    gardens = _ab_garden()
+    g, strcat = gardens[STR], REGISTRY["strcat"]
+    b = g.index_or_bot(s(b"b"))
+    calls = []
+
+    def fn(x, y):
+        if x == b"b":
+            raise ValueError(x)
+        return strcat.fn(x, y)
+
+    assert 0 < b < len(g) - 1  # cells come before and after the raising one
+    t = memoise(gardens, recording(BuiltinOp(strcat.signature, fn, strcat.indexes), calls))
+    plain = memoise(gardens, strcat)
+    for y in range(len(g)):
+        line = t.line((), (y,))
+        assert len(calls) == len(g) * (y + 1)
+        assert line == [BOT if x == b else plain.lookup((x, y)) for x in range(len(g))]
+        assert line[b + 1] is not BOT
+    assert t.line((b,), ()) == [BOT] * len(g)
 
 
 def test_indexed_signature(fig5_strstr):

@@ -139,22 +139,46 @@ def test_exploration_computes_only_the_cells_it_reads(monkeypatch):
     assert calls == []
     res = normalize(typecheck(parse(GARDEN_MEMO_SHAPE)),
                     RewriteConfig({STR}, ops, gardens, tables))
-    read = []
-    lookup = IndexedOperatorTable.lookup
+    # (table, length, its fn calls) of each line and each lookup; cells() calls
+    lines, lookups, whole = [], [], []
+    line, lookup, cells = (IndexedOperatorTable.line, IndexedOperatorTable.lookup,
+                           IndexedOperatorTable.cells)
 
-    def recorded(table, key):
-        read.append((table.indexed_name, key))
-        return lookup(table, key)
+    def recorded(table, head, tail):
+        made = len(calls)
+        out = line(table, head, tail)
+        lines.append((table.indexed_name, len(out), len(calls) - made))
+        return out
 
-    monkeypatch.setattr(IndexedOperatorTable, "lookup", recorded)
+    def looked_up(table, key):
+        made = len(calls)
+        out = lookup(table, key)
+        lookups.append((table.indexed_name, 1, len(calls) - made))
+        return out
+
+    def read_whole(table):
+        whole.append(table.indexed_name)
+        return cells(table)
+
+    monkeypatch.setattr(IndexedOperatorTable, "line", recorded)
+    monkeypatch.setattr(IndexedOperatorTable, "lookup", looked_up)
+    monkeypatch.setattr(IndexedOperatorTable, "cells", read_whole)
     rep = run_indexed(res, gardens, tables)
+    assert whole == []
     rows = sum(t.size for t in tables.values())
     # atoms_generated counts the whole table at each forking call, not the
     # cells computed
     assert (rep.paths, rep.atoms_generated) == (14, 3724)
-    # every fn call is one lookup's, and the cells read are few
-    assert len(calls) == len(read) == 108
-    assert len(set(read)) < rows / 50  # 99 of 18,232 cells
+    # every fn call belongs to one line, of strcat's row fork or of a fused
+    # site, or to the lookup of a call with no free argument (strstr's
+    # truth and substr, each of a pinned s), one call per cell; and the
+    # cells computed are few
+    assert all(length == made for _, length, made in lines + lookups)
+    assert sorted(name for name, *_ in lines) == [
+        "i_strcat", "i_strcmp", "i_strlen", "i_strncmp"]
+    assert sorted(name for name, *_ in lookups) == ["i_strstr"] * 13 + ["i_substr"] * 13
+    assert len(calls) == sum(length for _, length, _ in lines + lookups) == 4 * 43 + 26
+    assert len(calls) < rows / 50
     assert rows == sum(len(t.rows) for t in tables.values()) == 18232
 
 
@@ -761,26 +785,34 @@ def _vars_pipeline():
 
 def test_each_tree_node_builds_its_options_once(monkeypatch):
     # a row fork's options are built once per call site and arguments, and
-    # every later node reuses them: each of the 4 strcmp sites looks up
-    # each of the 4 garden values once, though 85 nodes fork on rows
+    # every later node reuses them: each of the 4 strcmp sites reads one
+    # line, its 4 garden values, though 85 nodes fork on rows; no cell is
+    # looked up on its own
     cfg, pipe = _vars_pipeline()
-    counts = {"lookup": 0, "search": 0}
-    real_lookup, real_search = IndexedOperatorTable.lookup, solver.search
+    counts = {"lookup": 0, "line": 0, "search": 0}
+    real_lookup, real_line = IndexedOperatorTable.lookup, IndexedOperatorTable.line
+    real_search = solver.search
 
     def lookup(table, key):
         counts["lookup"] += 1
         return real_lookup(table, key)
+
+    def line(table, head, tail):
+        counts["line"] += 1
+        return real_line(table, head, tail)
 
     def search(*args, **kw):
         counts["search"] += 1
         return real_search(*args, **kw)
 
     monkeypatch.setattr(IndexedOperatorTable, "lookup", lookup)
+    monkeypatch.setattr(IndexedOperatorTable, "line", line)
     monkeypatch.setattr(solver, "search", search)
     rep = run_mode(cfg, pipe, MODE_INDEXED)
     assert rep.paths == 4 ** 4
     assert len(rep.iot_fork_sizes) == 85
-    assert counts["lookup"] == len(pipe.gardens[STR]) * 4 == 16
+    assert len(pipe.gardens[STR]) == 4
+    assert (counts["line"], counts["lookup"]) == (4, 0)
     assert counts["search"] == 0  # x == c and x != c atoms only
 
 
